@@ -12,7 +12,7 @@ from .state import (BACKGROUND, GHSState, LatticeState, PQState,
                     background_state, flaschka_forward, flaschka_inverse,
                     hamiltonian_ab, jacobi_matrix, jacobi_norm,
                     random_localized_state, relative_to_lattice, toda_rhs,
-                    trace_invariants)
+                    toda_tangent_rhs, trace_invariants)
 from .integrators import IntegratorConfig, Trajectory, integrate, sample_times
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
                        soliton_pq, soliton_pq_state, soliton_speed,
@@ -20,10 +20,10 @@ from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
 from .hierarchy import (HierarchySpec, free_moment, g_tilde, h_tilde,
                         hierarchy_hamiltonian, hierarchy_rhs, kvm_rhs,
                         path_counts)
-from .sensitivity import (SecondTangentGrid, SensitivityGrid, TangentState,
+from .sensitivity import (Flow, SecondTangentGrid, SensitivityGrid,
                           evolve_second_tangent, evolve_tangent,
-                          finite_difference_oracle, second_finite_difference,
-                          tangent_rhs)
+                          finite_difference_oracle, make_flow,
+                          second_finite_difference)
 from .bounds import (C_epsilon, Envelope, G_mu, LightConeReport,
                      check_G_convolution, fit_front_speed, gamma_const,
                      h_growth, hierarchy_envelope, mu_profile, optimal_mu,

@@ -333,8 +333,9 @@ def fit_front_speed(times: np.ndarray, dists: np.ndarray, obs: np.ndarray,
 class LightConeReport:
     """Outcome of one envelope-vs-observation comparison.
 
-    On a clean grid, violations lists every (n, t) with observed > envelope
-    (empty iff the bound holds pointwise); the stored list is capped but the
+    On a clean grid, violations lists every (n, t) whose observation exceeds
+    the envelope or is not finite (empty iff the bound holds pointwise); the
+    stored list is capped but the
     count is exact.  On a contaminated grid no verdict is issued: violations
     stays empty and clean is False.
     """
@@ -382,7 +383,7 @@ def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
     violations = []
     n_viol = 0
     if clean:
-        bad = np.argwhere(obs > env)
+        bad = np.argwhere(~(obs <= env))       # a non-finite observation violates
         n_viol = int(bad.shape[0])
         for it, isite in bad[:max_violations_stored]:
             violations.append({"n": int(grid.sites[isite]), "t": float(times[it]),

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,34 +23,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (hierarchy_envelope, optimal_mu, perturbed_envelope,
-                     timedep_envelope, toda_envelope, velocity_hierarchy,
-                     velocity_toda, verify_light_cone)
-from .ghs import (PotentialSpec, check_ghs_cone, ghs_energy, ghs_integrate,
+from .bounds import (LightConeReport, hierarchy_envelope, optimal_mu,
+                     perturbed_envelope, timedep_envelope, toda_envelope,
+                     velocity_hierarchy, velocity_toda, verify_light_cone)
+from .ghs import (PotentialSpec, check_ghs_cone, ghs_integrate,
                   ghs_stability_diagnostics)
-from .hierarchy import HierarchySpec, hierarchy_hamiltonian, hierarchy_rhs
+from .hierarchy import HierarchySpec, hierarchy_hamiltonian
 from .integrators import IntegratorConfig, Trajectory, integrate
 from .observables import (basic_observables, check_bracket_bound,
-                          evolved_bracket, hamiltonian_window_observable,
-                          poisson_bracket, required_bracket_seeds)
+                          hamiltonian_window_observable, poisson_bracket,
+                          required_bracket_seeds)
 from .perturbed import (PerturbationSpec, interpolation_envelope,
                         monitor_trajectory, perturbed_rhs)
 from .sensitivity import evolve_tangent
-from .solitons import SolitonSpec, soliton_Lnorm, soliton_flaschka, soliton_state
+from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
+                       soliton_speed, soliton_state)
 from .state import (GHSState, LatticeState, background_state, hamiltonian_ab,
                     jacobi_norm, random_localized_state, toda_rhs)
 
-SCENARIOS = ("toda-lightcone", "soliton-validate", "hierarchy", "perturbed",
-             "interpolation", "timedep", "observables", "ghs")
 BASES = ("auto", "background", "soliton", "random")
-
-# what "auto" means per scenario: cone checks on the exact background are the
-# cleanest, perturbed flows need spatially localized data, bracket checks need
-# a state with structure
-_AUTO_BASE = {"toda-lightcone": "background", "soliton-validate": "soliton",
-              "hierarchy": "background", "perturbed": "random",
-              "interpolation": "random", "timedep": "random",
-              "observables": "soliton", "ghs": "background"}
 
 
 class ConfigError(ValueError):
@@ -104,7 +94,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: unknown value {self.scenario!r}; pick one of {SCENARIOS}")
+            raise ConfigError(f"scenario: unknown value {self.scenario!r}; "
+                              f"pick one of {tuple(SCENARIOS)}")
         if self.window < 2 * self.guard + 10:
             raise ConfigError(f"window: must be >= 2*guard + 10 = {2 * self.guard + 10}, got {self.window}")
         if not self.t_final > 0:
@@ -115,7 +106,8 @@ class ExperimentConfig:
             raise ConfigError(f"base: unknown value {self.base!r}; pick one of {BASES}")
         if not self.seeds:
             raise ConfigError("seeds: need at least one (site, coord) pair")
-        coords = ("r", "p") if self.scenario == "ghs" else ("a", "b")
+        coords = GHSState.coords if self.scenario == "ghs" else LatticeState.coords
+        alias = dict(zip(LatticeState.coords, coords))    # ghs seeds may say a, b
         norm = []
         for i, pair in enumerate(self.seeds):
             try:
@@ -123,8 +115,7 @@ class ExperimentConfig:
                 site = int(site)
             except (TypeError, ValueError):
                 raise ConfigError(f"seeds[{i}]: expected [site, coord] pair") from None
-            if self.scenario == "ghs":
-                coord = {"a": "r", "b": "p"}.get(coord, coord)
+            coord = alias.get(coord, coord)
             if coord not in coords:
                 raise ConfigError(f"seeds[{i}]: coord must be one of {coords}, got {coord!r}")
             norm.append((site, coord))
@@ -145,7 +136,7 @@ class ExperimentConfig:
         return optimal_mu()[0] if self.mu == "optimal" else float(self.mu)
 
     def resolved_base(self) -> str:
-        return _AUTO_BASE[self.scenario] if self.base == "auto" else self.base
+        return SCENARIOS[self.scenario].auto_base if self.base == "auto" else self.base
 
 
 def _build_block(cls, block: dict, path: str, required: tuple = ()):
@@ -156,23 +147,13 @@ def _build_block(cls, block: dict, path: str, required: tuple = ()):
             raise ConfigError(f"{path}.{key}: required")
     try:
         return cls(**block)
-    except TypeError as err:
-        raise ConfigError(f"{path}: {err}") from None
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from None
 
 
-_BLOCK_REQUIRED = {"soliton": ("kappa",), "hierarchy": (), "perturbation": (), "potential": ()}
-_BLOCK_TYPES = {"soliton": SolitonSpec, "hierarchy": HierarchySpec,
-                "perturbation": PerturbationSpec, "potential": PotentialSpec}
-_SCENARIO_BLOCKS = {
-    "soliton-validate": ("soliton",),
-    "hierarchy": ("hierarchy",),
-    "perturbed": ("perturbation",),
-    "interpolation": ("perturbation",),
-    "timedep": ("perturbation",),
-    "ghs": ("potential",),
-}
+# spec blocks: type and required keys
+_BLOCKS = {"soliton": (SolitonSpec, ("kappa",)), "hierarchy": (HierarchySpec, ()),
+           "perturbation": (PerturbationSpec, ()), "potential": (PotentialSpec, ())}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -184,35 +165,27 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"{key}: unknown field")
     if "scenario" not in raw:
         raise ConfigError("scenario: required")
-    kwargs = {}
-    for key in ("scenario", "window", "guard", "t_final", "sample_dt", "seeds",
-                "mu", "eps", "base", "seed", "envelope_scale", "front_threshold",
-                "obs_range"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    for key in ("window", "guard", "seed", "obs_range"):
-        if key in kwargs:
-            try:
-                kwargs[key] = int(kwargs[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: expected an integer") from None
-    for key in ("t_final", "sample_dt", "eps", "envelope_scale", "front_threshold"):
-        if key in kwargs:
-            try:
-                kwargs[key] = float(kwargs[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: expected a number") from None
+    kwargs = {key: value for key, value in raw.items()
+              if key != "integrator" and key not in _BLOCKS}
+    for keys, cast, kind in ((("window", "guard", "seed", "obs_range"), int, "an integer"),
+                             (("t_final", "sample_dt", "eps", "envelope_scale",
+                               "front_threshold"), float, "a number")):
+        for key in keys:
+            if key in kwargs:
+                try:
+                    kwargs[key] = cast(kwargs[key])
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{key}: expected {kind}") from None
     if "integrator" in raw:
         kwargs["integrator"] = _build_block(IntegratorConfig, raw["integrator"], "integrator")
-    for name, cls in _BLOCK_TYPES.items():
+    for name, (cls, required) in _BLOCKS.items():
         if name in raw:
             block = dict(raw[name]) if isinstance(raw[name], dict) else raw[name]
             if name == "hierarchy" and isinstance(block, dict) and "c" in block:
                 block["c"] = tuple(block["c"])
-            kwargs[name] = _build_block(cls, block, name, _BLOCK_REQUIRED[name])
+            kwargs[name] = _build_block(cls, block, name, required)
     cfg = ExperimentConfig(**kwargs)
-    scenario_needs = _SCENARIO_BLOCKS.get(cfg.scenario, ())
-    for name in scenario_needs:
+    for name in SCENARIOS[cfg.scenario].blocks:
         if getattr(cfg, name) is None:
             raise ConfigError(f"{name}: required for scenario {cfg.scenario}")
     if cfg.resolved_base() == "soliton" and cfg.soliton is None:
@@ -220,7 +193,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_config(path) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -228,7 +201,13 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from None
-    return config_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("top level: expected an object")
+    return raw
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_config(path))
 
 
 # -- scenario runners ---------------------------------------------------------
@@ -248,44 +227,62 @@ def _grid_csv_name(seed) -> str:
     return f"sensitivity_{tag}_{coord}.csv"
 
 
-def _cone_scenario(cfg, out, flow, envelope, drift_fn, extra, **tangent_kw):
-    """Shared body of the light-cone scenarios: one tangent run per seed,
-    verified against the envelope; drift measured on the base trajectory."""
-    x = _base_lattice(cfg)
-    reports = []
-    first_violation = None
-    drift = 0.0
-    front = None
+def _seed_loop(cfg, out, x, checks, **flow):
+    """Per seed: one tangent run, its CSV, then each check of the grid; a
+    light-cone report is also written as JSON.  Returns one tuple of check
+    results per seed, and the last grid."""
+    rows = []
     for seed in cfg.seeds:
-        grid = evolve_tangent(x, seed, cfg.t_final, cfg.integrator, flow,
-                              sample_dt=cfg.sample_dt, guard=cfg.guard, **tangent_kw)
-        rep = verify_light_cone(grid, envelope, threshold=cfg.front_threshold)
+        grid = evolve_tangent(x, seed, cfg.t_final, cfg.integrator,
+                              sample_dt=cfg.sample_dt, guard=cfg.guard, **flow)
         grid.to_csv(out / _grid_csv_name(seed))
-        rep.to_json(out / f"lightcone_{envelope.family}_{seed[0]}_{seed[1]}.json")
-        reports.append(rep)
-        if rep.violations and first_violation is None:
-            first_violation = rep.violations[0]
-        if front is None and rep.empirical_front_speed is not None:
-            front = rep.empirical_front_speed
-        base = Trajectory(grid.times, grid.base_a, grid.base_b, grid.offset,
+        rows.append(tuple(check(grid) for check in checks))
+        for rep in rows[-1]:
+            if isinstance(rep, LightConeReport):
+                rep.to_json(out / f"lightcone_{rep.family}_{seed[0]}_{seed[1]}.json")
+    return rows, grid
+
+
+def _cone_check(cfg, envelope):
+    return lambda grid: verify_light_cone(grid, envelope, threshold=cfg.front_threshold)
+
+
+def _verdict(reports, clean=True):
+    """(clean, violation count, first violation) over reports in run order."""
+    first = next((r.violations[0] for r in reports if r.violations), None)
+    return clean and all(r.clean for r in reports), sum(r.n_violations for r in reports), first
+
+
+def _first_front(reports):
+    return next((r.empirical_front_speed for r in reports
+                 if r.empirical_front_speed is not None), None)
+
+
+def _cone_scenario(cfg, out, x, envelope, drift_fn, extra, **flow):
+    """Shared body of the one-envelope cone scenarios; drift is measured on
+    each seed's base trajectory."""
+    def base_run(grid):
+        return Trajectory(grid.times, grid.base_a, grid.base_b, grid.offset,
                           grid.background, cfg.guard)
-        drift = max(drift, drift_fn(base))
-    base.to_csv(out / "trajectory.csv")
-    clean = all(r.clean for r in reports)
-    n_viol = sum(r.n_violations for r in reports)
+
+    rows, grid = _seed_loop(cfg, out, x, (_cone_check(cfg, envelope),
+                                          lambda g: drift_fn(base_run(g))), **flow)
+    base_run(grid).to_csv(out / "trajectory.csv")
+    reports, drifts = zip(*rows)
+    drift = max(0.0, *drifts)
+    clean, n_viol, first_violation = _verdict(reports)
     drift_tol = 100.0 * cfg.integrator.tolerance
-    ok = clean and n_viol == 0 and drift <= drift_tol
     summary = {
         "clean": clean,
         "violations": n_viol,
-        "empirical_front_speed": front,
-        "bound_speed": reports[0].bound_speed if reports else None,
+        "empirical_front_speed": _first_front(reports),
+        "bound_speed": reports[0].bound_speed,
         "conserved_drift": drift,
         "drift_tolerance": drift_tol,
         "boundary_margin": min(r.boundary_margin for r in reports),
+        **extra,
     }
-    summary.update(extra)
-    return summary, ok, first_violation
+    return summary, clean and n_viol == 0 and drift <= drift_tol, first_violation
 
 
 def _run_toda_lightcone(cfg: ExperimentConfig, out: Path):
@@ -293,8 +290,9 @@ def _run_toda_lightcone(cfg: ExperimentConfig, out: Path):
     x = _base_lattice(cfg)
     lnorm = jacobi_norm(x)
     env = toda_envelope(mu, lnorm, cfg.envelope_scale)
-    return _cone_scenario(cfg, out, "toda", env, lambda tr: tr.norm_drift(),
-                          {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()})
+    return _cone_scenario(cfg, out, x, env, lambda tr: tr.norm_drift(),
+                          {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()},
+                          flow="toda")
 
 
 def _run_hierarchy(cfg: ExperimentConfig, out: Path):
@@ -303,19 +301,12 @@ def _run_hierarchy(cfg: ExperimentConfig, out: Path):
     lnorm = jacobi_norm(x)
     hspec = cfg.hierarchy
     env = hierarchy_envelope(mu, lnorm, hspec, "matrix-norm", cfg.envelope_scale)
-
-    def drift_fn(tr):
-        h0 = hierarchy_hamiltonian(tr.state(0), hspec)
-        worst = 0.0
-        for i in range(tr.n_samples):
-            worst = max(worst, abs(hierarchy_hamiltonian(tr.state(i), hspec) - h0))
-        return worst
-
     extra = {"mu": mu, "Lnorm": lnorm, "r": hspec.r, "c": list(hspec.c),
              "bound_speed_lemma44": velocity_hierarchy(mu, lnorm, hspec, "lemma44"),
              "base": cfg.resolved_base()}
-    return _cone_scenario(cfg, out, "hierarchy", env, drift_fn, extra,
-                          hierarchy=hspec)
+    return _cone_scenario(cfg, out, x, env,
+                          lambda tr: tr.energy_drift(lambda s: hierarchy_hamiltonian(s, hspec)),
+                          extra, flow="hierarchy", hierarchy=hspec)
 
 
 def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
@@ -350,12 +341,9 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
         "norm_drift": norm_drift,
         "trace_drift": trace_drift,
         "Lnorm_vs_analytic": norm_err,
-        "soliton_speed": spec.sign * math.sinh(spec.kappa) / spec.kappa,
+        "soliton_speed": soliton_speed(spec),
     }
     return summary, ok, None
-
-
-
 
 
 def _perturbed_energy(pspec):
@@ -365,25 +353,33 @@ def _perturbed_energy(pspec):
     return energy
 
 
-def _run_perturbed(cfg: ExperimentConfig, out: Path):
-    mu = cfg.resolved_mu()
+def _perturbed_base(cfg: ExperimentConfig, out: Path, skipped: str):
+    """Shared start of the perturbed and interpolation scenarios: the base
+    run (written as trajectory.csv), its monitors, and the common summary,
+    which is final when the run looks unbounded."""
     pspec = cfg.perturbation
     x = _base_lattice(cfg)
     traj = integrate(x, lambda s: perturbed_rhs(s, pspec), cfg.t_final,
                      cfg.integrator, sample_dt=cfg.sample_dt, guard=cfg.guard)
     traj.to_csv(out / "trajectory.csv")
     mon = monitor_trajectory(traj)
-    drift = traj.energy_drift(_perturbed_energy(pspec))
-    summary = {
-        "mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
-        "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded,
-        "conserved_drift": drift,
-        "drift_tolerance": 100.0 * cfg.integrator.tolerance,
-    }
+    summary = {"mu": cfg.resolved_mu(), "base": cfg.resolved_base(),
+               "family": pspec.family, "w0": pspec.w0,
+               "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded,
+               "conserved_drift": traj.energy_drift(_perturbed_energy(pspec))}
     if mon.unbounded:
         summary.update({"clean": traj.clean, "violations": 0,
                         "empirical_front_speed": None, "bound_speed": None,
-                        "excluded": "unbounded-looking run; bound checks skipped"})
+                        "excluded": f"unbounded-looking run; {skipped} skipped"})
+    return x, traj, mon, summary
+
+
+def _run_perturbed(cfg: ExperimentConfig, out: Path):
+    pspec = cfg.perturbation
+    x, traj, mon, summary = _perturbed_base(cfg, out, "bound checks")
+    mu, drift_tol = summary["mu"], 100.0 * cfg.integrator.tolerance
+    summary["drift_tolerance"] = drift_tol
+    if mon.unbounded:
         return summary, False, None
 
     # a-priori operator norm growth along the run
@@ -394,28 +390,14 @@ def _run_perturbed(cfg: ExperimentConfig, out: Path):
     a_star = min(float(np.min(np.abs(x.a))), abs(x.background[0]))
     env_t = timedep_envelope(mu, mon.Lnorm_t[0], pspec.dw_sup, pspec.d2w_sup,
                              a_star, cfg.envelope_scale)
-    first_violation = None
-    n_viol = 0
-    clean = traj.clean
-    front = None
-    for seed in cfg.seeds:
-        grid = evolve_tangent(x, seed, cfg.t_final, cfg.integrator, "perturbed",
-                              perturbation=pspec, sample_dt=cfg.sample_dt,
-                              guard=cfg.guard)
-        grid.to_csv(out / _grid_csv_name(seed))
-        for env in (env_w, env_t):
-            rep = verify_light_cone(grid, env, threshold=cfg.front_threshold)
-            rep.to_json(out / f"lightcone_{env.family}_{seed[0]}_{seed[1]}.json")
-            clean = clean and rep.clean
-            n_viol += rep.n_violations
-            if rep.violations and first_violation is None:
-                first_violation = rep.violations[0]
-            if env is env_w and front is None:
-                front = rep.empirical_front_speed
-    ok = clean and n_viol == 0 and norm_ok and drift <= 100.0 * cfg.integrator.tolerance
+    rows, _ = _seed_loop(cfg, out, x, (_cone_check(cfg, env_w), _cone_check(cfg, env_t)),
+                         flow="perturbed", perturbation=pspec)
+    clean, n_viol, first_violation = _verdict([r for row in rows for r in row], traj.clean)
+    ok = clean and n_viol == 0 and norm_ok and summary["conserved_drift"] <= drift_tol
     summary.update({
         "clean": clean, "violations": n_viol,
-        "empirical_front_speed": front, "bound_speed": env_w.speed,
+        "empirical_front_speed": _first_front([w for w, _ in rows]),
+        "bound_speed": env_w.speed,
         "norm_growth_ok": norm_ok, "a_star": a_star,
         "timedep_radius_final": float(env_t.radius(cfg.t_final)),
     })
@@ -423,32 +405,18 @@ def _run_perturbed(cfg: ExperimentConfig, out: Path):
 
 
 def _run_interpolation(cfg: ExperimentConfig, out: Path):
-    mu = cfg.resolved_mu()
-    pspec = cfg.perturbation
-    x = _base_lattice(cfg)
-    traj = integrate(x, lambda s: perturbed_rhs(s, pspec), cfg.t_final,
-                     cfg.integrator, sample_dt=cfg.sample_dt, guard=cfg.guard)
-    traj.to_csv(out / "trajectory.csv")
-    mon = monitor_trajectory(traj)
-    summary = {"mu": mu, "eps": cfg.eps, "base": cfg.resolved_base(),
-               "family": pspec.family, "w0": pspec.w0,
-               "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded,
-               "conserved_drift": traj.energy_drift(_perturbed_energy(pspec))}
+    x, _, mon, summary = _perturbed_base(cfg, out, "fit")
+    summary["eps"] = cfg.eps
     if mon.unbounded:
-        summary.update({"clean": traj.clean, "violations": 0,
-                        "empirical_front_speed": None, "bound_speed": None,
-                        "excluded": "unbounded-looking run; fit skipped"})
         return summary, False, None
-    fits = []
-    clean = True
-    for seed in cfg.seeds:
-        grid = evolve_tangent(x, seed, cfg.t_final, cfg.integrator, "perturbed",
-                              perturbation=pspec, sample_dt=cfg.sample_dt,
-                              guard=cfg.guard)
-        grid.to_csv(out / _grid_csv_name(seed))
-        fit = interpolation_envelope(grid, mon, mu, cfg.eps)
-        fits.append(fit)
-        clean = clean and grid.clean
+
+    def fit(grid):
+        return interpolation_envelope(grid, mon, summary["mu"], cfg.eps)
+
+    rows, _ = _seed_loop(cfg, out, x, (fit, lambda grid: grid.clean),
+                         flow="perturbed", perturbation=cfg.perturbation)
+    fits, cleans = zip(*rows)
+    clean = all(cleans)
     worst_r2 = min(f.r2_spatial for f in fits)
     valid = all(f.envelope_valid for f in fits)
     ok = clean and valid and worst_r2 >= 0.99
@@ -459,12 +427,9 @@ def _run_interpolation(cfg: ExperimentConfig, out: Path):
         "C": f0.C, "v": f0.v, "vstar": f0.vstar, "D": f0.D, "delta": f0.delta,
         "r2_spatial": worst_r2, "envelope_valid": valid,
     })
-    with open(out / "interpolation_fit.json", "w") as fh:
-        json.dump([{k: getattr(f, k) for k in
-                    ("mu", "eps", "C", "v", "vstar", "D", "delta",
-                     "r2_spatial", "envelope_valid")} for f in fits],
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "interpolation_fit.json",
+                [{k: getattr(f, k) for k in ("mu", "eps", "C", "v", "vstar", "D", "delta",
+                                             "r2_spatial", "envelope_valid")} for f in fits])
     return summary, ok, None
 
 
@@ -479,9 +444,9 @@ def _run_timedep(cfg: ExperimentConfig, out: Path):
     extra = {"mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
              "a_star": a_star, "Lnorm0": lnorm0,
              "radius_final": float(env.radius(cfg.t_final))}
-    return _cone_scenario(cfg, out, "perturbed", env,
+    return _cone_scenario(cfg, out, x, env,
                           lambda tr: tr.energy_drift(_perturbed_energy(pspec)),
-                          extra, perturbation=pspec)
+                          extra, flow="perturbed", perturbation=pspec)
 
 
 def _run_observables(cfg: ExperimentConfig, out: Path):
@@ -516,16 +481,14 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
     a_0, b_0 = basic_observables(0)
     gen_err = 0.0
     dt = 1e-6
+    # the Toda flow a step dt forward and backward, for a two-sided difference
+    fixed = IntegratorConfig(method="rk4-fixed", step=dt / 4.0)
+    plus = integrate(x, toda_rhs, dt, fixed, n_samples=2).state(1)
+    minus = integrate(x, lambda s: tuple(-f for f in toda_rhs(s)), dt, fixed,
+                      n_samples=2).state(1)
     for obs in (a_0, b_0):
         bracket = poisson_bracket(obs, h_obs, x)
-        # forward flow two-sided difference of obs along the Toda flow
-        tr = integrate(x, toda_rhs, dt, IntegratorConfig(method="rk4-fixed", step=dt / 4.0),
-                       n_samples=2)
-        plus = obs.eval(tr.state(1))
-        trm = integrate(x, lambda s: tuple(-f for f in toda_rhs(s)), dt,
-                        IntegratorConfig(method="rk4-fixed", step=dt / 4.0), n_samples=2)
-        minus = obs.eval(trm.state(1))
-        fd = (plus - minus) / (2.0 * dt)
+        fd = (obs.eval(plus) - obs.eval(minus)) / (2.0 * dt)
         # bracket convention: d/dt (obs o flow_t) = {obs, H}
         scale = max(1.0, abs(bracket))
         gen_err = max(gen_err, abs(fd - bracket) / scale)
@@ -548,38 +511,24 @@ def _run_ghs(cfg: ExperimentConfig, out: Path):
     n = cfg.window
     offset = -(n // 2)
     sites = np.arange(offset, offset + n)
-    r0 = np.zeros(n)
-    p0 = np.exp(-((sites / 3.0) ** 2))
-    x = GHSState(r0, p0, offset)
+    x = GHSState(np.zeros(n), np.exp(-((sites / 3.0) ** 2)), offset)
     traj = ghs_integrate(x, pot, cfg.t_final, cfg.integrator,
                          sample_dt=cfg.sample_dt, guard=cfg.guard)
     drift = traj.energy_drift(pot)
     stab = ghs_stability_diagnostics(traj, pot)
-    first_violation = None
-    n_viol = 0
-    clean = traj.clean
-    front = None
-    bound_speed = None
-    for seed in cfg.seeds:
-        grid = evolve_tangent(x, seed, cfg.t_final, cfg.integrator, "ghs",
-                              potential=pot, sample_dt=cfg.sample_dt,
-                              guard=cfg.guard)
-        grid.to_csv(out / _grid_csv_name(seed))
-        rep = check_ghs_cone(grid, mu, traj, pot, cfg.envelope_scale,
-                             cfg.front_threshold)
-        rep.to_json(out / f"lightcone_ghs_{seed[0]}_{seed[1]}.json")
-        clean = clean and rep.clean
-        n_viol += rep.n_violations
-        bound_speed = rep.bound_speed
-        if rep.violations and first_violation is None:
-            first_violation = rep.violations[0]
-        if front is None:
-            front = rep.empirical_front_speed
+
+    def cone(grid):
+        return check_ghs_cone(grid, mu, traj, pot, cfg.envelope_scale, cfg.front_threshold)
+
+    rows, _ = _seed_loop(cfg, out, x, (cone,), flow="ghs", potential=pot)
+    reports = [row[0] for row in rows]
+    clean, n_viol, first_violation = _verdict(reports, traj.clean)
     ok = clean and n_viol == 0 and drift <= 1e-8 and stab.ok
     summary = {
         "mu": mu, "family": pot.family, "beta": pot.beta,
         "clean": clean, "violations": n_viol,
-        "empirical_front_speed": front, "bound_speed": bound_speed,
+        "empirical_front_speed": _first_front(reports),
+        "bound_speed": reports[-1].bound_speed,
         "conserved_drift": drift,
         "energy": stab.energy, "M_E": stab.M_E,
         "stability_ok": stab.ok,
@@ -587,15 +536,28 @@ def _run_ghs(cfg: ExperimentConfig, out: Path):
     return summary, ok, first_violation
 
 
-_RUNNERS = {
-    "toda-lightcone": _run_toda_lightcone,
-    "soliton-validate": _run_soliton_validate,
-    "hierarchy": _run_hierarchy,
-    "perturbed": _run_perturbed,
-    "interpolation": _run_interpolation,
-    "timedep": _run_timedep,
-    "observables": _run_observables,
-    "ghs": _run_ghs,
+@dataclass(frozen=True)
+class Scenario:
+    """A scenario's runner, what base "auto" resolves to, and the config
+    blocks it requires."""
+
+    run: object
+    auto_base: str
+    blocks: tuple = ()
+
+
+# "auto" bases: cone checks on the exact background are the cleanest,
+# perturbed flows need spatially localized data, bracket checks need a state
+# with structure
+SCENARIOS = {
+    "toda-lightcone": Scenario(_run_toda_lightcone, "background"),
+    "soliton-validate": Scenario(_run_soliton_validate, "soliton", ("soliton",)),
+    "hierarchy": Scenario(_run_hierarchy, "background", ("hierarchy",)),
+    "perturbed": Scenario(_run_perturbed, "random", ("perturbation",)),
+    "interpolation": Scenario(_run_interpolation, "random", ("perturbation",)),
+    "timedep": Scenario(_run_timedep, "random", ("perturbation",)),
+    "observables": Scenario(_run_observables, "soliton"),
+    "ghs": Scenario(_run_ghs, "background", ("potential",)),
 }
 
 
@@ -611,15 +573,19 @@ def _jsonable(value):
     return value
 
 
+def _write_json(path, value):
+    with open(path, "w") as fh:
+        json.dump(_jsonable(value), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_config(cfg: ExperimentConfig, outdir) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary, ok, first_violation = _RUNNERS[cfg.scenario](cfg, outdir)
+    summary, ok, first_violation = SCENARIOS[cfg.scenario].run(cfg, outdir)
     summary = {"schema": 1, "scenario": cfg.scenario, "seed": cfg.seed,
                "exit": 0 if ok else 1, **summary}
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "summary.json", summary)
     if ok:
         print(f"{cfg.scenario}: ok (artifacts in {outdir})")
         return 0
@@ -681,11 +647,7 @@ def _sweep_job(raw_cfg: dict, outdir: str):
 
 
 def run_sweep(config_path, axis: str, values_text: str, outdir, workers: int | None = None) -> int:
-    with open(config_path) as fh:
-        try:
-            base_raw = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from None
+    base_raw = _read_config(config_path)
     values = _parse_values(values_text)
     if not values:
         raise ConfigError("--values: need at least one value")
@@ -712,9 +674,7 @@ def run_sweep(config_path, axis: str, values_text: str, outdir, workers: int | N
                 results.append({"value": v, "exit": 1, "error": str(err)})
                 worst = max(worst, 1)
     aggregate = {"schema": 1, "axis": axis, "values": values, "results": results}
-    with open(outdir / "sweep.json", "w") as fh:
-        json.dump(_jsonable(aggregate), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "sweep.json", aggregate)
     print(f"sweep over {axis}: {len(values)} jobs, worst exit {worst} "
           f"(aggregate in {outdir / 'sweep.json'})")
     return worst

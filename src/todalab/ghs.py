@@ -15,12 +15,14 @@ under a = (1/2) e^{-r/2}, b = -p/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc
 
-from .state import GHSState, LatticeState, relative_to_lattice
+from .bounds import Envelope, verify_light_cone
+from .integrators import EdgeMargin, Trajectory, integrate
+from .state import GHSState
 
 _FAMILIES = ("toda", "quartic", "custom")
 
@@ -109,24 +111,13 @@ def ghs_integrate(s: GHSState, pot: PotentialSpec, t_final: float, cfg=None, *,
                   sample_dt: float | None = None, n_samples: int | None = None,
                   guard: int = 10):
     """Evolve the chain; returns a GHSTrajectory."""
-    from .integrators import IntegratorConfig, sample_times, solve_vector
-
-    cfg = cfg or IntegratorConfig()
-    times = sample_times(t_final, sample_dt, n_samples)
-    n = s.n_sites
-
-    def fun(_t, y):
-        st = GHSState(y[:n], y[n:], s.offset, s.background)
-        dr, dp = ghs_rhs(st, pot)
-        return np.concatenate((dr, dp))
-
-    ys = solve_vector(fun, np.concatenate((s.r, s.p)), times, cfg)
-    return GHSTrajectory(times, ys[:, :n].copy(), ys[:, n:].copy(),
-                         s.offset, s.background, guard)
+    tr = integrate(s, lambda st: ghs_rhs(st, pot), t_final, cfg,
+                   sample_dt=sample_dt, n_samples=n_samples, guard=guard)
+    return GHSTrajectory(tr.times, tr.a, tr.b, s.offset, s.background, guard)
 
 
 @dataclass
-class GHSTrajectory:
+class GHSTrajectory(EdgeMargin):
     times: np.ndarray
     r: np.ndarray
     p: np.ndarray
@@ -146,21 +137,9 @@ class GHSTrajectory:
     def state(self, i: int) -> GHSState:
         return GHSState(self.r[i].copy(), self.p[i].copy(), self.offset, self.background)
 
-    @property
-    def boundary_margin(self) -> int:
+    def _deviations(self):
         r_bg, p_bg = self.background
-        dev = np.maximum(np.abs(self.r - r_bg), np.abs(self.p - p_bg))
-        sig = dev > self.significance
-        margin = self.n_sites
-        for row in sig:
-            idx = np.flatnonzero(row)
-            if idx.size:
-                margin = min(margin, int(idx[0]), int(self.n_sites - 1 - idx[-1]))
-        return margin
-
-    @property
-    def clean(self) -> bool:
-        return self.boundary_margin >= self.guard
+        return self.r - r_bg, self.p - p_bg
 
     def energy_drift(self, pot: PotentialSpec) -> float:
         e = np.array([ghs_energy(self.state(i), pot) for i in range(self.n_samples)])
@@ -168,7 +147,6 @@ class GHSTrajectory:
 
     def to_lattice_trajectory(self):
         """Map each sample through a = (1/2) e^{-r/2}, b = -p/2."""
-        from .integrators import Trajectory
         a = 0.5 * np.exp(-self.r / 2.0)
         b = -self.p / 2.0
         r_bg, p_bg = self.background
@@ -297,10 +275,8 @@ def check_ghs_cone(grid, mu: float, traj: GHSTrajectory, pot: PotentialSpec,
                    envelope_scale: float = 1.0, threshold: float = 1e-8):
     """Light-cone verification for chain sensitivities: envelope
     C e^{-mu (|n-m| - v |t|)} with measured C."""
-    from .bounds import Envelope, verify_light_cone
-
     c = ghs_cone_constant(traj, pot)
-    v = 2.0 * c * (math.exp(mu + 1.0) + 1.0 / mu)
+    v = ghs_velocity(mu, traj, pot)
     env = Envelope(family="ghs", mu=mu, prefactor=envelope_scale * c, speed=v,
                    params={"C": c, "mu": mu, "scale": envelope_scale})
     return verify_light_cone(grid, env, threshold=threshold)

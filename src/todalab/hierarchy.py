@@ -12,7 +12,7 @@ is what makes the banded computation below exact on a padded window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

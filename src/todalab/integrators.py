@@ -11,13 +11,15 @@ Two integrators behind one config:
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .state import LatticeState, hamiltonian_ab, jacobi_norm
+from .state import (BACKGROUND, GHSState, LatticeState, hamiltonian_ab,
+                    jacobi_norm, trace_invariants)
 
 _METHODS = ("rk-adaptive", "rk4-fixed")
 
@@ -93,8 +95,38 @@ def sample_times(t_final: float, sample_dt: float | None = None,
     return np.linspace(0.0, t_final, n_samples)
 
 
+class EdgeMargin:
+    """Edge bookkeeping of a sampled window run.  A subclass has guard and
+    significance, and _deviations() gives (T, N) arrays that vanish where
+    the run sits at the background."""
+
+    @property
+    def boundary_margin(self) -> int:
+        """Distance from the window edge of the nearest significant
+        deviation, minimized over samples; N when nothing moves.  A
+        non-finite entry counts as significant."""
+        dev = functools.reduce(np.maximum, map(np.abs, self._deviations()))
+        n = dev.shape[1]
+        cols = np.flatnonzero(np.any(~(dev <= self.significance), axis=0))
+        return min(int(cols[0]), int(n - 1 - cols[-1])) if cols.size else n
+
+    @property
+    def clean(self) -> bool:
+        return self.boundary_margin >= self.guard
+
+
+def write_csv(path, coords, times, offset: int, x1: np.ndarray, x2: np.ndarray):
+    """Rows t,n,<coord 1>,<coord 2> of (T, N) arrays with %.17g floats
+    (byte-stable for identical data)."""
+    with open(path, "w") as fh:
+        fh.write("t,n,%s,%s\n" % tuple(coords))
+        for i, t in enumerate(times):
+            for j in range(x1.shape[1]):
+                fh.write("%.17g,%d,%.17g,%.17g\n" % (t, offset + j, x1[i, j], x2[i, j]))
+
+
 @dataclass
-class Trajectory:
+class Trajectory(EdgeMargin):
     """Sampled run of a window flow: times plus (a, b) arrays of shape (T, N)."""
 
     times: np.ndarray
@@ -116,24 +148,9 @@ class Trajectory:
     def state(self, i: int) -> LatticeState:
         return LatticeState(self.a[i].copy(), self.b[i].copy(), self.offset, self.background)
 
-    @property
-    def boundary_margin(self) -> int:
-        """Distance from the window edge of the nearest significant deviation
-        from background, minimized over samples.  n_sites when nothing moves.
-        """
+    def _deviations(self):
         a_bg, b_bg = self.background
-        dev = np.maximum(np.abs(self.a - a_bg), np.abs(self.b - b_bg))
-        sig = dev > self.significance
-        margin = self.n_sites
-        for row in sig:
-            idx = np.flatnonzero(row)
-            if idx.size:
-                margin = min(margin, int(idx[0]), int(self.n_sites - 1 - idx[-1]))
-        return margin
-
-    @property
-    def clean(self) -> bool:
-        return self.boundary_margin >= self.guard
+        return self.a - a_bg, self.b - b_bg
 
     def energy_series(self, energy=hamiltonian_ab) -> np.ndarray:
         return np.array([energy(self.state(i)) for i in range(self.n_samples)])
@@ -143,14 +160,13 @@ class Trajectory:
         return float(np.max(np.abs(e - e[0])))
 
     def norm_series(self) -> np.ndarray:
-        return np.array([jacobi_norm(self.state(i)) for i in range(self.n_samples)])
+        return self.energy_series(jacobi_norm)
 
     def norm_drift(self) -> float:
         v = self.norm_series()
         return float(np.max(np.abs(v - v[0])))
 
     def trace_drift(self, jmax: int = 4) -> float:
-        from .state import trace_invariants
         t0 = trace_invariants(self.state(0), jmax)
         worst = 0.0
         for i in range(1, self.n_samples):
@@ -158,17 +174,10 @@ class Trajectory:
         return worst
 
     def to_csv(self, path):
-        """Rows t,n,a,b with %.17g floats (byte-stable for identical data)."""
-        sites = np.arange(self.offset, self.offset + self.n_sites)
-        with open(path, "w") as fh:
-            fh.write("t,n,a,b\n")
-            for i, t in enumerate(self.times):
-                for j, n in enumerate(sites):
-                    fh.write("%.17g,%d,%.17g,%.17g\n" % (t, n, self.a[i, j], self.b[i, j]))
+        write_csv(path, ("a", "b"), self.times, self.offset, self.a, self.b)
 
     @classmethod
     def from_csv(cls, path, background=None, guard: int = 10) -> "Trajectory":
-        from .state import BACKGROUND
         raw = np.loadtxt(path, delimiter=",", skiprows=1)
         times = np.unique(raw[:, 0])
         sites = np.unique(raw[:, 1].astype(int))
@@ -180,21 +189,24 @@ class Trajectory:
         return cls(times, a, b, int(sites[0]), background or BACKGROUND, guard)
 
 
-def integrate(s: LatticeState, rhs, t_final: float,
+def integrate(s: LatticeState | GHSState, rhs, t_final: float,
               cfg: IntegratorConfig | None = None, *,
               sample_dt: float | None = None, n_samples: int | None = None,
               guard: int = 10) -> Trajectory:
-    """Evolve a lattice window under the vector field rhs(state) -> (da, db)."""
+    """Evolve a window state under the vector field rhs(state) -> (d1, d2).
+
+    The trajectory's a and b hold the state's two coordinate arrays in the
+    order of its coords (r and p for a GHSState).
+    """
     cfg = cfg or IntegratorConfig()
     times = sample_times(t_final, sample_dt, n_samples)
     n = s.n_sites
+    state = type(s)
 
     def fun(_t, y):
-        st = LatticeState(y[:n], y[n:], s.offset, s.background)
-        da, db = rhs(st)
-        return np.concatenate((da, db))
+        return np.concatenate(rhs(state(y[:n], y[n:], s.offset, s.background)))
 
-    y0 = np.concatenate((s.a, s.b))
+    y0 = np.concatenate([getattr(s, c) for c in s.coords])
     ys = solve_vector(fun, y0, times, cfg)
     return Trajectory(times, ys[:, :n].copy(), ys[:, n:].copy(),
                       s.offset, s.background, guard)

@@ -13,11 +13,11 @@ controls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SQRT17, mu_profile, velocity_toda
+from .bounds import SQRT17, velocity_toda
 from .state import LatticeState, jacobi_norm
 
 

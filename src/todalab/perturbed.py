@@ -15,12 +15,13 @@ bounds need: C1 (sup-norm of the trajectory) and C2 (sup of 1/|a_n(t)|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import C_epsilon, G_mu, velocity_toda
 from .hierarchy import HierarchySpec, hierarchy_rhs, hierarchy_tangent_fields
-from .state import LatticeState, toda_rhs
+from .state import LatticeState, toda_rhs, toda_tangent_rhs
 
 _FAMILIES = ("cosine", "rational", "custom")
 
@@ -107,53 +108,40 @@ def forcing_field(s: LatticeState, pspec: PerturbationSpec) -> np.ndarray:
     return 0.5 * (wp - wp_dn)
 
 
-def perturbed_rhs(s: LatticeState, pspec: PerturbationSpec):
-    """Toda field plus the W-forcing on b.  w0 = 0 falls through to the
-    unperturbed field bit for bit."""
-    da, db = toda_rhs(s)
+def _add_forcing(fields, s: LatticeState, pspec: PerturbationSpec, da=None):
+    """Add the W-forcing on b to a flow's fields: R_n for the base flow, or
+    its linearization along da for a tangent.  w0 = 0 leaves the fields
+    bit for bit."""
+    f1, f2 = fields
     if pspec.vanishes:
-        return da, db
-    return da, db + forcing_field(s, pspec)
+        return f1, f2
+    if da is None:
+        return f1, f2 + forcing_field(s, pspec)
+    term = pspec.d2W(np.log(4.0 * s.a * s.a)) * da / s.a
+    return f1, f2 + (term - np.concatenate(([0.0], term[:-1])))
+
+
+def perturbed_rhs(s: LatticeState, pspec: PerturbationSpec):
+    """Toda field plus the W-forcing on b."""
+    return _add_forcing(toda_rhs(s), s, pspec)
 
 
 def perturbed_tangent_rhs(s: LatticeState, pspec: PerturbationSpec,
                           da: np.ndarray, db: np.ndarray):
     """Linearization of perturbed_rhs along the tangent (da, db)."""
-    a, b = s.a, s.b
-    a_bg, b_bg = s.background
-    b_up = np.concatenate((b[1:], [b_bg]))
-    db_up = np.concatenate((db[1:], [0.0]))
-    a_dn = np.concatenate(([a_bg], a[:-1]))
-    da_dn = np.concatenate(([0.0], da[:-1]))
-    dda = da * (b_up - b) + a * (db_up - db)
-    ddb = 4.0 * (a * da - a_dn * da_dn)
-    if not pspec.vanishes:
-        u = np.log(4.0 * a * a)
-        term = pspec.d2W(u) * da / a
-        term_dn = np.concatenate(([0.0], term[:-1]))
-        ddb = ddb + (term - term_dn)
-    return dda, ddb
+    return _add_forcing(toda_tangent_rhs(s, da, db), s, pspec, da)
 
 
 def perturbed_hierarchy_rhs(s: LatticeState, spec: HierarchySpec,
                             pspec: PerturbationSpec):
     """Order-r flow with the same W-forcing on b."""
-    da, db = hierarchy_rhs(s, spec)
-    if pspec.vanishes:
-        return da, db
-    return da, db + forcing_field(s, pspec)
+    return _add_forcing(hierarchy_rhs(s, spec), s, pspec)
 
 
 def perturbed_hierarchy_tangent_rhs(s: LatticeState, spec: HierarchySpec,
                                     pspec: PerturbationSpec,
                                     da: np.ndarray, db: np.ndarray):
-    dda, ddb = hierarchy_tangent_fields(s, spec, da, db)
-    if not pspec.vanishes:
-        u = np.log(4.0 * s.a * s.a)
-        term = pspec.d2W(u) * da / s.a
-        term_dn = np.concatenate(([0.0], term[:-1]))
-        ddb = ddb + (term - term_dn)
-    return dda, ddb
+    return _add_forcing(hierarchy_tangent_fields(s, spec, da, db), s, pspec, da)
 
 
 @dataclass
@@ -223,7 +211,6 @@ class InterpolationFit:
     envelope_valid: bool
 
     def value(self, dist, t):
-        from .bounds import G_mu
         dist = np.asarray(dist, dtype=float)
         return self.C * G_mu(self.mu, dist) * np.exp((self.mu + self.eps) * self.v * np.abs(t)) \
             * (1.0 + self.D * np.expm1(self.delta * np.abs(t)))
@@ -238,8 +225,6 @@ def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
     vstar (the rate bound along the perturbed orbit, via ||L|| <= 3 C1) is
     reported for reference.
     """
-    from .bounds import C_epsilon, G_mu, velocity_toda
-
     c = (8.0 / math.sqrt(17.0)) * C_epsilon(eps)
     v = velocity_toda(mu + eps, monitors.Lnorm0)
     vstar = (1.0 + math.sqrt(17.0)) * 3.0 * monitors.C1 * (math.exp(mu + eps + 1.0) + 1.0 / (mu + eps))
@@ -285,8 +270,6 @@ def _spatial_log_r2(obs: np.ndarray, dist: np.ndarray, mu: float) -> float:
     and oscillatory and says nothing about spatial decay; below 1e-12 it is
     integrator noise.
     """
-    from .bounds import G_mu
-
     profile = obs[-1]
     # one value per distance: the larger of the two sides
     ds = np.unique(dist[dist >= 1.0])

@@ -10,98 +10,63 @@ cancels instead of polluting the difference).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ghs as _ghs
+from .ghs import ghs_rhs, ghs_tangent_rhs
 from .hierarchy import HierarchySpec, hierarchy_rhs, hierarchy_tangent_fields
-from .integrators import IntegratorConfig, sample_times, solve_vector
+from .integrators import (EdgeMargin, IntegratorConfig, integrate,
+                          sample_times, solve_vector, write_csv)
 from .perturbed import (PerturbationSpec, perturbed_hierarchy_rhs,
                         perturbed_hierarchy_tangent_rhs, perturbed_rhs,
                         perturbed_tangent_rhs)
-from .state import GHSState, LatticeState
-
-FLOWS = ("toda", "hierarchy", "perturbed", "perturbed-hierarchy", "ghs")
-
-_NO_W = PerturbationSpec(family="cosine", w0=0.0)
+from .state import GHSState, LatticeState, toda_rhs, toda_tangent_rhs
 
 
-@dataclass
-class TangentState:
-    """Base state plus one tangent direction (da, db) = d(a, b)/dz."""
+@dataclass(frozen=True)
+class Flow:
+    """A vector field on window states and its linearization:
+    rhs(state) -> (f1, f2) and tangent(state, d1, d2) -> (g1, g2)."""
 
-    base: object                  # LatticeState, or GHSState for the chain flow
-    da: np.ndarray
-    db: np.ndarray
-    seed: tuple = (0, "a")
-
-    def __post_init__(self):
-        self.da = np.asarray(self.da, dtype=float)
-        self.db = np.asarray(self.db, dtype=float)
-        if self.da.shape != self.db.shape or self.da.size != self.base.n_sites:
-            raise ValueError("tangent fields must match the window size")
+    rhs: object
+    tangent: object
 
 
-def _flow_functions(flow: str, hierarchy: HierarchySpec | None,
-                    perturbation: PerturbationSpec | None,
-                    potential=None):
-    """(base_rhs, tangent_rhs_fields) pair for a named flow."""
-    if flow == "toda":
-        return (lambda s: perturbed_rhs(s, _NO_W),
-                lambda s, da, db: perturbed_tangent_rhs(s, _NO_W, da, db))
-    if flow == "hierarchy":
-        if hierarchy is None:
-            raise ValueError("hierarchy flow needs a HierarchySpec")
-        return (lambda s: hierarchy_rhs(s, hierarchy),
-                lambda s, da, db: hierarchy_tangent_fields(s, hierarchy, da, db))
-    if flow == "perturbed":
-        if perturbation is None:
-            raise ValueError("perturbed flow needs a PerturbationSpec")
-        return (lambda s: perturbed_rhs(s, perturbation),
-                lambda s, da, db: perturbed_tangent_rhs(s, perturbation, da, db))
-    if flow == "perturbed-hierarchy":
-        if hierarchy is None or perturbation is None:
-            raise ValueError("perturbed-hierarchy flow needs both specs")
-        return (lambda s: perturbed_hierarchy_rhs(s, hierarchy, perturbation),
-                lambda s, da, db: perturbed_hierarchy_tangent_rhs(s, hierarchy, perturbation, da, db))
-    if flow == "ghs":
-        if potential is None:
-            raise ValueError("ghs flow needs a PotentialSpec")
-        return (lambda s: _ghs.ghs_rhs(s, potential),
-                lambda s, da, db: _ghs.ghs_tangent_rhs(s, potential, da, db))
-    raise ValueError(f"unknown flow {flow!r}; pick one of {FLOWS}")
-
-
-def _make_state(template, x1, x2):
-    if isinstance(template, GHSState):
-        return GHSState(x1, x2, template.offset, template.background)
-    return LatticeState(x1, x2, template.offset, template.background)
-
-
-def _state_arrays(x):
-    if isinstance(x, GHSState):
-        return x.r, x.p, ("r", "p")
-    return x.a, x.b, ("a", "b")
-
-
-def tangent_rhs(ts: TangentState, flow: str = "toda", *,
-                hierarchy: HierarchySpec | None = None,
-                perturbation: PerturbationSpec | None = None,
-                potential=None):
-    """Time derivative of the tangent fields along the chosen flow."""
-    _, tangent = _flow_functions(flow, hierarchy, perturbation, potential)
-    return tangent(ts.base, ts.da, ts.db)
+def make_flow(name: str, hierarchy: HierarchySpec | None = None,
+              perturbation: PerturbationSpec | None = None,
+              potential=None) -> Flow:
+    """The named flow with its specs bound.  The field functions are looked
+    up when the flow is built, so a run sees any rebinding of them."""
+    given = {"hierarchy": hierarchy, "perturbation": perturbation, "potential": potential}
+    fields = {
+        "toda": ((), toda_rhs, toda_tangent_rhs),
+        "hierarchy": (("hierarchy",), hierarchy_rhs, hierarchy_tangent_fields),
+        "perturbed": (("perturbation",), perturbed_rhs, perturbed_tangent_rhs),
+        "perturbed-hierarchy": (("hierarchy", "perturbation"), perturbed_hierarchy_rhs,
+                                perturbed_hierarchy_tangent_rhs),
+        "ghs": (("potential",), ghs_rhs, ghs_tangent_rhs),
+    }
+    if name not in fields:
+        raise ValueError(f"unknown flow {name!r}; pick one of {tuple(fields)}")
+    needs, rhs, tangent = fields[name]
+    missing = [key for key in needs if given[key] is None]
+    if missing:
+        raise ValueError(f"{name} flow needs {' and '.join(missing)}")
+    specs = [given[key] for key in needs]
+    return Flow(lambda st: rhs(st, *specs),
+                lambda st, d1, d2: tangent(st, *specs, d1, d2))
 
 
 def _seed_vectors(x, seed):
     m, coord = seed
-    x1, x2, names = _state_arrays(x)
-    da = np.zeros(x1.size)
-    db = np.zeros(x1.size)
+    names = x.coords
+    da = np.zeros(x.n_sites)
+    db = np.zeros(x.n_sites)
     i = m - x.offset
-    if not 0 <= i < x1.size:
+    if not 0 <= i < x.n_sites:
         raise ValueError(f"seed site {m} outside window")
     if coord == names[0]:
         da[i] = 1.0
@@ -109,7 +74,7 @@ def _seed_vectors(x, seed):
         db[i] = 1.0
     elif coord == "btilde" and names == ("a", "b"):
         # difference seed d/d(b_{k+1}) - d/d(b_k)
-        if i + 1 >= x1.size:
+        if i + 1 >= x.n_sites:
             raise ValueError(f"btilde seed at site {m} needs site {m + 1} in the window")
         db[i + 1] = 1.0
         db[i] = -1.0
@@ -119,7 +84,7 @@ def _seed_vectors(x, seed):
 
 
 @dataclass
-class SensitivityGrid:
+class SensitivityGrid(EdgeMargin):
     """d(state)/dz over the window and the sampled horizon, plus the base run."""
 
     times: np.ndarray
@@ -166,25 +131,10 @@ class SensitivityGrid:
             return np.maximum(2.0 * np.abs(self.da / self.base_a), np.abs(self.db))
         raise ValueError(f"unknown observed kind {kind!r}")
 
-    @property
-    def boundary_margin(self) -> int:
-        """Distance from the window edge of the nearest significant tangent
-        or base deviation, minimized over samples."""
+    def _deviations(self):
+        """Tangent and base deviations: both must stay clear of the edge."""
         a_bg, b_bg = self.background
-        dev = np.maximum(np.abs(self.da), np.abs(self.db))
-        dev = np.maximum(dev, np.abs(self.base_a - a_bg))
-        dev = np.maximum(dev, np.abs(self.base_b - b_bg))
-        sig = dev > self.significance
-        margin = self.n_sites
-        for row in sig:
-            idx = np.flatnonzero(row)
-            if idx.size:
-                margin = min(margin, int(idx[0]), int(self.n_sites - 1 - idx[-1]))
-        return margin
-
-    @property
-    def clean(self) -> bool:
-        return self.boundary_margin >= self.guard
+        return self.da, self.db, self.base_a - a_bg, self.base_b - b_bg
 
     def time_index(self, t: float, tol: float = 1e-9) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -193,20 +143,24 @@ class SensitivityGrid:
         return i
 
     def base_state(self, i: int):
-        if self.coords == ("r", "p"):
-            return GHSState(self.base_a[i].copy(), self.base_b[i].copy(),
-                            self.offset, self.background)
-        return LatticeState(self.base_a[i].copy(), self.base_b[i].copy(),
-                            self.offset, self.background)
+        state = GHSState if self.coords == GHSState.coords else LatticeState
+        return state(self.base_a[i].copy(), self.base_b[i].copy(),
+                     self.offset, self.background)
 
     def to_csv(self, path):
-        sites = self.sites
-        c1, c2 = self.coords
-        with open(path, "w") as fh:
-            fh.write(f"t,n,d{c1},d{c2}\n")
-            for i, t in enumerate(self.times):
-                for j, n in enumerate(sites):
-                    fh.write("%.17g,%d,%.17g,%.17g\n" % (t, n, self.da[i, j], self.db[i, j]))
+        write_csv(path, ["d" + c for c in self.coords], self.times, self.offset,
+                  self.da, self.db)
+
+
+def _grid(x, seed, flow, guard, times, base, tangent, meta=None) -> SensitivityGrid:
+    """SensitivityGrid from (T, 2N) base and tangent blocks."""
+    n = x.n_sites
+    return SensitivityGrid(times=times,
+                           da=tangent[:, :n].copy(), db=tangent[:, n:].copy(),
+                           base_a=base[:, :n].copy(), base_b=base[:, n:].copy(),
+                           offset=x.offset, background=x.background,
+                           seed_site=int(seed[0]), seed_coord=str(seed[1]),
+                           flow=flow, guard=guard, coords=x.coords, meta=meta or {})
 
 
 def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
@@ -218,26 +172,39 @@ def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
                    guard: int = 10) -> SensitivityGrid:
     """Integrate base + tangent from a unit seed at (site, coordinate)."""
     cfg = cfg or IntegratorConfig()
-    base_rhs, tangent = _flow_functions(flow, hierarchy, perturbation, potential)
+    f = make_flow(flow, hierarchy, perturbation, potential)
     da0, db0 = _seed_vectors(x, seed)
-    x1, x2, names = _state_arrays(x)
-    n = x1.size
+    n = x.n_sites
     times = sample_times(t_final, sample_dt, n_samples)
+    state = type(x)
 
     def fun(_t, y):
-        s = _make_state(x, y[:n], y[n:2 * n])
-        f1, f2 = base_rhs(s)
-        g1, g2 = tangent(s, y[2 * n:3 * n], y[3 * n:])
+        s = state(y[:n], y[n:2 * n], x.offset, x.background)
+        f1, f2 = f.rhs(s)
+        g1, g2 = f.tangent(s, y[2 * n:3 * n], y[3 * n:])
         return np.concatenate((f1, f2, g1, g2))
 
-    y0 = np.concatenate((x1, x2, da0, db0))
+    y0 = np.concatenate([getattr(x, c) for c in x.coords] + [da0, db0])
     ys = solve_vector(fun, y0, times, cfg)
-    return SensitivityGrid(times=times,
-                           da=ys[:, 2 * n:3 * n].copy(), db=ys[:, 3 * n:].copy(),
-                           base_a=ys[:, :n].copy(), base_b=ys[:, n:2 * n].copy(),
-                           offset=x.offset, background=x.background,
-                           seed_site=int(seed[0]), seed_coord=str(seed[1]),
-                           flow=flow, guard=guard, coords=names)
+    return _grid(x, seed, flow, guard, times, ys[:, :2 * n], ys[:, 2 * n:])
+
+
+def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, n_samples):
+    """Runs of rhs from x + s_1 d_1 + s_2 d_2 + ... for every choice of signs
+    s_k = +-1, where steps lists the offsets d_k = (d_ka, d_kb).  Returns the
+    times, the sum of (s_1 s_2 ...) * run and the mean run, both (T, 2N)."""
+    x1, x2 = (getattr(x, c) for c in x.coords)
+    combos = list(itertools.product((1.0, -1.0), repeat=len(steps)))
+    signed = mean = 0.0
+    for signs in combos:
+        start = type(x)(x1 + sum(s * d1 for s, (d1, _) in zip(signs, steps)),
+                        x2 + sum(s * d2 for s, (_, d2) in zip(signs, steps)),
+                        x.offset, x.background)
+        tr = integrate(start, rhs, t_final, cfg, sample_dt=sample_dt, n_samples=n_samples)
+        ys = np.hstack((tr.a, tr.b))
+        signed = signed + math.prod(signs) * ys
+        mean = mean + ys / len(combos)
+    return tr.times, signed, mean
 
 
 def finite_difference_oracle(x, seed, t_final: float,
@@ -255,33 +222,15 @@ def finite_difference_oracle(x, seed, t_final: float,
     'btilde' seed differentiates along e_{b,k+1} - e_{b,k}.
     """
     cfg = cfg or IntegratorConfig()
-    base_rhs, _ = _flow_functions(flow, hierarchy, perturbation, potential)
+    rhs = make_flow(flow, hierarchy, perturbation, potential).rhs
     da0, db0 = _seed_vectors(x, seed)
-    x1, x2, names = _state_arrays(x)
-    n = x1.size
     if h is None:
-        z0 = float(x1[seed[0] - x.offset]) if seed[1] == names[0] else float(x2[seed[0] - x.offset])
-        h = 1e-5 * max(1.0, abs(z0))
-    times = sample_times(t_final, sample_dt, n_samples)
-
-    def fun(_t, y):
-        s = _make_state(x, y[:n], y[n:])
-        f1, f2 = base_rhs(s)
-        return np.concatenate((f1, f2))
-
-    runs = []
-    for sgn in (1.0, -1.0):
-        y0 = np.concatenate((x1 + sgn * h * da0, x2 + sgn * h * db0))
-        runs.append(solve_vector(fun, y0, times, cfg))
-    diff = (runs[0] - runs[1]) / (2.0 * h)
-    mid = 0.5 * (runs[0] + runs[1])
-    return SensitivityGrid(times=times,
-                           da=diff[:, :n].copy(), db=diff[:, n:].copy(),
-                           base_a=mid[:, :n].copy(), base_b=mid[:, n:].copy(),
-                           offset=x.offset, background=x.background,
-                           seed_site=int(seed[0]), seed_coord=str(seed[1]),
-                           flow=flow, guard=guard, coords=names,
-                           meta={"fd_h": h, "fd_error_scale": h * h})
+        z0 = getattr(x, x.coords[0] if seed[1] == x.coords[0] else x.coords[1])
+        h = 1e-5 * max(1.0, abs(float(z0[seed[0] - x.offset])))
+    times, diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg,
+                                    sample_dt, n_samples)
+    return _grid(x, seed, flow, guard, times, mid, diff / (2.0 * h),
+                 {"fd_h": h, "fd_error_scale": h * h})
 
 
 # -- second derivatives (Toda flow only) -------------------------------------
@@ -357,9 +306,9 @@ def evolve_second_tangent(x: LatticeState, z_seed, k, t_final: float,
     def fun(_t, y):
         blocks = y.reshape(8, n)
         s = LatticeState(blocks[0], blocks[1], x.offset, x.background)
-        f1, f2 = perturbed_rhs(s, _NO_W)
-        g1, g2 = perturbed_tangent_rhs(s, _NO_W, blocks[2], blocks[3])
-        g3, g4 = perturbed_tangent_rhs(s, _NO_W, blocks[4], blocks[5])
+        f1, f2 = toda_rhs(s)
+        g1, g2 = toda_tangent_rhs(s, blocks[2], blocks[3])
+        g3, g4 = toda_tangent_rhs(s, blocks[4], blocks[5])
         w1, w2 = _toda_second_fields(s, blocks[2], blocks[3], blocks[4], blocks[5],
                                      blocks[6], blocks[7])
         return np.concatenate((f1, f2, g1, g2, g3, g4, w1, w2))
@@ -389,21 +338,8 @@ def second_finite_difference(x: LatticeState, z_seed, second, t_final: float,
     cfg = cfg or IntegratorConfig(method="rk4-fixed")
     e1a, e1b = _seed_vectors(x, z_seed)
     e2a, e2b = _seed_vectors(x, second if isinstance(second, tuple) else (int(second), "btilde"))
-    n = x.n_sites
-    times = sample_times(t_final, sample_dt, n_samples)
-
-    def fun(_t, y):
-        s = LatticeState(y[:n], y[n:], x.offset, x.background)
-        f1, f2 = perturbed_rhs(s, _NO_W)
-        return np.concatenate((f1, f2))
-
-    acc = None
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            y0 = np.concatenate((x.a + h * (s1 * e1a + s2 * e2a),
-                                 x.b + h * (s1 * e1b + s2 * e2b)))
-            ys = solve_vector(fun, y0, times, cfg)
-            term = s1 * s2 * ys
-            acc = term if acc is None else acc + term
+    times, acc, _ = _signed_runs(x, toda_rhs, [(h * e1a, h * e1b), (h * e2a, h * e2b)],
+                                 t_final, cfg, sample_dt, n_samples)
     acc /= 4.0 * h * h
+    n = x.n_sites
     return times, acc[:, :n], acc[:, n:]

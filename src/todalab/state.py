@@ -13,7 +13,7 @@ log scale; the flow preserves the sign of each a_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -24,6 +24,8 @@ BACKGROUND = (0.5, 0.0)
 @dataclass
 class LatticeState:
     """Window of (a_n, b_n) pairs over sites offset .. offset + N - 1."""
+
+    coords = ("a", "b")
 
     a: np.ndarray
     b: np.ndarray
@@ -87,6 +89,8 @@ class GHSState:
     Finite-energy data decays to the background at the window edges; the
     default background is the origin.
     """
+
+    coords = ("r", "p")
 
     r: np.ndarray
     p: np.ndarray
@@ -156,6 +160,18 @@ def toda_rhs(s: LatticeState):
     b_up = np.concatenate((b[1:], [b_bg]))
     a_dn = np.concatenate(([a_bg], a[:-1]))
     return a * (b_up - b), 2.0 * (a * a - a_dn * a_dn)
+
+
+def toda_tangent_rhs(s: LatticeState, da: np.ndarray, db: np.ndarray):
+    """Linearization of toda_rhs along the tangent (da, db), which vanishes
+    outside the window."""
+    a, b = s.a, s.b
+    a_bg, b_bg = s.background
+    b_up = np.concatenate((b[1:], [b_bg]))
+    db_up = np.concatenate((db[1:], [0.0]))
+    a_dn = np.concatenate(([a_bg], a[:-1]))
+    da_dn = np.concatenate(([0.0], da[:-1]))
+    return da * (b_up - b) + a * (db_up - db), 4.0 * (a * da - a_dn * da_dn)
 
 
 def hamiltonian_ab(s: LatticeState) -> float:

@@ -283,6 +283,22 @@ def test_verify_light_cone_withholds_verdict_when_contaminated():
     assert not rep.ok
 
 
+def test_verify_light_cone_flags_nonfinite_observations():
+    # NaN away from the edges leaves the grid clean; it must not pass
+    mu0, _ = optimal_mu()
+    x = background_state(121)
+    g = evolve_tangent(x, (0, "b"), 2.0, IntegratorConfig(method="rk4-fixed", step=0.02),
+                       sample_dt=0.25)
+    late = g.times >= 1.0
+    cols = (g.sites >= -10) & (g.sites <= 9)
+    g.da[np.ix_(late, cols)] = np.nan
+    rep = verify_light_cone(g, toda_envelope(mu0, jacobi_norm(x)))
+    assert rep.clean
+    assert not rep.ok
+    assert rep.n_violations == int(late.sum() * cols.sum())
+    assert np.isnan(rep.violations[0]["observed"])
+
+
 def test_report_json_roundtrip(tmp_path):
     mu0, _ = optimal_mu()
     x = background_state(61)

@@ -209,3 +209,19 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["scenario"] == "toda-lightcone"
+
+
+@pytest.mark.parametrize("content,fragment", [
+    (None, "cannot read config"),
+    ("[1]", "top level: expected an object"),
+])
+def test_sweep_unreadable_config_exits_2(tmp_path, capsys, content, fragment):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "s"
+    code = main(["sweep", "-c", str(cfg), "--axis", "mu", "--values", "0.5",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"config error: {fragment}" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()

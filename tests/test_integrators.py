@@ -84,6 +84,14 @@ def test_trajectory_boundary_margin_and_clean():
     assert not traj2.clean
 
 
+def test_nonfinite_deviation_is_significant():
+    x = background_state(41)
+    traj = integrate(x, toda_rhs, 1.0, IntegratorConfig(), n_samples=3, guard=10)
+    traj.b[2, 1] = np.nan
+    assert traj.boundary_margin == 1
+    assert not traj.clean
+
+
 def test_energy_drift_small():
     x = random_localized_state(121, seed=2)
     traj = integrate(x, toda_rhs, 3.0, IntegratorConfig(), n_samples=13)
