@@ -257,7 +257,10 @@ class Envelope:
         dist = np.asarray(dist, dtype=float)
         if self.ceiling > 1:
             dist = np.ceil(dist / self.ceiling)
-        return self.prefactor * np.exp(-self.mu * (dist - self.radius(t)))
+        # exp overflows to +inf only beyond the cone radius, where +inf is the
+        # exact "no constraint" value: obs <= inf and obs / inf == 0 both hold
+        with np.errstate(over="ignore"):
+            return self.prefactor * np.exp(-self.mu * (dist - self.radius(t)))
 
 
 def toda_envelope(mu: float, Lnorm: float, scale: float = 1.0) -> Envelope:
@@ -365,9 +368,22 @@ class LightConeReport:
         return self.clean and self.n_violations == 0
 
     def to_json(self, path):
+        """Strict JSON: a non-finite float (a NaN observation, an infinite
+        ratio or bound) is written as null."""
         with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(_finite_or_null(asdict(self)), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
+
+
+def _finite_or_null(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
@@ -390,6 +406,12 @@ def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
                                "observed": float(obs[it, isite]),
                                "bound": float(env[it, isite])})
 
+    # the ratio only where the observation is positive and finite: a NaN
+    # observation is already a violation, and 0 against an envelope that
+    # underflowed to 0 is no excess; a positive one against it is +inf
+    seen = np.isfinite(obs) & (obs > 0.0)
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(obs, env, out=np.zeros_like(obs), where=seen)
     speed = fit_front_speed(times, dist, obs, threshold)
     bound_speed = envelope.speed
     if bound_speed is None and times[-1] > 0:
@@ -400,7 +422,7 @@ def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
         bound_speed=bound_speed, clean=clean, boundary_margin=int(margin),
         guard=int(grid.guard), n_violations=n_viol, violations=violations,
         violations_truncated=bool(n_viol > len(violations)),
-        max_ratio=float(np.max(obs / env)),
+        max_ratio=float(np.max(ratio)),
         empirical_front_speed=speed, front_threshold=threshold,
         seed_site=int(grid.seed_site), seed_coord=str(grid.seed_coord),
         flow=str(grid.flow), n_sites=int(grid.da.shape[1]),

@@ -8,6 +8,12 @@ For order r with weights c = (c_0, ..., c_r), c_0 = 1, the vector field is
 r = 0 is the plain Toda flow.  The matrix elements are local: the diagonal
 entry of L^j at site n only involves coordinates within distance j, which
 is what makes the banded computation below exact on a padded window.
+
+Every power of L here comes from one kernel, _band_powers, which returns the
+diagonals of L^0 .. L^jmax (and their derivative along a tangent) as an
+array indexed (j, diagonal, site): P[j, jmax + d, i] = (L^j)_{i, i+d}.  The
+fields, the Hamiltonian and the single matrix elements g_tilde and h_tilde
+all read from it.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import LatticeState
+from .state import LatticeState, _padded
 
 
 @dataclass
@@ -67,75 +73,36 @@ def path_counts(j: int):
     return eta, xi
 
 
-def _shift(x: np.ndarray, s: int, fill: float = 0.0) -> np.ndarray:
-    """y[i] = x[i + s], vacated entries filled."""
-    if s == 0:
-        return x
-    y = np.full_like(x, fill)
-    if s > 0:
-        y[:-s] = x[s:]
-    else:
-        y[-s:] = x[:s]  # s < 0: y[i] = x[i + s] for i >= -s
-    return y
-
-
 def _band_powers(a: np.ndarray, b: np.ndarray, jmax: int,
                  da: np.ndarray | None = None, db: np.ndarray | None = None):
-    """Diagonals of L^j (and optionally the directional derivative d(L^j))
-    for j = 0 .. jmax over an extended window.
+    """Every diagonal of L^j, j = 0 .. jmax, on a padded window, and the
+    directional derivative d(L^j) along (da, db) if given.
 
-    Returns (powers, dpowers): powers[j] maps diagonal index d to the array
-    (L^j)_{i, i+d}.  Entries within jmax sites of either end are garbage;
-    callers must pad the window before calling.
+    Returns (P, dP) of shape (jmax + 1, 2 jmax + 1, N) with
+    P[j, jmax + d, i] = (L^j)_{i, i+d}; dP is None without a tangent.  One
+    step multiplies by L from the left,
+
+        (L^{j+1})_{i, i+d} = a_i (L^j)_{i+1, i+d} + a_{i-1} (L^j)_{i-1, i+d} + b_i (L^j)_{i, i+d},
+
+    as three slice-adds over all diagonals; the derivative step is its
+    product rule.  Entries within jmax sites of either end are garbage, so
+    callers pad the window first.  The zero start and the order of the adds
+    fix the rounding, and with it the bytes of fixed-step artifacts.
     """
-    want_d = da is not None
-    a_dn = _shift(a, -1, a[0])          # a_{i-1}; callers pad, so edge fill is moot
-    powers = [{0: np.ones_like(a)}]
-    dpowers = [{0: np.zeros_like(a)}] if want_d else None
-    if want_d:
-        da_dn = _shift(da, -1, 0.0)
-    for _j in range(jmax):
-        prev = powers[-1]
-        new = {}
-        for d in range(-len(powers), len(powers) + 1):
-            hi = prev.get(d - 1)
-            lo = prev.get(d + 1)
-            mid = prev.get(d)
-            acc = np.zeros_like(a)
-            if hi is not None:
-                acc += a * _shift(hi, 1)
-            if lo is not None:
-                acc += a_dn * _shift(lo, -1)
-            if mid is not None:
-                acc += b * mid
-            new[d] = acc
-        powers.append(new)
-        if want_d:
-            dprev = dpowers[-1]
-            dnew = {}
-            for d in range(-len(powers) + 1, len(powers)):
-                hi, lo, mid = prev.get(d - 1), prev.get(d + 1), prev.get(d)
-                dhi, dlo, dmid = dprev.get(d - 1), dprev.get(d + 1), dprev.get(d)
-                acc = np.zeros_like(a)
-                if hi is not None:
-                    acc += da * _shift(hi, 1) + a * _shift(dhi, 1)
-                if lo is not None:
-                    acc += da_dn * _shift(lo, -1) + a_dn * _shift(dlo, -1)
-                if mid is not None:
-                    acc += db * mid + b * dmid
-                dnew[d] = acc
-            dpowers.append(dnew)
-    return powers, dpowers
-
-
-def _extended(s: LatticeState, pad: int, da=None, db=None):
-    a_bg, b_bg = s.background
-    a = np.concatenate((np.full(pad, a_bg), s.a, np.full(pad, a_bg)))
-    b = np.concatenate((np.full(pad, b_bg), s.b, np.full(pad, b_bg)))
-    if da is None:
-        return a, b, None, None
-    z = np.zeros(pad)
-    return a, b, np.concatenate((z, da, z)), np.concatenate((z, db, z))
+    P = np.zeros((jmax + 1, 2 * jmax + 1, a.size))
+    P[0, jmax] = 1.0
+    dP = None if da is None else np.zeros_like(P)
+    for j in range(jmax):
+        p, q = P[j], P[j + 1]
+        q[1:, :-1] += a[:-1] * p[:-1, 1:]
+        q[:-1, 1:] += a[:-1] * p[1:, :-1]
+        q += b * p
+        if dP is not None:
+            dp, dq = dP[j], dP[j + 1]
+            dq[1:, :-1] += da[:-1] * p[:-1, 1:] + a[:-1] * dp[:-1, 1:]
+            dq[:-1, 1:] += da[:-1] * p[1:, :-1] + a[:-1] * dp[1:, :-1]
+            dq += db * p + b * dp
+    return P, dP
 
 
 def hierarchy_fields(s: LatticeState, spec: HierarchySpec,
@@ -146,25 +113,29 @@ def hierarchy_fields(s: LatticeState, spec: HierarchySpec,
     also returns the directional derivatives (dg, dh) along that tangent.
     """
     pad = spec.r + 3
-    a, b, dae, dbe = _extended(s, pad, da, db)
-    powers, dpowers = _band_powers(a, b, spec.r + 1, dae, dbe)
+    a, b = _padded(s, pad)
+    dae = dbe = None
+    if da is not None:
+        z = np.zeros(pad)                # the tangent vanishes outside the window
+        dae, dbe = np.concatenate((z, da, z)), np.concatenate((z, db, z))
+    P, dP = _band_powers(a, b, spec.r + 1, dae, dbe)
     n = s.n_sites
     sl = slice(pad - 1, pad + n + 1)     # sites offset-1 .. offset+N
     g = np.zeros(n + 2)
     h = np.zeros(n + 2)
     dg = np.zeros(n + 2) if da is not None else None
     dh = np.zeros(n + 2) if da is not None else None
+    mid = spec.r + 1                     # row of diagonal 0 in P[j]
     for j in range(spec.r + 1):
         w = spec.c[spec.r - j]
         if w == 0.0:
             continue
-        pj = powers[j + 1]
-        g += w * pj[0][sl]
-        h += w * 2.0 * a[sl] * pj[1][sl]
+        upper = P[j + 1, mid + 1, sl]
+        g += w * P[j + 1, mid, sl]
+        h += w * 2.0 * a[sl] * upper
         if da is not None:
-            dpj = dpowers[j + 1]
-            dg += w * dpj[0][sl]
-            dh += w * 2.0 * (dae[sl] * pj[1][sl] + a[sl] * dpj[1][sl])
+            dg += w * dP[j + 1, mid, sl]
+            dh += w * 2.0 * (dae[sl] * upper + a[sl] * dP[j + 1, mid + 1, sl])
     if da is None:
         return g, h
     return g, h, dg, dh
@@ -193,20 +164,6 @@ def hierarchy_tangent_fields(s: LatticeState, spec: HierarchySpec,
     return dda, ddb
 
 
-def _local_segment(s: LatticeState, n: int, radius: int):
-    """(a, b) on sites n-radius .. n+radius, background-filled outside the window."""
-    lo, hi = n - radius, n + radius
-    first, last = s.offset, s.offset + s.n_sites - 1
-    a_bg, b_bg = s.background
-    a = np.full(2 * radius + 1, a_bg)
-    b = np.full(2 * radius + 1, b_bg)
-    src_lo, src_hi = max(lo, first), min(hi, last)
-    if src_lo <= src_hi:
-        a[src_lo - lo: src_hi - lo + 1] = s.a[src_lo - first: src_hi - first + 1]
-        b[src_lo - lo: src_hi - lo + 1] = s.b[src_lo - first: src_hi - first + 1]
-    return a, b
-
-
 def _check_margin(s: LatticeState, what: str, n: int, lo: int, hi: int):
     first, last = s.offset, s.offset + s.n_sites - 1
     if lo < first or hi > last:
@@ -215,12 +172,14 @@ def _check_margin(s: LatticeState, what: str, n: int, lo: int, hi: int):
             f"[{first}, {last}]; pass padded=True to substitute background values")
 
 
-def _apply_power(a: np.ndarray, b: np.ndarray, v: np.ndarray, j: int) -> np.ndarray:
-    # v -> L^j v on a segment; the support grows by one site per application
-    a_dn = _shift(a, -1, a[0])
-    for _ in range(j):
-        v = a * _shift(v, 1) + a_dn * _shift(v, -1) + b * v
-    return v
+def _local_powers(s: LatticeState, n: int, jmax: int, radius: int):
+    """(a, P): a and the band powers of L up to jmax on sites n-radius ..
+    n+radius of the background-padded window; index radius is site n."""
+    last = s.offset + s.n_sites - 1
+    pad = max(0, s.offset - (n - radius), n + radius - last)
+    a, b = _padded(s, pad)
+    seg = slice(n - s.offset + pad - radius, n - s.offset + pad + radius + 1)
+    return a[seg], _band_powers(a[seg], b[seg], jmax)[0]
 
 
 def g_tilde(s: LatticeState, j: int, n: int, padded: bool = False) -> float:
@@ -230,11 +189,8 @@ def g_tilde(s: LatticeState, j: int, n: int, padded: bool = False) -> float:
         raise ValueError("j must be >= 0")
     if not padded:
         _check_margin(s, f"diagonal matrix element of L^{j}", n, n - j, n + j)
-    radius = j + 1
-    a, b = _local_segment(s, n, radius)
-    v = np.zeros(2 * radius + 1)
-    v[radius] = 1.0
-    return float(_apply_power(a, b, v, j)[radius])
+    _, P = _local_powers(s, n, j, j + 1)
+    return float(P[j, j, j + 1])
 
 
 def h_tilde(s: LatticeState, j: int, n: int, padded: bool = False) -> float:
@@ -243,11 +199,9 @@ def h_tilde(s: LatticeState, j: int, n: int, padded: bool = False) -> float:
         raise ValueError("j must be >= 0")
     if not padded:
         _check_margin(s, f"off-diagonal matrix element of L^{j}", n, n - j, n + j + 1)
-    radius = j + 2
-    a, b = _local_segment(s, n, radius)
-    v = np.zeros(2 * radius + 1)
-    v[radius] = 1.0
-    return float(2.0 * a[radius] * _apply_power(a, b, v, j)[radius + 1])
+    # powers up to j + 1, so that diagonal -1 exists even for j = 0
+    a, P = _local_powers(s, n, j + 1, j + 2)
+    return float(2.0 * a[j + 2] * P[j, j, j + 3])
 
 
 def hierarchy_hamiltonian(s: LatticeState, spec: HierarchySpec) -> float:
@@ -262,8 +216,8 @@ def hierarchy_hamiltonian(s: LatticeState, spec: HierarchySpec) -> float:
     """
     reach = spec.r + 2                   # L^{j+2} couples at most r+2 sites out
     pad = 2 * reach + 1                  # evaluate cleanly at the outermost ones
-    a, b, _, _ = _extended(s, pad, None, None)
-    powers, _ = _band_powers(a, b, reach)
+    a, b = _padded(s, pad)
+    P, _ = _band_powers(a, b, reach)
     n = s.n_sites
     sl = slice(pad - reach, pad + n + reach)
     lam = free_moment(reach)
@@ -272,7 +226,7 @@ def hierarchy_hamiltonian(s: LatticeState, spec: HierarchySpec) -> float:
         w = spec.c[spec.r - j]
         if w == 0.0:
             continue
-        acc += w * (powers[j + 2][0][sl] - free_moment(j + 2))
+        acc += w * (P[j + 2, reach, sl] - free_moment(j + 2))
     acc += float(np.dot(spec.c, [free_moment(j + 2) - lam for j in range(spec.r, -1, -1)]))
     return float(4.0 / reach * np.sum(acc))
 

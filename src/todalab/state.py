@@ -227,16 +227,19 @@ def relative_to_lattice(g: GHSState) -> LatticeState:
     return LatticeState(a, b, g.offset, (0.5 * math.exp(-r_bg / 2.0), -p_bg / 2.0))
 
 
+def _padded(s: LatticeState, pad: int):
+    """(a, b) with pad background sites added at each end of the window."""
+    a_bg, b_bg = s.background
+    a_pad, b_pad = np.full(pad, float(a_bg)), np.full(pad, float(b_bg))
+    return np.concatenate((a_pad, s.a, a_pad)), np.concatenate((b_pad, s.b, b_pad))
+
+
 def jacobi_matrix(s: LatticeState, pad: int = 0) -> np.ndarray:
     """Dense symmetric tridiagonal matrix: diagonal b, off-diagonal a.
 
     pad > 0 extends the window with background sites on both ends.
     """
-    a, b = s.a, s.b
-    if pad > 0:
-        a_bg, b_bg = s.background
-        a = np.concatenate((np.full(pad, a_bg), a, np.full(pad, a_bg)))
-        b = np.concatenate((np.full(pad, b_bg), b, np.full(pad, b_bg)))
+    a, b = _padded(s, pad)
     n = b.size
     m = np.zeros((n, n))
     idx = np.arange(n)
@@ -252,11 +255,7 @@ def jacobi_norm(s: LatticeState, pad: int = 0) -> float:
     Sandwiched by max(max |a_n| over interior couplings, max |b_n|) from
     below and 2 max|a| + max|b| from above.
     """
-    a, b = s.a, s.b
-    if pad > 0:
-        a_bg, b_bg = s.background
-        a = np.concatenate((np.full(pad, a_bg), a, np.full(pad, a_bg)))
-        b = np.concatenate((np.full(pad, b_bg), b, np.full(pad, b_bg)))
+    a, b = _padded(s, pad)
     if b.size == 1:
         return abs(float(b[0]))
     ev = eigvalsh_tridiagonal(b, a[:-1])

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +210,16 @@ def test_envelope_value_and_ceiling():
     assert env2.value(3.0, 0.0) == pytest.approx(math.exp(-0.5 * 2.0))   # ceil(3/2) = 2
 
 
+def test_envelope_overflow_is_silent_inf():
+    # exponent mu * (radius - dist) = 0.5 * 3000 > 709: exp overflows to +inf,
+    # the exact "no constraint" value, without a RuntimeWarning
+    env = Envelope(family="toda", mu=0.5, prefactor=2.0, speed=3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert env.value(0.0, 1000.0) == math.inf
+        assert np.all(env.value(np.array([0.0, 10.0]), 1000.0) == math.inf)
+
+
 def test_envelope_factories():
     mu0, f0 = optimal_mu()
     e = toda_envelope(mu0, 1.5)
@@ -283,7 +295,15 @@ def test_verify_light_cone_withholds_verdict_when_contaminated():
     assert not rep.ok
 
 
-def test_verify_light_cone_flags_nonfinite_observations():
+def test_verify_light_cone_flags_nonfinite_observations(tmp_path):
+    def strict_json(rep, name):
+        # write the report and read it back, rejecting NaN and Infinity tokens
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        rep.to_json(tmp_path / name)
+        return json.loads((tmp_path / name).read_text(), parse_constant=reject)
+
     # NaN away from the edges leaves the grid clean; it must not pass
     mu0, _ = optimal_mu()
     x = background_state(121)
@@ -297,6 +317,27 @@ def test_verify_light_cone_flags_nonfinite_observations():
     assert not rep.ok
     assert rep.n_violations == int(late.sum() * cols.sum())
     assert np.isnan(rep.violations[0]["observed"])
+    assert 0.0 < rep.max_ratio < 1.0        # taken over the finite observations
+    data = strict_json(rep, "nan.json")
+    assert data["violations"][0]["observed"] is None
+    assert data["max_ratio"] == rep.max_ratio
+
+    # far from the seed both the envelope (underflow) and the signal are 0
+    x = background_state(4001)
+    g = evolve_tangent(x, (0, "b"), 2.0, IntegratorConfig(method="rk4-fixed", step=0.02),
+                       sample_dt=0.25)
+    env = toda_envelope(mu0, jacobi_norm(x))
+    assert env.value(2000, 2.0) == 0.0
+    rep = verify_light_cone(g, env)
+    assert rep.ok
+    assert 0.0 < rep.max_ratio < 1.0
+    assert strict_json(rep, "underflow.json")["max_ratio"] == rep.max_ratio
+
+    # an envelope of 0 against a positive observation: an infinite ratio
+    rep = verify_light_cone(g, toda_envelope(mu0, jacobi_norm(x), scale=0.0))
+    assert not rep.ok
+    assert rep.max_ratio == math.inf
+    assert strict_json(rep, "zero.json")["max_ratio"] is None
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -307,7 +348,6 @@ def test_report_json_roundtrip(tmp_path):
     rep = verify_light_cone(g, toda_envelope(mu0, jacobi_norm(x)))
     p = tmp_path / "rep.json"
     rep.to_json(p)
-    import json
     data = json.loads(p.read_text())
     assert data["family"] == "toda"
     assert data["n_violations"] == 0

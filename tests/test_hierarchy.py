@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from todalab import (HierarchySpec, IntegratorConfig, LatticeState,
                      background_state, hierarchy_hamiltonian, hierarchy_rhs,
                      integrate, random_localized_state)
-from todalab.hierarchy import (free_moment, g_tilde, h_tilde,
+from todalab.hierarchy import (free_moment, g_tilde, h_tilde, hierarchy_fields,
                                hierarchy_tangent_fields, kvm_rhs, path_counts)
 from todalab.state import jacobi_matrix, toda_rhs
 
@@ -75,6 +75,32 @@ def test_band_matrix_elements_vs_dense():
                         abs(h_tilde(x, j, site) - 2.0 * x.a[idx] * Lj[idx + 1, idx]))
     print(worst)
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("r", range(0, 6))
+def test_fields_and_hamiltonian_vs_dense(r):
+    # g, h and H_r against weighted entries of dense powers of the padded L
+    rng = np.random.default_rng(100 + r)
+    spec = HierarchySpec(r, (1.0,) + tuple(rng.uniform(-1.0, 1.0, r)))
+    x = random_localized_state(31, seed=r, width=4.0)
+    n = x.n_sites
+    pad = 3 * (r + 2)                   # dense truncation far from every site read
+    L = jacobi_matrix(x, pad)
+    Lp = [np.linalg.matrix_power(L, j) for j in range(r + 3)]
+    i = np.arange(pad - 1, pad + n + 1)  # sites offset-1 .. offset+N
+    g_dense = sum(spec.c[r - j] * Lp[j + 1][i, i] for j in range(r + 1))
+    h_dense = sum(spec.c[r - j] * 2.0 * L[i, i + 1] * Lp[j + 1][i + 1, i]
+                  for j in range(r + 1))
+    g, h = hierarchy_fields(x, spec)
+    k = np.arange(pad - (r + 2), pad + n + r + 2)   # every site within r+2 of the window
+    lam = free_moment(r + 2)
+    H_dense = 4.0 / (r + 2) * sum(spec.c[r - j] * np.sum(Lp[j + 2][k, k] - lam)
+                                  for j in range(r + 1))
+    H = hierarchy_hamiltonian(x, spec)
+    print(r, np.max(np.abs(g - g_dense)), np.max(np.abs(h - h_dense)), H - H_dense)
+    assert np.max(np.abs(g - g_dense)) < 1e-12
+    assert np.max(np.abs(h - h_dense)) < 1e-12
+    assert abs(H - H_dense) < 1e-12
 
 
 def test_matrix_element_margin_errors():
