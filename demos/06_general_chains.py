@@ -29,7 +29,7 @@ for pot in (PotentialSpec(family="quartic", beta=0.1), PotentialSpec(family="tod
     print(f"\n{pot.family} potential: energy {e:.4f}, confinement radius {m_e:.4f}")
     traj = ghs_integrate(x, pot, 3.0, cfg, sample_dt=0.25)
     stab = ghs_stability_diagnostics(traj, pot)
-    print(f"  energy drift {traj.energy_drift(pot):.2g}")
+    print(f"  energy drift {traj.energy_drift(lambda s: ghs_energy(s, pot)):.2g}")
     print(f"  |p|_2 max {stab.p_l2_max:.4f} <= {stab.p_l2_bound:.4f}")
     print(f"  |r|_inf max {stab.r_inf_max:.4f} <= {stab.M_E:.4f}")
     print(f"  all bounds hold: {stab.ok}")

@@ -26,10 +26,10 @@ import numpy as np
 from .bounds import (LightConeReport, hierarchy_envelope, optimal_mu,
                      perturbed_envelope, timedep_envelope, toda_envelope,
                      velocity_hierarchy, velocity_toda, verify_light_cone)
-from .ghs import (PotentialSpec, check_ghs_cone, ghs_integrate,
+from .ghs import (PotentialSpec, check_ghs_cone, ghs_energy, ghs_integrate,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
-from .integrators import IntegratorConfig, Trajectory, integrate
+from .integrators import IntegratorConfig, integrate
 from .observables import (basic_observables, check_bracket_bound,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
@@ -261,13 +261,9 @@ def _first_front(reports):
 def _cone_scenario(cfg, out, x, envelope, drift_fn, extra, **flow):
     """Shared body of the one-envelope cone scenarios; drift is measured on
     each seed's base trajectory."""
-    def base_run(grid):
-        return Trajectory(grid.times, grid.base_a, grid.base_b, grid.offset,
-                          grid.background, cfg.guard)
-
     rows, grid = _seed_loop(cfg, out, x, (_cone_check(cfg, envelope),
-                                          lambda g: drift_fn(base_run(g))), **flow)
-    base_run(grid).to_csv(out / "trajectory.csv")
+                                          lambda g: drift_fn(g.base)), **flow)
+    grid.base.to_csv(out / "trajectory.csv")
     reports, drifts = zip(*rows)
     drift = max(0.0, *drifts)
     clean, n_viol, first_violation = _verdict(reports)
@@ -514,7 +510,7 @@ def _run_ghs(cfg: ExperimentConfig, out: Path):
     x = GHSState(np.zeros(n), np.exp(-((sites / 3.0) ** 2)), offset)
     traj = ghs_integrate(x, pot, cfg.t_final, cfg.integrator,
                          sample_dt=cfg.sample_dt, guard=cfg.guard)
-    drift = traj.energy_drift(pot)
+    drift = traj.energy_drift(lambda s: ghs_energy(s, pot))
     stab = ghs_stability_diagnostics(traj, pot)
 
     def cone(grid):
@@ -647,6 +643,8 @@ def _sweep_job(raw_cfg: dict, outdir: str):
 
 
 def run_sweep(config_path, axis: str, values_text: str, outdir, workers: int | None = None) -> int:
+    if workers is not None and workers < 1:
+        raise ConfigError(f"--workers: must be a positive integer, got {workers}")
     base_raw = _read_config(config_path)
     values = _parse_values(values_text)
     if not values:

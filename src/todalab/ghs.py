@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .bounds import Envelope, verify_light_cone
-from .integrators import EdgeMargin, Trajectory, integrate
+from .integrators import Trajectory, integrate
 from .state import GHSState
 
 _FAMILIES = ("toda", "quartic", "custom")
@@ -109,49 +109,11 @@ def ghs_energy(s: GHSState, pot: PotentialSpec) -> float:
 
 def ghs_integrate(s: GHSState, pot: PotentialSpec, t_final: float, cfg=None, *,
                   sample_dt: float | None = None, n_samples: int | None = None,
-                  guard: int = 10):
-    """Evolve the chain; returns a GHSTrajectory."""
-    tr = integrate(s, lambda st: ghs_rhs(st, pot), t_final, cfg,
-                   sample_dt=sample_dt, n_samples=n_samples, guard=guard)
-    return GHSTrajectory(tr.times, tr.a, tr.b, s.offset, s.background, guard)
-
-
-@dataclass
-class GHSTrajectory(EdgeMargin):
-    times: np.ndarray
-    r: np.ndarray
-    p: np.ndarray
-    offset: int
-    background: tuple
-    guard: int = 10
-    significance: float = 1e-10
-
-    @property
-    def n_samples(self) -> int:
-        return self.times.size
-
-    @property
-    def n_sites(self) -> int:
-        return self.r.shape[1]
-
-    def state(self, i: int) -> GHSState:
-        return GHSState(self.r[i].copy(), self.p[i].copy(), self.offset, self.background)
-
-    def _deviations(self):
-        r_bg, p_bg = self.background
-        return self.r - r_bg, self.p - p_bg
-
-    def energy_drift(self, pot: PotentialSpec) -> float:
-        e = np.array([ghs_energy(self.state(i), pot) for i in range(self.n_samples)])
-        return float(np.max(np.abs(e - e[0])))
-
-    def to_lattice_trajectory(self):
-        """Map each sample through a = (1/2) e^{-r/2}, b = -p/2."""
-        a = 0.5 * np.exp(-self.r / 2.0)
-        b = -self.p / 2.0
-        r_bg, p_bg = self.background
-        bg = (0.5 * math.exp(-r_bg / 2.0), -p_bg / 2.0)
-        return Trajectory(self.times.copy(), a, b, self.offset, bg, self.guard)
+                  guard: int = 10) -> Trajectory:
+    """Evolve the chain; the run reads as traj.r and traj.p, and its energy
+    drift is traj.energy_drift(lambda s: ghs_energy(s, pot))."""
+    return integrate(s, lambda st: ghs_rhs(st, pot), t_final, cfg,
+                     sample_dt=sample_dt, n_samples=n_samples, guard=guard)
 
 
 def confinement_bound(pot: PotentialSpec, energy: float, tol: float = 1e-10) -> float:
@@ -213,7 +175,7 @@ class StabilityReport:
     ok: bool
 
 
-def ghs_stability_diagnostics(traj: GHSTrajectory, pot: PotentialSpec) -> StabilityReport:
+def ghs_stability_diagnostics(traj: Trajectory, pot: PotentialSpec) -> StabilityReport:
     """Check the three finite-energy stability bounds at every sample, plus
     the position bound ||q(t)||_inf <= ||q(0)||_inf + sqrt(2E) |t| with q
     reconstructed by trapezoidal p-integration (q_first fixed to 0)."""
@@ -246,13 +208,13 @@ def ghs_stability_diagnostics(traj: GHSTrajectory, pot: PotentialSpec) -> Stabil
                            q_inf_bound_final=float(q_bound[-1]), ok=ok)
 
 
-def ghs_cone_constant(traj: GHSTrajectory, pot: PotentialSpec) -> float:
+def ghs_cone_constant(traj: Trajectory, pot: PotentialSpec) -> float:
     """C = max(sup_{t,n} |V'(r_n(t))|^(1/2), 1), measured on the horizon."""
     sup_vp = float(np.abs(np.asarray(pot.dV(traj.r))).max())
     return max(math.sqrt(sup_vp), 1.0)
 
 
-def ghs_velocity(mu: float, traj: GHSTrajectory, pot: PotentialSpec) -> float:
+def ghs_velocity(mu: float, traj: Trajectory, pot: PotentialSpec) -> float:
     """Cone speed 2 C (e^{mu+1} + 1/mu) for the chain sensitivity bounds."""
     if not mu > 0:
         raise ValueError("mu must be positive")
@@ -271,7 +233,7 @@ def factorial_tail_envelope(c: float, dist, t):
     return c * math.exp(x) * tail
 
 
-def check_ghs_cone(grid, mu: float, traj: GHSTrajectory, pot: PotentialSpec,
+def check_ghs_cone(grid, mu: float, traj: Trajectory, pot: PotentialSpec,
                    envelope_scale: float = 1.0, threshold: float = 1e-8):
     """Light-cone verification for chain sensitivities: envelope
     C e^{-mu (|n-m| - v |t|)} with measured C."""

@@ -207,7 +207,7 @@ def h_tilde(s: LatticeState, j: int, n: int, padded: bool = False) -> float:
 def hierarchy_hamiltonian(s: LatticeState, spec: HierarchySpec) -> float:
     """Conserved energy of the order-r flow:
 
-        H_r = 4/(r+2) sum_k sum_j c_{r-j} (<delta_k, L^{j+2} delta_k> - free_moment(r+2))
+        H_r = 4/(r+2) sum_k sum_j c_{r-j} (<delta_k, L^{j+2} delta_k> - free_moment(j+2))
 
     The sum runs over every site whose matrix elements can differ from the
     frozen background, i.e. r+2 sites beyond each window edge.  With that
@@ -220,14 +220,12 @@ def hierarchy_hamiltonian(s: LatticeState, spec: HierarchySpec) -> float:
     P, _ = _band_powers(a, b, reach)
     n = s.n_sites
     sl = slice(pad - reach, pad + n + reach)
-    lam = free_moment(reach)
     acc = np.zeros(n + 2 * reach)
     for j in range(spec.r + 1):
         w = spec.c[spec.r - j]
         if w == 0.0:
             continue
         acc += w * (P[j + 2, reach, sl] - free_moment(j + 2))
-    acc += float(np.dot(spec.c, [free_moment(j + 2) - lam for j in range(spec.r, -1, -1)]))
     return float(4.0 / reach * np.sum(acc))
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .state import (BACKGROUND, GHSState, LatticeState, hamiltonian_ab,
-                    jacobi_norm, trace_invariants)
+from .state import (BACKGROUND, GHSState, LatticeState, _relative_ab,
+                    hamiltonian_ab, jacobi_norm, trace_invariants)
 
 _METHODS = ("rk-adaptive", "rk4-fixed")
 
@@ -125,17 +125,33 @@ def write_csv(path, coords, times, offset: int, x1: np.ndarray, x2: np.ndarray):
                 fh.write("%.17g,%d,%.17g,%.17g\n" % (t, offset + j, x1[i, j], x2[i, j]))
 
 
+def _drift(series) -> float:
+    """Largest deviation of a sampled series (scalar or array per sample)
+    from its first sample."""
+    return float(np.max(np.abs(series - series[0])))
+
+
 @dataclass
 class Trajectory(EdgeMargin):
-    """Sampled run of a window flow: times plus (a, b) arrays of shape (T, N)."""
+    """Sampled run of a window flow: times plus the two coordinate arrays of
+    shape (T, N), in the coords order of the run's state type.  They read by
+    coordinate name: traj.a and traj.b for a LatticeState run, traj.r and
+    traj.p for a GHSState run."""
 
     times: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
     offset: int
     background: tuple
     guard: int = 10
     significance: float = 1e-10
+    state_type: type = LatticeState
+
+    def __getattr__(self, name):
+        coords = self.state_type.coords
+        if name not in coords:
+            raise AttributeError(f"{self.state_type.__name__} run has no attribute {name!r}")
+        return self.x1 if name == coords[0] else self.x2
 
     @property
     def n_samples(self) -> int:
@@ -143,38 +159,39 @@ class Trajectory(EdgeMargin):
 
     @property
     def n_sites(self) -> int:
-        return self.a.shape[1]
+        return self.x1.shape[1]
 
-    def state(self, i: int) -> LatticeState:
-        return LatticeState(self.a[i].copy(), self.b[i].copy(), self.offset, self.background)
+    def state(self, i: int):
+        return self.state_type(self.x1[i].copy(), self.x2[i].copy(), self.offset,
+                               self.background)
 
     def _deviations(self):
-        a_bg, b_bg = self.background
-        return self.a - a_bg, self.b - b_bg
+        bg1, bg2 = self.background
+        return self.x1 - bg1, self.x2 - bg2
 
     def energy_series(self, energy=hamiltonian_ab) -> np.ndarray:
         return np.array([energy(self.state(i)) for i in range(self.n_samples)])
 
     def energy_drift(self, energy=hamiltonian_ab) -> float:
-        e = self.energy_series(energy)
-        return float(np.max(np.abs(e - e[0])))
+        return _drift(self.energy_series(energy))
 
     def norm_series(self) -> np.ndarray:
         return self.energy_series(jacobi_norm)
 
     def norm_drift(self) -> float:
-        v = self.norm_series()
-        return float(np.max(np.abs(v - v[0])))
+        return _drift(self.norm_series())
 
     def trace_drift(self, jmax: int = 4) -> float:
-        t0 = trace_invariants(self.state(0), jmax)
-        worst = 0.0
-        for i in range(1, self.n_samples):
-            worst = max(worst, float(np.max(np.abs(trace_invariants(self.state(i), jmax) - t0))))
-        return worst
+        return _drift(self.energy_series(lambda s: trace_invariants(s, jmax)))
+
+    def to_lattice_trajectory(self) -> "Trajectory":
+        """A chain run mapped sample by sample through a = (1/2) e^{-r/2},
+        b = -p/2: the lattice run when the potential is the Toda one."""
+        a, b, background = _relative_ab(self.r, self.p, self.background)
+        return Trajectory(self.times.copy(), a, b, self.offset, background, self.guard)
 
     def to_csv(self, path):
-        write_csv(path, ("a", "b"), self.times, self.offset, self.a, self.b)
+        write_csv(path, self.state_type.coords, self.times, self.offset, self.x1, self.x2)
 
     @classmethod
     def from_csv(cls, path, background=None, guard: int = 10) -> "Trajectory":
@@ -195,8 +212,9 @@ def integrate(s: LatticeState | GHSState, rhs, t_final: float,
               guard: int = 10) -> Trajectory:
     """Evolve a window state under the vector field rhs(state) -> (d1, d2).
 
-    The trajectory's a and b hold the state's two coordinate arrays in the
-    order of its coords (r and p for a GHSState).
+    Returns a Trajectory of the state's type: its state(i) rebuilds that
+    type, and its arrays read by the state's coords (traj.r and traj.p for
+    a GHSState).
     """
     cfg = cfg or IntegratorConfig()
     times = sample_times(t_final, sample_dt, n_samples)
@@ -206,7 +224,6 @@ def integrate(s: LatticeState | GHSState, rhs, t_final: float,
     def fun(_t, y):
         return np.concatenate(rhs(state(y[:n], y[n:], s.offset, s.background)))
 
-    y0 = np.concatenate([getattr(s, c) for c in s.coords])
-    ys = solve_vector(fun, y0, times, cfg)
+    ys = solve_vector(fun, np.concatenate(s.arrays), times, cfg)
     return Trajectory(times, ys[:, :n].copy(), ys[:, n:].copy(),
-                      s.offset, s.background, guard)
+                      s.offset, s.background, guard, state_type=state)

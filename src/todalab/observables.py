@@ -160,7 +160,7 @@ def evolved_bracket(A: ObservableDescriptor, B: ObservableDescriptor,
         return 0.0
     any_grid = grids[next(iter(needed))]
     i = any_grid.time_index(t)
-    state_t = any_grid.base_state(i)
+    state_t = any_grid.base.state(i)
     first = x.offset
 
     total = 0.0
@@ -194,7 +194,7 @@ def _derivative_norms(obs: ObservableDescriptor, grids: dict, x: LatticeState):
     for n in obs.support:
         na = nb = 0.0
         for i in range(any_grid.n_samples):
-            st = any_grid.base_state(i)
+            st = any_grid.base.state(i)
             na = max(na, abs(obs.d_da(st, n)))
             nb = max(nb, abs(obs.d_db(st, n)))
         out[n] = (na, nb)

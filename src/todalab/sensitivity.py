@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ghs import ghs_rhs, ghs_tangent_rhs
 from .hierarchy import HierarchySpec, hierarchy_rhs, hierarchy_tangent_fields
-from .integrators import (EdgeMargin, IntegratorConfig, integrate,
+from .integrators import (EdgeMargin, IntegratorConfig, Trajectory, integrate,
                           sample_times, solve_vector, write_csv)
 from .perturbed import (PerturbationSpec, perturbed_hierarchy_rhs,
                         perturbed_hierarchy_tangent_rhs, perturbed_rhs,
                         perturbed_tangent_rhs)
-from .state import GHSState, LatticeState, toda_rhs, toda_tangent_rhs
+from .state import LatticeState, toda_rhs, toda_tangent_rhs
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,13 @@ class SensitivityGrid(EdgeMargin):
     times: np.ndarray
     da: np.ndarray            # (T, N); d r / dz for the chain flow
     db: np.ndarray            # (T, N); d p / dz for the chain flow
-    base_a: np.ndarray
-    base_b: np.ndarray
+    base: Trajectory
     offset: int
-    background: tuple
     seed_site: int
     seed_coord: str
     flow: str
     guard: int = 10
     significance: float = 1e-10
-    coords: tuple = ("a", "b")
     meta: dict = field(default_factory=dict)
 
     @property
@@ -128,13 +125,12 @@ class SensitivityGrid(EdgeMargin):
         if kind == "ab":
             return np.maximum(np.abs(self.da), np.abs(self.db))
         if kind == "log-a":
-            return np.maximum(2.0 * np.abs(self.da / self.base_a), np.abs(self.db))
+            return np.maximum(2.0 * np.abs(self.da / self.base.a), np.abs(self.db))
         raise ValueError(f"unknown observed kind {kind!r}")
 
     def _deviations(self):
         """Tangent and base deviations: both must stay clear of the edge."""
-        a_bg, b_bg = self.background
-        return self.da, self.db, self.base_a - a_bg, self.base_b - b_bg
+        return (self.da, self.db) + self.base._deviations()
 
     def time_index(self, t: float, tol: float = 1e-9) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -142,25 +138,36 @@ class SensitivityGrid(EdgeMargin):
             raise ValueError(f"time {t} not on the sample grid")
         return i
 
-    def base_state(self, i: int):
-        state = GHSState if self.coords == GHSState.coords else LatticeState
-        return state(self.base_a[i].copy(), self.base_b[i].copy(),
-                     self.offset, self.background)
-
     def to_csv(self, path):
-        write_csv(path, ["d" + c for c in self.coords], self.times, self.offset,
-                  self.da, self.db)
+        write_csv(path, ["d" + c for c in self.base.state_type.coords], self.times,
+                  self.offset, self.da, self.db)
 
 
-def _grid(x, seed, flow, guard, times, base, tangent, meta=None) -> SensitivityGrid:
-    """SensitivityGrid from (T, 2N) base and tangent blocks."""
+def _solve_blocks(x, fields, blocks, times, cfg, guard):
+    """Integrate the window state x together with the (N,) blocks, where
+    fields(state, *blocks) gives the derivatives of the state's two arrays
+    and of every block.  Returns the base run and the (T, N) series of each
+    block."""
     n = x.n_sites
-    return SensitivityGrid(times=times,
-                           da=tangent[:, :n].copy(), db=tangent[:, n:].copy(),
-                           base_a=base[:, :n].copy(), base_b=base[:, n:].copy(),
-                           offset=x.offset, background=x.background,
+    state = type(x)
+    k = 2 + len(blocks)
+
+    def fun(_t, y):
+        rows = y.reshape(k, n)
+        return np.concatenate(fields(state(rows[0], rows[1], x.offset, x.background),
+                                     *rows[2:]))
+
+    ys = solve_vector(fun, np.concatenate(x.arrays + tuple(blocks)), times, cfg)
+    out = [ys[:, i * n:(i + 1) * n].copy() for i in range(k)]
+    base = Trajectory(times, out[0], out[1], x.offset, x.background, guard,
+                      state_type=state)
+    return base, out[2:]
+
+
+def _grid(seed, flow, base, da, db, meta=None) -> SensitivityGrid:
+    return SensitivityGrid(times=base.times, da=da, db=db, base=base, offset=base.offset,
                            seed_site=int(seed[0]), seed_coord=str(seed[1]),
-                           flow=flow, guard=guard, coords=x.coords, meta=meta or {})
+                           flow=flow, guard=base.guard, meta=meta or {})
 
 
 def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
@@ -171,40 +178,35 @@ def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
                    sample_dt: float | None = None, n_samples: int | None = None,
                    guard: int = 10) -> SensitivityGrid:
     """Integrate base + tangent from a unit seed at (site, coordinate)."""
-    cfg = cfg or IntegratorConfig()
     f = make_flow(flow, hierarchy, perturbation, potential)
-    da0, db0 = _seed_vectors(x, seed)
-    n = x.n_sites
-    times = sample_times(t_final, sample_dt, n_samples)
-    state = type(x)
 
-    def fun(_t, y):
-        s = state(y[:n], y[n:2 * n], x.offset, x.background)
-        f1, f2 = f.rhs(s)
-        g1, g2 = f.tangent(s, y[2 * n:3 * n], y[3 * n:])
-        return np.concatenate((f1, f2, g1, g2))
+    def fields(s, d1, d2):
+        return (*f.rhs(s), *f.tangent(s, d1, d2))
 
-    y0 = np.concatenate([getattr(x, c) for c in x.coords] + [da0, db0])
-    ys = solve_vector(fun, y0, times, cfg)
-    return _grid(x, seed, flow, guard, times, ys[:, :2 * n], ys[:, 2 * n:])
+    base, (da, db) = _solve_blocks(x, fields, _seed_vectors(x, seed),
+                                   sample_times(t_final, sample_dt, n_samples),
+                                   cfg or IntegratorConfig(), guard)
+    return _grid(seed, flow, base, da, db)
 
 
-def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, n_samples):
+def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, n_samples, guard=10):
     """Runs of rhs from x + s_1 d_1 + s_2 d_2 + ... for every choice of signs
-    s_k = +-1, where steps lists the offsets d_k = (d_ka, d_kb).  Returns the
-    times, the sum of (s_1 s_2 ...) * run and the mean run, both (T, 2N)."""
-    x1, x2 = (getattr(x, c) for c in x.coords)
+    s_k = +-1, where steps lists the offsets d_k = (d_k1, d_k2).  Returns the
+    sum of (s_1 s_2 ...) * run as a (2, T, N) array of both coordinates, and
+    the mean run."""
+    x1, x2 = x.arrays
     combos = list(itertools.product((1.0, -1.0), repeat=len(steps)))
     signed = mean = 0.0
     for signs in combos:
         start = type(x)(x1 + sum(s * d1 for s, (d1, _) in zip(signs, steps)),
                         x2 + sum(s * d2 for s, (_, d2) in zip(signs, steps)),
                         x.offset, x.background)
-        tr = integrate(start, rhs, t_final, cfg, sample_dt=sample_dt, n_samples=n_samples)
-        ys = np.hstack((tr.a, tr.b))
+        tr = integrate(start, rhs, t_final, cfg, sample_dt=sample_dt, n_samples=n_samples,
+                       guard=guard)
+        ys = np.stack((tr.x1, tr.x2))
         signed = signed + math.prod(signs) * ys
         mean = mean + ys / len(combos)
-    return tr.times, signed, mean
+    return signed, replace(tr, x1=mean[0], x2=mean[1])
 
 
 def finite_difference_oracle(x, seed, t_final: float,
@@ -225,11 +227,11 @@ def finite_difference_oracle(x, seed, t_final: float,
     rhs = make_flow(flow, hierarchy, perturbation, potential).rhs
     da0, db0 = _seed_vectors(x, seed)
     if h is None:
-        z0 = getattr(x, x.coords[0] if seed[1] == x.coords[0] else x.coords[1])
+        z0 = x.arrays[0 if seed[1] == x.coords[0] else 1]
         h = 1e-5 * max(1.0, abs(float(z0[seed[0] - x.offset])))
-    times, diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg,
-                                    sample_dt, n_samples)
-    return _grid(x, seed, flow, guard, times, mid, diff / (2.0 * h),
+    diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg,
+                             sample_dt, n_samples, guard)
+    return _grid(seed, flow, mid, diff[0] / (2.0 * h), diff[1] / (2.0 * h),
                  {"fd_h": h, "fd_error_scale": h * h})
 
 
@@ -238,7 +240,7 @@ def finite_difference_oracle(x, seed, t_final: float,
 @dataclass
 class SecondTangentGrid:
     """w = d^2(state at t) / dz1 dz2 for the Toda flow, with both first
-    tangents carried along."""
+    tangents and the base run carried along."""
 
     times: np.ndarray
     w_a: np.ndarray
@@ -247,10 +249,8 @@ class SecondTangentGrid:
     u1_b: np.ndarray
     u2_a: np.ndarray
     u2_b: np.ndarray
-    base_a: np.ndarray
-    base_b: np.ndarray
+    base: Trajectory
     offset: int
-    background: tuple
     seed1: tuple
     seed2: tuple
     guard: int = 10
@@ -295,32 +295,21 @@ def evolve_second_tangent(x: LatticeState, z_seed, k, t_final: float,
     """
     if not isinstance(x, LatticeState):
         raise TypeError("second tangent flow is implemented for the Toda flow only")
-    cfg = cfg or IntegratorConfig()
     second = k if isinstance(k, tuple) else (int(k), "btilde")
-    u1a0, u1b0 = _seed_vectors(x, z_seed)
-    u2a0, u2b0 = _seed_vectors(x, second)
-    n = x.n_sites
-    times = sample_times(t_final, sample_dt, n_samples)
-    zeros = np.zeros(n)
+    zeros = np.zeros(x.n_sites)
+    blocks = (*_seed_vectors(x, z_seed), *_seed_vectors(x, second), zeros, zeros)
 
-    def fun(_t, y):
-        blocks = y.reshape(8, n)
-        s = LatticeState(blocks[0], blocks[1], x.offset, x.background)
-        f1, f2 = toda_rhs(s)
-        g1, g2 = toda_tangent_rhs(s, blocks[2], blocks[3])
-        g3, g4 = toda_tangent_rhs(s, blocks[4], blocks[5])
-        w1, w2 = _toda_second_fields(s, blocks[2], blocks[3], blocks[4], blocks[5],
-                                     blocks[6], blocks[7])
-        return np.concatenate((f1, f2, g1, g2, g3, g4, w1, w2))
+    def fields(s, u1a, u1b, u2a, u2b, wa, wb):
+        return (*toda_rhs(s), *toda_tangent_rhs(s, u1a, u1b), *toda_tangent_rhs(s, u2a, u2b),
+                *_toda_second_fields(s, u1a, u1b, u2a, u2b, wa, wb))
 
-    y0 = np.concatenate((x.a, x.b, u1a0, u1b0, u2a0, u2b0, zeros, zeros))
-    ys = solve_vector(fun, y0, times, cfg)
-    blk = [ys[:, i * n:(i + 1) * n].copy() for i in range(8)]
-    return SecondTangentGrid(times=times, w_a=blk[6], w_b=blk[7],
-                             u1_a=blk[2], u1_b=blk[3], u2_a=blk[4], u2_b=blk[5],
-                             base_a=blk[0], base_b=blk[1],
-                             offset=x.offset, background=x.background,
-                             seed1=tuple(z_seed), seed2=second, guard=guard)
+    base, (u1a, u1b, u2a, u2b, wa, wb) = _solve_blocks(
+        x, fields, blocks, sample_times(t_final, sample_dt, n_samples),
+        cfg or IntegratorConfig(), guard)
+    return SecondTangentGrid(times=base.times, w_a=wa, w_b=wb,
+                             u1_a=u1a, u1_b=u1b, u2_a=u2a, u2_b=u2b, base=base,
+                             offset=x.offset, seed1=tuple(z_seed), seed2=second,
+                             guard=guard)
 
 
 def second_finite_difference(x: LatticeState, z_seed, second, t_final: float,
@@ -338,8 +327,7 @@ def second_finite_difference(x: LatticeState, z_seed, second, t_final: float,
     cfg = cfg or IntegratorConfig(method="rk4-fixed")
     e1a, e1b = _seed_vectors(x, z_seed)
     e2a, e2b = _seed_vectors(x, second if isinstance(second, tuple) else (int(second), "btilde"))
-    times, acc, _ = _signed_runs(x, toda_rhs, [(h * e1a, h * e1b), (h * e2a, h * e2b)],
-                                 t_final, cfg, sample_dt, n_samples)
+    acc, mid = _signed_runs(x, toda_rhs, [(h * e1a, h * e1b), (h * e2a, h * e2b)],
+                            t_final, cfg, sample_dt, n_samples)
     acc /= 4.0 * h * h
-    n = x.n_sites
-    return times, acc[:, :n], acc[:, n:]
+    return mid.times, acc[0], acc[1]

@@ -21,35 +21,34 @@ from scipy.linalg import eigvalsh_tridiagonal
 BACKGROUND = (0.5, 0.0)
 
 
-@dataclass
-class LatticeState:
-    """Window of (a_n, b_n) pairs over sites offset .. offset + N - 1."""
-
-    coords = ("a", "b")
-
-    a: np.ndarray
-    b: np.ndarray
-    offset: int = 0
-    background: tuple = BACKGROUND
+class _WindowState:
+    """Shared body of the window states: the two coordinate arrays named in
+    coords over sites offset .. offset + N - 1, with the background pair
+    frozen outside the window.  Subclasses are dataclasses with fields
+    (<coord 1>, <coord 2>, offset, background)."""
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.a.ndim != 1 or self.a.shape != self.b.shape:
-            raise ValueError("a and b must be 1-d arrays of equal length")
-        if self.a.size < 3:
+        c1, c2 = self.coords
+        x1 = np.asarray(getattr(self, c1), dtype=float)
+        x2 = np.asarray(getattr(self, c2), dtype=float)
+        setattr(self, c1, x1)
+        setattr(self, c2, x2)
+        if x1.ndim != 1 or x1.shape != x2.shape:
+            raise ValueError(f"{c1} and {c2} must be 1-d arrays of equal length")
+        if x1.size < 3:
             raise ValueError("window too small: need at least 3 sites")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
-            raise ValueError("non-finite entry in lattice state")
-        if np.any(self.a == 0.0):
-            raise ValueError("a_n must be nonzero (log-scale coordinate)")
-        a_bg = float(self.background[0])
-        if a_bg == 0.0 or not np.isfinite(a_bg) or not np.isfinite(self.background[1]):
-            raise ValueError("background a must be finite and nonzero")
+        if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+            raise ValueError(f"non-finite entry in {type(self).__name__}")
+
+    @property
+    def arrays(self) -> tuple:
+        """The two coordinate arrays, in coords order."""
+        c1, c2 = self.coords
+        return getattr(self, c1), getattr(self, c2)
 
     @property
     def n_sites(self) -> int:
-        return self.a.size
+        return getattr(self, self.coords[0]).size
 
     @property
     def sites(self) -> np.ndarray:
@@ -61,8 +60,29 @@ class LatticeState:
             raise IndexError(f"site {n} outside window [{self.offset}, {self.offset + self.n_sites})")
         return i
 
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.a.copy(), self.b.copy(), self.offset, self.background)
+    def copy(self):
+        x1, x2 = self.arrays
+        return type(self)(x1.copy(), x2.copy(), self.offset, self.background)
+
+
+@dataclass
+class LatticeState(_WindowState):
+    """Window of (a_n, b_n) pairs over sites offset .. offset + N - 1."""
+
+    coords = ("a", "b")
+
+    a: np.ndarray
+    b: np.ndarray
+    offset: int = 0
+    background: tuple = BACKGROUND
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (self.a == 0.0).any():
+            raise ValueError("a_n must be nonzero (log-scale coordinate)")
+        a_bg = float(self.background[0])
+        if a_bg == 0.0 or not math.isfinite(a_bg) or not math.isfinite(self.background[1]):
+            raise ValueError("background a must be finite and nonzero")
 
 
 @dataclass
@@ -83,7 +103,7 @@ class PQState:
 
 
 @dataclass
-class GHSState:
+class GHSState(_WindowState):
     """Relative-coordinate state (r_n = q_{n+1} - q_n, p_n) for chain systems.
 
     Finite-energy data decays to the background at the window edges; the
@@ -96,27 +116,6 @@ class GHSState:
     p: np.ndarray
     offset: int = 0
     background: tuple = (0.0, 0.0)
-
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.r.ndim != 1 or self.r.shape != self.p.shape:
-            raise ValueError("r and p must be 1-d arrays of equal length")
-        if self.r.size < 3:
-            raise ValueError("window too small: need at least 3 sites")
-        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.p))):
-            raise ValueError("non-finite entry in chain state")
-
-    @property
-    def n_sites(self) -> int:
-        return self.r.size
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.offset, self.offset + self.n_sites)
-
-    def copy(self) -> "GHSState":
-        return GHSState(self.r.copy(), self.p.copy(), self.offset, self.background)
 
 
 def background_state(n_sites: int, offset: int | None = None,
@@ -219,12 +218,17 @@ def flaschka_inverse(s: LatticeState) -> GHSState:
     return GHSState(r, p, s.offset, (r_bg, -2.0 * b_bg))
 
 
+def _relative_ab(r, p, background):
+    """a = (1/2) e^{-r/2}, b = -p/2 on arrays of any shape, and on the
+    background pair."""
+    r_bg, p_bg = background
+    return 0.5 * np.exp(-r / 2.0), -p / 2.0, (0.5 * math.exp(-r_bg / 2.0), -p_bg / 2.0)
+
+
 def relative_to_lattice(g: GHSState) -> LatticeState:
     """Inverse of flaschka_inverse: a = (1/2) e^{-r/2}, b = -p/2."""
-    a = 0.5 * np.exp(-g.r / 2.0)
-    b = -g.p / 2.0
-    r_bg, p_bg = g.background
-    return LatticeState(a, b, g.offset, (0.5 * math.exp(-r_bg / 2.0), -p_bg / 2.0))
+    a, b, background = _relative_ab(g.r, g.p, g.background)
+    return LatticeState(a, b, g.offset, background)
 
 
 def _padded(s: LatticeState, pad: int):

@@ -21,8 +21,8 @@ from todalab import (HierarchySpec, IntegratorConfig, PerturbationSpec,
                      velocity_toda, verify_light_cone)
 from todalab.bounds import C_epsilon, check_G_convolution, gamma_const
 from todalab.cli import default_config, main
-from todalab.ghs import (PotentialSpec, check_ghs_cone, ghs_integrate,
-                         ghs_stability_diagnostics)
+from todalab.ghs import (PotentialSpec, check_ghs_cone, ghs_energy,
+                         ghs_integrate, ghs_stability_diagnostics)
 from todalab.hierarchy import (free_moment, g_tilde, h_tilde,
                                hierarchy_hamiltonian, hierarchy_rhs,
                                path_counts)
@@ -246,7 +246,7 @@ def test_12_chain_stability_and_cone():
 
     quartic = PotentialSpec(family="quartic", beta=0.1)
     traj = ghs_integrate(x, quartic, 3.0, FIX, sample_dt=0.25)
-    drift = traj.energy_drift(quartic)
+    drift = traj.energy_drift(lambda s: ghs_energy(s, quartic))
     stab = ghs_stability_diagnostics(traj, quartic)
     g = evolve_tangent(x, (0, "p"), 2.0, FIX, flow="ghs", potential=quartic,
                        sample_dt=0.25)

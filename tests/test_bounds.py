@@ -188,7 +188,7 @@ def test_second_derivative_envelope_bounds_measured_run():
     g = evolve_second_tangent(x, (0, "a"), 2, 2.0,
                               IntegratorConfig(method="rk4-fixed", step=0.02),
                               n_samples=5)
-    sites = np.arange(g.offset, g.offset + g.base_a.shape[1])
+    sites = np.arange(g.offset, g.offset + g.base.a.shape[1])
     dl = np.abs(sites)
     dk = np.minimum(np.abs(sites - 2), np.abs(sites - 3))
     worst = 0.0

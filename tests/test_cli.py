@@ -225,3 +225,14 @@ def test_sweep_unreadable_config_exits_2(tmp_path, capsys, content, fragment):
     assert code == 2
     assert f"config error: {fragment}" in capsys.readouterr().err
     assert not (out / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_nonpositive_workers_exits_2(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path, small_run_config(base="soliton"))
+    out = tmp_path / "s"
+    code = main(["sweep", "-c", cfg, "--axis", "kappa", "--values", "1.0",
+                 "--out", str(out), "--workers", workers])
+    assert code == 2
+    assert "config error: --workers" in capsys.readouterr().err
+    assert not out.exists()

@@ -90,7 +90,7 @@ def test_energy_conservation():
     x = bump_state(121)
     for pot in (PotentialSpec(family="toda"), PotentialSpec(family="quartic", beta=0.1)):
         traj = ghs_integrate(x, pot, 3.0, FIX, sample_dt=0.25)
-        drift = traj.energy_drift(pot)
+        drift = traj.energy_drift(lambda s: ghs_energy(s, pot))
         print(pot.family, "drift:", drift)
         assert traj.clean
         assert drift < 1e-9
@@ -222,3 +222,21 @@ def test_toda_family_maps_to_flaschka_flow():
     print("map err:", err)
     assert err < 1e-8
     assert mapped.background == (0.5, 0.0)
+
+
+def test_chain_run_rebuilds_chain_states():
+    # integrate() and evolve_tangent() on a chain state give runs whose
+    # samples are chain states again, and the chain energy goes through the
+    # run's own drift
+    x = bump_state(41)
+    pot = PotentialSpec(family="toda")
+    traj = integrate(x, lambda s: ghs_rhs(s, pot), 2.0, FIX, sample_dt=0.5)
+    for i in range(traj.n_samples):
+        s = traj.state(i)
+        assert type(s) is GHSState
+        assert np.array_equal(s.r, traj.r[i]) and np.array_equal(s.p, traj.p[i])
+        assert (s.offset, s.background) == (x.offset, x.background)
+    grid = evolve_tangent(x, (0, "p"), 1.0, FIX, "ghs", potential=pot, n_samples=3)
+    assert type(grid.base.state(2)) is GHSState
+    assert np.array_equal(grid.base.state(2).p, grid.base.p[2])
+    assert traj.energy_drift(lambda s: ghs_energy(s, pot)) <= 1e-8

@@ -93,8 +93,7 @@ def test_fields_and_hamiltonian_vs_dense(r):
                   for j in range(r + 1))
     g, h = hierarchy_fields(x, spec)
     k = np.arange(pad - (r + 2), pad + n + r + 2)   # every site within r+2 of the window
-    lam = free_moment(r + 2)
-    H_dense = 4.0 / (r + 2) * sum(spec.c[r - j] * np.sum(Lp[j + 2][k, k] - lam)
+    H_dense = 4.0 / (r + 2) * sum(spec.c[r - j] * np.sum(Lp[j + 2][k, k] - free_moment(j + 2))
                                   for j in range(r + 1))
     H = hierarchy_hamiltonian(x, spec)
     print(r, np.max(np.abs(g - g_dense)), np.max(np.abs(h - h_dense)), H - H_dense)
@@ -221,3 +220,13 @@ def test_fields_respect_locality():
     k = x.site_index(0) + 1     # g index for site 0
     assert g1[k] == g0[k]
     assert h1[k] == h0[k]
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_hamiltonian_vanishes_on_background(r):
+    # every power subtracts its own free moment, so a background window has
+    # no energy whatever the lower weights and the window size
+    rng = np.random.default_rng(200 + r)
+    spec = HierarchySpec(r, (1.0,) + tuple(rng.uniform(-1.0, 1.0, r)))
+    for n in (21, 41):
+        assert abs(hierarchy_hamiltonian(background_state(n), spec)) < 1e-12

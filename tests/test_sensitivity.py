@@ -84,7 +84,7 @@ def test_ghs_tangent_matches_fd():
                                   np.abs(g.da - f.da) + np.abs(g.db - f.db), 0.0)))
     print(worst)
     assert worst < 1e-5
-    assert g.coords == ("r", "p")
+    assert g.base.state_type.coords == ("r", "p")
 
 
 def test_missing_spec_errors():
@@ -178,7 +178,7 @@ def test_ghs_chain_rule_correspondence():
     # the same physical perturbation in lattice coordinates: db = -dp/2 at site 0
     g_lat = evolve_tangent(x, (0, "b"), t_final, FIXED, "toda", n_samples=3)
     # map ghs tangents through a = e^{-r/2}/2, b = -p/2
-    a_t = 0.5 * np.exp(-g_ghs.base_a / 2.0)           # base_a holds r
+    a_t = 0.5 * np.exp(-g_ghs.base.r / 2.0)
     da_t = -0.5 * a_t * g_ghs.da                      # d a = -(a/2) dr
     db_t = -0.5 * g_ghs.db
     # lattice run with the equivalent seed scale: d/dp_0 = -1/2 d/db_0

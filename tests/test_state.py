@@ -171,6 +171,20 @@ def test_random_localized_state_properties():
 
 
 def test_ghs_state_validation():
-    GHSState(np.zeros(5), np.zeros(5), 0)
-    with pytest.raises(ValueError):
-        GHSState(np.zeros(5), np.zeros(4), 0)
+    # the window body is shared by both state types
+    for state in (GHSState, LatticeState):
+        ones = np.ones(5)
+        s = state(ones, ones, -2)
+        with pytest.raises(ValueError):
+            state(np.ones(5), np.ones(4), 0)
+        with pytest.raises(ValueError):
+            state(np.array([1.0, np.inf, 1.0]), np.ones(3), 0)
+        with pytest.raises(ValueError):
+            state(np.ones(3), np.array([1.0, 1.0, np.nan]), 0)
+        with pytest.raises(ValueError):
+            state(np.ones(2), np.ones(2), 0)
+        c = s.copy()
+        assert type(c) is state
+        assert all(np.array_equal(u, v) and u is not v for u, v in zip(c.arrays, s.arrays))
+        assert (c.offset, c.background) == (s.offset, s.background)
+        assert list(c.sites) == [-2, -1, 0, 1, 2] and c.site_index(0) == 2
