@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 
-from todalab import IntegratorConfig, evolve_tangent, optimal_mu
-from todalab.ghs import (PotentialSpec, check_ghs_cone, confinement_bound,
-                         factorial_tail_envelope, ghs_energy, ghs_integrate,
+from todalab import IntegratorConfig, evolve_tangent, optimal_mu, verify_light_cone
+from todalab.ghs import (PotentialSpec, confinement_bound, factorial_tail_envelope,
+                         ghs_energy, ghs_envelope, ghs_integrate,
                          ghs_stability_diagnostics)
 from todalab.integrators import integrate
 from todalab.state import GHSState, toda_rhs
@@ -36,7 +36,7 @@ for pot in (PotentialSpec(family="quartic", beta=0.1), PotentialSpec(family="tod
 
     grid = evolve_tangent(x, (0, "p"), 2.0, cfg, flow="ghs", potential=pot,
                           sample_dt=0.25)
-    rep = check_ghs_cone(grid, mu, traj, pot)
+    rep = verify_light_cone(grid, ghs_envelope(mu, traj, pot))
     print(f"  cone: {rep.n_violations} violations,"
           f" speed bound {rep.bound_speed:.1f}")
 

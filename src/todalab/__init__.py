@@ -40,8 +40,8 @@ from .observables import (ObservableDescriptor, basic_observables,
                           check_bracket_bound, evolved_bracket,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
-from .ghs import (PotentialSpec, check_ghs_cone, confinement_bound,
-                  factorial_tail_envelope, ghs_energy, ghs_integrate, ghs_rhs,
+from .ghs import (PotentialSpec, confinement_bound, factorial_tail_envelope,
+                  ghs_energy, ghs_envelope, ghs_integrate, ghs_rhs,
                   ghs_stability_diagnostics, ghs_tangent_rhs, ghs_velocity)
 
 __version__ = "0.1.0"

@@ -10,6 +10,13 @@ Exit codes: 0 all checks passed, 1 a verification failed (first violating
 Every run writes summary.json (schema 1) plus scenario artifacts: trajectory
 and sensitivity CSVs and light-cone report JSONs.  With the fixed-step
 integrator the CSV output is byte-identical across reruns of the same config.
+
+The light-cone scenarios (toda-lightcone, hierarchy, timedep, perturbed, ghs)
+are specs for one body, _cone_scenario: a base state, a flow with its specs,
+the conserved energy and an envelope function.  The body integrates the base
+flow once; that run is trajectory.csv, its energy drift is gated at
+100 x tolerance, and the envelope function builds the envelopes from it.  Each
+seed's tangent run is then checked against every envelope.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ import numpy as np
 from .bounds import (LightConeReport, hierarchy_envelope, optimal_mu,
                      perturbed_envelope, timedep_envelope, toda_envelope,
                      velocity_hierarchy, velocity_toda, verify_light_cone)
-from .ghs import (PotentialSpec, check_ghs_cone, ghs_energy, ghs_integrate,
+from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
 from .integrators import IntegratorConfig, integrate
@@ -34,8 +41,8 @@ from .observables import (basic_observables, check_bracket_bound,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
 from .perturbed import (PerturbationSpec, interpolation_envelope,
-                        monitor_trajectory, perturbed_rhs)
-from .sensitivity import evolve_tangent
+                        monitor_trajectory)
+from .sensitivity import evolve_tangent, make_flow
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
                        soliton_speed, soliton_state)
 from .state import (GHSState, LatticeState, background_state, hamiltonian_ab,
@@ -227,10 +234,18 @@ def _grid_csv_name(seed) -> str:
     return f"sensitivity_{tag}_{coord}.csv"
 
 
+def _base_run(cfg, out, x, flow, **specs):
+    """The run of the named flow from x, written as trajectory.csv."""
+    traj = integrate(x, make_flow(flow, **specs).rhs, cfg.t_final, cfg.integrator,
+                     sample_dt=cfg.sample_dt, guard=cfg.guard)
+    traj.to_csv(out / "trajectory.csv")
+    return traj
+
+
 def _seed_loop(cfg, out, x, checks, **flow):
     """Per seed: one tangent run, its CSV, then each check of the grid; a
     light-cone report is also written as JSON.  Returns one tuple of check
-    results per seed, and the last grid."""
+    results per seed."""
     rows = []
     for seed in cfg.seeds:
         grid = evolve_tangent(x, seed, cfg.t_final, cfg.integrator,
@@ -240,77 +255,69 @@ def _seed_loop(cfg, out, x, checks, **flow):
         for rep in rows[-1]:
             if isinstance(rep, LightConeReport):
                 rep.to_json(out / f"lightcone_{rep.family}_{seed[0]}_{seed[1]}.json")
-    return rows, grid
+        del grid        # freed before the next tangent run, to keep peak RSS down
+    return rows
 
 
 def _cone_check(cfg, envelope):
     return lambda grid: verify_light_cone(grid, envelope, threshold=cfg.front_threshold)
 
 
-def _verdict(reports, clean=True):
-    """(clean, violation count, first violation) over reports in run order."""
-    first = next((r.violations[0] for r in reports if r.violations), None)
-    return clean and all(r.clean for r in reports), sum(r.n_violations for r in reports), first
-
-
-def _first_front(reports):
-    return next((r.empirical_front_speed for r in reports
-                 if r.empirical_front_speed is not None), None)
-
-
-def _cone_scenario(cfg, out, x, envelope, drift_fn, extra, **flow):
-    """Shared body of the one-envelope cone scenarios; drift is measured on
-    each seed's base trajectory."""
-    rows, grid = _seed_loop(cfg, out, x, (_cone_check(cfg, envelope),
-                                          lambda g: drift_fn(g.base)), **flow)
-    grid.base.to_csv(out / "trajectory.csv")
-    reports, drifts = zip(*rows)
-    drift = max(0.0, *drifts)
-    clean, n_viol, first_violation = _verdict(reports)
-    drift_tol = 100.0 * cfg.integrator.tolerance
-    summary = {
+def _cone_scenario(cfg, out, x, energy, envelopes, flow, **specs):
+    """Shared body of the light-cone scenarios.  One base run of the flow
+    from x is written as trajectory.csv, gates the drift of energy(state) at
+    100 x tolerance, and is handed to envelopes(run), which returns
+    (envelopes, summary entries, the scenario's own gate); no envelopes
+    means the run is excluded and the entries are the final summary.  Each
+    seed's tangent grid is then checked against every envelope."""
+    run = _base_run(cfg, out, x, flow, **specs)
+    drift, drift_tol = run.energy_drift(energy), 100.0 * cfg.integrator.tolerance
+    envs, summary, gate = envelopes(run)
+    summary.update(conserved_drift=drift, drift_tolerance=drift_tol)
+    base_clean = run.clean
+    del run             # not held across the seed loop, to keep peak RSS down
+    if not envs:
+        return summary, False, None
+    rows = _seed_loop(cfg, out, x, [_cone_check(cfg, env) for env in envs],
+                      flow=flow, **specs)
+    reports = [rep for row in rows for rep in row]
+    first_violation = next((r.violations[0] for r in reports if r.violations), None)
+    clean = base_clean and all(r.clean for r in reports)
+    n_viol = sum(r.n_violations for r in reports)
+    # the front speed and the bound speed are those of the first envelope
+    summary.update({
         "clean": clean,
         "violations": n_viol,
-        "empirical_front_speed": _first_front(reports),
+        "empirical_front_speed": next((row[0].empirical_front_speed for row in rows
+                                       if row[0].empirical_front_speed is not None), None),
         "bound_speed": reports[0].bound_speed,
-        "conserved_drift": drift,
-        "drift_tolerance": drift_tol,
         "boundary_margin": min(r.boundary_margin for r in reports),
-        **extra,
-    }
-    return summary, clean and n_viol == 0 and drift <= drift_tol, first_violation
+    })
+    return summary, clean and n_viol == 0 and gate and drift <= drift_tol, first_violation
 
 
 def _run_toda_lightcone(cfg: ExperimentConfig, out: Path):
-    mu = cfg.resolved_mu()
-    x = _base_lattice(cfg)
+    mu, x = cfg.resolved_mu(), _base_lattice(cfg)
     lnorm = jacobi_norm(x)
     env = toda_envelope(mu, lnorm, cfg.envelope_scale)
-    return _cone_scenario(cfg, out, x, env, lambda tr: tr.norm_drift(),
-                          {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()},
-                          flow="toda")
+    extra = {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()}
+    return _cone_scenario(cfg, out, x, jacobi_norm, lambda run: ([env], extra, True), "toda")
 
 
 def _run_hierarchy(cfg: ExperimentConfig, out: Path):
-    mu = cfg.resolved_mu()
-    x = _base_lattice(cfg)
+    mu, x, hspec = cfg.resolved_mu(), _base_lattice(cfg), cfg.hierarchy
     lnorm = jacobi_norm(x)
-    hspec = cfg.hierarchy
     env = hierarchy_envelope(mu, lnorm, hspec, "matrix-norm", cfg.envelope_scale)
     extra = {"mu": mu, "Lnorm": lnorm, "r": hspec.r, "c": list(hspec.c),
              "bound_speed_lemma44": velocity_hierarchy(mu, lnorm, hspec, "lemma44"),
              "base": cfg.resolved_base()}
-    return _cone_scenario(cfg, out, x, env,
-                          lambda tr: tr.energy_drift(lambda s: hierarchy_hamiltonian(s, hspec)),
-                          extra, flow="hierarchy", hierarchy=hspec)
+    return _cone_scenario(cfg, out, x, lambda s: hierarchy_hamiltonian(s, hspec),
+                          lambda run: ([env], extra, True), "hierarchy", hierarchy=hspec)
 
 
 def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
     spec = cfg.soliton
-    x = soliton_state(spec, cfg.window)
-    traj = integrate(x, toda_rhs, cfg.t_final, cfg.integrator,
-                     sample_dt=cfg.sample_dt, guard=cfg.guard)
-    traj.to_csv(out / "trajectory.csv")
+    traj = _base_run(cfg, out, soliton_state(spec, cfg.window), "toda")
     sites = np.arange(traj.offset, traj.offset + traj.n_sites)
     err_a = err_b = 0.0
     for i, t in enumerate(traj.times):
@@ -349,68 +356,63 @@ def _perturbed_energy(pspec):
     return energy
 
 
-def _perturbed_base(cfg: ExperimentConfig, out: Path, skipped: str):
-    """Shared start of the perturbed and interpolation scenarios: the base
-    run (written as trajectory.csv), its monitors, and the common summary,
-    which is final when the run looks unbounded."""
+def _a_star(x) -> float:
+    """inf_n |a_n(0)| over the window and the background."""
+    return min(float(np.min(np.abs(x.a))), abs(x.background[0]))
+
+
+def _perturbed_monitors(cfg: ExperimentConfig, run, skipped: str):
+    """Monitors of the perturbed base run (C1, C2, the norm series) and the
+    summary entries that perturbed and interpolation share; these are the
+    final summary when the run looks unbounded."""
     pspec = cfg.perturbation
-    x = _base_lattice(cfg)
-    traj = integrate(x, lambda s: perturbed_rhs(s, pspec), cfg.t_final,
-                     cfg.integrator, sample_dt=cfg.sample_dt, guard=cfg.guard)
-    traj.to_csv(out / "trajectory.csv")
-    mon = monitor_trajectory(traj)
+    mon = monitor_trajectory(run)
     summary = {"mu": cfg.resolved_mu(), "base": cfg.resolved_base(),
                "family": pspec.family, "w0": pspec.w0,
-               "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded,
-               "conserved_drift": traj.energy_drift(_perturbed_energy(pspec))}
+               "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded}
     if mon.unbounded:
-        summary.update({"clean": traj.clean, "violations": 0,
+        summary.update({"clean": run.clean, "violations": 0,
                         "empirical_front_speed": None, "bound_speed": None,
                         "excluded": f"unbounded-looking run; {skipped} skipped"})
-    return x, traj, mon, summary
+    return mon, summary
 
 
 def _run_perturbed(cfg: ExperimentConfig, out: Path):
-    pspec = cfg.perturbation
-    x, traj, mon, summary = _perturbed_base(cfg, out, "bound checks")
-    mu, drift_tol = summary["mu"], 100.0 * cfg.integrator.tolerance
-    summary["drift_tolerance"] = drift_tol
-    if mon.unbounded:
-        return summary, False, None
+    pspec, x = cfg.perturbation, _base_lattice(cfg)
 
-    # a-priori operator norm growth along the run
-    line = mon.Lnorm_t[0] + pspec.dw_sup * traj.times
-    norm_ok = bool(np.all(mon.Lnorm_t <= line + 1e-9))
+    def envelopes(run):
+        mon, summary = _perturbed_monitors(cfg, run, "bound checks")
+        if mon.unbounded:
+            return [], summary, False
+        # a-priori operator norm growth along the run
+        line = mon.Lnorm_t[0] + pspec.dw_sup * run.times
+        norm_ok = bool(np.all(mon.Lnorm_t <= line + 1e-9))
+        mu, a_star = summary["mu"], _a_star(x)
+        env_w = perturbed_envelope(mu, mon.C1, mon.C2, pspec.d2w_sup, cfg.envelope_scale)
+        env_t = timedep_envelope(mu, mon.Lnorm_t[0], pspec.dw_sup, pspec.d2w_sup,
+                                 a_star, cfg.envelope_scale)
+        summary.update({"norm_growth_ok": norm_ok, "a_star": a_star,
+                        "timedep_radius_final": float(env_t.radius(cfg.t_final))})
+        return [env_w, env_t], summary, norm_ok
 
-    env_w = perturbed_envelope(mu, mon.C1, mon.C2, pspec.d2w_sup, cfg.envelope_scale)
-    a_star = min(float(np.min(np.abs(x.a))), abs(x.background[0]))
-    env_t = timedep_envelope(mu, mon.Lnorm_t[0], pspec.dw_sup, pspec.d2w_sup,
-                             a_star, cfg.envelope_scale)
-    rows, _ = _seed_loop(cfg, out, x, (_cone_check(cfg, env_w), _cone_check(cfg, env_t)),
-                         flow="perturbed", perturbation=pspec)
-    clean, n_viol, first_violation = _verdict([r for row in rows for r in row], traj.clean)
-    ok = clean and n_viol == 0 and norm_ok and summary["conserved_drift"] <= drift_tol
-    summary.update({
-        "clean": clean, "violations": n_viol,
-        "empirical_front_speed": _first_front([w for w, _ in rows]),
-        "bound_speed": env_w.speed,
-        "norm_growth_ok": norm_ok, "a_star": a_star,
-        "timedep_radius_final": float(env_t.radius(cfg.t_final)),
-    })
-    return summary, ok, first_violation
+    return _cone_scenario(cfg, out, x, _perturbed_energy(pspec), envelopes,
+                          "perturbed", perturbation=pspec)
 
 
 def _run_interpolation(cfg: ExperimentConfig, out: Path):
-    x, _, mon, summary = _perturbed_base(cfg, out, "fit")
-    summary["eps"] = cfg.eps
+    x = _base_lattice(cfg)
+    run = _base_run(cfg, out, x, "perturbed", perturbation=cfg.perturbation)
+    mon, summary = _perturbed_monitors(cfg, run, "fit")
+    summary.update(eps=cfg.eps,
+                   conserved_drift=run.energy_drift(_perturbed_energy(cfg.perturbation)))
     if mon.unbounded:
         return summary, False, None
 
     def fit(grid):
         return interpolation_envelope(grid, mon, summary["mu"], cfg.eps)
 
-    rows, _ = _seed_loop(cfg, out, x, (fit, lambda grid: grid.clean),
-                         flow="perturbed", perturbation=cfg.perturbation)
+    rows = _seed_loop(cfg, out, x, (fit, lambda grid: grid.clean),
+                      flow="perturbed", perturbation=cfg.perturbation)
     fits, cleans = zip(*rows)
     clean = all(cleans)
     worst_r2 = min(f.r2_spatial for f in fits)
@@ -430,19 +432,15 @@ def _run_interpolation(cfg: ExperimentConfig, out: Path):
 
 
 def _run_timedep(cfg: ExperimentConfig, out: Path):
-    mu = cfg.resolved_mu()
-    pspec = cfg.perturbation
-    x = _base_lattice(cfg)
-    lnorm0 = jacobi_norm(x)
-    a_star = min(float(np.min(np.abs(x.a))), abs(x.background[0]))
+    mu, x, pspec = cfg.resolved_mu(), _base_lattice(cfg), cfg.perturbation
+    lnorm0, a_star = jacobi_norm(x), _a_star(x)
     env = timedep_envelope(mu, lnorm0, pspec.dw_sup, pspec.d2w_sup, a_star,
                            cfg.envelope_scale)
     extra = {"mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
              "a_star": a_star, "Lnorm0": lnorm0,
              "radius_final": float(env.radius(cfg.t_final))}
-    return _cone_scenario(cfg, out, x, env,
-                          lambda tr: tr.energy_drift(_perturbed_energy(pspec)),
-                          extra, flow="perturbed", perturbation=pspec)
+    return _cone_scenario(cfg, out, x, _perturbed_energy(pspec),
+                          lambda run: ([env], extra, True), "perturbed", perturbation=pspec)
 
 
 def _run_observables(cfg: ExperimentConfig, out: Path):
@@ -502,34 +500,20 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
 
 
 def _run_ghs(cfg: ExperimentConfig, out: Path):
-    mu = cfg.resolved_mu()
-    pot = cfg.potential
-    n = cfg.window
+    mu, pot, n = cfg.resolved_mu(), cfg.potential, cfg.window
     offset = -(n // 2)
     sites = np.arange(offset, offset + n)
     x = GHSState(np.zeros(n), np.exp(-((sites / 3.0) ** 2)), offset)
-    traj = ghs_integrate(x, pot, cfg.t_final, cfg.integrator,
-                         sample_dt=cfg.sample_dt, guard=cfg.guard)
-    drift = traj.energy_drift(lambda s: ghs_energy(s, pot))
-    stab = ghs_stability_diagnostics(traj, pot)
 
-    def cone(grid):
-        return check_ghs_cone(grid, mu, traj, pot, cfg.envelope_scale, cfg.front_threshold)
+    def envelopes(run):
+        stab = ghs_stability_diagnostics(run, pot)
+        return ([ghs_envelope(mu, run, pot, cfg.envelope_scale)],
+                {"mu": mu, "family": pot.family, "beta": pot.beta,
+                 "energy": stab.energy, "M_E": stab.M_E, "stability_ok": stab.ok},
+                stab.ok)
 
-    rows, _ = _seed_loop(cfg, out, x, (cone,), flow="ghs", potential=pot)
-    reports = [row[0] for row in rows]
-    clean, n_viol, first_violation = _verdict(reports, traj.clean)
-    ok = clean and n_viol == 0 and drift <= 1e-8 and stab.ok
-    summary = {
-        "mu": mu, "family": pot.family, "beta": pot.beta,
-        "clean": clean, "violations": n_viol,
-        "empirical_front_speed": _first_front(reports),
-        "bound_speed": reports[-1].bound_speed,
-        "conserved_drift": drift,
-        "energy": stab.energy, "M_E": stab.M_E,
-        "stability_ok": stab.ok,
-    }
-    return summary, ok, first_violation
+    return _cone_scenario(cfg, out, x, lambda s: ghs_energy(s, pot), envelopes,
+                          "ghs", potential=pot)
 
 
 @dataclass(frozen=True)

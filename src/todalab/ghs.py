@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .bounds import Envelope, verify_light_cone
+from .bounds import Envelope
 from .integrators import Trajectory, integrate
 from .state import GHSState
 
@@ -233,12 +233,11 @@ def factorial_tail_envelope(c: float, dist, t):
     return c * math.exp(x) * tail
 
 
-def check_ghs_cone(grid, mu: float, traj: Trajectory, pot: PotentialSpec,
-                   envelope_scale: float = 1.0, threshold: float = 1e-8):
-    """Light-cone verification for chain sensitivities: envelope
-    C e^{-mu (|n-m| - v |t|)} with measured C."""
+def ghs_envelope(mu: float, traj: Trajectory, pot: PotentialSpec,
+                 scale: float = 1.0) -> Envelope:
+    """C e^{-mu(|n-m| - v|t|)} for chain sensitivities, with C and v measured
+    on the run traj."""
     c = ghs_cone_constant(traj, pot)
-    v = ghs_velocity(mu, traj, pot)
-    env = Envelope(family="ghs", mu=mu, prefactor=envelope_scale * c, speed=v,
-                   params={"C": c, "mu": mu, "scale": envelope_scale})
-    return verify_light_cone(grid, env, threshold=threshold)
+    return Envelope(family="ghs", mu=mu, prefactor=scale * c,
+                    speed=ghs_velocity(mu, traj, pot),
+                    params={"C": c, "mu": mu, "scale": scale})

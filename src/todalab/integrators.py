@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .state import (BACKGROUND, GHSState, LatticeState, _relative_ab,
+from .state import (GHSState, LatticeState, _relative_ab,
                     hamiltonian_ab, jacobi_norm, trace_invariants)
 
 _METHODS = ("rk-adaptive", "rk4-fixed")
@@ -195,15 +195,24 @@ class Trajectory(EdgeMargin):
 
     @classmethod
     def from_csv(cls, path, background=None, guard: int = 10) -> "Trajectory":
+        """Read a run written by to_csv; the header's coords pick the state
+        type, and background defaults to that type's default."""
+        with open(path) as fh:
+            header = fh.readline().strip()
+        types = {"t,n,%s,%s" % t.coords: t for t in (LatticeState, GHSState)}
+        if header not in types:
+            raise ValueError(f"unknown trajectory csv header {header!r}; "
+                             f"expected one of {tuple(types)}")
+        state_type = types[header]
         raw = np.loadtxt(path, delimiter=",", skiprows=1)
         times = np.unique(raw[:, 0])
         sites = np.unique(raw[:, 1].astype(int))
         nt, ns = times.size, sites.size
         if raw.shape[0] != nt * ns:
             raise ValueError("ragged trajectory csv")
-        a = raw[:, 2].reshape(nt, ns)
-        b = raw[:, 3].reshape(nt, ns)
-        return cls(times, a, b, int(sites[0]), background or BACKGROUND, guard)
+        return cls(times, raw[:, 2].reshape(nt, ns), raw[:, 3].reshape(nt, ns),
+                   int(sites[0]), background or state_type.background, guard,
+                   state_type=state_type)
 
 
 def integrate(s: LatticeState | GHSState, rhs, t_final: float,

@@ -21,7 +21,7 @@ from todalab import (HierarchySpec, IntegratorConfig, PerturbationSpec,
                      velocity_toda, verify_light_cone)
 from todalab.bounds import C_epsilon, check_G_convolution, gamma_const
 from todalab.cli import default_config, main
-from todalab.ghs import (PotentialSpec, check_ghs_cone, ghs_energy,
+from todalab.ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                          ghs_integrate, ghs_stability_diagnostics)
 from todalab.hierarchy import (free_moment, g_tilde, h_tilde,
                                hierarchy_hamiltonian, hierarchy_rhs,
@@ -250,7 +250,7 @@ def test_12_chain_stability_and_cone():
     stab = ghs_stability_diagnostics(traj, quartic)
     g = evolve_tangent(x, (0, "p"), 2.0, FIX, flow="ghs", potential=quartic,
                        sample_dt=0.25)
-    rep = check_ghs_cone(g, MU0, traj, quartic)
+    rep = verify_light_cone(g, ghs_envelope(MU0, traj, quartic))
 
     toda_pot = PotentialSpec(family="toda")
     traj_t = ghs_integrate(x, toda_pot, 3.0, FIX, sample_dt=0.25)

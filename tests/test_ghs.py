@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from todalab import IntegratorConfig, evolve_tangent, optimal_mu
-from todalab.ghs import (PotentialSpec, check_ghs_cone, confinement_bound,
+from todalab import IntegratorConfig, evolve_tangent, optimal_mu, verify_light_cone
+from todalab.ghs import (PotentialSpec, confinement_bound,
                          factorial_tail_envelope, ghs_cone_constant,
-                         ghs_energy, ghs_integrate, ghs_rhs,
+                         ghs_energy, ghs_envelope, ghs_integrate, ghs_rhs,
                          ghs_stability_diagnostics, ghs_tangent_rhs,
                          ghs_velocity, quadratic_floor)
 from todalab.integrators import integrate
@@ -191,7 +191,7 @@ def test_cone_holds_on_run():
     traj = ghs_integrate(x, pot, 3.0, FIX, sample_dt=0.25)
     g = evolve_tangent(x, (0, "p"), 2.0, FIX, flow="ghs", potential=pot,
                        sample_dt=0.25)
-    rep = check_ghs_cone(g, mu0, traj, pot)
+    rep = verify_light_cone(g, ghs_envelope(mu0, traj, pot))
     print("violations:", rep.n_violations, "ratio:", rep.max_ratio)
     assert rep.clean
     assert rep.n_violations == 0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from todalab import (IntegratorConfig, LatticeState, SolitonSpec, Trajectory,
-                     background_state, hamiltonian_ab, integrate,
+from todalab import (GHSState, IntegratorConfig, LatticeState, SolitonSpec,
+                     Trajectory, background_state, hamiltonian_ab, integrate,
                      random_localized_state, soliton_state)
+from todalab.ghs import PotentialSpec, ghs_rhs
 from todalab.integrators import sample_times, solve_vector
 from todalab.state import toda_rhs
 
@@ -113,6 +114,27 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.array_equal(back.a, traj.a)
     assert np.array_equal(back.b, traj.b)
     assert back.offset == traj.offset
+
+
+def test_chain_trajectory_csv_roundtrip(tmp_path):
+    sites = np.arange(41) - 20
+    x = GHSState(np.zeros(41), np.exp(-((sites / 3.0) ** 2)), -20)
+    pot = PotentialSpec(family="toda")
+    traj = integrate(x, lambda s: ghs_rhs(s, pot), 0.5,
+                     IntegratorConfig(method="rk4-fixed", step=0.05), n_samples=3)
+    path = tmp_path / "chain.csv"
+    traj.to_csv(path)
+    back = Trajectory.from_csv(path)
+    assert back.state_type is GHSState and back.background == (0.0, 0.0)
+    assert np.array_equal(back.r, traj.r) and np.array_equal(back.p, traj.p)
+    s0 = back.state(0)
+    assert isinstance(s0, GHSState)
+    assert np.array_equal(s0.r, traj.r[0]) and np.array_equal(s0.p, traj.p[0])
+    assert s0.offset == -20
+
+    path.write_text("t,n,q,p\n0,0,0,0\n")
+    with pytest.raises(ValueError, match="'t,n,q,p'"):
+        Trajectory.from_csv(path)
 
 
 def test_integrate_state_accessor():

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from todalab.cli import config_from_dict, default_config, run_config
+from todalab.cli import _base_lattice, config_from_dict, default_config, run_config
+from todalab.integrators import Trajectory, integrate
+from todalab.state import toda_rhs
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "scenario_summaries.json"
 SCENARIOS = ("toda-lightcone", "soliton-validate", "hierarchy", "perturbed",
@@ -70,6 +72,39 @@ def test_scenario_matches_frozen_summary(scenario, frozen, tmp_path):
     assert files == want["files"]
     bad = mismatch(want["summary"], summary)
     assert bad is None, bad
+
+
+def test_cone_scenario_integrates_its_base_flow_once(tmp_path, monkeypatch):
+    """The drift is measured once, on the one base run, and that run is the
+    trajectory.csv: the same bytes as a standalone run of the flow."""
+    raw = small_config("toda-lightcone")
+    raw.update(base="random", seeds=[[0, "b"], [3, "a"], [-2, "b"]])
+    cfg = config_from_dict(raw)
+    drifts = []
+    series = Trajectory.energy_series
+
+    def counted(self, *args):
+        drifts.append(self)
+        return series(self, *args)
+
+    monkeypatch.setattr(Trajectory, "energy_series", counted)
+    assert run_config(cfg, tmp_path / "run") == 0
+    assert len(drifts) == 1
+    monkeypatch.undo()
+    integrate(_base_lattice(cfg), toda_rhs, cfg.t_final, cfg.integrator,
+              sample_dt=cfg.sample_dt, guard=cfg.guard).to_csv(tmp_path / "alone.csv")
+    assert (tmp_path / "run" / "trajectory.csv").read_bytes() == \
+        (tmp_path / "alone.csv").read_bytes()
+
+
+@pytest.mark.parametrize("tolerance,gate,code", [(1e-12, 1e-10, 0), (1e-15, 1e-13, 1)])
+def test_ghs_drift_gate_follows_tolerance(tolerance, gate, code, tmp_path):
+    raw = small_config("ghs")
+    raw["integrator"]["tolerance"] = tolerance
+    assert run_config(config_from_dict(raw), tmp_path) == code
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["drift_tolerance"] == gate
+    assert (summary["conserved_drift"] <= gate) == (code == 0)
 
 
 def freeze(tmpdir: Path):
