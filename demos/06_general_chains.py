@@ -11,7 +11,7 @@ import numpy as np
 
 from todalab import IntegratorConfig, evolve_tangent, optimal_mu, verify_light_cone
 from todalab.ghs import (PotentialSpec, confinement_bound, factorial_tail_envelope,
-                         ghs_energy, ghs_envelope, ghs_integrate,
+                         ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics)
 from todalab.integrators import integrate
 from todalab.state import GHSState, toda_rhs
@@ -27,7 +27,7 @@ for pot in (PotentialSpec(family="quartic", beta=0.1), PotentialSpec(family="tod
     e = ghs_energy(x, pot)
     m_e = confinement_bound(pot, e)
     print(f"\n{pot.family} potential: energy {e:.4f}, confinement radius {m_e:.4f}")
-    traj = ghs_integrate(x, pot, 3.0, cfg, sample_dt=0.25)
+    traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, cfg, sample_dt=0.25)
     stab = ghs_stability_diagnostics(traj, pot)
     print(f"  energy drift {traj.energy_drift(lambda s: ghs_energy(s, pot)):.2g}")
     print(f"  |p|_2 max {stab.p_l2_max:.4f} <= {stab.p_l2_bound:.4f}")
@@ -42,7 +42,7 @@ for pot in (PotentialSpec(family="quartic", beta=0.1), PotentialSpec(family="tod
 
 # the toda-family chain IS the lattice, in other coordinates
 pot = PotentialSpec(family="toda")
-traj = ghs_integrate(x, pot, 3.0, cfg, sample_dt=0.25)
+traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, cfg, sample_dt=0.25)
 mapped = traj.to_lattice_trajectory()
 direct = integrate(mapped.state(0), toda_rhs, 3.0, cfg, sample_dt=0.25)
 gap = max(float(np.max(np.abs(mapped.a - direct.a))),

@@ -41,7 +41,7 @@ from .observables import (ObservableDescriptor, basic_observables,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
 from .ghs import (PotentialSpec, confinement_bound, factorial_tail_envelope,
-                  ghs_energy, ghs_envelope, ghs_integrate, ghs_rhs,
+                  ghs_energy, ghs_envelope, ghs_rhs,
                   ghs_stability_diagnostics, ghs_tangent_rhs, ghs_velocity)
 
 __version__ = "0.1.0"

@@ -16,7 +16,9 @@ are specs for one body, _cone_scenario: a base state, a flow with its specs,
 the conserved energy and an envelope function.  The body integrates the base
 flow once; that run is trajectory.csv, its energy drift is gated at
 100 x tolerance, and the envelope function builds the envelopes from it.  Each
-seed's tangent run is then checked against every envelope.
+seed's tangent run is then checked against every envelope.  interpolation and
+soliton-validate gate their base run's drift the same way; every gated
+summary records its gate as drift_tolerance.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .bounds import (LightConeReport, hierarchy_envelope, optimal_mu,
                      perturbed_envelope, timedep_envelope, toda_envelope,
-                     velocity_hierarchy, velocity_toda, verify_light_cone)
+                     velocity_hierarchy, verify_light_cone)
 from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
@@ -259,6 +261,11 @@ def _seed_loop(cfg, out, x, checks, **flow):
     return rows
 
 
+def _drift_tolerance(cfg) -> float:
+    """The gate on the conserved-quantity drift of a base run."""
+    return 100.0 * cfg.integrator.tolerance
+
+
 def _cone_check(cfg, envelope):
     return lambda grid: verify_light_cone(grid, envelope, threshold=cfg.front_threshold)
 
@@ -271,7 +278,7 @@ def _cone_scenario(cfg, out, x, energy, envelopes, flow, **specs):
     means the run is excluded and the entries are the final summary.  Each
     seed's tangent grid is then checked against every envelope."""
     run = _base_run(cfg, out, x, flow, **specs)
-    drift, drift_tol = run.energy_drift(energy), 100.0 * cfg.integrator.tolerance
+    drift, drift_tol = run.energy_drift(energy), _drift_tolerance(cfg)
     envs, summary, gate = envelopes(run)
     summary.update(conserved_drift=drift, drift_tolerance=drift_tol)
     base_clean = run.clean
@@ -328,9 +335,9 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
     trace_drift = traj.trace_drift(4)
     norm_err = abs(jacobi_norm(traj.state(0)) - soliton_Lnorm(spec))
     # trace of L^4 amplifies state error by roughly (1 + ||L||)^4
-    tol = cfg.integrator.tolerance
-    trace_tol = 100.0 * tol * (1.0 + soliton_Lnorm(spec)) ** 4
-    ok = (err_a <= 1e-6 and err_b <= 1e-6 and norm_drift <= 100.0 * tol
+    drift_tol = _drift_tolerance(cfg)
+    trace_tol = drift_tol * (1.0 + soliton_Lnorm(spec)) ** 4
+    ok = (err_a <= 1e-6 and err_b <= 1e-6 and norm_drift <= drift_tol
           and trace_drift <= trace_tol and traj.clean)
     summary = {
         "clean": traj.clean,
@@ -338,6 +345,8 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
         "empirical_front_speed": None,
         "bound_speed": None,
         "conserved_drift": max(norm_drift, trace_drift),
+        "drift_tolerance": drift_tol,
+        "trace_tolerance": trace_tol,
         "kappa": spec.kappa,
         "max_error_a": err_a,
         "max_error_b": err_b,
@@ -403,8 +412,9 @@ def _run_interpolation(cfg: ExperimentConfig, out: Path):
     x = _base_lattice(cfg)
     run = _base_run(cfg, out, x, "perturbed", perturbation=cfg.perturbation)
     mon, summary = _perturbed_monitors(cfg, run, "fit")
-    summary.update(eps=cfg.eps,
-                   conserved_drift=run.energy_drift(_perturbed_energy(cfg.perturbation)))
+    drift = run.energy_drift(_perturbed_energy(cfg.perturbation))
+    drift_tol = _drift_tolerance(cfg)
+    summary.update(eps=cfg.eps, conserved_drift=drift, drift_tolerance=drift_tol)
     if mon.unbounded:
         return summary, False, None
 
@@ -417,7 +427,7 @@ def _run_interpolation(cfg: ExperimentConfig, out: Path):
     clean = all(cleans)
     worst_r2 = min(f.r2_spatial for f in fits)
     valid = all(f.envelope_valid for f in fits)
-    ok = clean and valid and worst_r2 >= 0.99
+    ok = clean and valid and worst_r2 >= 0.99 and drift <= drift_tol
     f0 = fits[0]
     summary.update({
         "clean": clean, "violations": 0 if valid else 1,
@@ -455,15 +465,14 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
     clean = True
     for m in m_list:
         _, b_m = basic_observables(m)
-        grids = {}
-        for seed in sorted(required_bracket_seeds(b_m, x)):
-            grids[seed] = evolve_tangent(x, seed, cfg.t_final, cfg.integrator,
-                                         "toda", sample_dt=cfg.sample_dt,
-                                         guard=cfg.guard)
-            clean = clean and grids[seed].clean
-        for n in range(m - reach, m + reach + 1):
-            a_n, _ = basic_observables(n)
-            rep = check_bracket_bound(a_n, b_m, x, times, mu, grids)
+        grids = {seed: evolve_tangent(x, seed, cfg.t_final, cfg.integrator, "toda",
+                                      sample_dt=cfg.sample_dt, guard=cfg.guard)
+                 for seed in sorted(required_bracket_seeds(b_m, x))}
+        clean = clean and all(grid.clean for grid in grids.values())
+        sites = range(m - reach, m + reach + 1)
+        reports = check_bracket_bound([basic_observables(n)[0] for n in sites],
+                                      b_m, x, times, mu, grids)
+        for n, rep in zip(sites, reports):
             n_viol += rep.n_violations
             worst_ratio = max(worst_ratio, rep.max_ratio)
             if rep.violations and first_violation is None:
@@ -490,7 +499,7 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
     summary = {
         "mu": mu, "clean": clean, "violations": n_viol,
         "empirical_front_speed": None,
-        "bound_speed": velocity_toda(mu, jacobi_norm(x)),
+        "bound_speed": reports[0].velocity,
         "conserved_drift": None,
         "pairs_checked": len(m_list) * (2 * reach + 1),
         "max_ratio": worst_ratio,

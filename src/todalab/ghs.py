@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .bounds import Envelope
-from .integrators import Trajectory, integrate
+from .integrators import Trajectory
 from .state import GHSState
 
 _FAMILIES = ("toda", "quartic", "custom")
@@ -105,15 +105,6 @@ def ghs_tangent_rhs(s: GHSState, pot: PotentialSpec, dr: np.ndarray, dp: np.ndar
 def ghs_energy(s: GHSState, pot: PotentialSpec) -> float:
     """H = sum_n (p_n^2 / 2 + V(r_n)) over the window."""
     return float(np.sum(0.5 * s.p * s.p + pot.V(s.r)))
-
-
-def ghs_integrate(s: GHSState, pot: PotentialSpec, t_final: float, cfg=None, *,
-                  sample_dt: float | None = None, n_samples: int | None = None,
-                  guard: int = 10) -> Trajectory:
-    """Evolve the chain; the run reads as traj.r and traj.p, and its energy
-    drift is traj.energy_drift(lambda s: ghs_energy(s, pot))."""
-    return integrate(s, lambda st: ghs_rhs(st, pot), t_final, cfg,
-                     sample_dt=sample_dt, n_samples=n_samples, guard=guard)
 
 
 def confinement_bound(pot: PotentialSpec, energy: float, tol: float = 1e-10) -> float:

@@ -6,9 +6,9 @@ The bracket
     DX_n = dX/db_{n+1} - dX/db_n
 
 generates the Toda flow.  Time-evolved brackets {A o flow_t, B} are assembled
-by the chain rule from sensitivity grids seeded at the coordinates B touches;
-their decay in |supp(A) - supp(B)| is what the bracket propagation bound
-controls.
+by the chain rule from sensitivity grids seeded at the coordinates B touches,
+weighted as required_bracket_seeds gives; their decay in
+|supp(A) - supp(B)| is what the bracket propagation bound controls.
 """
 from __future__ import annotations
 
@@ -94,53 +94,67 @@ def hamiltonian_window_observable(sites) -> ObservableDescriptor:
                                 d_db=_d_db, name="H-window")
 
 
-def _btilde_derivative(obs: ObservableDescriptor, s: LatticeState, n: int) -> float:
-    return obs.d_db(s, n + 1) - obs.d_db(s, n)
-
-
 def poisson_bracket(A: ObservableDescriptor, B: ObservableDescriptor,
                     x: LatticeState) -> float:
-    """{A, B}(x); both supports must lie inside the window."""
-    relevant = set()
-    for n in A.support + B.support:
-        relevant.update((n - 1, n))
-    total = 0.0
-    first = x.offset
-    last = x.offset + x.n_sites - 1
-    for n in sorted(relevant):
-        if not first <= n <= last:
-            continue
-        a_n = float(x.a[n - first])
-        total += 0.25 * a_n * (A.d_da(x, n) * _btilde_derivative(B, x, n)
-                               - _btilde_derivative(A, x, n) * B.d_da(x, n))
-    return total
+    """{A, B}(x) = sum_seed weight * dA/d(seed) over B's seeds (see
+    required_bracket_seeds); both supports must lie inside the window."""
+    partial = {"a": A.d_da, "b": A.d_db}
+    return float(sum(w * partial[c](x, n) for (n, c), w in required_bracket_seeds(B, x).items()))
 
 
-def required_bracket_seeds(B: ObservableDescriptor, x: LatticeState):
-    """Seeds whose sensitivity grids evolved_bracket(A, B, ...) consumes:
-    (n, 'a') wherever DB_n != 0 and (n, 'b'), (n+1, 'b') wherever dB/da_n != 0."""
-    seeds = set()
+def required_bracket_seeds(B: ObservableDescriptor, x: LatticeState) -> dict:
+    """{seed: weight} over the sensitivity grids that {A o flow_t, B}(x)
+    reads, with
+
+        {A o flow_t, B}(x) = sum_seed weight * d(A o flow_t)/d(seed):
+
+    (n, 'a') weighs (1/4) a_n DB_n wherever DB_n != 0, and (n, 'b') and
+    (n+1, 'b') weigh +(1/4) a_n dB/da_n and -(1/4) a_n dB/da_n wherever
+    dB/da_n != 0; a seed reached twice sums its weights."""
+    weights = {}
+    for n in sorted({k for m in B.support for k in (m - 1, m)}):
+        w = B.d_db(x, n + 1) - B.d_db(x, n)
+        if w != 0.0:
+            weights[(n, "a")] = 0.25 * float(x.a[x.site_index(n)]) * w
     for m in B.support:
-        for n in (m - 1, m):
-            if _btilde_derivative(B, x, n) != 0.0:
-                seeds.add((n, "a"))
-        if B.d_da(x, m) != 0.0:
-            seeds.add((m, "b"))
-            seeds.add((m + 1, "b"))
-    return seeds
+        w = B.d_da(x, m)
+        if w != 0.0:
+            q = 0.25 * float(x.a[x.site_index(m)]) * w
+            weights[(m, "b")] = weights.get((m, "b"), 0.0) + q
+            weights[(m + 1, "b")] = weights.get((m + 1, "b"), 0.0) - q
+    return weights
 
 
-def _evolved_gradient(A: ObservableDescriptor, grid, i: int, state_t) -> float:
-    """d(A o flow_t)/dz from one sensitivity grid: chain rule over supp(A)."""
-    total = 0.0
-    for k in A.support:
-        j = k - grid.offset
-        ga = A.d_da(state_t, k)
-        gb = A.d_db(state_t, k)
-        if ga != 0.0:
-            total += ga * grid.da[i, j]
-        if gb != 0.0:
-            total += gb * grid.db[i, j]
+def _seed_grid(weights: dict, grids: dict):
+    """The grid of B's first seed, whose base run the bracket reads; None
+    when B has no seeds.  Raises KeyError naming the missing seeds."""
+    missing = sorted(set(weights) - set(grids))
+    if missing:
+        raise KeyError(f"the bracket needs sensitivity grids for seeds {missing}")
+    return grids[next(iter(weights))] if weights else None
+
+
+def _partials(obs: ObservableDescriptor, states) -> list:
+    """(site, dA/da_site, dA/db_site) over supp(A), each a (T,) array over
+    the given states."""
+    return [(k, np.array([obs.d_da(s, k) for s in states], dtype=float),
+             np.array([obs.d_db(s, k) for s in states], dtype=float))
+            for k in obs.support]
+
+
+def _bracket_series(partials: list, weights: dict, grids: dict) -> np.ndarray:
+    """{A o flow_t, B}(x) at every sample: the weighted sum over B's seeds of
+    d(A o flow_t)/d(seed), each by the chain rule over supp(A) from the
+    seed grid's columns.  A zero partial skips its column."""
+    total = np.zeros(partials[0][1].size)
+    for seed, w in weights.items():
+        grid = grids[seed]
+        grad = np.zeros_like(total)
+        for k, ga, gb in partials:
+            j = k - grid.offset
+            for g, col in ((ga, grid.da[:, j]), (gb, grid.db[:, j])):
+                grad += np.multiply(g, col, out=np.zeros_like(g), where=g != 0.0)
+        total += w * grad
     return total
 
 
@@ -152,31 +166,12 @@ def evolved_bracket(A: ObservableDescriptor, B: ObservableDescriptor,
     common sample-time set; missing entries raise with the required list.
     At t = 0 the value reduces to poisson_bracket(A, B, x).
     """
-    needed = required_bracket_seeds(B, x)
-    missing = sorted(needed - set(grids))
-    if missing:
-        raise KeyError(f"evolved_bracket needs sensitivity grids for seeds {missing}")
-    if not needed:
+    weights = required_bracket_seeds(B, x)
+    grid = _seed_grid(weights, grids)
+    if grid is None:
         return 0.0
-    any_grid = grids[next(iter(needed))]
-    i = any_grid.time_index(t)
-    state_t = any_grid.base.state(i)
-    first = x.offset
-
-    total = 0.0
-    for m in B.support:
-        for n in (m - 1, m):
-            w = _btilde_derivative(B, x, n)
-            if w != 0.0:
-                a_n = float(x.a[n - first])
-                total += 0.25 * a_n * _evolved_gradient(A, grids[(n, "a")], i, state_t) * w
-        w = B.d_da(x, m)
-        if w != 0.0:
-            a_m = float(x.a[m - first])
-            grad = (_evolved_gradient(A, grids[(m + 1, "b")], i, state_t)
-                    - _evolved_gradient(A, grids[(m, "b")], i, state_t))
-            total -= 0.25 * a_m * grad * w
-    return total
+    states = [grid.base.state(i) for i in range(grid.n_samples)]
+    return float(_bracket_series(_partials(A, states), weights, grids)[grid.time_index(t)])
 
 
 def bracket_bound_constant(mu: float) -> float:
@@ -184,21 +179,14 @@ def bracket_bound_constant(mu: float) -> float:
     return 2.0 / SQRT17 * (1.0 + math.exp(mu))
 
 
-def _derivative_norms(obs: ObservableDescriptor, grids: dict, x: LatticeState):
-    """site -> (sup |d/da|, sup |d/db|): declared when available, otherwise
-    measured along the sampled base trajectory (horizon-limited)."""
+def _site_weights(obs: ObservableDescriptor, partials: list):
+    """site -> sup |d/da| + sup |d/db|, and where the sups come from:
+    declared when available, otherwise measured over the partials along the
+    sampled base run (horizon-limited)."""
     if obs.norms is not None:
-        return dict(obs.norms), "declared"
-    any_grid = next(iter(grids.values()))
-    out = {}
-    for n in obs.support:
-        na = nb = 0.0
-        for i in range(any_grid.n_samples):
-            st = any_grid.base.state(i)
-            na = max(na, abs(obs.d_da(st, n)))
-            nb = max(nb, abs(obs.d_db(st, n)))
-        out[n] = (na, nb)
-    return out, "measured-horizon"
+        return {n: na + nb for n, (na, nb) in obs.norms.items()}, "declared"
+    return ({k: float(np.max(np.abs(ga), initial=0.0)) + float(np.max(np.abs(gb), initial=0.0))
+             for k, ga, gb in partials}, "measured-horizon")
 
 
 @dataclass
@@ -218,44 +206,48 @@ class BracketBoundReport:
         return self.n_violations == 0
 
 
-def check_bracket_bound(A: ObservableDescriptor, B: ObservableDescriptor,
-                        x: LatticeState, times, mu: float,
-                        grids: dict) -> BracketBoundReport:
-    """Assert |{A o flow_t, B}(x)| <= C ||a||_inf sum_{n,m} (|dA| sums)(|dB| sums)
-    e^{-mu(|n-m| - v|t|)} over the given sample times.
+def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
+                        mu: float, grids: dict) -> list:
+    """One BracketBoundReport per observable A in As, in order: whether
 
-    v uses the initial operator norm; derivative norms are declared or
-    horizon-measured as available.
+        |{A o flow_t, B}(x)| <= C ||a||_inf sum_{n,m} (|dA| sums)(|dB| sums) e^{-mu(|n-m| - v|t|)}
+
+    at the given sample times.  v uses the initial operator norm; derivative
+    norms are declared or horizon-measured as available.  What depends only
+    on (x, B) is computed once: v, C, ||a||_inf, B's seed weights and norms,
+    and the base states at the samples.  A non-finite bracket is a
+    violation; max_ratio is taken over the finite positive brackets.
     """
+    weights = required_bracket_seeds(B, x)
+    grid = _seed_grid(weights, grids)
+    states = [grid.base.state(i) for i in range(grid.n_samples)] if grid else []
+    times = np.asarray(times, dtype=float)
+    rows = [grid.time_index(t) for t in times] if grid else []
     v = velocity_toda(mu, jacobi_norm(x))
     c = bracket_bound_constant(mu)
     a_sup = float(np.max(np.abs(x.a)))
-    norms_a, src_a = _derivative_norms(A, grids, x)
-    norms_b, src_b = _derivative_norms(B, grids, x)
-
-    def weight(norms):
-        return {n: na + nb for n, (na, nb) in norms.items()}
-
-    wa, wb = weight(norms_a), weight(norms_b)
-    violations = []
-    max_ratio = 0.0
-    for t in times:
-        val = abs(evolved_bracket(A, B, x, t, grids))
-        bound = 0.0
-        for n, na in wa.items():
-            if na == 0.0:
-                continue
-            for m, nb in wb.items():
-                if nb == 0.0:
-                    continue
-                bound += na * nb * math.exp(-mu * (abs(n - m) - v * abs(t)))
-        bound *= c * a_sup
-        ratio = val / bound if bound > 0 else math.inf
-        max_ratio = max(max_ratio, ratio)
-        if val > bound:
-            violations.append({"t": float(t), "value": val, "bound": bound})
-    return BracketBoundReport(mu=mu, velocity=v, constant=c, a_sup=a_sup,
-                              norm_source=f"A:{src_a},B:{src_b}",
-                              n_violations=len(violations), violations=violations,
-                              max_ratio=max_ratio,
-                              times=[float(t) for t in times])
+    wb, src_b = _site_weights(B, _partials(B, states))
+    reports = []
+    for A in As:
+        partials = _partials(A, states)
+        wa, src_a = _site_weights(A, partials)
+        val = (np.abs(_bracket_series(partials, weights, grids)[rows]) if weights
+               else np.zeros(times.size))
+        pairs = [(na * nb, abs(n - m)) for n, na in wa.items() if na != 0.0
+                 for m, nb in wb.items() if nb != 0.0]
+        coef, dist = np.array(pairs, dtype=float).reshape(-1, 2).T
+        with np.errstate(over="ignore"):
+            terms = coef[:, None] * np.exp(-mu * (dist[:, None] - v * np.abs(times)))
+        bound = c * a_sup * np.sum(terms, axis=0)
+        bad = np.flatnonzero(~(val <= bound))
+        seen = np.isfinite(val) & (val > 0.0)
+        with np.errstate(divide="ignore"):
+            ratio = np.divide(val, bound, out=np.zeros_like(val), where=seen)
+        reports.append(BracketBoundReport(
+            mu=mu, velocity=v, constant=c, a_sup=a_sup,
+            norm_source=f"A:{src_a},B:{src_b}", n_violations=int(bad.size),
+            violations=[{"t": float(times[i]), "value": float(val[i]),
+                         "bound": float(bound[i])} for i in bad],
+            max_ratio=float(np.max(ratio, initial=0.0)),
+            times=[float(t) for t in times]))
+    return reports

@@ -86,18 +86,18 @@ class LatticeState(_WindowState):
 
 
 @dataclass
-class PQState:
+class PQState(_WindowState):
     """Position/momentum window (q_n, p_n), n = offset .. offset + M - 1."""
+
+    coords = ("q", "p")
 
     q: np.ndarray
     p: np.ndarray
     offset: int = 0
+    background: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.q.ndim != 1 or self.q.shape != self.p.shape:
-            raise ValueError("q and p must be 1-d arrays of equal length")
+        super().__post_init__()
         if self.q.size < 4:
             raise ValueError("need at least 4 sites")
 

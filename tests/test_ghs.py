@@ -6,7 +6,7 @@ import pytest
 from todalab import IntegratorConfig, evolve_tangent, optimal_mu, verify_light_cone
 from todalab.ghs import (PotentialSpec, confinement_bound,
                          factorial_tail_envelope, ghs_cone_constant,
-                         ghs_energy, ghs_envelope, ghs_integrate, ghs_rhs,
+                         ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics, ghs_tangent_rhs,
                          ghs_velocity, quadratic_floor)
 from todalab.integrators import integrate
@@ -89,7 +89,7 @@ def test_single_spike_energy():
 def test_energy_conservation():
     x = bump_state(121)
     for pot in (PotentialSpec(family="toda"), PotentialSpec(family="quartic", beta=0.1)):
-        traj = ghs_integrate(x, pot, 3.0, FIX, sample_dt=0.25)
+        traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, FIX, sample_dt=0.25)
         drift = traj.energy_drift(lambda s: ghs_energy(s, pot))
         print(pot.family, "drift:", drift)
         assert traj.clean
@@ -151,7 +151,7 @@ def test_quadratic_floor():
 def test_stability_bounds_hold():
     x = bump_state(121)
     pot = PotentialSpec(family="toda")
-    traj = ghs_integrate(x, pot, 3.0, FIX, sample_dt=0.25)
+    traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, FIX, sample_dt=0.25)
     stab = ghs_stability_diagnostics(traj, pot)
     print(stab)
     assert stab.ok
@@ -165,7 +165,7 @@ def test_stability_bounds_hold():
 def test_stability_requires_confining_flag():
     x = bump_state(41)
     pot = PotentialSpec(family="toda", confining=False)
-    traj = ghs_integrate(x, pot, 0.5, FIX, n_samples=3)
+    traj = integrate(x, lambda s: ghs_rhs(s, pot), 0.5, FIX, n_samples=3)
     with pytest.raises(ValueError):
         ghs_stability_diagnostics(traj, pot)
 
@@ -173,7 +173,7 @@ def test_stability_requires_confining_flag():
 def test_cone_constant_and_velocity():
     x = bump_state(121)
     pot = PotentialSpec(family="toda")
-    traj = ghs_integrate(x, pot, 3.0, FIX, sample_dt=0.25)
+    traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, FIX, sample_dt=0.25)
     c = ghs_cone_constant(traj, pot)
     print("C:", c, "sup|V'|:", float(np.abs(pot.dV(traj.r)).max()))
     assert c == 1.0              # sup |V'| < 1 on this run, clamped from below
@@ -188,7 +188,7 @@ def test_cone_holds_on_run():
     mu0, _ = optimal_mu()
     x = bump_state(121)
     pot = PotentialSpec(family="toda")
-    traj = ghs_integrate(x, pot, 3.0, FIX, sample_dt=0.25)
+    traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, FIX, sample_dt=0.25)
     g = evolve_tangent(x, (0, "p"), 2.0, FIX, flow="ghs", potential=pot,
                        sample_dt=0.25)
     rep = verify_light_cone(g, ghs_envelope(mu0, traj, pot))
@@ -214,7 +214,7 @@ def test_toda_family_maps_to_flaschka_flow():
     # evolving the mapped initial data under the lattice field
     x = bump_state(121)
     pot = PotentialSpec(family="toda")
-    traj = ghs_integrate(x, pot, 3.0, FIX, sample_dt=0.25)
+    traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, FIX, sample_dt=0.25)
     mapped = traj.to_lattice_trajectory()
     direct = integrate(mapped.state(0), toda_rhs, 3.0, FIX, sample_dt=0.25)
     err = max(float(np.max(np.abs(mapped.a - direct.a))),

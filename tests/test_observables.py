@@ -11,7 +11,8 @@ from todalab.observables import (ObservableDescriptor, basic_observables,
                                  evolved_bracket,
                                  hamiltonian_window_observable, poisson_bracket,
                                  required_bracket_seeds)
-from todalab.state import LatticeState, toda_rhs
+from todalab.bounds import velocity_toda
+from todalab.state import LatticeState, jacobi_norm, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
 
@@ -106,6 +107,9 @@ def test_required_seeds():
     x = random_localized_state(41, seed=1)
     a0, b0 = basic_observables(0)
     assert sorted(required_bracket_seeds(b0, x)) == [(-1, "a"), (0, "a")]
+    # {A o flow_t, b_0} = (1/4)(a_{-1} dA_t/da_{-1} - a_0 dA_t/da_0)
+    assert required_bracket_seeds(b0, x) == {(-1, "a"): 0.25 * x.a[-1 - x.offset],
+                                             (0, "a"): -0.25 * x.a[-x.offset]}
     assert sorted(required_bracket_seeds(a0, x)) == [(0, "b"), (1, "b")]
     H = hamiltonian_window_observable(range(-2, 3))
     seeds = required_bracket_seeds(H, x)
@@ -133,14 +137,17 @@ def test_evolved_bracket_zero_derivative_observable():
 def test_evolved_bracket_reduces_at_time_zero():
     sol = soliton_state(SolitonSpec(kappa=1.0), 81)
     _, b0 = basic_observables(0)
+    # a B whose support holds adjacent sites reaches a seed from two sites
+    H = hamiltonian_window_observable(range(-1, 2))
     grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25)
-             for s in required_bracket_seeds(b0, sol)}
-    for n in (-1, 0, 5):
-        an, _ = basic_observables(n)
-        got = evolved_bracket(an, b0, sol, 0.0, grids)
-        want = poisson_bracket(an, b0, sol)
-        print(n, got, want)
-        assert got == pytest.approx(want, abs=1e-15)
+             for s in set(required_bracket_seeds(b0, sol)) | set(required_bracket_seeds(H, sol))}
+    for B in (b0, H):
+        for n in (-1, 0, 5):
+            for A in basic_observables(n):
+                got = evolved_bracket(A, B, sol, 0.0, grids)
+                want = poisson_bracket(A, B, sol)
+                print(B.name, A.name, got, want)
+                assert got == pytest.approx(want, abs=1e-15)
     # the adjacent pair is genuinely nonzero
     a0, _ = basic_observables(0)
     assert abs(evolved_bracket(a0, b0, sol, 0.0, grids)) > 0.1
@@ -162,7 +169,7 @@ def test_bracket_bound_holds_on_soliton():
     grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25) for s in seeds}
     times = grids[seeds[0]].times
     a5, _ = basic_observables(5)
-    rep = check_bracket_bound(a5, b0, sol, times, mu0, grids)
+    [rep] = check_bracket_bound([a5], b0, sol, times, mu0, grids)
     print("ratio:", rep.max_ratio, rep.norm_source)
     assert rep.ok
     assert rep.n_violations == 0
@@ -179,8 +186,88 @@ def test_bracket_bound_measures_norms_when_undeclared():
     seeds = sorted(required_bracket_seeds(b0, sol))
     grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25) for s in seeds}
     H = hamiltonian_window_observable(range(3, 8))
-    rep = check_bracket_bound(H, b0, sol, grids[seeds[0]].times, mu0, grids)
+    [rep] = check_bracket_bound([H], b0, sol, grids[seeds[0]].times, mu0, grids)
     print("H ratio:", rep.max_ratio, rep.norm_source)
     assert rep.ok
     assert rep.norm_source == "A:measured-horizon,B:declared"
     assert rep.max_ratio < 1e-6
+
+
+def test_non_finite_bracket_is_a_violation():
+    mu0, _ = optimal_mu()
+    sol = soliton_state(SolitonSpec(kappa=1.0), 81)
+    _, b0 = basic_observables(0)
+    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25)
+             for s in required_bracket_seeds(b0, sol)}
+    times = grids[(-1, "a")].times
+    grids[(-1, "a")].da[2, 5 - sol.offset] = np.nan       # the cell {a_5 o flow_0.5, b_0} reads
+    a5, _ = basic_observables(5)
+    [rep] = check_bracket_bound([a5], b0, sol, times, mu0, grids)
+    assert not rep.ok
+    assert rep.n_violations == 1
+    assert rep.violations[0]["t"] == 0.5
+    assert math.isnan(rep.violations[0]["value"])
+    assert math.isfinite(rep.max_ratio)
+
+
+def _scalar_bracket_check(A, B, x, times, mu, grids):
+    """The per-t loop that check_bracket_bound replaces: the bracket by the
+    scalar chain rule and the bound summed pair by pair with math.exp.
+    Returns (|bracket|, bound) at each time."""
+    any_grid = next(iter(grids.values()))
+    states = [any_grid.base.state(i) for i in range(any_grid.n_samples)]
+
+    def grad(seed, i):
+        g = grids[seed]
+        return sum(A.d_da(states[i], k) * g.da[i, k - g.offset]
+                   + A.d_db(states[i], k) * g.db[i, k - g.offset] for k in A.support)
+
+    def bracket(i):
+        total = 0.0
+        for n in sorted({k for m in B.support for k in (m - 1, m)}):
+            w = B.d_db(x, n + 1) - B.d_db(x, n)
+            if w != 0.0:
+                total += 0.25 * x.a[n - x.offset] * grad((n, "a"), i) * w
+        for m in B.support:
+            w = B.d_da(x, m)
+            if w != 0.0:
+                total -= 0.25 * x.a[m - x.offset] * (grad((m + 1, "b"), i) - grad((m, "b"), i)) * w
+        return total
+
+    def weights(obs):
+        if obs.norms is not None:
+            return {n: na + nb for n, (na, nb) in obs.norms.items()}
+        return {n: max(abs(obs.d_da(s, n)) for s in states)
+                + max(abs(obs.d_db(s, n)) for s in states) for n in obs.support}
+
+    v = velocity_toda(mu, jacobi_norm(x))
+    c, a_sup = bracket_bound_constant(mu), float(np.max(np.abs(x.a)))
+    wa, wb = weights(A), weights(B)
+    out = []
+    for t in times:
+        bound = sum(na * nb * math.exp(-mu * (abs(n - m) - v * abs(t)))
+                    for n, na in wa.items() for m, nb in wb.items())
+        out.append((abs(bracket(any_grid.time_index(t))), c * a_sup * bound))
+    return out
+
+
+def test_bracket_check_matches_scalar_loop():
+    mu0, _ = optimal_mu()
+    sol = soliton_state(SolitonSpec(kappa=1.0), 81)
+    a0, b0 = basic_observables(0)
+    Bs = (b0, a0, hamiltonian_window_observable(range(-1, 2)))
+    seeds = set().union(*(required_bracket_seeds(B, sol) for B in Bs))
+    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25) for s in sorted(seeds)}
+    times = grids[min(seeds)].times
+    As = [obs for n in range(-3, 7) for obs in basic_observables(n)]
+    As.append(hamiltonian_window_observable(range(3, 8)))
+    for B in Bs:
+        for t in times:
+            reports = check_bracket_bound(As, B, sol, [t], mu0, grids)
+            assert len(reports) == len(As)
+            for A, rep in zip(As, reports):
+                [(val, bound)] = _scalar_bracket_check(A, B, sol, [t], mu0, grids)
+                assert rep.n_violations == int(val > bound)
+                assert math.isclose(rep.max_ratio, val / bound if val > 0 else 0.0,
+                                    rel_tol=1e-14), (B.name, A.name, t)
+                assert rep.velocity == velocity_toda(mu0, jacobi_norm(sol))

@@ -14,6 +14,7 @@ import pytest
 
 from todalab.cli import _base_lattice, config_from_dict, default_config, run_config
 from todalab.integrators import Trajectory, integrate
+from todalab import state as state_module
 from todalab.state import toda_rhs
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "scenario_summaries.json"
@@ -105,6 +106,45 @@ def test_ghs_drift_gate_follows_tolerance(tolerance, gate, code, tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["drift_tolerance"] == gate
     assert (summary["conserved_drift"] <= gate) == (code == 0)
+
+
+def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch):
+    """Per m: one jacobi_norm, and one base state per sample for all of the
+    bracket checks; the generator identity adds two states in all."""
+    cfg = config_from_dict(small_config("observables"))
+    norms, states = [], []
+    original = state_module.jacobi_norm
+
+    def counted_norm(s, *args):
+        norms.append(s)
+        return original(s, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("todalab") and getattr(module, "jacobi_norm", None) is original:
+            monkeypatch.setattr(module, "jacobi_norm", counted_norm)
+    state = Trajectory.state
+
+    def counted_state(self, i):
+        states.append(i)
+        return state(self, i)
+
+    monkeypatch.setattr(Trajectory, "state", counted_state)
+    assert run_config(cfg, tmp_path) == 0
+    n_m = len({site for site, _ in cfg.seeds})
+    n_samples = round(cfg.t_final / cfg.sample_dt) + 1
+    assert len(norms) == n_m
+    assert len(states) <= n_m * (n_samples + 2)
+
+
+@pytest.mark.parametrize("scenario", ["perturbed", "interpolation"])
+def test_perturbed_base_run_drift_is_gated(scenario, tmp_path):
+    """perturbed and interpolation gate the drift of the same base run alike."""
+    raw = small_config(scenario)
+    raw["integrator"]["step"] = 0.05
+    assert run_config(config_from_dict(raw), tmp_path) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["drift_tolerance"] == 1e-8
+    assert summary["conserved_drift"] > summary["drift_tolerance"]
 
 
 def freeze(tmpdir: Path):

@@ -44,6 +44,8 @@ def test_state_validation():
         LatticeState(np.array([0.5, np.nan, 0.5]), np.zeros(3), 0)
     with pytest.raises(ValueError):
         PQState(np.zeros(3), np.zeros(3), 0)                       # needs >= 4 sites
+    with pytest.raises(ValueError):
+        PQState(np.array([0.0, 1.0, np.nan, 3.0]), np.zeros(4), 0)
 
 
 def test_site_indexing():
