@@ -10,21 +10,22 @@ Every explicit constant and velocity of the sensitivity bounds lives here:
 * G_mu machinery:     the summable weight used by the interpolated bounds
 * h_growth, second_derivative_envelope: the mixed second-derivative bound
 
-verify_light_cone compares observed sensitivity magnitudes pointwise against
-an envelope and reports violations, the empirical front speed, and boundary
-hygiene.
+compare is the one comparison behind every verdict; verify_light_cone applies
+it pointwise to observed sensitivity magnitudes against an envelope and
+reports violations, the empirical front speed, and boundary hygiene.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .hierarchy import HierarchySpec, path_counts
+from .integrators import write_json
 
 SQRT17 = math.sqrt(17.0)
+MAX_VIOLATIONS_STORED = 200
 
 
 def mu_profile(mu: float) -> float:
@@ -368,27 +369,24 @@ class LightConeReport:
         return self.clean and self.n_violations == 0
 
     def to_json(self, path):
-        """Strict JSON: a non-finite float (a NaN observation, an infinite
-        ratio or bound) is written as null."""
-        with open(path, "w") as fh:
-            json.dump(_finite_or_null(asdict(self)), fh, indent=2, sort_keys=True,
-                      allow_nan=False)
-            fh.write("\n")
+        """The report as strict JSON, through integrators.write_json."""
+        write_json(path, asdict(self))
 
 
-def _finite_or_null(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
-    return value
+def compare(observed, bound):
+    """(violation mask, max_ratio) of observed <= bound.  A non-finite
+    observation is a violation; the ratio is taken over the positive finite
+    observations only, so 0 against a bound that underflowed to 0 is no
+    excess, and a positive one against it (or overflowing it) is +inf."""
+    seen = np.isfinite(observed) & (observed > 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.divide(observed, bound, out=np.zeros_like(observed), where=seen)
+    return ~(observed <= bound), float(np.max(ratio, initial=0.0))
 
 
-def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
-                      max_violations_stored: int = 200) -> LightConeReport:
-    """Pointwise comparison of grid.observed() against the envelope."""
+def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8) -> LightConeReport:
+    """Pointwise comparison of grid.observed() against the envelope; the
+    first MAX_VIOLATIONS_STORED violations are stored."""
     obs = grid.observed(envelope.observed_kind)
     dist = grid.distances
     times = grid.times
@@ -396,22 +394,12 @@ def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
     margin = grid.boundary_margin
     clean = bool(margin >= grid.guard)
 
-    violations = []
-    n_viol = 0
-    if clean:
-        bad = np.argwhere(~(obs <= env))       # a non-finite observation violates
-        n_viol = int(bad.shape[0])
-        for it, isite in bad[:max_violations_stored]:
-            violations.append({"n": int(grid.sites[isite]), "t": float(times[it]),
-                               "observed": float(obs[it, isite]),
-                               "bound": float(env[it, isite])})
-
-    # the ratio only where the observation is positive and finite: a NaN
-    # observation is already a violation, and 0 against an envelope that
-    # underflowed to 0 is no excess; a positive one against it is +inf
-    seen = np.isfinite(obs) & (obs > 0.0)
-    with np.errstate(divide="ignore"):
-        ratio = np.divide(obs, env, out=np.zeros_like(obs), where=seen)
+    bad, max_ratio = compare(obs, env)
+    bad = np.argwhere(bad & clean)          # no verdict on a contaminated grid
+    n_viol = int(bad.shape[0])
+    violations = [{"n": int(grid.sites[isite]), "t": float(times[it]),
+                   "observed": float(obs[it, isite]), "bound": float(env[it, isite])}
+                  for it, isite in bad[:MAX_VIOLATIONS_STORED]]
     speed = fit_front_speed(times, dist, obs, threshold)
     bound_speed = envelope.speed
     if bound_speed is None and times[-1] > 0:
@@ -422,7 +410,7 @@ def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
         bound_speed=bound_speed, clean=clean, boundary_margin=int(margin),
         guard=int(grid.guard), n_violations=n_viol, violations=violations,
         violations_truncated=bool(n_viol > len(violations)),
-        max_ratio=float(np.max(ratio)),
+        max_ratio=max_ratio,
         empirical_front_speed=speed, front_threshold=threshold,
         seed_site=int(grid.seed_site), seed_coord=str(grid.seed_coord),
         flow=str(grid.flow), n_sites=int(grid.da.shape[1]),

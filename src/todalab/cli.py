@@ -5,11 +5,14 @@
     todalab print-default-config
 
 Exit codes: 0 all checks passed, 1 a verification failed (first violating
-(n, t) is printed), 2 configuration error (message names the field).
+(n, t) is printed), 2 configuration error (message names the field; seed
+sites, and for observables the bracket sites, must lie in the window).
 
 Every run writes summary.json (schema 1) plus scenario artifacts: trajectory
-and sensitivity CSVs and light-cone report JSONs.  With the fixed-step
-integrator the CSV output is byte-identical across reruns of the same config.
+and sensitivity CSVs and light-cone report JSONs.  Every JSON artifact goes
+through integrators.write_json, strict JSON with a non-finite value as null.
+With the fixed-step integrator the output is byte-identical across reruns of
+the same config.
 
 The light-cone scenarios (toda-lightcone, hierarchy, timedep, perturbed, ghs)
 are specs for one body, _cone_scenario: a base state, a flow with its specs,
@@ -23,6 +26,7 @@ summary records its gate as drift_tolerance.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -38,17 +42,17 @@ from .bounds import (LightConeReport, hierarchy_envelope, optimal_mu,
 from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
-from .integrators import IntegratorConfig, integrate
+from .integrators import IntegratorConfig, integrate, write_json
 from .observables import (basic_observables, check_bracket_bound,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
 from .perturbed import (PerturbationSpec, interpolation_envelope,
-                        monitor_trajectory)
+                        monitor_trajectory, perturbed_energy)
 from .sensitivity import evolve_tangent, make_flow
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
                        soliton_speed, soliton_state)
-from .state import (GHSState, LatticeState, background_state, hamiltonian_ab,
-                    jacobi_norm, random_localized_state, toda_rhs)
+from .state import (GHSState, LatticeState, background_state, jacobi_norm,
+                    random_localized_state, toda_rhs)
 
 BASES = ("auto", "background", "soliton", "random")
 
@@ -115,8 +119,12 @@ class ExperimentConfig:
             raise ConfigError(f"base: unknown value {self.base!r}; pick one of {BASES}")
         if not self.seeds:
             raise ConfigError("seeds: need at least one (site, coord) pair")
+        if not self.obs_range >= 0:
+            raise ConfigError("obs_range: must be >= 0")
         coords = GHSState.coords if self.scenario == "ghs" else LatticeState.coords
         alias = dict(zip(LatticeState.coords, coords))    # ghs seeds may say a, b
+        lo = -(self.window // 2)                          # the window's sites: lo..hi
+        hi = lo + self.window - 1
         norm = []
         for i, pair in enumerate(self.seeds):
             try:
@@ -127,6 +135,14 @@ class ExperimentConfig:
             coord = alias.get(coord, coord)
             if coord not in coords:
                 raise ConfigError(f"seeds[{i}]: coord must be one of {coords}, got {coord!r}")
+            if not lo <= site <= hi:
+                raise ConfigError(f"seeds[{i}]: site {site} outside the window [{lo}, {hi}]")
+            # observables brackets b_m with a_n, |n - m| <= obs_range, from the
+            # grids seeded at m - 1 and m
+            first, last = site - max(self.obs_range, 1), site + self.obs_range
+            if self.scenario == "observables" and (first < lo or last > hi):
+                raise ConfigError(f"seeds[{i}], obs_range: the brackets of b_{site} read sites "
+                                  f"{first}..{last}, outside the window [{lo}, {hi}]")
             norm.append((site, coord))
         self.seeds = tuple(norm)
         if self.mu != "optimal":
@@ -358,13 +374,6 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
     return summary, ok, None
 
 
-def _perturbed_energy(pspec):
-    def energy(s):
-        u = np.log(4.0 * s.a * s.a)
-        return hamiltonian_ab(s) + float(np.sum(pspec.W(u)))
-    return energy
-
-
 def _a_star(x) -> float:
     """inf_n |a_n(0)| over the window and the background."""
     return min(float(np.min(np.abs(x.a))), abs(x.background[0]))
@@ -404,7 +413,7 @@ def _run_perturbed(cfg: ExperimentConfig, out: Path):
                         "timedep_radius_final": float(env_t.radius(cfg.t_final))})
         return [env_w, env_t], summary, norm_ok
 
-    return _cone_scenario(cfg, out, x, _perturbed_energy(pspec), envelopes,
+    return _cone_scenario(cfg, out, x, lambda s: perturbed_energy(s, pspec), envelopes,
                           "perturbed", perturbation=pspec)
 
 
@@ -412,7 +421,7 @@ def _run_interpolation(cfg: ExperimentConfig, out: Path):
     x = _base_lattice(cfg)
     run = _base_run(cfg, out, x, "perturbed", perturbation=cfg.perturbation)
     mon, summary = _perturbed_monitors(cfg, run, "fit")
-    drift = run.energy_drift(_perturbed_energy(cfg.perturbation))
+    drift = run.energy_drift(lambda s: perturbed_energy(s, cfg.perturbation))
     drift_tol = _drift_tolerance(cfg)
     summary.update(eps=cfg.eps, conserved_drift=drift, drift_tolerance=drift_tol)
     if mon.unbounded:
@@ -435,9 +444,9 @@ def _run_interpolation(cfg: ExperimentConfig, out: Path):
         "C": f0.C, "v": f0.v, "vstar": f0.vstar, "D": f0.D, "delta": f0.delta,
         "r2_spatial": worst_r2, "envelope_valid": valid,
     })
-    _write_json(out / "interpolation_fit.json",
-                [{k: getattr(f, k) for k in ("mu", "eps", "C", "v", "vstar", "D", "delta",
-                                             "r2_spatial", "envelope_valid")} for f in fits])
+    write_json(out / "interpolation_fit.json",
+               [{k: getattr(f, k) for k in ("mu", "eps", "C", "v", "vstar", "D", "delta",
+                                           "r2_spatial", "envelope_valid")} for f in fits])
     return summary, ok, None
 
 
@@ -449,7 +458,7 @@ def _run_timedep(cfg: ExperimentConfig, out: Path):
     extra = {"mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
              "a_star": a_star, "Lnorm0": lnorm0,
              "radius_final": float(env.radius(cfg.t_final))}
-    return _cone_scenario(cfg, out, x, _perturbed_energy(pspec),
+    return _cone_scenario(cfg, out, x, lambda s: perturbed_energy(s, pspec),
                           lambda run: ([env], extra, True), "perturbed", perturbation=pspec)
 
 
@@ -476,9 +485,7 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
             n_viol += rep.n_violations
             worst_ratio = max(worst_ratio, rep.max_ratio)
             if rep.violations and first_violation is None:
-                v = rep.violations[0]
-                first_violation = {"n": n, "t": v["t"],
-                                   "observed": v["value"], "bound": v["bound"]}
+                first_violation = {"n": n, **rep.violations[0]}
     # generator identity at the base point
     h_obs = hamiltonian_window_observable(range(-3, 4))
     a_0, b_0 = basic_observables(0)
@@ -550,31 +557,13 @@ SCENARIOS = {
 }
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _write_json(path, value):
-    with open(path, "w") as fh:
-        json.dump(_jsonable(value), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def run_config(cfg: ExperimentConfig, outdir) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary, ok, first_violation = SCENARIOS[cfg.scenario].run(cfg, outdir)
     summary = {"schema": 1, "scenario": cfg.scenario, "seed": cfg.seed,
                "exit": 0 if ok else 1, **summary}
-    _write_json(outdir / "summary.json", summary)
+    write_json(outdir / "summary.json", summary)
     if ok:
         print(f"{cfg.scenario}: ok (artifacts in {outdir})")
         return 0
@@ -646,8 +635,7 @@ def run_sweep(config_path, axis: str, values_text: str, outdir, workers: int | N
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = []
     for v in values:
-        raw = json.loads(json.dumps(base_raw))
-        raw = _apply_axis(raw, axis, v)
+        raw = _apply_axis(copy.deepcopy(base_raw), axis, v)
         config_from_dict(raw)          # validate up front: config errors exit 2
         jobs.append((raw, str(outdir / f"{axis.replace('.', '_')}={v:g}")))
     if workers is None:
@@ -665,7 +653,7 @@ def run_sweep(config_path, axis: str, values_text: str, outdir, workers: int | N
                 results.append({"value": v, "exit": 1, "error": str(err)})
                 worst = max(worst, 1)
     aggregate = {"schema": 1, "axis": axis, "values": values, "results": results}
-    _write_json(outdir / "sweep.json", aggregate)
+    write_json(outdir / "sweep.json", aggregate)
     print(f"sweep over {axis}: {len(values)} jobs, worst exit {worst} "
           f"(aggregate in {outdir / 'sweep.json'})")
     return worst

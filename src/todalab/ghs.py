@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .bounds import Envelope
+from .bounds import Envelope, mu_profile
 from .integrators import Trajectory
 from .state import GHSState
 
@@ -206,11 +206,8 @@ def ghs_cone_constant(traj: Trajectory, pot: PotentialSpec) -> float:
 
 
 def ghs_velocity(mu: float, traj: Trajectory, pot: PotentialSpec) -> float:
-    """Cone speed 2 C (e^{mu+1} + 1/mu) for the chain sensitivity bounds."""
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    c = ghs_cone_constant(traj, pot)
-    return 2.0 * c * (math.exp(mu + 1.0) + 1.0 / mu)
+    """Cone speed 2 C f(mu) for the chain sensitivity bounds."""
+    return 2.0 * ghs_cone_constant(traj, pot) * mu_profile(mu)
 
 
 def factorial_tail_envelope(c: float, dist, t):

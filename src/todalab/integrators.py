@@ -12,6 +12,7 @@ Two integrators behind one config:
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ class IntegratorConfig:
     method: str = "rk-adaptive"
     tolerance: float = 1e-10       # adaptive: rtol and atol
     step: float = 0.01             # fixed: substep ceiling
-    max_step: float = math.inf     # adaptive: optional step cap
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -73,7 +73,7 @@ def solve_vector(fun, y0: np.ndarray, times: np.ndarray,
         return out
     sol = solve_ivp(fun, (times[0], times[-1]), y0, method="DOP853",
                     t_eval=times, rtol=cfg.tolerance, atol=cfg.tolerance,
-                    max_step=cfg.max_step, dense_output=False)
+                    dense_output=False)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     return sol.y.T
@@ -96,9 +96,11 @@ def sample_times(t_final: float, sample_dt: float | None = None,
 
 
 class EdgeMargin:
-    """Edge bookkeeping of a sampled window run.  A subclass has guard and
-    significance, and _deviations() gives (T, N) arrays that vanish where
-    the run sits at the background."""
+    """Edge bookkeeping of a sampled window run.  A subclass has guard, and
+    _deviations() gives (T, N) arrays that vanish where the run sits at the
+    background; a deviation above significance counts as movement."""
+
+    significance = 1e-10
 
     @property
     def boundary_margin(self) -> int:
@@ -125,6 +127,27 @@ def write_csv(path, coords, times, offset: int, x1: np.ndarray, x2: np.ndarray):
                 fh.write("%.17g,%d,%.17g,%.17g\n" % (t, offset + j, x1[i, j], x2[i, j]))
 
 
+def _plain(value):
+    """value with numpy values made plain and each non-finite float None."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def write_json(path, value):
+    """Write an artifact as strict JSON: sorted keys, indent 2, a final
+    newline, and a non-finite float (a NaN fit, an infinite ratio) as null."""
+    with open(path, "w") as fh:
+        json.dump(_plain(value), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def _drift(series) -> float:
     """Largest deviation of a sampled series (scalar or array per sample)
     from its first sample."""
@@ -144,7 +167,6 @@ class Trajectory(EdgeMargin):
     offset: int
     background: tuple
     guard: int = 10
-    significance: float = 1e-10
     state_type: type = LatticeState
 
     def __getattr__(self, name):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SQRT17, velocity_toda
+from .bounds import SQRT17, compare, velocity_toda
 from .state import LatticeState, jacobi_norm
 
 
@@ -145,13 +145,17 @@ def _partials(obs: ObservableDescriptor, states) -> list:
 def _bracket_series(partials: list, weights: dict, grids: dict) -> np.ndarray:
     """{A o flow_t, B}(x) at every sample: the weighted sum over B's seeds of
     d(A o flow_t)/d(seed), each by the chain rule over supp(A) from the
-    seed grid's columns.  A zero partial skips its column."""
+    seed grid's columns.  A zero partial skips its column; a site of A
+    outside the grids' window raises IndexError naming it."""
     total = np.zeros(partials[0][1].size)
     for seed, w in weights.items():
         grid = grids[seed]
         grad = np.zeros_like(total)
         for k, ga, gb in partials:
             j = k - grid.offset
+            if not 0 <= j < grid.n_sites:
+                raise IndexError(f"observable site {k} outside window "
+                                 f"[{grid.offset}, {grid.offset + grid.n_sites})")
             for g, col in ((ga, grid.da[:, j]), (gb, grid.db[:, j])):
                 grad += np.multiply(g, col, out=np.zeros_like(g), where=g != 0.0)
         total += w * grad
@@ -215,8 +219,7 @@ def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
     at the given sample times.  v uses the initial operator norm; derivative
     norms are declared or horizon-measured as available.  What depends only
     on (x, B) is computed once: v, C, ||a||_inf, B's seed weights and norms,
-    and the base states at the samples.  A non-finite bracket is a
-    violation; max_ratio is taken over the finite positive brackets.
+    and the base states at the samples.  bounds.compare gives the verdict.
     """
     weights = required_bracket_seeds(B, x)
     grid = _seed_grid(weights, grids)
@@ -239,15 +242,12 @@ def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
         with np.errstate(over="ignore"):
             terms = coef[:, None] * np.exp(-mu * (dist[:, None] - v * np.abs(times)))
         bound = c * a_sup * np.sum(terms, axis=0)
-        bad = np.flatnonzero(~(val <= bound))
-        seen = np.isfinite(val) & (val > 0.0)
-        with np.errstate(divide="ignore"):
-            ratio = np.divide(val, bound, out=np.zeros_like(val), where=seen)
+        bad, max_ratio = compare(val, bound)
+        bad = np.flatnonzero(bad)
         reports.append(BracketBoundReport(
             mu=mu, velocity=v, constant=c, a_sup=a_sup,
             norm_source=f"A:{src_a},B:{src_b}", n_violations=int(bad.size),
-            violations=[{"t": float(times[i]), "value": float(val[i]),
+            violations=[{"t": float(times[i]), "observed": float(val[i]),
                          "bound": float(bound[i])} for i in bad],
-            max_ratio=float(np.max(ratio, initial=0.0)),
-            times=[float(t) for t in times]))
+            max_ratio=max_ratio, times=[float(t) for t in times]))
     return reports

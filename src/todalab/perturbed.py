@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import C_epsilon, G_mu, velocity_toda
+from .bounds import C_epsilon, G_mu, compare, velocity_toda
 from .hierarchy import HierarchySpec, hierarchy_rhs, hierarchy_tangent_fields
-from .state import LatticeState, toda_rhs, toda_tangent_rhs
+from .state import LatticeState, hamiltonian_ab, toda_rhs, toda_tangent_rhs
 
 _FAMILIES = ("cosine", "rational", "custom")
 
@@ -106,6 +106,12 @@ def forcing_field(s: LatticeState, pspec: PerturbationSpec) -> np.ndarray:
     wp_bg = float(pspec.dW(math.log(4.0 * a_bg * a_bg)))
     wp_dn = np.concatenate(([wp_bg], wp[:-1]))
     return 0.5 * (wp - wp_dn)
+
+
+def perturbed_energy(s: LatticeState, pspec: PerturbationSpec) -> float:
+    """The perturbed flow's energy: hamiltonian_ab plus sum_n W(u_n)."""
+    u = np.log(4.0 * s.a * s.a)
+    return hamiltonian_ab(s) + float(np.sum(pspec.W(u)))
 
 
 def _add_forcing(fields, s: LatticeState, pspec: PerturbationSpec, da=None):
@@ -227,7 +233,7 @@ def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
     """
     c = (8.0 / math.sqrt(17.0)) * C_epsilon(eps)
     v = velocity_toda(mu + eps, monitors.Lnorm0)
-    vstar = (1.0 + math.sqrt(17.0)) * 3.0 * monitors.C1 * (math.exp(mu + eps + 1.0) + 1.0 / (mu + eps))
+    vstar = velocity_toda(mu + eps, 3.0 * monitors.C1)
 
     obs = grid.observed()
     dist = grid.distances.astype(float)
@@ -253,13 +259,11 @@ def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
                 best = (score, d_req, delta)
         _, d_fit, delta_fit = best
 
-    fit_envelope = base * (1.0 + d_fit * np.expm1(delta_fit * np.abs(times)))[:, np.newaxis]
-    valid = bool(np.all(obs <= fit_envelope * (1.0 + 1e-12)))
-
-    r2 = _spatial_log_r2(obs, dist, mu)
-    return InterpolationFit(mu=mu, eps=eps, C=c, v=v, vstar=vstar,
-                            D=d_fit, delta=delta_fit, r2_spatial=r2,
-                            envelope_valid=valid)
+    fit = InterpolationFit(mu=mu, eps=eps, C=c, v=v, vstar=vstar, D=d_fit, delta=delta_fit,
+                           r2_spatial=_spatial_log_r2(obs, dist, mu), envelope_valid=False)
+    bad, _ = compare(obs, fit.value(dist[np.newaxis, :], times[:, np.newaxis]) * (1.0 + 1e-12))
+    fit.envelope_valid = not bad.any()
+    return fit
 
 
 def _spatial_log_r2(obs: np.ndarray, dist: np.ndarray, mu: float) -> float:

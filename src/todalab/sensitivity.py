@@ -96,7 +96,6 @@ class SensitivityGrid(EdgeMargin):
     seed_coord: str
     flow: str
     guard: int = 10
-    significance: float = 1e-10
     meta: dict = field(default_factory=dict)
 
     @property

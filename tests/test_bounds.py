@@ -12,7 +12,7 @@ from todalab import (Envelope, HierarchySpec, IntegratorConfig, SolitonSpec,
                      soliton_state, timedep_envelope, toda_envelope,
                      velocity_hierarchy, velocity_toda, verify_light_cone)
 from todalab.bounds import (C_epsilon, G_mu, SQRT17, check_G_convolution,
-                            fit_front_speed, gamma_const, h_growth,
+                            compare, fit_front_speed, gamma_const, h_growth,
                             hierarchy_comparison_matrix, mu_profile,
                             perturbed_alpha, perturbed_prefactor,
                             second_derivative_envelope, velocity_perturbed,
@@ -338,6 +338,48 @@ def test_verify_light_cone_flags_nonfinite_observations(tmp_path):
     assert not rep.ok
     assert rep.max_ratio == math.inf
     assert strict_json(rep, "zero.json")["max_ratio"] is None
+
+
+def test_compare_matches_both_inline_comparisons():
+    """compare replaces the comparison that verify_light_cone and
+    check_bracket_bound each wrote inline; both stay here as oracles."""
+    def cone_oracle(obs, env):
+        bad = np.argwhere(~(obs <= env))
+        seen = np.isfinite(obs) & (obs > 0.0)
+        with np.errstate(divide="ignore"):
+            ratio = np.divide(obs, env, out=np.zeros_like(obs), where=seen)
+        return bad, float(np.max(ratio))
+
+    def bracket_oracle(val, bound):
+        bad = np.flatnonzero(~(val <= bound))
+        seen = np.isfinite(val) & (val > 0.0)
+        with np.errstate(divide="ignore"):
+            ratio = np.divide(val, bound, out=np.zeros_like(val), where=seen)
+        return bad, float(np.max(ratio, initial=0.0))
+
+    rng = np.random.default_rng(11)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -1.0, -1e-300])
+    for _ in range(300):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 9)))
+        obs = rng.lognormal(-5.0, 5.0, shape)
+        pick = rng.random(shape) < 0.3
+        obs[pick] = rng.choice(specials, int(pick.sum()))
+        # exponents past -745 underflow to 0, as the envelope does far out
+        with np.errstate(under="ignore"):
+            bound = np.exp(-rng.uniform(0.0, 800.0, shape))
+        bound[rng.random(shape) < 0.1] = np.inf
+        mask, ratio = compare(obs, bound)
+        # the inline forms warned when a ratio overflowed to +inf
+        with np.errstate(over="ignore"):
+            want, want_ratio = cone_oracle(obs, bound)
+        assert np.array_equal(np.argwhere(mask), want)
+        assert ratio == want_ratio
+        for row in range(shape[0]):
+            mask, ratio = compare(obs[row], bound[row])
+            with np.errstate(over="ignore"):
+                want, want_ratio = bracket_oracle(obs[row], bound[row])
+            assert np.array_equal(np.flatnonzero(mask), want)
+            assert ratio == want_ratio
 
 
 def test_report_json_roundtrip(tmp_path):

@@ -131,6 +131,34 @@ def test_run_config_error_exits_2(tmp_path, capsys):
     assert "config error: soliton.kappa: required" in captured.err
 
 
+@pytest.mark.parametrize("overrides,fragment", [
+    ({"window": 41, "seeds": [[500, "b"]]},
+     "seeds[0]: site 500 outside the window [-20, 20]"),
+    ({"scenario": "observables", "window": 41, "seeds": [[20, "b"]]},
+     "seeds[0], obs_range: the brackets of b_20 read sites -20..60, outside the window"),
+    ({"scenario": "observables", "window": 41, "seeds": [[-18, "b"]], "obs_range": 5},
+     "seeds[0], obs_range: the brackets of b_-18 read sites -23..-13, outside the window"),
+    ({"scenario": "observables", "window": 41, "seeds": [[-20, "b"]], "obs_range": 0},
+     "seeds[0], obs_range: the brackets of b_-20 read sites -21..-20, outside the window"),
+])
+def test_seed_outside_window_exits_2_and_writes_nothing(tmp_path, capsys, overrides,
+                                                        fragment):
+    cfg = write_config(tmp_path, small_run_config(**overrides))
+    out = tmp_path / "out"
+    assert main(["run", "-c", cfg, "--out", str(out)]) == 2
+    assert f"config error: {fragment}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integrator_max_step_is_not_a_setting(tmp_path, capsys):
+    raw = small_run_config()
+    raw["integrator"] = {"method": "rk-adaptive", "max_step": 0.1}
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "-c", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: integrator:" in err and "max_step" in err
+
+
 def test_runs_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, small_run_config())
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

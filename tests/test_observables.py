@@ -126,6 +126,19 @@ def test_evolved_bracket_missing_grids():
         evolved_bracket(a5, b0, x, 0.0, {})
 
 
+@pytest.mark.parametrize("site", [-23, 21])
+def test_observable_outside_the_window_is_named(site):
+    """An A site past the grids' window raises instead of reading a wrapped
+    (or missing) column."""
+    x = background_state(41)
+    _, b0 = basic_observables(0)
+    grids = {s: evolve_tangent(x, s, 0.5, FIX, sample_dt=0.25)
+             for s in required_bracket_seeds(b0, x)}
+    a_far, _ = basic_observables(site)
+    with pytest.raises(IndexError, match=rf"observable site {site} outside window \[-20, 21\)"):
+        check_bracket_bound([a_far], b0, x, grids[(0, "a")].times, 0.5, grids)
+
+
 def test_evolved_bracket_zero_derivative_observable():
     x = background_state(41)
     const = ObservableDescriptor(support=(0,), eval=lambda s: 7.0,
@@ -206,7 +219,7 @@ def test_non_finite_bracket_is_a_violation():
     assert not rep.ok
     assert rep.n_violations == 1
     assert rep.violations[0]["t"] == 0.5
-    assert math.isnan(rep.violations[0]["value"])
+    assert math.isnan(rep.violations[0]["observed"])
     assert math.isfinite(rep.max_ratio)
 
 

@@ -31,11 +31,20 @@ def small_config(scenario: str) -> dict:
     return raw
 
 
-def run_scenario(scenario: str, outdir: Path):
-    code = run_config(config_from_dict(small_config(scenario)), outdir)
+def strict_json(path: Path):
+    """The parsed artifact; a NaN or Infinity token fails the test."""
+    def reject(token):
+        raise ValueError(f"{path.name}: non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def run_scenario(scenario: str, outdir: Path, **overrides):
+    raw = small_config(scenario)
+    raw.update(overrides)
+    code = run_config(config_from_dict(raw), outdir)
     files = sorted(p.name for p in outdir.iterdir())
-    summary = json.loads((outdir / "summary.json").read_text())
-    return code, files, summary
+    artifacts = {p.name: strict_json(p) for p in outdir.glob("*.json")}
+    return code, files, artifacts["summary.json"]
 
 
 def mismatch(want, got, where="summary"):
@@ -145,6 +154,17 @@ def test_perturbed_base_run_drift_is_gated(scenario, tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["drift_tolerance"] == 1e-8
     assert summary["conserved_drift"] > summary["drift_tolerance"]
+
+
+def test_non_finite_fit_is_written_as_null(tmp_path):
+    """One step of 0.01 leaves too few decaying sites for the spatial fit:
+    r2_spatial is NaN, written as null in both artifacts, and fails the run."""
+    code, _, summary = run_scenario("interpolation", tmp_path, t_final=0.01,
+                                    sample_dt=0.01)
+    assert code == 1
+    assert summary["r2_spatial"] is None
+    assert all(fit["r2_spatial"] is None
+               for fit in strict_json(tmp_path / "interpolation_fit.json"))
 
 
 def freeze(tmpdir: Path):

@@ -3,17 +3,19 @@
     python3 tools/compare_runs.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts, for
-example a checkout of the parent commit made with
+example an export of the parent commit made with
 
-    git worktree add /tmp/parent HEAD~1        # then PARENT_SRC=/tmp/parent/src
+    mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent   # PARENT_SRC=/tmp/parent/src
 
 Each of the 8 scenarios runs at the parent's `default_config()` under
 rk-adaptive and rk4-fixed, with 1 and 3 seeds, once from each tree
 (`python3 -m todalab run`, one process at a time, artifacts in a temporary
 directory).  The report lists differing exit codes and stderr, artifact files
 present in one tree only, and files whose bytes differ: for a JSON file every
-differing key, for a CSV file the number of differing rows.  Exit status 0
-when every run matches byte for byte, 1 otherwise.
+differing key, for a CSV file the number of differing rows.  It also lists
+every JSON artifact, in either tree, that is not strict JSON (holds a NaN or
+Infinity token).  Exit status 0 when every run matches byte for byte and
+every JSON artifact is strict, 1 otherwise.
 """
 from __future__ import annotations
 
@@ -65,6 +67,17 @@ def json_diff(old, new, where=""):
         yield f"{where}: {old!r} -> {new!r}"
 
 
+def is_strict_json(path: Path) -> bool:
+    """Whether the file parses as JSON without NaN or Infinity tokens."""
+    def reject(token):
+        raise ValueError(token)
+    try:
+        json.loads(path.read_text(), parse_constant=reject)
+    except ValueError:
+        return False
+    return True
+
+
 def file_diff(old: Path, new: Path):
     """Lines describing how two artifact files differ; none when byte-equal."""
     a, b = old.read_bytes(), new.read_bytes()
@@ -106,6 +119,10 @@ def compare(parent_src, change_src, workdir: Path):
                 for name in sorted(files_p & files_c):
                     for line in file_diff(out_p / name, out_c / name):
                         yield label, f"{name}: {line}"
+                for tree, out, files in (("parent", out_p, files_p), ("change", out_c, files_c)):
+                    for name in sorted(files):
+                        if name.endswith(".json") and not is_strict_json(out / name):
+                            yield label, f"{name}: not strict JSON in {tree}"
 
 
 def main(argv=None) -> int:
