@@ -375,13 +375,15 @@ class LightConeReport:
 
 def compare(observed, bound):
     """(violation mask, max_ratio) of observed <= bound.  A non-finite
-    observation is a violation; the ratio is taken over the positive finite
-    observations only, so 0 against a bound that underflowed to 0 is no
-    excess, and a positive one against it (or overflowing it) is +inf."""
-    seen = np.isfinite(observed) & (observed > 0.0)
+    observation is a violation, +inf against a bound that overflowed to +inf
+    included; the ratio is taken over the positive finite observations only,
+    so 0 against a bound that underflowed to 0 is no excess, and a positive
+    one against it (or overflowing it) is +inf."""
+    finite = np.isfinite(observed)
+    seen = finite & (observed > 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         ratio = np.divide(observed, bound, out=np.zeros_like(observed), where=seen)
-    return ~(observed <= bound), float(np.max(ratio, initial=0.0))
+    return ~finite | ~(observed <= bound), float(np.max(ratio, initial=0.0))
 
 
 def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8) -> LightConeReport:

@@ -434,7 +434,7 @@ def _run_interpolation(cfg: ExperimentConfig, out: Path):
                       flow="perturbed", perturbation=cfg.perturbation)
     fits, cleans = zip(*rows)
     clean = all(cleans)
-    worst_r2 = min(f.r2_spatial for f in fits)
+    worst_r2 = float(np.min([f.r2_spatial for f in fits]))  # a NaN fit gives NaN
     valid = all(f.envelope_valid for f in fits)
     ok = clean and valid and worst_r2 >= 0.99 and drift <= drift_tol
     f0 = fits[0]

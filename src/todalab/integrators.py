@@ -118,13 +118,22 @@ class EdgeMargin:
 
 
 def write_csv(path, coords, times, offset: int, x1: np.ndarray, x2: np.ndarray):
-    """Rows t,n,<coord 1>,<coord 2> of (T, N) arrays with %.17g floats
-    (byte-stable for identical data)."""
+    """Rows t,n,<coord 1>,<coord 2> of (T, N) float arrays with %.17g floats
+    (byte-stable for identical data).  Each sample is one write, and each
+    distinct value in it (told apart by its bits, so -0.0 is not 0.0) is
+    formatted once."""
+    n = x1.shape[1]
+    sites = ["%d" % (offset + j) for j in range(n)]
     with open(path, "w") as fh:
         fh.write("t,n,%s,%s\n" % tuple(coords))
-        for i, t in enumerate(times):
-            for j in range(x1.shape[1]):
-                fh.write("%.17g,%d,%.17g,%.17g\n" % (t, offset + j, x1[i, j], x2[i, j]))
+        for t, row1, row2 in zip(times, x1, x2):
+            bits = np.concatenate((row1, row2)).view(np.int64)
+            values, inverse = np.unique(bits, return_inverse=True)
+            text = ["%.17g" % v for v in values.view(np.float64).tolist()]
+            cells = [text[k] for k in inverse.tolist()]
+            head = "%.17g," % t
+            fh.write("".join([f"{head}{site},{c1},{c2}\n"
+                              for site, c1, c2 in zip(sites, cells[:n], cells[n:])]))
 
 
 def _plain(value):
@@ -192,7 +201,17 @@ class Trajectory(EdgeMargin):
         return self.x1 - bg1, self.x2 - bg2
 
     def energy_series(self, energy=hamiltonian_ab) -> np.ndarray:
-        return np.array([energy(self.state(i)) for i in range(self.n_samples)])
+        """energy(state(i)) at every sample.  energy sees only the state, so
+        it is evaluated once per run of consecutive samples that are equal
+        bit for bit (a NaN payload or the sign of a zero makes a new sample)
+        and its value repeated over the run."""
+        bits1, bits2 = self.x1.view(np.int64), self.x2.view(np.int64)
+        new = np.ones(self.n_samples, dtype=bool)
+        new[1:] = (np.any(bits1[1:] != bits1[:-1], axis=1)
+                   | np.any(bits2[1:] != bits2[:-1], axis=1))
+        starts = np.flatnonzero(new)
+        values = np.array([energy(self.state(i)) for i in starts])
+        return np.repeat(values, np.diff(starts, append=self.n_samples), axis=0)
 
     def energy_drift(self, energy=hamiltonian_ab) -> float:
         return _drift(self.energy_series(energy))

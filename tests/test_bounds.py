@@ -342,16 +342,18 @@ def test_verify_light_cone_flags_nonfinite_observations(tmp_path):
 
 def test_compare_matches_both_inline_comparisons():
     """compare replaces the comparison that verify_light_cone and
-    check_bracket_bound each wrote inline; both stay here as oracles."""
+    check_bracket_bound each wrote inline; both stay here as oracles, with
+    a non-finite observation (+inf against a +inf bound included) marked
+    as a violation."""
     def cone_oracle(obs, env):
-        bad = np.argwhere(~(obs <= env))
+        bad = np.argwhere(~np.isfinite(obs) | ~(obs <= env))
         seen = np.isfinite(obs) & (obs > 0.0)
         with np.errstate(divide="ignore"):
             ratio = np.divide(obs, env, out=np.zeros_like(obs), where=seen)
         return bad, float(np.max(ratio))
 
     def bracket_oracle(val, bound):
-        bad = np.flatnonzero(~(val <= bound))
+        bad = np.flatnonzero(~np.isfinite(val) | ~(val <= bound))
         seen = np.isfinite(val) & (val > 0.0)
         with np.errstate(divide="ignore"):
             ratio = np.divide(val, bound, out=np.zeros_like(val), where=seen)
@@ -380,6 +382,8 @@ def test_compare_matches_both_inline_comparisons():
                 want, want_ratio = bracket_oracle(obs[row], bound[row])
             assert np.array_equal(np.flatnonzero(mask), want)
             assert ratio == want_ratio
+    mask, _ = compare(np.array([np.inf, np.nan, 1.0]), np.array([np.inf, np.inf, np.inf]))
+    assert mask.tolist() == [True, True, False]
 
 
 def test_report_json_roundtrip(tmp_path):

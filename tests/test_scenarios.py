@@ -8,12 +8,15 @@ frozen summary values: non-floats exactly, floats within 1e-9 relative.
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from todalab import cli as cli_module
 from todalab.cli import _base_lattice, config_from_dict, default_config, run_config
 from todalab.integrators import Trajectory, integrate
+from todalab.perturbed import interpolation_envelope
 from todalab import state as state_module
 from todalab.state import toda_rhs
 
@@ -117,12 +120,9 @@ def test_ghs_drift_gate_follows_tolerance(tolerance, gate, code, tmp_path):
     assert (summary["conserved_drift"] <= gate) == (code == 0)
 
 
-def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch):
-    """Per m: one jacobi_norm, and one base state per sample for all of the
-    bracket checks; the generator identity adds two states in all."""
-    cfg = config_from_dict(small_config("observables"))
-    norms, states = [], []
-    original = state_module.jacobi_norm
+def count_jacobi_norm(monkeypatch) -> list:
+    """The states jacobi_norm is called on, in every todalab module."""
+    norms, original = [], state_module.jacobi_norm
 
     def counted_norm(s, *args):
         norms.append(s)
@@ -131,6 +131,24 @@ def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch
     for name, module in list(sys.modules.items()):
         if name.startswith("todalab") and getattr(module, "jacobi_norm", None) is original:
             monkeypatch.setattr(module, "jacobi_norm", counted_norm)
+    return norms
+
+
+def test_background_cone_takes_two_norms(tmp_path, monkeypatch):
+    """On the background the base run never moves: one norm for the bound
+    and one for the whole drift series."""
+    cfg = config_from_dict({**default_config(), "scenario": "toda-lightcone"})
+    assert cfg.resolved_base() == "background"
+    norms = count_jacobi_norm(monkeypatch)
+    assert run_config(cfg, tmp_path) == 0
+    assert len(norms) <= 2
+
+
+def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch):
+    """Per m: one jacobi_norm, and one base state per sample for all of the
+    bracket checks; the generator identity adds two states in all."""
+    cfg = config_from_dict(small_config("observables"))
+    norms, states = count_jacobi_norm(monkeypatch), []
     state = Trajectory.state
 
     def counted_state(self, i):
@@ -165,6 +183,24 @@ def test_non_finite_fit_is_written_as_null(tmp_path):
     assert summary["r2_spatial"] is None
     assert all(fit["r2_spatial"] is None
                for fit in strict_json(tmp_path / "interpolation_fit.json"))
+
+
+@pytest.mark.parametrize("nan_seed", [0, 1], ids=["nan-first", "nan-last"])
+def test_nan_spatial_fit_fails_interpolation_in_either_order(nan_seed, tmp_path,
+                                                            monkeypatch):
+    """The r2 gate sees a NaN fit wherever it falls among the seeds."""
+    fits = []
+
+    def fit(*args):
+        f = interpolation_envelope(*args)
+        fits.append(replace(f, r2_spatial=math.nan) if len(fits) == nan_seed else f)
+        return fits[-1]
+
+    monkeypatch.setattr(cli_module, "interpolation_envelope", fit)
+    code, _, summary = run_scenario("interpolation", tmp_path)
+    assert len(fits) == 2
+    assert code == 1
+    assert summary["r2_spatial"] is None
 
 
 def freeze(tmpdir: Path):
