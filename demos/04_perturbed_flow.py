@@ -26,7 +26,7 @@ print(f"monitors on t <= {mon.horizon}: C1 = {mon.C1:.4f}, C2 = {mon.C2:.4f}")
 
 line = mon.Lnorm0 + spec.dw_sup * traj.times
 print(f"|L(t)| <= |L(0)| + w0 t holds with max excess "
-      f"{float(np.max(mon.Lnorm_t - line)):.3g}")
+      f"{float(np.max(traj.norm_series() - line)):.3g}")
 
 grid = evolve_tangent(x, (0, "b"), 3.0, cfg, flow="perturbed",
                       perturbation=spec, sample_dt=0.25)

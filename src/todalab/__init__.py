@@ -11,7 +11,7 @@ envelopes, bracket propagation bounds, and the general-chain estimates.
 from .state import (BACKGROUND, GHSState, LatticeState, PQState,
                     background_state, flaschka_forward, flaschka_inverse,
                     hamiltonian_ab, jacobi_matrix, jacobi_norm,
-                    random_localized_state, relative_to_lattice, toda_rhs,
+                    jacobi_norm_within, random_localized_state, relative_to_lattice, toda_rhs,
                     toda_tangent_rhs, trace_invariants)
 from .integrators import IntegratorConfig, Trajectory, integrate, sample_times
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,

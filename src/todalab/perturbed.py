@@ -21,7 +21,8 @@ import numpy as np
 
 from .bounds import C_epsilon, G_mu, compare, velocity_toda
 from .hierarchy import HierarchySpec, hierarchy_rhs, hierarchy_tangent_fields
-from .state import LatticeState, hamiltonian_ab, toda_rhs, toda_tangent_rhs
+from .state import (LatticeState, hamiltonian_ab, jacobi_norm, toda_rhs,
+                    toda_tangent_rhs)
 
 _FAMILIES = ("cosine", "rational", "custom")
 
@@ -156,23 +157,19 @@ class TrajectoryMonitors:
 
     C1 bounds sup_t max(||a(t)||_inf, ||b(t)||_inf), C2 bounds
     sup_t sup_n 1/|a_n(t)|, both measured on the sampled horizon only (the
-    true suprema over all t are not computable from a run).
+    true suprema over all t are not computable from a run).  Lnorm0 is
+    ||L(0)||, the spectral norm of the first sample.
     """
 
     C1: float
     C2: float
-    Lnorm_t: np.ndarray
-    sup_field_t: np.ndarray
+    Lnorm0: float
     horizon: float
     unbounded: bool
 
-    @property
-    def Lnorm0(self) -> float:
-        return float(self.Lnorm_t[0])
-
 
 def monitor_trajectory(traj) -> TrajectoryMonitors:
-    """Measure C1, C2 and the spectral-norm series along a sampled run.
+    """Measure C1, C2 and ||L(0)|| (one eigensolve) along a sampled run.
 
     A run is flagged unbounded-looking when max(|a|, |b|) grows strictly
     monotonically across the final fifth of the samples; flagged runs must
@@ -184,11 +181,9 @@ def monitor_trajectory(traj) -> TrajectoryMonitors:
     c1 = max(float(sup_field.max()), abs(a_bg), abs(b_bg))
     min_a = min(float(abs_a.min()), abs(a_bg))
     c2 = math.inf if min_a == 0.0 else 1.0 / min_a
-    lnorm = traj.norm_series()
     tail = sup_field[-max(4, traj.n_samples // 5):]
     unbounded = bool(np.all(np.diff(tail) > 0.0))
-    return TrajectoryMonitors(C1=c1, C2=c2, Lnorm_t=lnorm,
-                              sup_field_t=sup_field,
+    return TrajectoryMonitors(C1=c1, C2=c2, Lnorm0=jacobi_norm(traj.state(0)),
                               horizon=float(traj.times[-1]), unbounded=unbounded)
 
 

@@ -266,6 +266,31 @@ def jacobi_norm(s: LatticeState, pad: int = 0) -> float:
     return float(max(abs(ev[0]), abs(ev[-1])))
 
 
+def jacobi_norm_within(a, b, bound) -> np.ndarray:
+    """Per row i of the (T, N) arrays a and b: whether every eigenvalue of
+    the window's Jacobi matrix (diagonal b[i], off-diagonal a[i, :-1]) lies
+    in [-bound[i], bound[i]], i.e. whether jacobi_norm <= bound[i].
+
+    Answered by Sturm counts (LAPACK stebz) of the eigenvalues in (bound, G]
+    for the matrix and for its negative, G being twice a Gershgorin bound
+    above the spectrum, so an eigenvalue exactly at the bound passes.  An
+    empty interval costs O(N) and no bisection; a row whose bound clears
+    the Gershgorin bound needs no count at all.
+    """
+    bound = np.asarray(bound, dtype=float)
+    abs_a = np.abs(a[:, :-1])
+    gersh = np.abs(b)
+    gersh[:, 1:] += abs_a
+    gersh[:, :-1] += abs_a
+    gersh = gersh.max(axis=1)
+    out = bound >= gersh
+    for i in np.flatnonzero(~out & (bound >= 0.0)):
+        upper = (bound[i], 2.0 * gersh[i])
+        out[i] = not any(eigvalsh_tridiagonal(d, a[i, :-1], select="v", select_range=upper).size
+                         for d in (b[i], -b[i]))
+    return out
+
+
 def trace_invariants(s: LatticeState, jmax: int = 4) -> np.ndarray:
     """tr(L^j) - tr(L_bg^j) for j = 1 .. jmax on the same window.
 

@@ -220,7 +220,7 @@ def test_11_perturbed_bounds():
     spec = PerturbationSpec(family="cosine", w0=0.1)
     traj = integrate(x, lambda s: perturbed_rhs(s, spec), 3.0, FIX, sample_dt=0.25)
     mon = monitor_trajectory(traj)
-    excess = float(np.max(mon.Lnorm_t - (mon.Lnorm0 + spec.dw_sup * traj.times)))
+    excess = float(np.max(traj.norm_series() - (mon.Lnorm0 + spec.dw_sup * traj.times)))
 
     g = evolve_tangent(x, (0, "b"), 3.0, FIX, flow="perturbed",
                        perturbation=spec, sample_dt=0.25)

@@ -14,7 +14,7 @@ from todalab.perturbed import (InterpolationFit, forcing_field,
                                perturbed_hierarchy_rhs,
                                perturbed_hierarchy_tangent_rhs, perturbed_rhs,
                                perturbed_tangent_rhs)
-from todalab.state import LatticeState, jacobi_norm, toda_rhs
+from todalab.state import LatticeState, jacobi_norm, jacobi_norm_within, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
 
@@ -172,11 +172,34 @@ def test_norm_growth_line():
     traj = integrate(x, lambda s: perturbed_rhs(s, spec), 3.0, FIX, sample_dt=0.25)
     m = monitor_trajectory(traj)
     line = m.Lnorm0 + spec.dw_sup * traj.times
-    excess = float(np.max(m.Lnorm_t - line))
+    norms = traj.norm_series()
+    excess = float(np.max(norms - line))
     print("excess over norm line:", excess)
     assert excess <= 1e-9
+    # the eigenvalue count gives the series' verdict sample by sample
+    gate = jacobi_norm_within(traj.a, traj.b, line + 1e-9)
+    assert np.array_equal(gate, norms <= line + 1e-9) and gate.all()
     assert not m.unbounded
     assert float(np.abs(traj.a).min()) > 0.0   # off-diagonal keeps its sign
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["top-edge", "bottom-edge"])
+def test_norm_gate_finds_the_crossing_sample(sign):
+    """A window whose diagonal shifts by s(t) has ||L(t)|| = |s(t)| + cos(pi/8):
+    below the growth line everywhere except at sample 7, where it crosses."""
+    times = np.linspace(0.0, 1.0, 11)
+    w1 = 0.1
+    shift = 0.5 * w1 * times
+    shift[7] = w1 * times[7] + 0.01
+    b = sign * shift[:, None] * np.ones((11, 7))
+    traj = Trajectory(times, np.full((11, 7), 0.5), b, -3, (0.5, 0.0))
+    m = monitor_trajectory(traj)
+    line = m.Lnorm0 + w1 * times + 1e-9
+    gate = jacobi_norm_within(traj.a, traj.b, line)
+    assert m.Lnorm0 == pytest.approx(math.cos(math.pi / 8.0), abs=1e-15)
+    assert np.flatnonzero(~gate).tolist() == [7]
+    assert np.array_equal(gate, traj.norm_series() <= line)
+    assert not np.all(gate)
 
 
 def test_small_forcing_continuity():

@@ -164,6 +164,16 @@ def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("scenario", ["perturbed", "interpolation"])
+def test_perturbed_monitors_take_one_norm(scenario, tmp_path, monkeypatch):
+    """||L(0)|| is the one eigensolve of the monitors; the norm-growth gate
+    counts eigenvalues instead of solving for the norm at every sample."""
+    cfg = config_from_dict(small_config(scenario))
+    norms = count_jacobi_norm(monkeypatch)
+    assert run_config(cfg, tmp_path) == 0
+    assert len(norms) == 1
+
+
+@pytest.mark.parametrize("scenario", ["perturbed", "interpolation"])
 def test_perturbed_base_run_drift_is_gated(scenario, tmp_path):
     """perturbed and interpolation gate the drift of the same base run alike."""
     raw = small_config(scenario)

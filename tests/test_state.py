@@ -5,8 +5,9 @@ import pytest
 
 from todalab import (GHSState, LatticeState, PQState, background_state,
                      flaschka_forward, flaschka_inverse, hamiltonian_ab,
-                     jacobi_matrix, jacobi_norm, random_localized_state,
-                     relative_to_lattice, toda_rhs, trace_invariants)
+                     jacobi_matrix, jacobi_norm, jacobi_norm_within,
+                     random_localized_state, relative_to_lattice, toda_rhs,
+                     trace_invariants)
 
 
 def test_background_is_fixed_point():
@@ -139,6 +140,53 @@ def test_jacobi_norm_background():
     expected = 2.0 * 0.5 * math.cos(math.pi / 201.0)
     print(jacobi_norm(s), expected)
     assert abs(jacobi_norm(s) - expected) < 1e-12
+
+
+def _mixed_sign_state():
+    s = random_localized_state(41, seed=6)
+    s.a[::2] *= -1.0
+    return LatticeState(s.a, s.b, s.offset, s.background)
+
+
+NORM_WITHIN_STATES = {
+    **{f"random-{seed}": lambda seed=seed: random_localized_state(41, seed=seed)
+       for seed in (0, 1, 2, 3)},
+    "background": lambda: background_state(200),
+    "mixed-sign-a": _mixed_sign_state,
+    "negative-b-background": lambda: random_localized_state(41, seed=8,
+                                                            background=(0.5, -0.3)),
+    "three-sites": lambda: LatticeState(np.array([0.4, -0.6, 0.3]),
+                                        np.array([0.1, -0.2, 0.05]), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_WITHIN_STATES))
+def test_jacobi_norm_within_oracles(name):
+    """The Sturm-count verdict agrees with jacobi_norm and with the dense
+    spectrum at bounds a relative 1e-12 either side of the norm, far inside
+    and far outside it (beyond the Gershgorin bound, where no count runs)."""
+    s = NORM_WITHIN_STATES[name]()
+    nrm = jacobi_norm(s)
+    dense = float(np.max(np.abs(np.linalg.eigvalsh(jacobi_matrix(s)))))
+    bounds = nrm * np.array([1.0 - 1e-12, 1.0 + 1e-12, 0.0, 0.5, 1.5, 10.0])
+    rows = len(bounds)
+    got = jacobi_norm_within(np.tile(s.a, (rows, 1)), np.tile(s.b, (rows, 1)), bounds)
+    print(name, nrm, dense, got)
+    assert got.tolist() == [False, True, False, False, True, True]
+    assert np.array_equal(got, nrm <= bounds)
+    assert np.array_equal(got, dense <= bounds)
+
+
+def test_jacobi_norm_within_rows_are_independent():
+    """Each row is judged against its own bound: four distinct states, one
+    per row; a negative or NaN bound passes no row."""
+    states = [NORM_WITHIN_STATES[f"random-{seed}"]() for seed in (0, 1, 2, 3)]
+    norms = np.array([jacobi_norm(s) for s in states])
+    a, b = np.array([s.a for s in states]), np.array([s.b for s in states])
+    bounds = norms * np.array([1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-12])
+    assert jacobi_norm_within(a, b, bounds).tolist() == [True, False, True, False]
+    assert not jacobi_norm_within(a, b, np.full(4, -1.0)).any()
+    assert not jacobi_norm_within(a, b, np.full(4, np.nan)).any()
 
 
 def test_trace_invariants_first_moment():
