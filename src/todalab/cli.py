@@ -42,7 +42,7 @@ from .bounds import (LightConeReport, hierarchy_envelope, optimal_mu,
 from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
-from .integrators import IntegratorConfig, integrate, write_json
+from .integrators import IntegratorConfig, _drift, integrate, write_json
 from .observables import (basic_observables, check_bracket_bound,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
@@ -321,11 +321,19 @@ def _cone_scenario(cfg, out, x, drift_of, envelopes, flow, **specs):
 
 def _run_toda_lightcone(cfg: ExperimentConfig, out: Path):
     mu, x = cfg.resolved_mu(), _base_lattice(cfg)
-    lnorm = jacobi_norm(x)
-    env = toda_envelope(mu, lnorm, cfg.envelope_scale)
-    extra = {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()}
-    return _cone_scenario(cfg, out, x, lambda run: run.norm_drift(),
-                          lambda run: ([env], extra, True), "toda")
+    norms = []          # the base run's norm series
+
+    def drift_of(run):
+        norms.append(run.norm_series())
+        return _drift(norms[0])
+
+    def envelopes(run):
+        # sample 0 of the run is x, so this is jacobi_norm(x), bit for bit
+        lnorm = float(norms[0][0])
+        extra = {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()}
+        return [toda_envelope(mu, lnorm, cfg.envelope_scale)], extra, True
+
+    return _cone_scenario(cfg, out, x, drift_of, envelopes, "toda")
 
 
 def _run_hierarchy(cfg: ExperimentConfig, out: Path):
@@ -349,9 +357,10 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
         a_ref, b_ref = soliton_flaschka(spec, sites, t)
         err_a = max(err_a, float(np.max(np.abs(traj.a[i] - a_ref))))
         err_b = max(err_b, float(np.max(np.abs(traj.b[i] - b_ref))))
-    norm_drift = traj.norm_drift()
+    norms = traj.norm_series()
+    norm_drift = _drift(norms)
     trace_drift = traj.trace_drift(4)
-    norm_err = abs(jacobi_norm(traj.state(0)) - soliton_Lnorm(spec))
+    norm_err = abs(float(norms[0]) - soliton_Lnorm(spec))
     # trace of L^4 amplifies state error by roughly (1 + ||L||)^4
     drift_tol = _drift_tolerance(cfg)
     trace_tol = drift_tol * (1.0 + soliton_Lnorm(spec)) ** 4

@@ -84,24 +84,28 @@ def _band_powers(a: np.ndarray, b: np.ndarray, jmax: int,
 
         (L^{j+1})_{i, i+d} = a_i (L^j)_{i+1, i+d} + a_{i-1} (L^j)_{i-1, i+d} + b_i (L^j)_{i, i+d},
 
-    as three slice-adds over all diagonals; the derivative step is its
-    product rule.  Entries within jmax sites of either end are garbage, so
-    callers pad the window first.  The zero start and the order of the adds
-    fix the rounding, and with it the bytes of fixed-step artifacts.
+    as three slice-adds; the derivative step is its product rule.  L^j has
+    bandwidth j, so each step reads only the diagonals -j .. j and writes
+    one more on each side; the others stay exactly zero.  Entries within
+    jmax sites of either end are garbage, so callers pad the window first.
+    The zero start and the order of the adds fix the rounding, and with it
+    the bytes of fixed-step artifacts: for finite input the skipped terms
+    are products with zero, which cannot change a sum that starts at +0.0.
     """
     P = np.zeros((jmax + 1, 2 * jmax + 1, a.size))
     P[0, jmax] = 1.0
     dP = None if da is None else np.zeros_like(P)
     for j in range(jmax):
-        p, q = P[j], P[j + 1]
-        q[1:, :-1] += a[:-1] * p[:-1, 1:]
-        q[:-1, 1:] += a[:-1] * p[1:, :-1]
-        q += b * p
+        lo, hi = jmax - j, jmax + j + 1      # rows of the diagonals of L^j
+        p, q = P[j, lo:hi], P[j + 1]
+        q[lo + 1:hi + 1, :-1] += a[:-1] * p[:, 1:]
+        q[lo - 1:hi - 1, 1:] += a[:-1] * p[:, :-1]
+        q[lo:hi] += b * p
         if dP is not None:
-            dp, dq = dP[j], dP[j + 1]
-            dq[1:, :-1] += da[:-1] * p[:-1, 1:] + a[:-1] * dp[:-1, 1:]
-            dq[:-1, 1:] += da[:-1] * p[1:, :-1] + a[:-1] * dp[1:, :-1]
-            dq += db * p + b * dp
+            dp, dq = dP[j, lo:hi], dP[j + 1]
+            dq[lo + 1:hi + 1, :-1] += da[:-1] * p[:, 1:] + a[:-1] * dp[:, 1:]
+            dq[lo - 1:hi - 1, 1:] += da[:-1] * p[:, :-1] + a[:-1] * dp[:, :-1]
+            dq[lo:hi] += db * p + b * dp
     return P, dP
 
 

@@ -8,8 +8,9 @@ from scipy.integrate import quad
 from todalab import (HierarchySpec, IntegratorConfig, LatticeState,
                      background_state, hierarchy_hamiltonian, hierarchy_rhs,
                      integrate, random_localized_state)
-from todalab.hierarchy import (free_moment, g_tilde, h_tilde, hierarchy_fields,
-                               hierarchy_tangent_fields, kvm_rhs, path_counts)
+from todalab.hierarchy import (_band_powers, free_moment, g_tilde, h_tilde,
+                               hierarchy_fields, hierarchy_tangent_fields, kvm_rhs,
+                               path_counts)
 from todalab.state import jacobi_matrix, toda_rhs
 
 
@@ -75,6 +76,53 @@ def test_band_matrix_elements_vs_dense():
                         abs(h_tilde(x, j, site) - 2.0 * x.a[idx] * Lj[idx + 1, idx]))
     print(worst)
     assert worst < 1e-12
+
+
+def band_powers_all_diagonals(a, b, jmax, da=None, db=None):
+    """The step over all 2 jmax + 1 diagonals that _band_powers replaced:
+    its bitwise oracle."""
+    P = np.zeros((jmax + 1, 2 * jmax + 1, a.size))
+    P[0, jmax] = 1.0
+    dP = None if da is None else np.zeros_like(P)
+    for j in range(jmax):
+        p, q = P[j], P[j + 1]
+        q[1:, :-1] += a[:-1] * p[:-1, 1:]
+        q[:-1, 1:] += a[:-1] * p[1:, :-1]
+        q += b * p
+        if dP is not None:
+            dp, dq = dP[j], dP[j + 1]
+            dq[1:, :-1] += da[:-1] * p[:-1, 1:] + a[:-1] * dp[:-1, 1:]
+            dq[:-1, 1:] += da[:-1] * p[1:, :-1] + a[:-1] * dp[1:, :-1]
+            dq += db * p + b * dp
+    return P, dP
+
+
+def _band_inputs(kind):
+    rng = np.random.default_rng(11)
+    a, b = 0.5 + 0.2 * rng.normal(size=23), 0.3 * rng.normal(size=23)
+    if kind == "mixed-sign-a":
+        a[::3] *= -1.0
+    elif kind == "negative-zero-b":
+        b[::2] = -0.0
+    elif kind == "negative-background":
+        a, b = np.full(23, -0.5), np.full(23, -0.25)
+    return a, b, rng.normal(size=23), rng.normal(size=23)
+
+
+@pytest.mark.parametrize("kind", ["random", "mixed-sign-a", "negative-zero-b",
+                                  "negative-background"])
+@pytest.mark.parametrize("tangent", [False, True])
+def test_band_powers_match_all_diagonal_oracle_bitwise(kind, tangent):
+    a, b, da, db = _band_inputs(kind)
+    if not tangent:
+        da = db = None
+    for jmax in range(0, 7):
+        P, dP = _band_powers(a, b, jmax, da, db)
+        P_ref, dP_ref = band_powers_all_diagonals(a, b, jmax, da, db)
+        assert P.tobytes() == P_ref.tobytes()
+        assert (dP is None) == (dP_ref is None)
+        if tangent:
+            assert dP.tobytes() == dP_ref.tobytes()
 
 
 @pytest.mark.parametrize("r", range(0, 6))

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from todalab import (GHSState, IntegratorConfig, LatticeState, SolitonSpec,
                      integrate, random_localized_state, soliton_state,
                      trace_invariants)
 from todalab.ghs import PotentialSpec, ghs_rhs
+from todalab import integrators
 from todalab.integrators import sample_times, solve_vector, write_csv
 from todalab.state import toda_rhs
 
@@ -187,6 +191,84 @@ def test_write_csv_matches_per_cell_oracle(tmp_path):
                        grid.offset, grid.da, grid.db)
     assert (tmp_path / "grid.csv").read_bytes() == \
         (tmp_path / "grid-cells.csv").read_bytes()
+
+
+@pytest.fixture
+def writer_cleanup(tmp_path, monkeypatch):
+    """Temporary files go to a directory of their own; on teardown it must
+    be empty, no descriptor may be left open and no helper left behind."""
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    yield
+    assert not list(temp.iterdir())
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _short_file(kind):
+    """(times, x1, x2, split row) of a file whose split sits at an end."""
+    rng = np.random.default_rng(8)
+    if kind == "distinct-last-row":
+        x1, x2 = np.full((6, 40), 0.5), np.zeros((6, 40))
+        x1[-1], x2[-1] = rng.normal(size=40), rng.lognormal(-300.0, 300.0, 40)
+        return np.linspace(0.0, 0.5, 6), x1, x2, 5
+    rows = int(kind.split("-")[0])
+    x1, x2 = rng.normal(size=(rows, 40)), rng.normal(size=(rows, 40))
+    return np.linspace(0.0, 1.0, rows), x1, x2, {1: 0, 2: 1, 3: 1}[rows]
+
+
+@pytest.mark.parametrize("kind", ["1-row", "2-rows", "3-rows", "distinct-last-row"])
+def test_write_csv_split_at_either_end_matches_oracle(kind, tmp_path, monkeypatch,
+                                                      writer_cleanup):
+    """The helper writes rows k: only when 0 < k < T, and the bytes are
+    the one-process bytes wherever k falls."""
+    times, x1, x2, k = _short_file(kind)
+    assert integrators._split_row(x1, x2) == k
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert_same_csv(tmp_path, ("a", "b"), times, -20, x1, x2)
+    assert len(forks) == (0 < k < times.size)
+
+
+def test_write_csv_without_fork_writes_every_row_itself(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    times, x1, x2, _ = _short_file("3-rows")
+    assert_same_csv(tmp_path, ("a", "b"), times, -20, x1, x2)
+
+
+def _failing_rows(monkeypatch, in_helper: bool):
+    """Make the row writer raise in the helper only, or in the parent only."""
+    parent, write_rows = os.getpid(), integrators._write_rows
+
+    def rows(*args):
+        if (os.getpid() != parent) == in_helper:
+            raise RuntimeError("row writer failed on purpose")
+        return write_rows(*args)
+
+    monkeypatch.setattr(integrators, "_write_rows", rows)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
+def test_write_csv_reports_a_failed_helper(tmp_path, monkeypatch, capfd, writer_cleanup):
+    times, x1, x2, _ = _short_file("3-rows")
+    _failing_rows(monkeypatch, in_helper=True)
+    path = tmp_path / "rows.csv"
+    with pytest.raises(OSError, match="rows.csv"):
+        write_csv(path, ("a", "b"), times, 0, x1, x2)
+    assert "row writer failed on purpose" in capfd.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
+def test_write_csv_reaps_its_helper_when_the_parent_fails(tmp_path, monkeypatch,
+                                                          writer_cleanup):
+    times, x1, x2, _ = _short_file("3-rows")
+    _failing_rows(monkeypatch, in_helper=False)
+    with pytest.raises(RuntimeError, match="on purpose"):
+        write_csv(tmp_path / "rows.csv", ("a", "b"), times, 0, x1, x2)
 
 
 def _runs(n_samples=6, n_sites=9):

@@ -134,14 +134,23 @@ def count_jacobi_norm(monkeypatch) -> list:
     return norms
 
 
-def test_background_cone_takes_two_norms(tmp_path, monkeypatch):
-    """On the background the base run never moves: one norm for the bound
-    and one for the whole drift series."""
+def test_background_cone_takes_one_norm(tmp_path, monkeypatch):
+    """On the background the base run never moves: one norm for the whole
+    drift series, whose sample 0 also gives the bound."""
     cfg = config_from_dict({**default_config(), "scenario": "toda-lightcone"})
     assert cfg.resolved_base() == "background"
     norms = count_jacobi_norm(monkeypatch)
     assert run_config(cfg, tmp_path) == 0
-    assert len(norms) <= 2
+    assert len(norms) == 1
+
+
+def test_soliton_validate_takes_one_norm_per_distinct_sample(tmp_path, monkeypatch):
+    """The drift series solves each of the 51 samples once, and the
+    analytic comparison reads its sample 0."""
+    cfg = config_from_dict({**default_config(), "scenario": "soliton-validate"})
+    norms = count_jacobi_norm(monkeypatch)
+    assert run_config(cfg, tmp_path) == 0
+    assert len(norms) == round(cfg.t_final / cfg.sample_dt) + 1 == 51
 
 
 def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch):
