@@ -16,12 +16,15 @@ the same config.
 
 The light-cone scenarios (toda-lightcone, hierarchy, timedep, perturbed, ghs)
 are specs for one body, _cone_scenario: a base state, a flow with its specs,
-the drift of its conserved quantity and an envelope function.  The body
-integrates the base flow once; that run is trajectory.csv, its drift is gated
-at 100 x tolerance, and the envelope function builds the envelopes from it.  Each
-seed's tangent run is then checked against every envelope.  interpolation and
-soliton-validate gate their base run's drift the same way; every gated
-summary records its gate as drift_tolerance.
+the drift of its conserved quantity and an envelope function.  Each flow has
+one fused field that gives the base field and the tangent in one pass
+(sensitivity.make_flow), and the body makes one solve per seed of the base
+state with that seed's tangent.  The first seed's base rows are the base run:
+that run is trajectory.csv, its drift is gated at 100 x tolerance, and the
+envelope function builds the envelopes from it.  Each seed's tangent run is
+then checked against every envelope.  interpolation takes its base run the
+same way; it and soliton-validate gate their base run's drift like the cone
+body, and every gated summary records its gate as drift_tolerance.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ from .observables import (basic_observables, check_bracket_bound,
                           required_bracket_seeds)
 from .perturbed import (PerturbationSpec, interpolation_envelope,
                         monitor_trajectory, perturbed_energy)
-from .sensitivity import evolve_tangent, make_flow
+from .sensitivity import evolve_tangent
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
                        soliton_speed, soliton_state)
 from .state import (GHSState, LatticeState, background_state, jacobi_norm,
@@ -252,28 +255,34 @@ def _grid_csv_name(seed) -> str:
     return f"sensitivity_{tag}_{coord}.csv"
 
 
-def _base_run(cfg, out, x, flow, **specs):
-    """The run of the named flow from x, written as trajectory.csv."""
-    traj = integrate(x, make_flow(flow, **specs).rhs, cfg.t_final, cfg.integrator,
-                     sample_dt=cfg.sample_dt, guard=cfg.guard)
-    traj.to_csv(out / "trajectory.csv")
-    return traj
-
-
-def _seed_loop(cfg, out, x, checks, **flow):
-    """Per seed: one tangent run, its CSV, then each check of the grid; a
-    light-cone report is also written as JSON.  Returns one tuple of check
-    results per seed."""
-    rows = []
-    for seed in cfg.seeds:
+def _seed_runs(cfg, out, x, **flow):
+    """One tangent run per seed, as the base run and then (seed, grid) per
+    seed.  The base run is the first seed's grid.base, written as
+    trajectory.csv, so the flow is integrated once per seed and not once
+    more alone.  The caller drops each grid before asking for the next, and
+    may stop after the base run."""
+    for i, seed in enumerate(cfg.seeds):
         grid = evolve_tangent(x, seed, cfg.t_final, cfg.integrator,
                               sample_dt=cfg.sample_dt, guard=cfg.guard, **flow)
+        if i == 0:
+            grid.base.to_csv(out / "trajectory.csv")
+            yield grid.base
+        yield seed, grid
+        del grid        # freed before the next tangent run, to keep peak RSS down
+
+
+def _seed_loop(out, runs, checks):
+    """Per (seed, grid) of runs: the grid's CSV, then each check of the grid;
+    a light-cone report is also written as JSON.  Returns one tuple of check
+    results per seed."""
+    rows = []
+    for seed, grid in runs:
         grid.to_csv(out / _grid_csv_name(seed))
         rows.append(tuple(check(grid) for check in checks))
         for rep in rows[-1]:
             if isinstance(rep, LightConeReport):
                 rep.to_json(out / f"lightcone_{rep.family}_{seed[0]}_{seed[1]}.json")
-        del grid        # freed before the next tangent run, to keep peak RSS down
+        del grid
     return rows
 
 
@@ -287,13 +296,15 @@ def _cone_check(cfg, envelope):
 
 
 def _cone_scenario(cfg, out, x, drift_of, envelopes, flow, **specs):
-    """Shared body of the light-cone scenarios.  One base run of the flow
-    from x is written as trajectory.csv, gates its conserved-quantity drift
-    drift_of(run) at 100 x tolerance, and is handed to envelopes(run), which
-    returns (envelopes, summary entries, the scenario's own gate); no envelopes
-    means the run is excluded and the entries are the final summary.  Each
-    seed's tangent grid is then checked against every envelope."""
-    run = _base_run(cfg, out, x, flow, **specs)
+    """Shared body of the light-cone scenarios.  The base run of the flow
+    from x (the first seed's, see _seed_runs) is written as trajectory.csv,
+    gates its conserved-quantity drift drift_of(run) at 100 x tolerance, and
+    is handed to envelopes(run), which returns (envelopes, summary entries,
+    the scenario's own gate); no envelopes means the run is excluded and the
+    entries are the final summary.  Each seed's tangent grid is then checked
+    against every envelope."""
+    runs = _seed_runs(cfg, out, x, flow=flow, **specs)
+    run = next(runs)
     drift, drift_tol = drift_of(run), _drift_tolerance(cfg)
     envs, summary, gate = envelopes(run)
     summary.update(conserved_drift=drift, drift_tolerance=drift_tol)
@@ -301,8 +312,7 @@ def _cone_scenario(cfg, out, x, drift_of, envelopes, flow, **specs):
     del run             # not held across the seed loop, to keep peak RSS down
     if not envs:
         return summary, False, None
-    rows = _seed_loop(cfg, out, x, [_cone_check(cfg, env) for env in envs],
-                      flow=flow, **specs)
+    rows = _seed_loop(out, runs, [_cone_check(cfg, env) for env in envs])
     reports = [rep for row in rows for rep in row]
     first_violation = next((r.violations[0] for r in reports if r.violations), None)
     clean = base_clean and all(r.clean for r in reports)
@@ -350,7 +360,9 @@ def _run_hierarchy(cfg: ExperimentConfig, out: Path):
 
 def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
     spec = cfg.soliton
-    traj = _base_run(cfg, out, soliton_state(spec, cfg.window), "toda")
+    traj = integrate(soliton_state(spec, cfg.window), toda_rhs, cfg.t_final, cfg.integrator,
+                     sample_dt=cfg.sample_dt, guard=cfg.guard)
+    traj.to_csv(out / "trajectory.csv")
     sites = np.arange(traj.offset, traj.offset + traj.n_sites)
     err_a = err_b = 0.0
     for i, t in enumerate(traj.times):
@@ -431,20 +443,21 @@ def _run_perturbed(cfg: ExperimentConfig, out: Path):
 
 
 def _run_interpolation(cfg: ExperimentConfig, out: Path):
-    x = _base_lattice(cfg)
-    run = _base_run(cfg, out, x, "perturbed", perturbation=cfg.perturbation)
+    runs = _seed_runs(cfg, out, _base_lattice(cfg), flow="perturbed",
+                      perturbation=cfg.perturbation)
+    run = next(runs)
     mon, summary = _perturbed_monitors(cfg, run, "fit")
     drift = run.energy_drift(lambda s: perturbed_energy(s, cfg.perturbation))
     drift_tol = _drift_tolerance(cfg)
     summary.update(eps=cfg.eps, conserved_drift=drift, drift_tolerance=drift_tol)
+    del run
     if mon.unbounded:
         return summary, False, None
 
     def fit(grid):
         return interpolation_envelope(grid, mon, summary["mu"], cfg.eps)
 
-    rows = _seed_loop(cfg, out, x, (fit, lambda grid: grid.clean),
-                      flow="perturbed", perturbation=cfg.perturbation)
+    rows = _seed_loop(out, runs, (fit, lambda grid: grid.clean))
     fits, cleans = zip(*rows)
     clean = all(cleans)
     worst_r2 = float(np.min([f.r2_spatial for f in fits]))  # a NaN fit gives NaN

@@ -102,6 +102,12 @@ def ghs_tangent_rhs(s: GHSState, pot: PotentialSpec, dr: np.ndarray, dp: np.ndar
     return dp_up - dp, term - term_dn
 
 
+def ghs_fused(s: GHSState, pot: PotentialSpec, dr: np.ndarray, dp: np.ndarray):
+    """ghs_rhs and ghs_tangent_rhs along (dr, dp): (f_r, f_p, g_r, g_p).  The
+    two share no term: V' and V'' are separate functions of the potential."""
+    return (*ghs_rhs(s, pot), *ghs_tangent_rhs(s, pot, dr, dp))
+
+
 def ghs_energy(s: GHSState, pot: PotentialSpec) -> float:
     """H = sum_n (p_n^2 / 2 + V(r_n)) over the window."""
     return float(np.sum(0.5 * s.p * s.p + pot.V(s.r)))

@@ -145,27 +145,39 @@ def hierarchy_fields(s: LatticeState, spec: HierarchySpec,
     return g, h, dg, dh
 
 
+def _hierarchy_terms(s: LatticeState, spec: HierarchySpec,
+                     da: np.ndarray | None = None, db: np.ndarray | None = None):
+    """The order-r field and what its linearization shares with it:
+    (da, db, g_{n+1} - g_n), followed by (dg, dh) when a tangent is given."""
+    need = 2 * spec.r + 5
+    if s.n_sites < need:
+        raise ValueError(f"window of {s.n_sites} sites too small for order {spec.r}: need >= {need}")
+    g, h, *tangent = hierarchy_fields(s, spec, da, db)
+    g_step = g[2:] - g[1:-1]
+    return (s.a * g_step, h[1:-1] - h[:-2], g_step, *tangent)
+
+
 def hierarchy_rhs(s: LatticeState, spec: HierarchySpec):
     """Order-r vector field on the window; neighbors beyond the edge are
     background.  The window must comfortably contain the interaction range.
     """
-    need = 2 * spec.r + 5
-    if s.n_sites < need:
-        raise ValueError(f"window of {s.n_sites} sites too small for order {spec.r}: need >= {need}")
-    g, h = hierarchy_fields(s, spec)
-    da = s.a * (g[2:] - g[1:-1])
-    db = h[1:-1] - h[:-2]
-    return da, db
+    return _hierarchy_terms(s, spec)[:2]
+
+
+def hierarchy_fused(s: LatticeState, spec: HierarchySpec,
+                    da: np.ndarray, db: np.ndarray):
+    """hierarchy_rhs and its linearization along (da, db) from one banded
+    table, by exact forward-mode differentiation of the matrix elements:
+    (f_a, f_b, g_a, g_b)."""
+    f_a, f_b, g_step, dg, dh = _hierarchy_terms(s, spec, da, db)
+    return f_a, f_b, da * g_step + s.a * (dg[2:] - dg[1:-1]), dh[1:-1] - dh[:-2]
 
 
 def hierarchy_tangent_fields(s: LatticeState, spec: HierarchySpec,
                              da: np.ndarray, db: np.ndarray):
-    """Linearization of hierarchy_rhs along (da, db), by exact forward-mode
-    differentiation of the banded matrix elements."""
-    g, h, dg, dh = hierarchy_fields(s, spec, da, db)
-    dda = da * (g[2:] - g[1:-1]) + s.a * (dg[2:] - dg[1:-1])
-    ddb = dh[1:-1] - dh[:-2]
-    return dda, ddb
+    """Linearization of hierarchy_rhs along (da, db): the tangent half of
+    hierarchy_fused."""
+    return hierarchy_fused(s, spec, da, db)[2:]
 
 
 def _check_margin(s: LatticeState, what: str, n: int, lo: int, hi: int):

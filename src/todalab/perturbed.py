@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import C_epsilon, G_mu, compare, velocity_toda
-from .hierarchy import HierarchySpec, hierarchy_rhs, hierarchy_tangent_fields
-from .state import (LatticeState, hamiltonian_ab, jacobi_norm, toda_rhs,
-                    toda_tangent_rhs)
+from .hierarchy import HierarchySpec, hierarchy_fused, hierarchy_rhs
+from .state import LatticeState, hamiltonian_ab, jacobi_norm, toda_fused, toda_rhs
 
 _FAMILIES = ("cosine", "rational", "custom")
 
@@ -99,14 +98,18 @@ class PerturbationSpec:
         return self.family != "custom" and self.w0 == 0.0
 
 
-def forcing_field(s: LatticeState, pspec: PerturbationSpec) -> np.ndarray:
-    """R_n = (W'(u_n) - W'(u_{n-1})) / 2 with u = ln(4 a^2)."""
-    u = np.log(4.0 * s.a * s.a)
+def _forcing(s: LatticeState, pspec: PerturbationSpec, u: np.ndarray) -> np.ndarray:
+    """R_n of forcing_field, given u = ln(4 a^2)."""
     wp = pspec.dW(u)
     a_bg = s.background[0]
     wp_bg = float(pspec.dW(math.log(4.0 * a_bg * a_bg)))
     wp_dn = np.concatenate(([wp_bg], wp[:-1]))
     return 0.5 * (wp - wp_dn)
+
+
+def forcing_field(s: LatticeState, pspec: PerturbationSpec) -> np.ndarray:
+    """R_n = (W'(u_n) - W'(u_{n-1})) / 2 with u = ln(4 a^2)."""
+    return _forcing(s, pspec, np.log(4.0 * s.a * s.a))
 
 
 def perturbed_energy(s: LatticeState, pspec: PerturbationSpec) -> float:
@@ -116,16 +119,20 @@ def perturbed_energy(s: LatticeState, pspec: PerturbationSpec) -> float:
 
 
 def _add_forcing(fields, s: LatticeState, pspec: PerturbationSpec, da=None):
-    """Add the W-forcing on b to a flow's fields: R_n for the base flow, or
-    its linearization along da for a tangent.  w0 = 0 leaves the fields
-    bit for bit."""
-    f1, f2 = fields
+    """Add the W-forcing on b to a flow's fields (f1, f2), or to its fused
+    fields (f1, f2, g1, g2) with the tangent along da: R_n on f2 and its
+    linearization on g2, both from one u = ln(4 a^2).  w0 = 0 leaves the
+    fields bit for bit."""
     if pspec.vanishes:
-        return f1, f2
-    if da is None:
-        return f1, f2 + forcing_field(s, pspec)
-    term = pspec.d2W(np.log(4.0 * s.a * s.a)) * da / s.a
-    return f1, f2 + (term - np.concatenate(([0.0], term[:-1])))
+        return fields
+    u = np.log(4.0 * s.a * s.a)
+    f1, f2, *tangent = fields
+    forced = (f1, f2 + _forcing(s, pspec, u))
+    if not tangent:
+        return forced
+    g1, g2 = tangent
+    term = pspec.d2W(u) * da / s.a
+    return (*forced, g1, g2 + (term - np.concatenate(([0.0], term[:-1]))))
 
 
 def perturbed_rhs(s: LatticeState, pspec: PerturbationSpec):
@@ -133,10 +140,17 @@ def perturbed_rhs(s: LatticeState, pspec: PerturbationSpec):
     return _add_forcing(toda_rhs(s), s, pspec)
 
 
+def perturbed_fused(s: LatticeState, pspec: PerturbationSpec,
+                    da: np.ndarray, db: np.ndarray):
+    """perturbed_rhs and its linearization along (da, db) in one pass."""
+    return _add_forcing(toda_fused(s, da, db), s, pspec, da)
+
+
 def perturbed_tangent_rhs(s: LatticeState, pspec: PerturbationSpec,
                           da: np.ndarray, db: np.ndarray):
-    """Linearization of perturbed_rhs along the tangent (da, db)."""
-    return _add_forcing(toda_tangent_rhs(s, da, db), s, pspec, da)
+    """Linearization of perturbed_rhs along the tangent (da, db): the
+    tangent half of perturbed_fused."""
+    return perturbed_fused(s, pspec, da, db)[2:]
 
 
 def perturbed_hierarchy_rhs(s: LatticeState, spec: HierarchySpec,
@@ -145,10 +159,18 @@ def perturbed_hierarchy_rhs(s: LatticeState, spec: HierarchySpec,
     return _add_forcing(hierarchy_rhs(s, spec), s, pspec)
 
 
+def perturbed_hierarchy_fused(s: LatticeState, spec: HierarchySpec,
+                              pspec: PerturbationSpec,
+                              da: np.ndarray, db: np.ndarray):
+    """perturbed_hierarchy_rhs and its linearization along (da, db)."""
+    return _add_forcing(hierarchy_fused(s, spec, da, db), s, pspec, da)
+
+
 def perturbed_hierarchy_tangent_rhs(s: LatticeState, spec: HierarchySpec,
                                     pspec: PerturbationSpec,
                                     da: np.ndarray, db: np.ndarray):
-    return _add_forcing(hierarchy_tangent_fields(s, spec, da, db), s, pspec, da)
+    """The tangent half of perturbed_hierarchy_fused."""
+    return perturbed_hierarchy_fused(s, spec, pspec, da, db)[2:]
 
 
 @dataclass

@@ -16,23 +16,27 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ghs import ghs_rhs, ghs_tangent_rhs
-from .hierarchy import HierarchySpec, hierarchy_rhs, hierarchy_tangent_fields
+from .ghs import ghs_fused, ghs_rhs
+from .hierarchy import HierarchySpec, hierarchy_fused, hierarchy_rhs
 from .integrators import (EdgeMargin, IntegratorConfig, Trajectory, integrate,
                           sample_times, solve_vector, write_csv)
-from .perturbed import (PerturbationSpec, perturbed_hierarchy_rhs,
-                        perturbed_hierarchy_tangent_rhs, perturbed_rhs,
-                        perturbed_tangent_rhs)
-from .state import LatticeState, toda_rhs, toda_tangent_rhs
+from .perturbed import (PerturbationSpec, perturbed_fused, perturbed_hierarchy_fused,
+                        perturbed_hierarchy_rhs, perturbed_rhs)
+from .state import LatticeState, toda_fused, toda_rhs, toda_tangent_rhs
 
 
 @dataclass(frozen=True)
 class Flow:
-    """A vector field on window states and its linearization:
-    rhs(state) -> (f1, f2) and tangent(state, d1, d2) -> (g1, g2)."""
+    """A vector field on window states, rhs(state) -> (f1, f2), and its fused
+    field fields(state, d1, d2) -> (f1, f2, g1, g2): the same field and its
+    linearization along (d1, d2), in one pass."""
 
     rhs: object
-    tangent: object
+    fields: object
+
+    def tangent(self, state, d1, d2):
+        """The linearization (g1, g2): the tangent half of fields."""
+        return self.fields(state, d1, d2)[2:]
 
 
 def make_flow(name: str, hierarchy: HierarchySpec | None = None,
@@ -41,23 +45,23 @@ def make_flow(name: str, hierarchy: HierarchySpec | None = None,
     """The named flow with its specs bound.  The field functions are looked
     up when the flow is built, so a run sees any rebinding of them."""
     given = {"hierarchy": hierarchy, "perturbation": perturbation, "potential": potential}
-    fields = {
-        "toda": ((), toda_rhs, toda_tangent_rhs),
-        "hierarchy": (("hierarchy",), hierarchy_rhs, hierarchy_tangent_fields),
-        "perturbed": (("perturbation",), perturbed_rhs, perturbed_tangent_rhs),
+    table = {
+        "toda": ((), toda_rhs, toda_fused),
+        "hierarchy": (("hierarchy",), hierarchy_rhs, hierarchy_fused),
+        "perturbed": (("perturbation",), perturbed_rhs, perturbed_fused),
         "perturbed-hierarchy": (("hierarchy", "perturbation"), perturbed_hierarchy_rhs,
-                                perturbed_hierarchy_tangent_rhs),
-        "ghs": (("potential",), ghs_rhs, ghs_tangent_rhs),
+                                perturbed_hierarchy_fused),
+        "ghs": (("potential",), ghs_rhs, ghs_fused),
     }
-    if name not in fields:
-        raise ValueError(f"unknown flow {name!r}; pick one of {tuple(fields)}")
-    needs, rhs, tangent = fields[name]
+    if name not in table:
+        raise ValueError(f"unknown flow {name!r}; pick one of {tuple(table)}")
+    needs, rhs, fused = table[name]
     missing = [key for key in needs if given[key] is None]
     if missing:
         raise ValueError(f"{name} flow needs {' and '.join(missing)}")
     specs = [given[key] for key in needs]
     return Flow(lambda st: rhs(st, *specs),
-                lambda st, d1, d2: tangent(st, *specs, d1, d2))
+                lambda st, d1, d2: fused(st, *specs, d1, d2))
 
 
 def _seed_vectors(x, seed):
@@ -177,11 +181,7 @@ def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
                    sample_dt: float | None = None, n_samples: int | None = None,
                    guard: int = 10) -> SensitivityGrid:
     """Integrate base + tangent from a unit seed at (site, coordinate)."""
-    f = make_flow(flow, hierarchy, perturbation, potential)
-
-    def fields(s, d1, d2):
-        return (*f.rhs(s), *f.tangent(s, d1, d2))
-
+    fields = make_flow(flow, hierarchy, perturbation, potential).fields
     base, (da, db) = _solve_blocks(x, fields, _seed_vectors(x, seed),
                                    sample_times(t_final, sample_dt, n_samples),
                                    cfg or IntegratorConfig(), guard)
@@ -299,7 +299,7 @@ def evolve_second_tangent(x: LatticeState, z_seed, k, t_final: float,
     blocks = (*_seed_vectors(x, z_seed), *_seed_vectors(x, second), zeros, zeros)
 
     def fields(s, u1a, u1b, u2a, u2b, wa, wb):
-        return (*toda_rhs(s), *toda_tangent_rhs(s, u1a, u1b), *toda_tangent_rhs(s, u2a, u2b),
+        return (*toda_fused(s, u1a, u1b), *toda_tangent_rhs(s, u2a, u2b),
                 *_toda_second_fields(s, u1a, u1b, u2a, u2b, wa, wb))
 
     base, (u1a, u1b, u2a, u2b, wa, wb) = _solve_blocks(

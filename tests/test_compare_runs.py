@@ -46,3 +46,14 @@ def test_is_strict_json_rejects_nan_and_infinity(tmp_path):
                          ('{"x": Infinity}', False), ('[-Infinity]', False)):
         path.write_text(text)
         assert compare_runs.is_strict_json(path) is strict, text
+
+
+def test_tally_counts_differences_per_integrator():
+    labels = ["perturbed rk-adaptive seeds=1", "ghs rk-adaptive seeds=3",
+              "ghs rk-adaptive seeds=3"]
+    configs = len(compare_runs.SCENARIOS) * len(compare_runs.SEEDS)
+    assert compare_runs.tally(labels) == [f"rk-adaptive: {configs} configs, 3 differences",
+                                          f"rk4-fixed: {configs} configs, 0 differences"]
+    assert compare_runs.tally([]) == [f"rk-adaptive: {configs} configs, 0 differences",
+                                      f"rk4-fixed: {configs} configs, 0 differences"]
+    assert configs == 16

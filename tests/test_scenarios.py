@@ -11,14 +11,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from todalab import cli as cli_module
-from todalab.cli import _base_lattice, config_from_dict, default_config, run_config
+from todalab.cli import config_from_dict, default_config, run_config
+from todalab import integrators as integrators_module
 from todalab.integrators import Trajectory, integrate
 from todalab.perturbed import interpolation_envelope
+from todalab.sensitivity import make_flow
 from todalab import state as state_module
-from todalab.state import toda_rhs
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "scenario_summaries.json"
 SCENARIOS = ("toda-lightcone", "soliton-validate", "hierarchy", "perturbed",
@@ -87,11 +89,50 @@ def test_scenario_matches_frozen_summary(scenario, frozen, tmp_path):
     assert bad is None, bad
 
 
-def test_cone_scenario_integrates_its_base_flow_once(tmp_path, monkeypatch):
-    """The drift is measured once, on the one base run, and that run is the
-    trajectory.csv: the same bytes as a standalone run of the flow."""
-    raw = small_config("toda-lightcone")
-    raw.update(base="random", seeds=[[0, "b"], [3, "a"], [-2, "b"]])
+CONE_FLOWS = {"toda-lightcone": "toda", "hierarchy": "hierarchy", "perturbed": "perturbed",
+              "timedep": "perturbed", "ghs": "ghs"}
+CONE_SCENARIOS = tuple(CONE_FLOWS)
+THREE_SEEDS = [[0, "b"], [3, "a"], [-2, "b"]]
+
+
+def spy_solves(monkeypatch):
+    """The argument lists of the CLI's evolve_tangent calls, and the list
+    that gets one entry per solve_vector call in any todalab module."""
+    tangents, solves = [], []
+    evolve, solve = cli_module.evolve_tangent, integrators_module.solve_vector
+
+    def spied(*args, **kwargs):
+        tangents.append((args, kwargs))
+        return evolve(*args, **kwargs)
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cli_module, "evolve_tangent", spied)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("todalab") and getattr(module, "solve_vector", None) is solve:
+            monkeypatch.setattr(module, "solve_vector", counted)
+    return tangents, solves
+
+
+def standalone_base_run(tangent_call, integrator):
+    """The base flow of an evolve_tangent call integrated alone from the
+    same state, over the same samples."""
+    (x, _seed, t_final, _cfg), kwargs = tangent_call
+    specs = dict(kwargs)
+    name, sample_dt, guard = specs.pop("flow"), specs.pop("sample_dt"), specs.pop("guard")
+    return integrate(x, make_flow(name, **specs).rhs, t_final, integrator,
+                     sample_dt=sample_dt, guard=guard)
+
+
+@pytest.mark.parametrize("scenario", CONE_SCENARIOS)
+def test_cone_scenario_integrates_its_base_flow_once(scenario, tmp_path, monkeypatch):
+    """The drift is measured once, on the one base run, and that run (the
+    first seed's base rows) is the trajectory.csv: under rk4-fixed the same
+    bytes as a standalone run of the flow."""
+    raw = small_config(scenario)
+    raw.update(base="random", seeds=THREE_SEEDS)
     cfg = config_from_dict(raw)
     drifts = []
     series = Trajectory.energy_series
@@ -101,13 +142,68 @@ def test_cone_scenario_integrates_its_base_flow_once(tmp_path, monkeypatch):
         return series(self, *args)
 
     monkeypatch.setattr(Trajectory, "energy_series", counted)
+    tangents, _ = spy_solves(monkeypatch)
     assert run_config(cfg, tmp_path / "run") == 0
     assert len(drifts) == 1
+    assert tangents[0][1]["flow"] == CONE_FLOWS[scenario]
     monkeypatch.undo()
-    integrate(_base_lattice(cfg), toda_rhs, cfg.t_final, cfg.integrator,
-              sample_dt=cfg.sample_dt, guard=cfg.guard).to_csv(tmp_path / "alone.csv")
+    standalone_base_run(tangents[0], cfg.integrator).to_csv(tmp_path / "alone.csv")
     assert (tmp_path / "run" / "trajectory.csv").read_bytes() == \
         (tmp_path / "alone.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", CONE_SCENARIOS + ("interpolation",))
+def test_one_solve_per_seed(scenario, tmp_path, monkeypatch):
+    """K seeds cost K solves, one evolve_tangent each: the base run comes
+    from the first seed's solve, not from a solve of its own."""
+    raw = small_config(scenario)
+    raw["seeds"] = THREE_SEEDS
+    cfg = config_from_dict(raw)
+    tangents, solves = spy_solves(monkeypatch)
+    assert run_config(cfg, tmp_path) == 0
+    assert [args[1] for args, _ in tangents] == list(cfg.seeds)
+    assert len(solves) == 3
+
+
+ADAPTIVE_BOUND = 100.0     # x tolerance: the scale of the drift gate
+
+
+@pytest.mark.parametrize("scenario", CONE_SCENARIOS + ("interpolation",))
+def test_adaptive_base_run_matches_a_tighter_standalone_run(scenario, tmp_path, monkeypatch):
+    """Under rk-adaptive the base rows follow the step control of the first
+    seed's joint solve, so trajectory.csv moves within the tolerance.  It
+    must match the base flow integrated alone at a 100 x tighter tolerance
+    to within ADAPTIVE_BOUND x tolerance in every entry."""
+    raw = default_config()
+    raw.update(scenario=scenario, base="random", seeds=[[0, "b"], [3, "a"]])
+    cfg = config_from_dict(raw)
+    assert cfg.integrator.method == "rk-adaptive"
+    tangents, _ = spy_solves(monkeypatch)
+    assert run_config(cfg, tmp_path) == 0
+    monkeypatch.undo()
+    run = Trajectory.from_csv(tmp_path / "trajectory.csv")
+    tight = replace(cfg.integrator, tolerance=cfg.integrator.tolerance / 100.0)
+    ref = standalone_base_run(tangents[0], tight)
+    assert run.times.tobytes() == ref.times.tobytes()
+    err = max(np.abs(run.x1 - ref.x1).max(), np.abs(run.x2 - ref.x2).max())
+    assert err <= ADAPTIVE_BOUND * cfg.integrator.tolerance
+
+
+@pytest.mark.parametrize("scenario", ["perturbed", "interpolation"])
+def test_excluded_run_writes_only_summary_and_trajectory(scenario, tmp_path, monkeypatch):
+    """An unbounded-looking base run fails the scenario before any grid is
+    written or checked: the artifacts are summary.json and trajectory.csv."""
+    monitor = cli_module.monitor_trajectory
+    monkeypatch.setattr(cli_module, "monitor_trajectory",
+                        lambda run: replace(monitor(run), unbounded=True))
+    _, solves = spy_solves(monkeypatch)
+    code, files, summary = run_scenario(scenario, tmp_path)
+    assert code == 1
+    assert files == ["summary.json", "trajectory.csv"]
+    assert summary["unbounded"] is True
+    assert "unbounded-looking run" in summary["excluded"]
+    assert summary["violations"] == 0
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("tolerance,gate,code", [(1e-12, 1e-10, 0), (1e-15, 1e-13, 1)])

@@ -6,7 +6,7 @@ from todalab import (GHSState, HierarchySpec, IntegratorConfig, LatticeState,
                      background_state, evolve_second_tangent, evolve_tangent,
                      finite_difference_oracle, random_localized_state,
                      second_finite_difference, soliton_state)
-from todalab.sensitivity import SensitivityGrid, _seed_vectors
+from todalab.sensitivity import SensitivityGrid, _seed_vectors, make_flow
 
 FIXED = IntegratorConfig(method="rk4-fixed", step=0.02)
 
@@ -186,3 +186,77 @@ def test_ghs_chain_rule_correspondence():
                 np.max(np.abs(db_t - (-0.5) * g_lat.db)))
     print(worst)
     assert worst < 1e-6
+
+
+# -- fused fields -----------------------------------------------------------
+
+def _mixed_sign_state(n):
+    x = random_localized_state(n, seed=7)
+    a = x.a.copy()
+    a[::3] *= -1.0
+    return LatticeState(a, x.b, x.offset, x.background)
+
+
+def _custom_perturbation():
+    return PerturbationSpec(family="custom", w=lambda u: 0.05 * np.sin(u) ** 2,
+                            dw=lambda u: 0.05 * np.sin(2.0 * u),
+                            d2w=lambda u: 0.1 * np.cos(2.0 * u), w1_norm=0.05, w2_norm=0.1)
+
+
+LATTICE_FLOWS = {
+    "toda": ("toda", {}),
+    **{f"hierarchy-r{r}": ("hierarchy", {"hierarchy": HierarchySpec(r, c)})
+       for r, c in ((1, (1.0, 0.5)), (2, (1.0, 0.0, -0.3)), (3, (1.0, 0.2, 0.0, 0.1)))},
+    "perturbed-cosine": ("perturbed", {"perturbation": PerturbationSpec("cosine", 0.2)}),
+    "perturbed-rational": ("perturbed", {"perturbation": PerturbationSpec("rational", 0.3)}),
+    "perturbed-custom": ("perturbed", {"perturbation": _custom_perturbation()}),
+    "perturbed-w0-zero": ("perturbed", {"perturbation": PerturbationSpec("cosine", 0.0)}),
+    "perturbed-hierarchy": ("perturbed-hierarchy",
+                            {"hierarchy": HierarchySpec(2, (1.0, 0.4, 0.0)),
+                             "perturbation": PerturbationSpec("rational", 0.2)}),
+}
+LATTICE_STATES = {"random": lambda n: random_localized_state(n, seed=3),
+                  "mixed-sign-a": _mixed_sign_state,
+                  "background": background_state}
+
+
+def _ghs_state(kind, n):
+    rng = np.random.default_rng(11)
+    if kind == "background":
+        return GHSState(np.zeros(n), np.zeros(n), -(n // 2))
+    r = rng.uniform(-0.4, 0.4, n)
+    if kind == "large-strain":          # strong compressions and stretches
+        r[::3] = -1.5
+        r[1::3] = 1.5
+    return GHSState(r, rng.uniform(-0.5, 0.5, n), -(n // 2))
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("state", LATTICE_STATES)
+@pytest.mark.parametrize("flow", LATTICE_FLOWS)
+def test_fused_fields_equal_rhs_and_tangent_bitwise(flow, state):
+    """One pass gives the values of the two separate calls, bit for bit, so
+    fixed-step runs through the fused field keep their bytes."""
+    name, specs = LATTICE_FLOWS[flow]
+    f = make_flow(name, **specs)
+    s = LATTICE_STATES[state](41)
+    rng = np.random.default_rng(5)
+    d1, d2 = rng.normal(size=41), rng.normal(size=41)
+    _assert_bitwise(f.fields(s, d1, d2), (*f.rhs(s), *f.tangent(s, d1, d2)))
+
+
+@pytest.mark.parametrize("state", ["random", "large-strain", "background"])
+@pytest.mark.parametrize("pot", [PotentialSpec("toda"), PotentialSpec("quartic", beta=0.3)],
+                         ids=["toda", "quartic"])
+def test_ghs_fused_fields_equal_rhs_and_tangent_bitwise(pot, state):
+    f = make_flow("ghs", potential=pot)
+    s = _ghs_state(state, 41)
+    rng = np.random.default_rng(6)
+    d1, d2 = rng.normal(size=41), rng.normal(size=41)
+    _assert_bitwise(f.fields(s, d1, d2), (*f.rhs(s), *f.tangent(s, d1, d2)))
