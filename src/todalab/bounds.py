@@ -116,21 +116,6 @@ def velocity_hierarchy(mu: float, Lnorm: float, spec: HierarchySpec,
     raise ValueError(f"unknown mode {mode!r}; pick one of {_HIERARCHY_MODES}")
 
 
-def velocity_perturbed_hierarchy(mu: float, spec: HierarchySpec, C1: float,
-                                 C2: float, w2_norm: float) -> float:
-    """v_r^w = ||D_r^w||_inf f(mu), where D_r^w replaces ||L||^j by C1^{j+1}
-    and adds the forcing block C2 ||W''|| [[0,0],[2,0]]."""
-    m = np.zeros((2, 2))
-    for j in range(spec.r + 1):
-        w = abs(spec.c[spec.r - j]) * C1 ** (j + 1)
-        if w == 0.0:
-            continue
-        eta, xi = path_counts(j)
-        m += w * (j + 2) * np.array([[2.0 * eta, 2.0 * eta], [4.0 * xi, 4.0 * xi]])
-    m += C2 * w2_norm * np.array([[0.0, 0.0], [2.0, 0.0]])
-    return float(np.abs(m).sum(axis=1).max()) * mu_profile(mu)
-
-
 def velocity_timedep(t, mu: float, Lnorm0: float, w1_norm: float,
                      w2_norm: float):
     """Cone *radius* (not speed) at time t for merely bounded data:

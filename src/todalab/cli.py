@@ -6,7 +6,9 @@
 
 Exit codes: 0 all checks passed, 1 a verification failed (first violating
 (n, t) is printed), 2 configuration error (message names the field; seed
-sites, and for observables the bracket sites, must lie in the window).
+sites, and for observables the bracket sites, must lie in the window; guard
+is at least 1; t_final is a whole number of sample_dt; an order-r hierarchy
+run needs a window of at least 2r + 5 sites).
 
 Every run writes summary.json (schema 1) plus scenario artifacts: trajectory
 and sensitivity CSVs and light-cone report JSONs.  Every JSON artifact goes
@@ -16,15 +18,16 @@ the same config.
 
 The light-cone scenarios (toda-lightcone, hierarchy, timedep, perturbed, ghs)
 are specs for one body, _cone_scenario: a base state, a flow with its specs,
-the drift of its conserved quantity and an envelope function.  Each flow has
-one fused field that gives the base field and the tangent in one pass
-(sensitivity.make_flow), and the body makes one solve per seed of the base
-state with that seed's tangent.  The first seed's base rows are the base run:
-that run is trajectory.csv, its drift is gated at 100 x tolerance, and the
-envelope function builds the envelopes from it.  Each seed's tangent run is
-then checked against every envelope.  interpolation takes its base run the
-same way; it and soliton-validate gate their base run's drift like the cone
-body, and every gated summary records its gate as drift_tolerance.
+the drift of its conserved quantity and an envelope function.  Each flow is
+one field function; given a tangent it also returns the linearization along
+it, from the same pass.  sensitivity.make_flow binds the flow's specs to it,
+and the body makes one solve per seed of the base state with that seed's
+tangent.  The first seed's base rows are the base run: that run is
+trajectory.csv, its drift is gated at 100 x tolerance, and the envelope
+function builds the envelopes from it.  Each seed's tangent run is then
+checked against every envelope.  interpolation takes its base run the same
+way; it and soliton-validate gate their base run's drift like the cone body,
+and every gated summary records its gate as drift_tolerance.
 """
 from __future__ import annotations
 
@@ -112,12 +115,23 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: unknown value {self.scenario!r}; "
                               f"pick one of {tuple(SCENARIOS)}")
+        if not self.guard >= 1:
+            raise ConfigError(f"guard: must be >= 1, got {self.guard}")
         if self.window < 2 * self.guard + 10:
             raise ConfigError(f"window: must be >= 2*guard + 10 = {2 * self.guard + 10}, got {self.window}")
+        spec = self.hierarchy
+        if self.scenario == "hierarchy" and spec is not None and self.window < spec.min_window:
+            raise ConfigError(f"hierarchy.r: order {spec.r} needs window >= 2r + 5 = "
+                              f"{spec.min_window}, got {self.window}")
         if not self.t_final > 0:
             raise ConfigError("t_final: must be positive")
         if not 0 < self.sample_dt <= self.t_final:
             raise ConfigError("sample_dt: must lie in (0, t_final]")
+        # the last sample is taken at t_final, where the verdicts read the run
+        steps = round(self.t_final / self.sample_dt)
+        if abs(steps * self.sample_dt - self.t_final) > 1e-9 * self.t_final:
+            raise ConfigError(f"t_final: must be a whole number of sample_dt = {self.sample_dt:g}, "
+                              f"got {self.t_final:g}")
         if self.base not in BASES:
             raise ConfigError(f"base: unknown value {self.base!r}; pick one of {BASES}")
         if not self.seeds:

@@ -82,30 +82,26 @@ class PotentialSpec:
         return self.d2v(x)
 
 
-def ghs_rhs(s: GHSState, pot: PotentialSpec):
+def ghs_rhs(s: GHSState, pot: PotentialSpec,
+            dr: np.ndarray | None = None, dp: np.ndarray | None = None):
     """dr_n = p_{n+1} - p_n, dp_n = V'(r_n) - V'(r_{n-1}); neighbors beyond
-    the window sit at the background."""
+    the window sit at the background.  With a tangent (dr, dp), returns
+    (f_r, f_p, g_r, g_p), g being the linearized chain
+
+        d(dr)_n = dp_{n+1} - dp_n,   d(dp)_n = V''(r_n) dr_n - V''(r_{n-1}) dr_{n-1}.
+    """
     r, p = s.r, s.p
     r_bg, p_bg = s.background
     p_up = np.concatenate((p[1:], [p_bg]))
     vp = np.asarray(pot.dV(r), dtype=float)
     vp_dn = np.concatenate(([float(pot.dV(r_bg))], vp[:-1]))
-    return p_up - p, vp - vp_dn
-
-
-def ghs_tangent_rhs(s: GHSState, pot: PotentialSpec, dr: np.ndarray, dp: np.ndarray):
-    """Linearized chain: d(dr)_n = dp_{n+1} - dp_n,
-    d(dp)_n = V''(r_n) dr_n - V''(r_{n-1}) dr_{n-1}."""
+    fields = p_up - p, vp - vp_dn
+    if dr is None:
+        return fields
     dp_up = np.concatenate((dp[1:], [0.0]))
-    term = np.asarray(pot.d2V(s.r), dtype=float) * dr
+    term = np.asarray(pot.d2V(r), dtype=float) * dr
     term_dn = np.concatenate(([0.0], term[:-1]))
-    return dp_up - dp, term - term_dn
-
-
-def ghs_fused(s: GHSState, pot: PotentialSpec, dr: np.ndarray, dp: np.ndarray):
-    """ghs_rhs and ghs_tangent_rhs along (dr, dp): (f_r, f_p, g_r, g_p).  The
-    two share no term: V' and V'' are separate functions of the potential."""
-    return (*ghs_rhs(s, pot), *ghs_tangent_rhs(s, pot, dr, dp))
+    return (*fields, dp_up - dp, term - term_dn)
 
 
 def ghs_energy(s: GHSState, pot: PotentialSpec) -> float:

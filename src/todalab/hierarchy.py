@@ -42,6 +42,11 @@ class HierarchySpec:
             raise ValueError("leading weight c_0 must be 1")
 
     @property
+    def min_window(self) -> int:
+        """Fewest window sites the order-r field accepts: 2r + 5."""
+        return 2 * self.r + 5
+
+    @property
     def ceiling_divisor(self) -> int:
         # propagation distance is measured in blocks of floor(r/2) + 1 sites
         return self.r // 2 + 1
@@ -145,39 +150,24 @@ def hierarchy_fields(s: LatticeState, spec: HierarchySpec,
     return g, h, dg, dh
 
 
-def _hierarchy_terms(s: LatticeState, spec: HierarchySpec,
-                     da: np.ndarray | None = None, db: np.ndarray | None = None):
-    """The order-r field and what its linearization shares with it:
-    (da, db, g_{n+1} - g_n), followed by (dg, dh) when a tangent is given."""
-    need = 2 * spec.r + 5
-    if s.n_sites < need:
-        raise ValueError(f"window of {s.n_sites} sites too small for order {spec.r}: need >= {need}")
+def hierarchy_rhs(s: LatticeState, spec: HierarchySpec,
+                  da: np.ndarray | None = None, db: np.ndarray | None = None):
+    """Order-r vector field on the window; neighbors beyond the edge are
+    background.  The window must hold at least 2r + 5 sites.  With a tangent
+    (da, db), returns (f_a, f_b, g_a, g_b): the field and its linearization
+    along the tangent from one banded table, by exact forward-mode
+    differentiation of the matrix elements.
+    """
+    if s.n_sites < spec.min_window:
+        raise ValueError(f"window of {s.n_sites} sites too small for order {spec.r}: "
+                         f"need >= {spec.min_window}")
     g, h, *tangent = hierarchy_fields(s, spec, da, db)
     g_step = g[2:] - g[1:-1]
-    return (s.a * g_step, h[1:-1] - h[:-2], g_step, *tangent)
-
-
-def hierarchy_rhs(s: LatticeState, spec: HierarchySpec):
-    """Order-r vector field on the window; neighbors beyond the edge are
-    background.  The window must comfortably contain the interaction range.
-    """
-    return _hierarchy_terms(s, spec)[:2]
-
-
-def hierarchy_fused(s: LatticeState, spec: HierarchySpec,
-                    da: np.ndarray, db: np.ndarray):
-    """hierarchy_rhs and its linearization along (da, db) from one banded
-    table, by exact forward-mode differentiation of the matrix elements:
-    (f_a, f_b, g_a, g_b)."""
-    f_a, f_b, g_step, dg, dh = _hierarchy_terms(s, spec, da, db)
-    return f_a, f_b, da * g_step + s.a * (dg[2:] - dg[1:-1]), dh[1:-1] - dh[:-2]
-
-
-def hierarchy_tangent_fields(s: LatticeState, spec: HierarchySpec,
-                             da: np.ndarray, db: np.ndarray):
-    """Linearization of hierarchy_rhs along (da, db): the tangent half of
-    hierarchy_fused."""
-    return hierarchy_fused(s, spec, da, db)[2:]
+    fields = s.a * g_step, h[1:-1] - h[:-2]
+    if not tangent:
+        return fields
+    dg, dh = tangent
+    return (*fields, da * g_step + s.a * (dg[2:] - dg[1:-1]), dh[1:-1] - dh[:-2])
 
 
 def _check_margin(s: LatticeState, what: str, n: int, lo: int, hi: int):

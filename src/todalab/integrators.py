@@ -328,6 +328,27 @@ class Trajectory(EdgeMargin):
                    state_type=state_type)
 
 
+def _solve_blocks(x, rhs, blocks, times, cfg, guard):
+    """Integrate the window state x together with the (N,) blocks, where
+    rhs(state, *blocks) gives the derivatives of the state's two arrays
+    and of every block.  Returns the base run, a Trajectory of x's type, and
+    the (T, N) series of each block."""
+    n = x.n_sites
+    state = type(x)
+    k = 2 + len(blocks)
+
+    def fun(_t, y):
+        rows = y.reshape(k, n)
+        return np.concatenate(rhs(state(rows[0], rows[1], x.offset, x.background),
+                                  *rows[2:]))
+
+    ys = solve_vector(fun, np.concatenate(x.arrays + tuple(blocks)), times, cfg)
+    out = [ys[:, i * n:(i + 1) * n].copy() for i in range(k)]
+    base = Trajectory(times, out[0], out[1], x.offset, x.background, guard,
+                      state_type=state)
+    return base, out[2:]
+
+
 def integrate(s: LatticeState | GHSState, rhs, t_final: float,
               cfg: IntegratorConfig | None = None, *,
               sample_dt: float | None = None, n_samples: int | None = None,
@@ -338,14 +359,5 @@ def integrate(s: LatticeState | GHSState, rhs, t_final: float,
     type, and its arrays read by the state's coords (traj.r and traj.p for
     a GHSState).
     """
-    cfg = cfg or IntegratorConfig()
-    times = sample_times(t_final, sample_dt, n_samples)
-    n = s.n_sites
-    state = type(s)
-
-    def fun(_t, y):
-        return np.concatenate(rhs(state(y[:n], y[n:], s.offset, s.background)))
-
-    ys = solve_vector(fun, np.concatenate(s.arrays), times, cfg)
-    return Trajectory(times, ys[:, :n].copy(), ys[:, n:].copy(),
-                      s.offset, s.background, guard, state_type=state)
+    return _solve_blocks(s, rhs, (), sample_times(t_final, sample_dt, n_samples),
+                         cfg or IntegratorConfig(), guard)[0]

@@ -1,4 +1,4 @@
-"""Bounded perturbations of the Toda and hierarchy flows.
+"""Bounded perturbations of the Toda flow.
 
 A perturbing potential W >= 0 with bounded first and second derivatives acts
 through the variable u_n = ln(4 a_n^2), adding
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import C_epsilon, G_mu, compare, velocity_toda
-from .hierarchy import HierarchySpec, hierarchy_fused, hierarchy_rhs
-from .state import LatticeState, hamiltonian_ab, jacobi_norm, toda_fused, toda_rhs
+from .state import LatticeState, hamiltonian_ab, jacobi_norm, toda_rhs
 
 _FAMILIES = ("cosine", "rational", "custom")
 
@@ -118,11 +117,13 @@ def perturbed_energy(s: LatticeState, pspec: PerturbationSpec) -> float:
     return hamiltonian_ab(s) + float(np.sum(pspec.W(u)))
 
 
-def _add_forcing(fields, s: LatticeState, pspec: PerturbationSpec, da=None):
-    """Add the W-forcing on b to a flow's fields (f1, f2), or to its fused
-    fields (f1, f2, g1, g2) with the tangent along da: R_n on f2 and its
-    linearization on g2, both from one u = ln(4 a^2).  w0 = 0 leaves the
-    fields bit for bit."""
+def perturbed_rhs(s: LatticeState, pspec: PerturbationSpec,
+                  da: np.ndarray | None = None, db: np.ndarray | None = None):
+    """Toda field plus the W-forcing R_n on b.  With a tangent (da, db),
+    returns (f_a, f_b, g_a, g_b), the linearization of R_n added to g_b;
+    R_n and its linearization share one u = ln(4 a^2).  w0 = 0 leaves the
+    Toda fields bit for bit."""
+    fields = toda_rhs(s, da, db)
     if pspec.vanishes:
         return fields
     u = np.log(4.0 * s.a * s.a)
@@ -133,44 +134,6 @@ def _add_forcing(fields, s: LatticeState, pspec: PerturbationSpec, da=None):
     g1, g2 = tangent
     term = pspec.d2W(u) * da / s.a
     return (*forced, g1, g2 + (term - np.concatenate(([0.0], term[:-1]))))
-
-
-def perturbed_rhs(s: LatticeState, pspec: PerturbationSpec):
-    """Toda field plus the W-forcing on b."""
-    return _add_forcing(toda_rhs(s), s, pspec)
-
-
-def perturbed_fused(s: LatticeState, pspec: PerturbationSpec,
-                    da: np.ndarray, db: np.ndarray):
-    """perturbed_rhs and its linearization along (da, db) in one pass."""
-    return _add_forcing(toda_fused(s, da, db), s, pspec, da)
-
-
-def perturbed_tangent_rhs(s: LatticeState, pspec: PerturbationSpec,
-                          da: np.ndarray, db: np.ndarray):
-    """Linearization of perturbed_rhs along the tangent (da, db): the
-    tangent half of perturbed_fused."""
-    return perturbed_fused(s, pspec, da, db)[2:]
-
-
-def perturbed_hierarchy_rhs(s: LatticeState, spec: HierarchySpec,
-                            pspec: PerturbationSpec):
-    """Order-r flow with the same W-forcing on b."""
-    return _add_forcing(hierarchy_rhs(s, spec), s, pspec)
-
-
-def perturbed_hierarchy_fused(s: LatticeState, spec: HierarchySpec,
-                              pspec: PerturbationSpec,
-                              da: np.ndarray, db: np.ndarray):
-    """perturbed_hierarchy_rhs and its linearization along (da, db)."""
-    return _add_forcing(hierarchy_fused(s, spec, da, db), s, pspec, da)
-
-
-def perturbed_hierarchy_tangent_rhs(s: LatticeState, spec: HierarchySpec,
-                                    pspec: PerturbationSpec,
-                                    da: np.ndarray, db: np.ndarray):
-    """The tangent half of perturbed_hierarchy_fused."""
-    return perturbed_hierarchy_fused(s, spec, pspec, da, db)[2:]
 
 
 @dataclass

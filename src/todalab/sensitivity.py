@@ -16,52 +16,37 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ghs import ghs_fused, ghs_rhs
-from .hierarchy import HierarchySpec, hierarchy_fused, hierarchy_rhs
-from .integrators import (EdgeMargin, IntegratorConfig, Trajectory, integrate,
-                          sample_times, solve_vector, write_csv)
-from .perturbed import (PerturbationSpec, perturbed_fused, perturbed_hierarchy_fused,
-                        perturbed_hierarchy_rhs, perturbed_rhs)
-from .state import LatticeState, toda_fused, toda_rhs, toda_tangent_rhs
-
-
-@dataclass(frozen=True)
-class Flow:
-    """A vector field on window states, rhs(state) -> (f1, f2), and its fused
-    field fields(state, d1, d2) -> (f1, f2, g1, g2): the same field and its
-    linearization along (d1, d2), in one pass."""
-
-    rhs: object
-    fields: object
-
-    def tangent(self, state, d1, d2):
-        """The linearization (g1, g2): the tangent half of fields."""
-        return self.fields(state, d1, d2)[2:]
+from .ghs import ghs_rhs
+from .hierarchy import HierarchySpec, hierarchy_rhs
+# every solve goes through _solve_blocks; solve_vector is bound here only
+# because perfbench/test_smoke.py reads sensitivity.solve_vector
+from .integrators import (EdgeMargin, IntegratorConfig, Trajectory, _solve_blocks,
+                          integrate, sample_times, solve_vector, write_csv)
+from .perturbed import PerturbationSpec, perturbed_rhs
+from .state import LatticeState, toda_rhs
 
 
 def make_flow(name: str, hierarchy: HierarchySpec | None = None,
-              perturbation: PerturbationSpec | None = None,
-              potential=None) -> Flow:
-    """The named flow with its specs bound.  The field functions are looked
-    up when the flow is built, so a run sees any rebinding of them."""
+              perturbation: PerturbationSpec | None = None, potential=None):
+    """The named flow's field with its specs bound: field(state) -> (f1, f2),
+    and field(state, d1, d2) -> (f1, f2, g1, g2), the field and its
+    linearization along (d1, d2) in one pass.  The field functions are
+    looked up when make_flow is called, so a run sees any rebinding of them."""
     given = {"hierarchy": hierarchy, "perturbation": perturbation, "potential": potential}
     table = {
-        "toda": ((), toda_rhs, toda_fused),
-        "hierarchy": (("hierarchy",), hierarchy_rhs, hierarchy_fused),
-        "perturbed": (("perturbation",), perturbed_rhs, perturbed_fused),
-        "perturbed-hierarchy": (("hierarchy", "perturbation"), perturbed_hierarchy_rhs,
-                                perturbed_hierarchy_fused),
-        "ghs": (("potential",), ghs_rhs, ghs_fused),
+        "toda": ((), toda_rhs),
+        "hierarchy": (("hierarchy",), hierarchy_rhs),
+        "perturbed": (("perturbation",), perturbed_rhs),
+        "ghs": (("potential",), ghs_rhs),
     }
     if name not in table:
         raise ValueError(f"unknown flow {name!r}; pick one of {tuple(table)}")
-    needs, rhs, fused = table[name]
+    needs, rhs = table[name]
     missing = [key for key in needs if given[key] is None]
     if missing:
         raise ValueError(f"{name} flow needs {' and '.join(missing)}")
     specs = [given[key] for key in needs]
-    return Flow(lambda st: rhs(st, *specs),
-                lambda st, d1, d2: fused(st, *specs, d1, d2))
+    return lambda st, *tangent: rhs(st, *specs, *tangent)
 
 
 def _seed_vectors(x, seed):
@@ -146,27 +131,6 @@ class SensitivityGrid(EdgeMargin):
                   self.offset, self.da, self.db)
 
 
-def _solve_blocks(x, fields, blocks, times, cfg, guard):
-    """Integrate the window state x together with the (N,) blocks, where
-    fields(state, *blocks) gives the derivatives of the state's two arrays
-    and of every block.  Returns the base run and the (T, N) series of each
-    block."""
-    n = x.n_sites
-    state = type(x)
-    k = 2 + len(blocks)
-
-    def fun(_t, y):
-        rows = y.reshape(k, n)
-        return np.concatenate(fields(state(rows[0], rows[1], x.offset, x.background),
-                                     *rows[2:]))
-
-    ys = solve_vector(fun, np.concatenate(x.arrays + tuple(blocks)), times, cfg)
-    out = [ys[:, i * n:(i + 1) * n].copy() for i in range(k)]
-    base = Trajectory(times, out[0], out[1], x.offset, x.background, guard,
-                      state_type=state)
-    return base, out[2:]
-
-
 def _grid(seed, flow, base, da, db, meta=None) -> SensitivityGrid:
     return SensitivityGrid(times=base.times, da=da, db=db, base=base, offset=base.offset,
                            seed_site=int(seed[0]), seed_coord=str(seed[1]),
@@ -181,8 +145,8 @@ def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
                    sample_dt: float | None = None, n_samples: int | None = None,
                    guard: int = 10) -> SensitivityGrid:
     """Integrate base + tangent from a unit seed at (site, coordinate)."""
-    fields = make_flow(flow, hierarchy, perturbation, potential).fields
-    base, (da, db) = _solve_blocks(x, fields, _seed_vectors(x, seed),
+    rhs = make_flow(flow, hierarchy, perturbation, potential)
+    base, (da, db) = _solve_blocks(x, rhs, _seed_vectors(x, seed),
                                    sample_times(t_final, sample_dt, n_samples),
                                    cfg or IntegratorConfig(), guard)
     return _grid(seed, flow, base, da, db)
@@ -223,7 +187,7 @@ def finite_difference_oracle(x, seed, t_final: float,
     'btilde' seed differentiates along e_{b,k+1} - e_{b,k}.
     """
     cfg = cfg or IntegratorConfig()
-    rhs = make_flow(flow, hierarchy, perturbation, potential).rhs
+    rhs = make_flow(flow, hierarchy, perturbation, potential)
     da0, db0 = _seed_vectors(x, seed)
     if h is None:
         z0 = x.arrays[0 if seed[1] == x.coords[0] else 1]
@@ -299,7 +263,7 @@ def evolve_second_tangent(x: LatticeState, z_seed, k, t_final: float,
     blocks = (*_seed_vectors(x, z_seed), *_seed_vectors(x, second), zeros, zeros)
 
     def fields(s, u1a, u1b, u2a, u2b, wa, wb):
-        return (*toda_fused(s, u1a, u1b), *toda_tangent_rhs(s, u2a, u2b),
+        return (*toda_rhs(s, u1a, u1b), *toda_rhs(s, u2a, u2b)[2:],
                 *_toda_second_fields(s, u1a, u1b, u2a, u2b, wa, wb))
 
     base, (u1a, u1b, u2a, u2b, wa, wb) = _solve_blocks(

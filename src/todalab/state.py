@@ -148,39 +148,24 @@ def random_localized_state(n_sites: int, offset: int | None = None, *,
     return LatticeState(s.a, s.b, s.offset, s.background)
 
 
-def _toda_terms(s: LatticeState):
-    """The Toda field and the two terms its linearization shares with it:
-    (da, db, b_{n+1} - b_n, a_{n-1})."""
-    a, b = s.a, s.b
-    a_bg, b_bg = s.background
-    b_step = np.concatenate((b[1:], [b_bg])) - b
-    a_dn = np.concatenate(([a_bg], a[:-1]))
-    return a * b_step, 2.0 * (a * a - a_dn * a_dn), b_step, a_dn
-
-
-def toda_rhs(s: LatticeState):
+def toda_rhs(s: LatticeState, da: np.ndarray | None = None, db: np.ndarray | None = None):
     """Toda vector field: da_n = a_n (b_{n+1} - b_n), db_n = 2 (a_n^2 - a_{n-1}^2).
 
     Neighbors outside the window are the frozen background, so a window
     state is a fixed point iff b == b_bg everywhere and a^2 == a_bg^2.
+    With a tangent (da, db), returns (f_a, f_b, g_a, g_b): the field and its
+    linearization along the tangent, which vanishes outside the window.
     """
-    return _toda_terms(s)[:2]
-
-
-def toda_fused(s: LatticeState, da: np.ndarray, db: np.ndarray):
-    """toda_rhs and its linearization along (da, db) in one pass:
-    (f_a, f_b, g_a, g_b), the tangent vanishing outside the window."""
-    a = s.a
-    f_a, f_b, b_step, a_dn = _toda_terms(s)
+    a, b = s.a, s.b
+    a_bg, b_bg = s.background
+    b_step = np.concatenate((b[1:], [b_bg])) - b
+    a_dn = np.concatenate(([a_bg], a[:-1]))
+    fields = a * b_step, 2.0 * (a * a - a_dn * a_dn)
+    if da is None:
+        return fields
     db_up = np.concatenate((db[1:], [0.0]))
     da_dn = np.concatenate(([0.0], da[:-1]))
-    return f_a, f_b, da * b_step + a * (db_up - db), 4.0 * (a * da - a_dn * da_dn)
-
-
-def toda_tangent_rhs(s: LatticeState, da: np.ndarray, db: np.ndarray):
-    """Linearization of toda_rhs along the tangent (da, db): the tangent
-    half of toda_fused."""
-    return toda_fused(s, da, db)[2:]
+    return (*fields, da * b_step + a * (db_up - db), 4.0 * (a * da - a_dn * da_dn))
 
 
 def hamiltonian_ab(s: LatticeState) -> float:

@@ -16,7 +16,7 @@ from todalab.bounds import (C_epsilon, G_mu, SQRT17, check_G_convolution,
                             hierarchy_comparison_matrix, mu_profile,
                             perturbed_alpha, perturbed_prefactor,
                             second_derivative_envelope, velocity_perturbed,
-                            velocity_perturbed_hierarchy, velocity_timedep)
+                            velocity_timedep)
 from todalab.state import jacobi_norm
 
 
@@ -116,17 +116,6 @@ def test_velocity_hierarchy_unknown_mode():
 def test_comparison_matrix_entries():
     m = hierarchy_comparison_matrix(HierarchySpec(0, (1.0,)), 1.0)
     assert np.array_equal(m, 2.0 * np.array([[2.0, 2.0], [4.0, 4.0]]))
-
-
-def test_perturbed_hierarchy_velocity_reduces():
-    # with no forcing and C1 = ||L||, matches the bare hierarchy matrix mode
-    mu0, _ = optimal_mu()
-    spec = HierarchySpec(1, (1.0, 0.0))
-    v = velocity_perturbed_hierarchy(mu0, spec, 1.5, 2.0, 0.0)
-    v_ref = velocity_hierarchy(mu0, 1.5, spec, "matrix-norm")
-    assert v == pytest.approx(v_ref, rel=1e-12)
-    # forcing can only speed it up
-    assert velocity_perturbed_hierarchy(mu0, spec, 1.5, 2.0, 0.3) >= v
 
 
 def test_velocity_timedep_is_a_radius():

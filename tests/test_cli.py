@@ -23,6 +23,11 @@ def write_config(tmp_path, raw, name="cfg.json"):
     return str(p)
 
 
+def _hierarchy_overrides(r):
+    """A hierarchy run of order r on a window of 41 sites, which holds r <= 18."""
+    return {"scenario": "hierarchy", "window": 41, "hierarchy": {"r": r, "c": [1.0] + [0.0] * r}}
+
+
 def test_default_config_is_valid():
     cfg = config_from_dict(default_config())
     assert cfg.scenario == "toda-lightcone"
@@ -41,6 +46,15 @@ def test_default_config_is_valid():
     (lambda r: r.update(seeds=[[0, "x"]]), "seeds[0]: coord must be one of"),
     (lambda r: r.update(mu=-1.0), "mu: must be positive"),
     (lambda r: r.update(t_final=0.0), "t_final: must be positive"),
+    # a guard below 1 turns the edge check off
+    (lambda r: r.update(guard=-5, window=41, t_final=30.0), "guard: must be >= 1, got -5"),
+    (lambda r: r.update(guard=0), "guard: must be >= 1, got 0"),
+    (lambda r: r.update(_hierarchy_overrides(20)),
+     "hierarchy.r: order 20 needs window >= 2r + 5 = 45, got 41"),
+    # the last sample must fall on t_final, where the verdicts read the run
+    (lambda r: r.update(t_final=1.0, sample_dt=0.35),
+     "t_final: must be a whole number of sample_dt = 0.35, got 1"),
+    (lambda r: r.update(t_final=5.0 + 1e-6), "t_final: must be a whole number of sample_dt = 0.1"),
 ])
 def test_config_errors_name_the_field(mutate, fragment):
     raw = default_config()
@@ -148,6 +162,23 @@ def test_seed_outside_window_exits_2_and_writes_nothing(tmp_path, capsys, overri
     assert main(["run", "-c", cfg, "--out", str(out)]) == 2
     assert f"config error: {fragment}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"guard": 1}, _hierarchy_overrides(18), {"t_final": 0.3, "sample_dt": 0.1},
+    {"t_final": 20.0, "sample_dt": 0.1}, {"t_final": 3.0, "sample_dt": 0.05},
+], ids=["guard-1", "hierarchy-window", "t_final-0.3", "t_final-20", "t_final-3"])
+def test_config_at_the_edge_of_the_new_checks_loads(overrides):
+    config_from_dict(small_run_config(**overrides))
+
+
+def test_sweep_over_r_rejects_an_order_the_window_cannot_hold(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_run_config(**_hierarchy_overrides(1)))
+    out = tmp_path / "s"
+    code = main(["sweep", "-c", cfg, "--axis", "r", "--values", "1,20", "--out", str(out)])
+    assert code == 2
+    assert "config error: hierarchy.r: order 20 needs window >= 2r + 5" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
 
 
 def test_integrator_max_step_is_not_a_setting(tmp_path, capsys):

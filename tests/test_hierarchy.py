@@ -9,7 +9,7 @@ from todalab import (HierarchySpec, IntegratorConfig, LatticeState,
                      background_state, hierarchy_hamiltonian, hierarchy_rhs,
                      integrate, random_localized_state)
 from todalab.hierarchy import (_band_powers, free_moment, g_tilde, h_tilde,
-                               hierarchy_fields, hierarchy_tangent_fields, kvm_rhs,
+                               hierarchy_fields, kvm_rhs,
                                path_counts)
 from todalab.state import jacobi_matrix, toda_rhs
 
@@ -197,7 +197,7 @@ def test_tangent_fields_match_finite_difference():
     minus = LatticeState(x.a - h * da, x.b - h * db, x.offset)
     fa, fb = hierarchy_rhs(plus, spec)
     ga, gb = hierarchy_rhs(minus, spec)
-    ta, tb = hierarchy_tangent_fields(x, spec, da, db)
+    ta, tb = hierarchy_rhs(x, spec, da, db)[2:]
     err_a = np.max(np.abs((fa - ga) / (2.0 * h) - ta))
     err_b = np.max(np.abs((fb - gb) / (2.0 * h) - tb))
     print(err_a, err_b)

@@ -4,16 +4,14 @@ import types
 import numpy as np
 import pytest
 
-from todalab import (HierarchySpec, IntegratorConfig, PerturbationSpec,
+from todalab import (IntegratorConfig, PerturbationSpec,
                      SolitonSpec, background_state, evolve_tangent, optimal_mu,
                      perturbed_envelope, random_localized_state, soliton_state,
                      verify_light_cone)
 from todalab.integrators import Trajectory, integrate
 from todalab.perturbed import (InterpolationFit, forcing_field,
                                interpolation_envelope, monitor_trajectory,
-                               perturbed_hierarchy_rhs,
-                               perturbed_hierarchy_tangent_rhs, perturbed_rhs,
-                               perturbed_tangent_rhs)
+                               perturbed_rhs)
 from todalab.state import LatticeState, jacobi_norm, jacobi_norm_within, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
@@ -90,12 +88,6 @@ def test_zero_forcing_is_bitwise_toda():
     da0, db0 = toda_rhs(x)
     da, db = perturbed_rhs(x, PerturbationSpec(family="cosine", w0=0.0))
     assert np.array_equal(da, da0) and np.array_equal(db, db0)
-    spec = HierarchySpec(1, (1.0, 0.0))
-    x2 = random_localized_state(41, seed=5)
-    dah, dbh = perturbed_hierarchy_rhs(x2, spec, PerturbationSpec(w0=0.0))
-    from todalab.hierarchy import hierarchy_rhs
-    da1, db1 = hierarchy_rhs(x2, spec)
-    assert np.array_equal(dah, da1) and np.array_equal(dbh, db1)
 
 
 def _fd_directional(rhs, x, va, vb, h=1e-6):
@@ -112,26 +104,12 @@ def test_tangent_rhs_matches_directional_derivative():
     rng = np.random.default_rng(1)
     va = rng.standard_normal(x.n_sites)
     vb = rng.standard_normal(x.n_sites)
-    got_a, got_b = perturbed_tangent_rhs(x, spec, va, vb)
+    got_a, got_b = perturbed_rhs(x, spec, va, vb)[2:]
     ref_a, ref_b = _fd_directional(lambda s: perturbed_rhs(s, spec), x, va, vb)
     err = max(np.max(np.abs(got_a - ref_a)), np.max(np.abs(got_b - ref_b)))
     print("tangent rhs err:", err)
     assert err < 1e-7
 
-
-def test_hierarchy_tangent_rhs_matches_directional_derivative():
-    x = random_localized_state(61, seed=12)
-    hspec = HierarchySpec(1, (1.0, 0.5))
-    pspec = PerturbationSpec(family="rational", w0=0.2)
-    rng = np.random.default_rng(2)
-    va = rng.standard_normal(x.n_sites)
-    vb = rng.standard_normal(x.n_sites)
-    got_a, got_b = perturbed_hierarchy_tangent_rhs(x, hspec, pspec, va, vb)
-    ref_a, ref_b = _fd_directional(
-        lambda s: perturbed_hierarchy_rhs(s, hspec, pspec), x, va, vb)
-    err = max(np.max(np.abs(got_a - ref_a)), np.max(np.abs(got_b - ref_b)))
-    print("hierarchy tangent rhs err:", err)
-    assert err < 1e-7
 
 
 def test_monitors_on_background():

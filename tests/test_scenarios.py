@@ -122,7 +122,7 @@ def standalone_base_run(tangent_call, integrator):
     (x, _seed, t_final, _cfg), kwargs = tangent_call
     specs = dict(kwargs)
     name, sample_dt, guard = specs.pop("flow"), specs.pop("sample_dt"), specs.pop("guard")
-    return integrate(x, make_flow(name, **specs).rhs, t_final, integrator,
+    return integrate(x, make_flow(name, **specs), t_final, integrator,
                      sample_dt=sample_dt, guard=guard)
 
 

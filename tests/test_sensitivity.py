@@ -188,7 +188,7 @@ def test_ghs_chain_rule_correspondence():
     assert worst < 1e-6
 
 
-# -- fused fields -----------------------------------------------------------
+# -- flow fields ------------------------------------------------------------
 
 def _mixed_sign_state(n):
     x = random_localized_state(n, seed=7)
@@ -211,9 +211,6 @@ LATTICE_FLOWS = {
     "perturbed-rational": ("perturbed", {"perturbation": PerturbationSpec("rational", 0.3)}),
     "perturbed-custom": ("perturbed", {"perturbation": _custom_perturbation()}),
     "perturbed-w0-zero": ("perturbed", {"perturbation": PerturbationSpec("cosine", 0.0)}),
-    "perturbed-hierarchy": ("perturbed-hierarchy",
-                            {"hierarchy": HierarchySpec(2, (1.0, 0.4, 0.0)),
-                             "perturbation": PerturbationSpec("rational", 0.2)}),
 }
 LATTICE_STATES = {"random": lambda n: random_localized_state(n, seed=3),
                   "mixed-sign-a": _mixed_sign_state,
@@ -231,32 +228,40 @@ def _ghs_state(kind, n):
     return GHSState(r, rng.uniform(-0.5, 0.5, n), -(n // 2))
 
 
-def _assert_bitwise(got, want):
-    assert len(got) == len(want) == 4
-    for g, w in zip(got, want):
+def _check_field(field, s, rng, h=1e-6):
+    """field(s, d1, d2) against field(s) along a random tangent d: the base
+    half equals field(s) bit for bit, so a run with tangents keeps the bytes
+    of the base run, and the tangent half equals the central difference
+    (field(s + h d) - field(s - h d)) / 2h to 1e-7."""
+    d1, d2 = rng.normal(size=s.n_sites), rng.normal(size=s.n_sites)
+    got, base = field(s, d1, d2), field(s)
+    assert len(got) == 4 and len(base) == 2
+    for g, w in zip(got, base):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+    x1, x2 = s.arrays
+    up = field(type(s)(x1 + h * d1, x2 + h * d2, s.offset, s.background))
+    dn = field(type(s)(x1 - h * d1, x2 - h * d2, s.offset, s.background))
+    for g, u, v in zip(got[2:], up, dn):
+        assert np.max(np.abs(g - (u - v) / (2.0 * h))) < 1e-7
 
 
 @pytest.mark.parametrize("state", LATTICE_STATES)
 @pytest.mark.parametrize("flow", LATTICE_FLOWS)
 def test_fused_fields_equal_rhs_and_tangent_bitwise(flow, state):
-    """One pass gives the values of the two separate calls, bit for bit, so
-    fixed-step runs through the fused field keep their bytes."""
     name, specs = LATTICE_FLOWS[flow]
-    f = make_flow(name, **specs)
-    s = LATTICE_STATES[state](41)
-    rng = np.random.default_rng(5)
-    d1, d2 = rng.normal(size=41), rng.normal(size=41)
-    _assert_bitwise(f.fields(s, d1, d2), (*f.rhs(s), *f.tangent(s, d1, d2)))
+    _check_field(make_flow(name, **specs), LATTICE_STATES[state](41), np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("state", ["random", "large-strain", "background"])
 @pytest.mark.parametrize("pot", [PotentialSpec("toda"), PotentialSpec("quartic", beta=0.3)],
                          ids=["toda", "quartic"])
 def test_ghs_fused_fields_equal_rhs_and_tangent_bitwise(pot, state):
-    f = make_flow("ghs", potential=pot)
-    s = _ghs_state(state, 41)
-    rng = np.random.default_rng(6)
-    d1, d2 = rng.normal(size=41), rng.normal(size=41)
-    _assert_bitwise(f.fields(s, d1, d2), (*f.rhs(s), *f.tangent(s, d1, d2)))
+    _check_field(make_flow("ghs", potential=pot), _ghs_state(state, 41), np.random.default_rng(6))
+
+
+def test_make_flow_names_every_flow():
+    with pytest.raises(ValueError, match="pick one of \\('toda', 'hierarchy', 'perturbed', 'ghs'\\)"):
+        make_flow("perturbed-hierarchy")
+    with pytest.raises(ValueError, match="hierarchy flow needs hierarchy"):
+        make_flow("hierarchy")
