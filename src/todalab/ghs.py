@@ -22,7 +22,7 @@ from scipy.special import gammainc
 
 from .bounds import Envelope, mu_profile
 from .integrators import Trajectory
-from .state import GHSState
+from .state import GHSState, _step_dn, _step_up
 
 _FAMILIES = ("toda", "quartic", "custom")
 
@@ -92,16 +92,10 @@ def ghs_rhs(s: GHSState, pot: PotentialSpec,
     """
     r, p = s.r, s.p
     r_bg, p_bg = s.background
-    p_up = np.concatenate((p[1:], [p_bg]))
-    vp = np.asarray(pot.dV(r), dtype=float)
-    vp_dn = np.concatenate(([float(pot.dV(r_bg))], vp[:-1]))
-    fields = p_up - p, vp - vp_dn
+    fields = _step_up(p, p_bg), _step_dn(np.asarray(pot.dV(r), dtype=float), float(pot.dV(r_bg)))
     if dr is None:
         return fields
-    dp_up = np.concatenate((dp[1:], [0.0]))
-    term = np.asarray(pot.d2V(r), dtype=float) * dr
-    term_dn = np.concatenate(([0.0], term[:-1]))
-    return (*fields, dp_up - dp, term - term_dn)
+    return (*fields, _step_up(dp, 0.0), _step_dn(np.asarray(pot.d2V(r), dtype=float) * dr, 0.0))
 
 
 def ghs_energy(s: GHSState, pot: PotentialSpec) -> float:

@@ -9,16 +9,26 @@ Two integrators behind one config:
   matter (CSV determinism) or when finite differences of whole
   trajectories must share a step sequence.
 
+Every window solve goes through _solve_blocks.  Its stages hand the field
+unchecked states over views of the solver's vector; the sampled output is
+checked once, after the solve, and a ValueError names the time and site of
+the first sample that no state may hold.  The start state was validated
+when it was built.
+
 Every CSV artifact goes through write_csv: %.17g floats, the same bytes
-for the same arrays.  Where os.fork exists it formats a file in two
-processes, a forked helper writing the later rows, and the file is complete
-when the call returns; a failed helper makes the call raise OSError.
+for the same arrays.  A file gets one line template, its sample's rows
+with the site labels baked in; each sample fills in its time and the text
+of its cells, each distinct value formatted once.  Where os.fork exists it
+formats a file in two processes, a forked helper writing the later rows,
+and the file is complete when the call returns; a failed helper makes the
+call raise OSError.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
+import operator
 import os
 import shutil
 import sys
@@ -127,19 +137,27 @@ class EdgeMargin:
         return self.boundary_margin >= self.guard
 
 
-def _write_rows(fh, sites, times, x1, x2):
-    """Rows t,n,<x1>,<x2> of the samples given, in order.  Each sample is one
-    write, and each distinct value in it (told apart by its bits, so -0.0 is
-    not 0.0) is formatted once."""
-    n = len(sites)
+_HEAD = "\0"
+
+
+def _row_template(offset: int, n: int) -> str:
+    """The text of one sample's rows t,n,<x1>,<x2> over sites offset ..
+    offset + n - 1: _HEAD where each row's time goes, the site labels baked
+    in, and %s for each cell, site by site and x1 before x2."""
+    return "".join([f"{_HEAD}{offset + j},%s,%s\n" for j in range(n)])
+
+
+def _write_rows(fh, template, times, x1, x2):
+    """Rows of the samples given, in order, through a _row_template.  Each
+    sample is one write, and each distinct value in it (told apart by its
+    bits, so -0.0 is not 0.0) is formatted once, all in one % call."""
+    bits = np.empty(2 * x1.shape[1], dtype=np.int64)
     for t, row1, row2 in zip(times, x1, x2):
-        bits = np.concatenate((row1, row2)).view(np.int64)
+        bits[0::2], bits[1::2] = row1.view(np.int64), row2.view(np.int64)
         values, inverse = np.unique(bits, return_inverse=True)
-        text = ["%.17g" % v for v in values.view(np.float64).tolist()]
-        cells = [text[k] for k in inverse.tolist()]
-        head = "%.17g," % t
-        fh.write("".join([f"{head}{site},{c1},{c2}\n"
-                          for site, c1, c2 in zip(sites, cells[:n], cells[n:])]))
+        text = ("%.17g," * values.size % tuple(values.view(np.float64).tolist())).split(",")
+        cells = operator.itemgetter(*inverse.tolist())(text)
+        fh.write(template.replace(_HEAD, "%.17g," % t) % cells)
 
 
 def _split_row(x1, x2) -> int:
@@ -153,7 +171,7 @@ def _split_row(x1, x2) -> int:
     return int(np.argmin(np.abs(work - 0.5 * work[-1])))
 
 
-def _fork_rows(tail, sites, times, x1, x2) -> int:
+def _fork_rows(tail, template, times, x1, x2) -> int:
     """Fork a helper that writes these rows into the binary file tail and
     exits 0, or prints its traceback to stderr and exits 1; return its pid.
     The helper leaves only through os._exit, so it never runs the caller's
@@ -164,7 +182,7 @@ def _fork_rows(tail, sites, times, x1, x2) -> int:
     status = 1
     try:
         with open(tail.fileno(), "w", closefd=False) as out:
-            _write_rows(out, sites, times, x1, x2)
+            _write_rows(out, template, times, x1, x2)
         status = 0
     except Exception:
         traceback.print_exc()
@@ -185,18 +203,18 @@ def write_csv(path, coords, times, offset: int, x1: np.ndarray, x2: np.ndarray):
     helper that fails prints its traceback to stderr and makes the call
     raise OSError naming path; the helper is reaped in every case.
     """
-    sites = ["%d" % (offset + j) for j in range(x1.shape[1])]
+    template = _row_template(offset, x1.shape[1])
     k = _split_row(x1, x2) if hasattr(os, "fork") else 0
     with open(path, "w") as fh:
         fh.write("t,n,%s,%s\n" % tuple(coords))
         if not 0 < k < len(times):
-            _write_rows(fh, sites, times, x1, x2)
+            _write_rows(fh, template, times, x1, x2)
             return
         fh.flush()
         with tempfile.TemporaryFile() as tail:
-            pid = _fork_rows(tail, sites, times[k:], x1[k:], x2[k:])
+            pid = _fork_rows(tail, template, times[k:], x1[k:], x2[k:])
             try:
-                _write_rows(fh, sites, times[:k], x1[:k], x2[:k])
+                _write_rows(fh, template, times[:k], x1[:k], x2[:k])
             finally:
                 status = os.waitpid(pid, 0)[1]
             if status:
@@ -332,20 +350,24 @@ def _solve_blocks(x, rhs, blocks, times, cfg, guard):
     """Integrate the window state x together with the (N,) blocks, where
     rhs(state, *blocks) gives the derivatives of the state's two arrays
     and of every block.  Returns the base run, a Trajectory of x's type, and
-    the (T, N) series of each block."""
+    the (T, N) series of each block.
+
+    Each rhs evaluation sees a state over views of the solver's vector,
+    unchecked, and its blocks as views too, so a field must not write into
+    its arguments.  The sampled state arrays are checked once, after the
+    solve: a ValueError names the first sample that no state may hold."""
     n = x.n_sites
-    state = type(x)
     k = 2 + len(blocks)
 
     def fun(_t, y):
         rows = y.reshape(k, n)
-        return np.concatenate(rhs(state(rows[0], rows[1], x.offset, x.background),
-                                  *rows[2:]))
+        return np.concatenate(rhs(x._over(rows[0], rows[1]), *rows[2:]))
 
     ys = solve_vector(fun, np.concatenate(x.arrays + tuple(blocks)), times, cfg)
     out = [ys[:, i * n:(i + 1) * n].copy() for i in range(k)]
+    type(x).check_samples(times, out[0], out[1], x.offset)
     base = Trajectory(times, out[0], out[1], x.offset, x.background, guard,
-                      state_type=state)
+                      state_type=type(x))
     return base, out[2:]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import C_epsilon, G_mu, compare, velocity_toda
-from .state import LatticeState, hamiltonian_ab, jacobi_norm, toda_rhs
+from .state import LatticeState, _step_dn, hamiltonian_ab, jacobi_norm, toda_rhs
 
 _FAMILIES = ("cosine", "rational", "custom")
 
@@ -99,11 +99,9 @@ class PerturbationSpec:
 
 def _forcing(s: LatticeState, pspec: PerturbationSpec, u: np.ndarray) -> np.ndarray:
     """R_n of forcing_field, given u = ln(4 a^2)."""
-    wp = pspec.dW(u)
     a_bg = s.background[0]
     wp_bg = float(pspec.dW(math.log(4.0 * a_bg * a_bg)))
-    wp_dn = np.concatenate(([wp_bg], wp[:-1]))
-    return 0.5 * (wp - wp_dn)
+    return 0.5 * _step_dn(pspec.dW(u), wp_bg)
 
 
 def forcing_field(s: LatticeState, pspec: PerturbationSpec) -> np.ndarray:
@@ -133,7 +131,7 @@ def perturbed_rhs(s: LatticeState, pspec: PerturbationSpec,
         return forced
     g1, g2 = tangent
     term = pspec.d2W(u) * da / s.a
-    return (*forced, g1, g2 + (term - np.concatenate(([0.0], term[:-1]))))
+    return (*forced, g1, g2 + _step_dn(term, 0.0))
 
 
 @dataclass

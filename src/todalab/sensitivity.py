@@ -23,7 +23,7 @@ from .hierarchy import HierarchySpec, hierarchy_rhs
 from .integrators import (EdgeMargin, IntegratorConfig, Trajectory, _solve_blocks,
                           integrate, sample_times, solve_vector, write_csv)
 from .perturbed import PerturbationSpec, perturbed_rhs
-from .state import LatticeState, toda_rhs
+from .state import LatticeState, _step_dn, _step_up, toda_rhs
 
 
 def make_flow(name: str, hierarchy: HierarchySpec | None = None,
@@ -227,23 +227,17 @@ class SecondTangentGrid:
 
 
 def _toda_second_fields(s: LatticeState, u1a, u1b, u2a, u2b, wa, wb):
-    """d/dt of w along the Toda flow: Df(x) w + D^2 f(x)[u1, u2]."""
+    """The Toda field, its linearizations along u1 and u2, and d/dt of w,
+    Df(x) w + D^2 f(x)[u1, u2]: eight arrays from one set of neighbor steps."""
     a = s.a
     a_bg, b_bg = s.background
-
-    def up(v, fill=0.0):
-        return np.concatenate((v[1:], [fill]))
-
-    def dn(v, fill=0.0):
-        return np.concatenate(([fill], v[:-1]))
-
-    b_up = up(s.b, b_bg)
-    a_dn = dn(a, a_bg)
-    dwa = wa * (b_up - s.b) + a * (up(wb) - wb) \
-        + u1a * (up(u2b) - u2b) + u2a * (up(u1b) - u1b)
-    dwb = 4.0 * (a * wa - a_dn * dn(wa)) \
-        + 4.0 * (u1a * u2a - dn(u1a) * dn(u2a))
-    return dwa, dwb
+    b_step = _step_up(s.b, b_bg)
+    u1_step, u2_step = _step_up(u1b, 0.0), _step_up(u2b, 0.0)
+    return (a * b_step, 2.0 * _step_dn(a * a, a_bg * a_bg),
+            u1a * b_step + a * u1_step, 4.0 * _step_dn(a * u1a, a_bg * 0.0),
+            u2a * b_step + a * u2_step, 4.0 * _step_dn(a * u2a, a_bg * 0.0),
+            wa * b_step + a * _step_up(wb, 0.0) + u1a * u2_step + u2a * u1_step,
+            4.0 * _step_dn(a * wa, a_bg * 0.0) + 4.0 * _step_dn(u1a * u2a, 0.0))
 
 
 def evolve_second_tangent(x: LatticeState, z_seed, k, t_final: float,
@@ -261,13 +255,8 @@ def evolve_second_tangent(x: LatticeState, z_seed, k, t_final: float,
     second = k if isinstance(k, tuple) else (int(k), "btilde")
     zeros = np.zeros(x.n_sites)
     blocks = (*_seed_vectors(x, z_seed), *_seed_vectors(x, second), zeros, zeros)
-
-    def fields(s, u1a, u1b, u2a, u2b, wa, wb):
-        return (*toda_rhs(s, u1a, u1b), *toda_rhs(s, u2a, u2b)[2:],
-                *_toda_second_fields(s, u1a, u1b, u2a, u2b, wa, wb))
-
     base, (u1a, u1b, u2a, u2b, wa, wb) = _solve_blocks(
-        x, fields, blocks, sample_times(t_final, sample_dt, n_samples),
+        x, _toda_second_fields, blocks, sample_times(t_final, sample_dt, n_samples),
         cfg or IntegratorConfig(), guard)
     return SecondTangentGrid(times=base.times, w_a=wa, w_b=wb,
                              u1_a=u1a, u1_b=u1b, u2_a=u2a, u2_b=u2b, base=base,

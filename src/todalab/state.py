@@ -6,6 +6,12 @@ pair (a_bg, b_bg).  The truncation is trustworthy only while the dynamics
 stays clear of the window edges; Trajectory.boundary_margin (see
 integrators.py) quantifies that.
 
+A state is validated when it is built, and a solve's start state is such a
+state.  The solve then checks its sampled output once, with check_samples
+over the (T, N) arrays, not each stage: the states the vector field sees at
+the solver's stages are unchecked views of the solver's vector (_over), so
+a field must not write into its arguments.
+
 Coordinates: a_n = (1/2) exp(-(q_{n+1} - q_n)/2), b_n = -p_n / 2.  The
 a_n must stay away from zero because the physical coordinates live on a
 log scale; the flow preserves the sign of each a_n.
@@ -64,6 +70,34 @@ class _WindowState:
         x1, x2 = self.arrays
         return type(self)(x1.copy(), x2.copy(), self.offset, self.background)
 
+    def _over(self, x1, x2):
+        """A state of this type, offset and background over the arrays x1
+        and x2 as they are: no copy and no check."""
+        st = object.__new__(type(self))
+        c1, c2 = self.coords
+        vars(st).update(vars(self), **{c1: x1, c2: x2})
+        return st
+
+    @classmethod
+    def _faults(cls, x1, x2) -> list:
+        """(what, (T, N) mask) for each way the sampled arrays x1, x2 can
+        hold a value that no state of this type may hold."""
+        c1, c2 = cls.coords
+        return [(f"non-finite {c1}", ~np.isfinite(x1)), (f"non-finite {c2}", ~np.isfinite(x2))]
+
+    @classmethod
+    def check_samples(cls, times, x1, x2, offset: int):
+        """Raise ValueError naming the first sample of a run (earliest time,
+        then lowest site) at which the (T, N) arrays x1, x2 hold a value no
+        state of this type may hold, and what is wrong there."""
+        faults = cls._faults(x1, x2)
+        bad = np.logical_or.reduce([mask for _, mask in faults])
+        if not bad.any():
+            return
+        i, j = divmod(int(np.argmax(bad)), bad.shape[1])
+        what = " and ".join(name for name, mask in faults if mask[i, j])
+        raise ValueError(f"{cls.__name__} run: {what} at t={times[i]:.17g}, site {offset + j}")
+
 
 @dataclass
 class LatticeState(_WindowState):
@@ -83,6 +117,10 @@ class LatticeState(_WindowState):
         a_bg = float(self.background[0])
         if a_bg == 0.0 or not math.isfinite(a_bg) or not math.isfinite(self.background[1]):
             raise ValueError("background a must be finite and nonzero")
+
+    @classmethod
+    def _faults(cls, a, b) -> list:
+        return super()._faults(a, b) + [("a_n = 0", a == 0.0)]
 
 
 @dataclass
@@ -148,6 +186,23 @@ def random_localized_state(n_sites: int, offset: int | None = None, *,
     return LatticeState(s.a, s.b, s.offset, s.background)
 
 
+def _step_up(v: np.ndarray, edge) -> np.ndarray:
+    """v_{n+1} - v_n over the window, with edge as the value above it.
+    Filled by slices: each entry is the one subtraction it names."""
+    out = np.empty_like(v)
+    np.subtract(v[1:], v[:-1], out=out[:-1])
+    out[-1] = edge - v[-1]
+    return out
+
+
+def _step_dn(v: np.ndarray, edge) -> np.ndarray:
+    """v_n - v_{n-1} over the window, with edge as the value below it."""
+    out = np.empty_like(v)
+    np.subtract(v[1:], v[:-1], out=out[1:])
+    out[0] = v[0] - edge
+    return out
+
+
 def toda_rhs(s: LatticeState, da: np.ndarray | None = None, db: np.ndarray | None = None):
     """Toda vector field: da_n = a_n (b_{n+1} - b_n), db_n = 2 (a_n^2 - a_{n-1}^2).
 
@@ -158,14 +213,12 @@ def toda_rhs(s: LatticeState, da: np.ndarray | None = None, db: np.ndarray | Non
     """
     a, b = s.a, s.b
     a_bg, b_bg = s.background
-    b_step = np.concatenate((b[1:], [b_bg])) - b
-    a_dn = np.concatenate(([a_bg], a[:-1]))
-    fields = a * b_step, 2.0 * (a * a - a_dn * a_dn)
+    b_step = _step_up(b, b_bg)
+    fields = a * b_step, 2.0 * _step_dn(a * a, a_bg * a_bg)
     if da is None:
         return fields
-    db_up = np.concatenate((db[1:], [0.0]))
-    da_dn = np.concatenate(([0.0], da[:-1]))
-    return (*fields, da * b_step + a * (db_up - db), 4.0 * (a * da - a_dn * da_dn))
+    # below the window the product a * da is a_bg * 0.0, sign of zero included
+    return (*fields, da * b_step + a * _step_up(db, 0.0), 4.0 * _step_dn(a * da, a_bg * 0.0))
 
 
 def hamiltonian_ab(s: LatticeState) -> float:

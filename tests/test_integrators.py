@@ -9,8 +9,9 @@ from todalab import (GHSState, IntegratorConfig, LatticeState, SolitonSpec,
                      integrate, random_localized_state, soliton_state,
                      trace_invariants)
 from todalab.ghs import PotentialSpec, ghs_rhs
-from todalab import integrators
+from todalab import integrators, sensitivity
 from todalab.integrators import sample_times, solve_vector, write_csv
+from todalab.sensitivity import make_flow
 from todalab.state import toda_rhs
 
 
@@ -312,3 +313,161 @@ def test_integrate_state_accessor():
     assert isinstance(s0, LatticeState)
     assert np.array_equal(s0.a, x.a)
     assert s0.offset == x.offset
+
+
+# -- checks of the sampled output ----------------------------------------------
+
+def _overflow_field(s):
+    """b at site 2 grows at the constant rate 1e302, and (a, b) at site -5
+    turn around (1/2, 0) once per 2 pi, so an adaptive solver keeps short
+    steps.  Finite whatever the state, so both integrators run on after b
+    overflows."""
+    fa, fb = np.zeros(s.n_sites), np.zeros(s.n_sites)
+    fb[s.site_index(2)] = 1e302
+    fa[0], fb[0] = -s.b[0], s.a[0] - 0.5
+    return fa, fb
+
+
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk-adaptive"])
+def test_a_non_finite_sample_is_named_by_time_and_site(method):
+    """b at site 2 starts 19.5e302 below the largest double, so it overflows
+    at t = 19.5 of 30: the run fails after the solve, naming the first
+    non-finite sample, t = 20, as the solver's own output shows it."""
+    x = background_state(11)
+    x.a[0], x.b[7] = 0.6, np.finfo(float).max - 19.5e302
+    cfg = IntegratorConfig(method=method, step=0.05)
+    times = sample_times(30.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = solve_vector(lambda _t, y: np.concatenate(_overflow_field(x._over(y[:11], y[11:]))),
+                           np.concatenate(x.arrays), times, cfg)
+        assert np.flatnonzero(~np.isfinite(raw).all(axis=1))[0] == 20
+        assert not np.isfinite(raw[20, 11 + 7])
+        with pytest.raises(ValueError, match="^LatticeState run: non-finite b at t=20, site 2$"):
+            integrate(x, _overflow_field, 30.0, cfg, sample_dt=1.0)
+
+
+def test_check_samples_names_the_earliest_time_then_the_lowest_site():
+    times = np.array([0.0, 0.5, 1.0])
+    a, b = np.full((3, 5), 0.5), np.zeros((3, 5))
+    LatticeState.check_samples(times, a, b, -2)
+    a[2, 0] = np.nan
+    b[1, 4] = -np.inf
+    a[1, 3] = 0.0
+    with pytest.raises(ValueError, match=r"^LatticeState run: a_n = 0 at t=0.5, site 1$"):
+        LatticeState.check_samples(times, a, b, -2)
+    a[1, 3] = -0.0
+    b[1, 3] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite b and a_n = 0 at t=0.5, site 1$"):
+        LatticeState.check_samples(times, a, b, -2)
+    # a zero is a valid chain coordinate
+    GHSState.check_samples(times, np.zeros((3, 5)), np.zeros((3, 5)), 0)
+    with pytest.raises(ValueError, match=r"^GHSState run: non-finite r at t=1, site -2$"):
+        GHSState.check_samples(times, a, np.zeros((3, 5)), -2)
+
+
+@pytest.mark.parametrize("run", ["integrate", "evolve_tangent"])
+def test_states_built_per_solve_do_not_grow_with_rhs_evaluations(run, monkeypatch):
+    """The stages see unchecked states: a solve builds and validates no
+    more LatticeStates with 10x the rhs evaluations."""
+    built, evals = [], []
+    post_init = LatticeState.__post_init__
+    monkeypatch.setattr(LatticeState, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(sensitivity, "toda_rhs",
+                        lambda s, *tangent: evals.append(1) or toda_rhs(s, *tangent))
+    x = random_localized_state(31, seed=8)
+    counts = []
+    for step in (0.1, 0.01):
+        built.clear()
+        evals.clear()
+        cfg = IntegratorConfig(method="rk4-fixed", step=step)
+        if run == "integrate":
+            integrate(x, make_flow("toda"), 1.0, cfg, n_samples=3)
+        else:
+            evolve_tangent(x, (0, "b"), 1.0, cfg, n_samples=3)
+        counts.append((len(evals), len(built)))
+    (few, built_few), (many, built_many) = counts
+    assert many >= 10 * few > 0
+    assert built_many == built_few <= 1
+
+
+# -- the row template -----------------------------------------------------------
+
+def _template_case(kind):
+    """(times, offset, x1, x2) of one edge case of the row template."""
+    nan2 = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    nan3 = np.array([-0x0007FFFFFFFFFFFF], dtype=np.int64).view(np.float64)[0]
+    tiny = np.nextafter(0.0, 1.0)
+    times = np.array([0.0, 0.25, 1.0 / 3.0])
+    x1, x2 = np.full((3, 4), 0.5), np.zeros((3, 4))
+    if kind == "signed-zeros":
+        x1[:, :2] = [0.0, -0.0]
+        x2[1] = [-0.0, 0.0, -0.0, 0.0]
+    elif kind == "nan-payloads":
+        x1[0, 1:] = [np.nan, nan2, nan3]
+        x2[2] = [nan3, np.nan, nan2, -np.nan]
+    elif kind == "inf-subnormals":
+        x1[1] = [np.inf, -np.inf, tiny, -tiny]
+        x2[:, 0] = [2.2250738585072009e-308, -5e-324, np.inf]
+    elif kind == "3-sites":
+        return times, -7, np.random.default_rng(1).normal(size=(3, 3)), np.zeros((3, 3))
+    elif kind == "1-row":
+        return times[:1], -1, x1[:1], np.array([[0.0, -0.0, np.nan, np.inf]])
+    return times, -2, x1, x2
+
+
+@pytest.mark.parametrize("split", [None, 1, -1], ids=["one-process", "split-first", "split-last"])
+@pytest.mark.parametrize("kind", ["signed-zeros", "nan-payloads", "inf-subnormals", "3-sites",
+                                  "1-row"])
+def test_row_template_matches_per_cell_oracle(kind, split, tmp_path, monkeypatch,
+                                              writer_cleanup):
+    """The per-sample template gives the per-cell bytes, written by one
+    process or split after the first row or before the last one."""
+    times, offset, x1, x2 = _template_case(kind)
+    if split is None:
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(integrators, "_split_row", lambda *_: split % times.size)
+    assert_same_csv(tmp_path, ("a", "b"), times, offset, x1, x2)
+
+
+# -- what a caller may rely on once a writer returns -------------------------
+
+def _writers(tmp_path):
+    """(name, write(path), the per-cell bytes) of the three CSV entry points,
+    each with data that splits the file between two processes."""
+    rng = np.random.default_rng(14)
+    times, x1, x2 = np.linspace(0.0, 1.0, 6), rng.normal(size=(6, 30)), rng.normal(size=(6, 30))
+    traj = Trajectory(times, x1, x2, -4, (0.5, 0.0))
+    grid = evolve_tangent(background_state(31), (0, "b"), 1.0, IntegratorConfig(),
+                          n_samples=6)
+
+    def oracle(coords, offset, a, b):
+        write_csv_per_cell(tmp_path / "oracle.csv", coords, times, offset, a, b)
+        return (tmp_path / "oracle.csv").read_bytes()
+
+    return [("write_csv", lambda p: write_csv(p, ("r", "p"), times, 3, x1, x2),
+             oracle(("r", "p"), 3, x1, x2)),
+            ("Trajectory.to_csv", traj.to_csv, oracle(("a", "b"), -4, x1, x2)),
+            ("SensitivityGrid.to_csv", grid.to_csv,
+             oracle(("da", "db"), grid.offset, grid.da, grid.db))]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
+def test_a_csv_is_complete_when_its_writer_returns(tmp_path, monkeypatch, writer_cleanup):
+    """A caller may stat or read the file as soon as the call returns (a
+    per-file byte count does): the rows the helper formats are in it by
+    then, which a writer that returned before its helper finished would
+    not give.  A failed helper raises OSError naming the file."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for name, write, want in _writers(tmp_path):
+        path = tmp_path / f"{name}.csv"
+        forks.clear()
+        write(path)
+        assert forks == [1], name
+        assert os.path.getsize(path) == len(want) and path.read_bytes() == want, name
+    _failing_rows(monkeypatch, in_helper=True)
+    for name, write, _ in _writers(tmp_path):
+        with pytest.raises(OSError, match=f"{name}-failed.csv"):
+            write(tmp_path / f"{name}-failed.csv")

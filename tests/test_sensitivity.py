@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from todalab import (GHSState, HierarchySpec, IntegratorConfig, LatticeState,
                      background_state, evolve_second_tangent, evolve_tangent,
                      finite_difference_oracle, random_localized_state,
                      second_finite_difference, soliton_state)
-from todalab.sensitivity import SensitivityGrid, _seed_vectors, make_flow
+from todalab.integrators import _solve_blocks
+from todalab.sensitivity import (SensitivityGrid, _seed_vectors, _toda_second_fields,
+                                 make_flow)
 
 FIXED = IntegratorConfig(method="rk4-fixed", step=0.02)
 
@@ -265,3 +269,139 @@ def test_make_flow_names_every_flow():
         make_flow("perturbed-hierarchy")
     with pytest.raises(ValueError, match="hierarchy flow needs hierarchy"):
         make_flow("hierarchy")
+
+
+def _special_tangent(n, rng):
+    """A random tangent with signed zeros at both ends and a NaN inside."""
+    d1, d2 = rng.normal(size=n), rng.normal(size=n)
+    d1[0], d1[-1], d2[0], d2[-1] = -0.0, 0.0, 0.0, -0.0
+    d2[n // 2] = np.nan
+    return d1, d2
+
+
+GHS_STATES = {"random": "random", "mixed-sign-a": "large-strain", "background": "background"}
+GHS_POTENTIALS = {"ghs-toda": PotentialSpec("toda"), "ghs-quartic": PotentialSpec("quartic", beta=0.3)}
+
+
+@pytest.mark.parametrize("state", LATTICE_STATES)
+@pytest.mark.parametrize("flow", [*LATTICE_FLOWS, *GHS_POTENTIALS])
+def test_fields_leave_their_arguments_unchanged(flow, state):
+    """A solve hands each field a state over views of the solver's vector,
+    with no check in between, and the tangent as views of it too: a field
+    that wrote into its arguments would corrupt the run without an error."""
+    if flow in GHS_POTENTIALS:
+        field = make_flow("ghs", potential=GHS_POTENTIALS[flow])
+        x = _ghs_state(GHS_STATES[state], 41)
+    else:
+        name, specs = LATTICE_FLOWS[flow]
+        field, x = make_flow(name, **specs), LATTICE_STATES[state](41)
+    y = np.concatenate(x.arrays + _special_tangent(41, np.random.default_rng(9)))
+    before = y.tobytes()
+    rows = y.reshape(4, 41)
+    s = x._over(rows[0], rows[1])
+    field(s)
+    field(s, rows[2], rows[3])
+    assert y.tobytes() == before
+
+
+def _up(v, fill=0.0):
+    return np.concatenate((v[1:], [fill]))
+
+
+def _dn(v, fill=0.0):
+    return np.concatenate(([fill], v[:-1]))
+
+
+def _toda_rhs_concatenated(s, da, db):
+    """toda_rhs as it was written with np.concatenate: the oracle of the
+    slicing form."""
+    a, b = s.a, s.b
+    a_bg, b_bg = s.background
+    b_step = _up(b, b_bg) - b
+    a_dn = _dn(a, a_bg)
+    return (a * b_step, 2.0 * (a * a - a_dn * a_dn),
+            da * b_step + a * (_up(db) - db), 4.0 * (a * da - a_dn * _dn(da)))
+
+
+def _perturbed_rhs_concatenated(s, pspec, da, db):
+    f1, f2, g1, g2 = _toda_rhs_concatenated(s, da, db)
+    if pspec.vanishes:
+        return f1, f2, g1, g2
+    u = np.log(4.0 * s.a * s.a)
+    wp = pspec.dW(u)
+    a_bg = s.background[0]
+    forcing = 0.5 * (wp - _dn(wp, float(pspec.dW(math.log(4.0 * a_bg * a_bg)))))
+    term = pspec.d2W(u) * da / s.a
+    return f1, f2 + forcing, g1, g2 + (term - _dn(term))
+
+
+def _ghs_rhs_concatenated(s, pot, dr, dp):
+    r, p = s.r, s.p
+    r_bg, p_bg = s.background
+    vp = np.asarray(pot.dV(r), dtype=float)
+    term = np.asarray(pot.d2V(r), dtype=float) * dr
+    return (_up(p, p_bg) - p, vp - _dn(vp, float(pot.dV(r_bg))),
+            _up(dp) - dp, term - _dn(term))
+
+
+@pytest.mark.parametrize("state", LATTICE_STATES)
+@pytest.mark.parametrize("flow", ["toda", "perturbed-cosine", "perturbed-rational",
+                                  "perturbed-custom", "perturbed-w0-zero"])
+def test_sliced_shifts_equal_concatenated_shifts_bitwise(flow, state):
+    """The fields fill their neighbor arrays by slices; every value, signed
+    zeros and NaNs included, is the one the np.concatenate form gave."""
+    x = LATTICE_STATES[state](41)
+    d1, d2 = _special_tangent(41, np.random.default_rng(4))
+    name, specs = LATTICE_FLOWS[flow]
+    got = make_flow(name, **specs)(x, d1, d2)
+    want = (_toda_rhs_concatenated(x, d1, d2) if name == "toda"
+            else _perturbed_rhs_concatenated(x, specs["perturbation"], d1, d2))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("state", ["random", "large-strain", "background"])
+@pytest.mark.parametrize("pot", [PotentialSpec("toda"), PotentialSpec("quartic", beta=0.3)],
+                         ids=["toda", "quartic"])
+def test_ghs_sliced_shifts_equal_concatenated_shifts_bitwise(pot, state):
+    x = _ghs_state(state, 41)
+    d1, d2 = _special_tangent(41, np.random.default_rng(4))
+    got = make_flow("ghs", potential=pot)(x, d1, d2)
+    assert [g.tobytes() for g in got] == \
+        [w.tobytes() for w in _ghs_rhs_concatenated(x, pot, d1, d2)]
+
+
+def _second_fields_composed(s, u1a, u1b, u2a, u2b, wa, wb):
+    """The second-tangent field as it was composed: the Toda field and its
+    linearization along u1, the one along u2 from a second call, and d/dt w.
+    The oracle of the one-pass field."""
+    a = s.a
+    a_bg, b_bg = s.background
+    b_up = _up(s.b, b_bg)
+    a_dn = _dn(a, a_bg)
+    dwa = wa * (b_up - s.b) + a * (_up(wb) - wb) \
+        + u1a * (_up(u2b) - u2b) + u2a * (_up(u1b) - u1b)
+    dwb = 4.0 * (a * wa - a_dn * _dn(wa)) + 4.0 * (u1a * u2a - _dn(u1a) * _dn(u2a))
+    return (*_toda_rhs_concatenated(s, u1a, u1b), *_toda_rhs_concatenated(s, u2a, u2b)[2:],
+            dwa, dwb)
+
+
+@pytest.mark.parametrize("state", LATTICE_STATES)
+def test_second_tangent_field_equals_the_composition_bitwise(state):
+    x = LATTICE_STATES[state](41)
+    rng = np.random.default_rng(12)
+    blocks = (*_special_tangent(41, rng), *_special_tangent(41, rng), *_special_tangent(41, rng))
+    got = _toda_second_fields(x, *blocks)
+    assert [g.tobytes() for g in got] == \
+        [w.tobytes() for w in _second_fields_composed(x, *blocks)]
+
+
+def test_second_tangent_run_equals_the_composed_run_bitwise():
+    """Under rk4-fixed the one-pass field gives the composed field's run bit
+    for bit: w, both first tangents and the base run."""
+    x = soliton_state(SolitonSpec(kappa=0.8), 61)
+    g = evolve_second_tangent(x, (0, "a"), 1, 1.5, FIXED, n_samples=4)
+    zeros = np.zeros(x.n_sites)
+    blocks = (*_seed_vectors(x, (0, "a")), *_seed_vectors(x, (1, "btilde")), zeros, zeros)
+    base, series = _solve_blocks(x, _second_fields_composed, blocks, g.times, FIXED, 10)
+    got = (g.base.a, g.base.b, g.u1_a, g.u1_b, g.u2_a, g.u2_b, g.w_a, g.w_b)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in (base.a, base.b, *series)]
