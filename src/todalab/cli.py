@@ -16,18 +16,18 @@ through integrators.write_json, strict JSON with a non-finite value as null.
 With the fixed-step integrator the output is byte-identical across reruns of
 the same config.
 
-The light-cone scenarios (toda-lightcone, hierarchy, timedep, perturbed, ghs)
-are specs for one body, _cone_scenario: a base state, a flow with its specs,
-the drift of its conserved quantity and an envelope function.  Each flow is
-one field function; given a tangent it also returns the linearization along
-it, from the same pass.  sensitivity.make_flow binds the flow's specs to it,
-and the body makes one solve per seed of the base state with that seed's
-tangent.  The first seed's base rows are the base run: that run is
-trajectory.csv, its drift is gated at 100 x tolerance, and the envelope
-function builds the envelopes from it.  Each seed's tangent run is then
-checked against every envelope.  interpolation takes its base run the same
-way; it and soliton-validate gate their base run's drift like the cone body,
-and every gated summary records its gate as drift_tolerance.
+Each scenario is one row of SCENARIOS: its "auto" base and required config
+blocks, then either its own runner (soliton-validate, observables) or the
+parts of a tangent scenario (toda-lightcone, hierarchy, timedep, perturbed,
+interpolation, ghs): a base-state builder, a flow name, a conserved-quantity
+series, verdicts and tally.  One body, _run_tangent, runs every tangent
+scenario.  It makes one solve per seed of the base state with that seed's
+tangent; the first seed's base rows are the base run, written as
+trajectory.csv, whose drift is gated at 100 x tolerance.  verdicts reads the
+checks of each grid, the summary entries and the scenario's own gate off the
+base run; each seed's grid then goes through every check, and tally sums the
+results up.  soliton-validate gates its base run's drift alike, and every
+gated summary records its gate as drift_tolerance.
 """
 from __future__ import annotations
 
@@ -252,7 +252,7 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(_read_config(path))
 
 
-# -- scenario runners ---------------------------------------------------------
+# -- scenarios -----------------------------------------------------------------
 
 def _base_lattice(cfg: ExperimentConfig) -> LatticeState:
     base = cfg.resolved_base()
@@ -263,41 +263,12 @@ def _base_lattice(cfg: ExperimentConfig) -> LatticeState:
     return background_state(cfg.window)
 
 
-def _grid_csv_name(seed) -> str:
-    site, coord = seed
-    tag = f"m{site}" if site >= 0 else f"m_minus{-site}"
-    return f"sensitivity_{tag}_{coord}.csv"
-
-
-def _seed_runs(cfg, out, x, **flow):
-    """One tangent run per seed, as the base run and then (seed, grid) per
-    seed.  The base run is the first seed's grid.base, written as
-    trajectory.csv, so the flow is integrated once per seed and not once
-    more alone.  The caller drops each grid before asking for the next, and
-    may stop after the base run."""
-    for i, seed in enumerate(cfg.seeds):
-        grid = evolve_tangent(x, seed, cfg.t_final, cfg.integrator,
-                              sample_dt=cfg.sample_dt, guard=cfg.guard, **flow)
-        if i == 0:
-            grid.base.to_csv(out / "trajectory.csv")
-            yield grid.base
-        yield seed, grid
-        del grid        # freed before the next tangent run, to keep peak RSS down
-
-
-def _seed_loop(out, runs, checks):
-    """Per (seed, grid) of runs: the grid's CSV, then each check of the grid;
-    a light-cone report is also written as JSON.  Returns one tuple of check
-    results per seed."""
-    rows = []
-    for seed, grid in runs:
-        grid.to_csv(out / _grid_csv_name(seed))
-        rows.append(tuple(check(grid) for check in checks))
-        for rep in rows[-1]:
-            if isinstance(rep, LightConeReport):
-                rep.to_json(out / f"lightcone_{rep.family}_{seed[0]}_{seed[1]}.json")
-        del grid
-    return rows
+def _bump_chain(cfg: ExperimentConfig) -> GHSState:
+    """Chain at rest with a Gaussian momentum bump of width 3 at site 0."""
+    n = cfg.window
+    offset = -(n // 2)
+    sites = np.arange(offset, offset + n)
+    return GHSState(np.zeros(n), np.exp(-((sites / 3.0) ** 2)), offset)
 
 
 def _drift_tolerance(cfg) -> float:
@@ -305,71 +276,160 @@ def _drift_tolerance(cfg) -> float:
     return 100.0 * cfg.integrator.tolerance
 
 
-def _cone_check(cfg, envelope):
-    return lambda grid: verify_light_cone(grid, envelope, threshold=cfg.front_threshold)
+def _run_tangent(cfg: ExperimentConfig, out: Path):
+    """The body of every tangent scenario (see the module docstring).  No
+    checks means the run is excluded and no further solve is made; each
+    grid is freed before the next solve, to keep peak RSS down."""
+    row = SCENARIOS[cfg.scenario]
+    x = row.state(cfg)
 
+    def solve(seed):
+        return evolve_tangent(x, seed, cfg.t_final, cfg.integrator, flow=row.flow,
+                              sample_dt=cfg.sample_dt, guard=cfg.guard,
+                              hierarchy=cfg.hierarchy, perturbation=cfg.perturbation,
+                              potential=cfg.potential)
 
-def _cone_scenario(cfg, out, x, drift_of, envelopes, flow, **specs):
-    """Shared body of the light-cone scenarios.  The base run of the flow
-    from x (the first seed's, see _seed_runs) is written as trajectory.csv,
-    gates its conserved-quantity drift drift_of(run) at 100 x tolerance, and
-    is handed to envelopes(run), which returns (envelopes, summary entries,
-    the scenario's own gate); no envelopes means the run is excluded and the
-    entries are the final summary.  Each seed's tangent grid is then checked
-    against every envelope."""
-    runs = _seed_runs(cfg, out, x, flow=flow, **specs)
-    run = next(runs)
-    drift, drift_tol = drift_of(run), _drift_tolerance(cfg)
-    envs, summary, gate = envelopes(run)
+    grid = solve(cfg.seeds[0])
+    grid.base.to_csv(out / "trajectory.csv")
+    series = row.series(cfg, grid.base)
+    drift, drift_tol = _drift(series), _drift_tolerance(cfg)
+    checks, summary, gate = row.verdicts(cfg, x, grid.base, series)
     summary.update(conserved_drift=drift, drift_tolerance=drift_tol)
-    base_clean = run.clean
-    del run             # not held across the seed loop, to keep peak RSS down
-    if not envs:
+    if not checks:
         return summary, False, None
-    rows = _seed_loop(out, runs, [_cone_check(cfg, env) for env in envs])
+    rows = []
+    for i, seed in enumerate(cfg.seeds):
+        grid = solve(seed) if i else grid
+        grid.to_csv(out / f"sensitivity_m{seed[0]}_{seed[1]}.csv".replace("-", "_minus"))
+        rows.append(tuple(check(grid) for check in checks))
+        for rep in rows[-1]:
+            if isinstance(rep, LightConeReport):
+                rep.to_json(out / f"lightcone_{rep.family}_{seed[0]}_{seed[1]}.json")
+        del grid
+    entries, ok, first_violation = row.tally(out, rows)
+    summary.update(entries)
+    return summary, ok and gate and drift <= drift_tol, first_violation
+
+
+def _cones(cfg: ExperimentConfig, *envelopes) -> list:
+    """One light-cone check per envelope."""
+    return [lambda grid, env=env: verify_light_cone(grid, env, threshold=cfg.front_threshold)
+            for env in envelopes]
+
+
+def _cone_tally(_out, rows):
+    """Every grid clean and no violation; the front speed and the bound
+    speed are those of the first envelope."""
     reports = [rep for row in rows for rep in row]
-    first_violation = next((r.violations[0] for r in reports if r.violations), None)
-    clean = base_clean and all(r.clean for r in reports)
+    clean = all(r.clean for r in reports)
     n_viol = sum(r.n_violations for r in reports)
-    # the front speed and the bound speed are those of the first envelope
-    summary.update({
-        "clean": clean,
-        "violations": n_viol,
-        "empirical_front_speed": next((row[0].empirical_front_speed for row in rows
-                                       if row[0].empirical_front_speed is not None), None),
-        "bound_speed": reports[0].bound_speed,
-        "boundary_margin": min(r.boundary_margin for r in reports),
-    })
-    return summary, clean and n_viol == 0 and gate and drift <= drift_tol, first_violation
+    return ({"clean": clean, "violations": n_viol,
+             "empirical_front_speed": next((row[0].empirical_front_speed for row in rows
+                                            if row[0].empirical_front_speed is not None), None),
+             "bound_speed": reports[0].bound_speed,
+             "boundary_margin": min(r.boundary_margin for r in reports)},
+            clean and n_viol == 0, next((r.violations[0] for r in reports if r.violations), None))
 
 
-def _run_toda_lightcone(cfg: ExperimentConfig, out: Path):
-    mu, x = cfg.resolved_mu(), _base_lattice(cfg)
-    norms = []          # the base run's norm series
-
-    def drift_of(run):
-        norms.append(run.norm_series())
-        return _drift(norms[0])
-
-    def envelopes(run):
-        # sample 0 of the run is x, so this is jacobi_norm(x), bit for bit
-        lnorm = float(norms[0][0])
-        extra = {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()}
-        return [toda_envelope(mu, lnorm, cfg.envelope_scale)], extra, True
-
-    return _cone_scenario(cfg, out, x, drift_of, envelopes, "toda")
+def _toda_verdicts(cfg, x, run, norms):
+    mu = cfg.resolved_mu()
+    lnorm = float(norms[0])     # sample 0 of the run is x: jacobi_norm(x), bit for bit
+    return (_cones(cfg, toda_envelope(mu, lnorm, cfg.envelope_scale)),
+            {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()}, True)
 
 
-def _run_hierarchy(cfg: ExperimentConfig, out: Path):
-    mu, x, hspec = cfg.resolved_mu(), _base_lattice(cfg), cfg.hierarchy
-    lnorm = jacobi_norm(x)
+def _hierarchy_verdicts(cfg, x, run, series):
+    mu, lnorm, hspec = cfg.resolved_mu(), jacobi_norm(x), cfg.hierarchy
     env = hierarchy_envelope(mu, lnorm, hspec, "matrix-norm", cfg.envelope_scale)
-    extra = {"mu": mu, "Lnorm": lnorm, "r": hspec.r, "c": list(hspec.c),
+    return (_cones(cfg, env),
+            {"mu": mu, "Lnorm": lnorm, "r": hspec.r, "c": list(hspec.c),
              "bound_speed_lemma44": velocity_hierarchy(mu, lnorm, hspec, "lemma44"),
-             "base": cfg.resolved_base()}
-    return _cone_scenario(cfg, out, x,
-                          lambda run: run.energy_drift(lambda s: hierarchy_hamiltonian(s, hspec)),
-                          lambda run: ([env], extra, True), "hierarchy", hierarchy=hspec)
+             "base": cfg.resolved_base()}, True)
+
+
+def _a_star(x) -> float:
+    """inf_n |a_n(0)| over the window and the background."""
+    return min(float(np.min(np.abs(x.a))), abs(x.background[0]))
+
+
+def _timedep_verdicts(cfg, x, run, series):
+    mu, pspec = cfg.resolved_mu(), cfg.perturbation
+    lnorm0, a_star = jacobi_norm(x), _a_star(x)
+    env = timedep_envelope(mu, lnorm0, pspec.dw_sup, pspec.d2w_sup, a_star,
+                           cfg.envelope_scale)
+    return (_cones(cfg, env),
+            {"mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
+             "a_star": a_star, "Lnorm0": lnorm0,
+             "radius_final": float(env.radius(cfg.t_final))}, True)
+
+
+def _perturbed_monitors(cfg: ExperimentConfig, run, skipped: str):
+    """Monitors of the perturbed base run (C1, C2, ||L(0)||) and the summary
+    entries of perturbed and interpolation; all of it if the run looks unbounded."""
+    pspec = cfg.perturbation
+    mon = monitor_trajectory(run)
+    summary = {"mu": cfg.resolved_mu(), "base": cfg.resolved_base(),
+               "family": pspec.family, "w0": pspec.w0,
+               "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded}
+    if mon.unbounded:
+        summary.update({"clean": run.clean, "violations": 0,
+                        "empirical_front_speed": None, "bound_speed": None,
+                        "excluded": f"unbounded-looking run; {skipped} skipped"})
+    return mon, summary
+
+
+def _perturbed_verdicts(cfg, x, run, series):
+    pspec = cfg.perturbation
+    mon, summary = _perturbed_monitors(cfg, run, "bound checks")
+    if mon.unbounded:
+        return [], summary, False
+    # a-priori operator norm growth along the run, checked by counting
+    # the eigenvalues beyond the line rather than solving for the norm
+    line = mon.Lnorm0 + pspec.dw_sup * run.times
+    norm_ok = bool(np.all(jacobi_norm_within(run.a, run.b, line + 1e-9)))
+    mu, a_star = summary["mu"], _a_star(x)
+    env_w = perturbed_envelope(mu, mon.C1, mon.C2, pspec.d2w_sup, cfg.envelope_scale)
+    env_t = timedep_envelope(mu, mon.Lnorm0, pspec.dw_sup, pspec.d2w_sup,
+                             a_star, cfg.envelope_scale)
+    summary.update({"norm_growth_ok": norm_ok, "a_star": a_star,
+                    "timedep_radius_final": float(env_t.radius(cfg.t_final))})
+    return _cones(cfg, env_w, env_t), summary, norm_ok
+
+
+def _interpolation_verdicts(cfg, x, run, series):
+    mon, summary = _perturbed_monitors(cfg, run, "fit")
+    summary["eps"] = cfg.eps
+    if mon.unbounded:
+        return [], summary, False
+    return ([lambda grid: interpolation_envelope(grid, mon, summary["mu"], cfg.eps),
+             lambda grid: grid.clean], summary, True)
+
+
+def _interpolation_tally(out, rows):
+    """Summary of the fits, also written as interpolation_fit.json: every
+    grid clean, every envelope valid, and the worst spatial r2 >= 0.99."""
+    fits, cleans = zip(*rows)
+    clean = all(cleans)
+    worst_r2 = float(np.min([f.r2_spatial for f in fits]))  # a NaN fit gives NaN
+    valid = all(f.envelope_valid for f in fits)
+    f0 = fits[0]
+    write_json(out / "interpolation_fit.json",
+               [{k: getattr(f, k) for k in ("mu", "eps", "C", "v", "vstar", "D", "delta",
+                                           "r2_spatial", "envelope_valid")} for f in fits])
+    return ({"clean": clean, "violations": 0 if valid else 1,
+             "empirical_front_speed": None, "bound_speed": f0.v,
+             "C": f0.C, "v": f0.v, "vstar": f0.vstar, "D": f0.D, "delta": f0.delta,
+             "r2_spatial": worst_r2, "envelope_valid": valid},
+            clean and valid and worst_r2 >= 0.99, None)
+
+
+def _ghs_verdicts(cfg, x, run, series):
+    mu, pot = cfg.resolved_mu(), cfg.potential
+    stab = ghs_stability_diagnostics(run, pot)
+    return (_cones(cfg, ghs_envelope(mu, run, pot, cfg.envelope_scale)),
+            {"mu": mu, "family": pot.family, "beta": pot.beta,
+             "energy": stab.energy, "M_E": stab.M_E, "stability_ok": stab.ok},
+            stab.ok)
 
 
 def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
@@ -409,98 +469,6 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
         "soliton_speed": soliton_speed(spec),
     }
     return summary, ok, None
-
-
-def _a_star(x) -> float:
-    """inf_n |a_n(0)| over the window and the background."""
-    return min(float(np.min(np.abs(x.a))), abs(x.background[0]))
-
-
-def _perturbed_monitors(cfg: ExperimentConfig, run, skipped: str):
-    """Monitors of the perturbed base run (C1, C2, ||L(0)||) and the
-    summary entries that perturbed and interpolation share; these are the
-    final summary when the run looks unbounded."""
-    pspec = cfg.perturbation
-    mon = monitor_trajectory(run)
-    summary = {"mu": cfg.resolved_mu(), "base": cfg.resolved_base(),
-               "family": pspec.family, "w0": pspec.w0,
-               "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded}
-    if mon.unbounded:
-        summary.update({"clean": run.clean, "violations": 0,
-                        "empirical_front_speed": None, "bound_speed": None,
-                        "excluded": f"unbounded-looking run; {skipped} skipped"})
-    return mon, summary
-
-
-def _run_perturbed(cfg: ExperimentConfig, out: Path):
-    pspec, x = cfg.perturbation, _base_lattice(cfg)
-
-    def envelopes(run):
-        mon, summary = _perturbed_monitors(cfg, run, "bound checks")
-        if mon.unbounded:
-            return [], summary, False
-        # a-priori operator norm growth along the run, checked by counting
-        # the eigenvalues beyond the line rather than solving for the norm
-        line = mon.Lnorm0 + pspec.dw_sup * run.times
-        norm_ok = bool(np.all(jacobi_norm_within(run.a, run.b, line + 1e-9)))
-        mu, a_star = summary["mu"], _a_star(x)
-        env_w = perturbed_envelope(mu, mon.C1, mon.C2, pspec.d2w_sup, cfg.envelope_scale)
-        env_t = timedep_envelope(mu, mon.Lnorm0, pspec.dw_sup, pspec.d2w_sup,
-                                 a_star, cfg.envelope_scale)
-        summary.update({"norm_growth_ok": norm_ok, "a_star": a_star,
-                        "timedep_radius_final": float(env_t.radius(cfg.t_final))})
-        return [env_w, env_t], summary, norm_ok
-
-    return _cone_scenario(cfg, out, x,
-                          lambda run: run.energy_drift(lambda s: perturbed_energy(s, pspec)),
-                          envelopes, "perturbed", perturbation=pspec)
-
-
-def _run_interpolation(cfg: ExperimentConfig, out: Path):
-    runs = _seed_runs(cfg, out, _base_lattice(cfg), flow="perturbed",
-                      perturbation=cfg.perturbation)
-    run = next(runs)
-    mon, summary = _perturbed_monitors(cfg, run, "fit")
-    drift = run.energy_drift(lambda s: perturbed_energy(s, cfg.perturbation))
-    drift_tol = _drift_tolerance(cfg)
-    summary.update(eps=cfg.eps, conserved_drift=drift, drift_tolerance=drift_tol)
-    del run
-    if mon.unbounded:
-        return summary, False, None
-
-    def fit(grid):
-        return interpolation_envelope(grid, mon, summary["mu"], cfg.eps)
-
-    rows = _seed_loop(out, runs, (fit, lambda grid: grid.clean))
-    fits, cleans = zip(*rows)
-    clean = all(cleans)
-    worst_r2 = float(np.min([f.r2_spatial for f in fits]))  # a NaN fit gives NaN
-    valid = all(f.envelope_valid for f in fits)
-    ok = clean and valid and worst_r2 >= 0.99 and drift <= drift_tol
-    f0 = fits[0]
-    summary.update({
-        "clean": clean, "violations": 0 if valid else 1,
-        "empirical_front_speed": None, "bound_speed": f0.v,
-        "C": f0.C, "v": f0.v, "vstar": f0.vstar, "D": f0.D, "delta": f0.delta,
-        "r2_spatial": worst_r2, "envelope_valid": valid,
-    })
-    write_json(out / "interpolation_fit.json",
-               [{k: getattr(f, k) for k in ("mu", "eps", "C", "v", "vstar", "D", "delta",
-                                           "r2_spatial", "envelope_valid")} for f in fits])
-    return summary, ok, None
-
-
-def _run_timedep(cfg: ExperimentConfig, out: Path):
-    mu, x, pspec = cfg.resolved_mu(), _base_lattice(cfg), cfg.perturbation
-    lnorm0, a_star = jacobi_norm(x), _a_star(x)
-    env = timedep_envelope(mu, lnorm0, pspec.dw_sup, pspec.d2w_sup, a_star,
-                           cfg.envelope_scale)
-    extra = {"mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
-             "a_star": a_star, "Lnorm0": lnorm0,
-             "radius_final": float(env.radius(cfg.t_final))}
-    return _cone_scenario(cfg, out, x,
-                          lambda run: run.energy_drift(lambda s: perturbed_energy(s, pspec)),
-                          lambda run: ([env], extra, True), "perturbed", perturbation=pspec)
 
 
 def _run_observables(cfg: ExperimentConfig, out: Path):
@@ -556,46 +524,55 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
     return summary, ok, first_violation
 
 
-def _run_ghs(cfg: ExperimentConfig, out: Path):
-    mu, pot, n = cfg.resolved_mu(), cfg.potential, cfg.window
-    offset = -(n // 2)
-    sites = np.arange(offset, offset + n)
-    x = GHSState(np.zeros(n), np.exp(-((sites / 3.0) ** 2)), offset)
-
-    def envelopes(run):
-        stab = ghs_stability_diagnostics(run, pot)
-        return ([ghs_envelope(mu, run, pot, cfg.envelope_scale)],
-                {"mu": mu, "family": pot.family, "beta": pot.beta,
-                 "energy": stab.energy, "M_E": stab.M_E, "stability_ok": stab.ok},
-                stab.ok)
-
-    return _cone_scenario(cfg, out, x,
-                          lambda run: run.energy_drift(lambda s: ghs_energy(s, pot)),
-                          envelopes, "ghs", potential=pot)
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """A scenario's runner, what base "auto" resolves to, and the config
-    blocks it requires."""
+    """A row of SCENARIOS: what base "auto" resolves to, the config blocks
+    the scenario requires, and its runner run(cfg, out) -> (summary, ok,
+    first violation).  For _run_tangent, also: state(cfg), the base state
+    x; flow, a make_flow name; series(cfg, run), the base run's conserved
+    quantity; verdicts(cfg, x, run, series) -> (per-grid checks, summary
+    entries, gate); tally(out, rows) -> (summary entries, ok, first
+    violation), rows holding one tuple of check results per seed.  A row
+    reaches cli's names through a def or a lambda, when it is called."""
 
-    run: object
     auto_base: str
     blocks: tuple = ()
+    run: object = _run_tangent
+    state: object = _base_lattice
+    flow: str = ""
+    series: object = None
+    verdicts: object = None
+    tally: object = _cone_tally
+
+
+def _perturbed_series(cfg, run):
+    return run.energy_series(lambda s: perturbed_energy(s, cfg.perturbation))
 
 
 # "auto" bases: cone checks on the exact background are the cleanest,
 # perturbed flows need spatially localized data, bracket checks need a state
 # with structure
 SCENARIOS = {
-    "toda-lightcone": Scenario(_run_toda_lightcone, "background"),
-    "soliton-validate": Scenario(_run_soliton_validate, "soliton", ("soliton",)),
-    "hierarchy": Scenario(_run_hierarchy, "background", ("hierarchy",)),
-    "perturbed": Scenario(_run_perturbed, "random", ("perturbation",)),
-    "interpolation": Scenario(_run_interpolation, "random", ("perturbation",)),
-    "timedep": Scenario(_run_timedep, "random", ("perturbation",)),
-    "observables": Scenario(_run_observables, "soliton"),
-    "ghs": Scenario(_run_ghs, "background", ("potential",)),
+    "toda-lightcone": Scenario("background", flow="toda",
+                               series=lambda cfg, run: run.norm_series(),
+                               verdicts=_toda_verdicts),
+    "soliton-validate": Scenario("soliton", ("soliton",), run=_run_soliton_validate),
+    "hierarchy": Scenario("background", ("hierarchy",), flow="hierarchy",
+                          series=lambda cfg, run: run.energy_series(
+                              lambda s: hierarchy_hamiltonian(s, cfg.hierarchy)),
+                          verdicts=_hierarchy_verdicts),
+    "perturbed": Scenario("random", ("perturbation",), flow="perturbed",
+                          series=_perturbed_series, verdicts=_perturbed_verdicts),
+    "interpolation": Scenario("random", ("perturbation",), flow="perturbed",
+                              series=_perturbed_series, verdicts=_interpolation_verdicts,
+                              tally=_interpolation_tally),
+    "timedep": Scenario("random", ("perturbation",), flow="perturbed",
+                        series=_perturbed_series, verdicts=_timedep_verdicts),
+    "observables": Scenario("soliton", run=_run_observables),
+    "ghs": Scenario("background", ("potential",), state=_bump_chain, flow="ghs",
+                    series=lambda cfg, run: run.energy_series(
+                        lambda s: ghs_energy(s, cfg.potential)),
+                    verdicts=_ghs_verdicts),
 }
 
 

@@ -42,7 +42,6 @@ class PotentialSpec:
     v: object = None
     dv: object = None
     d2v: object = None
-    confining: bool = True
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -166,8 +165,6 @@ def ghs_stability_diagnostics(traj: Trajectory, pot: PotentialSpec) -> Stability
     """Check the three finite-energy stability bounds at every sample, plus
     the position bound ||q(t)||_inf <= ||q(0)||_inf + sqrt(2E) |t| with q
     reconstructed by trapezoidal p-integration (q_first fixed to 0)."""
-    if not pot.confining:
-        raise ValueError("stability diagnostics need a confining potential")
     e = ghs_energy(traj.state(0), pot)
     m_e = confinement_bound(pot, e)
     c = quadratic_floor(pot, m_e)

@@ -96,7 +96,11 @@ def solve_vector(fun, y0: np.ndarray, times: np.ndarray,
                     dense_output=False)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
-    return sol.y.T
+    out = sol.y.T
+    # the start itself, not the dense output of the first step at its left
+    # end, which is NaN where that step's coefficients overflowed
+    out[0] = y0
+    return out
 
 
 def sample_times(t_final: float, sample_dt: float | None = None,

@@ -72,19 +72,32 @@ def _seed_vectors(x, seed):
     return da, db
 
 
+class _OnBase:
+    """times, offset and guard of a grid are those of its base run."""
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.base.times
+
+    @property
+    def offset(self) -> int:
+        return self.base.offset
+
+    @property
+    def guard(self) -> int:
+        return self.base.guard
+
+
 @dataclass
-class SensitivityGrid(EdgeMargin):
+class SensitivityGrid(_OnBase, EdgeMargin):
     """d(state)/dz over the window and the sampled horizon, plus the base run."""
 
-    times: np.ndarray
     da: np.ndarray            # (T, N); d r / dz for the chain flow
     db: np.ndarray            # (T, N); d p / dz for the chain flow
     base: Trajectory
-    offset: int
     seed_site: int
     seed_coord: str
     flow: str
-    guard: int = 10
     meta: dict = field(default_factory=dict)
 
     @property
@@ -131,12 +144,6 @@ class SensitivityGrid(EdgeMargin):
                   self.offset, self.da, self.db)
 
 
-def _grid(seed, flow, base, da, db, meta=None) -> SensitivityGrid:
-    return SensitivityGrid(times=base.times, da=da, db=db, base=base, offset=base.offset,
-                           seed_site=int(seed[0]), seed_coord=str(seed[1]),
-                           flow=flow, guard=base.guard, meta=meta or {})
-
-
 def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
                    flow: str = "toda", *,
                    hierarchy: HierarchySpec | None = None,
@@ -149,7 +156,7 @@ def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
     base, (da, db) = _solve_blocks(x, rhs, _seed_vectors(x, seed),
                                    sample_times(t_final, sample_dt, n_samples),
                                    cfg or IntegratorConfig(), guard)
-    return _grid(seed, flow, base, da, db)
+    return SensitivityGrid(da, db, base, int(seed[0]), str(seed[1]), flow)
 
 
 def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, n_samples, guard=10):
@@ -194,18 +201,17 @@ def finite_difference_oracle(x, seed, t_final: float,
         h = 1e-5 * max(1.0, abs(float(z0[seed[0] - x.offset])))
     diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg,
                              sample_dt, n_samples, guard)
-    return _grid(seed, flow, mid, diff[0] / (2.0 * h), diff[1] / (2.0 * h),
-                 {"fd_h": h, "fd_error_scale": h * h})
+    return SensitivityGrid(diff[0] / (2.0 * h), diff[1] / (2.0 * h), mid, int(seed[0]),
+                           str(seed[1]), flow, {"fd_h": h, "fd_error_scale": h * h})
 
 
 # -- second derivatives (Toda flow only) -------------------------------------
 
 @dataclass
-class SecondTangentGrid:
+class SecondTangentGrid(_OnBase):
     """w = d^2(state at t) / dz1 dz2 for the Toda flow, with both first
     tangents and the base run carried along."""
 
-    times: np.ndarray
     w_a: np.ndarray
     w_b: np.ndarray
     u1_a: np.ndarray
@@ -213,10 +219,8 @@ class SecondTangentGrid:
     u2_a: np.ndarray
     u2_b: np.ndarray
     base: Trajectory
-    offset: int
     seed1: tuple
     seed2: tuple
-    guard: int = 10
 
     @property
     def sites(self) -> np.ndarray:
@@ -258,10 +262,8 @@ def evolve_second_tangent(x: LatticeState, z_seed, k, t_final: float,
     base, (u1a, u1b, u2a, u2b, wa, wb) = _solve_blocks(
         x, _toda_second_fields, blocks, sample_times(t_final, sample_dt, n_samples),
         cfg or IntegratorConfig(), guard)
-    return SecondTangentGrid(times=base.times, w_a=wa, w_b=wb,
-                             u1_a=u1a, u1_b=u1b, u2_a=u2a, u2_b=u2b, base=base,
-                             offset=x.offset, seed1=tuple(z_seed), seed2=second,
-                             guard=guard)
+    return SecondTangentGrid(w_a=wa, w_b=wb, u1_a=u1a, u1_b=u1b, u2_a=u2a, u2_b=u2b,
+                             base=base, seed1=tuple(z_seed), seed2=second)
 
 
 def second_finite_difference(x: LatticeState, z_seed, second, t_final: float,

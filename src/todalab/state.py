@@ -301,16 +301,13 @@ def jacobi_matrix(s: LatticeState, pad: int = 0) -> np.ndarray:
     return m
 
 
-def jacobi_norm(s: LatticeState, pad: int = 0) -> float:
+def jacobi_norm(s: LatticeState) -> float:
     """Spectral norm of the windowed Jacobi operator.
 
     Sandwiched by max(max |a_n| over interior couplings, max |b_n|) from
     below and 2 max|a| + max|b| from above.
     """
-    a, b = _padded(s, pad)
-    if b.size == 1:
-        return abs(float(b[0]))
-    ev = eigvalsh_tridiagonal(b, a[:-1])
+    ev = eigvalsh_tridiagonal(s.b, s.a[:-1])
     return float(max(abs(ev[0]), abs(ev[-1])))
 
 

@@ -190,6 +190,18 @@ def test_integrator_max_step_is_not_a_setting(tmp_path, capsys):
     assert "config error: integrator:" in err and "max_step" in err
 
 
+def test_potential_confining_is_not_a_setting(tmp_path, capsys):
+    """A potential that does not confine is found by confinement_bound, so
+    there is no flag to declare one: the key is a config error."""
+    raw = small_run_config(scenario="ghs")
+    raw["potential"] = {"family": "quartic", "beta": 0.1, "confining": False}
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "-c", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: potential:" in err and "confining" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_runs_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, small_run_config())
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -162,14 +162,6 @@ def test_stability_bounds_hold():
     assert stab.q_inf_max <= stab.q_inf_bound_final
 
 
-def test_stability_requires_confining_flag():
-    x = bump_state(41)
-    pot = PotentialSpec(family="toda", confining=False)
-    traj = integrate(x, lambda s: ghs_rhs(s, pot), 0.5, FIX, n_samples=3)
-    with pytest.raises(ValueError):
-        ghs_stability_diagnostics(traj, pot)
-
-
 def test_cone_constant_and_velocity():
     x = bump_state(121)
     pot = PotentialSpec(family="toda")

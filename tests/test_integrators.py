@@ -346,6 +346,29 @@ def test_a_non_finite_sample_is_named_by_time_and_site(method):
             integrate(x, _overflow_field, 30.0, cfg, sample_dt=1.0)
 
 
+@pytest.mark.parametrize("rate", [1e306, 1e307])
+def test_a_spoiled_first_adaptive_step_keeps_the_start_state(rate):
+    """b at site 2 starts at 1.6e308 and grows at rate, so DOP853's first
+    step overflows and its dense output is NaN even at the step's start.
+    Row 0 is the start state itself, and the error names t=0.5, the first
+    sample after it."""
+    x = background_state(11)
+    x.b[x.site_index(2)] = 1.6e308
+
+    def growing(s):
+        fa, fb = np.zeros(s.n_sites), np.zeros(s.n_sites)
+        fb[s.site_index(2)] = rate
+        return fa, fb
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = solve_vector(lambda _t, y: np.concatenate(growing(x._over(y[:11], y[11:]))),
+                           np.concatenate(x.arrays), sample_times(2.0, 0.5),
+                           IntegratorConfig())
+        assert raw[0].tobytes() == np.concatenate(x.arrays).tobytes()
+        with pytest.raises(ValueError, match="^LatticeState run: non-finite b at t=0.5, site 2$"):
+            integrate(x, growing, 2.0, IntegratorConfig(), sample_dt=0.5)
+
+
 def test_check_samples_names_the_earliest_time_then_the_lowest_site():
     times = np.array([0.0, 0.5, 1.0])
     a, b = np.full((3, 5), 0.5), np.zeros((3, 5))

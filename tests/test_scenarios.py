@@ -5,6 +5,7 @@ frozen summary values: non-floats exactly, floats within 1e-9 relative.
 
     PYTHONPATH=src python tests/test_scenarios.py --freeze   # rewrite the fixture
 """
+import importlib.util
 import json
 import math
 import sys
@@ -163,6 +164,39 @@ def test_one_solve_per_seed(scenario, tmp_path, monkeypatch):
     assert run_config(cfg, tmp_path) == 0
     assert [args[1] for args, _ in tangents] == list(cfg.seeds)
     assert len(solves) == 3
+
+
+def test_scenario_lists_agree():
+    """This suite, tools/compare_runs.py and the CLI's table name the same
+    scenarios, and each cone scenario's row runs the flow named here."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
+    spec = importlib.util.spec_from_file_location("compare_runs", tool)
+    compare_runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_runs)
+    assert set(SCENARIOS) == set(compare_runs.SCENARIOS) == set(cli_module.SCENARIOS)
+    cones = {name: row.flow for name, row in cli_module.SCENARIOS.items()
+             if row.run is cli_module._run_tangent and row.tally is cli_module._cone_tally}
+    assert cones == CONE_FLOWS
+
+
+@pytest.mark.parametrize("name,scenario", [
+    ("hierarchy_hamiltonian", "hierarchy"), ("perturbed_energy", "perturbed"),
+    ("ghs_energy", "ghs"), ("verify_light_cone", "toda-lightcone"),
+    ("ghs_stability_diagnostics", "ghs"), ("monitor_trajectory", "perturbed"),
+    ("interpolation_envelope", "interpolation")])
+def test_rows_look_names_up_when_called(name, scenario, tmp_path, monkeypatch):
+    """A row reaches the function through cli's globals at run time, so a
+    rebinding made after the table was built sees the call."""
+    calls, original = [], getattr(cli_module, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, name, spied)
+    code, _, _ = run_scenario(scenario, tmp_path)
+    assert code == 0
+    assert calls
 
 
 ADAPTIVE_BOUND = 100.0     # x tolerance: the scale of the drift gate

@@ -7,7 +7,8 @@ from todalab import (GHSState, HierarchySpec, IntegratorConfig, LatticeState,
                      PerturbationSpec, PotentialSpec, SolitonSpec,
                      background_state, evolve_second_tangent, evolve_tangent,
                      finite_difference_oracle, random_localized_state,
-                     second_finite_difference, soliton_state)
+                     second_finite_difference, soliton_state,
+                     toda_envelope, verify_light_cone)
 from todalab.integrators import _solve_blocks
 from todalab.sensitivity import (SensitivityGrid, _seed_vectors, _toda_second_fields,
                                  make_flow)
@@ -43,6 +44,18 @@ def test_grid_geometry_and_observed():
     # log-a observable doubles the relative a-part
     la = g.observed("log-a")
     assert la.shape == obs.shape
+
+
+def test_grids_read_times_offset_and_guard_from_their_base_run():
+    x = background_state(21, offset=-7)
+    grids = (evolve_tangent(x, (0, "b"), 0.5, FIXED, n_samples=3, guard=4),
+             finite_difference_oracle(x, (0, "b"), 0.5, FIXED, n_samples=3, guard=4),
+             evolve_second_tangent(x, (0, "a"), 1, 0.5, FIXED, n_samples=3, guard=4))
+    for g in grids:
+        assert g.times is g.base.times
+        assert (g.offset, g.guard) == (g.base.offset, g.base.guard) == (-7, 4)
+    rep = verify_light_cone(grids[0], toda_envelope(1.0, 1.0))
+    assert (rep.seed_site, rep.seed_coord, rep.guard) == (0, "b", 4)
 
 
 # variational grids against the centered-difference oracle, every flow
