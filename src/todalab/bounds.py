@@ -3,16 +3,19 @@
 Every explicit constant and velocity of the sensitivity bounds lives here:
 
 * velocity_toda:      v = (1 + sqrt(17)) ||L(0)|| (e^{mu+1} + 1/mu)
-* optimal_mu:         the decay rate minimizing that velocity
+* optimal_mu:         the decay rate minimizing it, mu0 = 2 W0(e^{-1/2}/2)
 * velocity_perturbed: the same with perturbation-corrected comparison matrix
 * velocity_hierarchy: order-r comparison-matrix and crude-count variants
 * velocity_timedep:   cone *radius* for data that is merely bounded
 * G_mu machinery:     the summable weight used by the interpolated bounds
 * h_growth, second_derivative_envelope: the mixed second-derivative bound
 
-compare is the one comparison behind every verdict; verify_light_cone applies
-it pointwise to observed sensitivity magnitudes against an envelope and
-reports violations, the empirical front speed, and boundary hygiene.
+Envelope.value is the one evaluator of the cone P e^{-mu(d - v|t|)}: the
+light-cone envelopes, the bracket bound (observables.check_bracket_bound)
+and the second-derivative envelope all call it.  compare is the one
+comparison behind every verdict; verify_light_cone applies it pointwise to
+observed sensitivity magnitudes against an envelope and reports
+violations, the empirical front speed, and boundary hygiene.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.special import lambertw
 
 from .hierarchy import HierarchySpec, path_counts
 from .integrators import write_json
@@ -40,25 +44,11 @@ def velocity_toda(mu: float, Lnorm: float = 1.0) -> float:
     return (1.0 + SQRT17) * Lnorm * mu_profile(mu)
 
 
-def optimal_mu(tol: float = 1e-12, max_iter: int = 200):
-    """(mu0, f(mu0)) minimizing the velocity: the stationarity condition is
-    e^{mu+1} = 1/mu^2, solved by safeguarded Newton iteration."""
-    lo, hi = 0.1, 1.0
-    mu = 0.5
-    for _ in range(max_iter):
-        phi = mu * mu * math.exp(mu + 1.0) - 1.0
-        if phi > 0.0:
-            hi = mu
-        else:
-            lo = mu
-        dphi = (2.0 * mu + mu * mu) * math.exp(mu + 1.0)
-        nxt = mu - phi / dphi
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - mu) <= tol:
-            mu = nxt
-            break
-        mu = nxt
+def optimal_mu():
+    """(mu0, f(mu0)) minimizing the velocity.  The stationarity condition
+    mu^2 e^{mu+1} = 1 reads (mu/2) e^{mu/2} = e^{-1/2}/2, so
+    mu0 = 2 W0(e^{-1/2}/2) with W0 the principal Lambert W branch."""
+    mu = 2.0 * float(lambertw(0.5 * math.exp(-0.5)).real)
     return mu, mu_profile(mu)
 
 
@@ -193,9 +183,10 @@ def second_derivative_envelope(mu: float, Lnorm: float, v: float | None = None):
     """(C, envelope) of the bound on |d^2 F_n(t) / dz db̃_k| for seeds at
     sites l (z) and k:
 
-        envelope(dl, dk, t) = C e^{-mu (dl + dk)} e^{2 mu v |t|} h(t).
+        envelope(dl, dk, t) = C e^{-mu (|dl| + |dk| - 2 v |t|)} h(t):
 
-    C collects the eigen-decomposition of the doubled comparison matrix.
+    h(t) times the cone of speed 2v at distance |dl| + |dk|.  C collects the
+    eigen-decomposition of the doubled comparison matrix.
     """
     if v is None:
         v = velocity_toda(mu, Lnorm)
@@ -208,12 +199,10 @@ def second_derivative_envelope(mu: float, Lnorm: float, v: float | None = None):
     vm_inf = max(abs(lam_m), 4.0 * e2)
     c_mu = (64.0 / 17.0) * math.exp(mu)
     c = c_mu / (2.0 * mu * v) * (abs(y1) * vp_inf + abs(y2) * vm_inf)
+    cone = Envelope(family="second-derivative", mu=mu, prefactor=c, speed=2.0 * v)
 
     def envelope(dl, dk, t):
-        dl = np.abs(np.asarray(dl, dtype=float))
-        dk = np.abs(np.asarray(dk, dtype=float))
-        return c * np.exp(-mu * (dl + dk)) * np.exp(2.0 * mu * v * np.abs(t)) \
-            * h_growth(t, mu, v, Lnorm)
+        return cone.value(np.abs(dl) + np.abs(dk), t) * h_growth(t, mu, v, Lnorm)
 
     return c, envelope
 

@@ -8,7 +8,9 @@ Exit codes: 0 all checks passed, 1 a verification failed (first violating
 (n, t) is printed), 2 configuration error (message names the field; seed
 sites, and for observables the bracket sites, must lie in the window; guard
 is at least 1; t_final is a whole number of sample_dt; an order-r hierarchy
-run needs a window of at least 2r + 5 sites).
+run needs a window of at least 2r + 5 sites; integer fields take no
+fractional part, t_final is finite, seed is at least 0, and sweep values
+name distinct output directories).
 
 Every run writes summary.json (schema 1) plus scenario artifacts: trajectory
 and sensitivity CSVs and light-cone report JSONs.  Every JSON artifact goes
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -112,7 +115,7 @@ class ExperimentConfig:
     potential: PotentialSpec | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: unknown value {self.scenario!r}; "
                               f"pick one of {tuple(SCENARIOS)}")
         if not self.guard >= 1:
@@ -123,8 +126,10 @@ class ExperimentConfig:
         if self.scenario == "hierarchy" and spec is not None and self.window < spec.min_window:
             raise ConfigError(f"hierarchy.r: order {spec.r} needs window >= 2r + 5 = "
                               f"{spec.min_window}, got {self.window}")
-        if not self.t_final > 0:
-            raise ConfigError("t_final: must be positive")
+        if not 0 < self.t_final < math.inf:
+            raise ConfigError("t_final: must be positive and finite")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if not 0 < self.sample_dt <= self.t_final:
             raise ConfigError("sample_dt: must lie in (0, t_final]")
         # the last sample is taken at t_final, where the verdicts read the run
@@ -134,8 +139,8 @@ class ExperimentConfig:
                               f"got {self.t_final:g}")
         if self.base not in BASES:
             raise ConfigError(f"base: unknown value {self.base!r}; pick one of {BASES}")
-        if not self.seeds:
-            raise ConfigError("seeds: need at least one (site, coord) pair")
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise ConfigError("seeds: need a list of at least one (site, coord) pair")
         if not self.obs_range >= 0:
             raise ConfigError("obs_range: must be >= 0")
         coords = GHSState.coords if self.scenario == "ghs" else LatticeState.coords
@@ -146,12 +151,12 @@ class ExperimentConfig:
         for i, pair in enumerate(self.seeds):
             try:
                 site, coord = pair
-                site = int(site)
+                site = _integer(site)
             except (TypeError, ValueError):
                 raise ConfigError(f"seeds[{i}]: expected [site, coord] pair") from None
-            coord = alias.get(coord, coord)
-            if coord not in coords:
+            if coord not in coords + tuple(alias):
                 raise ConfigError(f"seeds[{i}]: coord must be one of {coords}, got {coord!r}")
+            coord = alias.get(coord, coord)
             if not lo <= site <= hi:
                 raise ConfigError(f"seeds[{i}]: site {site} outside the window [{lo}, {hi}]")
             # observables brackets b_m with a_n, |n - m| <= obs_range, from the
@@ -165,10 +170,10 @@ class ExperimentConfig:
         if self.mu != "optimal":
             try:
                 self.mu = float(self.mu)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError("mu: must be a positive number or \"optimal\"") from None
-            if not self.mu > 0:
-                raise ConfigError("mu: must be positive")
+            if not 0 < self.mu < math.inf:
+                raise ConfigError("mu: must be positive and finite")
         if not self.eps > 0:
             raise ConfigError("eps: must be positive")
         if not self.envelope_scale > 0:
@@ -179,6 +184,13 @@ class ExperimentConfig:
 
     def resolved_base(self) -> str:
         return SCENARIOS[self.scenario].auto_base if self.base == "auto" else self.base
+
+
+def _integer(value) -> int:
+    """int(value), refusing rather than truncating a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
 
 
 def _build_block(cls, block: dict, path: str, required: tuple = ()):
@@ -209,23 +221,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("scenario: required")
     kwargs = {key: value for key, value in raw.items()
               if key != "integrator" and key not in _BLOCKS}
-    for keys, cast, kind in ((("window", "guard", "seed", "obs_range"), int, "an integer"),
+    for keys, cast, kind in ((("window", "guard", "seed", "obs_range"), _integer, "an integer"),
                              (("t_final", "sample_dt", "eps", "envelope_scale",
                                "front_threshold"), float, "a number")):
         for key in keys:
             if key in kwargs:
                 try:
                     kwargs[key] = cast(kwargs[key])
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{key}: expected {kind}") from None
+                except (TypeError, ValueError, OverflowError):
+                    raise ConfigError(f"{key}: expected {kind}, got {kwargs[key]!r}") from None
     if "integrator" in raw:
         kwargs["integrator"] = _build_block(IntegratorConfig, raw["integrator"], "integrator")
     for name, (cls, required) in _BLOCKS.items():
         if name in raw:
-            block = dict(raw[name]) if isinstance(raw[name], dict) else raw[name]
-            if name == "hierarchy" and isinstance(block, dict) and "c" in block:
-                block["c"] = tuple(block["c"])
-            kwargs[name] = _build_block(cls, block, name, required)
+            kwargs[name] = _build_block(cls, raw[name], name, required)
     cfg = ExperimentConfig(**kwargs)
     for name in SCENARIOS[cfg.scenario].blocks:
         if getattr(cfg, name) is None:
@@ -323,11 +332,11 @@ def _cone_tally(_out, rows):
     reports = [rep for row in rows for rep in row]
     clean = all(r.clean for r in reports)
     n_viol = sum(r.n_violations for r in reports)
-    return ({"clean": clean, "violations": n_viol,
-             "empirical_front_speed": next((row[0].empirical_front_speed for row in rows
-                                            if row[0].empirical_front_speed is not None), None),
-             "bound_speed": reports[0].bound_speed,
-             "boundary_margin": min(r.boundary_margin for r in reports)},
+    # the front speed is the first one measured, if any was
+    fronts = [r[0].empirical_front_speed for r in rows if r[0].empirical_front_speed is not None]
+    return ({"clean": clean, "violations": n_viol, "bound_speed": reports[0].bound_speed,
+             "boundary_margin": min(r.boundary_margin for r in reports),
+             **{"empirical_front_speed": front for front in fronts[:1]}},
             clean and n_viol == 0, next((r.violations[0] for r in reports if r.violations), None))
 
 
@@ -373,7 +382,6 @@ def _perturbed_monitors(cfg: ExperimentConfig, run, skipped: str):
                "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded}
     if mon.unbounded:
         summary.update({"clean": run.clean, "violations": 0,
-                        "empirical_front_speed": None, "bound_speed": None,
                         "excluded": f"unbounded-looking run; {skipped} skipped"})
     return mon, summary
 
@@ -416,8 +424,7 @@ def _interpolation_tally(out, rows):
     write_json(out / "interpolation_fit.json",
                [{k: getattr(f, k) for k in ("mu", "eps", "C", "v", "vstar", "D", "delta",
                                            "r2_spatial", "envelope_valid")} for f in fits])
-    return ({"clean": clean, "violations": 0 if valid else 1,
-             "empirical_front_speed": None, "bound_speed": f0.v,
+    return ({"clean": clean, "violations": 0 if valid else 1, "bound_speed": f0.v,
              "C": f0.C, "v": f0.v, "vstar": f0.vstar, "D": f0.D, "delta": f0.delta,
              "r2_spatial": worst_r2, "envelope_valid": valid},
             clean and valid and worst_r2 >= 0.99, None)
@@ -438,11 +445,9 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
                      sample_dt=cfg.sample_dt, guard=cfg.guard)
     traj.to_csv(out / "trajectory.csv")
     sites = np.arange(traj.offset, traj.offset + traj.n_sites)
-    err_a = err_b = 0.0
-    for i, t in enumerate(traj.times):
-        a_ref, b_ref = soliton_flaschka(spec, sites, t)
-        err_a = max(err_a, float(np.max(np.abs(traj.a[i] - a_ref))))
-        err_b = max(err_b, float(np.max(np.abs(traj.b[i] - b_ref))))
+    a_ref, b_ref = soliton_flaschka(spec, sites, traj.times[:, np.newaxis])
+    err_a = float(np.max(np.abs(traj.a - a_ref)))
+    err_b = float(np.max(np.abs(traj.b - b_ref)))
     norms = traj.norm_series()
     norm_drift = _drift(norms)
     trace_drift = traj.trace_drift(4)
@@ -455,8 +460,6 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
     summary = {
         "clean": traj.clean,
         "violations": 0 if ok else 1,
-        "empirical_front_speed": None,
-        "bound_speed": None,
         "conserved_drift": max(norm_drift, trace_drift),
         "drift_tolerance": drift_tol,
         "trace_tolerance": trace_tol,
@@ -481,10 +484,13 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
     worst_ratio = 0.0
     first_violation = None
     clean = True
+    grids = {}
     for m in m_list:
         _, b_m = basic_observables(m)
-        grids = {seed: evolve_tangent(x, seed, cfg.t_final, cfg.integrator, "toda",
-                                      sample_dt=cfg.sample_dt, guard=cfg.guard)
+        # m_list is sorted, so only the previous site's grids can be shared
+        grids = {seed: grids[seed] if seed in grids else
+                 evolve_tangent(x, seed, cfg.t_final, cfg.integrator, "toda",
+                                sample_dt=cfg.sample_dt, guard=cfg.guard)
                  for seed in sorted(required_bracket_seeds(b_m, x))}
         clean = clean and all(grid.clean for grid in grids.values())
         sites = range(m - reach, m + reach + 1)
@@ -514,9 +520,7 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
     ok = clean and n_viol == 0 and gen_err <= 1e-5
     summary = {
         "mu": mu, "clean": clean, "violations": n_viol,
-        "empirical_front_speed": None,
         "bound_speed": reports[0].velocity,
-        "conserved_drift": None,
         "pairs_checked": len(m_list) * (2 * reach + 1),
         "max_ratio": worst_ratio,
         "generator_rel_error": gen_err,
@@ -580,8 +584,10 @@ def run_config(cfg: ExperimentConfig, outdir) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary, ok, first_violation = SCENARIOS[cfg.scenario].run(cfg, outdir)
-    summary = {"schema": 1, "scenario": cfg.scenario, "seed": cfg.seed,
-               "exit": 0 if ok else 1, **summary}
+    # every schema-1 summary has these keys, null where the runner sets none
+    summary = {"schema": 1, "scenario": cfg.scenario, "seed": cfg.seed, "exit": 0 if ok else 1,
+               **dict.fromkeys(("empirical_front_speed", "bound_speed", "conserved_drift")),
+               **summary}
     write_json(outdir / "summary.json", summary)
     if ok:
         print(f"{cfg.scenario}: ok (artifacts in {outdir})")
@@ -651,12 +657,16 @@ def run_sweep(config_path, axis: str, values_text: str, outdir, workers: int | N
     if not values:
         raise ConfigError("--values: need at least one value")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    jobs = []
+    jobs, taken = [], {}
     for v in values:
         raw = _apply_axis(copy.deepcopy(base_raw), axis, v)
         config_from_dict(raw)          # validate up front: config errors exit 2
-        jobs.append((raw, str(outdir / f"{axis.replace('.', '_')}={v:g}")))
+        name = f"{axis.replace('.', '_')}={v:g}"
+        if name in taken:
+            raise ConfigError(f"--values: {taken[name]!r} and {v!r} would both write {name}")
+        taken[name] = v
+        jobs.append((raw, str(outdir / name)))
+    outdir.mkdir(parents=True, exist_ok=True)
     if workers is None:
         workers = min(len(jobs), os.cpu_count() or 1, 4)
     results = []

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SQRT17, compare, velocity_toda
-from .state import LatticeState, jacobi_norm
+from .bounds import SQRT17, Envelope, compare, velocity_toda
+from .state import LatticeState, jacobi_norm, site_energy
 
 
 @dataclass
@@ -64,20 +64,15 @@ def basic_observables(n: int):
 
 
 def hamiltonian_window_observable(sites) -> ObservableDescriptor:
-    """The energy restricted to a finite site set:
-
-        sum_{n in sites} (2 b_n^2 + 4 a_n^2 - 2 ln(2 |a_n|) - 1)
-
-    Acts as the generator in bracket identities for observables supported
-    well inside the site set.
-    """
+    """The energy restricted to a finite site set: the sum of
+    state.site_energy over the sites.  Acts as the generator in bracket
+    identities for observables supported well inside the site set."""
     sites = tuple(sorted(int(n) for n in sites))
     site_set = frozenset(sites)
 
     def _eval(s):
         idx = [s.site_index(n) for n in sites]
-        a, b = s.a[idx], s.b[idx]
-        return float(np.sum(2.0 * b * b + 4.0 * a * a - 2.0 * np.log(2.0 * np.abs(a)) - 1.0))
+        return float(np.sum(site_energy(s.a[idx], s.b[idx])))
 
     def _d_da(s, n):
         if n not in site_set:
@@ -219,7 +214,8 @@ def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
     at the given sample times.  v uses the initial operator norm; derivative
     norms are declared or horizon-measured as available.  What depends only
     on (x, B) is computed once: v, C, ||a||_inf, B's seed weights and norms,
-    and the base states at the samples.  bounds.compare gives the verdict.
+    and the base states at the samples.  Each e^{-mu(|n-m| - v|t|)} is the
+    value of one prefactor-1 Envelope; bounds.compare gives the verdict.
     """
     weights = required_bracket_seeds(B, x)
     grid = _seed_grid(weights, grids)
@@ -227,6 +223,7 @@ def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
     times = np.asarray(times, dtype=float)
     rows = [grid.time_index(t) for t in times] if grid else []
     v = velocity_toda(mu, jacobi_norm(x))
+    cone = Envelope(family="bracket", mu=mu, prefactor=1.0, speed=v)
     c = bracket_bound_constant(mu)
     a_sup = float(np.max(np.abs(x.a)))
     wb, src_b = _site_weights(B, _partials(B, states))
@@ -240,8 +237,7 @@ def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
                  for m, nb in wb.items() if nb != 0.0]
         coef, dist = np.array(pairs, dtype=float).reshape(-1, 2).T
         with np.errstate(over="ignore"):
-            terms = coef[:, None] * np.exp(-mu * (dist[:, None] - v * np.abs(times)))
-        bound = c * a_sup * np.sum(terms, axis=0)
+            bound = c * a_sup * np.sum(coef[:, None] * cone.value(dist[:, None], times), axis=0)
         bad, max_ratio = compare(val, bound)
         bad = np.flatnonzero(bad)
         reports.append(BracketBoundReport(

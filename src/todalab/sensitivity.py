@@ -222,13 +222,6 @@ class SecondTangentGrid(_OnBase):
     seed1: tuple
     seed2: tuple
 
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.offset, self.offset + self.w_a.shape[1])
-
-    def observed(self) -> np.ndarray:
-        return np.maximum(np.abs(self.w_a), np.abs(self.w_b))
-
 
 def _toda_second_fields(s: LatticeState, u1a, u1b, u2a, u2b, wa, wb):
     """The Toda field, its linearizations along u1 and u2, and d/dt of w,

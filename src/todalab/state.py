@@ -10,7 +10,9 @@ A state is validated when it is built, and a solve's start state is such a
 state.  The solve then checks its sampled output once, with check_samples
 over the (T, N) arrays, not each stage: the states the vector field sees at
 the solver's stages are unchecked views of the solver's vector (_over), so
-a field must not write into its arguments.
+a field must not write into its arguments.  Both checks read one list of
+the values no state may hold, _faults (a non-finite coordinate; for a
+LatticeState also a_n = 0), and name the first site that holds one.
 
 Coordinates: a_n = (1/2) exp(-(q_{n+1} - q_n)/2), b_n = -p_n / 2.  The
 a_n must stay away from zero because the physical coordinates live on a
@@ -43,8 +45,10 @@ class _WindowState:
             raise ValueError(f"{c1} and {c2} must be 1-d arrays of equal length")
         if x1.size < 3:
             raise ValueError("window too small: need at least 3 sites")
-        if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-            raise ValueError(f"non-finite entry in {type(self).__name__}")
+        fault = self._first_fault(x1, x2)
+        if fault:
+            (j,), what = fault
+            raise ValueError(f"{type(self).__name__}: {what} at site {self.offset + j}")
 
     @property
     def arrays(self) -> tuple:
@@ -80,23 +84,30 @@ class _WindowState:
 
     @classmethod
     def _faults(cls, x1, x2) -> list:
-        """(what, (T, N) mask) for each way the sampled arrays x1, x2 can
-        hold a value that no state of this type may hold."""
+        """(what, mask) for each way the arrays x1, x2, one state's or a
+        run's samples, can hold a value that no state of this type may hold."""
         c1, c2 = cls.coords
         return [(f"non-finite {c1}", ~np.isfinite(x1)), (f"non-finite {c2}", ~np.isfinite(x2))]
+
+    @classmethod
+    def _first_fault(cls, x1, x2):
+        """(index, what is wrong) of the first entry, in C order, at which the
+        arrays x1, x2 hold a value no state of this type may hold, if any."""
+        faults = cls._faults(x1, x2)
+        bad = np.logical_or.reduce([mask for _, mask in faults])
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            return i, " and ".join(name for name, mask in faults if mask[i])
 
     @classmethod
     def check_samples(cls, times, x1, x2, offset: int):
         """Raise ValueError naming the first sample of a run (earliest time,
         then lowest site) at which the (T, N) arrays x1, x2 hold a value no
         state of this type may hold, and what is wrong there."""
-        faults = cls._faults(x1, x2)
-        bad = np.logical_or.reduce([mask for _, mask in faults])
-        if not bad.any():
-            return
-        i, j = divmod(int(np.argmax(bad)), bad.shape[1])
-        what = " and ".join(name for name, mask in faults if mask[i, j])
-        raise ValueError(f"{cls.__name__} run: {what} at t={times[i]:.17g}, site {offset + j}")
+        fault = cls._first_fault(x1, x2)
+        if fault:
+            (i, j), what = fault
+            raise ValueError(f"{cls.__name__} run: {what} at t={times[i]:.17g}, site {offset + j}")
 
 
 @dataclass
@@ -112,8 +123,6 @@ class LatticeState(_WindowState):
 
     def __post_init__(self):
         super().__post_init__()
-        if (self.a == 0.0).any():
-            raise ValueError("a_n must be nonzero (log-scale coordinate)")
         a_bg = float(self.background[0])
         if a_bg == 0.0 or not math.isfinite(a_bg) or not math.isfinite(self.background[1]):
             raise ValueError("background a must be finite and nonzero")
@@ -221,16 +230,16 @@ def toda_rhs(s: LatticeState, da: np.ndarray | None = None, db: np.ndarray | Non
     return (*fields, da * b_step + a * _step_up(db, 0.0), 4.0 * _step_dn(a * da, a_bg * 0.0))
 
 
+def site_energy(a, b):
+    """The energy of each site, 2 b_n^2 + 4 a_n^2 - 2 ln(2 |a_n|) - 1.  It
+    vanishes on the background (1/2, 0)."""
+    return 2.0 * b * b + 4.0 * a * a - 2.0 * np.log(2.0 * np.abs(a)) - 1.0
+
+
 def hamiltonian_ab(s: LatticeState) -> float:
-    """Total energy in (a, b) coordinates, window sum of
-
-        2 b_n^2 + 4 a_n^2 - 2 ln(2 |a_n|) - 1.
-
-    The per-site value vanishes on the background (1/2, 0), so this is the
-    energy relative to the background for the default vacuum.
-    """
-    a, b = s.a, s.b
-    return float(np.sum(2.0 * b * b + 4.0 * a * a - 2.0 * np.log(2.0 * np.abs(a)) - 1.0))
+    """Total energy in (a, b) coordinates, the window sum of site_energy:
+    the energy relative to the background for the default vacuum."""
+    return float(np.sum(site_energy(s.a, s.b)))
 
 
 def flaschka_forward(pq: PQState, background: tuple = BACKGROUND) -> LatticeState:

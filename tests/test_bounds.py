@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import lambertw
 
 from todalab import (Envelope, HierarchySpec, IntegratorConfig, SolitonSpec,
                      background_state, evolve_second_tangent, evolve_tangent,
@@ -38,11 +37,18 @@ def test_optimal_mu_values():
 
 
 def test_optimal_mu_lambertw_oracle():
-    # mu e^{(mu+1)/2} = 1 rearranges to mu/2 = W(e^{-1/2}/2)
-    mu_ref = 2.0 * float(lambertw(0.5 * math.exp(-0.5)).real)
+    # the Lambert W closed form against bisection of the stationarity condition
+    # mu^2 e^{mu+1} = 1 on [0.1, 1], run until the bracket stops shrinking
+    lo, hi = 0.1, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid * mid * math.exp(mid + 1.0) > 1.0:
+            hi = mid
+        else:
+            lo = mid
     mu0, _ = optimal_mu()
-    print(mu0, mu_ref)
-    assert abs(mu0 - mu_ref) < 1e-12
+    print(mu0, lo, hi)
+    assert mu0 == 0.4776700622632156
+    assert abs(mu0 - lo) <= 4 * math.ulp(mu0)
 
 
 def test_optimal_mu_minimizes_velocity():
@@ -189,6 +195,16 @@ def test_second_derivative_envelope_bounds_measured_run():
         worst = max(worst, float(np.max(w / env(dl, dk, t))))
     print("max ratio:", worst)
     assert worst <= 1.0
+
+
+def test_second_derivative_envelope_is_the_doubled_cone_times_h():
+    mu0, _ = optimal_mu()
+    v = velocity_toda(mu0, 1.2)
+    C, env = second_derivative_envelope(mu0, 1.2, v)
+    dl, dk, t = np.array([0.0, 3.0, -7.0]), np.array([2.0, -1.0, 5.0]), np.array([0.5, 1.0, 2.0])
+    want = C * np.exp(-mu0 * (np.abs(dl) + np.abs(dk))) * np.exp(2.0 * mu0 * v * t) \
+        * h_growth(t, mu0, v, 1.2)
+    np.testing.assert_allclose(env(dl, dk, t), want, rtol=1e-12)
 
 
 def test_envelope_value_and_ceiling():

@@ -55,6 +55,15 @@ def test_default_config_is_valid():
     (lambda r: r.update(t_final=1.0, sample_dt=0.35),
      "t_final: must be a whole number of sample_dt = 0.35, got 1"),
     (lambda r: r.update(t_final=5.0 + 1e-6), "t_final: must be a whole number of sample_dt = 0.1"),
+    # malformed values that used to escape as a traceback or be truncated
+    (lambda r: r.update(scenario="hierarchy", hierarchy={"r": 0, "c": 1}), "hierarchy: "),
+    (lambda r: r.update(seeds=5), "seeds: need a list of at least one (site, coord) pair"),
+    (lambda r: r.update(seeds=[[0, ["b"]]]), "seeds[0]: coord must be one of ('a', 'b'), got ['b']"),
+    (lambda r: r.update(seeds=[[0.5, "b"]]), "seeds[0]: expected [site, coord] pair"),
+    (lambda r: r.update(scenario=["x"]), "scenario: unknown value ['x']"),
+    (lambda r: r.update(json.loads('{"t_final": 1e400}')), "t_final: must be positive and finite"),
+    (lambda r: r.update(base="random", seed=-1), "seed: must be >= 0, got -1"),
+    (lambda r: r.update(window=201.7), "window: expected an integer, got 201.7"),
 ])
 def test_config_errors_name_the_field(mutate, fragment):
     raw = default_config()
@@ -63,6 +72,14 @@ def test_config_errors_name_the_field(mutate, fragment):
         config_from_dict(raw)
     print(exc.value)
     assert fragment in str(exc.value)
+
+
+def test_integral_floats_are_integers():
+    """sweep --axis window passes floats, so an integral float is taken as
+    the integer it equals."""
+    cfg = config_from_dict({**default_config(), "window": 201.0, "seeds": [[1.0, "b"]]})
+    assert cfg.window == 201 and type(cfg.window) is int
+    assert cfg.seeds == ((1, "b"),) and type(cfg.seeds[0][0]) is int
 
 
 def test_hierarchy_weight_count_checked():
@@ -262,6 +279,19 @@ def test_sweep_empty_values_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "s")])
     assert code == 2
     assert "need at least one value" in capsys.readouterr().err
+
+
+def test_sweep_rejects_values_that_share_a_directory(tmp_path, capsys):
+    """1 and 1.0000001 both print as kappa=1: two jobs would write one
+    directory, so the sweep is a config error before any job runs."""
+    cfg = write_config(tmp_path, small_run_config(base="soliton"))
+    out = tmp_path / "s"
+    code = main(["sweep", "-c", cfg, "--axis", "kappa", "--values", "1,1.0000001",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: --values: 1.0 and 1.0000001 would both write kappa=1" in err
+    assert not out.exists()
 
 
 def test_sweep_validates_before_launching(tmp_path, capsys):

@@ -166,6 +166,26 @@ def test_one_solve_per_seed(scenario, tmp_path, monkeypatch):
     assert len(solves) == 3
 
 
+def test_observables_solves_each_bracket_seed_once(tmp_path, monkeypatch):
+    """b_m reads the grids seeded at (m - 1, a) and (m, a), so adjacent seed
+    sites share one: it is solved once and kept for the next site."""
+    raw = small_config("observables")
+    raw["seeds"] = [[0, "b"], [1, "b"]]
+    tangents, _ = spy_solves(monkeypatch)
+    assert run_config(config_from_dict(raw), tmp_path) == 0
+    assert [args[1] for args, _ in tangents] == [(-1, "a"), (0, "a"), (1, "a")]
+
+
+SCHEMA_KEYS = {"schema", "scenario", "seed", "exit", "clean", "violations",
+               "empirical_front_speed", "bound_speed", "conserved_drift"}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_summary_carries_the_schema_keys(scenario, tmp_path):
+    _, _, summary = run_scenario(scenario, tmp_path)
+    assert SCHEMA_KEYS <= set(summary), SCHEMA_KEYS - set(summary)
+
+
 def test_scenario_lists_agree():
     """This suite, tools/compare_runs.py and the CLI's table name the same
     scenarios, and each cone scenario's row runs the flow named here."""
@@ -237,6 +257,7 @@ def test_excluded_run_writes_only_summary_and_trajectory(scenario, tmp_path, mon
     assert summary["unbounded"] is True
     assert "unbounded-looking run" in summary["excluded"]
     assert summary["violations"] == 0
+    assert summary["empirical_front_speed"] is None and summary["bound_speed"] is None
     assert len(solves) == 1
 
 

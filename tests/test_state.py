@@ -49,6 +49,22 @@ def test_state_validation():
         PQState(np.array([0.0, 1.0, np.nan, 3.0]), np.zeros(4), 0)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: LatticeState(np.array([0.5, 0.0, 0.5]), np.zeros(3), 0), "LatticeState: a_n = 0 at site 1"),
+    (lambda: LatticeState(np.full(4, 0.5), np.array([0.0, 0.0, np.nan, 0.0]), -5),
+     "LatticeState: non-finite b at site -3"),
+    (lambda: LatticeState(np.array([0.5, 0.0, np.inf]), np.zeros(3), 0),
+     "LatticeState: a_n = 0 at site 1"),
+    (lambda: GHSState(np.array([0.0, np.nan, np.nan]), np.zeros(3), 2), "GHSState: non-finite r at site 3"),
+    (lambda: PQState(np.zeros(4), np.array([0.0, 0.0, 0.0, -np.inf]), 0),
+     "PQState: non-finite p at site 3"),
+])
+def test_a_state_names_its_first_bad_site(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_site_indexing():
     s = background_state(11, offset=-5)
     assert s.sites[0] == -5
