@@ -34,7 +34,7 @@ print(f"\nafter t = 10:")
 print(f"  max |a - analytic| = {err_a:.3g}")
 print(f"  max |b - analytic| = {err_b:.3g}")
 print(f"  spectral norm drift = {traj.norm_drift():.3g}")
-print(f"  trace invariant drift (powers <= 4) = {traj.trace_drift(4):.3g}")
+print(f"  trace invariant drift (powers <= 4) = {traj.trace_drift():.3g}")
 
 # where did the peak go?
 for i in (0, traj.n_samples - 1):

@@ -12,8 +12,9 @@ Every explicit constant and velocity of the sensitivity bounds lives here:
 
 Envelope.value is the one evaluator of the cone P e^{-mu(d - v|t|)}: the
 light-cone envelopes, the bracket bound (observables.check_bracket_bound)
-and the second-derivative envelope all call it.  compare is the one
-comparison behind every verdict; verify_light_cone applies it pointwise to
+and the second-derivative envelope all call it.  Each envelope factory takes
+only the paper's inputs and returns the paper's prefactor P.  compare is the
+one comparison behind every verdict; verify_light_cone applies it pointwise to
 observed sensitivity magnitudes against an envelope and reports
 violations, the empirical front speed, and boundary hygiene.
 """
@@ -143,12 +144,11 @@ def C_epsilon(eps: float) -> float:
     return 4.0 / (eps * eps) * math.exp(eps - 2.0)
 
 
-def check_G_convolution(mu: float, span: int = 50, factor: int = 10) -> dict:
-    """Verify sum_l G(d - l) G(l) <= gamma G(d) for d = 0..span, truncating
-    the sum at factor * span sites beyond each end."""
-    if span < 1:
-        raise ValueError("span must be >= 1")
-    r = factor * span
+def check_G_convolution(mu: float) -> dict:
+    """Verify sum_l G(d - l) G(l) <= gamma G(d) for d = 0..50, truncating
+    the sum at 500 sites beyond each end."""
+    span = 50
+    r = 10 * span
     l = np.arange(-r, span + r + 1)
     gl = G_mu(mu, l)
     worst = 0.0
@@ -238,45 +238,41 @@ class Envelope:
             return self.prefactor * np.exp(-self.mu * (dist - self.radius(t)))
 
 
-def toda_envelope(mu: float, Lnorm: float, scale: float = 1.0) -> Envelope:
+def toda_envelope(mu: float, Lnorm: float) -> Envelope:
     """(8/sqrt(17)) e^{-mu(|n-m| - v|t|)} with the Toda velocity."""
-    return Envelope(family="toda", mu=mu, prefactor=scale * 8.0 / SQRT17,
-                    speed=velocity_toda(mu, Lnorm),
-                    params={"Lnorm": Lnorm, "scale": scale})
+    return Envelope(family="toda", mu=mu, prefactor=8.0 / SQRT17,
+                    speed=velocity_toda(mu, Lnorm), params={"Lnorm": Lnorm})
 
 
-def hierarchy_envelope(mu: float, Lnorm: float, spec: HierarchySpec,
-                       mode: str = "matrix-norm", scale: float = 1.0) -> Envelope:
-    """Prefactor-1 envelope with block distance ceil(|n-m| / (floor(r/2)+1))."""
-    return Envelope(family="hierarchy", mu=mu, prefactor=scale * 1.0,
-                    speed=velocity_hierarchy(mu, Lnorm, spec, mode),
+def hierarchy_envelope(mu: float, Lnorm: float, spec: HierarchySpec) -> Envelope:
+    """Prefactor-1 envelope with block distance ceil(|n-m| / (floor(r/2)+1))
+    and the matrix-norm velocity."""
+    return Envelope(family="hierarchy", mu=mu, prefactor=1.0,
+                    speed=velocity_hierarchy(mu, Lnorm, spec),
                     ceiling=spec.ceiling_divisor,
-                    params={"r": spec.r, "c": list(spec.c), "mode": mode,
-                            "Lnorm": Lnorm, "scale": scale})
+                    params={"r": spec.r, "c": list(spec.c), "mode": "matrix-norm",
+                            "Lnorm": Lnorm})
 
 
-def perturbed_envelope(mu: float, C1: float, C2: float, w2_norm: float,
-                       scale: float = 1.0) -> Envelope:
+def perturbed_envelope(mu: float, C1: float, C2: float, w2_norm: float) -> Envelope:
     return Envelope(family="perturbed", mu=mu,
-                    prefactor=scale * perturbed_prefactor(C1, C2, w2_norm),
+                    prefactor=perturbed_prefactor(C1, C2, w2_norm),
                     speed=velocity_perturbed(mu, C1, C2, w2_norm),
                     params={"C1": C1, "C2": C2, "w2_norm": w2_norm,
-                            "alpha": perturbed_alpha(C1, C2, w2_norm),
-                            "scale": scale})
+                            "alpha": perturbed_alpha(C1, C2, w2_norm)})
 
 
 def timedep_envelope(mu: float, Lnorm0: float, w1_norm: float, w2_norm: float,
-                     a_star: float, scale: float = 1.0) -> Envelope:
+                     a_star: float) -> Envelope:
     """max(1, 2/a*) e^{-mu(|n-m| - radius(t))} against the log-a observable,
     for bounded data with inf_n |a_n(0)| = a*."""
     if not a_star > 0:
         raise ValueError("a_star must be positive")
-    return Envelope(family="timedep", mu=mu,
-                    prefactor=scale * max(1.0, 2.0 / a_star),
+    return Envelope(family="timedep", mu=mu, prefactor=max(1.0, 2.0 / a_star),
                     radius_fn=lambda t: velocity_timedep(t, mu, Lnorm0, w1_norm, w2_norm),
                     observed_kind="log-a",
                     params={"Lnorm0": Lnorm0, "w1_norm": w1_norm,
-                            "w2_norm": w2_norm, "a_star": a_star, "scale": scale})
+                            "w2_norm": w2_norm, "a_star": a_star})
 
 
 def fit_front_speed(times: np.ndarray, dists: np.ndarray, obs: np.ndarray,

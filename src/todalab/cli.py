@@ -9,8 +9,9 @@ Exit codes: 0 all checks passed, 1 a verification failed (first violating
 sites, and for observables the bracket sites, must lie in the window; guard
 is at least 1; t_final is a whole number of sample_dt; an order-r hierarchy
 run needs a window of at least 2r + 5 sites; integer fields take no
-fractional part, t_final is finite, seed is at least 0, and sweep values
-name distinct output directories).
+fractional part, every number is finite, and so are f(mu) and f(mu + eps),
+seed is at least 0, seeds are distinct, and sweep values name distinct
+output directories).
 
 Every run writes summary.json (schema 1) plus scenario artifacts: trajectory
 and sensitivity CSVs and light-cone report JSONs.  Every JSON artifact goes
@@ -40,18 +41,18 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import (LightConeReport, hierarchy_envelope, optimal_mu,
+from .bounds import (LightConeReport, hierarchy_envelope, mu_profile, optimal_mu,
                      perturbed_envelope, timedep_envelope, toda_envelope,
                      velocity_hierarchy, verify_light_cone)
 from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
-from .integrators import IntegratorConfig, _drift, integrate, write_json
+from .integrators import IntegratorConfig, _drift, integrate, sample_times, write_json
 from .observables import (basic_observables, check_bracket_bound,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
@@ -165,6 +166,9 @@ class ExperimentConfig:
             if self.scenario == "observables" and (first < lo or last > hi):
                 raise ConfigError(f"seeds[{i}], obs_range: the brackets of b_{site} read sites "
                                   f"{first}..{last}, outside the window [{lo}, {hi}]")
+            if (site, coord) in norm:
+                raise ConfigError(f"seeds[{i}]: ({site}, {coord!r}) repeats "
+                                  f"seeds[{norm.index((site, coord))}]")
             norm.append((site, coord))
         self.seeds = tuple(norm)
         if self.mu != "optimal":
@@ -176,8 +180,15 @@ class ExperimentConfig:
                 raise ConfigError("mu: must be positive and finite")
         if not self.eps > 0:
             raise ConfigError("eps: must be positive")
-        if not self.envelope_scale > 0:
-            raise ConfigError("envelope_scale: must be positive")
+        # every velocity carries f(mu) = e^{mu+1} + 1/mu; interpolation's at mu + eps
+        mu = self.resolved_mu()
+        for name, arg, rate in (("mu", "mu", mu), ("eps", "mu + eps", mu + self.eps)):
+            try:
+                mu_profile(rate)
+            except OverflowError:
+                raise ConfigError(f"{name}: f({arg}) overflows at {arg} = {rate:g}") from None
+        if not 0 < self.envelope_scale < math.inf:
+            raise ConfigError("envelope_scale: must be positive and finite")
 
     def resolved_mu(self) -> float:
         return optimal_mu()[0] if self.mu == "optimal" else float(self.mu)
@@ -191,6 +202,20 @@ def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
+
+
+def _refuse_non_finite(value, path: str):
+    """Raise a ConfigError naming, by its path, the first number in value,
+    a config entry with its nested objects and lists, that is not a finite
+    float: NaN, an infinity, or an integer beyond the float range."""
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _refuse_non_finite(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _refuse_non_finite(item, f"{path}[{i}]")
 
 
 def _build_block(cls, block: dict, path: str, required: tuple = ()):
@@ -219,6 +244,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"{key}: unknown field")
     if "scenario" not in raw:
         raise ConfigError("scenario: required")
+    for key, value in raw.items():
+        if key not in ("t_final", "mu"):    # ExperimentConfig names these itself
+            _refuse_non_finite(value, key)
     kwargs = {key: value for key, value in raw.items()
               if key != "integrator" and key not in _BLOCKS}
     for keys, cast, kind in ((("window", "guard", "seed", "obs_range"), _integer, "an integer"),
@@ -321,9 +349,14 @@ def _run_tangent(cfg: ExperimentConfig, out: Path):
 
 
 def _cones(cfg: ExperimentConfig, *envelopes) -> list:
-    """One light-cone check per envelope."""
+    """One light-cone check per envelope, its prefactor multiplied by
+    envelope_scale and the scale recorded in its params: the one place the
+    stress knob envelope_scale is applied."""
+    scale = cfg.envelope_scale
+    scaled = [replace(env, prefactor=scale * env.prefactor, params={**env.params, "scale": scale})
+              for env in envelopes]
     return [lambda grid, env=env: verify_light_cone(grid, env, threshold=cfg.front_threshold)
-            for env in envelopes]
+            for env in scaled]
 
 
 def _cone_tally(_out, rows):
@@ -343,14 +376,13 @@ def _cone_tally(_out, rows):
 def _toda_verdicts(cfg, x, run, norms):
     mu = cfg.resolved_mu()
     lnorm = float(norms[0])     # sample 0 of the run is x: jacobi_norm(x), bit for bit
-    return (_cones(cfg, toda_envelope(mu, lnorm, cfg.envelope_scale)),
+    return (_cones(cfg, toda_envelope(mu, lnorm)),
             {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()}, True)
 
 
 def _hierarchy_verdicts(cfg, x, run, series):
     mu, lnorm, hspec = cfg.resolved_mu(), jacobi_norm(x), cfg.hierarchy
-    env = hierarchy_envelope(mu, lnorm, hspec, "matrix-norm", cfg.envelope_scale)
-    return (_cones(cfg, env),
+    return (_cones(cfg, hierarchy_envelope(mu, lnorm, hspec)),
             {"mu": mu, "Lnorm": lnorm, "r": hspec.r, "c": list(hspec.c),
              "bound_speed_lemma44": velocity_hierarchy(mu, lnorm, hspec, "lemma44"),
              "base": cfg.resolved_base()}, True)
@@ -364,8 +396,7 @@ def _a_star(x) -> float:
 def _timedep_verdicts(cfg, x, run, series):
     mu, pspec = cfg.resolved_mu(), cfg.perturbation
     lnorm0, a_star = jacobi_norm(x), _a_star(x)
-    env = timedep_envelope(mu, lnorm0, pspec.dw_sup, pspec.d2w_sup, a_star,
-                           cfg.envelope_scale)
+    env = timedep_envelope(mu, lnorm0, pspec.dw_sup, pspec.d2w_sup, a_star)
     return (_cones(cfg, env),
             {"mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
              "a_star": a_star, "Lnorm0": lnorm0,
@@ -396,9 +427,8 @@ def _perturbed_verdicts(cfg, x, run, series):
     line = mon.Lnorm0 + pspec.dw_sup * run.times
     norm_ok = bool(np.all(jacobi_norm_within(run.a, run.b, line + 1e-9)))
     mu, a_star = summary["mu"], _a_star(x)
-    env_w = perturbed_envelope(mu, mon.C1, mon.C2, pspec.d2w_sup, cfg.envelope_scale)
-    env_t = timedep_envelope(mu, mon.Lnorm0, pspec.dw_sup, pspec.d2w_sup,
-                             a_star, cfg.envelope_scale)
+    env_w = perturbed_envelope(mu, mon.C1, mon.C2, pspec.d2w_sup)
+    env_t = timedep_envelope(mu, mon.Lnorm0, pspec.dw_sup, pspec.d2w_sup, a_star)
     summary.update({"norm_growth_ok": norm_ok, "a_star": a_star,
                     "timedep_radius_final": float(env_t.radius(cfg.t_final))})
     return _cones(cfg, env_w, env_t), summary, norm_ok
@@ -433,7 +463,7 @@ def _interpolation_tally(out, rows):
 def _ghs_verdicts(cfg, x, run, series):
     mu, pot = cfg.resolved_mu(), cfg.potential
     stab = ghs_stability_diagnostics(run, pot)
-    return (_cones(cfg, ghs_envelope(mu, run, pot, cfg.envelope_scale)),
+    return (_cones(cfg, ghs_envelope(mu, run, pot)),
             {"mu": mu, "family": pot.family, "beta": pot.beta,
              "energy": stab.energy, "M_E": stab.M_E, "stability_ok": stab.ok},
             stab.ok)
@@ -450,7 +480,7 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
     err_b = float(np.max(np.abs(traj.b - b_ref)))
     norms = traj.norm_series()
     norm_drift = _drift(norms)
-    trace_drift = traj.trace_drift(4)
+    trace_drift = traj.trace_drift()
     norm_err = abs(float(norms[0]) - soliton_Lnorm(spec))
     # trace of L^4 amplifies state error by roughly (1 + ||L||)^4
     drift_tol = _drift_tolerance(cfg)
@@ -478,7 +508,7 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
     mu = cfg.resolved_mu()
     x = _base_lattice(cfg)
     m_list = sorted({site for site, _ in cfg.seeds})
-    times = np.round(np.arange(0.0, cfg.t_final + 0.5 * cfg.sample_dt, cfg.sample_dt), 12)
+    times = sample_times(cfg.t_final, cfg.sample_dt)
     reach = cfg.obs_range
     n_viol = 0
     worst_ratio = 0.0

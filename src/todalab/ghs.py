@@ -102,8 +102,9 @@ def ghs_energy(s: GHSState, pot: PotentialSpec) -> float:
     return float(np.sum(0.5 * s.p * s.p + pot.V(s.r)))
 
 
-def confinement_bound(pot: PotentialSpec, energy: float, tol: float = 1e-10) -> float:
-    """M_E: the largest |x| with V(x) <= E, by bisection on each side.
+def confinement_bound(pot: PotentialSpec, energy: float) -> float:
+    """M_E: the largest |x| with V(x) <= E, by bisection on each side down
+    to a bracket of width 1e-10.
 
     The quartic family has the closed form sqrt((sqrt(1 + 4 beta E) - 1)/beta).
     """
@@ -123,7 +124,7 @@ def confinement_bound(pot: PotentialSpec, energy: float, tol: float = 1e-10) -> 
             if hi > 1e12:
                 raise ValueError("potential does not reach the energy level: not confining?")
         lo = 0.0
-        while hi - lo > tol:
+        while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
             if float(pot.V(sign * mid)) < energy:
                 lo = mid
@@ -134,13 +135,14 @@ def confinement_bound(pot: PotentialSpec, energy: float, tol: float = 1e-10) -> 
     return max(side_root(1.0), side_root(-1.0))
 
 
-def quadratic_floor(pot: PotentialSpec, bound: float, samples: int = 2001) -> float:
-    """Largest c with c x^2 <= V(x) on [-bound, bound], estimated by sampling
-    plus the x -> 0 limit V''(0)/2.  A pragmatic stand-in for the existence
-    constant in the stability argument; reported as sampled."""
+def quadratic_floor(pot: PotentialSpec, bound: float) -> float:
+    """Largest c with c x^2 <= V(x) on [-bound, bound], estimated at 2001
+    equally spaced points plus the x -> 0 limit V''(0)/2.  A pragmatic
+    stand-in for the existence constant in the stability argument; reported
+    as sampled."""
     if bound <= 0:
         return 0.5 * float(pot.d2V(0.0))
-    x = np.linspace(-bound, bound, samples)
+    x = np.linspace(-bound, bound, 2001)
     x = x[np.abs(x) > 1e-9 * bound]
     ratios = np.asarray(pot.V(x), dtype=float) / (x * x)
     return float(min(ratios.min(), 0.5 * float(pot.d2V(0.0))))
@@ -214,11 +216,9 @@ def factorial_tail_envelope(c: float, dist, t):
     return c * math.exp(x) * tail
 
 
-def ghs_envelope(mu: float, traj: Trajectory, pot: PotentialSpec,
-                 scale: float = 1.0) -> Envelope:
+def ghs_envelope(mu: float, traj: Trajectory, pot: PotentialSpec) -> Envelope:
     """C e^{-mu(|n-m| - v|t|)} for chain sensitivities, with C and v measured
     on the run traj."""
     c = ghs_cone_constant(traj, pot)
-    return Envelope(family="ghs", mu=mu, prefactor=scale * c,
-                    speed=ghs_velocity(mu, traj, pot),
-                    params={"C": c, "mu": mu, "scale": scale})
+    return Envelope(family="ghs", mu=mu, prefactor=c, speed=ghs_velocity(mu, traj, pot),
+                    params={"C": c, "mu": mu})

@@ -13,7 +13,8 @@ Every window solve goes through _solve_blocks.  Its stages hand the field
 unchecked states over views of the solver's vector; the sampled output is
 checked once, after the solve, and a ValueError names the time and site of
 the first sample that no state may hold.  The start state was validated
-when it was built.
+when it was built, and its field is checked once before the solve, since
+DOP853 never returns from a NaN first step.
 
 Every CSV artifact goes through write_csv: %.17g floats, the same bytes
 for the same arrays.  A file gets one line template, its sample's rows
@@ -54,8 +55,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}; pick one of {_METHODS}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if not self.step > 0:
             raise ValueError("step must be positive")
 
@@ -316,8 +317,9 @@ class Trajectory(EdgeMargin):
     def norm_drift(self) -> float:
         return _drift(self.norm_series())
 
-    def trace_drift(self, jmax: int = 4) -> float:
-        return _drift(self.energy_series(lambda s: trace_invariants(s, jmax)))
+    def trace_drift(self) -> float:
+        """Drift of tr(L^j), j = 1 .. 4 (state.trace_invariants)."""
+        return _drift(self.energy_series(trace_invariants))
 
     def to_lattice_trajectory(self) -> "Trajectory":
         """A chain run mapped sample by sample through a = (1/2) e^{-r/2},
@@ -358,8 +360,9 @@ def _solve_blocks(x, rhs, blocks, times, cfg, guard):
 
     Each rhs evaluation sees a state over views of the solver's vector,
     unchecked, and its blocks as views too, so a field must not write into
-    its arguments.  The sampled state arrays are checked once, after the
-    solve: a ValueError names the first sample that no state may hold."""
+    its arguments.  A ValueError names the first non-finite entry of the
+    field at the start, before the solve, or the first sample that no state
+    may hold, after it."""
     n = x.n_sites
     k = 2 + len(blocks)
 
@@ -367,7 +370,13 @@ def _solve_blocks(x, rhs, blocks, times, cfg, guard):
         rows = y.reshape(k, n)
         return np.concatenate(rhs(x._over(rows[0], rows[1]), *rows[2:]))
 
-    ys = solve_vector(fun, np.concatenate(x.arrays + tuple(blocks)), times, cfg)
+    y0 = np.concatenate(x.arrays + tuple(blocks))
+    bad = np.flatnonzero(~np.isfinite(fun(times[0], y0)))
+    if bad.size:
+        block, i = divmod(int(bad[0]), n)
+        what = f"d{x.coords[block]}/dt" if block < 2 else f"tangent block {block - 2}"
+        raise ValueError(f"{type(x).__name__}: non-finite start field, {what} at site {x.offset + i}")
+    ys = solve_vector(fun, y0, times, cfg)
     out = [ys[:, i * n:(i + 1) * n].copy() for i in range(k)]
     type(x).check_samples(times, out[0], out[1], x.offset)
     base = Trajectory(times, out[0], out[1], x.offset, x.background, guard,

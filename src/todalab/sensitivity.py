@@ -133,9 +133,10 @@ class SensitivityGrid(_OnBase, EdgeMargin):
         """Tangent and base deviations: both must stay clear of the edge."""
         return (self.da, self.db) + self.base._deviations()
 
-    def time_index(self, t: float, tol: float = 1e-9) -> int:
+    def time_index(self, t: float) -> int:
+        """Index of the sample at time t, to within 1e-9."""
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol:
+        if abs(self.times[i] - t) > 1e-9:
             raise ValueError(f"time {t} not on the sample grid")
         return i
 
@@ -181,14 +182,15 @@ def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, n_samples, guard=10):
 
 def finite_difference_oracle(x, seed, t_final: float,
                              cfg: IntegratorConfig | None = None,
-                             flow: str = "toda", *, h: float | None = None,
+                             flow: str = "toda", *,
                              hierarchy: HierarchySpec | None = None,
                              perturbation: PerturbationSpec | None = None,
                              potential=None,
                              sample_dt: float | None = None,
                              n_samples: int | None = None,
                              guard: int = 10) -> SensitivityGrid:
-    """Central-difference estimate of the same grid: (flow(x + h e) - flow(x - h e)) / 2h.
+    """Central-difference estimate of the same grid: (flow(x + h e) - flow(x - h e)) / 2h,
+    h = 1e-5 max(1, |z0|) with z0 the seeded coordinate's start value.
 
     Truncation error scales like h^2; meta records h and that scale.  The
     'btilde' seed differentiates along e_{b,k+1} - e_{b,k}.
@@ -196,9 +198,8 @@ def finite_difference_oracle(x, seed, t_final: float,
     cfg = cfg or IntegratorConfig()
     rhs = make_flow(flow, hierarchy, perturbation, potential)
     da0, db0 = _seed_vectors(x, seed)
-    if h is None:
-        z0 = x.arrays[0 if seed[1] == x.coords[0] else 1]
-        h = 1e-5 * max(1.0, abs(float(z0[seed[0] - x.offset])))
+    z0 = x.arrays[0 if seed[1] == x.coords[0] else 1]
+    h = 1e-5 * max(1.0, abs(float(z0[seed[0] - x.offset])))
     diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg,
                              sample_dt, n_samples, guard)
     return SensitivityGrid(diff[0] / (2.0 * h), diff[1] / (2.0 * h), mid, int(seed[0]),
@@ -260,18 +261,18 @@ def evolve_second_tangent(x: LatticeState, z_seed, k, t_final: float,
 
 
 def second_finite_difference(x: LatticeState, z_seed, second, t_final: float,
-                             h: float = 1e-4,
                              cfg: IntegratorConfig | None = None, *,
                              sample_dt: float | None = None,
                              n_samples: int | None = None):
     """Nested central differences for d^2/dz1 dz2 of the Toda flow: four runs
 
-        (F(+h,+h) - F(+h,-h) - F(-h,+h) + F(-h,-h)) / (4 h^2).
+        (F(+h,+h) - F(+h,-h) - F(-h,+h) + F(-h,-h)) / (4 h^2),  h = 1e-4.
 
     Returns (times, wa, wb).  Use a fixed-step config so the four runs share
     one discretization.
     """
     cfg = cfg or IntegratorConfig(method="rk4-fixed")
+    h = 1e-4
     e1a, e1b = _seed_vectors(x, z_seed)
     e2a, e2b = _seed_vectors(x, second if isinstance(second, tuple) else (int(second), "btilde"))
     acc, mid = _signed_runs(x, toda_rhs, [(h * e1a, h * e1b), (h * e2a, h * e2b)],

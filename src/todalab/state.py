@@ -345,20 +345,15 @@ def jacobi_norm_within(a, b, bound) -> np.ndarray:
     return out
 
 
-def trace_invariants(s: LatticeState, jmax: int = 4) -> np.ndarray:
-    """tr(L^j) - tr(L_bg^j) for j = 1 .. jmax on the same window.
+def trace_invariants(s: LatticeState) -> np.ndarray:
+    """tr(L^j) - tr(L_bg^j) for j = 1 .. 4 on the same window.
 
     L_bg is the pure-background window of equal size.  Conserved along the
     flow while the run stays boundary-clean.
     """
-    if jmax < 1:
-        raise ValueError("jmax must be >= 1")
     ev = eigvalsh_tridiagonal(s.b, s.a[:-1])
     a_bg, b_bg = s.background
     n = s.n_sites
     # free tridiagonal eigenvalues: b_bg + 2 a_bg cos(k pi / (n+1))
     ev_bg = b_bg + 2.0 * a_bg * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-    out = np.empty(jmax)
-    for j in range(1, jmax + 1):
-        out[j - 1] = np.sum(ev ** j) - np.sum(ev_bg ** j)
-    return out
+    return np.array([np.sum(ev ** j) - np.sum(ev_bg ** j) for j in range(1, 5)])

@@ -1,10 +1,12 @@
 import filecmp
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from todalab.bounds import toda_envelope
 from todalab.cli import (ConfigError, _apply_axis, _parse_values,
                          config_from_dict, default_config, load_config, main)
 
@@ -64,6 +66,27 @@ def test_default_config_is_valid():
     (lambda r: r.update(json.loads('{"t_final": 1e400}')), "t_final: must be positive and finite"),
     (lambda r: r.update(base="random", seed=-1), "seed: must be >= 0, got -1"),
     (lambda r: r.update(window=201.7), "window: expected an integer, got 201.7"),
+    # a non-finite number anywhere used to pass (an infinite envelope_scale
+    # makes every check pass), hang the solve or end in a traceback
+    (lambda r: r.update(json.loads('{"envelope_scale": 1e400}')),
+     "envelope_scale: must be finite, got inf"),
+    (lambda r: r["integrator"].update(json.loads('{"tolerance": 1e400}')),
+     "integrator.tolerance: must be finite, got inf"),
+    (lambda r: r["perturbation"].update(w0=math.inf), "perturbation.w0: must be finite, got inf"),
+    (lambda r: r["potential"].update(family="quartic", beta=math.inf),
+     "potential.beta: must be finite, got inf"),
+    (lambda r: r["hierarchy"].update(r=2, c=[1, 0, math.inf]), "hierarchy.c[2]: must be finite, got inf"),
+    (lambda r: r["soliton"].update(kappa=math.inf), "soliton.kappa: must be finite, got inf"),
+    (lambda r: r.update(seeds=[[math.nan, "b"]]), "seeds[0][0]: must be finite, got nan"),
+    (lambda r: r["perturbation"].update(w0=10 ** 400), "perturbation.w0: must be finite, got 1000"),
+    # a repeated seed was solved twice, each run writing over the other's files
+    (lambda r: r.update(seeds=[[0, "b"], [1, "a"], [0, "b"]]), "seeds[2]: (0, 'b') repeats seeds[0]"),
+    (lambda r: r.update(scenario="ghs", seeds=[[0, "a"], [0, "r"]]),
+     "seeds[1]: (0, 'r') repeats seeds[0]"),
+    # f(mu) = e^{mu+1} + 1/mu overflowing ended in an OverflowError traceback
+    (lambda r: r.update(mu=1000), "mu: f(mu) overflows at mu = 1000"),
+    (lambda r: r.update(scenario="interpolation", eps=1000),
+     "eps: f(mu + eps) overflows at mu + eps = 1000.48"),
 ])
 def test_config_errors_name_the_field(mutate, fragment):
     raw = default_config()
@@ -150,6 +173,19 @@ def test_run_forced_violation_exits_1(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["exit"] == 1
     assert summary["violations"] > 0
+
+
+def test_cone_reports_carry_the_envelope_scale(tmp_path):
+    """The envelope factories return the paper's prefactor; the CLI
+    multiplies it by envelope_scale and records the scale in the report's
+    params."""
+    out = tmp_path / "out"
+    assert main(["run", "-c", write_config(tmp_path, small_run_config(envelope_scale=0.75)),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    report = json.loads((out / "lightcone_toda_0_b.json").read_text())
+    assert report["prefactor"] == 0.75 * toda_envelope(summary["mu"], summary["Lnorm"]).prefactor
+    assert report["params"] == {"Lnorm": summary["Lnorm"], "scale": 0.75}
 
 
 def test_run_config_error_exits_2(tmp_path, capsys):

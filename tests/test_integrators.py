@@ -1,5 +1,9 @@
+import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +26,34 @@ def test_integrator_config_validation():
         IntegratorConfig(method="euler")
     with pytest.raises(ValueError):
         IntegratorConfig(tolerance=0.0)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        IntegratorConfig(tolerance=math.inf)
     with pytest.raises(ValueError):
         IntegratorConfig(method="rk4-fixed", step=-0.1)
+
+
+def test_a_non_finite_start_field_fails_at_once():
+    """r = -800 is a finite state whose Toda-chain field is not: V'(r) = 1 - e^800.
+    DOP853 would take a NaN first step from it and never return, so the
+    solve runs in a subprocess whose timeout fails the test, not the suite."""
+    code = """if True:
+        import numpy as np
+        from todalab import GHSState, IntegratorConfig, integrate
+        from todalab.ghs import PotentialSpec, ghs_rhs
+        try:
+            integrate(GHSState(np.full(5, -800.0), np.zeros(5)),
+                      lambda s: ghs_rhs(s, PotentialSpec("toda")), 1.0,
+                      IntegratorConfig(method="rk-adaptive"))
+        except ValueError as err:
+            print(err)
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(__file__).parents[1] / "src"),
+                                                      env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "GHSState: non-finite start field, dp/dt at site 0\n"
 
 
 def test_sample_times():
@@ -288,7 +318,7 @@ def _runs(n_samples=6, n_sites=9):
             "signed-zero-flip": (np.full((n_samples, n_sites), 0.5), flip, 3)}
 
 
-@pytest.mark.parametrize("energy", [hamiltonian_ab, lambda s: trace_invariants(s, 4)],
+@pytest.mark.parametrize("energy", [hamiltonian_ab, trace_invariants],
                          ids=["hamiltonian", "traces"])
 @pytest.mark.parametrize("name", sorted(_runs()))
 def test_energy_series_evaluates_once_per_distinct_sample(name, energy):
@@ -410,7 +440,8 @@ def test_states_built_per_solve_do_not_grow_with_rhs_evaluations(run, monkeypatc
             evolve_tangent(x, (0, "b"), 1.0, cfg, n_samples=3)
         counts.append((len(evals), len(built)))
     (few, built_few), (many, built_many) = counts
-    assert many >= 10 * few > 0
+    # one evaluation at the start state, then four per RK4 substep
+    assert (few, many) == (1 + 4 * 10, 1 + 4 * 100)
     assert built_many == built_few <= 1
 
 

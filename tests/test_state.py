@@ -207,7 +207,7 @@ def test_jacobi_norm_within_rows_are_independent():
 
 def test_trace_invariants_first_moment():
     s = random_localized_state(31, seed=5)
-    tr = trace_invariants(s, jmax=4)
+    tr = trace_invariants(s)
     # j = 1: tr L - tr L_bg = sum b (background b is 0)
     assert abs(tr[0] - np.sum(s.b)) < 1e-10
     assert tr.shape == (4,)
@@ -215,7 +215,7 @@ def test_trace_invariants_first_moment():
 
 def test_trace_invariants_dense_oracle():
     s = random_localized_state(21, seed=9)
-    tr = trace_invariants(s, jmax=4)
+    tr = trace_invariants(s)
     L = jacobi_matrix(s)
     Lbg = jacobi_matrix(background_state(21))
     for j in range(1, 5):
