@@ -10,8 +10,9 @@ sites, and for observables the bracket sites, must lie in the window; guard
 is at least 1; t_final is a whole number of sample_dt; an order-r hierarchy
 run needs a window of at least 2r + 5 sites; integer fields take no
 fractional part, every number is finite, and so are f(mu) and f(mu + eps),
-seed is at least 0, seeds are distinct, and sweep values name distinct
-output directories).
+front_threshold is positive, the config file is UTF-8 JSON that json can
+read, seed is at least 0, seeds are distinct, and sweep values name
+distinct output directories).
 
 Every run writes summary.json (schema 1) plus scenario artifacts: trajectory
 and sensitivity CSVs and light-cone report JSONs.  Every JSON artifact goes
@@ -189,6 +190,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: f({arg}) overflows at {arg} = {rate:g}") from None
         if not 0 < self.envelope_scale < math.inf:
             raise ConfigError("envelope_scale: must be positive and finite")
+        if not self.front_threshold > 0:
+            raise ConfigError(f"front_threshold: must be positive, got {self.front_threshold:g}")
 
     def resolved_mu(self) -> float:
         return optimal_mu()[0] if self.mu == "optimal" else float(self.mu)
@@ -274,12 +277,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def _read_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from None
+    except ValueError as err:      # not UTF-8, or an integer past the int-string limit
+        raise ConfigError(f"cannot parse config: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
     return raw

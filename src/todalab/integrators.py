@@ -19,10 +19,17 @@ DOP853 never returns from a NaN first step.
 Every CSV artifact goes through write_csv: %.17g floats, the same bytes
 for the same arrays.  A file gets one line template, its sample's rows
 with the site labels baked in; each sample fills in its time and the text
-of its cells, each distinct value formatted once.  Where os.fork exists it
-formats a file in two processes, a forked helper writing the later rows,
-and the file is complete when the call returns; a failed helper makes the
-call raise OSError.
+of its cells.  The samples go in blocks of about 32k cells, and each
+distinct value of a block is formatted once, all in one _format17 call:
+numpy arithmetic that gives '%.17g' % v byte for byte from a double-double
+table of 10^k, built on the first write, and Dekker's exact product.  The
+few values it cannot decide (zeros, non-finite values, near-ties, digits
+off by a power of ten) it hands to '%.17g' itself, and the tests hold it
+to '%.17g' over 10^6 random bit patterns.  A sample equal bit for bit to
+the previous one reuses its text with its own time.  Where os.fork exists
+write_csv formats a file in two processes, a forked helper writing the
+later rows, and the file is complete when the call returns; a failed
+helper makes the call raise OSError.
 """
 from __future__ import annotations
 
@@ -152,17 +159,187 @@ def _row_template(offset: int, n: int) -> str:
     return "".join([f"{_HEAD}{offset + j},%s,%s\n" for j in range(n)])
 
 
+_POW10_K = range(-300, 350)    # 10^k for every k that 16 - exponent reaches
+_TIE = 1e-6                    # closer than this to a rounding tie: use %.17g
+_SPLIT = 134217729.0           # 2^27 + 1, Veltkamp's splitting constant
+_BLOCK_CELLS = 32768           # cells per np.unique call of _bodies
+
+# The %g text of one value laid out in fixed slots: a sign, "0.000" for
+# exponents -4 .. -1, 17 digits each followed by a slot for the point, the
+# exponent "e+000" and a closing comma.  A keep mask picks the slots used.
+_SLOTS = b"-0.000" + b"d." * 16 + b"de+000,"
+
+
+def _layout(x: int, n: int) -> list:
+    """The slots of _SLOTS kept for a decimal exponent x and n significant
+    digits, sign and exponent sign aside, as %.17g lays them out."""
+    keep = [False] * len(_SLOTS)
+    if -4 <= x < 0:
+        keep[1:2 - x] = [True] * (1 - x)        # "0." and -1 - x zeros
+        point, digits = -1, n
+    elif 0 <= x < 17:
+        point, digits = x, max(n, x + 1)
+    else:
+        point, digits = 0, n
+        keep[39:44] = [True, True, abs(x) >= 100, True, True]
+    keep[6:6 + 2 * digits:2] = [True] * digits
+    if n > point + 1 > 0:
+        keep[7 + 2 * point] = True
+    keep[-1] = True
+    return keep
+
+
+@functools.cache
+def _pow10():
+    """(hi_head, hi_tail, lo, b): 10^k = (hi + lo) 2^b for k in _POW10_K,
+    hi in [1, 2) the nearest double and lo the nearest double to the rest,
+    from exact fractions; hi is split in halves of 26 bits for Dekker's
+    product.  Built on the first write, not at import."""
+    from fractions import Fraction     # only a write needs it
+    hi, lo, b = [], [], []
+    for k in _POW10_K:
+        power = Fraction(10) ** k
+        e = power.numerator.bit_length() - power.denominator.bit_length()
+        if power < Fraction(2) ** e:
+            e -= 1
+        scaled = power / Fraction(2) ** e
+        hi.append(float(scaled))
+        lo.append(float(scaled - Fraction(hi[-1])))
+        b.append(e)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    head = c - (c - hi)
+    return head, hi - head, np.array(lo), np.array(b)
+
+
+@functools.cache
+def _text_tables():
+    """(lut, layouts): lut[i] is the ASCII of i, 0 .. 999, in three digits
+    and a pad byte, as one uint32; layouts holds the _layout of every
+    exponent class (-4 .. 16, two-digit, three-digit exponents) and every
+    n = 1 .. 17, then a last row that keeps only the comma."""
+    lut = np.frombuffer("".join(map("{:03d} ".format, range(1000))).encode(), np.uint32)
+    layouts = [_layout(x, n) for x in [*range(-4, 17), 17, 100] for n in range(1, 18)]
+    layouts.append([False] * (len(_SLOTS) - 1) + [True])
+    return lut, np.array(layouts)
+
+
+def _ascii3(lut, i):
+    """(..., 3) uint8 ASCII digits of the integers i, 0 .. 999."""
+    return np.take(lut, i).view(np.uint8).reshape(*np.shape(i), 4)[..., :3]
+
+
+def _scaled17(m, e, x):
+    """floor(y) as int64 and y - floor(y) for y = m 2^e 10^(16 - x), m a
+    float64 integer below 2^53: Dekker's exact product of m and hi plus
+    m lo, off by less than 1e-14 when y < 2^57."""
+    hi_head, hi_tail, lo, b = (t[16 - x - _POW10_K.start] for t in _pow10())
+    c = _SPLIT * m
+    m_head = c - (c - m)
+    m_tail = m - m_head
+    p = m * (hi_head + hi_tail)
+    err = (((m_head * hi_head - p) + m_head * hi_tail) + m_tail * hi_head) + m_tail * hi_tail
+    shift = b + e
+    rest = np.ldexp(err + m * lo, shift)
+    whole = np.floor(rest)
+    return np.ldexp(p, shift).astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _decimal17(v):
+    """(ok, digits, x) for a float64 array v: where ok, v rounds to 17
+    significant digits as digits 10^(x - 16), digits in [10^16, 10^17).
+
+    |v| = m 2^e, with m the 53-bit integer mantissa, and x = floor(log10 |v|)
+    set y = m 2^e 10^(16 - x), which _scaled17 gives to within 1e-14; digits
+    is its nearest integer, once x is corrected where y fell outside
+    [10^16, 10^17 - 1/2).  A y computed just above 10^16 may lie just
+    below it, where it still rounds to 10^16 at x.  ok is False, and digits
+    10^16, where this cannot decide: zero, a non-finite value, y within _TIE
+    of a rounding tie, or y outside that range after the correction."""
+    ok = np.isfinite(v) & (v != 0)
+    mag = np.where(ok, np.abs(v), 1.0)
+    frac, exp2 = np.frexp(mag)
+    m, e = np.ldexp(frac, 53), exp2.astype(np.int64) - 53
+    x = np.floor(np.log10(mag)).astype(np.int64)
+    floor_y, rest = _scaled17(m, e, x)
+    up, down = floor_y + (rest > 0.5) >= 10**17, floor_y < 10**16
+    redo = np.flatnonzero(up | down)
+    if redo.size:
+        x[redo] += up[redo].astype(np.int64) - down[redo]
+        floor_y[redo], rest[redo] = _scaled17(m[redo], e[redo], x[redo])
+    digits = floor_y + (rest > 0.5)
+    ok &= (np.abs(rest - 0.5) >= _TIE) & (floor_y >= 10**16) & (digits < 10**17)
+    digits[~ok] = 10**16
+    return ok, digits, x
+
+
+def _format17(values) -> list[str]:
+    """'%.17g' % v for each float64 v, byte for byte, in numpy passes.
+
+    _decimal17 gives each value's 17 digits and exponent, the digits fill
+    the slots of _SLOTS, a _layout row picks the ones kept, and np.compress
+    joins them.  A value _decimal17 cannot decide is formatted by '%.17g'
+    itself."""
+    v = np.asarray(values, dtype=np.float64)
+    ok, digits, x = _decimal17(v)
+    lut, layouts = _text_tables()
+    groups = np.empty((v.size, 6), dtype=np.int64)
+    for i, power in enumerate((10**15, 10**12, 10**9, 10**6, 10**3, 1)):
+        groups[:, i] = digits // power % 1000
+    chars = np.empty((v.size, len(_SLOTS)), dtype=np.uint8)
+    chars[:] = np.frombuffer(_SLOTS, np.uint8)
+    chars[:, 6:39:2] = _ascii3(lut, groups).reshape(v.size, 18)[:, 1:]
+    chars[:, 40] = np.where(x < 0, ord("-"), ord("+"))
+    chars[:, 41:44] = _ascii3(lut, np.abs(x))
+    n = 17 - np.argmax(chars[:, 38:5:-2] != ord("0"), axis=1)
+    form = np.where((x >= -4) & (x < 17), x + 4, np.where(np.abs(x) < 100, 21, 22))
+    keep = layouts[np.where(ok, 17 * form + n - 1, -1)]
+    keep[:, 0] = np.signbit(v) & ok
+    text = np.compress(keep.ravel(), chars.ravel()).tobytes().decode("ascii").split(",")
+    slow = np.flatnonzero(~ok)
+    for i, value in zip(slow.tolist(), v[slow].tolist()):
+        text[i] = "%.17g" % value
+    return text[:-1]
+
+
+def _bodies(template, x1, x2, rows):
+    """template % cells of each of the given rows, in order.  The rows go in
+    blocks of at most about _BLOCK_CELLS cells, and each distinct value of a
+    block (told apart by its bits, so -0.0 is not 0.0) is formatted once,
+    all in one _format17 call."""
+    n = 2 * x1.shape[1]
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, rows.size, step):
+        block = rows[lo:lo + step]
+        bits = np.empty((block.size, n), dtype=np.int64)
+        bits[:, 0::2], bits[:, 1::2] = x1[block].view(np.int64), x2[block].view(np.int64)
+        values, inverse = np.unique(bits.ravel(), return_inverse=True)
+        text = _format17(values.view(np.float64))
+        for cells in inverse.reshape(bits.shape).tolist():
+            yield template % operator.itemgetter(*cells)(text)
+
+
+def _new_samples(x1, x2) -> np.ndarray:
+    """True for the first sample of (T, N) arrays and for each sample whose
+    bits differ from the previous sample's (a NaN payload or the sign of a
+    zero makes a new sample)."""
+    bits1, bits2 = x1.view(np.int64), x2.view(np.int64)
+    new = np.ones(x1.shape[0], dtype=bool)
+    new[1:] = (np.any(bits1[1:] != bits1[:-1], axis=1)
+               | np.any(bits2[1:] != bits2[:-1], axis=1))
+    return new
+
+
 def _write_rows(fh, template, times, x1, x2):
     """Rows of the samples given, in order, through a _row_template.  Each
-    sample is one write, and each distinct value in it (told apart by its
-    bits, so -0.0 is not 0.0) is formatted once, all in one % call."""
-    bits = np.empty(2 * x1.shape[1], dtype=np.int64)
-    for t, row1, row2 in zip(times, x1, x2):
-        bits[0::2], bits[1::2] = row1.view(np.int64), row2.view(np.int64)
-        values, inverse = np.unique(bits, return_inverse=True)
-        text = ("%.17g," * values.size % tuple(values.view(np.float64).tolist())).split(",")
-        cells = operator.itemgetter(*inverse.tolist())(text)
-        fh.write(template.replace(_HEAD, "%.17g," % t) % cells)
+    sample is one write.  A sample whose bits equal the previous sample's
+    reuses its text and only swaps in its own time."""
+    new = _new_samples(x1, x2)
+    bodies = _bodies(template, x1, x2, np.flatnonzero(new))
+    for t, fresh in zip(times, new.tolist()):
+        if fresh:
+            body = next(bodies)
+        fh.write(body.replace(_HEAD, "%.17g," % t))
 
 
 def _split_row(x1, x2) -> int:
@@ -300,11 +477,7 @@ class Trajectory(EdgeMargin):
         it is evaluated once per run of consecutive samples that are equal
         bit for bit (a NaN payload or the sign of a zero makes a new sample)
         and its value repeated over the run."""
-        bits1, bits2 = self.x1.view(np.int64), self.x2.view(np.int64)
-        new = np.ones(self.n_samples, dtype=bool)
-        new[1:] = (np.any(bits1[1:] != bits1[:-1], axis=1)
-                   | np.any(bits2[1:] != bits2[:-1], axis=1))
-        starts = np.flatnonzero(new)
+        starts = np.flatnonzero(_new_samples(self.x1, self.x2))
         values = np.array([energy(self.state(i)) for i in starts])
         return np.repeat(values, np.diff(starts, append=self.n_samples), axis=0)
 

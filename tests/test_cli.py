@@ -87,6 +87,10 @@ def test_default_config_is_valid():
     (lambda r: r.update(mu=1000), "mu: f(mu) overflows at mu = 1000"),
     (lambda r: r.update(scenario="interpolation", eps=1000),
      "eps: f(mu + eps) overflows at mu + eps = 1000.48"),
+    # a front threshold of 0 fits the first nonzero sample, and a negative one
+    # gave a null front speed with exit 0
+    (lambda r: r.update(front_threshold=0), "front_threshold: must be positive, got 0"),
+    (lambda r: r.update(front_threshold=-1), "front_threshold: must be positive, got -1"),
 ])
 def test_config_errors_name_the_field(mutate, fragment):
     raw = default_config()
@@ -136,6 +140,23 @@ def test_load_config_bad_json_reports_position(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config("/nonexistent/cfg.json")
+
+
+@pytest.mark.parametrize("content,fragment", [
+    (b'{"scenario": "toda-lightcone", "window": 41, "t_final": 0.5, "seed": %s}' % (b"1" * 5000),
+     "cannot parse config: Exceeds the limit (4300 digits)"),
+    (b'{"scenario": "toda-lightcone", "base": "\xff"}',
+     "cannot parse config: 'utf-8' codec can't decode byte 0xff"),
+], ids=["5000-digit-seed", "not-utf8"])
+def test_a_config_json_cannot_parse_exits_2(tmp_path, capsys, content, fragment):
+    """json raises a plain ValueError for an integer literal of more than
+    4300 digits and a UnicodeDecodeError for a file that is not UTF-8; both
+    ended in a traceback with exit 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["run", "-c", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {fragment}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_print_default_config_roundtrips(capsys):

@@ -223,6 +223,71 @@ def test_write_csv_matches_per_cell_oracle(tmp_path):
     assert (tmp_path / "grid.csv").read_bytes() == \
         (tmp_path / "grid-cells.csv").read_bytes()
 
+    # stationary samples, equal bit for bit, reuse the first one's text; a
+    # zero that changes sign, a NaN payload or one ulp makes a new sample
+    x1 = np.tile([0.5, 0.0, np.nan, 1e-300, -2.0], (9, 1))
+    x2 = np.tile(rng.normal(size=5), (9, 1))
+    x1[3, 1], x1[5, 2], x2[7, 4] = -0.0, nan2, np.nextafter(x2[7, 4], np.inf)
+    assert_same_csv(tmp_path, ("a", "b"), np.linspace(0.0, 0.8, 9), -2, x1, x2)
+
+
+def _printf17(values) -> list:
+    """'%.17g' % v for each v: the oracle of integrators._format17."""
+    return ("%.17g," * values.size % tuple(values.tolist())).split(",")[:-1]
+
+
+def _dyadic_ties(rng) -> np.ndarray:
+    """a 2^-j with a odd and a 5^j of 18 digits: its decimal expansion ends
+    in a 5 at the 18th significant digit, a tie for 17 digits."""
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        for a in rng.integers(lo, hi, 64).tolist():
+            a |= 1
+            if len(str(a * 5**j)) == 18:
+                ties.append(math.ldexp(a, -j))
+    return np.array(ties)
+
+
+def test_format17_matches_printf_byte_for_byte():
+    """_format17 gives '%.17g' % v for 10^6 random bit patterns (both signs,
+    every binade, subnormals, infinities and NaNs) and for the values a
+    bulk formatter most easily gets wrong.  The fast path decides all but a
+    few of the finite nonzero random values; the ties are left to %.17g."""
+    rng = np.random.default_rng(1717)
+    bits = rng.integers(-2**63, 2**63, size=10**6, dtype=np.int64)
+    fields = np.unique((bits >> 52) & 0x7FF)
+    assert fields.size == 2048 and (bits < 0).any() and (bits > 0).any()
+    ints = [2.0**j + k for j in range(61) for k in (-3, -1, 0, 1, 3)]
+    powers10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    nans = np.array([0x7FF0000000000001, 0x7FF8000000000001, 0xFFF8000000000000,
+                     0x7FFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    ties = _dyadic_ties(rng)
+    cases = {
+        "random bits": bits.view(np.float64),
+        "powers of two": np.ldexp([[1.0], [-1.0]], np.arange(-1074, 1024)).ravel(),
+        "10^k and neighbours": np.concatenate((powers10, np.nextafter(powers10, 0.0),
+                                               np.nextafter(powers10, np.inf))),
+        "integers": np.concatenate((np.arange(1.0, 2**16), ints,
+                                    rng.integers(0, 2**60, 2**15).astype(float))),
+        "fixed/scientific switches": np.concatenate((10.0 ** rng.uniform(-5, -3, 2**15),
+                                                     -(10.0 ** rng.uniform(16, 17, 2**15)))),
+        "dyadic ties": np.concatenate((ties, -ties)),
+        "zeros, infinities, NaNs": np.concatenate(([0.0, -0.0, np.inf, -np.inf, np.nan], nans)),
+    }
+    for name, values in cases.items():
+        got = []
+        for lo in range(0, values.size, 2**15):
+            got += integrators._format17(values[lo:lo + 2**15])
+        want = _printf17(values)
+        if got != want:
+            wrong = [(w, g) for w, g in zip(want, got) if w != g]
+            pytest.fail(f"{name}: {len(got)} values for {len(want)}; wrong {wrong[:5]}")
+    assert ties.size > 1000 and not integrators._decimal17(ties)[0].any()
+    random = cases["random bits"]
+    decided = integrators._decimal17(random[np.isfinite(random) & (random != 0)])[0]
+    assert decided.mean() >= 0.999
+
 
 @pytest.fixture
 def writer_cleanup(tmp_path, monkeypatch):
