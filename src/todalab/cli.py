@@ -8,8 +8,9 @@ Exit codes: 0 all checks passed, 1 a verification failed (first violating
 (n, t) is printed), 2 configuration error (message names the field; seed
 sites, and for observables the bracket sites, must lie in the window; guard
 is at least 1; t_final is a whole number of sample_dt; an order-r hierarchy
-run needs a window of at least 2r + 5 sites; integer fields take no
-fractional part, every number is finite, and so are f(mu) and f(mu + eps),
+run needs a window of at least 2r + 5 sites; integer fields, hierarchy.r
+and the values of sweep --axis r among them, take no fractional part,
+every number is finite, and so are f(mu) and f(mu + eps),
 front_threshold is positive, the config file is UTF-8 JSON that json can
 read, seed is at least 0, seeds are distinct, and sweep values name
 distinct output directories).
@@ -207,6 +208,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _cast(value, cast, kind: str, path: str):
+    """cast(value), or a ConfigError naming path and the kind expected."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: expected {kind}, got {value!r}") from None
+
+
 def _refuse_non_finite(value, path: str):
     """Raise a ConfigError naming, by its path, the first number in value,
     a config entry with its nested objects and lists, that is not a finite
@@ -221,21 +230,25 @@ def _refuse_non_finite(value, path: str):
             _refuse_non_finite(item, f"{path}[{i}]")
 
 
-def _build_block(cls, block: dict, path: str, required: tuple = ()):
+def _build_block(cls, block: dict, path: str, required: tuple = (), integers: tuple = ()):
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object")
     for key in required:
         if key not in block:
             raise ConfigError(f"{path}.{key}: required")
+    block = dict(block)
+    for key in integers:
+        if key in block:
+            block[key] = _cast(block[key], _integer, "an integer", f"{path}.{key}")
     try:
         return cls(**block)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from None
 
 
-# spec blocks: type and required keys
-_BLOCKS = {"soliton": (SolitonSpec, ("kappa",)), "hierarchy": (HierarchySpec, ()),
-           "perturbation": (PerturbationSpec, ()), "potential": (PotentialSpec, ())}
+# spec blocks: type, required keys and integer keys
+_BLOCKS = {"soliton": (SolitonSpec, ("kappa",), ()), "hierarchy": (HierarchySpec, (), ("r",)),
+           "perturbation": (PerturbationSpec, (), ()), "potential": (PotentialSpec, (), ())}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -257,15 +270,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                                "front_threshold"), float, "a number")):
         for key in keys:
             if key in kwargs:
-                try:
-                    kwargs[key] = cast(kwargs[key])
-                except (TypeError, ValueError, OverflowError):
-                    raise ConfigError(f"{key}: expected {kind}, got {kwargs[key]!r}") from None
+                kwargs[key] = _cast(kwargs[key], cast, kind, key)
     if "integrator" in raw:
         kwargs["integrator"] = _build_block(IntegratorConfig, raw["integrator"], "integrator")
-    for name, (cls, required) in _BLOCKS.items():
+    for name, (cls, required, integers) in _BLOCKS.items():
         if name in raw:
-            kwargs[name] = _build_block(cls, raw[name], name, required)
+            kwargs[name] = _build_block(cls, raw[name], name, required, integers)
     cfg = ExperimentConfig(**kwargs)
     for name in SCENARIOS[cfg.scenario].blocks:
         if getattr(cfg, name) is None:
@@ -656,7 +666,7 @@ def _apply_axis(raw: dict, axis: str, value):
         node = node[part]
     leaf = path[-1]
     if leaf == "r":
-        r = int(value)
+        r = _cast(value, _integer, "an integer order", f"--axis {axis}")
         node["r"] = r
         node["c"] = [1.0] + [0.0] * r
     else:

@@ -26,10 +26,7 @@ table of 10^k, built on the first write, and Dekker's exact product.  The
 few values it cannot decide (zeros, non-finite values, near-ties, digits
 off by a power of ten) it hands to '%.17g' itself, and the tests hold it
 to '%.17g' over 10^6 random bit patterns.  A sample equal bit for bit to
-the previous one reuses its text with its own time.  Where os.fork exists
-write_csv formats a file in two processes, a forked helper writing the
-later rows, and the file is complete when the call returns; a failed
-helper makes the call raise OSError.
+the previous one reuses its text with its own time.
 """
 from __future__ import annotations
 
@@ -37,11 +34,6 @@ import functools
 import json
 import math
 import operator
-import os
-import shutil
-import sys
-import tempfile
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,70 +334,12 @@ def _write_rows(fh, template, times, x1, x2):
         fh.write(body.replace(_HEAD, "%.17g," % t))
 
 
-def _split_row(x1, x2) -> int:
-    """Row k that best halves the formatting work of _write_rows between
-    rows :k and rows k:.  A row costs one %.17g per distinct value and, per
-    cell, about an eighth of one (timed on N = 1001 rows)."""
-    bits = np.concatenate((x1, x2), axis=1).view(np.int64)
-    bits.sort(axis=1)
-    distinct = 1 + np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1)
-    work = np.concatenate(([0.0], np.cumsum(distinct + bits.shape[1] / 8.0)))
-    return int(np.argmin(np.abs(work - 0.5 * work[-1])))
-
-
-def _fork_rows(tail, template, times, x1, x2) -> int:
-    """Fork a helper that writes these rows into the binary file tail and
-    exits 0, or prints its traceback to stderr and exits 1; return its pid.
-    The helper leaves only through os._exit, so it never runs the caller's
-    cleanup or flushes a buffer it inherited."""
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        with open(tail.fileno(), "w", closefd=False) as out:
-            _write_rows(out, template, times, x1, x2)
-        status = 0
-    except Exception:
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
-
-
 def write_csv(path, coords, times, offset: int, x1: np.ndarray, x2: np.ndarray):
     """Rows t,n,<coord 1>,<coord 2> of (T, N) float arrays with %.17g floats
-    (byte-stable for identical data), written by _write_rows.
-
-    Where os.fork exists the rows are formatted by two processes: a forked
-    helper writes the later rows, which hold about half of the formatting
-    work, into a temporary file while this process writes the earlier ones,
-    then their bytes are appended.  The bytes are those of one process
-    writing every row, and the file is complete when the call returns.  A
-    helper that fails prints its traceback to stderr and makes the call
-    raise OSError naming path; the helper is reaped in every case.
-    """
-    template = _row_template(offset, x1.shape[1])
-    k = _split_row(x1, x2) if hasattr(os, "fork") else 0
+    (byte-stable for identical data), written by _write_rows."""
     with open(path, "w") as fh:
         fh.write("t,n,%s,%s\n" % tuple(coords))
-        if not 0 < k < len(times):
-            _write_rows(fh, template, times, x1, x2)
-            return
-        fh.flush()
-        with tempfile.TemporaryFile() as tail:
-            pid = _fork_rows(tail, template, times[k:], x1[k:], x2[k:])
-            try:
-                _write_rows(fh, template, times[:k], x1[:k], x2[:k])
-            finally:
-                status = os.waitpid(pid, 0)[1]
-            if status:
-                raise OSError(f"{path}: the helper writing rows {k}.. exited with "
-                              f"{os.waitstatus_to_exitcode(status)}; its traceback "
-                              f"is on stderr")
-            fh.flush()
-            tail.seek(0)
-            shutil.copyfileobj(tail, fh.buffer)
+        _write_rows(fh, _row_template(offset, x1.shape[1]), times, x1, x2)
 
 
 def _plain(value):

@@ -66,6 +66,8 @@ def test_default_config_is_valid():
     (lambda r: r.update(json.loads('{"t_final": 1e400}')), "t_final: must be positive and finite"),
     (lambda r: r.update(base="random", seed=-1), "seed: must be >= 0, got -1"),
     (lambda r: r.update(window=201.7), "window: expected an integer, got 201.7"),
+    (lambda r: r.update(scenario="hierarchy", hierarchy={"r": 1.5, "c": [1, 0]}),
+     "hierarchy.r: expected an integer, got 1.5"),
     # a non-finite number anywhere used to pass (an infinite envelope_scale
     # makes every check pass), hang the solve or end in a traceback
     (lambda r: r.update(json.loads('{"envelope_scale": 1e400}')),
@@ -104,9 +106,11 @@ def test_config_errors_name_the_field(mutate, fragment):
 def test_integral_floats_are_integers():
     """sweep --axis window passes floats, so an integral float is taken as
     the integer it equals."""
-    cfg = config_from_dict({**default_config(), "window": 201.0, "seeds": [[1.0, "b"]]})
+    cfg = config_from_dict({**default_config(), "window": 201.0, "seeds": [[1.0, "b"]],
+                            "hierarchy": {"r": 1.0, "c": [1, 0]}})
     assert cfg.window == 201 and type(cfg.window) is int
     assert cfg.seeds == ((1, "b"),) and type(cfg.seeds[0][0]) is int
+    assert cfg.hierarchy.r == 1 and type(cfg.hierarchy.r) is int
 
 
 def test_hierarchy_weight_count_checked():
@@ -246,12 +250,19 @@ def test_config_at_the_edge_of_the_new_checks_loads(overrides):
     config_from_dict(small_run_config(**overrides))
 
 
-def test_sweep_over_r_rejects_an_order_the_window_cannot_hold(tmp_path, capsys):
+@pytest.mark.parametrize("values,fragment", [
+    ("1,20", "hierarchy.r: order 20 needs window >= 2r + 5"),
+    # a fractional order ran the truncated one, and nan or inf ended in a traceback
+    ("1.5", "--axis r: expected an integer order, got 1.5"),
+    ("nan", "--axis r: expected an integer order, got nan"),
+    ("inf", "--axis r: expected an integer order, got inf"),
+], ids=["20", "1.5", "nan", "inf"])
+def test_sweep_over_r_rejects_an_order_the_window_cannot_hold(values, fragment, tmp_path, capsys):
     cfg = write_config(tmp_path, small_run_config(**_hierarchy_overrides(1)))
     out = tmp_path / "s"
-    code = main(["sweep", "-c", cfg, "--axis", "r", "--values", "1,20", "--out", str(out)])
+    code = main(["sweep", "-c", cfg, "--axis", "r", "--values", values, "--out", str(out)])
     assert code == 2
-    assert "config error: hierarchy.r: order 20 needs window >= 2r + 5" in capsys.readouterr().err
+    assert f"config error: {fragment}" in capsys.readouterr().err
     assert not (out / "sweep.json").exists()
 
 

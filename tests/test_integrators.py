@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -188,9 +187,26 @@ def assert_same_csv(tmp_path, coords, times, offset, x1, x2):
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
-def test_write_csv_matches_per_cell_oracle(tmp_path):
+def _short_file(kind):
+    """(times, x1, x2) of a file of 1, 2 or 3 distinct samples, or of five
+    equal samples and a distinct last one."""
+    rng = np.random.default_rng(8)
+    if kind == "distinct-last-row":
+        x1, x2 = np.full((6, 40), 0.5), np.zeros((6, 40))
+        x1[-1], x2[-1] = rng.normal(size=40), rng.lognormal(-300.0, 300.0, 40)
+        return np.linspace(0.0, 0.5, 6), x1, x2
+    rows = int(kind.split("-")[0])
+    return np.linspace(0.0, 1.0, rows), rng.normal(size=(rows, 40)), rng.normal(size=(rows, 40))
+
+
+@pytest.mark.parametrize("block_cells", [integrators._BLOCK_CELLS, 7, 25])
+def test_write_csv_matches_per_cell_oracle(block_cells, tmp_path, monkeypatch):
     """Rows mixing the two zeros, subnormals, infinities and NaNs with two
-    payloads; an all-background row; an all-distinct row; a negative offset."""
+    payloads; an all-background row; an all-distinct row; a negative offset.
+    Blocks of 7 cells hold one sample each and blocks of 25 hold two samples
+    of up to 12 cells, so every file of more than one sample spans several
+    blocks."""
+    monkeypatch.setattr(integrators, "_BLOCK_CELLS", block_cells)
     nan2 = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
     tiny = np.nextafter(0.0, 1.0)
     rng = np.random.default_rng(3)
@@ -229,6 +245,16 @@ def test_write_csv_matches_per_cell_oracle(tmp_path):
     x2 = np.tile(rng.normal(size=5), (9, 1))
     x1[3, 1], x1[5, 2], x2[7, 4] = -0.0, nan2, np.nextafter(x2[7, 4], np.inf)
     assert_same_csv(tmp_path, ("a", "b"), np.linspace(0.0, 0.8, 9), -2, x1, x2)
+
+    # samples A A B A A C: the third A repeats the first but follows B, so it
+    # is formatted again, and in blocks of 7 or 25 cells it opens a new block
+    a, b, c = rng.normal(size=(3, 2, 5))
+    x1, x2 = np.stack([a, a, b, a, a, c], axis=1)
+    assert_same_csv(tmp_path, ("a", "b"), np.linspace(0.0, 0.5, 6), 4, x1, x2)
+
+    for kind in ("1-row", "2-rows", "3-rows", "distinct-last-row"):
+        times, x1, x2 = _short_file(kind)
+        assert_same_csv(tmp_path, ("a", "b"), times, -20, x1, x2)
 
 
 def _printf17(values) -> list:
@@ -290,81 +316,12 @@ def test_format17_matches_printf_byte_for_byte():
 
 
 @pytest.fixture
-def writer_cleanup(tmp_path, monkeypatch):
-    """Temporary files go to a directory of their own; on teardown it must
-    be empty, no descriptor may be left open and no helper left behind."""
-    temp = tmp_path / "temp"
-    temp.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+def writer_cleanup():
+    """On teardown no descriptor may be left open."""
     fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     yield
-    assert not list(temp.iterdir())
     if fds is not None:
         assert set(os.listdir("/proc/self/fd")) == fds
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _short_file(kind):
-    """(times, x1, x2, split row) of a file whose split sits at an end."""
-    rng = np.random.default_rng(8)
-    if kind == "distinct-last-row":
-        x1, x2 = np.full((6, 40), 0.5), np.zeros((6, 40))
-        x1[-1], x2[-1] = rng.normal(size=40), rng.lognormal(-300.0, 300.0, 40)
-        return np.linspace(0.0, 0.5, 6), x1, x2, 5
-    rows = int(kind.split("-")[0])
-    x1, x2 = rng.normal(size=(rows, 40)), rng.normal(size=(rows, 40))
-    return np.linspace(0.0, 1.0, rows), x1, x2, {1: 0, 2: 1, 3: 1}[rows]
-
-
-@pytest.mark.parametrize("kind", ["1-row", "2-rows", "3-rows", "distinct-last-row"])
-def test_write_csv_split_at_either_end_matches_oracle(kind, tmp_path, monkeypatch,
-                                                      writer_cleanup):
-    """The helper writes rows k: only when 0 < k < T, and the bytes are
-    the one-process bytes wherever k falls."""
-    times, x1, x2, k = _short_file(kind)
-    assert integrators._split_row(x1, x2) == k
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    assert_same_csv(tmp_path, ("a", "b"), times, -20, x1, x2)
-    assert len(forks) == (0 < k < times.size)
-
-
-def test_write_csv_without_fork_writes_every_row_itself(tmp_path, monkeypatch):
-    monkeypatch.delattr(os, "fork", raising=False)
-    times, x1, x2, _ = _short_file("3-rows")
-    assert_same_csv(tmp_path, ("a", "b"), times, -20, x1, x2)
-
-
-def _failing_rows(monkeypatch, in_helper: bool):
-    """Make the row writer raise in the helper only, or in the parent only."""
-    parent, write_rows = os.getpid(), integrators._write_rows
-
-    def rows(*args):
-        if (os.getpid() != parent) == in_helper:
-            raise RuntimeError("row writer failed on purpose")
-        return write_rows(*args)
-
-    monkeypatch.setattr(integrators, "_write_rows", rows)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
-def test_write_csv_reports_a_failed_helper(tmp_path, monkeypatch, capfd, writer_cleanup):
-    times, x1, x2, _ = _short_file("3-rows")
-    _failing_rows(monkeypatch, in_helper=True)
-    path = tmp_path / "rows.csv"
-    with pytest.raises(OSError, match="rows.csv"):
-        write_csv(path, ("a", "b"), times, 0, x1, x2)
-    assert "row writer failed on purpose" in capfd.readouterr().err
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
-def test_write_csv_reaps_its_helper_when_the_parent_fails(tmp_path, monkeypatch,
-                                                          writer_cleanup):
-    times, x1, x2, _ = _short_file("3-rows")
-    _failing_rows(monkeypatch, in_helper=False)
-    with pytest.raises(RuntimeError, match="on purpose"):
-        write_csv(tmp_path / "rows.csv", ("a", "b"), times, 0, x1, x2)
 
 
 def _runs(n_samples=6, n_sites=9):
@@ -535,26 +492,18 @@ def _template_case(kind):
     return times, -2, x1, x2
 
 
-@pytest.mark.parametrize("split", [None, 1, -1], ids=["one-process", "split-first", "split-last"])
 @pytest.mark.parametrize("kind", ["signed-zeros", "nan-payloads", "inf-subnormals", "3-sites",
                                   "1-row"])
-def test_row_template_matches_per_cell_oracle(kind, split, tmp_path, monkeypatch,
-                                              writer_cleanup):
-    """The per-sample template gives the per-cell bytes, written by one
-    process or split after the first row or before the last one."""
+def test_row_template_matches_per_cell_oracle(kind, tmp_path, writer_cleanup):
+    """The per-sample template gives the per-cell bytes."""
     times, offset, x1, x2 = _template_case(kind)
-    if split is None:
-        monkeypatch.delattr(os, "fork", raising=False)
-    else:
-        monkeypatch.setattr(integrators, "_split_row", lambda *_: split % times.size)
     assert_same_csv(tmp_path, ("a", "b"), times, offset, x1, x2)
 
 
 # -- what a caller may rely on once a writer returns -------------------------
 
 def _writers(tmp_path):
-    """(name, write(path), the per-cell bytes) of the three CSV entry points,
-    each with data that splits the file between two processes."""
+    """(name, write(path), the per-cell bytes) of the three CSV entry points."""
     rng = np.random.default_rng(14)
     times, x1, x2 = np.linspace(0.0, 1.0, 6), rng.normal(size=(6, 30)), rng.normal(size=(6, 30))
     traj = Trajectory(times, x1, x2, -4, (0.5, 0.0))
@@ -572,21 +521,10 @@ def _writers(tmp_path):
              oracle(("da", "db"), grid.offset, grid.da, grid.db))]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
-def test_a_csv_is_complete_when_its_writer_returns(tmp_path, monkeypatch, writer_cleanup):
+def test_a_csv_is_complete_when_its_writer_returns(tmp_path, writer_cleanup):
     """A caller may stat or read the file as soon as the call returns (a
-    per-file byte count does): the rows the helper formats are in it by
-    then, which a writer that returned before its helper finished would
-    not give.  A failed helper raises OSError naming the file."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    per-file byte count does): every row is in it by then."""
     for name, write, want in _writers(tmp_path):
         path = tmp_path / f"{name}.csv"
-        forks.clear()
         write(path)
-        assert forks == [1], name
         assert os.path.getsize(path) == len(want) and path.read_bytes() == want, name
-    _failing_rows(monkeypatch, in_helper=True)
-    for name, write, _ in _writers(tmp_path):
-        with pytest.raises(OSError, match=f"{name}-failed.csv"):
-            write(tmp_path / f"{name}-failed.csv")
