@@ -18,22 +18,26 @@ DOP853 never returns from a NaN first step.
 
 Every CSV artifact goes through write_csv: %.17g floats, the same bytes
 for the same arrays.  A file gets one line template, its sample's rows
-with the site labels baked in; each sample fills in its time and the text
-of its cells.  The samples go in blocks of about 32k cells, and each
-distinct value of a block is formatted once, all in one _format17 call:
-numpy arithmetic that gives '%.17g' % v byte for byte from a double-double
-table of 10^k, built on the first write, and Dekker's exact product.  The
-few values it cannot decide (zeros, non-finite values, near-ties, digits
-off by a power of ten) it hands to '%.17g' itself, and the tests hold it
-to '%.17g' over 10^6 random bit patterns.  A sample equal bit for bit to
-the previous one reuses its text with its own time.
+with the site labels baked in.  Each sample reuses the previous sample's
+text outside its span, the rows from the first to the last whose bits
+changed, and fills the template's slice of the span alone; outside a
+light cone a tangent stays exactly 0, so most rows of a grid never change
+again.  A sample equal bit for bit to the previous one has an empty span,
+and the first sample's span is every row.  Each sample then fills in its
+time.  The cells of the spans go in blocks of 32k, and each distinct value
+of a block is formatted once, all in one _format17 call: numpy arithmetic
+that gives '%.17g' % v byte for byte from a double-double table of 10^k,
+built on the first write, and Dekker's exact product.  The few values it
+cannot decide (zeros, non-finite values, near-ties, digits off by a power
+of ten) it hands to '%.17g' itself, and the tests hold it to '%.17g' over
+10^6 random bit patterns.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,17 +148,19 @@ class EdgeMargin:
 _HEAD = "\0"
 
 
-def _row_template(offset: int, n: int) -> str:
-    """The text of one sample's rows t,n,<x1>,<x2> over sites offset ..
-    offset + n - 1: _HEAD where each row's time goes, the site labels baked
-    in, and %s for each cell, site by site and x1 before x2."""
-    return "".join([f"{_HEAD}{offset + j},%s,%s\n" for j in range(n)])
+def _row_template(offset: int, n: int) -> tuple[str, list]:
+    """(template, starts): the text of one sample's rows t,n,<x1>,<x2> over
+    sites offset .. offset + n - 1, with _HEAD where each row's time goes,
+    the site labels baked in, and %s for each cell, site by site and x1
+    before x2; starts[j] is where row j begins, and starts[n] its length."""
+    rows = [f"{_HEAD}{offset + j},%s,%s\n" for j in range(n)]
+    return "".join(rows), [0, *itertools.accumulate(map(len, rows))]
 
 
 _POW10_K = range(-300, 350)    # 10^k for every k that 16 - exponent reaches
 _TIE = 1e-6                    # closer than this to a rounding tie: use %.17g
 _SPLIT = 134217729.0           # 2^27 + 1, Veltkamp's splitting constant
-_BLOCK_CELLS = 32768           # cells per np.unique call of _bodies
+_BLOCK_CELLS = 32768           # cells per np.unique call of _span_cells
 
 # The %g text of one value laid out in fixed slots: a sign, "0.000" for
 # exponents -4 .. -1, 17 digits each followed by a slot for the point, the
@@ -294,52 +300,76 @@ def _format17(values) -> list[str]:
     return text[:-1]
 
 
-def _bodies(template, x1, x2, rows):
-    """template % cells of each of the given rows, in order.  The rows go in
-    blocks of at most about _BLOCK_CELLS cells, and each distinct value of a
-    block (told apart by its bits, so -0.0 is not 0.0) is formatted once,
-    all in one _format17 call."""
-    n = 2 * x1.shape[1]
-    step = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, rows.size, step):
-        block = rows[lo:lo + step]
-        bits = np.empty((block.size, n), dtype=np.int64)
-        bits[:, 0::2], bits[:, 1::2] = x1[block].view(np.int64), x2[block].view(np.int64)
-        values, inverse = np.unique(bits.ravel(), return_inverse=True)
-        text = _format17(values.view(np.float64))
-        for cells in inverse.reshape(bits.shape).tolist():
-            yield template % operator.itemgetter(*cells)(text)
-
-
-def _new_samples(x1, x2) -> np.ndarray:
-    """True for the first sample of (T, N) arrays and for each sample whose
-    bits differ from the previous sample's (a NaN payload or the sign of a
-    zero makes a new sample)."""
+def _changed_rows(x1, x2) -> np.ndarray:
+    """(T, N) bool of (T, N) arrays: True in every row of the first sample
+    and in each row whose bits differ from the previous sample's (a NaN
+    payload or the sign of a zero is a change)."""
     bits1, bits2 = x1.view(np.int64), x2.view(np.int64)
-    new = np.ones(x1.shape[0], dtype=bool)
-    new[1:] = (np.any(bits1[1:] != bits1[:-1], axis=1)
-               | np.any(bits2[1:] != bits2[:-1], axis=1))
-    return new
+    changed = np.ones(x1.shape, dtype=bool)
+    np.not_equal(bits1[1:], bits1[:-1], out=changed[1:])
+    changed[1:] |= bits2[1:] != bits2[:-1]
+    return changed
 
 
-def _write_rows(fh, template, times, x1, x2):
-    """Rows of the samples given, in order, through a _row_template.  Each
-    sample is one write.  A sample whose bits equal the previous sample's
-    reuses its text and only swaps in its own time."""
-    new = _new_samples(x1, x2)
-    bodies = _bodies(template, x1, x2, np.flatnonzero(new))
-    for t, fresh in zip(times, new.tolist()):
-        if fresh:
-            body = next(bodies)
+def _span_cells(x1, x2, lo, end):
+    """Blocks of the text of the cells of sites lo[i] .. end[i] - 1 of each
+    sample i of (T, N) arrays, sample by sample, site by site, x1 before
+    x2.  A block holds _BLOCK_CELLS cells (the last one fewer), and each
+    distinct value of a block (told apart by its bits, so -0.0 is not 0.0)
+    is formatted once, all in one _format17 call."""
+    rows = end - lo
+    # the flat (T, N) index of each row: sample i's rows start at i N + lo[i]
+    first = np.arange(rows.size) * x1.shape[1] + lo - (np.cumsum(rows) - rows)
+    flat = np.arange(rows.sum()) + np.repeat(first, rows)
+    bits = np.empty((flat.size, 2), dtype=np.int64)
+    bits[:, 0], bits[:, 1] = np.take(x1.view(np.int64), flat), np.take(x2.view(np.int64), flat)
+    bits = bits.ravel()
+    for c in range(0, bits.size, _BLOCK_CELLS):
+        values, inverse = np.unique(bits[c:c + _BLOCK_CELLS], return_inverse=True)
+        yield np.array(_format17(values.view(np.float64)), dtype=object)[inverse].tolist()
+
+
+def _write_rows(fh, offset, times, x1, x2):
+    """Rows of the samples given, in order, one write per sample.  Sample i
+    keeps the text of sample i - 1 outside its span: the rows from the first
+    to the last whose bits differ from sample i - 1's (every row of sample
+    0, none of a sample equal to the previous one).  The _row_template
+    slice of the span is filled with _span_cells and spliced in between
+    the previous text's first row of the span and its row after the span,
+    found by their labels.  Each sample then swaps in its own time."""
+    n = x1.shape[1]
+    template, starts = _row_template(offset, n)
+    changed = _changed_rows(x1, x2)
+    new = changed.any(axis=1)
+    lo, end = np.zeros((2, new.size), dtype=np.int64)
+    lo[new] = np.argmax(changed[new], axis=1)
+    end[new] = n - np.argmax(changed[new, ::-1], axis=1)
+    cells = itertools.chain.from_iterable(_span_cells(x1, x2, lo, end))
+    body = ""
+    for t, a, b in zip(times, lo.tolist(), end.tolist()):
+        if b > a:
+            # a cell's text has one character or more where the template has
+            # %s, so in the previous text row j starts at starts[j] - 2 j or
+            # later, and starts[n] - starts[j] - 2 (n - j) or more before its end
+            head = body.find(f"{_HEAD}{offset + a},", starts[a] - 2 * a) if a else 0
+            tail = len(body)
+            if b < n:
+                row = f"{_HEAD}{offset + b},"
+                tail = body.rfind(row, head, tail - starts[n] + starts[b] + 2 * (n - b) + len(row))
+            span = template[starts[a]:starts[b]] % tuple(itertools.islice(cells, 2 * (b - a)))
+            body = body[:head] + span + body[tail:]
         fh.write(body.replace(_HEAD, "%.17g," % t))
 
 
 def write_csv(path, coords, times, offset: int, x1: np.ndarray, x2: np.ndarray):
     """Rows t,n,<coord 1>,<coord 2> of (T, N) float arrays with %.17g floats
-    (byte-stable for identical data), written by _write_rows."""
+    (byte-stable for identical data), written by _write_rows: each sample
+    formats only its span, the rows from the first to the last whose bits
+    differ from the previous sample's, and reuses the previous sample's
+    text of the rows before and after it."""
     with open(path, "w") as fh:
         fh.write("t,n,%s,%s\n" % tuple(coords))
-        _write_rows(fh, _row_template(offset, x1.shape[1]), times, x1, x2)
+        _write_rows(fh, offset, times, x1, x2)
 
 
 def _plain(value):
@@ -411,7 +441,7 @@ class Trajectory(EdgeMargin):
         it is evaluated once per run of consecutive samples that are equal
         bit for bit (a NaN payload or the sign of a zero makes a new sample)
         and its value repeated over the run."""
-        starts = np.flatnonzero(_new_samples(self.x1, self.x2))
+        starts = np.flatnonzero(_changed_rows(self.x1, self.x2).any(axis=1))
         values = np.array([energy(self.state(i)) for i in starts])
         return np.repeat(values, np.diff(starts, append=self.n_samples), axis=0)
 

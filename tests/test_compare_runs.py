@@ -4,6 +4,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
 _spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
 compare_runs = importlib.util.module_from_spec(_spec)
@@ -57,3 +59,20 @@ def test_tally_counts_differences_per_integrator():
     assert compare_runs.tally([]) == [f"rk-adaptive: {configs} configs, 0 differences",
                                       f"rk4-fixed: {configs} configs, 0 differences"]
     assert configs == 16
+
+
+def test_extra_configs_are_labelled_and_tallied_under_their_integrator():
+    base = {"integrator": {"method": "rk-adaptive", "tolerance": 1e-10}}
+    fixed = {"scenario": "perturbed", "integrator": {"method": "rk4-fixed", "step": 0.01}}
+    assert compare_runs.config_method(fixed, base) == "rk4-fixed"
+    assert compare_runs.config_method({"scenario": "hierarchy"}, base) == "rk-adaptive"
+    with pytest.raises(SystemExit, match="'euler'"):
+        compare_runs.config_method({"integrator": {"method": "euler"}}, base)
+
+    labels = [compare_runs.run_label("ghs", "rk4-fixed", 3),
+              compare_runs.run_label("bench configs/rk4-fixed.json", "rk-adaptive")]
+    assert labels == ["ghs rk4-fixed seeds=3", "bench configs/rk4-fixed.json rk-adaptive"]
+    assert [compare_runs.label_method(label) for label in labels] == ["rk4-fixed", "rk-adaptive"]
+    assert compare_runs.tally([labels[1], labels[1]],
+                              ["rk-adaptive", "rk-adaptive", "rk4-fixed"]) == [
+        "rk-adaptive: 18 configs, 2 differences", "rk4-fixed: 17 configs, 0 differences"]

@@ -256,6 +256,96 @@ def test_write_csv_matches_per_cell_oracle(block_cells, tmp_path, monkeypatch):
         times, x1, x2 = _short_file(kind)
         assert_same_csv(tmp_path, ("a", "b"), times, -20, x1, x2)
 
+    # spans: a growing cone that stalls for a sample; spans that shrink and
+    # move; only the first or only the last row; the first and last rows
+    # around an unchanged middle
+    times, x1, x2 = _cone_file(rng)
+    assert_same_csv(tmp_path, ("da", "db"), times, -6, x1, x2)
+    for changes in ([range(2, 10), range(4, 7), range(7, 11), range(0, 3), [5]],
+                    [[0], [0], [0]], [[11], [11], [11]], [[0, 11], [0, 11]]):
+        times, x1, x2 = _changed_rows_file(rng, changes)
+        assert_same_csv(tmp_path, ("a", "b"), times, 5, x1, x2)
+
+    # a row's text grows (0.5 -> 0.30000000000000004) or shrinks back, and
+    # the next span lies after it or before it
+    x1, x2 = np.full((7, 12), 0.5), np.zeros((7, 12))
+    x1[1:, 3] = x2[2:, 6] = 0.1 + 0.2
+    x1[3:, 8] = x2[4:, 2] = -1.0 / 3.0
+    x1[5:, 3] = 0.5
+    x1[6:, 9] = 2.0
+    assert_same_csv(tmp_path, ("a", "b"), np.linspace(0.0, 0.6, 7), -20, x1, x2)
+
+    # a single row changes by the sign of a zero, a NaN payload or one ulp
+    x1, x2 = np.zeros((4, 12)), np.full((4, 12), np.nan)
+    x1[1:, 4] = -0.0
+    x2[2:, 7] = nan2
+    x1[3:, 10] = tiny
+    assert_same_csv(tmp_path, ("a", "b"), np.linspace(0.0, 0.3, 4), 0, x1, x2)
+
+
+def _cone_file(rng):
+    """(times, x1, x2) of 9 samples over sites -6 .. 6, zero outside |site|
+    <= r at a cone radius r of 0, 1, 2, 3, 4, 4 (sample 5 repeats sample 4),
+    5, 6 and 7 (every site), and a few repeated values inside."""
+    sites = np.arange(-6, 7)
+    pool = np.array([0.25, -0.5, 1.0 / 3.0, np.nextafter(0.25, 1.0), -0.0])
+    x1, x2 = np.zeros((9, 13)), np.zeros((9, 13))
+    for i, radius in enumerate((0, 1, 2, 3, 4, 4, 5, 6, 7)):
+        inside = np.abs(sites) <= radius
+        x1[i, inside] = rng.choice(pool, inside.sum()) + rng.integers(0, 2, inside.sum())
+        x2[i, inside] = rng.normal(size=inside.sum())
+    x1[5], x2[5] = x1[4], x2[4]
+    return np.linspace(0.0, 0.8, 9), x1, x2
+
+
+def _changed_rows_file(rng, changes):
+    """(times, x1, x2) over 12 sites: sample 0 random, and sample i the
+    previous sample with new values in the rows changes[i - 1]."""
+    x1, x2 = np.empty((len(changes) + 1, 12)), np.empty((len(changes) + 1, 12))
+    x1[0], x2[0] = rng.normal(size=12), rng.normal(size=12)
+    for i, rows in enumerate(changes, 1):
+        x1[i], x2[i] = x1[i - 1], x2[i - 1]
+        rows = list(rows)
+        x1[i, rows], x2[i, rows] = rng.normal(size=len(rows)), rng.normal(size=len(rows))
+    return np.linspace(0.0, 1.0, len(changes) + 1), x1, x2
+
+
+@pytest.mark.parametrize("block_cells", [7, 25, 64])
+def test_write_csv_formats_only_the_changed_spans(block_cells, tmp_path, monkeypatch):
+    """Of a cone file, _format17 receives, block by block, exactly the
+    distinct values (by their bits) of the cells of each sample's span:
+    every row of sample 0, then the rows from the first to the last whose
+    bits changed, none of a repeated sample.  The cells go in blocks of
+    _BLOCK_CELLS, sample by sample, row by row, x1 before x2; the file's
+    148 span cells make 22, 6 or 3 blocks, so spans open and close blocks
+    mid-sample.  (In a single block the distinct values are those of the
+    whole file, whichever rows are formatted.)"""
+    monkeypatch.setattr(integrators, "_BLOCK_CELLS", block_cells)
+    received = []
+    format17 = integrators._format17
+
+    def counting(values):
+        received.append(sorted(np.asarray(values).view(np.int64).tolist()))
+        return format17(values)
+
+    monkeypatch.setattr(integrators, "_format17", counting)
+    times, x1, x2 = _cone_file(np.random.default_rng(19))
+    write_csv(tmp_path / "cone.csv", ("da", "db"), times, -6, x1, x2)
+    write_csv_per_cell(tmp_path / "cells.csv", ("da", "db"), times, -6, x1, x2)
+    assert (tmp_path / "cone.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    bits1, bits2 = x1.view(np.int64), x2.view(np.int64)
+    cells = []
+    for i in range(times.size):
+        rows = [j for j in range(13) if i == 0 or bits1[i, j] != bits1[i - 1, j]
+                or bits2[i, j] != bits2[i - 1, j]]
+        for j in range(rows[0], rows[-1] + 1) if rows else ():
+            cells += [int(bits1[i, j]), int(bits2[i, j])]
+    want = [sorted(set(cells[c:c + block_cells])) for c in range(0, len(cells), block_cells)]
+    assert received == want
+    # sample 5 repeats sample 4, and rows outside a cone repeat their zeros
+    assert len(cells) == 2 * (13 + 3 + 5 + 7 + 9 + 0 + 11 + 13 + 13) == 148
+
 
 def _printf17(values) -> list:
     """'%.17g' % v for each v: the oracle of integrators._format17."""

@@ -1,6 +1,6 @@
 """Run every CLI scenario from two source trees and report what differs.
 
-    python3 tools/compare_runs.py PARENT_SRC CHANGE_SRC
+    python3 tools/compare_runs.py PARENT_SRC CHANGE_SRC [CONFIG.json ...]
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts, for
 example an export of the parent commit made with
@@ -10,13 +10,17 @@ example an export of the parent commit made with
 Each of the 8 scenarios runs at the parent's `default_config()` under
 rk-adaptive and rk4-fixed, with 1 and 3 seeds, once from each tree
 (`python3 -m todalab run`, one process at a time, artifacts in a temporary
-directory).  The report lists differing exit codes and stderr, artifact files
-present in one tree only, and files whose bytes differ: for a JSON file every
-differing key, for a CSV file the number of differing rows.  It also lists
-every JSON artifact, in either tree, that is not strict JSON (holds a NaN or
-Infinity token).  It ends with one tally per integrator, for example
-`rk4-fixed: 16 configs, 0 differences`.  Exit status 0 when every run matches byte for byte and
-every JSON artifact is strict, 1 otherwise.
+directory).  Each extra CONFIG.json runs once from each tree as it is, under
+its own integrator (the parent's default when it names none); the
+benchmark's scenario configs are worth adding, since they reach sizes the
+defaults do not (N=1001, t=20).  The report lists differing exit codes and
+stderr, artifact files present in one tree only, and files whose bytes
+differ: for a JSON file every differing key, for a CSV file the number of
+differing rows.  It also lists every JSON artifact, in either tree, that is
+not strict JSON (holds a NaN or Infinity token).  It ends with one tally per
+integrator, for example `rk4-fixed: 16 configs, 0 differences`, extra
+configs counted under theirs.  Exit status 0 when every run matches byte
+for byte and every JSON artifact is strict, 1 otherwise.
 """
 from __future__ import annotations
 
@@ -92,64 +96,103 @@ def file_diff(old: Path, new: Path):
     return [f"{changed} of {len(rows_a)} rows differ"]
 
 
-def compare(parent_src, change_src, workdir: Path):
-    """Yield (run label, difference) pairs over every scenario, integrator
-    and seed count."""
-    proc = _todalab(parent_src, "print-default-config")
+def run_label(name, method, n_seeds=None) -> str:
+    """The label of one config's runs: the scenario (or config file) name,
+    the integrator method and, for a scenario, the seed count."""
+    return f"{name} {method}" + ("" if n_seeds is None else f" seeds={n_seeds}")
+
+
+def label_method(label) -> str:
+    """The integrator method a run_label names: its last word that is one."""
+    return next(word for word in reversed(label.split()) if word in INTEGRATORS)
+
+
+def config_method(config: dict, base: dict) -> str:
+    """The integrator method a config runs under; base is the default config."""
+    method = config.get("integrator", {}).get("method", base["integrator"]["method"])
+    if method not in INTEGRATORS:
+        raise SystemExit(f"integrator method {method!r} is not one of {tuple(INTEGRATORS)}")
+    return method
+
+
+def compare_run(parent_src, change_src, config: dict, workdir: Path):
+    """Lines describing how one config's runs from the two trees differ."""
+    code_p, err_p, out_p = _run(parent_src, config, workdir / "parent")
+    code_c, err_c, out_c = _run(change_src, config, workdir / "change")
+    if code_p != code_c:
+        yield f"exit {code_p} -> {code_c}"
+    if err_p != err_c:
+        yield f"stderr {err_p.strip()!r} -> {err_c.strip()!r}"
+    files_p = {p.name for p in out_p.iterdir()} if out_p.is_dir() else set()
+    files_c = {p.name for p in out_c.iterdir()} if out_c.is_dir() else set()
+    for name in sorted(files_p - files_c):
+        yield f"{name}: only in parent"
+    for name in sorted(files_c - files_p):
+        yield f"{name}: only in change"
+    for name in sorted(files_p & files_c):
+        for line in file_diff(out_p / name, out_c / name):
+            yield f"{name}: {line}"
+    for tree, out, files in (("parent", out_p, files_p), ("change", out_c, files_c)):
+        for name in sorted(files):
+            if name.endswith(".json") and not is_strict_json(out / name):
+                yield f"{name}: not strict JSON in {tree}"
+
+
+def default_config(src) -> dict:
+    """The default config of the todalab in src."""
+    proc = _todalab(src, "print-default-config")
     if proc.returncode:
-        raise SystemExit(f"cannot run todalab from {parent_src}: {proc.stderr.strip()}")
-    base = json.loads(proc.stdout)
-    for scenario in SCENARIOS:
-        for method, integrator in INTEGRATORS.items():
-            for n_seeds, seeds in SEEDS.items():
-                label = f"{scenario} {method} seeds={n_seeds}"
-                config = {**base, "scenario": scenario, "integrator": integrator,
-                          "seeds": seeds}
-                sub = workdir / f"{scenario}-{method}-{n_seeds}"
-                code_p, err_p, out_p = _run(parent_src, config, sub / "parent")
-                code_c, err_c, out_c = _run(change_src, config, sub / "change")
-                if code_p != code_c:
-                    yield label, f"exit {code_p} -> {code_c}"
-                if err_p != err_c:
-                    yield label, f"stderr {err_p.strip()!r} -> {err_c.strip()!r}"
-                files_p = {p.name for p in out_p.iterdir()} if out_p.is_dir() else set()
-                files_c = {p.name for p in out_c.iterdir()} if out_c.is_dir() else set()
-                for name in sorted(files_p - files_c):
-                    yield label, f"{name}: only in parent"
-                for name in sorted(files_c - files_p):
-                    yield label, f"{name}: only in change"
-                for name in sorted(files_p & files_c):
-                    for line in file_diff(out_p / name, out_c / name):
-                        yield label, f"{name}: {line}"
-                for tree, out, files in (("parent", out_p, files_p), ("change", out_c, files_c)):
-                    for name in sorted(files):
-                        if name.endswith(".json") and not is_strict_json(out / name):
-                            yield label, f"{name}: not strict JSON in {tree}"
+        raise SystemExit(f"cannot run todalab from {src}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout)
 
 
-def tally(labels) -> list:
-    """One line per integrator: how many configs ran under it and how many of
+def compare(parent_src, change_src, workdir: Path, base: dict, extra=()):
+    """Yield (run label, difference) pairs over every scenario, integrator
+    and seed count of the default config base, then over the extra configs,
+    given as (name, config, integrator method)."""
+    runs = [(run_label(scenario, method, n_seeds),
+             {**base, "scenario": scenario, "integrator": integrator, "seeds": seeds})
+            for scenario in SCENARIOS
+            for method, integrator in INTEGRATORS.items()
+            for n_seeds, seeds in SEEDS.items()]
+    runs += [(run_label(name, method), config) for name, config, method in extra]
+    for i, (label, config) in enumerate(runs):
+        for line in compare_run(parent_src, change_src, config, workdir / str(i)):
+            yield label, line
+
+
+def tally(labels, extra_methods=()) -> list:
+    """One line per integrator: how many configs ran under it, the scenario
+    grid's and the extra configs' (given by their methods), and how many of
     the differences, given by their run labels, came from those configs."""
+    configs = dict.fromkeys(INTEGRATORS, len(SCENARIOS) * len(SEEDS))
+    for method in extra_methods:
+        configs[method] += 1
     found = dict.fromkeys(INTEGRATORS, 0)
     for label in labels:
-        found[label.split()[1]] += 1
-    configs = len(SCENARIOS) * len(SEEDS)
-    return [f"{method}: {configs} configs, {n} differences" for method, n in found.items()]
+        found[label_method(label)] += 1
+    return [f"{method}: {configs[method]} configs, {n} differences"
+            for method, n in found.items()]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
+    if len(argv) < 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
+    base = default_config(argv[0])
+    extra = []
+    for path in argv[2:]:
+        config = json.loads(Path(path).read_text())
+        extra.append((path, config, config_method(config, base)))
     labels = []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, line in compare(argv[0], argv[1], Path(tmp)):
+        for label, line in compare(argv[0], argv[1], Path(tmp), base, extra):
             labels.append(label)
             print(f"{label}: {line}", flush=True)
-    runs = len(SCENARIOS) * len(INTEGRATORS) * len(SEEDS)
+    runs = len(SCENARIOS) * len(INTEGRATORS) * len(SEEDS) + len(extra)
     print(f"{runs} configs run from each tree, {len(labels)} differences")
-    print("\n".join(tally(labels)))
+    print("\n".join(tally(labels, [method for _, _, method in extra])))
     return 1 if labels else 0
 
 
