@@ -39,7 +39,7 @@ print(f"cone speeds: matrix-norm {v_sharp:.1f}, lemma44 {v_crude:.1f}")
 
 grid = evolve_tangent(x, (0, "b"), 2.0,
                       IntegratorConfig(method="rk4-fixed", step=0.02),
-                      flow="hierarchy", hierarchy=spec, sample_dt=0.25)
+                      flow="hierarchy", spec=spec, sample_dt=0.25)
 report = verify_light_cone(grid, hierarchy_envelope(mu, lnorm, spec))
 print(f"order-1 cone: {report.n_violations} violations,"
       f" max observed/bound = {report.max_ratio:.3g}")

@@ -29,7 +29,7 @@ print(f"|L(t)| <= |L(0)| + w0 t holds with max excess "
       f"{float(np.max(traj.norm_series() - line)):.3g}")
 
 grid = evolve_tangent(x, (0, "b"), 3.0, cfg, flow="perturbed",
-                      perturbation=spec, sample_dt=0.25)
+                      spec=spec, sample_dt=0.25)
 
 rep_w = verify_light_cone(grid, perturbed_envelope(mu, mon.C1, mon.C2, spec.d2w_sup))
 print(f"\nmeasured-constant cone: {rep_w.n_violations} violations,"

@@ -34,7 +34,7 @@ for pot in (PotentialSpec(family="quartic", beta=0.1), PotentialSpec(family="tod
     print(f"  |r|_inf max {stab.r_inf_max:.4f} <= {stab.M_E:.4f}")
     print(f"  all bounds hold: {stab.ok}")
 
-    grid = evolve_tangent(x, (0, "p"), 2.0, cfg, flow="ghs", potential=pot,
+    grid = evolve_tangent(x, (0, "p"), 2.0, cfg, flow="ghs", spec=pot,
                           sample_dt=0.25)
     rep = verify_light_cone(grid, ghs_envelope(mu, traj, pot))
     print(f"  cone: {rep.n_violations} violations,"

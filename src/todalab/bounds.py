@@ -162,6 +162,13 @@ def check_G_convolution(mu: float) -> dict:
 
 # -- mixed second derivative --------------------------------------------------
 
+def _doubled_eigenvalues(mu: float) -> tuple[float, float]:
+    """(lam_+, lam_-) = 1 +- sqrt(1 + 4 (e^{2 mu} + 1)^2), the eigenvalues of
+    the doubled comparison matrix of the mixed second-derivative bound."""
+    root = math.sqrt(1.0 + 4.0 * (math.exp(2.0 * mu) + 1.0) ** 2)
+    return 1.0 + root, 1.0 - root
+
+
 def h_growth(t, mu: float, v: float, Lnorm: float):
     """The time factor of the mixed second-derivative bound:
 
@@ -170,8 +177,7 @@ def h_growth(t, mu: float, v: float, Lnorm: float):
     (h(t) = 2 mu v |t| in the beta -> 0 limit), with lam_+ the top eigenvalue
     of the doubled comparison matrix.  h(0) = 0; for beta < 0, h <= 1/|beta|.
     """
-    lam_plus = 1.0 + math.sqrt(1.0 + 4.0 * (math.exp(2.0 * mu) + 1.0) ** 2)
-    beta = Lnorm * lam_plus / (2.0 * mu * v) - 1.0
+    beta = Lnorm * _doubled_eigenvalues(mu)[0] / (2.0 * mu * v) - 1.0
     x = 2.0 * mu * v * np.abs(np.asarray(t, dtype=float))
     if abs(beta) < 1e-13:
         return x if x.ndim else float(x)
@@ -191,8 +197,7 @@ def second_derivative_envelope(mu: float, Lnorm: float, v: float | None = None):
     if v is None:
         v = velocity_toda(mu, Lnorm)
     e2 = math.exp(2.0 * mu) + 1.0
-    lam_p = 1.0 + math.sqrt(1.0 + 4.0 * e2 * e2)
-    lam_m = 1.0 - math.sqrt(1.0 + 4.0 * e2 * e2)
+    lam_p, lam_m = _doubled_eigenvalues(mu)
     y1 = (2.0 * (math.exp(mu) + 1.0) - lam_m) / (lam_p - lam_m)
     y2 = (lam_p - 2.0 * (math.exp(mu) + 1.0)) / (lam_p - lam_m)
     vp_inf = max(abs(lam_p), 4.0 * e2)

@@ -63,7 +63,7 @@ from .perturbed import (PerturbationSpec, interpolation_envelope,
 from .sensitivity import evolve_tangent
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
                        soliton_speed, soliton_state)
-from .state import (GHSState, LatticeState, background_state, jacobi_norm,
+from .state import (GHSState, LatticeState, background_state, centered_offset, jacobi_norm,
                     jacobi_norm_within, random_localized_state, toda_rhs)
 
 BASES = ("auto", "background", "soliton", "random")
@@ -148,7 +148,7 @@ class ExperimentConfig:
             raise ConfigError("obs_range: must be >= 0")
         coords = GHSState.coords if self.scenario == "ghs" else LatticeState.coords
         alias = dict(zip(LatticeState.coords, coords))    # ghs seeds may say a, b
-        lo = -(self.window // 2)                          # the window's sites: lo..hi
+        lo = centered_offset(self.window)                 # the window's sites: lo..hi
         hi = lo + self.window - 1
         norm = []
         for i, pair in enumerate(self.seeds):
@@ -318,7 +318,7 @@ def _base_lattice(cfg: ExperimentConfig) -> LatticeState:
 def _bump_chain(cfg: ExperimentConfig) -> GHSState:
     """Chain at rest with a Gaussian momentum bump of width 3 at site 0."""
     n = cfg.window
-    offset = -(n // 2)
+    offset = centered_offset(n)
     sites = np.arange(offset, offset + n)
     return GHSState(np.zeros(n), np.exp(-((sites / 3.0) ** 2)), offset)
 
@@ -334,12 +334,11 @@ def _run_tangent(cfg: ExperimentConfig, out: Path):
     grid is freed before the next solve, to keep peak RSS down."""
     row = SCENARIOS[cfg.scenario]
     x = row.state(cfg)
+    spec = getattr(cfg, row.blocks[0]) if row.blocks else None
 
     def solve(seed):
-        return evolve_tangent(x, seed, cfg.t_final, cfg.integrator, flow=row.flow,
-                              sample_dt=cfg.sample_dt, guard=cfg.guard,
-                              hierarchy=cfg.hierarchy, perturbation=cfg.perturbation,
-                              potential=cfg.potential)
+        return evolve_tangent(x, seed, cfg.t_final, cfg.integrator, flow=row.flow, spec=spec,
+                              sample_dt=cfg.sample_dt, guard=cfg.guard)
 
     grid = solve(cfg.seeds[0])
     grid.base.to_csv(out / "trajectory.csv")
@@ -553,9 +552,9 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
     dt = 1e-6
     # the Toda flow a step dt forward and backward, for a two-sided difference
     fixed = IntegratorConfig(method="rk4-fixed", step=dt / 4.0)
-    plus = integrate(x, toda_rhs, dt, fixed, n_samples=2).state(1)
+    plus = integrate(x, toda_rhs, dt, fixed, sample_dt=dt).state(1)
     minus = integrate(x, lambda s: tuple(-f for f in toda_rhs(s)), dt, fixed,
-                      n_samples=2).state(1)
+                      sample_dt=dt).state(1)
     for obs in (a_0, b_0):
         bracket = poisson_bracket(obs, h_obs, x)
         fd = (obs.eval(plus) - obs.eval(minus)) / (2.0 * dt)
@@ -578,11 +577,12 @@ class Scenario:
     """A row of SCENARIOS: what base "auto" resolves to, the config blocks
     the scenario requires, and its runner run(cfg, out) -> (summary, ok,
     first violation).  For _run_tangent, also: state(cfg), the base state
-    x; flow, a make_flow name; series(cfg, run), the base run's conserved
-    quantity; verdicts(cfg, x, run, series) -> (per-grid checks, summary
-    entries, gate); tally(out, rows) -> (summary entries, ok, first
-    violation), rows holding one tuple of check results per seed.  A row
-    reaches cli's names through a def or a lambda, when it is called."""
+    x; flow, a make_flow name, whose one spec is the block blocks[0] (none
+    for toda); series(cfg, run), the base run's conserved quantity;
+    verdicts(cfg, x, run, series) -> (per-grid checks, summary entries,
+    gate); tally(out, rows) -> (summary entries, ok, first violation), rows
+    holding one tuple of check results per seed.  A row reaches cli's names
+    through a def or a lambda, when it is called."""
 
     auto_base: str
     blocks: tuple = ()

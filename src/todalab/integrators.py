@@ -107,20 +107,16 @@ def solve_vector(fun, y0: np.ndarray, times: np.ndarray,
     return out
 
 
-def sample_times(t_final: float, sample_dt: float | None = None,
-                 n_samples: int | None = None) -> np.ndarray:
+def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
+    """The sample times of a window solve: 0, sample_dt, ..., n sample_dt
+    with n = round(t_final / sample_dt) >= 1, the last one t_final when
+    t_final is a whole number of sample_dt."""
     if not t_final > 0:
         raise ValueError("t_final must be positive")
-    if sample_dt is not None:
-        if not 0 < sample_dt <= t_final:
-            raise ValueError("sample_dt must lie in (0, t_final]")
-        n = int(round(t_final / sample_dt))
-        return np.linspace(0.0, n * sample_dt, n + 1)
-    if n_samples is None:
-        n_samples = 51
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    return np.linspace(0.0, t_final, n_samples)
+    if not 0 < sample_dt <= t_final:
+        raise ValueError("sample_dt must lie in (0, t_final]")
+    n = int(round(t_final / sample_dt))
+    return np.linspace(0.0, n * sample_dt, n + 1)
 
 
 class EdgeMargin:
@@ -338,6 +334,8 @@ def _write_rows(fh, offset, times, x1, x2):
     the previous text's first row of the span and its row after the span,
     found by their labels.  Each sample then swaps in its own time."""
     n = x1.shape[1]
+    if not n:                       # a window of no sites has no rows
+        return
     template, starts = _row_template(offset, n)
     changed = _changed_rows(x1, x2)
     new = changed.any(axis=1)
@@ -522,14 +520,14 @@ def _solve_blocks(x, rhs, blocks, times, cfg, guard):
 
 
 def integrate(s: LatticeState | GHSState, rhs, t_final: float,
-              cfg: IntegratorConfig | None = None, *,
-              sample_dt: float | None = None, n_samples: int | None = None,
+              cfg: IntegratorConfig | None = None, *, sample_dt: float,
               guard: int = 10) -> Trajectory:
-    """Evolve a window state under the vector field rhs(state) -> (d1, d2).
+    """Evolve a window state under the vector field rhs(state) -> (d1, d2),
+    sampled at sample_times(t_final, sample_dt).
 
     Returns a Trajectory of the state's type: its state(i) rebuilds that
     type, and its arrays read by the state's coords (traj.r and traj.p for
     a GHSState).
     """
-    return _solve_blocks(s, rhs, (), sample_times(t_final, sample_dt, n_samples),
+    return _solve_blocks(s, rhs, (), sample_times(t_final, sample_dt),
                          cfg or IntegratorConfig(), guard)[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ghs import ghs_rhs
+from .ghs import PotentialSpec, ghs_rhs
 from .hierarchy import HierarchySpec, hierarchy_rhs
 # every solve goes through _solve_blocks; solve_vector is bound here only
 # because perfbench/test_smoke.py reads sensitivity.solve_vector
@@ -26,27 +26,28 @@ from .perturbed import PerturbationSpec, perturbed_rhs
 from .state import LatticeState, _step_dn, _step_up, toda_rhs
 
 
-def make_flow(name: str, hierarchy: HierarchySpec | None = None,
-              perturbation: PerturbationSpec | None = None, potential=None):
-    """The named flow's field with its specs bound: field(state) -> (f1, f2),
-    and field(state, d1, d2) -> (f1, f2, g1, g2), the field and its
-    linearization along (d1, d2) in one pass.  The field functions are
+def make_flow(name: str, spec=None):
+    """The named flow's field with its one spec bound: field(state) -> (f1,
+    f2), and field(state, d1, d2) -> (f1, f2, g1, g2), the field and its
+    linearization along (d1, d2) in one pass.  toda takes no spec, hierarchy
+    a HierarchySpec (the weights c), perturbed a PerturbationSpec (W) and ghs
+    a PotentialSpec (V); a missing spec, or one of another type, is a
+    ValueError naming the flow and the spec type.  The field functions are
     looked up when make_flow is called, so a run sees any rebinding of them."""
-    given = {"hierarchy": hierarchy, "perturbation": perturbation, "potential": potential}
     table = {
-        "toda": ((), toda_rhs),
-        "hierarchy": (("hierarchy",), hierarchy_rhs),
-        "perturbed": (("perturbation",), perturbed_rhs),
-        "ghs": (("potential",), ghs_rhs),
+        "toda": (type(None), toda_rhs),
+        "hierarchy": (HierarchySpec, hierarchy_rhs),
+        "perturbed": (PerturbationSpec, perturbed_rhs),
+        "ghs": (PotentialSpec, ghs_rhs),
     }
     if name not in table:
         raise ValueError(f"unknown flow {name!r}; pick one of {tuple(table)}")
-    needs, rhs = table[name]
-    missing = [key for key in needs if given[key] is None]
-    if missing:
-        raise ValueError(f"{name} flow needs {' and '.join(missing)}")
-    specs = [given[key] for key in needs]
-    return lambda st, *tangent: rhs(st, *specs, *tangent)
+    kind, rhs = table[name]
+    if not isinstance(spec, kind):
+        want = "no spec" if kind is type(None) else f"a {kind.__name__}"
+        got = "none" if spec is None else f"a {type(spec).__name__}"
+        raise ValueError(f"{name} flow takes {want}, got {got}")
+    return rhs if spec is None else lambda st, *tangent: rhs(st, spec, *tangent)
 
 
 def _seed_vectors(x, seed):
@@ -146,21 +147,17 @@ class SensitivityGrid(_OnBase, EdgeMargin):
 
 
 def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
-                   flow: str = "toda", *,
-                   hierarchy: HierarchySpec | None = None,
-                   perturbation: PerturbationSpec | None = None,
-                   potential=None,
-                   sample_dt: float | None = None, n_samples: int | None = None,
+                   flow: str = "toda", spec=None, *, sample_dt: float,
                    guard: int = 10) -> SensitivityGrid:
-    """Integrate base + tangent from a unit seed at (site, coordinate)."""
-    rhs = make_flow(flow, hierarchy, perturbation, potential)
-    base, (da, db) = _solve_blocks(x, rhs, _seed_vectors(x, seed),
-                                   sample_times(t_final, sample_dt, n_samples),
+    """Integrate base + tangent from a unit seed at (site, coordinate) under
+    make_flow(flow, spec), sampled at sample_times(t_final, sample_dt)."""
+    base, (da, db) = _solve_blocks(x, make_flow(flow, spec), _seed_vectors(x, seed),
+                                   sample_times(t_final, sample_dt),
                                    cfg or IntegratorConfig(), guard)
     return SensitivityGrid(da, db, base, int(seed[0]), str(seed[1]), flow)
 
 
-def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, n_samples, guard=10):
+def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, guard=10):
     """Runs of rhs from x + s_1 d_1 + s_2 d_2 + ... for every choice of signs
     s_k = +-1, where steps lists the offsets d_k = (d_k1, d_k2).  Returns the
     sum of (s_1 s_2 ...) * run as a (2, T, N) array of both coordinates, and
@@ -172,8 +169,7 @@ def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, n_samples, guard=10):
         start = type(x)(x1 + sum(s * d1 for s, (d1, _) in zip(signs, steps)),
                         x2 + sum(s * d2 for s, (_, d2) in zip(signs, steps)),
                         x.offset, x.background)
-        tr = integrate(start, rhs, t_final, cfg, sample_dt=sample_dt, n_samples=n_samples,
-                       guard=guard)
+        tr = integrate(start, rhs, t_final, cfg, sample_dt=sample_dt, guard=guard)
         ys = np.stack((tr.x1, tr.x2))
         signed = signed + math.prod(signs) * ys
         mean = mean + ys / len(combos)
@@ -182,12 +178,7 @@ def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, n_samples, guard=10):
 
 def finite_difference_oracle(x, seed, t_final: float,
                              cfg: IntegratorConfig | None = None,
-                             flow: str = "toda", *,
-                             hierarchy: HierarchySpec | None = None,
-                             perturbation: PerturbationSpec | None = None,
-                             potential=None,
-                             sample_dt: float | None = None,
-                             n_samples: int | None = None,
+                             flow: str = "toda", spec=None, *, sample_dt: float,
                              guard: int = 10) -> SensitivityGrid:
     """Central-difference estimate of the same grid: (flow(x + h e) - flow(x - h e)) / 2h,
     h = 1e-5 max(1, |z0|) with z0 the seeded coordinate's start value.
@@ -196,12 +187,11 @@ def finite_difference_oracle(x, seed, t_final: float,
     'btilde' seed differentiates along e_{b,k+1} - e_{b,k}.
     """
     cfg = cfg or IntegratorConfig()
-    rhs = make_flow(flow, hierarchy, perturbation, potential)
+    rhs = make_flow(flow, spec)
     da0, db0 = _seed_vectors(x, seed)
     z0 = x.arrays[0 if seed[1] == x.coords[0] else 1]
     h = 1e-5 * max(1.0, abs(float(z0[seed[0] - x.offset])))
-    diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg,
-                             sample_dt, n_samples, guard)
+    diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg, sample_dt, guard)
     return SensitivityGrid(diff[0] / (2.0 * h), diff[1] / (2.0 * h), mid, int(seed[0]),
                            str(seed[1]), flow, {"fd_h": h, "fd_error_scale": h * h})
 
@@ -238,32 +228,27 @@ def _toda_second_fields(s: LatticeState, u1a, u1b, u2a, u2b, wa, wb):
             4.0 * _step_dn(a * wa, a_bg * 0.0) + 4.0 * _step_dn(u1a * u2a, 0.0))
 
 
-def evolve_second_tangent(x: LatticeState, z_seed, k, t_final: float,
-                          cfg: IntegratorConfig | None = None, *,
-                          sample_dt: float | None = None,
-                          n_samples: int | None = None,
+def evolve_second_tangent(x: LatticeState, z_seed, second, t_final: float,
+                          cfg: IntegratorConfig | None = None, *, sample_dt: float,
                           guard: int = 10) -> SecondTangentGrid:
-    """Second variational flow d^2/dz db̃_k of the Toda evolution.
+    """Second variational flow d^2/dz1 dz2 of the Toda evolution.
 
-    z_seed is (site, "a"|"b"); k selects the adjacent-difference direction
-    e_{b,k+1} - e_{b,k} unless given as an explicit (site, coord) pair.
+    z_seed and second are (site, coord) pairs; (k, "btilde") is the
+    adjacent-difference direction e_{b,k+1} - e_{b,k}.
     """
     if not isinstance(x, LatticeState):
         raise TypeError("second tangent flow is implemented for the Toda flow only")
-    second = k if isinstance(k, tuple) else (int(k), "btilde")
     zeros = np.zeros(x.n_sites)
     blocks = (*_seed_vectors(x, z_seed), *_seed_vectors(x, second), zeros, zeros)
     base, (u1a, u1b, u2a, u2b, wa, wb) = _solve_blocks(
-        x, _toda_second_fields, blocks, sample_times(t_final, sample_dt, n_samples),
+        x, _toda_second_fields, blocks, sample_times(t_final, sample_dt),
         cfg or IntegratorConfig(), guard)
     return SecondTangentGrid(w_a=wa, w_b=wb, u1_a=u1a, u1_b=u1b, u2_a=u2a, u2_b=u2b,
-                             base=base, seed1=tuple(z_seed), seed2=second)
+                             base=base, seed1=tuple(z_seed), seed2=tuple(second))
 
 
 def second_finite_difference(x: LatticeState, z_seed, second, t_final: float,
-                             cfg: IntegratorConfig | None = None, *,
-                             sample_dt: float | None = None,
-                             n_samples: int | None = None):
+                             cfg: IntegratorConfig | None = None, *, sample_dt: float):
     """Nested central differences for d^2/dz1 dz2 of the Toda flow: four runs
 
         (F(+h,+h) - F(+h,-h) - F(-h,+h) + F(-h,-h)) / (4 h^2),  h = 1e-4.
@@ -274,8 +259,8 @@ def second_finite_difference(x: LatticeState, z_seed, second, t_final: float,
     cfg = cfg or IntegratorConfig(method="rk4-fixed")
     h = 1e-4
     e1a, e1b = _seed_vectors(x, z_seed)
-    e2a, e2b = _seed_vectors(x, second if isinstance(second, tuple) else (int(second), "btilde"))
+    e2a, e2b = _seed_vectors(x, second)
     acc, mid = _signed_runs(x, toda_rhs, [(h * e1a, h * e1b), (h * e2a, h * e2b)],
-                            t_final, cfg, sample_dt, n_samples)
+                            t_final, cfg, sample_dt)
     acc /= 4.0 * h * h
     return mid.times, acc[0], acc[1]

@@ -165,11 +165,17 @@ class GHSState(_WindowState):
     background: tuple = (0.0, 0.0)
 
 
+def centered_offset(n_sites: int) -> int:
+    """The offset of a window of n_sites centered on site 0: its sites run
+    from -(n_sites // 2) to n_sites - 1 - n_sites // 2."""
+    return -(n_sites // 2)
+
+
 def background_state(n_sites: int, offset: int | None = None,
                      background: tuple = BACKGROUND) -> LatticeState:
     """Pure-background window; offset defaults to centering site 0."""
     if offset is None:
-        offset = -(n_sites // 2)
+        offset = centered_offset(n_sites)
     a = np.full(n_sites, float(background[0]))
     b = np.full(n_sites, float(background[1]))
     return LatticeState(a, b, offset, background)

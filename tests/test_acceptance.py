@@ -114,16 +114,16 @@ def test_05_toda_light_cone():
 
 def test_06_variational_vs_finite_difference():
     cases = {
-        "toda": ("toda", {}),
-        "hierarchy r=1": ("hierarchy", {"hierarchy": HierarchySpec(1, (1.0, 0.0))}),
-        "hierarchy r=2": ("hierarchy", {"hierarchy": HierarchySpec(2, (1.0, 0.0, 0.0))}),
-        "perturbed": ("perturbed", {"perturbation": PerturbationSpec("cosine", w0=0.1)}),
+        "toda": ("toda", None),
+        "hierarchy r=1": ("hierarchy", HierarchySpec(1, (1.0, 0.0))),
+        "hierarchy r=2": ("hierarchy", HierarchySpec(2, (1.0, 0.0, 0.0))),
+        "perturbed": ("perturbed", PerturbationSpec("cosine", w0=0.1)),
     }
     x = soliton_state(SolitonSpec(kappa=1.0), 81)
     worst = {}
-    for label, (flow, kw) in cases.items():
-        g = evolve_tangent(x, (0, "b"), 2.0, FIX, flow, n_samples=5, **kw)
-        f = finite_difference_oracle(x, (0, "b"), 2.0, FIX, flow, n_samples=5, **kw)
+    for label, (flow, spec) in cases.items():
+        g = evolve_tangent(x, (0, "b"), 2.0, FIX, flow, spec, sample_dt=0.5)
+        f = finite_difference_oracle(x, (0, "b"), 2.0, FIX, flow, spec, sample_dt=0.5)
         w = 0.0
         for got, ref in ((g.da, f.da), (g.db, f.db)):
             mask = np.abs(got) > 1e-6
@@ -184,7 +184,7 @@ def test_08_walk_combinatorics():
 def test_09_hierarchy_light_cone():
     spec = HierarchySpec(1, (1.0, 0.0))
     x = random_localized_state(201, seed=42)
-    g = evolve_tangent(x, (0, "b"), 2.0, FIX, flow="hierarchy", hierarchy=spec,
+    g = evolve_tangent(x, (0, "b"), 2.0, FIX, flow="hierarchy", spec=spec,
                        sample_dt=0.25)
     rep = verify_light_cone(g, hierarchy_envelope(MU0, jacobi_norm(x), spec))
     dominated = all(
@@ -222,7 +222,7 @@ def test_11_perturbed_bounds():
     excess = float(np.max(traj.norm_series() - (mon.Lnorm0 + spec.dw_sup * traj.times)))
 
     g = evolve_tangent(x, (0, "b"), 3.0, FIX, flow="perturbed",
-                       perturbation=spec, sample_dt=0.25)
+                       spec=spec, sample_dt=0.25)
     rep_w = verify_light_cone(g, perturbed_envelope(MU0, mon.C1, mon.C2, spec.d2w_sup))
     a_star = min(float(np.abs(traj.a).min()), x.background[0])
     rep_t = verify_light_cone(
@@ -247,7 +247,7 @@ def test_12_chain_stability_and_cone():
     traj = integrate(x, lambda s: ghs_rhs(s, quartic), 3.0, FIX, sample_dt=0.25)
     drift = traj.energy_drift(lambda s: ghs_energy(s, quartic))
     stab = ghs_stability_diagnostics(traj, quartic)
-    g = evolve_tangent(x, (0, "p"), 2.0, FIX, flow="ghs", potential=quartic,
+    g = evolve_tangent(x, (0, "p"), 2.0, FIX, flow="ghs", spec=quartic,
                        sample_dt=0.25)
     rep = verify_light_cone(g, ghs_envelope(MU0, traj, quartic))
 
@@ -289,7 +289,7 @@ def test_13_observable_brackets():
 
     def micro(state, rhs):
         tr = integrate(state, rhs, h, IntegratorConfig(method="rk4-fixed", step=h),
-                       n_samples=2)
+                       sample_dt=h)
         return tr.state(1)
 
     def neg_rhs(s):

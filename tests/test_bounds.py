@@ -181,9 +181,9 @@ def test_second_derivative_envelope_bounds_measured_run():
     C, env = second_derivative_envelope(mu0, jacobi_norm(x))
     print("C:", C)
     assert C > 0.0
-    g = evolve_second_tangent(x, (0, "a"), 2, 2.0,
+    g = evolve_second_tangent(x, (0, "a"), (2, "btilde"), 2.0,
                               IntegratorConfig(method="rk4-fixed", step=0.02),
-                              n_samples=5)
+                              sample_dt=0.5)
     sites = np.arange(g.offset, g.offset + g.base.a.shape[1])
     dl = np.abs(sites)
     dk = np.minimum(np.abs(sites - 2), np.abs(sites - 3))
@@ -292,7 +292,7 @@ def test_verify_light_cone_withholds_verdict_when_contaminated():
     mu0, _ = optimal_mu()
     x = background_state(41)
     g = evolve_tangent(x, (-18, "b"), 1.0, IntegratorConfig(method="rk4-fixed", step=0.02),
-                       n_samples=3, guard=10)
+                       sample_dt=0.5, guard=10)
     assert not g.clean
     env = toda_envelope(mu0, jacobi_norm(x))
     rep = verify_light_cone(g, replace(env, prefactor=1e-9 * env.prefactor))
@@ -396,7 +396,7 @@ def test_report_json_roundtrip(tmp_path):
     mu0, _ = optimal_mu()
     x = background_state(61)
     g = evolve_tangent(x, (0, "b"), 1.0, IntegratorConfig(method="rk4-fixed", step=0.02),
-                       n_samples=3)
+                       sample_dt=0.5)
     rep = verify_light_cone(g, toda_envelope(mu0, jacobi_norm(x)))
     p = tmp_path / "rep.json"
     rep.to_json(p)

@@ -181,7 +181,7 @@ def test_cone_holds_on_run():
     x = bump_state(121)
     pot = PotentialSpec(family="toda")
     traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, FIX, sample_dt=0.25)
-    g = evolve_tangent(x, (0, "p"), 2.0, FIX, flow="ghs", potential=pot,
+    g = evolve_tangent(x, (0, "p"), 2.0, FIX, flow="ghs", spec=pot,
                        sample_dt=0.25)
     rep = verify_light_cone(g, ghs_envelope(mu0, traj, pot))
     print("violations:", rep.n_violations, "ratio:", rep.max_ratio)
@@ -228,7 +228,7 @@ def test_chain_run_rebuilds_chain_states():
         assert type(s) is GHSState
         assert np.array_equal(s.r, traj.r[i]) and np.array_equal(s.p, traj.p[i])
         assert (s.offset, s.background) == (x.offset, x.background)
-    grid = evolve_tangent(x, (0, "p"), 1.0, FIX, "ghs", potential=pot, n_samples=3)
+    grid = evolve_tangent(x, (0, "p"), 1.0, FIX, "ghs", spec=pot, sample_dt=0.5)
     assert type(grid.base.state(2)) is GHSState
     assert np.array_equal(grid.base.state(2).p, grid.base.p[2])
     assert traj.energy_drift(lambda s: ghs_energy(s, pot)) <= 1e-8

@@ -212,7 +212,7 @@ def test_hamiltonian_conserved(r):
     spec = HierarchySpec(r, c)
     x = random_localized_state(121, seed=3)
     traj = integrate(x, lambda s: hierarchy_rhs(s, spec), 1.5,
-                     IntegratorConfig(), n_samples=7)
+                     IntegratorConfig(), sample_dt=0.25)
     assert traj.clean
     h0 = hierarchy_hamiltonian(traj.state(0), spec)
     drift = max(abs(hierarchy_hamiltonian(traj.state(i), spec) - h0)

@@ -42,7 +42,7 @@ def test_a_non_finite_start_field_fails_at_once():
         try:
             integrate(GHSState(np.full(5, -800.0), np.zeros(5)),
                       lambda s: ghs_rhs(s, PotentialSpec("toda")), 1.0,
-                      IntegratorConfig(method="rk-adaptive"))
+                      IntegratorConfig(method="rk-adaptive"), sample_dt=0.5)
         except ValueError as err:
             print(err)
     """
@@ -58,12 +58,8 @@ def test_a_non_finite_start_field_fails_at_once():
 def test_sample_times():
     t = sample_times(2.0, sample_dt=0.5)
     assert np.allclose(t, [0.0, 0.5, 1.0, 1.5, 2.0])
-    t = sample_times(1.0, n_samples=11)
-    assert t.size == 11 and t[0] == 0.0 and t[-1] == 1.0
-    # default: 51 samples
-    assert sample_times(5.0).size == 51
     with pytest.raises(ValueError):
-        sample_times(0.0)
+        sample_times(0.0, 0.1)
 
 
 def test_solve_vector_linear_exact():
@@ -98,8 +94,9 @@ def test_rk4_fixed_step_order():
 def test_adaptive_matches_fixed_on_soliton():
     x = soliton_state(SolitonSpec(kappa=0.8), 61)
     t_final = 1.5
-    ta = integrate(x, toda_rhs, t_final, IntegratorConfig(), n_samples=4)
-    tf = integrate(x, toda_rhs, t_final, IntegratorConfig(method="rk4-fixed", step=0.005), n_samples=4)
+    ta = integrate(x, toda_rhs, t_final, IntegratorConfig(), sample_dt=0.5)
+    tf = integrate(x, toda_rhs, t_final, IntegratorConfig(method="rk4-fixed", step=0.005),
+                   sample_dt=0.5)
     diff = max(np.max(np.abs(ta.a - tf.a)), np.max(np.abs(ta.b - tf.b)))
     print(diff)
     assert diff < 1e-8
@@ -107,7 +104,7 @@ def test_adaptive_matches_fixed_on_soliton():
 
 def test_trajectory_boundary_margin_and_clean():
     x = background_state(41)
-    traj = integrate(x, toda_rhs, 1.0, IntegratorConfig(), n_samples=3, guard=10)
+    traj = integrate(x, toda_rhs, 1.0, IntegratorConfig(), sample_dt=0.5, guard=10)
     # nothing ever deviates: margin is the full half width
     assert traj.clean
     assert traj.boundary_margin >= 10
@@ -115,14 +112,14 @@ def test_trajectory_boundary_margin_and_clean():
     a = x.a.copy()
     a[1] = 0.7
     bad = LatticeState(a, x.b, x.offset)
-    traj2 = integrate(bad, toda_rhs, 0.1, IntegratorConfig(), n_samples=2, guard=10)
+    traj2 = integrate(bad, toda_rhs, 0.1, IntegratorConfig(), sample_dt=0.1, guard=10)
     print(traj2.boundary_margin)
     assert not traj2.clean
 
 
 def test_nonfinite_deviation_is_significant():
     x = background_state(41)
-    traj = integrate(x, toda_rhs, 1.0, IntegratorConfig(), n_samples=3, guard=10)
+    traj = integrate(x, toda_rhs, 1.0, IntegratorConfig(), sample_dt=0.5, guard=10)
     traj.b[2, 1] = np.nan
     assert traj.boundary_margin == 1
     assert not traj.clean
@@ -130,7 +127,7 @@ def test_nonfinite_deviation_is_significant():
 
 def test_energy_drift_small():
     x = random_localized_state(121, seed=2)
-    traj = integrate(x, toda_rhs, 3.0, IntegratorConfig(), n_samples=13)
+    traj = integrate(x, toda_rhs, 3.0, IntegratorConfig(), sample_dt=0.25)
     drift = traj.energy_drift(hamiltonian_ab)
     print(drift)
     assert traj.clean
@@ -139,7 +136,7 @@ def test_energy_drift_small():
 
 def test_trajectory_csv_roundtrip(tmp_path):
     x = random_localized_state(31, seed=6)
-    traj = integrate(x, toda_rhs, 0.5, IntegratorConfig(), n_samples=3)
+    traj = integrate(x, toda_rhs, 0.5, IntegratorConfig(), sample_dt=0.25)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     header = path.read_text().splitlines()[0]
@@ -156,7 +153,7 @@ def test_chain_trajectory_csv_roundtrip(tmp_path):
     x = GHSState(np.zeros(41), np.exp(-((sites / 3.0) ** 2)), -20)
     pot = PotentialSpec(family="toda")
     traj = integrate(x, lambda s: ghs_rhs(s, pot), 0.5,
-                     IntegratorConfig(method="rk4-fixed", step=0.05), n_samples=3)
+                     IntegratorConfig(method="rk4-fixed", step=0.05), sample_dt=0.25)
     path = tmp_path / "chain.csv"
     traj.to_csv(path)
     back = Trajectory.from_csv(path)
@@ -224,7 +221,7 @@ def test_write_csv_matches_per_cell_oracle(block_cells, tmp_path, monkeypatch):
     sites = np.arange(41) - 20
     x = GHSState(np.zeros(41), np.exp(-((sites / 3.0) ** 2)), -20)
     chain = integrate(x, lambda s: ghs_rhs(s, PotentialSpec(family="toda")), 0.5,
-                      IntegratorConfig(method="rk4-fixed", step=0.05), n_samples=3)
+                      IntegratorConfig(method="rk4-fixed", step=0.05), sample_dt=0.25)
     chain.to_csv(tmp_path / "chain.csv")
     write_csv_per_cell(tmp_path / "chain-cells.csv", ("r", "p"), chain.times, -20,
                        chain.r, chain.p)
@@ -232,7 +229,7 @@ def test_write_csv_matches_per_cell_oracle(block_cells, tmp_path, monkeypatch):
         (tmp_path / "chain-cells.csv").read_bytes()
 
     grid = evolve_tangent(background_state(41), (0, "b"), 1.0, IntegratorConfig(),
-                          n_samples=5)
+                          sample_dt=0.25)
     grid.to_csv(tmp_path / "grid.csv")
     write_csv_per_cell(tmp_path / "grid-cells.csv", ("da", "db"), grid.times,
                        grid.offset, grid.da, grid.db)
@@ -281,6 +278,10 @@ def test_write_csv_matches_per_cell_oracle(block_cells, tmp_path, monkeypatch):
     x2[2:, 7] = nan2
     x1[3:, 10] = tiny
     assert_same_csv(tmp_path, ("a", "b"), np.linspace(0.0, 0.3, 4), 0, x1, x2)
+
+    # a window of no sites: the header alone
+    assert_same_csv(tmp_path, ("a", "b"), np.linspace(0.0, 0.3, 4), 0,
+                    np.zeros((4, 0)), np.zeros((4, 0)))
 
 
 def _cone_file(rng):
@@ -450,7 +451,7 @@ def test_energy_series_evaluates_once_per_distinct_sample(name, energy):
 
 def test_integrate_state_accessor():
     x = random_localized_state(31, seed=8)
-    traj = integrate(x, toda_rhs, 0.3, IntegratorConfig(), n_samples=2)
+    traj = integrate(x, toda_rhs, 0.3, IntegratorConfig(), sample_dt=0.3)
     s0 = traj.state(0)
     assert isinstance(s0, LatticeState)
     assert np.array_equal(s0.a, x.a)
@@ -547,9 +548,9 @@ def test_states_built_per_solve_do_not_grow_with_rhs_evaluations(run, monkeypatc
         evals.clear()
         cfg = IntegratorConfig(method="rk4-fixed", step=step)
         if run == "integrate":
-            integrate(x, make_flow("toda"), 1.0, cfg, n_samples=3)
+            integrate(x, make_flow("toda"), 1.0, cfg, sample_dt=0.5)
         else:
-            evolve_tangent(x, (0, "b"), 1.0, cfg, n_samples=3)
+            evolve_tangent(x, (0, "b"), 1.0, cfg, sample_dt=0.5)
         counts.append((len(evals), len(built)))
     (few, built_few), (many, built_many) = counts
     # one evaluation at the start state, then four per RK4 substep
@@ -598,7 +599,7 @@ def _writers(tmp_path):
     times, x1, x2 = np.linspace(0.0, 1.0, 6), rng.normal(size=(6, 30)), rng.normal(size=(6, 30))
     traj = Trajectory(times, x1, x2, -4, (0.5, 0.0))
     grid = evolve_tangent(background_state(31), (0, "b"), 1.0, IntegratorConfig(),
-                          n_samples=6)
+                          sample_dt=0.2)
 
     def oracle(coords, offset, a, b):
         write_csv_per_cell(tmp_path / "oracle.csv", coords, times, offset, a, b)

@@ -115,7 +115,7 @@ def test_tangent_rhs_matches_directional_derivative():
 def test_monitors_on_background():
     bg = background_state(61)
     traj = integrate(bg, lambda s: perturbed_rhs(s, PerturbationSpec(w0=0.0)),
-                     1.0, FIX, n_samples=5)
+                     1.0, FIX, sample_dt=0.25)
     m = monitor_trajectory(traj)
     assert m.C1 == 0.5
     assert m.C2 == 2.0
@@ -127,7 +127,7 @@ def test_monitors_on_background():
 def test_monitors_on_soliton():
     sol = soliton_state(SolitonSpec(kappa=1.0), 121)
     traj = integrate(sol, lambda s: perturbed_rhs(s, PerturbationSpec(w0=0.0)),
-                     2.0, FIX, n_samples=9)
+                     2.0, FIX, sample_dt=0.25)
     m = monitor_trajectory(traj)
     print("C1:", m.C1)
     # peak off-diagonal cosh(k)/2 dominates the diagonal peak and is attained
@@ -186,7 +186,7 @@ def test_small_forcing_continuity():
     diffs = {}
     for w0 in (1e-2, 1e-3):
         gw = evolve_tangent(x, (0, "b"), 2.0, FIX, flow="perturbed",
-                            perturbation=PerturbationSpec(family="cosine", w0=w0),
+                            spec=PerturbationSpec(family="cosine", w0=w0),
                             sample_dt=0.5)
         diffs[w0] = float(np.max(np.abs(gw.observed() - g0.observed())))
     ratio = diffs[1e-2] / diffs[1e-3]
@@ -199,7 +199,7 @@ def test_perturbed_cone_holds_on_run():
     x = random_localized_state(121, seed=7)
     spec = PerturbationSpec(family="cosine", w0=0.1)
     g = evolve_tangent(x, (0, "b"), 2.0, FIX, flow="perturbed",
-                       perturbation=spec, sample_dt=0.25)
+                       spec=spec, sample_dt=0.25)
     traj = integrate(x, lambda s: perturbed_rhs(s, spec), 2.0, FIX, sample_dt=0.25)
     m = monitor_trajectory(traj)
     rep = verify_light_cone(g, perturbed_envelope(mu0, m.C1, m.C2, spec.d2w_sup))
@@ -214,7 +214,7 @@ def test_interpolation_fit_on_run():
     x = random_localized_state(161, seed=42)
     spec = PerturbationSpec(family="cosine", w0=0.1)
     g = evolve_tangent(x, (0, "b"), 3.0, FIX, flow="perturbed",
-                       perturbation=spec, sample_dt=0.25)
+                       spec=spec, sample_dt=0.25)
     traj = integrate(x, lambda s: perturbed_rhs(s, spec), 3.0, FIX, sample_dt=0.25)
     m = monitor_trajectory(traj)
     fit = interpolation_envelope(g, m, mu0, 0.5)

@@ -92,6 +92,9 @@ def test_scenario_matches_frozen_summary(scenario, frozen, tmp_path):
 
 CONE_FLOWS = {"toda-lightcone": "toda", "hierarchy": "hierarchy", "perturbed": "perturbed",
               "timedep": "perturbed", "ghs": "ghs"}
+# the config block each tangent scenario's flow reads: its one spec
+FLOW_SPECS = {"toda-lightcone": None, "hierarchy": "hierarchy", "perturbed": "perturbation",
+              "timedep": "perturbation", "interpolation": "perturbation", "ghs": "potential"}
 CONE_SCENARIOS = tuple(CONE_FLOWS)
 THREE_SEEDS = [[0, "b"], [3, "a"], [-2, "b"]]
 
@@ -121,10 +124,8 @@ def standalone_base_run(tangent_call, integrator):
     """The base flow of an evolve_tangent call integrated alone from the
     same state, over the same samples."""
     (x, _seed, t_final, _cfg), kwargs = tangent_call
-    specs = dict(kwargs)
-    name, sample_dt, guard = specs.pop("flow"), specs.pop("sample_dt"), specs.pop("guard")
-    return integrate(x, make_flow(name, **specs), t_final, integrator,
-                     sample_dt=sample_dt, guard=guard)
+    return integrate(x, make_flow(kwargs["flow"], kwargs["spec"]), t_final, integrator,
+                     sample_dt=kwargs["sample_dt"], guard=kwargs["guard"])
 
 
 @pytest.mark.parametrize("scenario", CONE_SCENARIOS)
@@ -156,7 +157,8 @@ def test_cone_scenario_integrates_its_base_flow_once(scenario, tmp_path, monkeyp
 @pytest.mark.parametrize("scenario", CONE_SCENARIOS + ("interpolation",))
 def test_one_solve_per_seed(scenario, tmp_path, monkeypatch):
     """K seeds cost K solves, one evolve_tangent each: the base run comes
-    from the first seed's solve, not from a solve of its own."""
+    from the first seed's solve, not from a solve of its own.  Each solve
+    carries the one spec its flow reads."""
     raw = small_config(scenario)
     raw["seeds"] = THREE_SEEDS
     cfg = config_from_dict(raw)
@@ -164,6 +166,12 @@ def test_one_solve_per_seed(scenario, tmp_path, monkeypatch):
     assert run_config(cfg, tmp_path) == 0
     assert [args[1] for args, _ in tangents] == list(cfg.seeds)
     assert len(solves) == 3
+    # the config holds every spec block; each solve gets only its flow's
+    assert None not in (cfg.hierarchy, cfg.perturbation, cfg.potential)
+    block = FLOW_SPECS[scenario]
+    spec = getattr(cfg, block) if block else None
+    assert all(kwargs.keys() == {"flow", "spec", "sample_dt", "guard"} and kwargs["spec"] is spec
+               for _, kwargs in tangents)
 
 
 def test_observables_solves_each_bracket_seed_once(tmp_path, monkeypatch):

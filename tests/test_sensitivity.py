@@ -32,7 +32,7 @@ def test_seed_vectors():
 
 def test_grid_geometry_and_observed():
     x = background_state(21)
-    g = evolve_tangent(x, (0, "b"), 0.5, FIXED, n_samples=3)
+    g = evolve_tangent(x, (0, "b"), 0.5, FIXED, sample_dt=0.25)
     assert g.distances[g.offset and x.site_index(0)] == 0 or True
     d = g.distances
     assert d[x.site_index(0)] == 0
@@ -48,9 +48,9 @@ def test_grid_geometry_and_observed():
 
 def test_grids_read_times_offset_and_guard_from_their_base_run():
     x = background_state(21, offset=-7)
-    grids = (evolve_tangent(x, (0, "b"), 0.5, FIXED, n_samples=3, guard=4),
-             finite_difference_oracle(x, (0, "b"), 0.5, FIXED, n_samples=3, guard=4),
-             evolve_second_tangent(x, (0, "a"), 1, 0.5, FIXED, n_samples=3, guard=4))
+    grids = (evolve_tangent(x, (0, "b"), 0.5, FIXED, sample_dt=0.25, guard=4),
+             finite_difference_oracle(x, (0, "b"), 0.5, FIXED, sample_dt=0.25, guard=4),
+             evolve_second_tangent(x, (0, "a"), (1, "btilde"), 0.5, FIXED, sample_dt=0.25, guard=4))
     for g in grids:
         assert g.times is g.base.times
         assert (g.offset, g.guard) == (g.base.offset, g.base.guard) == (-7, 4)
@@ -60,18 +60,18 @@ def test_grids_read_times_offset_and_guard_from_their_base_run():
 
 # variational grids against the centered-difference oracle, every flow
 fd_flows = {
-    "toda": {},
-    "hierarchy1": {"hierarchy": HierarchySpec(1, (1.0, 0.0))},
-    "hierarchy2": {"hierarchy": HierarchySpec(2, (1.0, 0.0, 0.0))},
-    "perturbed": {"perturbation": PerturbationSpec("cosine", w0=0.1)},
+    "toda": None,
+    "hierarchy1": HierarchySpec(1, (1.0, 0.0)),
+    "hierarchy2": HierarchySpec(2, (1.0, 0.0, 0.0)),
+    "perturbed": PerturbationSpec("cosine", w0=0.1),
 }
 @pytest.mark.parametrize("name", sorted(fd_flows))
 def test_variational_matches_finite_difference(name):
     flow = "hierarchy" if name.startswith("hierarchy") else name
-    kw = fd_flows[name]
+    spec = fd_flows[name]
     x = soliton_state(SolitonSpec(kappa=1.0), 81)
-    g = evolve_tangent(x, (0, "b"), 2.0, FIXED, flow, n_samples=5, **kw)
-    f = finite_difference_oracle(x, (0, "b"), 2.0, FIXED, flow, n_samples=5, **kw)
+    g = evolve_tangent(x, (0, "b"), 2.0, FIXED, flow, spec, sample_dt=0.5)
+    f = finite_difference_oracle(x, (0, "b"), 2.0, FIXED, flow, spec, sample_dt=0.5)
     mag = np.maximum(np.abs(g.da), np.abs(g.db))
     worst = 0.0
     for got, ref in ((g.da, f.da), (g.db, f.db)):
@@ -84,7 +84,7 @@ def test_variational_matches_finite_difference(name):
 
 def test_fd_meta_records_step():
     x = background_state(21)
-    f = finite_difference_oracle(x, (0, "a"), 0.2, FIXED, n_samples=2)
+    f = finite_difference_oracle(x, (0, "a"), 0.2, FIXED, sample_dt=0.2)
     assert f.meta["fd_h"] == pytest.approx(1e-5 * 1.0)
     assert f.meta["fd_error_scale"] == pytest.approx(1e-10)
 
@@ -94,8 +94,8 @@ def test_ghs_tangent_matches_fd():
     n = 61
     sites = np.arange(-(n // 2), n - n // 2)
     x = GHSState(np.zeros(n), np.exp(-((sites / 3.0) ** 2)), -(n // 2))
-    g = evolve_tangent(x, (0, "p"), 1.5, FIXED, "ghs", potential=pot, n_samples=4)
-    f = finite_difference_oracle(x, (0, "p"), 1.5, FIXED, "ghs", potential=pot, n_samples=4)
+    g = evolve_tangent(x, (0, "p"), 1.5, FIXED, "ghs", spec=pot, sample_dt=0.5)
+    f = finite_difference_oracle(x, (0, "p"), 1.5, FIXED, "ghs", spec=pot, sample_dt=0.5)
     mask = np.maximum(np.abs(g.da), np.abs(g.db)) > 1e-6
     worst = float(np.max(np.where(mask,
                                   np.abs(g.da - f.da) + np.abs(g.db - f.db), 0.0)))
@@ -107,25 +107,25 @@ def test_ghs_tangent_matches_fd():
 def test_missing_spec_errors():
     x = background_state(21)
     with pytest.raises(ValueError):
-        evolve_tangent(x, (0, "b"), 0.1, FIXED, "hierarchy")
+        evolve_tangent(x, (0, "b"), 0.1, FIXED, "hierarchy", sample_dt=0.1)
     with pytest.raises(ValueError):
-        evolve_tangent(x, (0, "b"), 0.1, FIXED, "perturbed")
+        evolve_tangent(x, (0, "b"), 0.1, FIXED, "perturbed", sample_dt=0.1)
     with pytest.raises(ValueError):
-        evolve_tangent(x, (0, "b"), 0.1, FIXED, "warp")
+        evolve_tangent(x, (0, "b"), 0.1, FIXED, "warp", sample_dt=0.1)
 
 
 def test_toda_flow_is_perturbed_with_zero_w():
     x = random_localized_state(41, seed=1)
-    g1 = evolve_tangent(x, (0, "b"), 1.0, FIXED, "toda", n_samples=3)
+    g1 = evolve_tangent(x, (0, "b"), 1.0, FIXED, "toda", sample_dt=0.5)
     g2 = evolve_tangent(x, (0, "b"), 1.0, FIXED, "perturbed",
-                        perturbation=PerturbationSpec("cosine", w0=0.0), n_samples=3)
+                        spec=PerturbationSpec("cosine", w0=0.0), sample_dt=0.5)
     assert np.array_equal(g1.da, g2.da)
     assert np.array_equal(g1.db, g2.db)
 
 
 def test_grid_csv_roundtrip(tmp_path):
     x = background_state(15)
-    g = evolve_tangent(x, (1, "a"), 0.4, FIXED, n_samples=3)
+    g = evolve_tangent(x, (1, "a"), 0.4, FIXED, sample_dt=0.2)
     p = tmp_path / "grid.csv"
     g.to_csv(p)
     lines = p.read_text().splitlines()
@@ -136,10 +136,10 @@ def test_grid_csv_roundtrip(tmp_path):
 
 def test_boundary_margin_tracks_tangent_support():
     x = background_state(61)
-    g = evolve_tangent(x, (0, "b"), 0.5, FIXED, n_samples=3, guard=10)
+    g = evolve_tangent(x, (0, "b"), 0.5, FIXED, sample_dt=0.25, guard=10)
     assert g.clean
     # seeding right next to the edge is not clean
-    g2 = evolve_tangent(x, (-28, "b"), 0.5, FIXED, n_samples=3, guard=10)
+    g2 = evolve_tangent(x, (-28, "b"), 0.5, FIXED, sample_dt=0.25, guard=10)
     print(g2.boundary_margin)
     assert not g2.clean
 
@@ -155,8 +155,8 @@ def test_time_index_lookup():
 def test_second_tangent_symmetric_in_seeds():
     # d^2/dz1 dz2 must not depend on the order of differentiation
     x = soliton_state(SolitonSpec(kappa=0.8), 61)
-    g12 = evolve_second_tangent(x, (0, "a"), (2, "b"), 1.5, FIXED, n_samples=4)
-    g21 = evolve_second_tangent(x, (2, "b"), (0, "a"), 1.5, FIXED, n_samples=4)
+    g12 = evolve_second_tangent(x, (0, "a"), (2, "b"), 1.5, FIXED, sample_dt=0.5)
+    g21 = evolve_second_tangent(x, (2, "b"), (0, "a"), 1.5, FIXED, sample_dt=0.5)
     diff = max(np.max(np.abs(g12.w_a - g21.w_a)), np.max(np.abs(g12.w_b - g21.w_b)))
     print(diff)
     assert diff < 1e-8
@@ -164,8 +164,9 @@ def test_second_tangent_symmetric_in_seeds():
 
 def test_second_tangent_matches_nested_fd():
     x = soliton_state(SolitonSpec(kappa=0.8), 61)
-    g = evolve_second_tangent(x, (0, "a"), 1, 1.5, FIXED, n_samples=4)
-    times, wa, wb = second_finite_difference(x, (0, "a"), 1, 1.5, cfg=FIXED, n_samples=4)
+    g = evolve_second_tangent(x, (0, "a"), (1, "btilde"), 1.5, FIXED, sample_dt=0.5)
+    times, wa, wb = second_finite_difference(x, (0, "a"), (1, "btilde"), 1.5, cfg=FIXED,
+                                             sample_dt=0.5)
     assert np.array_equal(times, g.times)
     mask = np.maximum(np.abs(g.w_a), np.abs(g.w_b)) > 1e-5
     rel_a = np.abs(g.w_a - wa) / np.maximum(np.abs(wa), 1e-300)
@@ -178,8 +179,8 @@ def test_second_tangent_matches_nested_fd():
 
 def test_first_tangents_carried_alongside_second():
     x = soliton_state(SolitonSpec(kappa=0.8), 61)
-    g2 = evolve_second_tangent(x, (0, "a"), (2, "b"), 1.0, FIXED, n_samples=3)
-    g1 = evolve_tangent(x, (0, "a"), 1.0, FIXED, n_samples=3)
+    g2 = evolve_second_tangent(x, (0, "a"), (2, "b"), 1.0, FIXED, sample_dt=0.5)
+    g1 = evolve_tangent(x, (0, "a"), 1.0, FIXED, sample_dt=0.5)
     assert np.max(np.abs(g2.u1_a - g1.da)) < 1e-14
     assert np.max(np.abs(g2.u1_b - g1.db)) < 1e-14
 
@@ -191,9 +192,9 @@ def test_ghs_chain_rule_correspondence():
     ghs = flaschka_inverse(x)
     pot = PotentialSpec("toda")
     t_final = 1.0
-    g_ghs = evolve_tangent(ghs, (0, "p"), t_final, FIXED, "ghs", potential=pot, n_samples=3)
+    g_ghs = evolve_tangent(ghs, (0, "p"), t_final, FIXED, "ghs", spec=pot, sample_dt=t_final / 2)
     # the same physical perturbation in lattice coordinates: db = -dp/2 at site 0
-    g_lat = evolve_tangent(x, (0, "b"), t_final, FIXED, "toda", n_samples=3)
+    g_lat = evolve_tangent(x, (0, "b"), t_final, FIXED, "toda", sample_dt=t_final / 2)
     # map ghs tangents through a = e^{-r/2}/2, b = -p/2
     a_t = 0.5 * np.exp(-g_ghs.base.r / 2.0)
     da_t = -0.5 * a_t * g_ghs.da                      # d a = -(a/2) dr
@@ -221,13 +222,13 @@ def _custom_perturbation():
 
 
 LATTICE_FLOWS = {
-    "toda": ("toda", {}),
-    **{f"hierarchy-r{r}": ("hierarchy", {"hierarchy": HierarchySpec(r, c)})
+    "toda": ("toda", None),
+    **{f"hierarchy-r{r}": ("hierarchy", HierarchySpec(r, c))
        for r, c in ((1, (1.0, 0.5)), (2, (1.0, 0.0, -0.3)), (3, (1.0, 0.2, 0.0, 0.1)))},
-    "perturbed-cosine": ("perturbed", {"perturbation": PerturbationSpec("cosine", 0.2)}),
-    "perturbed-rational": ("perturbed", {"perturbation": PerturbationSpec("rational", 0.3)}),
-    "perturbed-custom": ("perturbed", {"perturbation": _custom_perturbation()}),
-    "perturbed-w0-zero": ("perturbed", {"perturbation": PerturbationSpec("cosine", 0.0)}),
+    "perturbed-cosine": ("perturbed", PerturbationSpec("cosine", 0.2)),
+    "perturbed-rational": ("perturbed", PerturbationSpec("rational", 0.3)),
+    "perturbed-custom": ("perturbed", _custom_perturbation()),
+    "perturbed-w0-zero": ("perturbed", PerturbationSpec("cosine", 0.0)),
 }
 LATTICE_STATES = {"random": lambda n: random_localized_state(n, seed=3),
                   "mixed-sign-a": _mixed_sign_state,
@@ -266,22 +267,31 @@ def _check_field(field, s, rng, h=1e-6):
 @pytest.mark.parametrize("state", LATTICE_STATES)
 @pytest.mark.parametrize("flow", LATTICE_FLOWS)
 def test_fused_fields_equal_rhs_and_tangent_bitwise(flow, state):
-    name, specs = LATTICE_FLOWS[flow]
-    _check_field(make_flow(name, **specs), LATTICE_STATES[state](41), np.random.default_rng(5))
+    _check_field(make_flow(*LATTICE_FLOWS[flow]), LATTICE_STATES[state](41),
+                 np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("state", ["random", "large-strain", "background"])
 @pytest.mark.parametrize("pot", [PotentialSpec("toda"), PotentialSpec("quartic", beta=0.3)],
                          ids=["toda", "quartic"])
 def test_ghs_fused_fields_equal_rhs_and_tangent_bitwise(pot, state):
-    _check_field(make_flow("ghs", potential=pot), _ghs_state(state, 41), np.random.default_rng(6))
+    _check_field(make_flow("ghs", pot), _ghs_state(state, 41), np.random.default_rng(6))
 
 
 def test_make_flow_names_every_flow():
     with pytest.raises(ValueError, match="pick one of \\('toda', 'hierarchy', 'perturbed', 'ghs'\\)"):
         make_flow("perturbed-hierarchy")
-    with pytest.raises(ValueError, match="hierarchy flow needs hierarchy"):
+    with pytest.raises(ValueError, match="^hierarchy flow takes a HierarchySpec, got none$"):
         make_flow("hierarchy")
+    # a spec the flow does not read is refused, not ignored
+    with pytest.raises(ValueError, match="^toda flow takes no spec, got a PerturbationSpec$"):
+        make_flow("toda", PerturbationSpec("cosine", 0.5))
+    with pytest.raises(ValueError,
+                       match="^hierarchy flow takes a HierarchySpec, got a PotentialSpec$"):
+        make_flow("hierarchy", PotentialSpec("toda"))
+    with pytest.raises(ValueError,
+                       match="^perturbed flow takes a PerturbationSpec, got a HierarchySpec$"):
+        make_flow("perturbed", HierarchySpec(1, (1.0, 0.0)))
 
 
 def _special_tangent(n, rng):
@@ -303,11 +313,10 @@ def test_fields_leave_their_arguments_unchanged(flow, state):
     with no check in between, and the tangent as views of it too: a field
     that wrote into its arguments would corrupt the run without an error."""
     if flow in GHS_POTENTIALS:
-        field = make_flow("ghs", potential=GHS_POTENTIALS[flow])
+        field = make_flow("ghs", GHS_POTENTIALS[flow])
         x = _ghs_state(GHS_STATES[state], 41)
     else:
-        name, specs = LATTICE_FLOWS[flow]
-        field, x = make_flow(name, **specs), LATTICE_STATES[state](41)
+        field, x = make_flow(*LATTICE_FLOWS[flow]), LATTICE_STATES[state](41)
     y = np.concatenate(x.arrays + _special_tangent(41, np.random.default_rng(9)))
     before = y.tobytes()
     rows = y.reshape(4, 41)
@@ -365,10 +374,10 @@ def test_sliced_shifts_equal_concatenated_shifts_bitwise(flow, state):
     zeros and NaNs included, is the one the np.concatenate form gave."""
     x = LATTICE_STATES[state](41)
     d1, d2 = _special_tangent(41, np.random.default_rng(4))
-    name, specs = LATTICE_FLOWS[flow]
-    got = make_flow(name, **specs)(x, d1, d2)
+    name, spec = LATTICE_FLOWS[flow]
+    got = make_flow(name, spec)(x, d1, d2)
     want = (_toda_rhs_concatenated(x, d1, d2) if name == "toda"
-            else _perturbed_rhs_concatenated(x, specs["perturbation"], d1, d2))
+            else _perturbed_rhs_concatenated(x, spec, d1, d2))
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
@@ -378,7 +387,7 @@ def test_sliced_shifts_equal_concatenated_shifts_bitwise(flow, state):
 def test_ghs_sliced_shifts_equal_concatenated_shifts_bitwise(pot, state):
     x = _ghs_state(state, 41)
     d1, d2 = _special_tangent(41, np.random.default_rng(4))
-    got = make_flow("ghs", potential=pot)(x, d1, d2)
+    got = make_flow("ghs", pot)(x, d1, d2)
     assert [g.tobytes() for g in got] == \
         [w.tobytes() for w in _ghs_rhs_concatenated(x, pot, d1, d2)]
 
@@ -412,7 +421,7 @@ def test_second_tangent_run_equals_the_composed_run_bitwise():
     """Under rk4-fixed the one-pass field gives the composed field's run bit
     for bit: w, both first tangents and the base run."""
     x = soliton_state(SolitonSpec(kappa=0.8), 61)
-    g = evolve_second_tangent(x, (0, "a"), 1, 1.5, FIXED, n_samples=4)
+    g = evolve_second_tangent(x, (0, "a"), (1, "btilde"), 1.5, FIXED, sample_dt=0.5)
     zeros = np.zeros(x.n_sites)
     blocks = (*_seed_vectors(x, (0, "a")), *_seed_vectors(x, (1, "btilde")), zeros, zeros)
     base, series = _solve_blocks(x, _second_fields_composed, blocks, g.times, FIXED, 10)

@@ -104,7 +104,7 @@ def test_energy_converges_with_window():
 def test_evolution_tracks_analytic_profile():
     spec = SolitonSpec(kappa=1.0)
     x = soliton_state(spec, 121)
-    traj = integrate(x, toda_rhs, 4.0, IntegratorConfig(), n_samples=9)
+    traj = integrate(x, toda_rhs, 4.0, IntegratorConfig(), sample_dt=0.5)
     sites = np.arange(traj.offset, traj.offset + traj.n_sites)
     worst = 0.0
     for i, t in enumerate(traj.times):
