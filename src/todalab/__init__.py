@@ -8,15 +8,13 @@ cone speeds, decay rates, perturbation-corrected constants, interpolated
 envelopes, bracket propagation bounds, and the general-chain estimates.
 """
 
-from .state import (BACKGROUND, GHSState, LatticeState, PQState,
-                    background_state, flaschka_forward, flaschka_inverse,
-                    hamiltonian_ab, jacobi_matrix, jacobi_norm,
+from .state import (BACKGROUND, GHSState, LatticeState, background_state,
+                    flaschka_inverse, hamiltonian_ab, jacobi_matrix, jacobi_norm,
                     jacobi_norm_within, random_localized_state, relative_to_lattice, toda_rhs,
                     trace_invariants)
 from .integrators import IntegratorConfig, Trajectory, integrate, sample_times
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
-                       soliton_pq, soliton_pq_state, soliton_speed,
-                       soliton_state)
+                       soliton_pq, soliton_speed, soliton_state)
 from .hierarchy import (HierarchySpec, free_moment, g_tilde, h_tilde,
                         hierarchy_hamiltonian, hierarchy_rhs, kvm_rhs,
                         path_counts)

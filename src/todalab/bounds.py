@@ -361,15 +361,17 @@ def compare(observed, bound):
     return ~finite | ~(observed <= bound), float(np.max(ratio, initial=0.0))
 
 
-def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8) -> LightConeReport:
+def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
+                      guard: int = 10) -> LightConeReport:
     """Pointwise comparison of grid.observed() against the envelope; the
-    first MAX_VIOLATIONS_STORED violations are stored."""
+    first MAX_VIOLATIONS_STORED violations are stored.  A grid that came
+    closer than guard sites to the window edge gets no verdict."""
     obs = grid.observed(envelope.observed_kind)
     dist = grid.distances
     times = grid.times
     env = envelope.value(dist[np.newaxis, :], times[:, np.newaxis])
     margin = grid.boundary_margin
-    clean = bool(margin >= grid.guard)
+    clean = bool(margin >= guard)
 
     bad, max_ratio = compare(obs, env)
     bad = np.argwhere(bad & clean)          # no verdict on a contaminated grid
@@ -385,7 +387,7 @@ def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8) -> Ligh
     return LightConeReport(
         family=envelope.family, mu=envelope.mu, prefactor=envelope.prefactor,
         bound_speed=bound_speed, clean=clean, boundary_margin=int(margin),
-        guard=int(grid.guard), n_violations=n_viol, violations=violations,
+        guard=int(guard), n_violations=n_viol, violations=violations,
         violations_truncated=bool(n_viol > len(violations)),
         max_ratio=max_ratio,
         empirical_front_speed=speed, front_threshold=threshold,

@@ -33,6 +33,9 @@ checks of each grid, the summary entries and the scenario's own gate off the
 base run; each seed's grid then goes through every check, and tally sums the
 results up.  soliton-validate gates its base run's drift alike, and every
 gated summary records its gate as drift_tolerance.
+
+guard is a setting of the verdicts, not of the solves: every light-cone
+check and every clean(guard) of a run or grid reads cfg.guard.
 """
 from __future__ import annotations
 
@@ -129,17 +132,14 @@ class ExperimentConfig:
         if self.scenario == "hierarchy" and spec is not None and self.window < spec.min_window:
             raise ConfigError(f"hierarchy.r: order {spec.r} needs window >= 2r + 5 = "
                               f"{spec.min_window}, got {self.window}")
-        if not 0 < self.t_final < math.inf:
-            raise ConfigError("t_final: must be positive and finite")
+        # t_final finite and a whole number of sample_dt, so that the last
+        # sample is taken at t_final, where the verdicts read the run
+        try:
+            sample_times(self.t_final, self.sample_dt)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if not self.seed >= 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if not 0 < self.sample_dt <= self.t_final:
-            raise ConfigError("sample_dt: must lie in (0, t_final]")
-        # the last sample is taken at t_final, where the verdicts read the run
-        steps = round(self.t_final / self.sample_dt)
-        if abs(steps * self.sample_dt - self.t_final) > 1e-9 * self.t_final:
-            raise ConfigError(f"t_final: must be a whole number of sample_dt = {self.sample_dt:g}, "
-                              f"got {self.t_final:g}")
         if self.base not in BASES:
             raise ConfigError(f"base: unknown value {self.base!r}; pick one of {BASES}")
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
@@ -338,7 +338,7 @@ def _run_tangent(cfg: ExperimentConfig, out: Path):
 
     def solve(seed):
         return evolve_tangent(x, seed, cfg.t_final, cfg.integrator, flow=row.flow, spec=spec,
-                              sample_dt=cfg.sample_dt, guard=cfg.guard)
+                              sample_dt=cfg.sample_dt)
 
     grid = solve(cfg.seeds[0])
     grid.base.to_csv(out / "trajectory.csv")
@@ -369,7 +369,8 @@ def _cones(cfg: ExperimentConfig, *envelopes) -> list:
     scale = cfg.envelope_scale
     scaled = [replace(env, prefactor=scale * env.prefactor, params={**env.params, "scale": scale})
               for env in envelopes]
-    return [lambda grid, env=env: verify_light_cone(grid, env, threshold=cfg.front_threshold)
+    return [lambda grid, env=env: verify_light_cone(grid, env, threshold=cfg.front_threshold,
+                                                    guard=cfg.guard)
             for env in scaled]
 
 
@@ -426,7 +427,7 @@ def _perturbed_monitors(cfg: ExperimentConfig, run, skipped: str):
                "family": pspec.family, "w0": pspec.w0,
                "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded}
     if mon.unbounded:
-        summary.update({"clean": run.clean, "violations": 0,
+        summary.update({"clean": run.clean(cfg.guard), "violations": 0,
                         "excluded": f"unbounded-looking run; {skipped} skipped"})
     return mon, summary
 
@@ -454,7 +455,7 @@ def _interpolation_verdicts(cfg, x, run, series):
     if mon.unbounded:
         return [], summary, False
     return ([lambda grid: interpolation_envelope(grid, mon, summary["mu"], cfg.eps),
-             lambda grid: grid.clean], summary, True)
+             lambda grid: grid.clean(cfg.guard)], summary, True)
 
 
 def _interpolation_tally(out, rows):
@@ -486,7 +487,7 @@ def _ghs_verdicts(cfg, x, run, series):
 def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
     spec = cfg.soliton
     traj = integrate(soliton_state(spec, cfg.window), toda_rhs, cfg.t_final, cfg.integrator,
-                     sample_dt=cfg.sample_dt, guard=cfg.guard)
+                     sample_dt=cfg.sample_dt)
     traj.to_csv(out / "trajectory.csv")
     sites = np.arange(traj.offset, traj.offset + traj.n_sites)
     a_ref, b_ref = soliton_flaschka(spec, sites, traj.times[:, np.newaxis])
@@ -499,10 +500,11 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
     # trace of L^4 amplifies state error by roughly (1 + ||L||)^4
     drift_tol = _drift_tolerance(cfg)
     trace_tol = drift_tol * (1.0 + soliton_Lnorm(spec)) ** 4
+    clean = traj.clean(cfg.guard)
     ok = (err_a <= 1e-6 and err_b <= 1e-6 and norm_drift <= drift_tol
-          and trace_drift <= trace_tol and traj.clean)
+          and trace_drift <= trace_tol and clean)
     summary = {
-        "clean": traj.clean,
+        "clean": clean,
         "violations": 0 if ok else 1,
         "conserved_drift": max(norm_drift, trace_drift),
         "drift_tolerance": drift_tol,
@@ -534,9 +536,9 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
         # m_list is sorted, so only the previous site's grids can be shared
         grids = {seed: grids[seed] if seed in grids else
                  evolve_tangent(x, seed, cfg.t_final, cfg.integrator, "toda",
-                                sample_dt=cfg.sample_dt, guard=cfg.guard)
+                                sample_dt=cfg.sample_dt)
                  for seed in sorted(required_bracket_seeds(b_m, x))}
-        clean = clean and all(grid.clean for grid in grids.values())
+        clean = clean and all(grid.clean(cfg.guard) for grid in grids.values())
         sites = range(m - reach, m + reach + 1)
         reports = check_bracket_bound([basic_observables(n)[0] for n in sites],
                                       b_m, x, times, mu, grids)

@@ -109,20 +109,22 @@ def solve_vector(fun, y0: np.ndarray, times: np.ndarray,
 
 def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
     """The sample times of a window solve: 0, sample_dt, ..., n sample_dt
-    with n = round(t_final / sample_dt) >= 1, the last one t_final when
-    t_final is a whole number of sample_dt."""
-    if not t_final > 0:
-        raise ValueError("t_final must be positive")
+    = t_final.  t_final must be a whole number n >= 1 of sample_dt, to a
+    relative 1e-9, so that the last sample is taken at t_final."""
+    if not 0 < t_final < math.inf:
+        raise ValueError("t_final: must be positive and finite")
     if not 0 < sample_dt <= t_final:
-        raise ValueError("sample_dt must lie in (0, t_final]")
-    n = int(round(t_final / sample_dt))
+        raise ValueError("sample_dt: must lie in (0, t_final]")
+    n = round(t_final / sample_dt)
+    if abs(n * sample_dt - t_final) > 1e-9 * t_final:
+        raise ValueError(f"t_final: must be a whole number of sample_dt = {sample_dt:g}, got {t_final:g}")
     return np.linspace(0.0, n * sample_dt, n + 1)
 
 
 class EdgeMargin:
-    """Edge bookkeeping of a sampled window run.  A subclass has guard, and
-    _deviations() gives (T, N) arrays that vanish where the run sits at the
-    background; a deviation above significance counts as movement."""
+    """Edge bookkeeping of a sampled window run.  A subclass's _deviations()
+    gives (T, N) arrays that vanish where the run sits at the background; a
+    deviation above significance counts as movement."""
 
     significance = 1e-10
 
@@ -136,9 +138,9 @@ class EdgeMargin:
         cols = np.flatnonzero(np.any(~(dev <= self.significance), axis=0))
         return min(int(cols[0]), int(n - 1 - cols[-1])) if cols.size else n
 
-    @property
-    def clean(self) -> bool:
-        return self.boundary_margin >= self.guard
+    def clean(self, guard: int) -> bool:
+        """Whether the run kept guard sites from the window edge."""
+        return self.boundary_margin >= guard
 
 
 _HEAD = "\0"
@@ -409,7 +411,6 @@ class Trajectory(EdgeMargin):
     x2: np.ndarray
     offset: int
     background: tuple
-    guard: int = 10
     state_type: type = LatticeState
 
     def __getattr__(self, name):
@@ -458,15 +459,17 @@ class Trajectory(EdgeMargin):
 
     def to_lattice_trajectory(self) -> "Trajectory":
         """A chain run mapped sample by sample through a = (1/2) e^{-r/2},
-        b = -p/2: the lattice run when the potential is the Toda one."""
+        b = -p/2: the lattice run when the potential is the Toda one, checked
+        as a solve's samples are (an a_n may overflow to inf or reach 0)."""
         a, b, background = _relative_ab(self.r, self.p, self.background)
-        return Trajectory(self.times.copy(), a, b, self.offset, background, self.guard)
+        LatticeState.check_samples(self.times, a, b, self.offset)
+        return Trajectory(self.times.copy(), a, b, self.offset, background)
 
     def to_csv(self, path):
         write_csv(path, self.state_type.coords, self.times, self.offset, self.x1, self.x2)
 
     @classmethod
-    def from_csv(cls, path, background=None, guard: int = 10) -> "Trajectory":
+    def from_csv(cls, path, background=None) -> "Trajectory":
         """Read a run written by to_csv; the header's coords pick the state
         type, and background defaults to that type's default."""
         with open(path) as fh:
@@ -483,11 +486,10 @@ class Trajectory(EdgeMargin):
         if raw.shape[0] != nt * ns:
             raise ValueError("ragged trajectory csv")
         return cls(times, raw[:, 2].reshape(nt, ns), raw[:, 3].reshape(nt, ns),
-                   int(sites[0]), background or state_type.background, guard,
-                   state_type=state_type)
+                   int(sites[0]), background or state_type.background, state_type)
 
 
-def _solve_blocks(x, rhs, blocks, times, cfg, guard):
+def _solve_blocks(x, rhs, blocks, times, cfg):
     """Integrate the window state x together with the (N,) blocks, where
     rhs(state, *blocks) gives the derivatives of the state's two arrays
     and of every block.  Returns the base run, a Trajectory of x's type, and
@@ -514,14 +516,12 @@ def _solve_blocks(x, rhs, blocks, times, cfg, guard):
     ys = solve_vector(fun, y0, times, cfg)
     out = [ys[:, i * n:(i + 1) * n].copy() for i in range(k)]
     type(x).check_samples(times, out[0], out[1], x.offset)
-    base = Trajectory(times, out[0], out[1], x.offset, x.background, guard,
-                      state_type=type(x))
+    base = Trajectory(times, out[0], out[1], x.offset, x.background, type(x))
     return base, out[2:]
 
 
 def integrate(s: LatticeState | GHSState, rhs, t_final: float,
-              cfg: IntegratorConfig | None = None, *, sample_dt: float,
-              guard: int = 10) -> Trajectory:
+              cfg: IntegratorConfig | None = None, *, sample_dt: float) -> Trajectory:
     """Evolve a window state under the vector field rhs(state) -> (d1, d2),
     sampled at sample_times(t_final, sample_dt).
 
@@ -530,4 +530,4 @@ def integrate(s: LatticeState | GHSState, rhs, t_final: float,
     a GHSState).
     """
     return _solve_blocks(s, rhs, (), sample_times(t_final, sample_dt),
-                         cfg or IntegratorConfig(), guard)[0]
+                         cfg or IntegratorConfig())[0]

@@ -74,7 +74,7 @@ def _seed_vectors(x, seed):
 
 
 class _OnBase:
-    """times, offset and guard of a grid are those of its base run."""
+    """times and offset of a grid are those of its base run."""
 
     @property
     def times(self) -> np.ndarray:
@@ -83,10 +83,6 @@ class _OnBase:
     @property
     def offset(self) -> int:
         return self.base.offset
-
-    @property
-    def guard(self) -> int:
-        return self.base.guard
 
 
 @dataclass
@@ -147,17 +143,16 @@ class SensitivityGrid(_OnBase, EdgeMargin):
 
 
 def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
-                   flow: str = "toda", spec=None, *, sample_dt: float,
-                   guard: int = 10) -> SensitivityGrid:
+                   flow: str = "toda", spec=None, *, sample_dt: float) -> SensitivityGrid:
     """Integrate base + tangent from a unit seed at (site, coordinate) under
     make_flow(flow, spec), sampled at sample_times(t_final, sample_dt)."""
     base, (da, db) = _solve_blocks(x, make_flow(flow, spec), _seed_vectors(x, seed),
                                    sample_times(t_final, sample_dt),
-                                   cfg or IntegratorConfig(), guard)
+                                   cfg or IntegratorConfig())
     return SensitivityGrid(da, db, base, int(seed[0]), str(seed[1]), flow)
 
 
-def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, guard=10):
+def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt):
     """Runs of rhs from x + s_1 d_1 + s_2 d_2 + ... for every choice of signs
     s_k = +-1, where steps lists the offsets d_k = (d_k1, d_k2).  Returns the
     sum of (s_1 s_2 ...) * run as a (2, T, N) array of both coordinates, and
@@ -169,7 +164,7 @@ def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, guard=10):
         start = type(x)(x1 + sum(s * d1 for s, (d1, _) in zip(signs, steps)),
                         x2 + sum(s * d2 for s, (_, d2) in zip(signs, steps)),
                         x.offset, x.background)
-        tr = integrate(start, rhs, t_final, cfg, sample_dt=sample_dt, guard=guard)
+        tr = integrate(start, rhs, t_final, cfg, sample_dt=sample_dt)
         ys = np.stack((tr.x1, tr.x2))
         signed = signed + math.prod(signs) * ys
         mean = mean + ys / len(combos)
@@ -178,8 +173,8 @@ def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt, guard=10):
 
 def finite_difference_oracle(x, seed, t_final: float,
                              cfg: IntegratorConfig | None = None,
-                             flow: str = "toda", spec=None, *, sample_dt: float,
-                             guard: int = 10) -> SensitivityGrid:
+                             flow: str = "toda", spec=None, *,
+                             sample_dt: float) -> SensitivityGrid:
     """Central-difference estimate of the same grid: (flow(x + h e) - flow(x - h e)) / 2h,
     h = 1e-5 max(1, |z0|) with z0 the seeded coordinate's start value.
 
@@ -191,7 +186,7 @@ def finite_difference_oracle(x, seed, t_final: float,
     da0, db0 = _seed_vectors(x, seed)
     z0 = x.arrays[0 if seed[1] == x.coords[0] else 1]
     h = 1e-5 * max(1.0, abs(float(z0[seed[0] - x.offset])))
-    diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg, sample_dt, guard)
+    diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg, sample_dt)
     return SensitivityGrid(diff[0] / (2.0 * h), diff[1] / (2.0 * h), mid, int(seed[0]),
                            str(seed[1]), flow, {"fd_h": h, "fd_error_scale": h * h})
 
@@ -229,8 +224,8 @@ def _toda_second_fields(s: LatticeState, u1a, u1b, u2a, u2b, wa, wb):
 
 
 def evolve_second_tangent(x: LatticeState, z_seed, second, t_final: float,
-                          cfg: IntegratorConfig | None = None, *, sample_dt: float,
-                          guard: int = 10) -> SecondTangentGrid:
+                          cfg: IntegratorConfig | None = None, *,
+                          sample_dt: float) -> SecondTangentGrid:
     """Second variational flow d^2/dz1 dz2 of the Toda evolution.
 
     z_seed and second are (site, coord) pairs; (k, "btilde") is the
@@ -242,7 +237,7 @@ def evolve_second_tangent(x: LatticeState, z_seed, second, t_final: float,
     blocks = (*_seed_vectors(x, z_seed), *_seed_vectors(x, second), zeros, zeros)
     base, (u1a, u1b, u2a, u2b, wa, wb) = _solve_blocks(
         x, _toda_second_fields, blocks, sample_times(t_final, sample_dt),
-        cfg or IntegratorConfig(), guard)
+        cfg or IntegratorConfig())
     return SecondTangentGrid(w_a=wa, w_b=wb, u1_a=u1a, u1_b=u1b, u2_a=u2a, u2_b=u2b,
                              base=base, seed1=tuple(z_seed), seed2=tuple(second))
 

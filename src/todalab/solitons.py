@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .state import LatticeState, PQState, centered_offset
+from .state import LatticeState, centered_offset
 
 
 @dataclass
@@ -79,12 +79,3 @@ def soliton_state(spec: SolitonSpec, n_sites: int, offset: int | None = None,
     n = np.arange(offset, offset + n_sites)
     a, b = soliton_flaschka(spec, n, t)
     return LatticeState(a, b, offset, (0.5, 0.0))
-
-
-def soliton_pq_state(spec: SolitonSpec, n_sites: int, offset: int | None = None,
-                     t: float = 0.0) -> PQState:
-    if offset is None:
-        offset = centered_offset(n_sites)
-    n = np.arange(offset, offset + n_sites)
-    q, p = soliton_pq(spec, n, t)
-    return PQState(q, p, offset)

@@ -133,23 +133,6 @@ class LatticeState(_WindowState):
 
 
 @dataclass
-class PQState(_WindowState):
-    """Position/momentum window (q_n, p_n), n = offset .. offset + M - 1."""
-
-    coords = ("q", "p")
-
-    q: np.ndarray
-    p: np.ndarray
-    offset: int = 0
-    background: tuple = (0.0, 0.0)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.q.size < 4:
-            raise ValueError("need at least 4 sites")
-
-
-@dataclass
 class GHSState(_WindowState):
     """Relative-coordinate state (r_n = q_{n+1} - q_n, p_n) for chain systems.
 
@@ -248,22 +231,6 @@ def hamiltonian_ab(s: LatticeState) -> float:
     return float(np.sum(site_energy(s.a, s.b)))
 
 
-def flaschka_forward(pq: PQState, background: tuple = BACKGROUND) -> LatticeState:
-    """Map (q, p) to (a, b).  Drops the last site: a needs the forward difference.
-
-    Raises on exponent overflow, naming the offending site.
-    """
-    q, p = pq.q, pq.p
-    expo = -(q[1:] - q[:-1]) / 2.0
-    bad = np.flatnonzero(expo > 700.0)
-    if bad.size:
-        n = pq.offset + int(bad[0])
-        raise OverflowError(f"flaschka_forward: exp overflow at site {n} (collapsed pair distance)")
-    a = 0.5 * np.exp(expo)
-    b = -p[:-1] / 2.0
-    return LatticeState(a, b, pq.offset, background)
-
-
 def flaschka_inverse(s: LatticeState) -> GHSState:
     """Map (a, b) to relative coordinates (r_n = q_{n+1} - q_n, p_n).
 
@@ -283,13 +250,16 @@ def flaschka_inverse(s: LatticeState) -> GHSState:
 
 def _relative_ab(r, p, background):
     """a = (1/2) e^{-r/2}, b = -p/2 on arrays of any shape, and on the
-    background pair."""
+    background pair; an a that overflows is inf, with no warning."""
     r_bg, p_bg = background
-    return 0.5 * np.exp(-r / 2.0), -p / 2.0, (0.5 * math.exp(-r_bg / 2.0), -p_bg / 2.0)
+    with np.errstate(over="ignore"):
+        a = 0.5 * np.exp(-r / 2.0)
+    return a, -p / 2.0, (0.5 * math.exp(-r_bg / 2.0), -p_bg / 2.0)
 
 
 def relative_to_lattice(g: GHSState) -> LatticeState:
-    """Inverse of flaschka_inverse: a = (1/2) e^{-r/2}, b = -p/2."""
+    """Inverse of flaschka_inverse: a = (1/2) e^{-r/2}, b = -p/2.  On
+    r = q_{n+1} - q_n it is the Flaschka map of positions q."""
     a, b, background = _relative_ab(g.r, g.p, g.background)
     return LatticeState(a, b, g.offset, background)
 

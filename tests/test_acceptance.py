@@ -229,7 +229,7 @@ def test_11_perturbed_bounds():
         g, timedep_envelope(MU0, mon.Lnorm0, spec.dw_sup, spec.d2w_sup, a_star))
     fit = interpolation_envelope(g, mon, MU0, 0.5)
 
-    ok = (excess <= 1e-9 and g.clean and not mon.unbounded
+    ok = (excess <= 1e-9 and g.clean(10) and not mon.unbounded
           and rep_w.n_violations == 0 and rep_t.n_violations == 0
           and fit.r2_spatial >= 0.99 and fit.envelope_valid)
     verdict(11, "forced-flow bounds with horizon-measured constants",

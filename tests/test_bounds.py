@@ -292,12 +292,35 @@ def test_verify_light_cone_withholds_verdict_when_contaminated():
     mu0, _ = optimal_mu()
     x = background_state(41)
     g = evolve_tangent(x, (-18, "b"), 1.0, IntegratorConfig(method="rk4-fixed", step=0.02),
-                       sample_dt=0.5, guard=10)
-    assert not g.clean
+                       sample_dt=0.5)
+    assert not g.clean(10)
     env = toda_envelope(mu0, jacobi_norm(x))
     rep = verify_light_cone(g, replace(env, prefactor=1e-9 * env.prefactor))
     assert not rep.clean
     assert rep.n_violations == 0       # no verdict, not a pass
+    assert not rep.ok
+
+
+def test_the_guard_is_a_setting_of_the_verdict():
+    """One grid, checked at a guard up to its boundary margin and at one
+    above it: a verdict, then a withheld one, with no second solve."""
+    mu0, _ = optimal_mu()
+    x = background_state(41)
+    g = evolve_tangent(x, (-8, "b"), 1.0, IntegratorConfig(method="rk4-fixed", step=0.02),
+                       sample_dt=0.5)
+    margin = g.boundary_margin
+    assert 1 <= margin < 20
+    env = toda_envelope(mu0, jacobi_norm(x))
+    squeezed = replace(env, prefactor=1e-9 * env.prefactor)
+    for guard in (1, margin):
+        assert g.clean(guard)
+        rep = verify_light_cone(g, squeezed, guard=guard)
+        assert rep.clean and rep.n_violations > 0 and rep.violations
+        assert (rep.guard, rep.boundary_margin) == (guard, margin)
+    assert not g.clean(margin + 1)
+    rep = verify_light_cone(g, squeezed, guard=margin + 1)
+    assert not rep.clean and rep.n_violations == 0 and rep.violations == []
+    assert (rep.guard, rep.boundary_margin) == (margin + 1, margin)
     assert not rep.ok
 
 

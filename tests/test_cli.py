@@ -1,8 +1,10 @@
 import filecmp
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,8 +376,11 @@ def test_sweep_validates_before_launching(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the checkout's package, installed or not
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "todalab", "print-default-config"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["scenario"] == "toda-lightcone"
 

@@ -9,7 +9,7 @@ from todalab.ghs import (PotentialSpec, confinement_bound,
                          ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics,
                          ghs_velocity, quadratic_floor)
-from todalab.integrators import integrate
+from todalab.integrators import Trajectory, integrate
 from todalab.state import GHSState, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
@@ -92,7 +92,7 @@ def test_energy_conservation():
         traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, FIX, sample_dt=0.25)
         drift = traj.energy_drift(lambda s: ghs_energy(s, pot))
         print(pot.family, "drift:", drift)
-        assert traj.clean
+        assert traj.clean(10)
         assert drift < 1e-9
 
 
@@ -214,6 +214,20 @@ def test_toda_family_maps_to_flaschka_flow():
     print("map err:", err)
     assert err < 1e-8
     assert mapped.background == (0.5, 0.0)
+
+
+def test_lattice_map_of_a_run_names_the_first_bad_sample():
+    # a chain sample with r = -1500 maps to a = inf and one with r = 1600 to
+    # a = 0; the mapped run is checked like a solve's, not returned silently
+    times = np.array([0.0, 0.5, 1.0])
+    for r_bad, what in ((-1500.0, "non-finite a"), (1600.0, "a_n = 0")):
+        r = np.zeros((3, 7))
+        r[1, 4] = r_bad
+        r[2, 2] = r_bad
+        run = Trajectory(times, r, np.zeros((3, 7)), -3, (0.0, 0.0), GHSState)
+        with pytest.raises(ValueError) as err:
+            run.to_lattice_trajectory()
+        assert str(err.value) == f"LatticeState run: {what} at t=0.5, site 1"
 
 
 def test_chain_run_rebuilds_chain_states():

@@ -213,7 +213,7 @@ def test_hamiltonian_conserved(r):
     x = random_localized_state(121, seed=3)
     traj = integrate(x, lambda s: hierarchy_rhs(s, spec), 1.5,
                      IntegratorConfig(), sample_dt=0.25)
-    assert traj.clean
+    assert traj.clean(10)
     h0 = hierarchy_hamiltonian(traj.state(0), spec)
     drift = max(abs(hierarchy_hamiltonian(traj.state(i), spec) - h0)
                 for i in range(traj.n_samples))

@@ -60,6 +60,12 @@ def test_sample_times():
     assert np.allclose(t, [0.0, 0.5, 1.0, 1.5, 2.0])
     with pytest.raises(ValueError):
         sample_times(0.0, 0.1)
+    # a t_final off the sample grid used to be sampled past or short of it
+    for t_final, dt in ((1.0, 0.6), (2.0, 0.3), (5.0 + 1e-6, 0.1)):
+        with pytest.raises(ValueError, match=f"t_final: must be a whole number of sample_dt = {dt}"):
+            sample_times(t_final, dt)
+    # within 1e-9 relative the last sample is n * sample_dt
+    assert sample_times(3.0, 0.1)[-1] == 30 * 0.1
 
 
 def test_solve_vector_linear_exact():
@@ -104,25 +110,25 @@ def test_adaptive_matches_fixed_on_soliton():
 
 def test_trajectory_boundary_margin_and_clean():
     x = background_state(41)
-    traj = integrate(x, toda_rhs, 1.0, IntegratorConfig(), sample_dt=0.5, guard=10)
+    traj = integrate(x, toda_rhs, 1.0, IntegratorConfig(), sample_dt=0.5)
     # nothing ever deviates: margin is the full half width
-    assert traj.clean
+    assert traj.clean(10)
     assert traj.boundary_margin >= 10
     # a deviation parked next to the edge is flagged
     a = x.a.copy()
     a[1] = 0.7
     bad = LatticeState(a, x.b, x.offset)
-    traj2 = integrate(bad, toda_rhs, 0.1, IntegratorConfig(), sample_dt=0.1, guard=10)
+    traj2 = integrate(bad, toda_rhs, 0.1, IntegratorConfig(), sample_dt=0.1)
     print(traj2.boundary_margin)
-    assert not traj2.clean
+    assert not traj2.clean(10)
 
 
 def test_nonfinite_deviation_is_significant():
     x = background_state(41)
-    traj = integrate(x, toda_rhs, 1.0, IntegratorConfig(), sample_dt=0.5, guard=10)
+    traj = integrate(x, toda_rhs, 1.0, IntegratorConfig(), sample_dt=0.5)
     traj.b[2, 1] = np.nan
     assert traj.boundary_margin == 1
-    assert not traj.clean
+    assert not traj.clean(10)
 
 
 def test_energy_drift_small():
@@ -130,7 +136,7 @@ def test_energy_drift_small():
     traj = integrate(x, toda_rhs, 3.0, IntegratorConfig(), sample_dt=0.25)
     drift = traj.energy_drift(hamiltonian_ab)
     print(drift)
-    assert traj.clean
+    assert traj.clean(10)
     assert drift < 1e-8
 
 

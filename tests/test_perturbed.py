@@ -219,7 +219,7 @@ def test_interpolation_fit_on_run():
     m = monitor_trajectory(traj)
     fit = interpolation_envelope(g, m, mu0, 0.5)
     print("r2:", fit.r2_spatial, "D:", fit.D, "delta:", fit.delta)
-    assert g.clean
+    assert g.clean(10)
     assert fit.envelope_valid
     assert fit.r2_spatial > 0.99
     # at this scale the bare exponential envelope already majorizes

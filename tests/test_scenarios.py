@@ -125,7 +125,7 @@ def standalone_base_run(tangent_call, integrator):
     same state, over the same samples."""
     (x, _seed, t_final, _cfg), kwargs = tangent_call
     return integrate(x, make_flow(kwargs["flow"], kwargs["spec"]), t_final, integrator,
-                     sample_dt=kwargs["sample_dt"], guard=kwargs["guard"])
+                     sample_dt=kwargs["sample_dt"])
 
 
 @pytest.mark.parametrize("scenario", CONE_SCENARIOS)
@@ -158,7 +158,8 @@ def test_cone_scenario_integrates_its_base_flow_once(scenario, tmp_path, monkeyp
 def test_one_solve_per_seed(scenario, tmp_path, monkeypatch):
     """K seeds cost K solves, one evolve_tangent each: the base run comes
     from the first seed's solve, not from a solve of its own.  Each solve
-    carries the one spec its flow reads."""
+    carries the one spec its flow reads, and no verdict setting such as
+    the guard."""
     raw = small_config(scenario)
     raw["seeds"] = THREE_SEEDS
     cfg = config_from_dict(raw)
@@ -170,7 +171,7 @@ def test_one_solve_per_seed(scenario, tmp_path, monkeypatch):
     assert None not in (cfg.hierarchy, cfg.perturbation, cfg.potential)
     block = FLOW_SPECS[scenario]
     spec = getattr(cfg, block) if block else None
-    assert all(kwargs.keys() == {"flow", "spec", "sample_dt", "guard"} and kwargs["spec"] is spec
+    assert all(kwargs.keys() == {"flow", "spec", "sample_dt"} and kwargs["spec"] is spec
                for _, kwargs in tangents)
 
 

@@ -46,15 +46,16 @@ def test_grid_geometry_and_observed():
     assert la.shape == obs.shape
 
 
-def test_grids_read_times_offset_and_guard_from_their_base_run():
+def test_grids_read_times_and_offset_from_their_base_run():
     x = background_state(21, offset=-7)
-    grids = (evolve_tangent(x, (0, "b"), 0.5, FIXED, sample_dt=0.25, guard=4),
-             finite_difference_oracle(x, (0, "b"), 0.5, FIXED, sample_dt=0.25, guard=4),
-             evolve_second_tangent(x, (0, "a"), (1, "btilde"), 0.5, FIXED, sample_dt=0.25, guard=4))
+    grids = (evolve_tangent(x, (0, "b"), 0.5, FIXED, sample_dt=0.25),
+             finite_difference_oracle(x, (0, "b"), 0.5, FIXED, sample_dt=0.25),
+             evolve_second_tangent(x, (0, "a"), (1, "btilde"), 0.5, FIXED, sample_dt=0.25))
     for g in grids:
         assert g.times is g.base.times
-        assert (g.offset, g.guard) == (g.base.offset, g.base.guard) == (-7, 4)
-    rep = verify_light_cone(grids[0], toda_envelope(1.0, 1.0))
+        assert g.offset == g.base.offset == -7
+    # the guard is the verdict's, not the grid's
+    rep = verify_light_cone(grids[0], toda_envelope(1.0, 1.0), guard=4)
     assert (rep.seed_site, rep.seed_coord, rep.guard) == (0, "b", 4)
 
 
@@ -136,12 +137,12 @@ def test_grid_csv_roundtrip(tmp_path):
 
 def test_boundary_margin_tracks_tangent_support():
     x = background_state(61)
-    g = evolve_tangent(x, (0, "b"), 0.5, FIXED, sample_dt=0.25, guard=10)
-    assert g.clean
+    g = evolve_tangent(x, (0, "b"), 0.5, FIXED, sample_dt=0.25)
+    assert g.clean(10)
     # seeding right next to the edge is not clean
-    g2 = evolve_tangent(x, (-28, "b"), 0.5, FIXED, sample_dt=0.25, guard=10)
+    g2 = evolve_tangent(x, (-28, "b"), 0.5, FIXED, sample_dt=0.25)
     print(g2.boundary_margin)
-    assert not g2.clean
+    assert not g2.clean(10)
 
 
 def test_time_index_lookup():
@@ -424,6 +425,6 @@ def test_second_tangent_run_equals_the_composed_run_bitwise():
     g = evolve_second_tangent(x, (0, "a"), (1, "btilde"), 1.5, FIXED, sample_dt=0.5)
     zeros = np.zeros(x.n_sites)
     blocks = (*_seed_vectors(x, (0, "a")), *_seed_vectors(x, (1, "btilde")), zeros, zeros)
-    base, series = _solve_blocks(x, _second_fields_composed, blocks, g.times, FIXED, 10)
+    base, series = _solve_blocks(x, _second_fields_composed, blocks, g.times, FIXED)
     got = (g.base.a, g.base.b, g.u1_a, g.u1_b, g.u2_a, g.u2_b, g.w_a, g.w_b)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in (base.a, base.b, *series)]

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from todalab import (IntegratorConfig, LatticeState, SolitonSpec,
-                     flaschka_forward, hamiltonian_ab, integrate, jacobi_norm,
-                     soliton_Lnorm, soliton_flaschka, soliton_pq,
-                     soliton_pq_state, soliton_speed, soliton_state)
+from todalab import (GHSState, IntegratorConfig, LatticeState, SolitonSpec,
+                     hamiltonian_ab, integrate, jacobi_norm, relative_to_lattice,
+                     soliton_Lnorm, soliton_flaschka, soliton_pq, soliton_speed,
+                     soliton_state)
 from todalab.state import toda_rhs
 
 
@@ -86,8 +86,9 @@ def test_speed_monotone_in_kappa():
 
 def test_pq_and_flaschka_forms_agree():
     spec = SolitonSpec(kappa=0.9, sign=-1, delta=0.2)
-    pq = soliton_pq_state(spec, 61)
-    mapped = flaschka_forward(pq)
+    sites = np.arange(-30, 31)
+    q, p = soliton_pq(spec, sites)
+    mapped = relative_to_lattice(GHSState(np.diff(q), p[:-1], offset=-30))
     a_ref, b_ref = soliton_flaschka(spec, mapped.sites, 0.0)
     assert np.max(np.abs(mapped.a - a_ref)) < 1e-13
     assert np.max(np.abs(mapped.b - b_ref)) < 1e-13

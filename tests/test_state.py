@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from todalab import (GHSState, LatticeState, PQState, background_state,
-                     flaschka_forward, flaschka_inverse, hamiltonian_ab,
+from todalab import (GHSState, LatticeState, background_state,
+                     flaschka_inverse, hamiltonian_ab,
                      jacobi_matrix, jacobi_norm, jacobi_norm_within,
                      random_localized_state, relative_to_lattice, toda_rhs,
                      trace_invariants)
@@ -43,10 +43,6 @@ def test_state_validation():
         LatticeState(np.array([0.5, 0.0, 0.5]), np.zeros(3), 0)   # a must be nonzero
     with pytest.raises(ValueError):
         LatticeState(np.array([0.5, np.nan, 0.5]), np.zeros(3), 0)
-    with pytest.raises(ValueError):
-        PQState(np.zeros(3), np.zeros(3), 0)                       # needs >= 4 sites
-    with pytest.raises(ValueError):
-        PQState(np.array([0.0, 1.0, np.nan, 3.0]), np.zeros(4), 0)
 
 
 @pytest.mark.parametrize("build,message", [
@@ -56,8 +52,6 @@ def test_state_validation():
     (lambda: LatticeState(np.array([0.5, 0.0, np.inf]), np.zeros(3), 0),
      "LatticeState: a_n = 0 at site 1"),
     (lambda: GHSState(np.array([0.0, np.nan, np.nan]), np.zeros(3), 2), "GHSState: non-finite r at site 3"),
-    (lambda: PQState(np.zeros(4), np.array([0.0, 0.0, 0.0, -np.inf]), 0),
-     "PQState: non-finite p at site 3"),
 ])
 def test_a_state_names_its_first_bad_site(build, message):
     with pytest.raises(ValueError) as exc:
@@ -97,11 +91,11 @@ def test_flaschka_roundtrip():
 
 
 def test_flaschka_forward_from_positions():
+    # the Flaschka map of (q, p) is relative_to_lattice on r = q_{n+1} - q_n
     rng = np.random.default_rng(3)
     q = np.cumsum(rng.uniform(0.5, 1.5, 12))
     p = rng.normal(0.0, 0.4, 12)
-    pq = PQState(q, p, offset=-6)
-    s = flaschka_forward(pq)
+    s = relative_to_lattice(GHSState(np.diff(q), p[:-1], offset=-6))
     assert s.n_sites == 11
     expected_a = 0.5 * np.exp(-(q[1:] - q[:-1]) / 2.0)
     assert np.max(np.abs(s.a - expected_a)) < 1e-15
@@ -109,11 +103,13 @@ def test_flaschka_forward_from_positions():
 
 
 def test_flaschka_forward_overflow_names_site():
-    q = np.array([0.0, -2000.0, -2000.5, -2001.0])
-    pq = PQState(q, np.zeros(4), offset=7)
-    with pytest.raises(OverflowError) as err:
-        flaschka_forward(pq)
-    assert "site 7" in str(err.value)
+    # a collapsed (or far stretched) pair maps to a = inf (or 0), without a
+    # RuntimeWarning, and the state check names its site
+    for r0, message in ((-2000.0, "LatticeState: non-finite a at site 7"),
+                        (2000.0, "LatticeState: a_n = 0 at site 7")):
+        with pytest.raises(ValueError) as err:
+            relative_to_lattice(GHSState(np.array([r0, -0.5, -0.5]), np.zeros(3), offset=7))
+        assert str(err.value) == message
 
 
 def test_flaschka_inverse_requires_positive_a():
