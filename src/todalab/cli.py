@@ -5,15 +5,18 @@
     todalab print-default-config
 
 Exit codes: 0 all checks passed, 1 a verification failed (first violating
-(n, t) is printed), 2 configuration error (message names the field; seed
-sites, and for observables the bracket sites, must lie in the window; guard
-is at least 1; t_final is a whole number of sample_dt; an order-r hierarchy
-run needs a window of at least 2r + 5 sites; integer fields, hierarchy.r
-and the values of sweep --axis r among them, take no fractional part,
-every number is finite, and so are f(mu) and f(mu + eps),
+(n, t) is printed), 2 configuration error (message names the field; every
+key, at the top level and in a block, is a known field, and a toda
+potential takes no beta; seed sites, and for observables the bracket
+sites, must lie in the window; guard is at least 1; t_final is a whole
+number of sample_dt and t_final / sample_dt is finite; an order-r
+hierarchy run needs a window of at least 2r + 5 sites; integer fields,
+hierarchy.r and the values of sweep --axis r among them, take no
+fractional part, every number is finite, and so are f(mu) and f(mu + eps),
 front_threshold is positive, the config file is UTF-8 JSON that json can
 read, seed is at least 0, seeds are distinct, and sweep values name
-distinct output directories).
+distinct output directories).  An omitted top-level key takes the value
+that print-default-config prints.
 
 Every run writes summary.json (schema 1) plus scenario artifacts: trajectory
 and sensitivity CSVs and light-cone report JSONs.  Every JSON artifact goes
@@ -46,7 +49,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +80,9 @@ class ConfigError(ValueError):
 
 
 def default_config() -> dict:
+    """The one place the top-level defaults are written; config_from_dict
+    fills an omitted top-level key from here.  The spec blocks are examples:
+    an omitted block stays unset."""
     return {
         "scenario": "toda-lightcone",
         "window": 201,
@@ -91,7 +97,7 @@ def default_config() -> dict:
         "envelope_scale": 1.0,
         "front_threshold": 1e-8,
         "obs_range": 40,
-        "integrator": {"method": "rk-adaptive", "tolerance": 1e-10, "step": 0.01},
+        "integrator": asdict(IntegratorConfig()),
         "soliton": {"kappa": 1.0, "sign": 1, "delta": 0.0},
         "hierarchy": {"r": 1, "c": [1, 0]},
         "perturbation": {"family": "cosine", "w0": 0.1},
@@ -102,19 +108,19 @@ def default_config() -> dict:
 @dataclass
 class ExperimentConfig:
     scenario: str
-    window: int = 201
-    guard: int = 10
-    t_final: float = 5.0
-    sample_dt: float = 0.1
-    seeds: tuple = ((0, "b"),)
-    mu: object = "optimal"
-    eps: float = 0.5
-    base: str = "auto"
-    seed: int = 42
-    envelope_scale: float = 1.0
-    front_threshold: float = 1e-8
-    obs_range: int = 40
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
+    window: int
+    guard: int
+    t_final: float
+    sample_dt: float
+    seeds: tuple
+    mu: object
+    eps: float
+    base: str
+    seed: int
+    envelope_scale: float
+    front_threshold: float
+    obs_range: int
+    integrator: IntegratorConfig
     soliton: SolitonSpec | None = None
     hierarchy: HierarchySpec | None = None
     perturbation: PerturbationSpec | None = None
@@ -233,6 +239,10 @@ def _refuse_non_finite(value, path: str):
 def _build_block(cls, block: dict, path: str, required: tuple = (), integers: tuple = ()):
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object")
+    known = {f.name for f in fields(cls)}
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field")
     for key in required:
         if key not in block:
             raise ConfigError(f"{path}.{key}: required")
@@ -254,25 +264,28 @@ _BLOCKS = {"soliton": (SolitonSpec, ("kappa",), ()), "hierarchy": (HierarchySpec
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
-    known = set(default_config()) | {"scenario"}
+    defaults = default_config()
     for key in raw:
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"{key}: unknown field")
     if "scenario" not in raw:
         raise ConfigError("scenario: required")
     for key, value in raw.items():
         if key not in ("t_final", "mu"):    # ExperimentConfig names these itself
             _refuse_non_finite(value, key)
-    kwargs = {key: value for key, value in raw.items()
-              if key != "integrator" and key not in _BLOCKS}
-    for keys, cast, kind in ((("window", "guard", "seed", "obs_range"), _integer, "an integer"),
-                             (("t_final", "sample_dt", "eps", "envelope_scale",
-                               "front_threshold"), float, "a number")):
-        for key in keys:
-            if key in kwargs:
-                kwargs[key] = _cast(kwargs[key], cast, kind, key)
-    if "integrator" in raw:
-        kwargs["integrator"] = _build_block(IntegratorConfig, raw["integrator"], "integrator")
+    # an omitted top-level key takes its default, and a given number the type
+    # of that default
+    kwargs = {}
+    for key, default in defaults.items():
+        if key in _BLOCKS:
+            continue
+        value = raw.get(key, default)
+        if isinstance(default, int):
+            value = _cast(value, _integer, "an integer", key)
+        elif isinstance(default, float):
+            value = _cast(value, float, "a number", key)
+        kwargs[key] = value
+    kwargs["integrator"] = _build_block(IntegratorConfig, kwargs["integrator"], "integrator")
     for name, (cls, required, integers) in _BLOCKS.items():
         if name in raw:
             kwargs[name] = _build_block(cls, raw[name], name, required, integers)
@@ -696,9 +709,7 @@ def _sweep_job(raw_cfg: dict, outdir: str):
         return code, json.load(fh)
 
 
-def run_sweep(config_path, axis: str, values_text: str, outdir, workers: int | None = None) -> int:
-    if workers is not None and workers < 1:
-        raise ConfigError(f"--workers: must be a positive integer, got {workers}")
+def run_sweep(config_path, axis: str, values_text: str, outdir) -> int:
     base_raw = _read_config(config_path)
     values = _parse_values(values_text)
     if not values:
@@ -714,11 +725,9 @@ def run_sweep(config_path, axis: str, values_text: str, outdir, workers: int | N
         taken[name] = v
         jobs.append((raw, str(outdir / name)))
     outdir.mkdir(parents=True, exist_ok=True)
-    if workers is None:
-        workers = min(len(jobs), os.cpu_count() or 1, 4)
     results = []
     worst = 0
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1, 4)) as ex:
         futures = [ex.submit(_sweep_job, raw, sub) for raw, sub in jobs]
         for v, fut in zip(values, futures):
             try:
@@ -753,7 +762,6 @@ def main(argv=None) -> int:
                               "window, t_final, or a dotted path)")
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_sweep.add_argument("--out", default="sweep-out")
-    p_sweep.add_argument("--workers", type=int, default=None)
     sub.add_parser("print-default-config", help="write the default config JSON to stdout")
     args = parser.parse_args(argv)
 
@@ -765,7 +773,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = load_config(args.config)
             return run_config(cfg, args.out)
-        return run_sweep(args.config, args.axis, args.values, args.out, args.workers)
+        return run_sweep(args.config, args.axis, args.values, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -9,8 +9,9 @@ V(x) -> inf as |x| -> inf, the chain
 conserves H = sum_n (p_n^2 / 2 + V(r_n)) and keeps finite-energy data
 bounded: ||p(t)||_2 <= sqrt(2E), ||r(t)||_inf <= M_E with V(+-M_E) = E,
 and ||r(t)||_2 <= sqrt(E) / c where c x^2 <= V(x) on [-M_E, M_E].
-The Toda potential V(x) = e^{-x} + x - 1 turns this into the Flaschka flow
-under a = (1/2) e^{-r/2}, b = -p/2.
+PotentialSpec offers two such potentials, toda and quartic.  The Toda
+potential V(x) = e^{-x} + x - 1 turns this into the Flaschka flow under
+a = (1/2) e^{-r/2}, b = -p/2.
 """
 from __future__ import annotations
 
@@ -24,61 +25,45 @@ from .bounds import Envelope, mu_profile
 from .integrators import Trajectory
 from .state import GHSState, _step_dn, _step_up
 
-_FAMILIES = ("toda", "quartic", "custom")
+_FAMILIES = ("toda", "quartic")
 
 
 @dataclass
 class PotentialSpec:
     """Confining interaction potential.
 
-    toda:    V(x) = e^{-x} + x - 1
+    toda:    V(x) = e^{-x} + x - 1, which takes no beta
     quartic: V(x) = x^2/2 + beta x^4/4, beta >= 0
-    custom:  caller supplies v, dv, d2v; V(0)=V'(0)=0 and V''(0)>0 are
-             spot-checked numerically.
     """
 
     family: str = "toda"
     beta: float = 0.0
-    v: object = None
-    dv: object = None
-    d2v: object = None
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; pick one of {_FAMILIES}")
+        if self.family == "toda" and self.beta != 0:
+            raise ValueError(f"the toda family takes no beta, got {self.beta!r}")
         if self.family == "quartic" and self.beta < 0:
             raise ValueError("quartic needs beta >= 0")
-        if self.family == "custom":
-            if not (callable(self.v) and callable(self.dv) and callable(self.d2v)):
-                raise ValueError("custom family needs callables v, dv, d2v")
-            if abs(float(self.v(0.0))) > 1e-12 or abs(float(self.dv(0.0))) > 1e-12:
-                raise ValueError("potential must satisfy V(0) = V'(0) = 0")
-            if not float(self.d2v(0.0)) > 0:
-                raise ValueError("potential must satisfy V''(0) > 0")
 
     def V(self, x):
+        x = np.asarray(x, dtype=float)
         if self.family == "toda":
-            return np.exp(-np.asarray(x, dtype=float)) + np.asarray(x) - 1.0
-        if self.family == "quartic":
-            x = np.asarray(x, dtype=float)
-            return 0.5 * x * x + 0.25 * self.beta * x ** 4
-        return self.v(x)
+            return np.exp(-x) + x - 1.0
+        return 0.5 * x * x + 0.25 * self.beta * x ** 4
 
     def dV(self, x):
+        x = np.asarray(x, dtype=float)
         if self.family == "toda":
-            return 1.0 - np.exp(-np.asarray(x, dtype=float))
-        if self.family == "quartic":
-            x = np.asarray(x, dtype=float)
-            return x + self.beta * x ** 3
-        return self.dv(x)
+            return 1.0 - np.exp(-x)
+        return x + self.beta * x ** 3
 
     def d2V(self, x):
+        x = np.asarray(x, dtype=float)
         if self.family == "toda":
-            return np.exp(-np.asarray(x, dtype=float))
-        if self.family == "quartic":
-            x = np.asarray(x, dtype=float)
-            return 1.0 + 3.0 * self.beta * x * x
-        return self.d2v(x)
+            return np.exp(-x)
+        return 1.0 + 3.0 * self.beta * x * x
 
 
 def ghs_rhs(s: GHSState, pot: PotentialSpec,
@@ -103,10 +88,9 @@ def ghs_energy(s: GHSState, pot: PotentialSpec) -> float:
 
 
 def confinement_bound(pot: PotentialSpec, energy: float) -> float:
-    """M_E: the largest |x| with V(x) <= E, by bisection on each side down
-    to a bracket of width 1e-10.
-
-    The quartic family has the closed form sqrt((sqrt(1 + 4 beta E) - 1)/beta).
+    """M_E: the largest |x| with V(x) <= E.  The quartic family has the
+    closed form sqrt((sqrt(1 + 4 beta E) - 1)/beta); the toda family is
+    bisected on each side down to a bracket of width 1e-10.
     """
     if energy < 0:
         raise ValueError("energy must be >= 0")

@@ -115,7 +115,11 @@ def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
         raise ValueError("t_final: must be positive and finite")
     if not 0 < sample_dt <= t_final:
         raise ValueError("sample_dt: must lie in (0, t_final]")
-    n = round(t_final / sample_dt)
+    ratio = t_final / sample_dt
+    if ratio == math.inf:
+        raise ValueError(f"t_final: t_final / sample_dt overflows at t_final = {t_final:g}, "
+                         f"sample_dt = {sample_dt:g}")
+    n = round(ratio)
     if abs(n * sample_dt - t_final) > 1e-9 * t_final:
         raise ValueError(f"t_final: must be a whole number of sample_dt = {sample_dt:g}, got {t_final:g}")
     return np.linspace(0.0, n * sample_dt, n + 1)

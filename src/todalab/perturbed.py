@@ -9,8 +9,10 @@ to the b-equation while the a-equation keeps its integrable form.  The flow
 is no longer isospectral; what survives is the a-priori growth estimate
 ||L(t)|| <= ||L(0)|| + ||W'||_inf |t| and (as long as the run stays in a
 delta-bounded set) the propagation bounds with perturbation-corrected
-constants.  The monitors below measure the two state-dependent numbers the
-bounds need: C1 (sup-norm of the trajectory) and C2 (sup of 1/|a_n(t)|).
+constants.  W is one of two families, cosine or rational (PerturbationSpec),
+whose derivative norms have closed forms.  The monitors below measure the
+two state-dependent numbers the bounds need: C1 (sup-norm of the
+trajectory) and C2 (sup of 1/|a_n(t)|).
 """
 from __future__ import annotations
 
@@ -22,79 +24,54 @@ import numpy as np
 from .bounds import C_epsilon, G_mu, compare, velocity_toda
 from .state import LatticeState, _step_dn, hamiltonian_ab, jacobi_norm, toda_rhs
 
-_FAMILIES = ("cosine", "rational", "custom")
+_FAMILIES = ("cosine", "rational")
 
 
 @dataclass
 class PerturbationSpec:
-    """Potential family with explicit derivative norms.
+    """Forcing family and amplitude; the derivative norms are closed forms.
 
     cosine:   W(u) = w0 (1 - cos u)        ||W'|| = ||W''|| = w0
     rational: W(u) = w0 u^2 / (1 + u^2)    ||W'|| = (3 sqrt(3)/8) w0, ||W''|| = 2 w0
-    custom:   caller supplies w, dw, d2w and both norms
     """
 
     family: str = "cosine"
     w0: float = 0.1
-    w: object = None
-    dw: object = None
-    d2w: object = None
-    w1_norm: float | None = None
-    w2_norm: float | None = None
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; pick one of {_FAMILIES}")
-        if self.family == "custom":
-            if not (callable(self.w) and callable(self.dw) and callable(self.d2w)):
-                raise ValueError("custom family needs callables w, dw, d2w")
-            if self.w1_norm is None or self.w2_norm is None:
-                raise ValueError("custom family must declare w1_norm and w2_norm")
-        elif not self.w0 >= 0:
+        if not self.w0 >= 0:
             raise ValueError("w0 must be >= 0")
 
     def W(self, u):
         if self.family == "cosine":
             return self.w0 * (1.0 - np.cos(u))
-        if self.family == "rational":
-            u2 = np.square(u)
-            return self.w0 * u2 / (1.0 + u2)
-        return self.w(u)
+        u2 = np.square(u)
+        return self.w0 * u2 / (1.0 + u2)
 
     def dW(self, u):
         if self.family == "cosine":
             return self.w0 * np.sin(u)
-        if self.family == "rational":
-            return 2.0 * self.w0 * u / np.square(1.0 + np.square(u))
-        return self.dw(u)
+        return 2.0 * self.w0 * u / np.square(1.0 + np.square(u))
 
     def d2W(self, u):
         if self.family == "cosine":
             return self.w0 * np.cos(u)
-        if self.family == "rational":
-            u2 = np.square(u)
-            return 2.0 * self.w0 * (1.0 - 3.0 * u2) / (1.0 + u2) ** 3
-        return self.d2w(u)
+        u2 = np.square(u)
+        return 2.0 * self.w0 * (1.0 - 3.0 * u2) / (1.0 + u2) ** 3
 
     @property
     def dw_sup(self) -> float:
-        if self.family == "cosine":
-            return self.w0
-        if self.family == "rational":
-            return 0.375 * math.sqrt(3.0) * self.w0
-        return float(self.w1_norm)
+        return self.w0 if self.family == "cosine" else 0.375 * math.sqrt(3.0) * self.w0
 
     @property
     def d2w_sup(self) -> float:
-        if self.family == "cosine":
-            return self.w0
-        if self.family == "rational":
-            return 2.0 * self.w0
-        return float(self.w2_norm)
+        return self.w0 if self.family == "cosine" else 2.0 * self.w0
 
     @property
     def vanishes(self) -> bool:
-        return self.family != "custom" and self.w0 == 0.0
+        return self.w0 == 0.0
 
 
 def _forcing(s: LatticeState, pspec: PerturbationSpec, u: np.ndarray) -> np.ndarray:

@@ -95,6 +95,18 @@ def test_default_config_is_valid():
     # gave a null front speed with exit 0
     (lambda r: r.update(front_threshold=0), "front_threshold: must be positive, got 0"),
     (lambda r: r.update(front_threshold=-1), "front_threshold: must be positive, got -1"),
+    # an overflowing sample count ended in an OverflowError traceback
+    (lambda r: r.update(t_final=1e300, sample_dt=1e-300), "t_final: t_final / sample_dt overflows"),
+    # a block key that no run reads was accepted and silently ignored
+    (lambda r: r.update(perturbation={"family": "cosine", "w0": 0.1, "w1_norm": 5}),
+     "perturbation.w1_norm: unknown field"),
+    (lambda r: r.update(potential={"family": "quartic", "beta": 0.1, "v": 3}),
+     "potential.v: unknown field"),
+    (lambda r: r.update(potential={"family": "toda", "beta": 0.5}),
+     "potential: the toda family takes no beta, got 0.5"),
+    # the custom families took callables, which no JSON config can give
+    (lambda r: r.update(perturbation={"family": "custom"}), "perturbation: unknown family 'custom'"),
+    (lambda r: r.update(potential={"family": "custom"}), "potential: unknown family 'custom'"),
 ])
 def test_config_errors_name_the_field(mutate, fragment):
     raw = default_config()
@@ -103,6 +115,33 @@ def test_config_errors_name_the_field(mutate, fragment):
         config_from_dict(raw)
     print(exc.value)
     assert fragment in str(exc.value)
+
+
+# what print-default-config prints; tools/compare_runs.py takes its base
+# config from these bytes
+PRINTED_DEFAULTS = {
+    "scenario": "toda-lightcone", "window": 201, "guard": 10, "t_final": 5.0,
+    "sample_dt": 0.1, "seeds": [[0, "b"]], "mu": "optimal", "eps": 0.5, "base": "auto",
+    "seed": 42, "envelope_scale": 1.0, "front_threshold": 1e-8, "obs_range": 40,
+    "integrator": {"method": "rk-adaptive", "tolerance": 1e-10, "step": 0.01},
+    "soliton": {"kappa": 1.0, "sign": 1, "delta": 0.0},
+    "hierarchy": {"r": 1, "c": [1, 0]},
+    "perturbation": {"family": "cosine", "w0": 0.1},
+    "potential": {"family": "quartic", "beta": 0.1},
+}
+
+
+@pytest.mark.parametrize("key", sorted(set(default_config()) - {
+    "scenario", "soliton", "hierarchy", "perturbation", "potential"}))
+def test_omitted_key_takes_the_printed_default(key, capsys):
+    """A config that omits a top-level key equals one that gives the value
+    print-default-config prints, of the same type."""
+    main(["print-default-config"])
+    printed = json.loads(capsys.readouterr().out)
+    given = config_from_dict(printed)
+    omitted = config_from_dict({k: v for k, v in printed.items() if k != key})
+    assert omitted == given
+    assert type(getattr(omitted, key)) is type(getattr(given, key))
 
 
 def test_integral_floats_are_integers():
@@ -168,6 +207,7 @@ def test_a_config_json_cannot_parse_exits_2(tmp_path, capsys, content, fragment)
 def test_print_default_config_roundtrips(capsys):
     assert main(["print-default-config"]) == 0
     out = capsys.readouterr().out
+    assert out == json.dumps(PRINTED_DEFAULTS, indent=2, sort_keys=True) + "\n"
     raw = json.loads(out)
     cfg = config_from_dict(raw)
     assert cfg.window == raw["window"]
@@ -274,7 +314,7 @@ def test_integrator_max_step_is_not_a_setting(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     assert main(["run", "-c", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "config error: integrator:" in err and "max_step" in err
+    assert "config error: integrator.max_step: unknown field" in err
 
 
 def test_potential_confining_is_not_a_setting(tmp_path, capsys):
@@ -285,7 +325,7 @@ def test_potential_confining_is_not_a_setting(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     assert main(["run", "-c", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "config error: potential:" in err and "confining" in err
+    assert "config error: potential.confining: unknown field" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -328,7 +368,7 @@ def test_sweep_kappa(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "sweep"
     code = main(["sweep", "-c", cfg, "--axis", "kappa",
-                 "--values", "0.5,1.0,1.5", "--out", str(out), "--workers", "3"])
+                 "--values", "0.5,1.0,1.5", "--out", str(out)])
     assert code == 0
     agg = json.loads((out / "sweep.json").read_text())
     assert agg["schema"] == 1
@@ -400,13 +440,3 @@ def test_sweep_unreadable_config_exits_2(tmp_path, capsys, content, fragment):
     assert f"config error: {fragment}" in capsys.readouterr().err
     assert not (out / "sweep.json").exists()
 
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_nonpositive_workers_exits_2(tmp_path, capsys, workers):
-    cfg = write_config(tmp_path, small_run_config(base="soliton"))
-    out = tmp_path / "s"
-    code = main(["sweep", "-c", cfg, "--axis", "kappa", "--values", "1.0",
-                 "--out", str(out), "--workers", workers])
-    assert code == 2
-    assert "config error: --workers" in capsys.readouterr().err
-    assert not out.exists()

@@ -76,3 +76,16 @@ def test_extra_configs_are_labelled_and_tallied_under_their_integrator():
     assert compare_runs.tally([labels[1], labels[1]],
                               ["rk-adaptive", "rk-adaptive", "rk4-fixed"]) == [
         "rk-adaptive: 18 configs, 2 differences", "rk4-fixed: 17 configs, 0 differences"]
+
+
+def test_benchmark_configs_join_the_scenario_configs():
+    """The benchmark's four scenario configs run by default after the 32
+    scenario configs, each under its own integrator."""
+    bench = compare_runs.bench_configs()
+    assert [name for name, _ in bench] == ["bench toda-lightcone-bg", "bench hierarchy-r3",
+                                           "bench brackets-soliton", "bench perturbed-fixed"]
+    assert dict(bench)["bench perturbed-fixed"]["seed"] == 42
+    base = {"integrator": {"method": "rk-adaptive"}}
+    methods = [compare_runs.config_method(config, base) for _, config in bench]
+    assert compare_runs.tally([], methods) == ["rk-adaptive: 19 configs, 0 differences",
+                                               "rk4-fixed: 17 configs, 0 differences"]

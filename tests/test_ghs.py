@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import lambertw
+
 from todalab import IntegratorConfig, evolve_tangent, optimal_mu, verify_light_cone
 from todalab.ghs import (PotentialSpec, confinement_bound,
                          factorial_tail_envelope, ghs_cone_constant,
@@ -43,16 +45,10 @@ def test_potential_validation():
         PotentialSpec(family="morse")
     with pytest.raises(ValueError):
         PotentialSpec(family="quartic", beta=-1.0)
-    with pytest.raises(ValueError):
-        PotentialSpec(family="custom", v=np.cos)
-    with pytest.raises(ValueError):
-        # V(0) != 0
-        PotentialSpec(family="custom", v=lambda x: np.cos(x),
-                      dv=lambda x: -np.sin(x), d2v=lambda x: -np.cos(x))
-    with pytest.raises(ValueError):
-        # V''(0) < 0
-        PotentialSpec(family="custom", v=lambda x: -x * x,
-                      dv=lambda x: -2 * x, d2v=lambda x: -2.0 + 0 * x)
+    # the toda potential reads no beta, so a beta there was silently ignored
+    with pytest.raises(ValueError, match="toda family takes no beta, got 0.5"):
+        PotentialSpec(family="toda", beta=0.5)
+    assert PotentialSpec(family="toda", beta=0.0).beta == 0.0
 
 
 def test_rhs_hand_values():
@@ -107,6 +103,15 @@ def test_confinement_bound_toda():
     assert confinement_bound(pot, 0.0) == 0.0
     with pytest.raises(ValueError):
         confinement_bound(pot, -1.0)
+    # the bisection against the closed form: e^{-x} + x - 1 = E at
+    # x = E + 1 + W_k(-e^{-(E+1)}), the positive root on the principal branch
+    # k = 0 and the negative one on k = -1
+    for energy in (0.1, 0.5, 2.0, 10.0):
+        z = -math.exp(-(energy + 1.0))
+        right = energy + 1.0 + lambertw(z, 0).real
+        left = energy + 1.0 + lambertw(z, -1).real
+        print(energy, right, left)
+        assert confinement_bound(pot, energy) == pytest.approx(max(right, -left), abs=1e-9)
 
 
 def test_confinement_bound_quartic_closed_form():
@@ -116,20 +121,13 @@ def test_confinement_bound_quartic_closed_form():
     assert m == pytest.approx(math.sqrt((math.sqrt(1.0 + 0.8) - 1.0) / 0.1))
     assert confinement_bound(PotentialSpec(family="quartic", beta=0.0), 2.0) \
         == pytest.approx(2.0)
-    # bisection on a custom clone of the same well agrees with the closed form
-    clone = PotentialSpec(family="custom",
-                          v=lambda x: 0.5 * x * x + 0.025 * np.asarray(x) ** 4,
-                          dv=lambda x: x + 0.1 * np.asarray(x) ** 3,
-                          d2v=lambda x: 1.0 + 0.3 * np.asarray(x) ** 2)
-    assert confinement_bound(clone, 2.0) == pytest.approx(m, abs=1e-9)
 
 
 def test_non_confining_potential_detected():
-    flat = PotentialSpec(
-        family="custom",
-        v=lambda x: np.asarray(x) ** 2 / (1.0 + np.asarray(x) ** 2),
-        dv=lambda x: 2.0 * np.asarray(x) / (1.0 + np.asarray(x) ** 2) ** 2,
-        d2v=lambda x: 2.0 * (1.0 - 3.0 * np.asarray(x) ** 2) / (1.0 + np.asarray(x) ** 2) ** 3)
+    # a toda spec whose V is replaced by a well that tops out at 1: the
+    # bisection is the code path that meets a potential of any shape
+    flat = PotentialSpec(family="toda")
+    flat.V = lambda x: np.asarray(x) ** 2 / (1.0 + np.asarray(x) ** 2)
     with pytest.raises(ValueError, match="confining"):
         confinement_bound(flat, 2.0)     # the well tops out below this level
 

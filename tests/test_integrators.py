@@ -66,6 +66,9 @@ def test_sample_times():
             sample_times(t_final, dt)
     # within 1e-9 relative the last sample is n * sample_dt
     assert sample_times(3.0, 0.1)[-1] == 30 * 0.1
+    # an overflowing sample count ended in an OverflowError traceback
+    with pytest.raises(ValueError, match="t_final: t_final / sample_dt overflows"):
+        sample_times(1e300, 1e-300)
 
 
 def test_solve_vector_linear_exact():

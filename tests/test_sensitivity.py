@@ -216,19 +216,12 @@ def _mixed_sign_state(n):
     return LatticeState(a, x.b, x.offset, x.background)
 
 
-def _custom_perturbation():
-    return PerturbationSpec(family="custom", w=lambda u: 0.05 * np.sin(u) ** 2,
-                            dw=lambda u: 0.05 * np.sin(2.0 * u),
-                            d2w=lambda u: 0.1 * np.cos(2.0 * u), w1_norm=0.05, w2_norm=0.1)
-
-
 LATTICE_FLOWS = {
     "toda": ("toda", None),
     **{f"hierarchy-r{r}": ("hierarchy", HierarchySpec(r, c))
        for r, c in ((1, (1.0, 0.5)), (2, (1.0, 0.0, -0.3)), (3, (1.0, 0.2, 0.0, 0.1)))},
     "perturbed-cosine": ("perturbed", PerturbationSpec("cosine", 0.2)),
     "perturbed-rational": ("perturbed", PerturbationSpec("rational", 0.3)),
-    "perturbed-custom": ("perturbed", _custom_perturbation()),
     "perturbed-w0-zero": ("perturbed", PerturbationSpec("cosine", 0.0)),
 }
 LATTICE_STATES = {"random": lambda n: random_localized_state(n, seed=3),
@@ -369,7 +362,7 @@ def _ghs_rhs_concatenated(s, pot, dr, dp):
 
 @pytest.mark.parametrize("state", LATTICE_STATES)
 @pytest.mark.parametrize("flow", ["toda", "perturbed-cosine", "perturbed-rational",
-                                  "perturbed-custom", "perturbed-w0-zero"])
+                                  "perturbed-w0-zero"])
 def test_sliced_shifts_equal_concatenated_shifts_bitwise(flow, state):
     """The fields fill their neighbor arrays by slices; every value, signed
     zeros and NaNs included, is the one the np.concatenate form gave."""

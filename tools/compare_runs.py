@@ -10,20 +10,24 @@ example an export of the parent commit made with
 Each of the 8 scenarios runs at the parent's `default_config()` under
 rk-adaptive and rk4-fixed, with 1 and 3 seeds, once from each tree
 (`python3 -m todalab run`, one process at a time, artifacts in a temporary
-directory).  Each extra CONFIG.json runs once from each tree as it is, under
-its own integrator (the parent's default when it names none); the
-benchmark's scenario configs are worth adding, since they reach sizes the
-defaults do not (N=1001, t=20).  The report lists differing exit codes and
-stderr, artifact files present in one tree only, and files whose bytes
-differ: for a JSON file every differing key, for a CSV file the number of
-differing rows.  It also lists every JSON artifact, in either tree, that is
-not strict JSON (holds a NaN or Infinity token).  It ends with one tally per
-integrator, for example `rk4-fixed: 16 configs, 0 differences`, extra
-configs counted under theirs.  Exit status 0 when every run matches byte
-for byte and every JSON artifact is strict, 1 otherwise.
+directory): 32 configs.  Then the benchmark's 4 scenario configs run, as
+`SCENARIOS[name].run_config(DEFAULT_SEED)` of perfbench/workloads.py (read,
+never written, from the checkout holding this tool) gives them; they reach
+sizes the defaults do not (N=1001, t=20).  Each extra CONFIG.json runs last.
+A benchmark or extra config runs once from each tree as it is, under its
+own integrator (the parent's default when it names none).  The report lists
+differing exit codes and stderr, artifact files present in one tree only,
+and files whose bytes differ: for a JSON file every differing key, for a
+CSV file the number of differing rows.  It also lists every JSON artifact,
+in either tree, that is not strict JSON (holds a NaN or Infinity token).
+It ends with one tally per integrator, for example `rk4-fixed: 17 configs,
+0 differences`, the benchmark and extra configs counted under theirs.  Exit
+status 0 when every run matches byte for byte and every JSON artifact is
+strict, 1 otherwise.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -37,6 +41,7 @@ INTEGRATORS = {"rk-adaptive": {"method": "rk-adaptive", "tolerance": 1e-10},
                "rk4-fixed": {"method": "rk4-fixed", "step": 0.01}}
 # seed sites 0 and 1 are adjacent, so observables reuses the grid they share
 SEEDS = {1: [[0, "b"]], 3: [[0, "b"], [0, "a"], [1, "b"]]}
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _todalab(src, *args):
@@ -146,6 +151,17 @@ def default_config(src) -> dict:
     return json.loads(proc.stdout)
 
 
+def bench_configs() -> list:
+    """(name, config) of each benchmark scenario, at the benchmark's
+    default seed, as perfbench/workloads.py builds them."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    # registered before it runs, as its dataclasses look their module up
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(f"bench {name}", scenario.run_config(workloads.DEFAULT_SEED))
+            for name, scenario in workloads.SCENARIOS.items()]
+
+
 def compare(parent_src, change_src, workdir: Path, base: dict, extra=()):
     """Yield (run label, difference) pairs over every scenario, integrator
     and seed count of the default config base, then over the extra configs,
@@ -181,10 +197,8 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     base = default_config(argv[0])
-    extra = []
-    for path in argv[2:]:
-        config = json.loads(Path(path).read_text())
-        extra.append((path, config, config_method(config, base)))
+    named = bench_configs() + [(path, json.loads(Path(path).read_text())) for path in argv[2:]]
+    extra = [(name, config, config_method(config, base)) for name, config in named]
     labels = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, line in compare(argv[0], argv[1], Path(tmp), base, extra):
