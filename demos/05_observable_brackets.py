@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from todalab import IntegratorConfig, SolitonSpec, evolve_tangent, optimal_mu, soliton_state
+from todalab import (IntegratorConfig, SolitonSpec, evolve_tangent, jacobi_norm, optimal_mu,
+                     soliton_state, velocity_toda)
 from todalab.observables import (basic_observables, bracket_bound_constant,
                                  check_bracket_bound, evolved_bracket,
                                  hamiltonian_window_observable, poisson_bracket,
@@ -50,5 +51,6 @@ for t in (0.0, 1.0, 2.0, 4.0):
     print(f"{t:4.1f} | " + " ".join(f"{v:5.0e}" for v in vals))
 
 As = [basic_observables(n)[0] for n in range(-25, 26)]
-worst = max(rep.max_ratio for rep in check_bracket_bound(As, b0, x, times, mu, grids))
+v = velocity_toda(mu, jacobi_norm(x))
+worst = max(rep.max_ratio for rep in check_bracket_bound(As, b0, x, times, mu, v, grids))
 print(f"\nbound check over 51 pairs: worst observed/bound = {worst:.3g}")

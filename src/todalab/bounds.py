@@ -24,7 +24,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import lambertw
 
 from .hierarchy import HierarchySpec, path_counts
 from .integrators import write_json
@@ -48,8 +47,10 @@ def velocity_toda(mu: float, Lnorm: float = 1.0) -> float:
 def optimal_mu():
     """(mu0, f(mu0)) minimizing the velocity.  The stationarity condition
     mu^2 e^{mu+1} = 1 reads (mu/2) e^{mu/2} = e^{-1/2}/2, so
-    mu0 = 2 W0(e^{-1/2}/2) with W0 the principal Lambert W branch."""
-    mu = 2.0 * float(lambertw(0.5 * math.exp(-0.5)).real)
+    mu0 = 2 W0(e^{-1/2}/2) with W0 the principal Lambert W branch.  mu0 is
+    the double that scipy.special.lambertw gives, written out so that no
+    config parse imports scipy.special; the tests recompute it."""
+    mu = 0.4776700622632156
     return mu, mu_profile(mu)
 
 

@@ -10,7 +10,8 @@ key, at the top level and in a block, is a known field, and a toda
 potential takes no beta; seed sites, and for observables the bracket
 sites, must lie in the window; guard is at least 1; t_final is a whole
 number of sample_dt and t_final / sample_dt is finite; an order-r
-hierarchy run needs a window of at least 2r + 5 sites; integer fields,
+hierarchy run needs a window of at least 2r + 5 sites; a number field, at
+the top level or in a block, takes its declared type; integer fields,
 hierarchy.r and the values of sweep --axis r among them, take no
 fractional part, every number is finite, and so are f(mu) and f(mu + eps),
 front_threshold is positive, the config file is UTF-8 JSON that json can
@@ -48,7 +49,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -56,7 +56,7 @@ import numpy as np
 
 from .bounds import (LightConeReport, hierarchy_envelope, mu_profile, optimal_mu,
                      perturbed_envelope, timedep_envelope, toda_envelope,
-                     velocity_hierarchy, verify_light_cone)
+                     velocity_hierarchy, velocity_toda, verify_light_cone)
 from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
@@ -222,6 +222,19 @@ def _cast(value, cast, kind: str, path: str):
         raise ConfigError(f"{path}: expected {kind}, got {value!r}") from None
 
 
+# a number type's cast and the kind its error names
+_NUMBERS = {"int": (_integer, "an integer"), "float": (float, "a number")}
+
+
+def _number(value, declared: str, path: str):
+    """value cast to the number type declared, "int" or "float", and
+    finite: a string such as "inf" passes the check of the raw config."""
+    cast, kind = _NUMBERS[declared]
+    value = _cast(value, cast, kind, path)
+    _refuse_non_finite(value, path)
+    return value
+
+
 def _refuse_non_finite(value, path: str):
     """Raise a ConfigError naming, by its path, the first number in value,
     a config entry with its nested objects and lists, that is not a finite
@@ -236,29 +249,28 @@ def _refuse_non_finite(value, path: str):
             _refuse_non_finite(item, f"{path}[{i}]")
 
 
-def _build_block(cls, block: dict, path: str, required: tuple = (), integers: tuple = ()):
+def _build_block(cls, block: dict, path: str, required: tuple = ()):
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object")
-    known = {f.name for f in fields(cls)}
+    # the declared type of each field, "float" or "int" for a number
+    declared = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
     for key in block:
-        if key not in known:
+        if key not in declared:
             raise ConfigError(f"{path}.{key}: unknown field")
     for key in required:
         if key not in block:
             raise ConfigError(f"{path}.{key}: required")
-    block = dict(block)
-    for key in integers:
-        if key in block:
-            block[key] = _cast(block[key], _integer, "an integer", f"{path}.{key}")
+    block = {key: _number(value, declared[key], f"{path}.{key}") if declared[key] in _NUMBERS
+             else value for key, value in block.items()}
     try:
         return cls(**block)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from None
 
 
-# spec blocks: type, required keys and integer keys
-_BLOCKS = {"soliton": (SolitonSpec, ("kappa",), ()), "hierarchy": (HierarchySpec, (), ("r",)),
-           "perturbation": (PerturbationSpec, (), ()), "potential": (PotentialSpec, (), ())}
+# spec blocks: type and required keys
+_BLOCKS = {"soliton": (SolitonSpec, ("kappa",)), "hierarchy": (HierarchySpec, ()),
+           "perturbation": (PerturbationSpec, ()), "potential": (PotentialSpec, ())}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -274,21 +286,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if key not in ("t_final", "mu"):    # ExperimentConfig names these itself
             _refuse_non_finite(value, key)
     # an omitted top-level key takes its default, and a given number the type
-    # of that default
+    # of that default, as a block's number takes its field's declared type
     kwargs = {}
     for key, default in defaults.items():
         if key in _BLOCKS:
             continue
-        value = raw.get(key, default)
-        if isinstance(default, int):
-            value = _cast(value, _integer, "an integer", key)
-        elif isinstance(default, float):
+        value, declared = raw.get(key, default), type(default).__name__
+        if key == "t_final":        # ExperimentConfig names a non-finite one itself
             value = _cast(value, float, "a number", key)
+        elif declared in _NUMBERS:
+            value = _number(value, declared, key)
         kwargs[key] = value
     kwargs["integrator"] = _build_block(IntegratorConfig, kwargs["integrator"], "integrator")
-    for name, (cls, required, integers) in _BLOCKS.items():
+    for name, (cls, required) in _BLOCKS.items():
         if name in raw:
-            kwargs[name] = _build_block(cls, raw[name], name, required, integers)
+            kwargs[name] = _build_block(cls, raw[name], name, required)
     cfg = ExperimentConfig(**kwargs)
     for name in SCENARIOS[cfg.scenario].blocks:
         if getattr(cfg, name) is None:
@@ -536,6 +548,7 @@ def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
 def _run_observables(cfg: ExperimentConfig, out: Path):
     mu = cfg.resolved_mu()
     x = _base_lattice(cfg)
+    v = velocity_toda(mu, jacobi_norm(x))      # one norm for every bracket bound
     m_list = sorted({site for site, _ in cfg.seeds})
     times = sample_times(cfg.t_final, cfg.sample_dt)
     reach = cfg.obs_range
@@ -554,7 +567,7 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
         clean = clean and all(grid.clean(cfg.guard) for grid in grids.values())
         sites = range(m - reach, m + reach + 1)
         reports = check_bracket_bound([basic_observables(n)[0] for n in sites],
-                                      b_m, x, times, mu, grids)
+                                      b_m, x, times, mu, v, grids)
         for n, rep in zip(sites, reports):
             n_viol += rep.n_violations
             worst_ratio = max(worst_ratio, rep.max_ratio)
@@ -710,6 +723,7 @@ def _sweep_job(raw_cfg: dict, outdir: str):
 
 
 def run_sweep(config_path, axis: str, values_text: str, outdir) -> int:
+    from concurrent.futures import ProcessPoolExecutor     # only a sweep needs it
     base_raw = _read_config(config_path)
     values = _parse_values(values_text)
     if not values:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .bounds import Envelope, mu_profile
 from .integrators import Trajectory
@@ -193,6 +192,7 @@ def factorial_tail_envelope(c: float, dist, t):
     """The iterate bound C sum_{k >= d} (2 C t)^k / k!, evaluated stably as
     C e^x P(d, x) with P the regularized lower incomplete gamma function
     (P(0, x) = 1 recovers C e^x at distance zero)."""
+    from scipy.special import gammainc     # only this bound needs it
     dist = np.asarray(dist, dtype=float)
     x = 2.0 * c * abs(float(t))
     safe = np.where(dist > 0, dist, 1.0)

@@ -2,7 +2,9 @@
 
 Two integrators behind one config:
 
-* "rk-adaptive": dormand-prince 8(5,3) via scipy, rtol = atol = tolerance.
+* "rk-adaptive": dormand-prince 8(5,3), rtol = atol = tolerance.  The
+  stepper is dop853.py's, which takes the steps and gives the bits of
+  scipy's solve_ivp(method="DOP853") without importing scipy.integrate.
   Use for accuracy-critical runs.
 * "rk4-fixed": hand-rolled classical RK4 with a deterministic number of
   equal substeps per sample interval.  Use when byte-identical reruns
@@ -41,8 +43,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dop853 import dop853
 from .state import (GHSState, LatticeState, _relative_ab,
                     hamiltonian_ab, jacobi_norm, trace_invariants)
 
@@ -95,12 +97,7 @@ def solve_vector(fun, y0: np.ndarray, times: np.ndarray,
                 t += h
             out[i + 1] = y
         return out
-    sol = solve_ivp(fun, (times[0], times[-1]), y0, method="DOP853",
-                    t_eval=times, rtol=cfg.tolerance, atol=cfg.tolerance,
-                    dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    out = sol.y.T
+    out = dop853(fun, y0, times, cfg.tolerance)
     # the start itself, not the dense output of the first step at its left
     # end, which is NaN where that step's coefficients overflowed
     out[0] = y0

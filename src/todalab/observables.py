@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SQRT17, Envelope, compare, velocity_toda
-from .state import LatticeState, jacobi_norm, site_energy
+from .bounds import SQRT17, Envelope, compare
+from .state import LatticeState, site_energy
 
 
 @dataclass
@@ -206,23 +206,24 @@ class BracketBoundReport:
 
 
 def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
-                        mu: float, grids: dict) -> list:
+                        mu: float, v: float, grids: dict) -> list:
     """One BracketBoundReport per observable A in As, in order: whether
 
         |{A o flow_t, B}(x)| <= C ||a||_inf sum_{n,m} (|dA| sums)(|dB| sums) e^{-mu(|n-m| - v|t|)}
 
-    at the given sample times.  v uses the initial operator norm; derivative
-    norms are declared or horizon-measured as available.  What depends only
-    on (x, B) is computed once: v, C, ||a||_inf, B's seed weights and norms,
-    and the base states at the samples.  Each e^{-mu(|n-m| - v|t|)} is the
-    value of one prefactor-1 Envelope; bounds.compare gives the verdict.
+    at the given sample times.  v is the caller's velocity_toda(mu,
+    jacobi_norm(x)), from the initial operator norm, computed once per
+    state; derivative norms are declared or horizon-measured as available.
+    What depends only on (x, B) is computed once: C, ||a||_inf, B's seed
+    weights and norms, and the base states at the samples.  Each
+    e^{-mu(|n-m| - v|t|)} is the value of one prefactor-1 Envelope;
+    bounds.compare gives the verdict.
     """
     weights = required_bracket_seeds(B, x)
     grid = _seed_grid(weights, grids)
     states = [grid.base.state(i) for i in range(grid.n_samples)] if grid else []
     times = np.asarray(times, dtype=float)
     rows = [grid.time_index(t) for t in times] if grid else []
-    v = velocity_toda(mu, jacobi_norm(x))
     cone = Envelope(family="bracket", mu=mu, prefactor=1.0, speed=v)
     c = bracket_bound_constant(mu)
     a_sup = float(np.max(np.abs(x.a)))

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .state import LatticeState, centered_offset
 
@@ -42,6 +41,7 @@ def _phase(spec: SolitonSpec, n, t: float):
 
 def soliton_flaschka(spec: SolitonSpec, n, t: float = 0.0):
     """(a_n(t), b_n(t)) at integer sites n (scalar or array)."""
+    from scipy.special import expit     # only a soliton needs it
     u = _phase(spec, n, t)
     u_prev = _phase(spec, np.asarray(n, dtype=float) - 1.0, t)
     sig = expit(u)
@@ -53,6 +53,7 @@ def soliton_flaschka(spec: SolitonSpec, n, t: float = 0.0):
 
 def soliton_pq(spec: SolitonSpec, n, t: float = 0.0):
     """(q_n(t), p_n(t)) with the constant fixed by q -> 0 as n -> +inf."""
+    from scipy.special import expit     # only a soliton needs it
     u = _phase(spec, n, t)
     u_prev = _phase(spec, np.asarray(n, dtype=float) - 1.0, t)
     lf = np.logaddexp(0.0, u)

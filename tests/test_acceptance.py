@@ -277,7 +277,8 @@ def test_13_observable_brackets():
     n_viol = 0
     worst_ratio = 0.0
     As = [basic_observables(n)[0] for n in range(-40, 41)]
-    for rep in check_bracket_bound(As, B0, sol, times, MU0, grids):
+    for rep in check_bracket_bound(As, B0, sol, times, MU0, velocity_toda(MU0, jacobi_norm(sol)),
+                                   grids):
         n_viol += rep.n_violations
         worst_ratio = max(worst_ratio, rep.max_ratio)
 

@@ -52,6 +52,13 @@ def test_optimal_mu_lambertw_oracle():
     assert abs(mu0 - lo) <= 4 * math.ulp(mu0)
 
 
+def test_optimal_mu_is_the_lambertw_closed_form():
+    """optimal_mu writes mu0 out so that no config parse imports
+    scipy.special; it is the double the closed form gives."""
+    from scipy.special import lambertw
+    assert optimal_mu()[0] == 2.0 * float(lambertw(0.5 * math.exp(-0.5)).real)
+
+
 def test_optimal_mu_minimizes_velocity():
     mu0, _ = optimal_mu()
     grid = np.linspace(0.05, 3.0, 4001)

@@ -107,6 +107,16 @@ def test_default_config_is_valid():
     # the custom families took callables, which no JSON config can give
     (lambda r: r.update(perturbation={"family": "custom"}), "perturbation: unknown family 'custom'"),
     (lambda r: r.update(potential={"family": "custom"}), "potential: unknown family 'custom'"),
+    # a block's number was not cast, so the error named the block, not the key
+    (lambda r: r["perturbation"].update(w0="small"), "perturbation.w0: expected a number, got 'small'"),
+    (lambda r: r["soliton"].update(kappa=[1]), "soliton.kappa: expected a number, got [1]"),
+    (lambda r: r["soliton"].update(sign=0.5), "soliton.sign: expected an integer, got 0.5"),
+    (lambda r: r["integrator"].update(tolerance="tight"),
+     "integrator.tolerance: expected a number, got 'tight'"),
+    (lambda r: r["potential"].update(beta=None), "potential.beta: expected a number, got None"),
+    # a number given as a string passed the finiteness check of the raw config
+    (lambda r: r["soliton"].update(delta="-inf"), "soliton.delta: must be finite, got -inf"),
+    (lambda r: r.update(scenario="interpolation", eps="inf"), "eps: must be finite, got inf"),
 ])
 def test_config_errors_name_the_field(mutate, fragment):
     raw = default_config()
@@ -142,6 +152,23 @@ def test_omitted_key_takes_the_printed_default(key, capsys):
     omitted = config_from_dict({k: v for k, v in printed.items() if k != key})
     assert omitted == given
     assert type(getattr(omitted, key)) is type(getattr(given, key))
+
+
+def test_block_numbers_take_their_declared_type():
+    """A block's number is cast to its field's declared type, as a top-level
+    number takes the type of its default: numeric strings included."""
+    cfg = config_from_dict({**default_config(), "scenario": "ghs", "sample_dt": "0.1",
+                            "soliton": {"kappa": "1", "sign": "-1"},
+                            "perturbation": {"family": "cosine", "w0": "0.1"},
+                            "potential": {"family": "quartic", "beta": 1},
+                            "integrator": {"tolerance": "1e-10", "step": 1}})
+    assert cfg.sample_dt == 0.1
+    assert (cfg.soliton.kappa, cfg.soliton.sign) == (1.0, -1)
+    assert type(cfg.soliton.kappa) is float and type(cfg.soliton.sign) is int
+    assert cfg.perturbation.w0 == 0.1 and cfg.potential.beta == 1.0
+    assert type(cfg.potential.beta) is float
+    assert (cfg.integrator.tolerance, cfg.integrator.step) == (1e-10, 1.0)
+    assert type(cfg.integrator.step) is float
 
 
 def test_integral_floats_are_integers():
@@ -423,6 +450,36 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["scenario"] == "toda-lightcone"
+
+
+def test_the_cli_starts_without_scipy_integrate_optimize_or_special(tmp_path):
+    """A fresh interpreter that imports the CLI and parses every scenario's
+    default config, the set-up of each `todalab run` and of perfbench's
+    set-up child, loads none of scipy.integrate, scipy.optimize and
+    scipy.special, which took two thirds of that set-up; nor does a
+    toda-lightcone run under rk-adaptive."""
+    code = """if True:
+        import json, sys
+        import todalab.cli as cli
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+        loaded = []
+        for name in cli.SCENARIOS:
+            path = f"{sys.argv[1]}/{name}.json"
+            with open(path, "w") as fh:
+                json.dump({**cli.default_config(), "scenario": name}, fh)
+            cli.load_config(path)
+        loaded.append([m for m in heavy if m in sys.modules])
+        cfg = cli.config_from_dict({**cli.default_config(), "window": 41, "t_final": 0.5})
+        code = cli.run_config(cfg, f"{sys.argv[1]}/run")
+        loaded.append([m for m in heavy if m in sys.modules])
+        print(json.dumps([code, cfg.integrator.method, loaded]))
+    """
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, "rk-adaptive", [[], []]]
 
 
 @pytest.mark.parametrize("content,fragment", [

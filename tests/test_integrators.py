@@ -12,7 +12,8 @@ from todalab import (GHSState, IntegratorConfig, LatticeState, SolitonSpec,
                      integrate, random_localized_state, soliton_state,
                      trace_invariants)
 from todalab.ghs import PotentialSpec, ghs_rhs
-from todalab import integrators, sensitivity
+from todalab import dop853, integrators, sensitivity
+from todalab.hierarchy import HierarchySpec
 from todalab.integrators import sample_times, solve_vector, write_csv
 from todalab.sensitivity import make_flow
 from todalab.state import toda_rhs
@@ -82,6 +83,124 @@ def test_solve_vector_linear_exact():
     for i, t in enumerate(times):
         ref = expm(A * t) @ y0
         assert np.max(np.abs(ys[i] - ref)) < 1e-8
+
+
+# -- the DOP853 stepper against scipy's solve_ivp ---------------------------------
+
+def assert_solve_ivp_bits(fun, y0, times, tol=1e-10):
+    """solve_vector under rk-adaptive equals solve_ivp(method="DOP853",
+    t_eval=times) bit for bit, row 0 aside, which is y0 itself, and makes
+    solve_ivp's number of rhs evaluations."""
+    from scipy.integrate import solve_ivp
+    evals = []
+    ys = solve_vector(lambda t, y: evals.append(t) or fun(t, y), y0, times,
+                      IntegratorConfig(tolerance=tol))
+    sol = solve_ivp(fun, (times[0], times[-1]), y0, method="DOP853", t_eval=times,
+                    rtol=tol, atol=tol)
+    assert sol.success, sol.message
+    assert ys[0].tobytes() == np.asarray(y0, dtype=float).tobytes()
+    assert ys[1:].tobytes() == sol.y.T[1:].tobytes()
+    assert len(evals) == sol.nfev
+
+
+def _one_solve(monkeypatch, run):
+    """(fun, y0, times) of the one solve_vector call that run() makes."""
+    calls = []
+    solve = integrators.solve_vector
+    monkeypatch.setattr(integrators, "solve_vector",
+                        lambda *args: calls.append(args) or solve(*args))
+    run()
+    [(fun, y0, times, _cfg)] = calls
+    return fun, y0, times
+
+
+RUNS = {
+    "toda-tangent": lambda: evolve_tangent(random_localized_state(1001, seed=2), (0, "b"), 5.0,
+                                           IntegratorConfig(), sample_dt=0.1),
+    "hierarchy-r3": lambda: evolve_tangent(random_localized_state(61, seed=2), (0, "a"), 1.0,
+                                           IntegratorConfig(), "hierarchy",
+                                           HierarchySpec(3, (1.0, 0.3, 0.2, 0.1)),
+                                           sample_dt=0.05),
+    "ghs-chain": lambda: integrate(GHSState(np.zeros(41), np.exp(-(np.arange(-20, 21) / 3.0) ** 2),
+                                            -20),
+                                   lambda s: ghs_rhs(s, PotentialSpec("quartic", 0.1)), 3.0,
+                                   IntegratorConfig(), sample_dt=0.25),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_dop853_is_solve_ivp_on_window_solves(run, monkeypatch):
+    fun, y0, times = _one_solve(monkeypatch, RUNS[run])
+    assert_solve_ivp_bits(fun, y0, times)
+
+
+def test_dop853_is_solve_ivp_on_a_linear_system():
+    rng = np.random.default_rng(0)
+    A = rng.normal(0.0, 0.3, (4, 4))
+    assert_solve_ivp_bits(lambda t, y: A @ y, rng.normal(0.0, 1.0, 4), np.linspace(0.0, 2.0, 5))
+
+
+def test_dop853_is_solve_ivp_through_rejected_steps(monkeypatch):
+    """A stiff pull toward cos t: the step control rejects steps, and the
+    next step after a rejection may not grow."""
+    norms = []
+    error_norm = dop853._error_norm
+    monkeypatch.setattr(dop853, "_error_norm", lambda *args: norms.append(error_norm(*args))
+                        or norms[-1])
+    assert_solve_ivp_bits(lambda t, y: -50.0 * (y - np.cos(t)), np.array([1.0, 0.0, -1.0]),
+                          np.linspace(0.0, 3.0, 31), tol=1e-9)
+    assert sum(norm >= 1 for norm in norms) >= 3
+
+
+def test_dop853_is_solve_ivp_at_a_sample_on_a_step_end(monkeypatch):
+    """Steps do not depend on the sample times, so a step end found in one
+    solve is a sample on a step's end in the next, taken from that step's
+    dense output."""
+    steps = []
+    dense = dop853._dense
+    monkeypatch.setattr(dop853, "_dense", lambda *args: steps.append((args[4], args[7][-1]))
+                        or dense(*args))
+    rng = np.random.default_rng(3)
+    A = rng.normal(0.0, 0.5, (6, 6))
+    times = np.linspace(0.0, 4.0, 401)
+    solve_vector(lambda t, y: A @ y, np.ones(6), times, IntegratorConfig())
+    end = next(t for t, _ in steps[1:-1] if t not in times)
+    steps.clear()
+    times = np.sort(np.append(times, end))
+    assert_solve_ivp_bits(lambda t, y: A @ y, np.ones(6), times)
+    assert (end, end) in steps
+
+
+def test_dop853_tableau_is_scipys_bit_for_bit():
+    from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        ours, theirs = getattr(dop853, name), getattr(scipy_tableau, name)
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+
+
+def test_dop853_raises_scipys_message_when_the_step_vanishes():
+    """y' = y^2 blows up at t = 1: the step falls below 10 ulp of t."""
+    from scipy.integrate import solve_ivp
+    times = np.linspace(0.0, 2.0, 5)
+    sol = solve_ivp(lambda t, y: y * y, (0.0, 2.0), np.ones(1), method="DOP853", t_eval=times,
+                    rtol=1e-10, atol=1e-10)
+    assert not sol.success
+    with pytest.raises(RuntimeError) as err:
+        solve_vector(lambda t, y: y * y, np.ones(1), times, IntegratorConfig())
+    assert str(err.value) == f"integration failed: {sol.message}"
+
+
+def test_dop853_raises_rtol_to_100_eps_as_scipy_does():
+    with pytest.warns(UserWarning) as caught:
+        assert_solve_ivp_bits(lambda t, y: -y, np.ones(3), np.linspace(0.0, 1.0, 3), tol=1e-15)
+    assert "tolerance 1e-15 is below 100 eps: rtol is raised to 2.22045e-14" in map(
+        str, (w.message for w in caught))
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 0.0], [0.0, np.nan]])
+def test_adaptive_sample_times_must_increase_strictly(times):
+    with pytest.raises(ValueError, match="sample times must increase strictly"):
+        solve_vector(lambda t, y: -y, np.ones(2), times, IntegratorConfig())
 
 
 def test_rk4_fixed_step_order():

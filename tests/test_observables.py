@@ -16,6 +16,12 @@ from todalab.state import LatticeState, jacobi_norm, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
 
+
+def _speed(mu, x):
+    """The bracket bound's velocity, which check_bracket_bound takes from its caller."""
+    return velocity_toda(mu, jacobi_norm(x))
+
+
 EXPECTED = {
     "bracket_constant_at_mu0": 1.2671581423191713,
 }
@@ -136,7 +142,7 @@ def test_observable_outside_the_window_is_named(site):
              for s in required_bracket_seeds(b0, x)}
     a_far, _ = basic_observables(site)
     with pytest.raises(IndexError, match=rf"observable site {site} outside window \[-20, 21\)"):
-        check_bracket_bound([a_far], b0, x, grids[(0, "a")].times, 0.5, grids)
+        check_bracket_bound([a_far], b0, x, grids[(0, "a")].times, 0.5, 1.0, grids)
 
 
 def test_evolved_bracket_zero_derivative_observable():
@@ -182,7 +188,7 @@ def test_bracket_bound_holds_on_soliton():
     grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25) for s in seeds}
     times = grids[seeds[0]].times
     a5, _ = basic_observables(5)
-    [rep] = check_bracket_bound([a5], b0, sol, times, mu0, grids)
+    [rep] = check_bracket_bound([a5], b0, sol, times, mu0, _speed(mu0, sol), grids)
     print("ratio:", rep.max_ratio, rep.norm_source)
     assert rep.ok
     assert rep.n_violations == 0
@@ -199,7 +205,8 @@ def test_bracket_bound_measures_norms_when_undeclared():
     seeds = sorted(required_bracket_seeds(b0, sol))
     grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25) for s in seeds}
     H = hamiltonian_window_observable(range(3, 8))
-    [rep] = check_bracket_bound([H], b0, sol, grids[seeds[0]].times, mu0, grids)
+    [rep] = check_bracket_bound([H], b0, sol, grids[seeds[0]].times, mu0,
+                                _speed(mu0, sol), grids)
     print("H ratio:", rep.max_ratio, rep.norm_source)
     assert rep.ok
     assert rep.norm_source == "A:measured-horizon,B:declared"
@@ -215,7 +222,7 @@ def test_non_finite_bracket_is_a_violation():
     times = grids[(-1, "a")].times
     grids[(-1, "a")].da[2, 5 - sol.offset] = np.nan       # the cell {a_5 o flow_0.5, b_0} reads
     a5, _ = basic_observables(5)
-    [rep] = check_bracket_bound([a5], b0, sol, times, mu0, grids)
+    [rep] = check_bracket_bound([a5], b0, sol, times, mu0, _speed(mu0, sol), grids)
     assert not rep.ok
     assert rep.n_violations == 1
     assert rep.violations[0]["t"] == 0.5
@@ -276,7 +283,7 @@ def test_bracket_check_matches_scalar_loop():
     As.append(hamiltonian_window_observable(range(3, 8)))
     for B in Bs:
         for t in times:
-            reports = check_bracket_bound(As, B, sol, [t], mu0, grids)
+            reports = check_bracket_bound(As, B, sol, [t], mu0, _speed(mu0, sol), grids)
             assert len(reports) == len(As)
             for A, rep in zip(As, reports):
                 [(val, bound)] = _scalar_bracket_check(A, B, sol, [t], mu0, grids)

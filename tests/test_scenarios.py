@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from todalab import cli as cli_module
+from todalab.bounds import velocity_toda
 from todalab.cli import config_from_dict, default_config, run_config
 from todalab import integrators as integrators_module
 from todalab.integrators import Trajectory, integrate
@@ -314,8 +315,8 @@ def test_soliton_validate_takes_one_norm_per_distinct_sample(tmp_path, monkeypat
 
 
 def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch):
-    """Per m: one jacobi_norm, and one base state per sample for all of the
-    bracket checks; the generator identity adds two states in all."""
+    """One jacobi_norm for the run, and per m one base state per sample for
+    all of the bracket checks; the generator identity adds two states in all."""
     cfg = config_from_dict(small_config("observables"))
     norms, states = count_jacobi_norm(monkeypatch), []
     state = Trajectory.state
@@ -328,8 +329,26 @@ def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch
     assert run_config(cfg, tmp_path) == 0
     n_m = len({site for site, _ in cfg.seeds})
     n_samples = round(cfg.t_final / cfg.sample_dt) + 1
-    assert len(norms) == n_m
+    assert len(norms) == 1
     assert len(states) <= n_m * (n_samples + 2)
+
+
+def test_observables_takes_one_norm_for_every_bracket_bound(tmp_path, monkeypatch):
+    """The five b_m seeds of the brackets-soliton benchmark config share one
+    base state, so one jacobi_norm gives the velocity of all five
+    check_bracket_bound calls, which made one norm each."""
+    raw = {**default_config(), "scenario": "observables", "base": "soliton",
+           "window": 81, "t_final": 1.0, "sample_dt": 0.1, "obs_range": 3,
+           "seeds": [[m, "b"] for m in (-20, -10, 0, 10, 20)],
+           "integrator": {"method": "rk4-fixed", "step": 0.02}}
+    cfg = config_from_dict(raw)
+    norms, speeds = count_jacobi_norm(monkeypatch), []
+    check = cli_module.check_bracket_bound
+    monkeypatch.setattr(cli_module, "check_bracket_bound",
+                        lambda *args: speeds.append(args[5]) or check(*args))
+    assert run_config(cfg, tmp_path) == 0
+    [x] = norms
+    assert speeds == [velocity_toda(cfg.resolved_mu(), state_module.jacobi_norm(x))] * 5
 
 
 @pytest.mark.parametrize("scenario", ["perturbed", "interpolation"])
