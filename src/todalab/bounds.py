@@ -281,22 +281,34 @@ def timedep_envelope(mu: float, Lnorm0: float, w1_norm: float, w2_norm: float,
                             "w2_norm": w2_norm, "a_star": a_star})
 
 
+def _distance_peaks(dists: np.ndarray, obs: np.ndarray):
+    """(ds, peaks): each distance d >= 1 of dists, ascending, and the maximum
+    of obs over the sites at that distance along obs's last axis, so that
+    peaks[..., k] is obs[..., dists == ds[k]].max(axis=-1), in one pass over
+    the sites.  max is exact, and a NaN propagates as it does there."""
+    near = np.flatnonzero(dists >= 1)
+    order = near[np.argsort(dists[near], kind="stable")]
+    ds, starts = np.unique(dists[order], return_index=True)
+    return ds, np.maximum.reduceat(obs[..., order], starts, axis=-1)
+
+
 def fit_front_speed(times: np.ndarray, dists: np.ndarray, obs: np.ndarray,
                     threshold: float = 1e-8):
     """Least-squares slope of (first crossing time of threshold, distance).
 
-    Crossing times are log-interpolated between samples.  None when fewer
-    than two distances ever cross.
+    Crossing times are log-interpolated between samples; where the sample
+    before the crossing is not positive (0 or NaN), the crossing sample's
+    own time is taken.  None when fewer than two distances ever cross.
     """
     pts_t, pts_d = [], []
-    for d in np.unique(dists[dists >= 1]):
-        series = obs[:, dists == d].max(axis=1)
+    ds, peaks = _distance_peaks(dists, obs)
+    for d, series in zip(ds, peaks.T):
         idx = np.flatnonzero(series > threshold)
         if idx.size == 0 or idx[0] == 0:
             continue
         i = int(idx[0])
         y0, y1 = series[i - 1], series[i]
-        if y0 <= 0.0:
+        if not y0 > 0.0:
             t_cross = times[i]
         else:
             w = (math.log(threshold) - math.log(y0)) / (math.log(y1) - math.log(y0))

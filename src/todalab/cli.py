@@ -389,8 +389,9 @@ def _run_tangent(cfg: ExperimentConfig, out: Path):
 
 def _cones(cfg: ExperimentConfig, *envelopes) -> list:
     """One light-cone check per envelope, its prefactor multiplied by
-    envelope_scale and the scale recorded in its params: the one place the
-    stress knob envelope_scale is applied."""
+    envelope_scale and the scale recorded in its params: the place the
+    stress knob envelope_scale is applied to every cone scenario
+    (_run_observables passes it to check_bracket_bound)."""
     scale = cfg.envelope_scale
     scaled = [replace(env, prefactor=scale * env.prefactor, params={**env.params, "scale": scale})
               for env in envelopes]
@@ -567,7 +568,7 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
         clean = clean and all(grid.clean(cfg.guard) for grid in grids.values())
         sites = range(m - reach, m + reach + 1)
         reports = check_bracket_bound([basic_observables(n)[0] for n in sites],
-                                      b_m, x, times, mu, v, grids)
+                                      b_m, x, times, mu, v, grids, cfg.envelope_scale)
         for n, rep in zip(sites, reports):
             n_viol += rep.n_violations
             worst_ratio = max(worst_ratio, rep.max_ratio)

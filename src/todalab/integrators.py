@@ -19,20 +19,20 @@ when it was built, and its field is checked once before the solve, since
 DOP853 never returns from a NaN first step.
 
 Every CSV artifact goes through write_csv: %.17g floats, the same bytes
-for the same arrays.  A file gets one line template, its sample's rows
-with the site labels baked in.  Each sample reuses the previous sample's
-text outside its span, the rows from the first to the last whose bits
-changed, and fills the template's slice of the span alone; outside a
-light cone a tangent stays exactly 0, so most rows of a grid never change
-again.  A sample equal bit for bit to the previous one has an empty span,
-and the first sample's span is every row.  Each sample then fills in its
-time.  The cells of the spans go in blocks of 32k, and each distinct value
-of a block is formatted once, all in one _format17 call: numpy arithmetic
-that gives '%.17g' % v byte for byte from a double-double table of 10^k,
-built on the first write, and Dekker's exact product.  The few values it
-cannot decide (zeros, non-finite values, near-ties, digits off by a power
-of ten) it hands to '%.17g' itself, and the tests hold it to '%.17g' over
-10^6 random bit patterns.
+for the same arrays.  A file keeps a list of row texts, each site's row
+without its time.  Each sample keeps the previous sample's rows outside
+its span, the rows from the first to the last whose bits changed, and
+builds the rows of the span alone; outside a light cone a tangent stays
+exactly 0, so most rows of a grid never change again.  A sample equal bit
+for bit to the previous one has an empty span, and the first sample's
+span is every row.  Each sample then writes its rows, its time at the
+head of each.  The cells of the spans go in blocks of 32k, and each
+distinct value of a block is formatted once, all in one _format17 call:
+numpy arithmetic that gives '%.17g' % v byte for byte from a double-double
+table of 10^k, built on the first write, and Dekker's exact product.  The
+few values it cannot decide (zeros, non-finite values, near-ties, digits
+off by a power of ten) it hands to '%.17g' itself, and the tests hold it
+to '%.17g' over 10^6 random bit patterns.
 """
 from __future__ import annotations
 
@@ -142,18 +142,6 @@ class EdgeMargin:
     def clean(self, guard: int) -> bool:
         """Whether the run kept guard sites from the window edge."""
         return self.boundary_margin >= guard
-
-
-_HEAD = "\0"
-
-
-def _row_template(offset: int, n: int) -> tuple[str, list]:
-    """(template, starts): the text of one sample's rows t,n,<x1>,<x2> over
-    sites offset .. offset + n - 1, with _HEAD where each row's time goes,
-    the site labels baked in, and %s for each cell, site by site and x1
-    before x2; starts[j] is where row j begins, and starts[n] its length."""
-    rows = [f"{_HEAD}{offset + j},%s,%s\n" for j in range(n)]
-    return "".join(rows), [0, *itertools.accumulate(map(len, rows))]
 
 
 _POW10_K = range(-300, 350)    # 10^k for every k that 16 - exponent reaches
@@ -316,50 +304,37 @@ def _span_cells(x1, x2, lo, end):
     x2.  A block holds _BLOCK_CELLS cells (the last one fewer), and each
     distinct value of a block (told apart by its bits, so -0.0 is not 0.0)
     is formatted once, all in one _format17 call."""
-    rows = end - lo
-    # the flat (T, N) index of each row: sample i's rows start at i N + lo[i]
-    first = np.arange(rows.size) * x1.shape[1] + lo - (np.cumsum(rows) - rows)
-    flat = np.arange(rows.sum()) + np.repeat(first, rows)
-    bits = np.empty((flat.size, 2), dtype=np.int64)
-    bits[:, 0], bits[:, 1] = np.take(x1.view(np.int64), flat), np.take(x2.view(np.int64), flat)
-    bits = bits.ravel()
+    sites = np.arange(x1.shape[1])
+    span = (lo[:, np.newaxis] <= sites) & (sites < end[:, np.newaxis])
+    bits = np.stack((x1.view(np.int64)[span], x2.view(np.int64)[span]), axis=1).ravel()
     for c in range(0, bits.size, _BLOCK_CELLS):
         values, inverse = np.unique(bits[c:c + _BLOCK_CELLS], return_inverse=True)
         yield np.array(_format17(values.view(np.float64)), dtype=object)[inverse].tolist()
 
 
 def _write_rows(fh, offset, times, x1, x2):
-    """Rows of the samples given, in order, one write per sample.  Sample i
-    keeps the text of sample i - 1 outside its span: the rows from the first
-    to the last whose bits differ from sample i - 1's (every row of sample
-    0, none of a sample equal to the previous one).  The _row_template
-    slice of the span is filled with _span_cells and spliced in between
-    the previous text's first row of the span and its row after the span,
-    found by their labels.  Each sample then swaps in its own time."""
+    """Rows of the samples given, in order, one write per sample.  rows
+    holds the text of each site's row without its time; sample i replaces
+    its span, the rows from the first to the last whose bits differ from
+    sample i - 1's (every row of sample 0, none of a sample equal to the
+    previous one), with each row's label and its two _span_cells texts, and
+    writes rows with its own time at the head of each."""
     n = x1.shape[1]
     if not n:                       # a window of no sites has no rows
         return
-    template, starts = _row_template(offset, n)
+    labels = [str(offset + j) for j in range(n)]
     changed = _changed_rows(x1, x2)
     new = changed.any(axis=1)
     lo, end = np.zeros((2, new.size), dtype=np.int64)
     lo[new] = np.argmax(changed[new], axis=1)
     end[new] = n - np.argmax(changed[new, ::-1], axis=1)
     cells = itertools.chain.from_iterable(_span_cells(x1, x2, lo, end))
-    body = ""
+    rows = [""] * n
     for t, a, b in zip(times, lo.tolist(), end.tolist()):
-        if b > a:
-            # a cell's text has one character or more where the template has
-            # %s, so in the previous text row j starts at starts[j] - 2 j or
-            # later, and starts[n] - starts[j] - 2 (n - j) or more before its end
-            head = body.find(f"{_HEAD}{offset + a},", starts[a] - 2 * a) if a else 0
-            tail = len(body)
-            if b < n:
-                row = f"{_HEAD}{offset + b},"
-                tail = body.rfind(row, head, tail - starts[n] + starts[b] + 2 * (n - b) + len(row))
-            span = template[starts[a]:starts[b]] % tuple(itertools.islice(cells, 2 * (b - a)))
-            body = body[:head] + span + body[tail:]
-        fh.write(body.replace(_HEAD, "%.17g," % t))
+        span = itertools.islice(cells, 2 * (b - a))
+        rows[a:b] = map(",".join, zip(labels[a:b], span, span))
+        head = "%.17g," % t
+        fh.write(head + ("\n" + head).join(rows) + "\n")
 
 
 def write_csv(path, coords, times, offset: int, x1: np.ndarray, x2: np.ndarray):
@@ -494,7 +469,7 @@ def _solve_blocks(x, rhs, blocks, times, cfg):
     """Integrate the window state x together with the (N,) blocks, where
     rhs(state, *blocks) gives the derivatives of the state's two arrays
     and of every block.  Returns the base run, a Trajectory of x's type, and
-    the (T, N) series of each block.
+    the (T, N) series of each block, all views of the one solver output.
 
     Each rhs evaluation sees a state over views of the solver's vector,
     unchecked, and its blocks as views too, so a field must not write into
@@ -515,7 +490,7 @@ def _solve_blocks(x, rhs, blocks, times, cfg):
         what = f"d{x.coords[block]}/dt" if block < 2 else f"tangent block {block - 2}"
         raise ValueError(f"{type(x).__name__}: non-finite start field, {what} at site {x.offset + i}")
     ys = solve_vector(fun, y0, times, cfg)
-    out = [ys[:, i * n:(i + 1) * n].copy() for i in range(k)]
+    out = [ys[:, i * n:(i + 1) * n] for i in range(k)]
     type(x).check_samples(times, out[0], out[1], x.offset)
     base = Trajectory(times, out[0], out[1], x.offset, x.background, type(x))
     return base, out[2:]

@@ -206,7 +206,7 @@ class BracketBoundReport:
 
 
 def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
-                        mu: float, v: float, grids: dict) -> list:
+                        mu: float, v: float, grids: dict, scale: float = 1.0) -> list:
     """One BracketBoundReport per observable A in As, in order: whether
 
         |{A o flow_t, B}(x)| <= C ||a||_inf sum_{n,m} (|dA| sums)(|dB| sums) e^{-mu(|n-m| - v|t|)}
@@ -216,15 +216,16 @@ def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
     state; derivative norms are declared or horizon-measured as available.
     What depends only on (x, B) is computed once: C, ||a||_inf, B's seed
     weights and norms, and the base states at the samples.  Each
-    e^{-mu(|n-m| - v|t|)} is the value of one prefactor-1 Envelope;
-    bounds.compare gives the verdict.
+    e^{-mu(|n-m| - v|t|)}, times scale, is the value of one Envelope of
+    prefactor scale (the CLI's envelope_scale); bounds.compare gives the
+    verdict.
     """
     weights = required_bracket_seeds(B, x)
     grid = _seed_grid(weights, grids)
     states = [grid.base.state(i) for i in range(grid.n_samples)] if grid else []
     times = np.asarray(times, dtype=float)
     rows = [grid.time_index(t) for t in times] if grid else []
-    cone = Envelope(family="bracket", mu=mu, prefactor=1.0, speed=v)
+    cone = Envelope(family="bracket", mu=mu, prefactor=scale, speed=v)
     c = bracket_bound_constant(mu)
     a_sup = float(np.max(np.abs(x.a)))
     wb, src_b = _site_weights(B, _partials(B, states))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import C_epsilon, G_mu, compare, velocity_toda
+from .bounds import C_epsilon, G_mu, _distance_peaks, compare, velocity_toda
 from .state import LatticeState, _step_dn, hamiltonian_ab, jacobi_norm, toda_rhs
 
 _FAMILIES = ("cosine", "rational")
@@ -230,9 +230,7 @@ def _spatial_log_r2(obs: np.ndarray, dist: np.ndarray, mu: float) -> float:
     integrator noise.
     """
     profile = obs[-1]
-    # one value per distance: the larger of the two sides
-    ds = np.unique(dist[dist >= 1.0])
-    peaks = np.array([profile[dist == d].max() for d in ds])
+    ds, peaks = _distance_peaks(dist, profile)       # the larger of the two sides
     band = (peaks >= 1e-12) & (peaks <= 1e-3 * profile.max())
     if band.sum() < 3:
         return float("nan")

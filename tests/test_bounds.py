@@ -11,7 +11,7 @@ from todalab import (Envelope, HierarchySpec, IntegratorConfig, SolitonSpec,
                      hierarchy_envelope, optimal_mu, perturbed_envelope,
                      soliton_state, timedep_envelope, toda_envelope,
                      velocity_hierarchy, velocity_toda, verify_light_cone)
-from todalab.bounds import (C_epsilon, G_mu, SQRT17, check_G_convolution,
+from todalab.bounds import (C_epsilon, G_mu, SQRT17, _distance_peaks, check_G_convolution,
                             compare, fit_front_speed, gamma_const, h_growth,
                             hierarchy_comparison_matrix, mu_profile,
                             perturbed_alpha, perturbed_prefactor,
@@ -262,6 +262,45 @@ def test_fit_front_speed_no_crossings():
     dists = np.abs(np.arange(-5, 6)).astype(float)
     obs = np.full((5, 11), 1e-300)
     assert fit_front_speed(times, dists, obs) is None
+
+
+@pytest.mark.parametrize("shape", [(7, 41), (41,)], ids=["grid", "profile"])
+def test_distance_peaks_is_the_mask_loop(shape):
+    """One pass gives, per distance >= 1, the max over its sites that one
+    mask per distance gave, on data holding NaNs and both zeros, with
+    integer and float distances in any order."""
+    rng = np.random.default_rng(12)
+    obs = rng.normal(size=shape)
+    obs[rng.random(shape) < 0.1] = np.nan
+    obs[rng.random(shape) < 0.2] = 0.0
+    obs[rng.random(shape) < 0.2] = -0.0
+    for dists in (np.abs(np.arange(41) - 13), rng.permutation(np.abs(np.arange(41) - 20.0)),
+                  np.zeros(41, dtype=int)):
+        ds, peaks = _distance_peaks(dists, obs)
+        want = np.unique(dists[dists >= 1])
+        assert np.array_equal(ds, want)
+        assert peaks.shape == shape[:-1] + (want.size,)
+        for k, d in enumerate(want):
+            assert np.array_equal(peaks[..., k], obs[..., dists == d].max(axis=-1),
+                                  equal_nan=True)
+
+
+def test_nan_before_a_front_crossing_is_a_violation(capfd):
+    """A NaN just before a distance's crossing takes the crossing sample's
+    own time, as a zero does; the report lists the NaN cell, and no LAPACK
+    error is raised or printed by the fit."""
+    mu0, _ = optimal_mu()
+    x = background_state(81)
+    g = evolve_tangent(x, (0, "b"), 4.0, IntegratorConfig("rk4-fixed"), sample_dt=0.25)
+    speed = verify_light_cone(g, toda_envelope(mu0, jacobi_norm(x))).empirical_front_speed
+    g.da[0, 3 - g.offset] = np.nan
+    rep = verify_light_cone(g, toda_envelope(mu0, jacobi_norm(x)))
+    assert rep.clean and not rep.ok
+    assert rep.n_violations == 1
+    assert rep.violations[0]["n"] == 3 and rep.violations[0]["t"] == 0.0
+    assert math.isnan(rep.violations[0]["observed"])
+    assert rep.empirical_front_speed == speed
+    assert capfd.readouterr().err == ""
 
 
 def test_verify_light_cone_clean_run():

@@ -32,7 +32,23 @@ def test_file_diff_counts_differing_rows(tmp_path):
     new.write_text("t,n\n0,1\n1,9\n2,3\n3,4\n")
     assert compare_runs.file_diff(old, old) == []
     # one changed row and one added row
-    assert compare_runs.file_diff(old, new) == ["2 of 4 rows differ"]
+    assert compare_runs.file_diff(old, new) == [
+        "2 of 4 rows differ; differing cells: 1, largest absolute difference: 7"]
+
+
+def test_file_diff_counts_cells_and_the_largest_difference(tmp_path):
+    """Cells are compared in the rows both files hold: a changed number
+    gives its absolute difference, a changed header cell or a cell one row
+    lacks counts without one, and a NaN against a number makes it NaN."""
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("t,n,a,b\n0,-1,0.5,1e-300\n0,0,0.25,-0\n0,1,2,3\n")
+    new.write_text("t,n,a,c\n0,-1,0.5,-1e-300\n0,0,0.125,0\n0,1,2\n")
+    assert compare_runs.file_diff(old, new) == [
+        "4 of 4 rows differ; differing cells: 5, largest absolute difference: 0.125"]
+    cells, largest = compare_runs.cell_diff([b"0,1,2"], [b"0,1,nan"])
+    assert cells == 1 and math.isnan(largest)
+    assert compare_runs.cell_diff([b"0,1,inf"], [b"0,1,2"]) == (1, math.inf)
+    assert compare_runs.cell_diff([b"x"], [b"x"]) == (0, 0.0)
 
 
 def test_file_diff_of_json_names_the_keys(tmp_path):

@@ -280,21 +280,35 @@ def test_hamiltonian_vanishes_on_background(r):
         assert abs(hierarchy_hamiltonian(background_state(n), spec)) < 1e-12
 
 
-def _commutator(rhs_h, t=2.0, s=1.5):
+def _flow(state, rhs, time, cfg):
+    """The state after time under rhs, one sample."""
+    return integrate(state, rhs, time, cfg, sample_dt=time).state(1)
+
+
+def _inner_difference(x, y):
+    """The largest |difference| of two window states over the sites at
+    least 20 from the window's edge."""
+    inner = slice(20, -20)
+    return max(np.max(np.abs(x.a - y.a)[inner]), np.max(np.abs(x.b - y.b)[inner]))
+
+
+def _commutator(rhs_h, t=2.0, s=1.5, cfg=IntegratorConfig(tolerance=1e-11)):
     """The largest difference, over the sites at least 20 from the window's
     edge, between phi^Toda_t o phi^h_s and phi^h_s o phi^Toda_t from a
-    random base of 201 sites, both under rk-adaptive at tol 1e-11."""
-    cfg = IntegratorConfig(tolerance=1e-11)
+    random base of 201 sites, both under cfg (rk-adaptive at tol 1e-11)."""
     x = random_localized_state(201, seed=5)
+    hs_then_toda = _flow(_flow(x, rhs_h, s, cfg), toda_rhs, t, cfg)
+    toda_then_hs = _flow(_flow(x, toda_rhs, t, cfg), rhs_h, s, cfg)
+    return _inner_difference(hs_then_toda, toda_then_hs)
 
-    def flow(state, rhs, time):
-        return integrate(state, rhs, time, cfg, sample_dt=time).state(1)
 
-    hs_then_toda = flow(flow(x, rhs_h, s), toda_rhs, t)
-    toda_then_hs = flow(flow(x, toda_rhs, t), rhs_h, s)
-    inner = slice(20, -20)
-    return max(np.max(np.abs(hs_then_toda.a - toda_then_hs.a)[inner]),
-               np.max(np.abs(hs_then_toda.b - toda_then_hs.b)[inner]))
+def _pure(j):
+    """The spec of the pure order-j flow, H_j alone."""
+    return HierarchySpec(j, (1.0,) + (0.0,) * j)
+
+
+MIXED = (1.0, 0.3, 0.2, 0.1)
+RK4 = IntegratorConfig(method="rk4-fixed", step=0.01)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -303,7 +317,7 @@ def test_hierarchy_flows_commute_with_the_toda_flow(r):
     phi^{H_r}_s o phi^Toda_t, here to about 3e-11, the integrators' floor at
     tol 1e-11.  An oracle of the adaptive path that shares no formula with
     the fields: a field off the hierarchy misses it by seven orders more."""
-    spec = HierarchySpec(r, (1.0, 0.3, 0.2, 0.1)[:r + 1])
+    spec = HierarchySpec(r, MIXED[:r + 1])
     diff = _commutator(lambda st: hierarchy_rhs(st, spec))
     print(r, diff)
     assert diff < 1e-9
@@ -312,7 +326,7 @@ def test_hierarchy_flows_commute_with_the_toda_flow(r):
 def test_commuting_flows_have_teeth():
     """The r=3 field with its db scaled by 1.001 is no hierarchy flow: the
     two orders of composition differ by about 2e-4."""
-    spec = HierarchySpec(3, (1.0, 0.3, 0.2, 0.1))
+    spec = HierarchySpec(3, MIXED)
 
     def bent(st):
         fa, fb = hierarchy_rhs(st, spec)
@@ -321,3 +335,72 @@ def test_commuting_flows_have_teeth():
     diff = _commutator(bent)
     print(diff)
     assert diff > 1e-5
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_hierarchy_flows_commute_under_rk4_fixed(r):
+    """The same commutator under rk4-fixed at step 0.01: its step error
+    leaves 3-5e-10."""
+    spec = HierarchySpec(r, MIXED[:r + 1])
+    diff = _commutator(lambda st: hierarchy_rhs(st, spec), cfg=RK4)
+    print(r, diff)
+    assert diff < 5e-9
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_commutator_falls_with_the_tolerance(r):
+    """Under rk-adaptive the commutator is the integrators' error, not the
+    flows': 3-4e-9 at tol 1e-9 and 3e-13 at 1e-13, four orders apart."""
+    spec = HierarchySpec(r, MIXED[:r + 1])
+    loose, tight = (_commutator(lambda st: hierarchy_rhs(st, spec),
+                                cfg=IntegratorConfig(tolerance=tol)) for tol in (1e-9, 1e-13))
+    print(r, loose, tight)
+    assert loose < 1e-7 and tight < 1e-11
+    assert tight < loose / 1000.0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_hierarchy_flows_conserve_the_spectrum(r):
+    """tr L^j, j = 1 .. 4, is conserved by the pure flow H_r of a random base
+    that keeps 20 sites from the edge: it drifts by at most 1.3e-10 under
+    rk4-fixed, and under rk-adaptive by 8e-9 to 2.3e-8 at tol 1e-9 and
+    2e-13 to 1.8e-12 at 1e-13."""
+    x = random_localized_state(201, seed=5)
+
+    def drift(cfg):
+        run = integrate(x, lambda st: hierarchy_rhs(st, _pure(r)), 2.0, cfg, sample_dt=0.5)
+        assert run.clean(20)
+        return run.trace_drift()
+
+    fixed, loose, tight = drift(RK4), drift(IntegratorConfig(tolerance=1e-9)), \
+        drift(IntegratorConfig(tolerance=1e-13))
+    print(r, fixed, loose, tight)
+    assert fixed < 1e-9
+    assert loose < 1e-6 and tight < 1e-10
+    assert tight < loose / 1000.0
+
+
+@pytest.mark.parametrize("cfg", [RK4, IntegratorConfig(tolerance=1e-11)],
+                         ids=["rk4-fixed", "rk-adaptive"])
+def test_mixed_flow_is_the_composition_of_pure_flows(cfg):
+    """The mixed field sum_j c_{r-j} (pure field j) generates, because the
+    pure flows commute, the composition of the pure flows H_j, each run for
+    time c_{r-j} t: r = 3, weights (1, 0.3, 0.2, 0.1), t = 1.5.  They
+    agree to 2e-10 under rk4-fixed and 5e-11 under rk-adaptive at tol
+    1e-11; dropping the Toda leg H_0, run for 0.15, misses by 6e-2."""
+    r, t = 3, 1.5
+    x = random_localized_state(201, seed=5)
+    mixed = _flow(x, lambda st: hierarchy_rhs(st, HierarchySpec(r, MIXED)), t, cfg)
+    legs = [(_pure(j), MIXED[r - j] * t) for j in range(r, -1, -1)]
+
+    def compose(legs):
+        y = x
+        for spec, time in legs:
+            y = _flow(y, lambda st, spec=spec: hierarchy_rhs(st, spec), time, cfg)
+        return y
+
+    diff, teeth = (_inner_difference(mixed, compose(legs)),
+                   _inner_difference(mixed, compose(legs[:-1])))
+    print(diff, teeth)
+    assert diff < 2e-9
+    assert teeth > 1e3 * diff

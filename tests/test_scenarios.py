@@ -8,6 +8,7 @@ frozen summary values: non-floats exactly, floats within 1e-9 relative.
 import importlib.util
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -399,6 +400,41 @@ def test_nan_spatial_fit_fails_interpolation_in_either_order(nan_seed, tmp_path,
     assert len(fits) == 2
     assert code == 1
     assert summary["r2_spatial"] is None
+
+
+def _shifted_soliton(monkeypatch):
+    """soliton-validate's reference profile at a kappa 10% larger."""
+    flaschka = cli_module.soliton_flaschka
+    monkeypatch.setattr(cli_module, "soliton_flaschka",
+                        lambda spec, *args: flaschka(replace(spec, kappa=1.1 * spec.kappa), *args))
+
+
+def _poor_spatial_fit(monkeypatch):
+    """Every interpolation fit with its spatial r2 at 0.5, below the 0.99
+    gate.  Its fitted envelope majorizes the data by construction, so
+    envelope_scale alone cannot fail it."""
+    fit = cli_module.interpolation_envelope
+    monkeypatch.setattr(cli_module, "interpolation_envelope",
+                        lambda *args: replace(fit(*args), r2_spatial=0.5))
+
+
+# how each row is made to fail: the envelope rows by envelope_scale 1e-9
+FORCED_FAILURES = {"soliton-validate": _shifted_soliton, "interpolation": _poor_spatial_fit}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_scenario_can_fail(scenario, tmp_path, monkeypatch, capsys):
+    """Each SCENARIOS row exits 1 when its check is made to fail: the six
+    rows with an envelope at envelope_scale 1e-9, naming the first
+    violation's site and time, and the other two by a forced failure."""
+    if scenario in FORCED_FAILURES:
+        FORCED_FAILURES[scenario](monkeypatch)
+        code, _, summary = run_scenario(scenario, tmp_path)
+    else:
+        code, _, summary = run_scenario(scenario, tmp_path, envelope_scale=1e-9)
+        assert summary["violations"] > 0
+        assert re.search(r"first violation at \(n=-?\d+, t=", capsys.readouterr().err)
+    assert code == 1 and summary["exit"] == 1
 
 
 def freeze(tmpdir: Path):

@@ -18,7 +18,8 @@ A benchmark or extra config runs once from each tree as it is, under its
 own integrator (the parent's default when it names none).  The report lists
 differing exit codes and stderr, artifact files present in one tree only,
 and files whose bytes differ: for a JSON file every differing key, for a
-CSV file the number of differing rows.  It also lists every JSON artifact,
+CSV file the number of differing rows and cells and the largest absolute
+difference of the differing cells' values.  It also lists every JSON artifact,
 in either tree, that is not strict JSON (holds a NaN or Infinity token).
 It ends with one tally per integrator, for example `rk4-fixed: 17 configs,
 0 differences`, the benchmark and extra configs counted under theirs.  Exit
@@ -28,7 +29,9 @@ strict, 1 otherwise.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,7 +101,26 @@ def file_diff(old: Path, new: Path):
         return list(json_diff(json.loads(a), json.loads(b))) or ["bytes differ"]
     rows_a, rows_b = a.splitlines(), b.splitlines()
     changed = sum(x != y for x, y in zip(rows_a, rows_b)) + abs(len(rows_a) - len(rows_b))
-    return [f"{changed} of {len(rows_a)} rows differ"]
+    cells, largest = cell_diff(rows_a, rows_b)
+    return [f"{changed} of {len(rows_a)} rows differ; differing cells: {cells}, "
+            f"largest absolute difference: {largest:.6g}"]
+
+
+def cell_diff(rows_a, rows_b):
+    """(differing cells, largest absolute difference of their values) over
+    the CSV rows both files hold, cell by cell.  A cell in one row only, or
+    whose text is not a number (a header), counts but has no difference; a
+    NaN against anything else makes the largest difference NaN."""
+    cells, diffs = 0, []
+    for x, y in zip(rows_a, rows_b):
+        for u, v in itertools.zip_longest(x.split(b","), y.split(b",")):
+            if u != v:
+                cells += 1
+                try:
+                    diffs.append(abs(float(u) - float(v)))
+                except (TypeError, ValueError):
+                    pass
+    return cells, math.nan if any(d != d for d in diffs) else max(diffs, default=0.0)
 
 
 def run_label(name, method, n_seeds=None) -> str:
