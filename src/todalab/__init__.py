@@ -15,9 +15,8 @@ from .state import (BACKGROUND, GHSState, LatticeState, background_state,
 from .integrators import IntegratorConfig, Trajectory, integrate, sample_times
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
                        soliton_pq, soliton_speed, soliton_state)
-from .hierarchy import (HierarchySpec, free_moment, g_tilde, h_tilde,
-                        hierarchy_hamiltonian, hierarchy_rhs, kvm_rhs,
-                        path_counts)
+from .hierarchy import (HierarchySpec, free_moment, hierarchy_hamiltonian,
+                        hierarchy_rhs, kvm_rhs, path_counts)
 from .sensitivity import (SecondTangentGrid, SensitivityGrid, evolve_second_tangent,
                           evolve_tangent, finite_difference_oracle, make_flow,
                           second_finite_difference)

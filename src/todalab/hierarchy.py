@@ -9,11 +9,11 @@ r = 0 is the plain Toda flow.  The matrix elements are local: the diagonal
 entry of L^j at site n only involves coordinates within distance j, which
 is what makes the banded computation below exact on a padded window.
 
-Every power of L here comes from one kernel, _band_powers, which returns the
-diagonals of L^0 .. L^jmax (and their derivative along a tangent) as an
-array indexed (j, diagonal, site): P[j, jmax + d, i] = (L^j)_{i, i+d}.  The
-fields, the Hamiltonian and the single matrix elements g_tilde and h_tilde
-all read from it.
+One kernel, _band_poly, gives every polynomial of L here by Horner's rule.
+g is the diagonal and h is 2 a_n times the upper diagonal of the one
+polynomial p_r(L) = sum_j c_{r-j} L^{j+1}; the Hamiltonian reads the
+diagonal of sum_j c_{r-j} L^{j+2}.  The single matrix elements of L^j,
+j >= 1, are the g and h of the pure order-(j-1) flow.
 """
 from __future__ import annotations
 
@@ -78,48 +78,55 @@ def path_counts(j: int):
     return eta, xi
 
 
-def _band_powers(a: np.ndarray, b: np.ndarray, jmax: int,
-                 da: np.ndarray | None = None, db: np.ndarray | None = None):
-    """Every diagonal of L^j, j = 0 .. jmax, on a padded window, and the
-    directional derivative d(L^j) along (da, db) if given.
+def _band_poly(a: np.ndarray, b: np.ndarray, coeffs,
+               da: np.ndarray | None = None, db: np.ndarray | None = None):
+    """Every diagonal of the polynomial p(L) = sum_k coeffs[k] L^k on a padded
+    window, and its directional derivative dp(L) along (da, db) if given.
 
-    Returns (P, dP) of shape (jmax + 1, 2 jmax + 1, N) with
-    P[j, jmax + d, i] = (L^j)_{i, i+d}; dP is None without a tangent.  One
-    step multiplies by L from the left,
+    Returns (Q, dQ) of shape (2K + 1, N), K = len(coeffs) - 1, with
+    Q[K + d, i] = p(L)_{i, i+d}; dQ is None without a tangent.  Horner's rule
+    from the top coefficient: each step multiplies by L from the left,
 
-        (L^{j+1})_{i, i+d} = a_i (L^j)_{i+1, i+d} + a_{i-1} (L^j)_{i-1, i+d} + b_i (L^j)_{i, i+d},
+        (L Q)_{i, i+d} = a_i Q_{i+1, i+d} + a_{i-1} Q_{i-1, i+d} + b_i Q_{i, i+d},
 
-    as three slice-adds; the derivative step is its product rule.  L^j has
-    bandwidth j, so each step reads only the diagonals -j .. j and writes
-    one more on each side; the others stay exactly zero.  Entries within
-    jmax sites of either end are garbage, so callers pad the window first.
-    The zero start and the order of the adds fix the rounding, and with it
-    the bytes of fixed-step artifacts: for finite input the skipped terms
-    are products with zero, which cannot change a sum that starts at +0.0.
+    as three slice-adds into zeros, then adds the next coefficient to the
+    diagonal; the derivative step is its product rule.  After s steps Q has
+    bandwidth s, so each step reads only the diagonals -s .. s.  Entries
+    within K sites of either end are garbage, so callers pad the window
+    first.  The zero start and the order of the adds fix the rounding, and
+    with it the bytes of fixed-step artifacts: every entry is a sum that
+    starts at +0.0, so it is never -0.0 and adding a zero coefficient leaves
+    its bits; a monomial gives the bits of repeated multiplication by L.
     """
-    P = np.zeros((jmax + 1, 2 * jmax + 1, a.size))
-    P[0, jmax] = 1.0
-    dP = None if da is None else np.zeros_like(P)
-    for j in range(jmax):
-        lo, hi = jmax - j, jmax + j + 1      # rows of the diagonals of L^j
-        p, q = P[j, lo:hi], P[j + 1]
+    k = len(coeffs) - 1
+    Q = np.zeros((2 * k + 1, a.size))
+    Q[k] = coeffs[k]
+    dQ = None if da is None else np.zeros_like(Q)
+    for s in range(k):
+        lo, hi = k - s, k + s + 1            # rows of the diagonals -s .. s
+        p, q = Q[lo:hi], np.zeros_like(Q)
         q[lo + 1:hi + 1, :-1] += a[:-1] * p[:, 1:]
         q[lo - 1:hi - 1, 1:] += a[:-1] * p[:, :-1]
         q[lo:hi] += b * p
-        if dP is not None:
-            dp, dq = dP[j, lo:hi], dP[j + 1]
+        q[k] += coeffs[k - 1 - s]
+        if dQ is not None:
+            dp, dq = dQ[lo:hi], np.zeros_like(Q)
             dq[lo + 1:hi + 1, :-1] += da[:-1] * p[:, 1:] + a[:-1] * dp[:, 1:]
             dq[lo - 1:hi - 1, 1:] += da[:-1] * p[:, :-1] + a[:-1] * dp[:, :-1]
             dq[lo:hi] += db * p + b * dp
-    return P, dP
+            dQ = dq
+        Q = q
+    return Q, dQ
 
 
 def hierarchy_fields(s: LatticeState, spec: HierarchySpec,
                      da: np.ndarray | None = None, db: np.ndarray | None = None):
     """(g, h) over extended sites offset-1 .. offset+N, plus tangents if seeded.
 
-    Index 0 of the returned arrays is site offset - 1.  With (da, db) given,
-    also returns the directional derivatives (dg, dh) along that tangent.
+    g and h are the diagonal and 2 a_n times the upper diagonal of the one
+    polynomial p_r(L) = sum_j c_{r-j} L^{j+1}.  Index 0 of the returned
+    arrays is site offset - 1.  With (da, db) given, also returns the
+    directional derivatives (dg, dh) along that tangent.
     """
     pad = spec.r + 3
     a, b = _padded(s, pad)
@@ -127,27 +134,14 @@ def hierarchy_fields(s: LatticeState, spec: HierarchySpec,
     if da is not None:
         z = np.zeros(pad)                # the tangent vanishes outside the window
         dae, dbe = np.concatenate((z, da, z)), np.concatenate((z, db, z))
-    P, dP = _band_powers(a, b, spec.r + 1, dae, dbe)
-    n = s.n_sites
-    sl = slice(pad - 1, pad + n + 1)     # sites offset-1 .. offset+N
-    g = np.zeros(n + 2)
-    h = np.zeros(n + 2)
-    dg = np.zeros(n + 2) if da is not None else None
-    dh = np.zeros(n + 2) if da is not None else None
-    mid = spec.r + 1                     # row of diagonal 0 in P[j]
-    for j in range(spec.r + 1):
-        w = spec.c[spec.r - j]
-        if w == 0.0:
-            continue
-        upper = P[j + 1, mid + 1, sl]
-        g += w * P[j + 1, mid, sl]
-        h += w * 2.0 * a[sl] * upper
-        if da is not None:
-            dg += w * dP[j + 1, mid, sl]
-            dh += w * 2.0 * (dae[sl] * upper + a[sl] * dP[j + 1, mid + 1, sl])
+    Q, dQ = _band_poly(a, b, (0.0,) + spec.c[::-1], dae, dbe)
+    sl = slice(pad - 1, pad + s.n_sites + 1)   # sites offset-1 .. offset+N
+    mid = spec.r + 1                     # row of diagonal 0
+    upper = Q[mid + 1, sl]
+    g, h = Q[mid, sl], 2.0 * a[sl] * upper
     if da is None:
         return g, h
-    return g, h, dg, dh
+    return g, h, dQ[mid, sl], 2.0 * (dae[sl] * upper + a[sl] * dQ[mid + 1, sl])
 
 
 def hierarchy_rhs(s: LatticeState, spec: HierarchySpec,
@@ -155,7 +149,7 @@ def hierarchy_rhs(s: LatticeState, spec: HierarchySpec,
     """Order-r vector field on the window; neighbors beyond the edge are
     background.  The window must hold at least 2r + 5 sites.  With a tangent
     (da, db), returns (f_a, f_b, g_a, g_b): the field and its linearization
-    along the tangent from one banded table, by exact forward-mode
+    along the tangent from one banded polynomial, by exact forward-mode
     differentiation of the matrix elements.
     """
     if s.n_sites < spec.min_window:
@@ -168,46 +162,6 @@ def hierarchy_rhs(s: LatticeState, spec: HierarchySpec,
         return fields
     dg, dh = tangent
     return (*fields, da * g_step + s.a * (dg[2:] - dg[1:-1]), dh[1:-1] - dh[:-2])
-
-
-def _check_margin(s: LatticeState, what: str, n: int, lo: int, hi: int):
-    first, last = s.offset, s.offset + s.n_sites - 1
-    if lo < first or hi > last:
-        raise ValueError(
-            f"{what} at site {n} needs sites {lo}..{hi} but the window is "
-            f"[{first}, {last}]; pass padded=True to substitute background values")
-
-
-def _local_powers(s: LatticeState, n: int, jmax: int, radius: int):
-    """(a, P): a and the band powers of L up to jmax on sites n-radius ..
-    n+radius of the background-padded window; index radius is site n."""
-    last = s.offset + s.n_sites - 1
-    pad = max(0, s.offset - (n - radius), n + radius - last)
-    a, b = _padded(s, pad)
-    seg = slice(n - s.offset + pad - radius, n - s.offset + pad + radius + 1)
-    return a[seg], _band_powers(a[seg], b[seg], jmax)[0]
-
-
-def g_tilde(s: LatticeState, j: int, n: int, padded: bool = False) -> float:
-    """<delta_n, L^j delta_n>.  The value only involves sites n-j .. n+j;
-    errors if the window lacks them unless padded=True (background fill)."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if not padded:
-        _check_margin(s, f"diagonal matrix element of L^{j}", n, n - j, n + j)
-    _, P = _local_powers(s, n, j, j + 1)
-    return float(P[j, j, j + 1])
-
-
-def h_tilde(s: LatticeState, j: int, n: int, padded: bool = False) -> float:
-    """2 a_n <delta_{n+1}, L^j delta_n>.  Needs sites n-j .. n+j+1."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if not padded:
-        _check_margin(s, f"off-diagonal matrix element of L^{j}", n, n - j, n + j + 1)
-    # powers up to j + 1, so that diagonal -1 exists even for j = 0
-    a, P = _local_powers(s, n, j + 1, j + 2)
-    return float(2.0 * a[j + 2] * P[j, j, j + 3])
 
 
 def hierarchy_hamiltonian(s: LatticeState, spec: HierarchySpec) -> float:
@@ -223,16 +177,10 @@ def hierarchy_hamiltonian(s: LatticeState, spec: HierarchySpec) -> float:
     reach = spec.r + 2                   # L^{j+2} couples at most r+2 sites out
     pad = 2 * reach + 1                  # evaluate cleanly at the outermost ones
     a, b = _padded(s, pad)
-    P, _ = _band_powers(a, b, reach)
-    n = s.n_sites
-    sl = slice(pad - reach, pad + n + reach)
-    acc = np.zeros(n + 2 * reach)
-    for j in range(spec.r + 1):
-        w = spec.c[spec.r - j]
-        if w == 0.0:
-            continue
-        acc += w * (P[j + 2, reach, sl] - free_moment(j + 2))
-    return float(4.0 / reach * np.sum(acc))
+    Q, _ = _band_poly(a, b, (0.0, 0.0) + spec.c[::-1])
+    free = sum(spec.c[spec.r - j] * free_moment(j + 2) for j in range(spec.r + 1))
+    diag = Q[reach, pad - reach:pad + s.n_sites + reach]
+    return float(4.0 / reach * np.sum(diag - free))
 
 
 def kvm_rhs(s: LatticeState, spec: HierarchySpec):

@@ -172,9 +172,15 @@ class InterpolationFit:
     envelope_valid: bool
 
     def value(self, dist, t):
-        dist = np.asarray(dist, dtype=float)
-        return self.C * G_mu(self.mu, dist) * np.exp((self.mu + self.eps) * self.v * np.abs(t)) \
-            * (1.0 + self.D * np.expm1(self.delta * np.abs(t)))
+        """One exponential of the summed logs, log C - mu k - 2 log1p(k) +
+        (mu+eps) v |t| + log1p(D expm1(delta |t|)), so that no factor
+        underflows or overflows alone: +inf beyond the cone radius is the
+        exact "no constraint" value, as in Envelope.value."""
+        k, t = np.abs(np.asarray(dist, dtype=float)), np.abs(t)
+        with np.errstate(over="ignore"):
+            return np.exp(math.log(self.C) - self.mu * k - 2.0 * np.log1p(k)
+                          + (self.mu + self.eps) * self.v * t
+                          + np.log1p(self.D * np.expm1(self.delta * t)))
 
 
 def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
@@ -193,14 +199,15 @@ def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
     obs = grid.observed()
     dist = grid.distances.astype(float)
     times = grid.times
-    base = c * G_mu(mu, dist)[np.newaxis, :] * \
-        np.exp((mu + eps) * v * np.abs(times))[:, np.newaxis]
-    s = (obs / base).max(axis=1)          # per-time excess over the D = 0 envelope
+    fit = InterpolationFit(mu=mu, eps=eps, C=c, v=v, vstar=vstar, D=0.0, delta=0.0,
+                           r2_spatial=_spatial_log_r2(obs, dist, mu), envelope_valid=False)
+    base = fit.value(dist[np.newaxis, :], times[:, np.newaxis])
+    # per-time excess over the D = 0 envelope, over the positive observations
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.divide(obs, base, out=np.zeros_like(obs), where=obs > 0.0).max(axis=1)
     excess = np.maximum(s - 1.0, 0.0)
 
-    if not np.any(excess > 0.0):
-        d_fit, delta_fit = 0.0, 0.0
-    else:
+    if np.any(excess > 0.0):
         mask = times > 0.0
         tpos, epos = times[mask], excess[mask]
         spos = np.maximum(s[mask], 1.0)
@@ -212,10 +219,8 @@ def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
             score = float(np.sum(resid * resid))
             if best is None or score < best[0]:
                 best = (score, d_req, delta)
-        _, d_fit, delta_fit = best
+        _, fit.D, fit.delta = best
 
-    fit = InterpolationFit(mu=mu, eps=eps, C=c, v=v, vstar=vstar, D=d_fit, delta=delta_fit,
-                           r2_spatial=_spatial_log_r2(obs, dist, mu), envelope_valid=False)
     bad, _ = compare(obs, fit.value(dist[np.newaxis, :], times[:, np.newaxis]) * (1.0 + 1e-12))
     fit.envelope_valid = not bad.any()
     return fit

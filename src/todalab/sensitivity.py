@@ -211,16 +211,15 @@ class SecondTangentGrid(_OnBase):
 
 def _toda_second_fields(s: LatticeState, u1a, u1b, u2a, u2b, wa, wb):
     """The Toda field, its linearizations along u1 and u2, and d/dt of w,
-    Df(x) w + D^2 f(x)[u1, u2]: eight arrays from one set of neighbor steps."""
-    a = s.a
-    a_bg, b_bg = s.background
-    b_step = _step_up(s.b, b_bg)
-    u1_step, u2_step = _step_up(u1b, 0.0), _step_up(u2b, 0.0)
-    return (a * b_step, 2.0 * _step_dn(a * a, a_bg * a_bg),
-            u1a * b_step + a * u1_step, 4.0 * _step_dn(a * u1a, a_bg * 0.0),
-            u2a * b_step + a * u2_step, 4.0 * _step_dn(a * u2a, a_bg * 0.0),
-            wa * b_step + a * _step_up(wb, 0.0) + u1a * u2_step + u2a * u1_step,
-            4.0 * _step_dn(a * wa, a_bg * 0.0) + 4.0 * _step_dn(u1a * u2a, 0.0))
+    Df(x) w + D^2 f(x)[u1, u2]: eight arrays.  toda_rhs gives the field and
+    each linearization; D^2 f[u1, u2] adds u1a (u2b_{n+1} - u2b_n) +
+    u2a (u1b_{n+1} - u1b_n) to da and 4 ((u1a u2a)_n - (u1a u2a)_{n-1}) to db."""
+    fa, fb, g1a, g1b = toda_rhs(s, u1a, u1b)
+    g2a, g2b = toda_rhs(s, u2a, u2b)[2:]
+    gwa, gwb = toda_rhs(s, wa, wb)[2:]
+    return (fa, fb, g1a, g1b, g2a, g2b,
+            gwa + u1a * _step_up(u2b, 0.0) + u2a * _step_up(u1b, 0.0),
+            gwb + 4.0 * _step_dn(u1a * u2a, 0.0))
 
 
 def evolve_second_tangent(x: LatticeState, z_seed, second, t_final: float,

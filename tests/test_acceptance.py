@@ -23,9 +23,8 @@ from todalab.bounds import C_epsilon, check_G_convolution, gamma_const
 from todalab.cli import default_config, main
 from todalab.ghs import (PotentialSpec, ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics)
-from todalab.hierarchy import (free_moment, g_tilde, h_tilde,
-                               hierarchy_hamiltonian, hierarchy_rhs,
-                               path_counts)
+from todalab.hierarchy import (free_moment, hierarchy_fields, hierarchy_hamiltonian,
+                               hierarchy_rhs, path_counts)
 from todalab.integrators import integrate
 from todalab.observables import (basic_observables, check_bracket_bound,
                                  hamiltonian_window_observable,
@@ -141,15 +140,16 @@ def test_07_hierarchy_reduction_and_algebra():
     da1, db1 = toda_rhs(x)
     red = max(float(np.max(np.abs(da0 - da1))), float(np.max(np.abs(db0 - db1))))
 
+    # the matrix elements of L^j are the g and h of the pure order-(j-1) flow
     y = random_localized_state(30, seed=12, width=4.0)
     L = jacobi_matrix(y)
     band = 0.0
-    for j in range(0, 7):
+    for j in range(1, 7):
         Lj = np.linalg.matrix_power(L, j)
-        for idx in range(j, y.n_sites - j - 1):
-            site = y.offset + idx
-            band = max(band, abs(g_tilde(y, j, site) - Lj[idx, idx]),
-                       abs(h_tilde(y, j, site) - 2.0 * y.a[idx] * Lj[idx + 1, idx]))
+        g, h = hierarchy_fields(y, HierarchySpec(j - 1, (1.0,) + (0.0,) * (j - 1)))
+        idx = np.arange(j, y.n_sites - j - 1)
+        band = max(band, np.max(np.abs(g[idx + 1] - Lj[idx, idx])),
+                   np.max(np.abs(h[idx + 1] - 2.0 * y.a[idx] * Lj[idx + 1, idx])))
 
     lam2 = free_moment(2)
 

@@ -21,7 +21,7 @@ def test_json_diff_lists_changed_added_and_removed_keys():
     old = {"a": 1, "b": {"c": 2.0, "gone": True}, "same": [1, 2]}
     new = {"a": 1, "b": {"c": 2.5, "new": None}, "same": [1, 2]}
     assert list(compare_runs.json_diff(old, new)) == [
-        "b.c: 2.0 -> 2.5", "b.gone: removed (was True)", "b.new: added (None)"]
+        "b.c: 2.0 -> 2.5 (rel 2.0e-01)", "b.gone: removed (was True)", "b.new: added (None)"]
     # an int and an equal float are different JSON values
     assert list(compare_runs.json_diff({"n": 1}, {"n": 1.0})) == ["n: 1 -> 1.0"]
 
@@ -55,7 +55,7 @@ def test_file_diff_of_json_names_the_keys(tmp_path):
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text('{"ok": true, "v": 1.5}')
     new.write_text('{"ok": true, "v": 1.25}')
-    assert compare_runs.file_diff(old, new) == ["v: 1.5 -> 1.25"]
+    assert compare_runs.file_diff(old, new) == ["v: 1.5 -> 1.25 (rel 1.7e-01)"]
 
 
 def test_is_strict_json_rejects_nan_and_infinity(tmp_path):

@@ -8,8 +8,7 @@ from scipy.integrate import quad
 from todalab import (HierarchySpec, IntegratorConfig, LatticeState,
                      background_state, hierarchy_hamiltonian, hierarchy_rhs,
                      integrate, random_localized_state)
-from todalab.hierarchy import (_band_powers, free_moment, g_tilde, h_tilde,
-                               hierarchy_fields, kvm_rhs,
+from todalab.hierarchy import (_band_poly, free_moment, hierarchy_fields, kvm_rhs,
                                path_counts)
 from todalab.state import jacobi_matrix, toda_rhs
 
@@ -64,23 +63,30 @@ def test_path_count_inequalities():
         assert xi <= 3 ** j
 
 
+def matrix_elements(x, j):
+    """<delta_n, L^j delta_n> and 2 a_n <delta_{n+1}, L^j delta_n> over the
+    window, j >= 1: the g and h of the pure order-(j-1) flow."""
+    g, h = hierarchy_fields(x, HierarchySpec(j - 1, (1.0,) + (0.0,) * (j - 1)))
+    return g[1:-1], h[1:-1]
+
+
 def test_band_matrix_elements_vs_dense():
     x = random_localized_state(30, seed=12, width=4.0)
     L = jacobi_matrix(x)
     worst = 0.0
-    for j in range(0, 7):
+    for j in range(1, 7):
         Lj = np.linalg.matrix_power(L, j)
-        for idx in range(j, x.n_sites - j - 1):
-            site = x.offset + idx
-            worst = max(worst, abs(g_tilde(x, j, site) - Lj[idx, idx]),
-                        abs(h_tilde(x, j, site) - 2.0 * x.a[idx] * Lj[idx + 1, idx]))
+        g, h = matrix_elements(x, j)
+        idx = np.arange(j, x.n_sites - j - 1)   # sites whose elements stay in the window
+        worst = max(worst, np.max(np.abs(g[idx] - Lj[idx, idx])),
+                    np.max(np.abs(h[idx] - 2.0 * x.a[idx] * Lj[idx + 1, idx])))
     print(worst)
     assert worst < 1e-12
 
 
 def band_powers_all_diagonals(a, b, jmax, da=None, db=None):
-    """The step over all 2 jmax + 1 diagonals that _band_powers replaced:
-    its bitwise oracle."""
+    """L^0 .. L^jmax by the power step over all 2 jmax + 1 diagonals: the
+    bitwise oracle of _band_poly's monomials."""
     P = np.zeros((jmax + 1, 2 * jmax + 1, a.size))
     P[0, jmax] = 1.0
     dP = None if da is None else np.zeros_like(P)
@@ -113,16 +119,48 @@ def _band_inputs(kind):
                                   "negative-background"])
 @pytest.mark.parametrize("tangent", [False, True])
 def test_band_powers_match_all_diagonal_oracle_bitwise(kind, tangent):
+    """_band_poly of the monomial L^j equals the j-th power of the
+    all-diagonal step bit for bit: adding the zero coefficients moves no bit."""
     a, b, da, db = _band_inputs(kind)
     if not tangent:
         da = db = None
-    for jmax in range(0, 7):
-        P, dP = _band_powers(a, b, jmax, da, db)
-        P_ref, dP_ref = band_powers_all_diagonals(a, b, jmax, da, db)
-        assert P.tobytes() == P_ref.tobytes()
-        assert (dP is None) == (dP_ref is None)
+    for j in range(0, 7):
+        Q, dQ = _band_poly(a, b, (0.0,) * j + (1.0,), da, db)
+        P_ref, dP_ref = band_powers_all_diagonals(a, b, j, da, db)
+        assert Q.tobytes() == P_ref[j].tobytes()
+        assert (dQ is None) == (dP_ref is None)
         if tangent:
-            assert dP.tobytes() == dP_ref.tobytes()
+            assert dQ.tobytes() == dP_ref[j].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "mixed-sign-a", "negative-zero-b",
+                                  "negative-background"])
+def test_band_poly_matches_dense_polynomial(kind):
+    """Every diagonal of p(L) = sum_k c_k L^k, mixed coefficients, and of its
+    derivative along a tangent, against dense matrix powers: away from the
+    K sites at either end the two agree to rounding."""
+    a, b, da, db = _band_inputs(kind)
+    n = a.size
+    rng = np.random.default_rng(3)
+
+    def tridiagonal(x, y):
+        return np.diag(y) + np.diag(x[:-1], 1) + np.diag(x[:-1], -1)
+
+    L, dL = tridiagonal(a, b), tridiagonal(da, db)
+    for k in range(1, 7):
+        coeffs = tuple(rng.uniform(-1.0, 1.0, k + 1))
+        Lp = [np.linalg.matrix_power(L, j) for j in range(k + 1)]
+        dense = sum(c * Lj for c, Lj in zip(coeffs, Lp))
+        d_dense = sum(coeffs[j] * Lp[m] @ dL @ Lp[j - 1 - m]
+                      for j in range(1, k + 1) for m in range(j))
+        Q, dQ = _band_poly(a, b, coeffs, da, db)
+        worst = 0.0
+        for d in range(-k, k + 1):
+            i = np.arange(k, n - k)
+            worst = max(worst, np.max(np.abs(Q[k + d, i] - dense[i, i + d])),
+                        np.max(np.abs(dQ[k + d, i] - d_dense[i, i + d])))
+        print(kind, k, worst)
+        assert worst < 1e-12
 
 
 @pytest.mark.parametrize("r", range(0, 6))
@@ -148,18 +186,6 @@ def test_fields_and_hamiltonian_vs_dense(r):
     assert np.max(np.abs(g - g_dense)) < 1e-12
     assert np.max(np.abs(h - h_dense)) < 1e-12
     assert abs(H - H_dense) < 1e-12
-
-
-def test_matrix_element_margin_errors():
-    x = background_state(15, offset=0)
-    with pytest.raises(ValueError) as err:
-        g_tilde(x, 3, 1)            # needs sites -2 .. 4
-    assert "-2..4" in str(err.value)
-    # padded evaluation substitutes background and succeeds
-    assert abs(g_tilde(x, 2, 0, padded=True) - free_moment(2)) < 1e-15
-    with pytest.raises(ValueError) as err:
-        h_tilde(x, 2, 13)           # needs sites 11 .. 16
-    assert "16" in str(err.value)
 
 
 def test_r0_equals_toda_bitwise():

@@ -384,6 +384,16 @@ def test_non_finite_fit_is_written_as_null(tmp_path):
                for fit in strict_json(tmp_path / "interpolation_fit.json"))
 
 
+def test_interpolation_envelope_neither_underflows_nor_overflows(tmp_path):
+    """At mu = 13, G_mu underflows to 0 beyond distance 57 while the cone
+    factor overflows to inf; their product was NaN, a violation.  Summed as
+    logs, the envelope is +inf there, no constraint, and the run is valid
+    without a RuntimeWarning (an error under this suite's settings)."""
+    code, _, summary = run_scenario("interpolation", tmp_path, mu=13.0)
+    assert code == 0
+    assert summary["envelope_valid"] is True and summary["violations"] == 0
+
+
 @pytest.mark.parametrize("nan_seed", [0, 1], ids=["nan-first", "nan-last"])
 def test_nan_spatial_fit_fails_interpolation_in_either_order(nan_seed, tmp_path,
                                                             monkeypatch):

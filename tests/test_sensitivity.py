@@ -387,9 +387,9 @@ def test_ghs_sliced_shifts_equal_concatenated_shifts_bitwise(pot, state):
 
 
 def _second_fields_composed(s, u1a, u1b, u2a, u2b, wa, wb):
-    """The second-tangent field as it was composed: the Toda field and its
-    linearization along u1, the one along u2 from a second call, and d/dt w.
-    The oracle of the one-pass field."""
+    """The second-tangent field written out with concatenated shifts: the
+    Toda field and its linearization along u1, the one along u2 from a
+    second call, and d/dt w.  The bitwise oracle of _toda_second_fields."""
     a = s.a
     a_bg, b_bg = s.background
     b_up = _up(s.b, b_bg)
@@ -412,8 +412,8 @@ def test_second_tangent_field_equals_the_composition_bitwise(state):
 
 
 def test_second_tangent_run_equals_the_composed_run_bitwise():
-    """Under rk4-fixed the one-pass field gives the composed field's run bit
-    for bit: w, both first tangents and the base run."""
+    """Under rk4-fixed _toda_second_fields gives the written-out field's run
+    bit for bit: w, both first tangents and the base run."""
     x = soliton_state(SolitonSpec(kappa=0.8), 61)
     g = evolve_second_tangent(x, (0, "a"), (1, "btilde"), 1.5, FIXED, sample_dt=0.5)
     zeros = np.zeros(x.n_sites)
@@ -421,3 +421,109 @@ def test_second_tangent_run_equals_the_composed_run_bitwise():
     base, series = _solve_blocks(x, _second_fields_composed, blocks, g.times, FIXED)
     got = (g.base.a, g.base.b, g.u1_a, g.u1_b, g.u2_a, g.u2_b, g.w_a, g.w_b)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in (base.a, base.b, *series)]
+
+
+# -- exact oracles of whole tangent grids -------------------------------------
+
+def bessel_tangent(seed, sites, t):
+    """(da, db) of the Toda tangent flow on the exact background (1/2, 0)
+    from a unit seed at site m, the harmonic chain's solution, k = n - m:
+    a b-seed gives db = J_{2|k|}(2t) and da = -J_{2k+1}(2t)/2 for k >= 0,
+    J_{-2k-1}(2t)/2 for k < 0; an a-seed gives da = J_{2|k|}(2t) and
+    db = -2 J_{2k-1}(2t) for k >= 1, 2 J_{1-2k}(2t) for k <= 0."""
+    from scipy.special import jv
+    m, coord = seed
+    k = sites - m
+    even = jv(2 * np.abs(k), 2.0 * t)
+    if coord == "b":
+        return np.where(k >= 0, -0.5 * jv(2 * k + 1, 2.0 * t), 0.5 * jv(-2 * k - 1, 2.0 * t)), even
+    return even, np.where(k >= 1, -2.0 * jv(2 * k - 1, 2.0 * t), 2.0 * jv(1 - 2 * k, 2.0 * t))
+
+
+def _bessel_error(cfg):
+    """The largest |grid - Bessel solution| over seeds (0, b), (0, a) and
+    (3, a) of a background window of 101 sites, every sample to t = 5."""
+    x = background_state(101)
+    worst = 0.0
+    for seed in ((0, "b"), (0, "a"), (3, "a")):
+        g = evolve_tangent(x, seed, 5.0, cfg, sample_dt=0.5)
+        for i, t in enumerate(g.times):
+            da, db = bessel_tangent(seed, g.sites, t)
+            worst = max(worst, np.max(np.abs(g.da[i] - da)), np.max(np.abs(g.db[i] - db)))
+    return worst
+
+
+def test_background_tangent_is_the_bessel_solution_under_rk_adaptive():
+    """2.0e-9 at tol 1e-10 and 2.2e-11 at 1e-12: the error is the
+    integrator's and falls with its tolerance."""
+    loose, tight = (_bessel_error(IntegratorConfig(tolerance=tol)) for tol in (1e-10, 1e-12))
+    print(loose, tight)
+    assert loose < 1e-8 and tight < 1e-10
+    assert tight < loose / 30.0
+
+
+def test_background_tangent_is_the_bessel_solution_under_rk4_fixed():
+    """6.3e-9 at step 0.01 and 4.0e-10 at 0.005: halving the step divides
+    the error by 16, the fourth order of RK4."""
+    coarse, fine = (_bessel_error(IntegratorConfig(method="rk4-fixed", step=h))
+                    for h in (0.01, 0.005))
+    print(coarse, fine, coarse / fine)
+    assert coarse < 2e-8 and fine < 2e-9
+    assert 12.0 < coarse / fine < 20.0
+
+
+def poisson_matrix(a):
+    """The bracket {a_n, b_{n+1}} = a_n/4, {a_n, b_n} = -a_n/4 as a matrix
+    over the window's coordinates (a_0 .. a_{N-1}, b_0 .. b_{N-1})."""
+    n = a.size
+    i = np.arange(n)
+    P = np.zeros((2 * n, 2 * n))
+    P[i, n + i] = -0.25 * a
+    P[i[:-1], n + i[:-1] + 1] = 0.25 * a[:-1]
+    return P - P.T
+
+
+def poisson_error(x, cfg, flow="toda", spec=None, t=2.0):
+    """|Phi(t) Pi(x(0)) Phi(t)^T - Pi(x(t))| entrywise, with the Jacobian
+    Phi(t) = dx(t)/dx(0) built from one tangent grid per seed, and the same
+    with Pi(x(0)) in place of Pi(x(t)): a flow that preserves the bracket
+    makes the first vanish, and the second tells that it is not trivially
+    small."""
+    columns = []
+    for coord in "ab":
+        for m in range(x.offset, x.offset + x.n_sites):
+            g = evolve_tangent(x, (m, coord), t, cfg, flow, spec, sample_dt=t)
+            columns.append(np.concatenate((g.da[-1], g.db[-1])))
+    phi = np.array(columns).T
+    moved = phi @ poisson_matrix(x.a) @ phi.T
+    return np.abs(moved - poisson_matrix(g.base.a[-1])), np.abs(moved - poisson_matrix(x.a))
+
+
+@pytest.mark.parametrize("cfg", [IntegratorConfig(tolerance=1e-10),
+                                 IntegratorConfig(method="rk4-fixed", step=0.01)],
+                         ids=["rk-adaptive", "rk4-fixed"])
+@pytest.mark.parametrize("flow, spec", [("toda", None),
+                                        ("perturbed", PerturbationSpec("cosine", w0=0.1))],
+                         ids=["toda", "perturbed"])
+def test_the_flow_preserves_the_poisson_structure(flow, spec, cfg):
+    """Phi(t) Pi(x(0)) Phi(t)^T = Pi(x(t)) over the whole Jacobian of a
+    random base of 21 sites at t = 2: 6e-11 under rk-adaptive at tol 1e-10
+    and 2.5-2.8e-10 under rk4-fixed at step 0.01.  With Pi(x(0)) on the
+    right instead, the difference is 6e-2."""
+    err, unmoved = poisson_error(random_localized_state(21), cfg, flow, spec)
+    print(flow, err.max(), unmoved.max())
+    assert err.max() < 1e-9
+    assert unmoved.max() > 1e-2
+
+
+def test_hierarchy_preserves_the_poisson_structure_away_from_the_edge():
+    """The r = 1 flow on 41 sites at t = 2, rk-adaptive at tol 1e-10: 4e-11
+    over the rows and seeds at least 10 sites from the edge, 9.2e-2 over the
+    whole window, where the frozen background truncates the flow."""
+    x = random_localized_state(41)
+    err, _ = poisson_error(x, IntegratorConfig(tolerance=1e-10), "hierarchy",
+                           HierarchySpec(1, (1.0, 0.0)))
+    inner = np.r_[10:31, 51:72]              # a and b of the sites 10 .. 30
+    print(err[np.ix_(inner, inner)].max(), err.max())
+    assert err[np.ix_(inner, inner)].max() < 1e-9
+    assert err.max() > 1e-2

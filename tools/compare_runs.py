@@ -17,10 +17,11 @@ sizes the defaults do not (N=1001, t=20).  Each extra CONFIG.json runs last.
 A benchmark or extra config runs once from each tree as it is, under its
 own integrator (the parent's default when it names none).  The report lists
 differing exit codes and stderr, artifact files present in one tree only,
-and files whose bytes differ: for a JSON file every differing key, for a
-CSV file the number of differing rows and cells and the largest absolute
-difference of the differing cells' values.  It also lists every JSON artifact,
-in either tree, that is not strict JSON (holds a NaN or Infinity token).
+and files whose bytes differ: for a JSON file every differing key, with the
+relative difference of a moved float, and for a CSV file the number of
+differing rows and cells and the largest absolute difference of the
+differing cells' values.  It also lists every JSON artifact, in either
+tree, that is not strict JSON (holds a NaN or Infinity token).
 It ends with one tally per integrator, for example `rk4-fixed: 17 configs,
 0 differences`, the benchmark and extra configs counted under theirs.  Exit
 status 0 when every run matches byte for byte and every JSON artifact is
@@ -78,7 +79,15 @@ def json_diff(old, new, where=""):
         for i, (o, n) in enumerate(zip(old, new)):
             yield from json_diff(o, n, f"{where}[{i}]")
     elif type(old) is not type(new) or (old != new and not (old != old and new != new)):
-        yield f"{where}: {old!r} -> {new!r}"
+        yield f"{where}: {old!r} -> {new!r}" + relative_difference(old, new)
+
+
+def relative_difference(old, new) -> str:
+    """' (rel 1.7e-01)' for two finite floats that differ: |new - old| over
+    the larger magnitude; empty for any other pair."""
+    if type(old) is float and type(new) is float and math.isfinite(old) and math.isfinite(new):
+        return f" (rel {abs(new - old) / max(abs(old), abs(new)):.1e})"
+    return ""
 
 
 def is_strict_json(path: Path) -> bool:
