@@ -1,22 +1,21 @@
 """Propagation-bound constants, envelopes, and the light-cone verifier.
 
-Every explicit constant and velocity of the sensitivity bounds lives here:
+The explicit constants and velocities of the light-cone bounds:
 
 * velocity_toda:      v = (1 + sqrt(17)) ||L(0)|| (e^{mu+1} + 1/mu)
 * optimal_mu:         the decay rate minimizing it, mu0 = 2 W0(e^{-1/2}/2)
 * velocity_perturbed: the same with perturbation-corrected comparison matrix
 * velocity_hierarchy: order-r comparison-matrix and crude-count variants
 * velocity_timedep:   cone *radius* for data that is merely bounded
-* G_mu machinery:     the summable weight used by the interpolated bounds
-* h_growth, second_derivative_envelope: the mixed second-derivative bound
+* G_mu, C_epsilon:    the summable weight used by the interpolated bounds
 
 Envelope.value is the one evaluator of the cone P e^{-mu(d - v|t|)}: the
-light-cone envelopes, the bracket bound (observables.check_bracket_bound)
-and the second-derivative envelope all call it.  Each envelope factory takes
-only the paper's inputs and returns the paper's prefactor P.  compare is the
-one comparison behind every verdict; verify_light_cone applies it pointwise to
-observed sensitivity magnitudes against an envelope and reports
-violations, the empirical front speed, and boundary hygiene.
+light-cone envelopes and the bracket bound (observables.check_bracket_bound)
+both call it.  Each envelope factory takes only the paper's inputs and
+returns the paper's prefactor P.  compare is the one comparison behind every
+verdict; verify_light_cone applies it pointwise to observed sensitivity
+magnitudes against an envelope and reports violations, the empirical front
+speed, and boundary hygiene.
 """
 from __future__ import annotations
 
@@ -131,11 +130,6 @@ def G_mu(mu: float, k):
     return np.exp(-mu * k) / (1.0 + k) ** 2
 
 
-def gamma_const() -> float:
-    """Convolution constant: 4 sum_k (1 + |k|)^{-2} = 4 (pi^2/3 - 1)."""
-    return 4.0 * (math.pi ** 2 / 3.0 - 1.0)
-
-
 def C_epsilon(eps: float) -> float:
     """sup_x (1 + |x|)^2 e^{-eps |x|}: (4/eps^2) e^{eps-2} for eps <= 2, else 1."""
     if not eps > 0:
@@ -143,74 +137,6 @@ def C_epsilon(eps: float) -> float:
     if eps >= 2.0:
         return 1.0
     return 4.0 / (eps * eps) * math.exp(eps - 2.0)
-
-
-def check_G_convolution(mu: float) -> dict:
-    """Verify sum_l G(d - l) G(l) <= gamma G(d) for d = 0..50, truncating
-    the sum at 500 sites beyond each end."""
-    span = 50
-    r = 10 * span
-    l = np.arange(-r, span + r + 1)
-    gl = G_mu(mu, l)
-    worst = 0.0
-    for d in range(span + 1):
-        ratio = float(np.sum(G_mu(mu, d - l) * gl) / G_mu(mu, d))
-        worst = max(worst, ratio)
-    gamma = gamma_const()
-    return {"mu": mu, "span": span, "truncation_range": r,
-            "max_ratio": worst, "gamma": gamma, "ok": worst <= gamma}
-
-
-# -- mixed second derivative --------------------------------------------------
-
-def _doubled_eigenvalues(mu: float) -> tuple[float, float]:
-    """(lam_+, lam_-) = 1 +- sqrt(1 + 4 (e^{2 mu} + 1)^2), the eigenvalues of
-    the doubled comparison matrix of the mixed second-derivative bound."""
-    root = math.sqrt(1.0 + 4.0 * (math.exp(2.0 * mu) + 1.0) ** 2)
-    return 1.0 + root, 1.0 - root
-
-
-def h_growth(t, mu: float, v: float, Lnorm: float):
-    """The time factor of the mixed second-derivative bound:
-
-        h(t) = (e^{2 mu v beta |t|} - 1)/beta,  beta = ||L(0)|| lam_+ / (2 mu v) - 1
-
-    (h(t) = 2 mu v |t| in the beta -> 0 limit), with lam_+ the top eigenvalue
-    of the doubled comparison matrix.  h(0) = 0; for beta < 0, h <= 1/|beta|.
-    """
-    beta = Lnorm * _doubled_eigenvalues(mu)[0] / (2.0 * mu * v) - 1.0
-    x = 2.0 * mu * v * np.abs(np.asarray(t, dtype=float))
-    if abs(beta) < 1e-13:
-        return x if x.ndim else float(x)
-    out = np.expm1(beta * x) / beta
-    return out if out.ndim else float(out)
-
-
-def second_derivative_envelope(mu: float, Lnorm: float, v: float | None = None):
-    """(C, envelope) of the bound on |d^2 F_n(t) / dz db̃_k| for seeds at
-    sites l (z) and k:
-
-        envelope(dl, dk, t) = C e^{-mu (|dl| + |dk| - 2 v |t|)} h(t):
-
-    h(t) times the cone of speed 2v at distance |dl| + |dk|.  C collects the
-    eigen-decomposition of the doubled comparison matrix.
-    """
-    if v is None:
-        v = velocity_toda(mu, Lnorm)
-    e2 = math.exp(2.0 * mu) + 1.0
-    lam_p, lam_m = _doubled_eigenvalues(mu)
-    y1 = (2.0 * (math.exp(mu) + 1.0) - lam_m) / (lam_p - lam_m)
-    y2 = (lam_p - 2.0 * (math.exp(mu) + 1.0)) / (lam_p - lam_m)
-    vp_inf = max(abs(lam_p), 4.0 * e2)
-    vm_inf = max(abs(lam_m), 4.0 * e2)
-    c_mu = (64.0 / 17.0) * math.exp(mu)
-    c = c_mu / (2.0 * mu * v) * (abs(y1) * vp_inf + abs(y2) * vm_inf)
-    cone = Envelope(family="second-derivative", mu=mu, prefactor=c, speed=2.0 * v)
-
-    def envelope(dl, dk, t):
-        return cone.value(np.abs(dl) + np.abs(dk), t) * h_growth(t, mu, v, Lnorm)
-
-    return c, envelope
 
 
 # -- envelopes and the verifier ----------------------------------------------

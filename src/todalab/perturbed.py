@@ -75,15 +75,10 @@ class PerturbationSpec:
 
 
 def _forcing(s: LatticeState, pspec: PerturbationSpec, u: np.ndarray) -> np.ndarray:
-    """R_n of forcing_field, given u = ln(4 a^2)."""
+    """R_n = (W'(u_n) - W'(u_{n-1})) / 2, given u = ln(4 a^2)."""
     a_bg = s.background[0]
     wp_bg = float(pspec.dW(math.log(4.0 * a_bg * a_bg)))
     return 0.5 * _step_dn(pspec.dW(u), wp_bg)
-
-
-def forcing_field(s: LatticeState, pspec: PerturbationSpec) -> np.ndarray:
-    """R_n = (W'(u_n) - W'(u_{n-1})) / 2 with u = ln(4 a^2)."""
-    return _forcing(s, pspec, np.log(4.0 * s.a * s.a))
 
 
 def perturbed_energy(s: LatticeState, pspec: PerturbationSpec) -> float:

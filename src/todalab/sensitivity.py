@@ -2,17 +2,11 @@
 respect to one initial coordinate.
 
 The tangent system is integrated alongside the base flow, so a single run
-yields the whole column d(state at time t) / d(z_m) over the window.  An
-independent central finite-difference oracle cross-validates the variational
-route; the two must agree wherever the signal is resolvable (use the same
-fixed-step integrator for both when comparing, so that discretization error
-cancels instead of polluting the difference).
+yields the whole column d(state at time t) / d(z_m) over the window.
 """
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +15,9 @@ from .hierarchy import HierarchySpec, hierarchy_rhs
 # every solve goes through _solve_blocks; solve_vector is bound here only
 # because perfbench/test_smoke.py reads sensitivity.solve_vector
 from .integrators import (EdgeMargin, IntegratorConfig, Trajectory, _solve_blocks,
-                          integrate, sample_times, solve_vector, write_csv)
+                          sample_times, solve_vector, write_csv)
 from .perturbed import PerturbationSpec, perturbed_rhs
-from .state import LatticeState, _step_dn, _step_up, toda_rhs
+from .state import toda_rhs
 
 
 def make_flow(name: str, spec=None):
@@ -73,8 +67,17 @@ def _seed_vectors(x, seed):
     return da, db
 
 
-class _OnBase:
-    """times and offset of a grid are those of its base run."""
+@dataclass
+class SensitivityGrid(EdgeMargin):
+    """d(state)/dz over the window and the sampled horizon, plus the base
+    run, whose times and offset the grid's are."""
+
+    da: np.ndarray            # (T, N); d r / dz for the chain flow
+    db: np.ndarray            # (T, N); d p / dz for the chain flow
+    base: Trajectory
+    seed_site: int
+    seed_coord: str
+    flow: str
 
     @property
     def times(self) -> np.ndarray:
@@ -83,19 +86,6 @@ class _OnBase:
     @property
     def offset(self) -> int:
         return self.base.offset
-
-
-@dataclass
-class SensitivityGrid(_OnBase, EdgeMargin):
-    """d(state)/dz over the window and the sampled horizon, plus the base run."""
-
-    da: np.ndarray            # (T, N); d r / dz for the chain flow
-    db: np.ndarray            # (T, N); d p / dz for the chain flow
-    base: Trajectory
-    seed_site: int
-    seed_coord: str
-    flow: str
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_samples(self) -> int:
@@ -150,111 +140,3 @@ def evolve_tangent(x, seed, t_final: float, cfg: IntegratorConfig | None = None,
                                    sample_times(t_final, sample_dt),
                                    cfg or IntegratorConfig())
     return SensitivityGrid(da, db, base, int(seed[0]), str(seed[1]), flow)
-
-
-def _signed_runs(x, rhs, steps, t_final, cfg, sample_dt):
-    """Runs of rhs from x + s_1 d_1 + s_2 d_2 + ... for every choice of signs
-    s_k = +-1, where steps lists the offsets d_k = (d_k1, d_k2).  Returns the
-    sum of (s_1 s_2 ...) * run as a (2, T, N) array of both coordinates, and
-    the mean run."""
-    x1, x2 = x.arrays
-    combos = list(itertools.product((1.0, -1.0), repeat=len(steps)))
-    signed = mean = 0.0
-    for signs in combos:
-        start = type(x)(x1 + sum(s * d1 for s, (d1, _) in zip(signs, steps)),
-                        x2 + sum(s * d2 for s, (_, d2) in zip(signs, steps)),
-                        x.offset, x.background)
-        tr = integrate(start, rhs, t_final, cfg, sample_dt=sample_dt)
-        ys = np.stack((tr.x1, tr.x2))
-        signed = signed + math.prod(signs) * ys
-        mean = mean + ys / len(combos)
-    return signed, replace(tr, x1=mean[0], x2=mean[1])
-
-
-def finite_difference_oracle(x, seed, t_final: float,
-                             cfg: IntegratorConfig | None = None,
-                             flow: str = "toda", spec=None, *,
-                             sample_dt: float) -> SensitivityGrid:
-    """Central-difference estimate of the same grid: (flow(x + h e) - flow(x - h e)) / 2h,
-    h = 1e-5 max(1, |z0|) with z0 the seeded coordinate's start value.
-
-    Truncation error scales like h^2; meta records h and that scale.  The
-    'btilde' seed differentiates along e_{b,k+1} - e_{b,k}.
-    """
-    cfg = cfg or IntegratorConfig()
-    rhs = make_flow(flow, spec)
-    da0, db0 = _seed_vectors(x, seed)
-    z0 = x.arrays[0 if seed[1] == x.coords[0] else 1]
-    h = 1e-5 * max(1.0, abs(float(z0[seed[0] - x.offset])))
-    diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg, sample_dt)
-    return SensitivityGrid(diff[0] / (2.0 * h), diff[1] / (2.0 * h), mid, int(seed[0]),
-                           str(seed[1]), flow, {"fd_h": h, "fd_error_scale": h * h})
-
-
-# -- second derivatives (Toda flow only) -------------------------------------
-
-@dataclass
-class SecondTangentGrid(_OnBase):
-    """w = d^2(state at t) / dz1 dz2 for the Toda flow, with both first
-    tangents and the base run carried along."""
-
-    w_a: np.ndarray
-    w_b: np.ndarray
-    u1_a: np.ndarray
-    u1_b: np.ndarray
-    u2_a: np.ndarray
-    u2_b: np.ndarray
-    base: Trajectory
-    seed1: tuple
-    seed2: tuple
-
-
-def _toda_second_fields(s: LatticeState, u1a, u1b, u2a, u2b, wa, wb):
-    """The Toda field, its linearizations along u1 and u2, and d/dt of w,
-    Df(x) w + D^2 f(x)[u1, u2]: eight arrays.  toda_rhs gives the field and
-    each linearization; D^2 f[u1, u2] adds u1a (u2b_{n+1} - u2b_n) +
-    u2a (u1b_{n+1} - u1b_n) to da and 4 ((u1a u2a)_n - (u1a u2a)_{n-1}) to db."""
-    fa, fb, g1a, g1b = toda_rhs(s, u1a, u1b)
-    g2a, g2b = toda_rhs(s, u2a, u2b)[2:]
-    gwa, gwb = toda_rhs(s, wa, wb)[2:]
-    return (fa, fb, g1a, g1b, g2a, g2b,
-            gwa + u1a * _step_up(u2b, 0.0) + u2a * _step_up(u1b, 0.0),
-            gwb + 4.0 * _step_dn(u1a * u2a, 0.0))
-
-
-def evolve_second_tangent(x: LatticeState, z_seed, second, t_final: float,
-                          cfg: IntegratorConfig | None = None, *,
-                          sample_dt: float) -> SecondTangentGrid:
-    """Second variational flow d^2/dz1 dz2 of the Toda evolution.
-
-    z_seed and second are (site, coord) pairs; (k, "btilde") is the
-    adjacent-difference direction e_{b,k+1} - e_{b,k}.
-    """
-    if not isinstance(x, LatticeState):
-        raise TypeError("second tangent flow is implemented for the Toda flow only")
-    zeros = np.zeros(x.n_sites)
-    blocks = (*_seed_vectors(x, z_seed), *_seed_vectors(x, second), zeros, zeros)
-    base, (u1a, u1b, u2a, u2b, wa, wb) = _solve_blocks(
-        x, _toda_second_fields, blocks, sample_times(t_final, sample_dt),
-        cfg or IntegratorConfig())
-    return SecondTangentGrid(w_a=wa, w_b=wb, u1_a=u1a, u1_b=u1b, u2_a=u2a, u2_b=u2b,
-                             base=base, seed1=tuple(z_seed), seed2=tuple(second))
-
-
-def second_finite_difference(x: LatticeState, z_seed, second, t_final: float,
-                             cfg: IntegratorConfig | None = None, *, sample_dt: float):
-    """Nested central differences for d^2/dz1 dz2 of the Toda flow: four runs
-
-        (F(+h,+h) - F(+h,-h) - F(-h,+h) + F(-h,-h)) / (4 h^2),  h = 1e-4.
-
-    Returns (times, wa, wb).  Use a fixed-step config so the four runs share
-    one discretization.
-    """
-    cfg = cfg or IntegratorConfig(method="rk4-fixed")
-    h = 1e-4
-    e1a, e1b = _seed_vectors(x, z_seed)
-    e2a, e2b = _seed_vectors(x, second)
-    acc, mid = _signed_runs(x, toda_rhs, [(h * e1a, h * e1b), (h * e2a, h * e2b)],
-                            t_final, cfg, sample_dt)
-    acc /= 4.0 * h * h
-    return mid.times, acc[0], acc[1]

@@ -1,13 +1,13 @@
 """Closed-form one-soliton solutions of the Toda lattice.
 
 The profile is driven by the phase u_n(t) = -2 kappa n + sign 2 sinh(kappa) t
-+ delta through lf(u) = ln(1 + e^u):
++ delta through the logistic function sigma:
 
-    a_n(t)^2 = 1/4 + sinh(kappa)^2 sigma'(u_n)      sigma = logistic
+    a_n(t)^2 = 1/4 + sinh(kappa)^2 sigma'(u_n)
     b_n(t)   = sign sinh(kappa) (sigma(u_n) - sigma(u_{n-1}))
 
-Everything is evaluated in the log domain (logaddexp / expit), so the tails
-are exact to machine precision for |u| beyond ~40 instead of overflowing.
+sigma is evaluated by expit, so the tails are exact to machine precision
+for |u| beyond ~40 instead of overflowing.
 The wave travels at speed sign * sinh(kappa)/kappa sites per unit time and
 the Jacobi operator norm is cosh(kappa) for all t.
 """
@@ -49,18 +49,6 @@ def soliton_flaschka(spec: SolitonSpec, n, t: float = 0.0):
     a = 0.5 * np.sqrt(1.0 + 4.0 * sh * sh * sig * (1.0 - sig))
     b = spec.sign * sh * (sig - expit(u_prev))
     return a, b
-
-
-def soliton_pq(spec: SolitonSpec, n, t: float = 0.0):
-    """(q_n(t), p_n(t)) with the constant fixed by q -> 0 as n -> +inf."""
-    from scipy.special import expit     # only a soliton needs it
-    u = _phase(spec, n, t)
-    u_prev = _phase(spec, np.asarray(n, dtype=float) - 1.0, t)
-    lf = np.logaddexp(0.0, u)
-    lf_prev = np.logaddexp(0.0, u_prev)
-    q = -(lf - lf_prev)
-    p = -spec.sign * 2.0 * math.sinh(spec.kappa) * (expit(u) - expit(u_prev))
-    return q, p
 
 
 def soliton_speed(spec: SolitonSpec) -> float:

@@ -70,10 +70,6 @@ class _WindowState:
             raise IndexError(f"site {n} outside window [{self.offset}, {self.offset + self.n_sites})")
         return i
 
-    def copy(self):
-        x1, x2 = self.arrays
-        return type(self)(x1.copy(), x2.copy(), self.offset, self.background)
-
     def _over(self, x1, x2):
         """A state of this type, offset and background over the arrays x1
         and x2 as they are: no copy and no check."""
@@ -231,23 +227,6 @@ def hamiltonian_ab(s: LatticeState) -> float:
     return float(np.sum(site_energy(s.a, s.b)))
 
 
-def flaschka_inverse(s: LatticeState) -> GHSState:
-    """Map (a, b) to relative coordinates (r_n = q_{n+1} - q_n, p_n).
-
-    Positions q are recoverable from r only up to an overall constant.
-    Requires a_n > 0 (the physical branch of the coordinate change).
-    """
-    if np.any(s.a <= 0.0):
-        raise ValueError("flaschka_inverse needs a_n > 0")
-    a_bg, b_bg = s.background
-    if a_bg <= 0.0:
-        raise ValueError("flaschka_inverse needs background a > 0")
-    r = -np.log(4.0 * s.a * s.a)
-    p = -2.0 * s.b
-    r_bg = -math.log(4.0 * a_bg * a_bg)
-    return GHSState(r, p, s.offset, (r_bg, -2.0 * b_bg))
-
-
 def _relative_ab(r, p, background):
     """a = (1/2) e^{-r/2}, b = -p/2 on arrays of any shape, and on the
     background pair; an a that overflows is inf, with no warning."""
@@ -257,33 +236,11 @@ def _relative_ab(r, p, background):
     return a, -p / 2.0, (0.5 * math.exp(-r_bg / 2.0), -p_bg / 2.0)
 
 
-def relative_to_lattice(g: GHSState) -> LatticeState:
-    """Inverse of flaschka_inverse: a = (1/2) e^{-r/2}, b = -p/2.  On
-    r = q_{n+1} - q_n it is the Flaschka map of positions q."""
-    a, b, background = _relative_ab(g.r, g.p, g.background)
-    return LatticeState(a, b, g.offset, background)
-
-
 def _padded(s: LatticeState, pad: int):
     """(a, b) with pad background sites added at each end of the window."""
     a_bg, b_bg = s.background
     a_pad, b_pad = np.full(pad, float(a_bg)), np.full(pad, float(b_bg))
     return np.concatenate((a_pad, s.a, a_pad)), np.concatenate((b_pad, s.b, b_pad))
-
-
-def jacobi_matrix(s: LatticeState, pad: int = 0) -> np.ndarray:
-    """Dense symmetric tridiagonal matrix: diagonal b, off-diagonal a.
-
-    pad > 0 extends the window with background sites on both ends.
-    """
-    a, b = _padded(s, pad)
-    n = b.size
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = b
-    m[idx[:-1], idx[:-1] + 1] = a[:-1]
-    m[idx[:-1] + 1, idx[:-1]] = a[:-1]
-    return m
 
 
 def jacobi_norm(s: LatticeState) -> float:

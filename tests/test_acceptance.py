@@ -13,13 +13,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import check_G_convolution, finite_difference_oracle, gamma_const, jacobi_matrix
 from todalab import (HierarchySpec, IntegratorConfig, PerturbationSpec,
                      SolitonSpec, background_state, evolve_tangent,
-                     finite_difference_oracle, hierarchy_envelope, optimal_mu,
+                     hierarchy_envelope, optimal_mu,
                      perturbed_envelope, random_localized_state, soliton_state,
                      timedep_envelope, toda_envelope, velocity_hierarchy,
                      velocity_toda, verify_light_cone)
-from todalab.bounds import C_epsilon, check_G_convolution, gamma_const
+from todalab.bounds import C_epsilon
 from todalab.cli import default_config, main
 from todalab.ghs import (PotentialSpec, ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics)
@@ -32,8 +33,7 @@ from todalab.observables import (basic_observables, check_bracket_bound,
 from todalab.perturbed import (interpolation_envelope, monitor_trajectory,
                                perturbed_rhs)
 from todalab.solitons import soliton_flaschka
-from todalab.state import (GHSState, LatticeState, jacobi_matrix, jacobi_norm,
-                           toda_rhs)
+from todalab.state import GHSState, jacobi_norm, toda_rhs
 
 ADAPT = IntegratorConfig(method="rk-adaptive", tolerance=1e-10)
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)

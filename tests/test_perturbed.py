@@ -4,15 +4,15 @@ import types
 import numpy as np
 import pytest
 
+from oracles import central_difference
 from todalab import (IntegratorConfig, PerturbationSpec,
                      SolitonSpec, background_state, evolve_tangent, optimal_mu,
                      perturbed_envelope, random_localized_state, soliton_state,
                      verify_light_cone)
 from todalab.integrators import Trajectory, integrate
-from todalab.perturbed import (InterpolationFit, forcing_field,
-                               interpolation_envelope, monitor_trajectory,
-                               perturbed_rhs)
-from todalab.state import LatticeState, jacobi_norm, jacobi_norm_within, toda_rhs
+from todalab.perturbed import (InterpolationFit, interpolation_envelope,
+                               monitor_trajectory, perturbed_rhs)
+from todalab.state import jacobi_norm_within, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
 
@@ -61,14 +61,14 @@ def test_spec_validation():
 
 def test_forcing_vanishes_on_background():
     bg = background_state(31)
-    r = forcing_field(bg, PerturbationSpec(family="cosine", w0=0.5))
+    r = perturbed_rhs(bg, PerturbationSpec(family="cosine", w0=0.5))[1] - toda_rhs(bg)[1]
     assert np.all(r == 0.0)
 
 
 def test_forcing_telescopes():
     x = random_localized_state(41, seed=3)
     spec = PerturbationSpec(family="rational", w0=0.3)
-    r = forcing_field(x, spec)
+    r = perturbed_rhs(x, spec)[1] - toda_rhs(x)[1]       # R_n
     u_last = math.log(4.0 * x.a[-1] ** 2)
     u_bg = math.log(4.0 * x.background[0] ** 2)
     total = 0.5 * (spec.dW(u_last) - spec.dW(u_bg))
@@ -82,14 +82,6 @@ def test_zero_forcing_is_bitwise_toda():
     assert np.array_equal(da, da0) and np.array_equal(db, db0)
 
 
-def _fd_directional(rhs, x, va, vb, h=1e-6):
-    up = LatticeState(x.a + h * va, x.b + h * vb, x.offset, x.background)
-    dn = LatticeState(x.a - h * va, x.b - h * vb, x.offset, x.background)
-    fa_u, fb_u = rhs(up)
-    fa_d, fb_d = rhs(dn)
-    return (fa_u - fa_d) / (2.0 * h), (fb_u - fb_d) / (2.0 * h)
-
-
 def test_tangent_rhs_matches_directional_derivative():
     x = random_localized_state(61, seed=11)
     spec = PerturbationSpec(family="cosine", w0=0.2)
@@ -97,7 +89,7 @@ def test_tangent_rhs_matches_directional_derivative():
     va = rng.standard_normal(x.n_sites)
     vb = rng.standard_normal(x.n_sites)
     got_a, got_b = perturbed_rhs(x, spec, va, vb)[2:]
-    ref_a, ref_b = _fd_directional(lambda s: perturbed_rhs(s, spec), x, va, vb)
+    ref_a, ref_b = central_difference(lambda s: perturbed_rhs(s, spec), x, va, vb)
     err = max(np.max(np.abs(got_a - ref_a)), np.max(np.abs(got_b - ref_b)))
     print("tangent rhs err:", err)
     assert err < 1e-7

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (_toda_second_fields, bessel_tangent, central_difference,
+                     evolve_second_tangent, finite_difference_oracle, flaschka_inverse,
+                     poisson_error, second_finite_difference)
 from todalab import (GHSState, HierarchySpec, IntegratorConfig, LatticeState,
                      PerturbationSpec, PotentialSpec, SolitonSpec,
-                     background_state, evolve_second_tangent, evolve_tangent,
-                     finite_difference_oracle, random_localized_state,
-                     second_finite_difference, soliton_state,
-                     toda_envelope, verify_light_cone)
+                     background_state, evolve_tangent, random_localized_state,
+                     sample_times, soliton_state, toda_envelope, verify_light_cone)
 from todalab.integrators import _solve_blocks
-from todalab.sensitivity import (SensitivityGrid, _seed_vectors, _toda_second_fields,
-                                 make_flow)
+from todalab.sensitivity import _seed_vectors, make_flow
 
 FIXED = IntegratorConfig(method="rk4-fixed", step=0.02)
 
@@ -188,7 +188,6 @@ def test_first_tangents_carried_alongside_second():
 
 def test_ghs_chain_rule_correspondence():
     # lattice tangent of the flaschka image: delta a = -(a/2) delta r, delta b = -dp/2
-    from todalab.state import flaschka_inverse
     x = random_localized_state(61, seed=9, width=4.0)
     ghs = flaschka_inverse(x)
     pot = PotentialSpec("toda")
@@ -251,11 +250,8 @@ def _check_field(field, s, rng, h=1e-6):
     for g, w in zip(got, base):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
-    x1, x2 = s.arrays
-    up = field(type(s)(x1 + h * d1, x2 + h * d2, s.offset, s.background))
-    dn = field(type(s)(x1 - h * d1, x2 - h * d2, s.offset, s.background))
-    for g, u, v in zip(got[2:], up, dn):
-        assert np.max(np.abs(g - (u - v) / (2.0 * h))) < 1e-7
+    for g, fd in zip(got[2:], central_difference(field, s, d1, d2, h)):
+        assert np.max(np.abs(g - fd)) < 1e-7
 
 
 @pytest.mark.parametrize("state", LATTICE_STATES)
@@ -425,21 +421,6 @@ def test_second_tangent_run_equals_the_composed_run_bitwise():
 
 # -- exact oracles of whole tangent grids -------------------------------------
 
-def bessel_tangent(seed, sites, t):
-    """(da, db) of the Toda tangent flow on the exact background (1/2, 0)
-    from a unit seed at site m, the harmonic chain's solution, k = n - m:
-    a b-seed gives db = J_{2|k|}(2t) and da = -J_{2k+1}(2t)/2 for k >= 0,
-    J_{-2k-1}(2t)/2 for k < 0; an a-seed gives da = J_{2|k|}(2t) and
-    db = -2 J_{2k-1}(2t) for k >= 1, 2 J_{1-2k}(2t) for k <= 0."""
-    from scipy.special import jv
-    m, coord = seed
-    k = sites - m
-    even = jv(2 * np.abs(k), 2.0 * t)
-    if coord == "b":
-        return np.where(k >= 0, -0.5 * jv(2 * k + 1, 2.0 * t), 0.5 * jv(-2 * k - 1, 2.0 * t)), even
-    return even, np.where(k >= 1, -2.0 * jv(2 * k - 1, 2.0 * t), 2.0 * jv(1 - 2 * k, 2.0 * t))
-
-
 def _bessel_error(cfg):
     """The largest |grid - Bessel solution| over seeds (0, b), (0, a) and
     (3, a) of a background window of 101 sites, every sample to t = 5."""
@@ -472,33 +453,6 @@ def test_background_tangent_is_the_bessel_solution_under_rk4_fixed():
     assert 12.0 < coarse / fine < 20.0
 
 
-def poisson_matrix(a):
-    """The bracket {a_n, b_{n+1}} = a_n/4, {a_n, b_n} = -a_n/4 as a matrix
-    over the window's coordinates (a_0 .. a_{N-1}, b_0 .. b_{N-1})."""
-    n = a.size
-    i = np.arange(n)
-    P = np.zeros((2 * n, 2 * n))
-    P[i, n + i] = -0.25 * a
-    P[i[:-1], n + i[:-1] + 1] = 0.25 * a[:-1]
-    return P - P.T
-
-
-def poisson_error(x, cfg, flow="toda", spec=None, t=2.0):
-    """|Phi(t) Pi(x(0)) Phi(t)^T - Pi(x(t))| entrywise, with the Jacobian
-    Phi(t) = dx(t)/dx(0) built from one tangent grid per seed, and the same
-    with Pi(x(0)) in place of Pi(x(t)): a flow that preserves the bracket
-    makes the first vanish, and the second tells that it is not trivially
-    small."""
-    columns = []
-    for coord in "ab":
-        for m in range(x.offset, x.offset + x.n_sites):
-            g = evolve_tangent(x, (m, coord), t, cfg, flow, spec, sample_dt=t)
-            columns.append(np.concatenate((g.da[-1], g.db[-1])))
-    phi = np.array(columns).T
-    moved = phi @ poisson_matrix(x.a) @ phi.T
-    return np.abs(moved - poisson_matrix(g.base.a[-1])), np.abs(moved - poisson_matrix(x.a))
-
-
 @pytest.mark.parametrize("cfg", [IntegratorConfig(tolerance=1e-10),
                                  IntegratorConfig(method="rk4-fixed", step=0.01)],
                          ids=["rk-adaptive", "rk4-fixed"])
@@ -516,14 +470,81 @@ def test_the_flow_preserves_the_poisson_structure(flow, spec, cfg):
     assert unmoved.max() > 1e-2
 
 
-def test_hierarchy_preserves_the_poisson_structure_away_from_the_edge():
-    """The r = 1 flow on 41 sites at t = 2, rk-adaptive at tol 1e-10: 4e-11
-    over the rows and seeds at least 10 sites from the edge, 9.2e-2 over the
-    whole window, where the frozen background truncates the flow."""
-    x = random_localized_state(41)
-    err, _ = poisson_error(x, IntegratorConfig(tolerance=1e-10), "hierarchy",
-                           HierarchySpec(1, (1.0, 0.0)))
-    inner = np.r_[10:31, 51:72]              # a and b of the sites 10 .. 30
+@pytest.mark.parametrize("r, n_sites, margin, cfg", [
+    (1, 41, 10, IntegratorConfig(tolerance=1e-10)), (1, 41, 10, FIXED),
+    (3, 45, 20, IntegratorConfig(tolerance=1e-10))],
+    ids=["r1-rk-adaptive", "r1-rk4-fixed", "r3-rk-adaptive"])
+def test_hierarchy_preserves_the_poisson_structure_away_from_the_edge(r, n_sites, margin, cfg):
+    """The pure order-r flow at t = 2 over the rows and seeds at least margin
+    sites from the edge: r = 1 on 41 sites reads 4e-11 under rk-adaptive at
+    tol 1e-10 and 1.6e-10 under rk4-fixed at step 0.02, r = 3 on 45 sites
+    1.5e-10.  Over the whole window, where the frozen background truncates
+    the flow, it reads 9.2e-2 (r = 1) and 1.0e-1 (r = 3)."""
+    x = random_localized_state(n_sites)
+    err, _ = poisson_error(x, cfg, "hierarchy", HierarchySpec(r, (1.0,) + (0.0,) * r))
+    inner = np.r_[margin:n_sites - margin, n_sites + margin:2 * n_sites - margin]
     print(err[np.ix_(inner, inner)].max(), err.max())
     assert err[np.ix_(inner, inner)].max() < 1e-9
     assert err.max() > 1e-2
+
+
+# -- the transport identity -----------------------------------------------------
+
+def transport_error(x, field, cfg, vector=None, t=2.0):
+    """The largest |Phi(t) v(x(0)) - v(x(t))| over the window, Phi(t) the
+    tangent flow of field along its run from x: one solve with v(x(0)) as
+    the tangent block.  v is the field itself unless given: an autonomous
+    flow carries its own field."""
+    vector = vector or field
+    base, (da, db) = _solve_blocks(x, field, vector(x), sample_times(t, t), cfg)
+    fa, fb = vector(base.state(1))
+    return max(np.max(np.abs(da[-1] - fa)), np.max(np.abs(db[-1] - fb)))
+
+
+TRANSPORT_BASE = random_localized_state(101)
+TRANSPORT = {
+    "toda": ("toda", None, None),
+    "hierarchy-r3": ("hierarchy", LATTICE_FLOWS["hierarchy-r3"][1], None),
+    "perturbed-cosine": ("perturbed", LATTICE_FLOWS["perturbed-cosine"][1], None),
+    "ghs-quartic": ("ghs", GHS_POTENTIALS["ghs-quartic"], None),
+    **{f"toda-carries-H{j}": ("toda", None, HierarchySpec(j, (1.0,) + (0.0,) * j))
+       for j in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", TRANSPORT)
+def test_the_tangent_flow_transports_the_field(case):
+    """Phi(t) F(x(0)) = F(x(t)) for each flow F of make_flow, from a random
+    base of 101 sites at t = 2 (the ghs chain from its Flaschka image), and
+    Phi_Toda(t) X_{H_j}(x(0)) = X_{H_j}(x(t)) for the pure hierarchy fields
+    H_j, which commute with the Toda flow.  The error is the integrator's:
+    3e-11 to 2.4e-10 at tol 1e-10 and 3e-13 to 1.7e-12 at 1e-12 under
+    rk-adaptive; 2.2e-9 to 9.5e-9 at step 0.02 and 16 times less at 0.01
+    under rk4-fixed, its fourth order."""
+    flow, spec, carried = TRANSPORT[case]
+    field = make_flow(flow, spec)
+    vector = make_flow("hierarchy", carried) if carried else None
+    x = flaschka_inverse(TRANSPORT_BASE) if flow == "ghs" else TRANSPORT_BASE
+    loose, tight, coarse, fine = (transport_error(x, field, cfg, vector) for cfg in (
+        IntegratorConfig(tolerance=1e-10), IntegratorConfig(tolerance=1e-12),
+        FIXED, IntegratorConfig(method="rk4-fixed", step=0.01)))
+    print(case, loose, tight, coarse, fine, coarse / fine)
+    assert loose < 1e-9 and tight < 1e-11
+    assert tight < loose / 30.0
+    assert coarse < 5e-8 and fine < 5e-9
+    assert 12.0 < coarse / fine < 20.0
+
+
+def test_the_transport_identity_has_teeth():
+    """The Toda field with the db half of its linearization scaled by 1.001
+    does not transport itself: it misses by 4.9e-4, where the check above
+    allows 1e-9."""
+    toda = make_flow("toda")
+
+    def bent(st, *tangent):
+        fields = toda(st, *tangent)
+        return fields if not tangent else (*fields[:3], 1.001 * fields[3])
+
+    err = transport_error(TRANSPORT_BASE, bent, IntegratorConfig(tolerance=1e-10))
+    print(err)
+    assert err > 1e-4

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import relative_to_lattice, soliton_pq
 from todalab import (GHSState, IntegratorConfig, LatticeState, SolitonSpec,
-                     hamiltonian_ab, integrate, jacobi_norm, relative_to_lattice,
-                     soliton_Lnorm, soliton_flaschka, soliton_pq, soliton_speed,
-                     soliton_state)
+                     hamiltonian_ab, integrate, jacobi_norm, soliton_Lnorm,
+                     soliton_flaschka, soliton_speed, soliton_state)
 from todalab.state import toda_rhs
 
 
