@@ -15,7 +15,11 @@ both call it.  Each envelope factory takes only the paper's inputs and
 returns the paper's prefactor P.  compare is the one comparison behind every
 verdict; verify_light_cone applies it pointwise to observed sensitivity
 magnitudes against an envelope and reports violations, the empirical front
-speed, and boundary hygiene.
+speed, and boundary hygiene.  It reads the grid a row block of samples at a
+time (integrators.row_blocks): the observations, the envelope and the
+comparison of one block are made and dropped before the next, the violations
+are taken in time order, and fit_front_speed keeps per distance only its
+first crossing, so a verdict holds a few blocks on top of the grid.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .hierarchy import HierarchySpec, path_counts
-from .integrators import write_json
+from .integrators import row_blocks, write_json
 
 SQRT17 = math.sqrt(17.0)
 MAX_VIOLATIONS_STORED = 200
@@ -207,33 +211,56 @@ def timedep_envelope(mu: float, Lnorm0: float, w1_norm: float, w2_norm: float,
                             "w2_norm": w2_norm, "a_star": a_star})
 
 
+def _distance_groups(dists: np.ndarray):
+    """(ds, order, starts): each distance d >= 1 of dists, ascending; the
+    sites at those distances, ordered by distance; and the index in order
+    at which each distance's sites start."""
+    near = np.flatnonzero(dists >= 1)
+    order = near[np.argsort(dists[near], kind="stable")]
+    ds, starts = np.unique(dists[order], return_index=True)
+    return ds, order, starts
+
+
 def _distance_peaks(dists: np.ndarray, obs: np.ndarray):
     """(ds, peaks): each distance d >= 1 of dists, ascending, and the maximum
     of obs over the sites at that distance along obs's last axis, so that
     peaks[..., k] is obs[..., dists == ds[k]].max(axis=-1), in one pass over
     the sites.  max is exact, and a NaN propagates as it does there."""
-    near = np.flatnonzero(dists >= 1)
-    order = near[np.argsort(dists[near], kind="stable")]
-    ds, starts = np.unique(dists[order], return_index=True)
+    ds, order, starts = _distance_groups(dists)
     return ds, np.maximum.reduceat(obs[..., order], starts, axis=-1)
 
 
-def fit_front_speed(times: np.ndarray, dists: np.ndarray, obs: np.ndarray,
-                    threshold: float = 1e-8):
-    """Least-squares slope of (first crossing time of threshold, distance).
+def fit_front_speed(times: np.ndarray, dists: np.ndarray, obs, threshold: float = 1e-8):
+    """Least-squares slope of (first crossing time of threshold, distance),
+    each distance d >= 1 crossing on the maximum of obs over the sites at
+    that distance (its _distance_peaks column).
 
-    Crossing times are log-interpolated between samples; where the sample
-    before the crossing is not positive (0 or NaN), the crossing sample's
-    own time is taken.  None when fewer than two distances ever cross.
+    obs holds the observations at the sample times: a (T, N) array, or its
+    row blocks, (rows, N) arrays in time order, read one at a time.  Per
+    distance only the first sample above threshold and the sample before it
+    are kept.  Crossing times are log-interpolated between these samples;
+    where the sample before the crossing is not positive (0 or NaN), the
+    crossing sample's own time is taken.  A distance above threshold from
+    the first sample has no crossing.  None when fewer than two distances
+    ever cross.
     """
+    ds, order, starts = _distance_groups(dists)
+    first = np.full(ds.size, -1)        # the crossing sample; -1 while there is none
+    before, at, last = np.full((3, ds.size), np.nan)    # last: the previous block's last row
+    done = 0                            # samples read
+    for block in obs:
+        peaks = np.maximum.reduceat(np.atleast_2d(block)[:, order], starts, axis=-1)
+        above = peaks > threshold
+        k = np.flatnonzero((first < 0) & above.any(axis=0))
+        i = np.argmax(above[:, k], axis=0)
+        first[k] = done + i
+        before[k] = np.where(i > 0, peaks[i - 1, k], last[k])
+        at[k] = peaks[i, k]
+        last, done = peaks[-1], done + peaks.shape[0]
     pts_t, pts_d = [], []
-    ds, peaks = _distance_peaks(dists, obs)
-    for d, series in zip(ds, peaks.T):
-        idx = np.flatnonzero(series > threshold)
-        if idx.size == 0 or idx[0] == 0:
+    for d, i, y0, y1 in zip(ds, first.tolist(), before, at):
+        if i <= 0:
             continue
-        i = int(idx[0])
-        y0, y1 = series[i - 1], series[i]
         if not y0 > 0.0:
             t_cross = times[i]
         else:
@@ -302,23 +329,30 @@ def compare(observed, bound):
 
 def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
                       guard: int = 10) -> LightConeReport:
-    """Pointwise comparison of grid.observed() against the envelope; the
-    first MAX_VIOLATIONS_STORED violations are stored.  A grid that came
+    """Pointwise comparison of grid.observed() against the envelope, a row
+    block of samples at a time; every violation is counted, and the first
+    MAX_VIOLATIONS_STORED, in time order, are stored.  A grid that came
     closer than guard sites to the window edge gets no verdict."""
-    obs = grid.observed(envelope.observed_kind)
-    dist = grid.distances
-    times = grid.times
-    env = envelope.value(dist[np.newaxis, :], times[:, np.newaxis])
+    dist, times, sites = grid.distances, grid.times, grid.sites
     margin = grid.boundary_margin
     clean = bool(margin >= guard)
-
-    bad, max_ratio = compare(obs, env)
-    bad = np.argwhere(bad & clean)          # no verdict on a contaminated grid
-    n_viol = int(bad.shape[0])
-    violations = [{"n": int(grid.sites[isite]), "t": float(times[it]),
-                   "observed": float(obs[it, isite]), "bound": float(env[it, isite])}
-                  for it, isite in bad[:MAX_VIOLATIONS_STORED]]
-    speed = fit_front_speed(times, dist, obs, threshold)
+    blocks = row_blocks(times.size)
+    n_viol, violations, ratios = 0, [], []
+    for rows in blocks:
+        obs = grid.observed(envelope.observed_kind, rows)
+        env = envelope.value(dist[np.newaxis, :], times[rows, np.newaxis])
+        bad, ratio = compare(obs, env)
+        ratios.append(ratio)
+        if not clean:                       # no verdict on a contaminated grid
+            continue
+        bad = np.argwhere(bad)
+        n_viol += bad.shape[0]
+        violations += [{"n": int(sites[isite]), "t": float(times[rows.start + it]),
+                        "observed": float(obs[it, isite]), "bound": float(env[it, isite])}
+                       for it, isite in bad[:MAX_VIOLATIONS_STORED - len(violations)]]
+    max_ratio = float(np.max(ratios, initial=0.0))
+    speed = fit_front_speed(times, dist, (grid.observed(envelope.observed_kind, rows)
+                                          for rows in blocks), threshold)
     bound_speed = envelope.speed
     if bound_speed is None and times[-1] > 0:
         # radius-function envelope: report the average edge rate

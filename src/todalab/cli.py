@@ -60,7 +60,7 @@ from .bounds import (LightConeReport, hierarchy_envelope, mu_profile, optimal_mu
 from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
-from .integrators import IntegratorConfig, _drift, integrate, sample_times, write_json
+from .integrators import IntegratorConfig, _drift, integrate, row_blocks, sample_times, write_json
 from .observables import (basic_observables, check_bracket_bound,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
@@ -466,7 +466,8 @@ def _perturbed_verdicts(cfg, x, run, series):
     # a-priori operator norm growth along the run, checked by counting
     # the eigenvalues beyond the line rather than solving for the norm
     line = mon.Lnorm0 + pspec.dw_sup * run.times
-    norm_ok = bool(np.all(jacobi_norm_within(run.a, run.b, line + 1e-9)))
+    norm_ok = all(np.all(jacobi_norm_within(run.a[rows], run.b[rows], line[rows] + 1e-9))
+                  for rows in row_blocks(run.n_samples))
     mu, a_star = summary["mu"], _a_star(x)
     env_w = perturbed_envelope(mu, mon.C1, mon.C2, pspec.d2w_sup)
     env_t = timedep_envelope(mu, mon.Lnorm0, pspec.dw_sup, pspec.d2w_sup, a_star)

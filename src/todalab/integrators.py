@@ -18,6 +18,12 @@ the first sample that no state may hold.  The start state was validated
 when it was built, and its field is checked once before the solve, since
 DOP853 never returns from a NaN first step.
 
+Every pass over the (T, N) arrays of a run or a grid after its solve (the
+sample check, the edge margin, the drift series, the verdicts and the CSV
+writer) walks them in blocks of ROW_BLOCK samples, given by row_blocks.  Each block's values
+are elementwise or exact maxima of the whole-array ones, so the results
+are the same bits, and a run holds its solver output plus a few blocks.
+
 Every CSV artifact goes through write_csv: %.17g floats, the same bytes
 for the same arrays.  A file keeps a list of row texts, each site's row
 without its time.  Each sample keeps the previous sample's rows outside
@@ -26,13 +32,14 @@ builds the rows of the span alone; outside a light cone a tangent stays
 exactly 0, so most rows of a grid never change again.  A sample equal bit
 for bit to the previous one has an empty span, and the first sample's
 span is every row.  Each sample then writes its rows, its time at the
-head of each.  The cells of the spans go in blocks of 32k, and each
-distinct value of a block is formatted once, all in one _format17 call:
-numpy arithmetic that gives '%.17g' % v byte for byte from a double-double
-table of 10^k, built on the first write, and Dekker's exact product.  The
-few values it cannot decide (zeros, non-finite values, near-ties, digits
-off by a power of ten) it hands to '%.17g' itself, and the tests hold it
-to '%.17g' over 10^6 random bit patterns.
+head of each.  The cells of the spans go in blocks of 8k, each gathered
+as it fills, and each distinct value of a block is formatted once, all
+in one _format17 call: numpy arithmetic that gives '%.17g' % v byte for
+byte from a double-double table of 10^k, built on the first write, and
+Dekker's exact product.  The few values it cannot decide (zeros,
+non-finite values, near-ties, digits off by a power of ten) it hands to
+'%.17g' itself, and the tests hold it to '%.17g' over 10^6 random bit
+patterns.
 """
 from __future__ import annotations
 
@@ -122,10 +129,20 @@ def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
     return np.linspace(0.0, n * sample_dt, n + 1)
 
 
+ROW_BLOCK = 16                 # samples per block of a pass over a (T, N) array
+
+
+def row_blocks(n_samples: int) -> list:
+    """Slices of ROW_BLOCK consecutive samples, in time order, that cover
+    0 .. n_samples; the last one may be shorter."""
+    return [slice(i, min(i + ROW_BLOCK, n_samples)) for i in range(0, n_samples, ROW_BLOCK)]
+
+
 class EdgeMargin:
-    """Edge bookkeeping of a sampled window run.  A subclass's _deviations()
-    gives (T, N) arrays that vanish where the run sits at the background; a
-    deviation above significance counts as movement."""
+    """Edge bookkeeping of a sampled window run of n_samples samples over
+    n_sites sites.  A subclass's _deviations(rows) gives the samples in the
+    slice rows of (T, N) arrays that vanish where the run sits at the
+    background; a deviation above significance counts as movement."""
 
     significance = 1e-10
 
@@ -134,9 +151,12 @@ class EdgeMargin:
         """Distance from the window edge of the nearest significant
         deviation, minimized over samples; N when nothing moves.  A
         non-finite entry counts as significant."""
-        dev = functools.reduce(np.maximum, map(np.abs, self._deviations()))
-        n = dev.shape[1]
-        cols = np.flatnonzero(np.any(~(dev <= self.significance), axis=0))
+        n = self.n_sites
+        moved = np.zeros(n, dtype=bool)
+        for rows in row_blocks(self.n_samples):
+            dev = functools.reduce(np.maximum, map(np.abs, self._deviations(rows)))
+            moved |= np.any(~(dev <= self.significance), axis=0)
+        cols = np.flatnonzero(moved)
         return min(int(cols[0]), int(n - 1 - cols[-1])) if cols.size else n
 
     def clean(self, guard: int) -> bool:
@@ -147,7 +167,7 @@ class EdgeMargin:
 _POW10_K = range(-300, 350)    # 10^k for every k that 16 - exponent reaches
 _TIE = 1e-6                    # closer than this to a rounding tie: use %.17g
 _SPLIT = 134217729.0           # 2^27 + 1, Veltkamp's splitting constant
-_BLOCK_CELLS = 32768           # cells per np.unique call of _span_cells
+_BLOCK_CELLS = 8192            # cells per np.unique call of _span_cells
 
 # The %g text of one value laid out in fixed slots: a sign, "0.000" for
 # exponents -4 .. -1, 17 digits each followed by a slot for the point, the
@@ -287,29 +307,37 @@ def _format17(values) -> list[str]:
     return text[:-1]
 
 
-def _changed_rows(x1, x2) -> np.ndarray:
-    """(T, N) bool of (T, N) arrays: True in every row of the first sample
-    and in each row whose bits differ from the previous sample's (a NaN
-    payload or the sign of a zero is a change)."""
+def _changed_rows(x1, x2, rows) -> np.ndarray:
+    """(len(rows), N) bool of the samples in the slice rows of (T, N)
+    arrays: True in every row of the first sample and in each row whose
+    bits differ from the previous sample's (a NaN payload or the sign of a
+    zero is a change)."""
     bits1, bits2 = x1.view(np.int64), x2.view(np.int64)
-    changed = np.ones(x1.shape, dtype=bool)
-    np.not_equal(bits1[1:], bits1[:-1], out=changed[1:])
-    changed[1:] |= bits2[1:] != bits2[:-1]
+    i, end = max(rows.start, 1), rows.stop      # the samples that have a previous one
+    changed = np.ones((end - rows.start, x1.shape[1]), dtype=bool)
+    np.not_equal(bits1[i:end], bits1[i - 1:end - 1], out=changed[i - rows.start:])
+    changed[i - rows.start:] |= bits2[i:end] != bits2[i - 1:end - 1]
     return changed
 
 
 def _span_cells(x1, x2, lo, end):
     """Blocks of the text of the cells of sites lo[i] .. end[i] - 1 of each
     sample i of (T, N) arrays, sample by sample, site by site, x1 before
-    x2.  A block holds _BLOCK_CELLS cells (the last one fewer), and each
-    distinct value of a block (told apart by its bits, so -0.0 is not 0.0)
-    is formatted once, all in one _format17 call."""
-    sites = np.arange(x1.shape[1])
-    span = (lo[:, np.newaxis] <= sites) & (sites < end[:, np.newaxis])
-    bits = np.stack((x1.view(np.int64)[span], x2.view(np.int64)[span]), axis=1).ravel()
-    for c in range(0, bits.size, _BLOCK_CELLS):
-        values, inverse = np.unique(bits[c:c + _BLOCK_CELLS], return_inverse=True)
-        yield np.array(_format17(values.view(np.float64)), dtype=object)[inverse].tolist()
+    x2.  A block holds _BLOCK_CELLS cells (the last one fewer), gathered
+    from the samples as it fills, and each distinct value of a block (told
+    apart by its bits, so -0.0 is not 0.0) is formatted once, all in one
+    _format17 call."""
+    bits1, bits2 = x1.view(np.int64), x2.view(np.int64)
+    bits = np.empty(0, dtype=np.int64)      # cells gathered and not yet formatted
+    last = lo.size - 1
+    for i, (a, b) in enumerate(zip(lo.tolist(), end.tolist())):
+        if a < b:
+            bits = np.concatenate((bits, np.stack((bits1[i, a:b], bits2[i, a:b]), axis=1).ravel()))
+        full = bits.size if i == last else bits.size - bits.size % _BLOCK_CELLS
+        for c in range(0, full, _BLOCK_CELLS):
+            values, inverse = np.unique(bits[c:c + _BLOCK_CELLS], return_inverse=True)
+            yield np.array(_format17(values.view(np.float64)), dtype=object)[inverse].tolist()
+        bits = bits[full:]
 
 
 def _write_rows(fh, offset, times, x1, x2):
@@ -323,11 +351,12 @@ def _write_rows(fh, offset, times, x1, x2):
     if not n:                       # a window of no sites has no rows
         return
     labels = [str(offset + j) for j in range(n)]
-    changed = _changed_rows(x1, x2)
-    new = changed.any(axis=1)
-    lo, end = np.zeros((2, new.size), dtype=np.int64)
-    lo[new] = np.argmax(changed[new], axis=1)
-    end[new] = n - np.argmax(changed[new, ::-1], axis=1)
+    lo, end = np.zeros((2, x1.shape[0]), dtype=np.int64)
+    for rows in row_blocks(x1.shape[0]):
+        changed = _changed_rows(x1, x2, rows)
+        new = changed.any(axis=1)
+        lo[rows][new] = np.argmax(changed[new], axis=1)
+        end[rows][new] = n - np.argmax(changed[new, ::-1], axis=1)
     cells = itertools.chain.from_iterable(_span_cells(x1, x2, lo, end))
     rows = [""] * n
     for t, a, b in zip(times, lo.tolist(), end.tolist()):
@@ -407,16 +436,17 @@ class Trajectory(EdgeMargin):
         return self.state_type(self.x1[i].copy(), self.x2[i].copy(), self.offset,
                                self.background)
 
-    def _deviations(self):
+    def _deviations(self, rows):
         bg1, bg2 = self.background
-        return self.x1 - bg1, self.x2 - bg2
+        return self.x1[rows] - bg1, self.x2[rows] - bg2
 
     def energy_series(self, energy=hamiltonian_ab) -> np.ndarray:
         """energy(state(i)) at every sample.  energy sees only the state, so
         it is evaluated once per run of consecutive samples that are equal
         bit for bit (a NaN payload or the sign of a zero makes a new sample)
         and its value repeated over the run."""
-        starts = np.flatnonzero(_changed_rows(self.x1, self.x2).any(axis=1))
+        starts = np.flatnonzero(np.concatenate([_changed_rows(self.x1, self.x2, rows).any(axis=1)
+                                                for rows in row_blocks(self.n_samples)]))
         values = np.array([energy(self.state(i)) for i in starts])
         return np.repeat(values, np.diff(starts, append=self.n_samples), axis=0)
 
@@ -491,7 +521,8 @@ def _solve_blocks(x, rhs, blocks, times, cfg):
         raise ValueError(f"{type(x).__name__}: non-finite start field, {what} at site {x.offset + i}")
     ys = solve_vector(fun, y0, times, cfg)
     out = [ys[:, i * n:(i + 1) * n] for i in range(k)]
-    type(x).check_samples(times, out[0], out[1], x.offset)
+    for rows in row_blocks(times.size):
+        type(x).check_samples(times[rows], out[0][rows], out[1][rows], x.offset)
     base = Trajectory(times, out[0], out[1], x.offset, x.background, type(x))
     return base, out[2:]
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import C_epsilon, G_mu, _distance_peaks, compare, velocity_toda
+from .integrators import row_blocks
 from .state import LatticeState, _step_dn, hamiltonian_ab, jacobi_norm, toda_rhs
 
 _FAMILIES = ("cosine", "rational")
@@ -131,10 +132,13 @@ def monitor_trajectory(traj) -> TrajectoryMonitors:
     not be used for bound verification.
     """
     a_bg, b_bg = traj.background
-    abs_a = np.abs(traj.a)
-    sup_field = np.maximum(abs_a.max(axis=1), np.abs(traj.b).max(axis=1))
+    sup_field, block_min_a = np.empty(traj.n_samples), []
+    for rows in row_blocks(traj.n_samples):
+        abs_a = np.abs(traj.a[rows])
+        sup_field[rows] = np.maximum(abs_a.max(axis=1), np.abs(traj.b[rows]).max(axis=1))
+        block_min_a.append(abs_a.min())
     c1 = max(float(sup_field.max()), abs(a_bg), abs(b_bg))
-    min_a = min(float(abs_a.min()), abs(a_bg))
+    min_a = min(float(np.min(block_min_a)), abs(a_bg))
     c2 = math.inf if min_a == 0.0 else 1.0 / min_a
     tail = sup_field[-max(4, traj.n_samples // 5):]
     unbounded = bool(np.all(np.diff(tail) > 0.0))
@@ -185,21 +189,27 @@ def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
     The leading constant is C = (8/sqrt(17)) C_eps(eps) and the cone rate is
     the unperturbed velocity at decay mu + eps for the initial operator norm;
     vstar (the rate bound along the perturbed orbit, via ||L|| <= 3 C1) is
-    reported for reference.
+    reported for reference.  The grid is read a row block of samples at a
+    time, once for the excess over the D = 0 envelope and once to check the
+    fitted one.
     """
     c = (8.0 / math.sqrt(17.0)) * C_epsilon(eps)
     v = velocity_toda(mu + eps, monitors.Lnorm0)
     vstar = velocity_toda(mu + eps, 3.0 * monitors.C1)
 
-    obs = grid.observed()
     dist = grid.distances.astype(float)
     times = grid.times
+    blocks = row_blocks(times.size)
+    final = grid.observed(rows=slice(-1, None))[0]
     fit = InterpolationFit(mu=mu, eps=eps, C=c, v=v, vstar=vstar, D=0.0, delta=0.0,
-                           r2_spatial=_spatial_log_r2(obs, dist, mu), envelope_valid=False)
-    base = fit.value(dist[np.newaxis, :], times[:, np.newaxis])
+                           r2_spatial=_spatial_log_r2(final, dist, mu), envelope_valid=False)
     # per-time excess over the D = 0 envelope, over the positive observations
-    with np.errstate(divide="ignore", over="ignore"):
-        s = np.divide(obs, base, out=np.zeros_like(obs), where=obs > 0.0).max(axis=1)
+    s = np.empty(times.size)
+    for rows in blocks:
+        obs = grid.observed(rows=rows)
+        base = fit.value(dist[np.newaxis, :], times[rows, np.newaxis])
+        with np.errstate(divide="ignore", over="ignore"):
+            s[rows] = np.divide(obs, base, out=np.zeros_like(obs), where=obs > 0.0).max(axis=1)
     excess = np.maximum(s - 1.0, 0.0)
 
     if np.any(excess > 0.0):
@@ -216,20 +226,22 @@ def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
                 best = (score, d_req, delta)
         _, fit.D, fit.delta = best
 
-    bad, _ = compare(obs, fit.value(dist[np.newaxis, :], times[:, np.newaxis]) * (1.0 + 1e-12))
-    fit.envelope_valid = not bad.any()
+    fit.envelope_valid = not any(
+        compare(grid.observed(rows=rows),
+                fit.value(dist[np.newaxis, :], times[rows, np.newaxis]) * (1.0 + 1e-12))[0].any()
+        for rows in blocks)
     return fit
 
 
-def _spatial_log_r2(obs: np.ndarray, dist: np.ndarray, mu: float) -> float:
-    """R^2 of log(observed) against log(G_mu(distance)) at the final sample.
+def _spatial_log_r2(profile: np.ndarray, dist: np.ndarray, mu: float) -> float:
+    """R^2 of log(observed) against log(G_mu(distance)) of the observed
+    profile of the final sample.
 
     The regression covers the strictly decaying tail only: per-distance peaks
     inside [1e-12, 1e-3 * max], d >= 1.  Inside the cone the profile is flat
     and oscillatory and says nothing about spatial decay; below 1e-12 it is
     integrator noise.
     """
-    profile = obs[-1]
     ds, peaks = _distance_peaks(dist, profile)       # the larger of the two sides
     band = (peaks >= 1e-12) & (peaks <= 1e-3 * profile.max())
     if band.sum() < 3:

@@ -103,22 +103,24 @@ class SensitivityGrid(EdgeMargin):
     def distances(self) -> np.ndarray:
         return np.abs(self.sites - self.seed_site)
 
-    def observed(self, kind: str = "ab") -> np.ndarray:
-        """Pointwise magnitude compared against envelopes.
+    def observed(self, kind: str = "ab", rows=slice(None)) -> np.ndarray:
+        """Pointwise magnitude compared against envelopes, at the samples
+        rows (every sample by default).
 
         "ab":    max(|da|, |db|)
         "log-a": max(2 |da / a(t)|, |db|), the derivative of ln(a^2) paired
                  with the b-derivative (used by the time-dependent bound).
         """
+        da, db = self.da[rows], self.db[rows]
         if kind == "ab":
-            return np.maximum(np.abs(self.da), np.abs(self.db))
+            return np.maximum(np.abs(da), np.abs(db))
         if kind == "log-a":
-            return np.maximum(2.0 * np.abs(self.da / self.base.a), np.abs(self.db))
+            return np.maximum(2.0 * np.abs(da / self.base.a[rows]), np.abs(db))
         raise ValueError(f"unknown observed kind {kind!r}")
 
-    def _deviations(self):
+    def _deviations(self, rows):
         """Tangent and base deviations: both must stay clear of the edge."""
-        return (self.da, self.db) + self.base._deviations()
+        return (self.da[rows], self.db[rows]) + self.base._deviations(rows)
 
     def time_index(self, t: float) -> int:
         """Index of the sample at time t, to within 1e-9."""

@@ -1,23 +1,27 @@
 """Reference oracles the tests check the package against: dense and closed
 forms, finite differences, the second variational flow of the Toda lattice
-and the mixed second-derivative bound, which no run gives a verdict on.  No
-CLI run and no demo calls them, so they live beside the tests, and
-tests/test_reach.py keeps the package free of such code."""
+and the mixed second-derivative bound, which no run gives a verdict on, and
+the whole-grid bodies of the passes that the package makes a row block at
+a time.  No CLI run and no demo calls them, so they live beside the tests,
+and tests/test_reach.py keeps the package free of such code."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from todalab.bounds import Envelope, G_mu, velocity_toda
+from todalab.bounds import (MAX_VIOLATIONS_STORED, C_epsilon, Envelope, G_mu, LightConeReport,
+                            _distance_peaks, compare, velocity_toda)
 from todalab.integrators import (IntegratorConfig, Trajectory, _solve_blocks, integrate,
                                  sample_times)
+from todalab.perturbed import InterpolationFit, TrajectoryMonitors, _spatial_log_r2
 from todalab.sensitivity import SensitivityGrid, _seed_vectors, evolve_tangent, make_flow
 from todalab.solitons import SolitonSpec, _phase
 from todalab.state import (GHSState, LatticeState, _padded, _relative_ab, _step_dn, _step_up,
-                           toda_rhs)
+                           jacobi_norm, toda_rhs)
 
 
 def flaschka_inverse(s: LatticeState) -> GHSState:
@@ -319,3 +323,122 @@ def poisson_error(x, cfg, flow="toda", spec=None, t=2.0):
     phi = np.array(columns).T
     moved = phi @ poisson_matrix(x.a) @ phi.T
     return np.abs(moved - poisson_matrix(g.base.a[-1])), np.abs(moved - poisson_matrix(x.a))
+
+
+# -- whole-grid passes ---------------------------------------------------------
+# The package walks a grid in row blocks (integrators.row_blocks); these are
+# the bodies that read every (T, N) array at once, which it must equal bit
+# for bit.
+
+def whole_boundary_margin(run) -> int:
+    """EdgeMargin.boundary_margin over every sample at once."""
+    dev = functools.reduce(np.maximum, map(np.abs, run._deviations(slice(None))))
+    n = dev.shape[1]
+    cols = np.flatnonzero(np.any(~(dev <= run.significance), axis=0))
+    return min(int(cols[0]), int(n - 1 - cols[-1])) if cols.size else n
+
+
+def whole_fit_front_speed(times, dists, obs, threshold=1e-8):
+    """bounds.fit_front_speed from the whole (T, D) table of peaks."""
+    pts_t, pts_d = [], []
+    ds, peaks = _distance_peaks(dists, obs)
+    for d, series in zip(ds, peaks.T):
+        idx = np.flatnonzero(series > threshold)
+        if idx.size == 0 or idx[0] == 0:
+            continue
+        i = int(idx[0])
+        y0, y1 = series[i - 1], series[i]
+        if not y0 > 0.0:
+            t_cross = times[i]
+        else:
+            w = (math.log(threshold) - math.log(y0)) / (math.log(y1) - math.log(y0))
+            t_cross = times[i - 1] + w * (times[i] - times[i - 1])
+        pts_t.append(t_cross)
+        pts_d.append(float(d))
+    if len(pts_t) < 2:
+        return None
+    slope = np.polyfit(np.array(pts_t), np.array(pts_d), 1)[0]
+    return float(slope)
+
+
+def whole_verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
+                            guard: int = 10) -> LightConeReport:
+    """bounds.verify_light_cone with the observations, the envelope and the
+    comparison of every sample at once."""
+    obs = grid.observed(envelope.observed_kind)
+    dist = grid.distances
+    times = grid.times
+    env = envelope.value(dist[np.newaxis, :], times[:, np.newaxis])
+    margin = whole_boundary_margin(grid)
+    clean = bool(margin >= guard)
+
+    bad, max_ratio = compare(obs, env)
+    bad = np.argwhere(bad & clean)          # no verdict on a contaminated grid
+    n_viol = int(bad.shape[0])
+    violations = [{"n": int(grid.sites[isite]), "t": float(times[it]),
+                   "observed": float(obs[it, isite]), "bound": float(env[it, isite])}
+                  for it, isite in bad[:MAX_VIOLATIONS_STORED]]
+    speed = whole_fit_front_speed(times, dist, obs, threshold)
+    bound_speed = envelope.speed
+    if bound_speed is None and times[-1] > 0:
+        bound_speed = float(envelope.radius(times[-1]) / times[-1])
+    return LightConeReport(
+        family=envelope.family, mu=envelope.mu, prefactor=envelope.prefactor,
+        bound_speed=bound_speed, clean=clean, boundary_margin=int(margin),
+        guard=int(guard), n_violations=n_viol, violations=violations,
+        violations_truncated=bool(n_viol > len(violations)),
+        max_ratio=max_ratio,
+        empirical_front_speed=speed, front_threshold=threshold,
+        seed_site=int(grid.seed_site), seed_coord=str(grid.seed_coord),
+        flow=str(grid.flow), n_sites=int(grid.da.shape[1]),
+        n_samples=int(times.size), params=dict(envelope.params))
+
+
+def whole_interpolation_envelope(grid, monitors, mu: float, eps: float) -> InterpolationFit:
+    """perturbed.interpolation_envelope with the observations and both
+    envelope evaluations of every sample at once."""
+    c = (8.0 / math.sqrt(17.0)) * C_epsilon(eps)
+    v = velocity_toda(mu + eps, monitors.Lnorm0)
+    vstar = velocity_toda(mu + eps, 3.0 * monitors.C1)
+
+    obs = grid.observed()
+    dist = grid.distances.astype(float)
+    times = grid.times
+    fit = InterpolationFit(mu=mu, eps=eps, C=c, v=v, vstar=vstar, D=0.0, delta=0.0,
+                           r2_spatial=_spatial_log_r2(obs[-1], dist, mu), envelope_valid=False)
+    base = fit.value(dist[np.newaxis, :], times[:, np.newaxis])
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.divide(obs, base, out=np.zeros_like(obs), where=obs > 0.0).max(axis=1)
+    excess = np.maximum(s - 1.0, 0.0)
+
+    if np.any(excess > 0.0):
+        mask = times > 0.0
+        tpos, epos = times[mask], excess[mask]
+        spos = np.maximum(s[mask], 1.0)
+        best = None
+        for delta in np.geomspace(1e-3, 50.0, 200):
+            growth = np.expm1(delta * tpos)
+            d_req = float(np.max(epos / growth))
+            resid = np.log1p(d_req * growth) - np.log(spos)
+            score = float(np.sum(resid * resid))
+            if best is None or score < best[0]:
+                best = (score, d_req, delta)
+        _, fit.D, fit.delta = best
+
+    bad, _ = compare(obs, fit.value(dist[np.newaxis, :], times[:, np.newaxis]) * (1.0 + 1e-12))
+    fit.envelope_valid = not bad.any()
+    return fit
+
+
+def whole_monitor_trajectory(traj) -> TrajectoryMonitors:
+    """perturbed.monitor_trajectory over every sample at once."""
+    a_bg, b_bg = traj.background
+    abs_a = np.abs(traj.a)
+    sup_field = np.maximum(abs_a.max(axis=1), np.abs(traj.b).max(axis=1))
+    c1 = max(float(sup_field.max()), abs(a_bg), abs(b_bg))
+    min_a = min(float(abs_a.min()), abs(a_bg))
+    c2 = math.inf if min_a == 0.0 else 1.0 / min_a
+    tail = sup_field[-max(4, traj.n_samples // 5):]
+    unbounded = bool(np.all(np.diff(tail) > 0.0))
+    return TrajectoryMonitors(C1=c1, C2=c2, Lnorm0=jacobi_norm(traj.state(0)),
+                              horizon=float(traj.times[-1]), unbounded=unbounded)

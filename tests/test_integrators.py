@@ -476,6 +476,16 @@ def test_write_csv_formats_only_the_changed_spans(block_cells, tmp_path, monkeyp
     assert len(cells) == 2 * (13 + 3 + 5 + 7 + 9 + 0 + 11 + 13 + 13) == 148
 
 
+@pytest.mark.parametrize("row_block", [1, 2, 4])
+def test_write_csv_walks_row_blocks(row_block, tmp_path, monkeypatch):
+    """With a few samples per row block, so that spans are found block by
+    block, the writer gives the same bytes and formats the same blocks of
+    cells."""
+    monkeypatch.setattr(integrators, "ROW_BLOCK", row_block)
+    test_write_csv_matches_per_cell_oracle(25, tmp_path, monkeypatch)
+    test_write_csv_formats_only_the_changed_spans(7, tmp_path, monkeypatch)
+
+
 def _printf17(values) -> list:
     """'%.17g' % v for each v: the oracle of integrators._format17."""
     return ("%.17g," * values.size % tuple(values.tolist())).split(",")[:-1]

@@ -222,7 +222,8 @@ def test_interpolation_fit_growth_branch():
     v = velocity_toda(mu + eps, 1.0)
     base = c * G_mu(mu, dists)[None, :] * np.exp((mu + eps) * v * times)[:, None]
     obs = base * (1.0 + 0.5 * np.expm1(1.0 * times))[:, None]
-    grid = types.SimpleNamespace(observed=lambda: obs, distances=dists, times=times)
+    grid = types.SimpleNamespace(observed=lambda kind="ab", rows=slice(None): obs[rows],
+                                 distances=dists, times=times)
     monitors = types.SimpleNamespace(Lnorm0=1.0, C1=1.0)
     fit = interpolation_envelope(grid, monitors, mu, eps)
     print("D:", fit.D, "delta:", fit.delta, "valid:", fit.envelope_valid)

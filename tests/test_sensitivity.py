@@ -33,7 +33,6 @@ def test_seed_vectors():
 def test_grid_geometry_and_observed():
     x = background_state(21)
     g = evolve_tangent(x, (0, "b"), 0.5, FIXED, sample_dt=0.25)
-    assert g.distances[g.offset and x.site_index(0)] == 0 or True
     d = g.distances
     assert d[x.site_index(0)] == 0
     assert d[x.site_index(-5)] == 5 and d[x.site_index(7)] == 7
