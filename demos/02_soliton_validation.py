@@ -9,9 +9,9 @@ import math
 import numpy as np
 
 from todalab import IntegratorConfig, SolitonSpec, soliton_state
-from todalab.integrators import integrate
+from todalab.integrators import drift, integrate
 from todalab.solitons import soliton_Lnorm, soliton_flaschka, soliton_speed
-from todalab.state import jacobi_norm, toda_rhs
+from todalab.state import jacobi_norm, toda_rhs, trace_invariants
 
 spec = SolitonSpec(kappa=1.0)
 x = soliton_state(spec, 201)
@@ -23,7 +23,7 @@ traj = integrate(x, toda_rhs, 10.0,
                  IntegratorConfig(method="rk-adaptive", tolerance=1e-10),
                  sample_dt=0.5)
 
-sites = np.arange(traj.offset, traj.offset + traj.n_sites)
+sites = traj.sites
 err_a = err_b = 0.0
 for i, t in enumerate(traj.times):
     ref_a, ref_b = soliton_flaschka(spec, sites, t)
@@ -33,8 +33,8 @@ for i, t in enumerate(traj.times):
 print(f"\nafter t = 10:")
 print(f"  max |a - analytic| = {err_a:.3g}")
 print(f"  max |b - analytic| = {err_b:.3g}")
-print(f"  spectral norm drift = {traj.norm_drift():.3g}")
-print(f"  trace invariant drift (powers <= 4) = {traj.trace_drift():.3g}")
+print(f"  spectral norm drift = {drift(traj.norm_series()):.3g}")
+print(f"  trace invariant drift (powers <= 4) = {drift(traj.energy_series(trace_invariants)):.3g}")
 
 # where did the peak go?
 for i in (0, traj.n_samples - 1):

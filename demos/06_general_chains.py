@@ -13,7 +13,7 @@ from todalab import IntegratorConfig, evolve_tangent, optimal_mu, verify_light_c
 from todalab.ghs import (PotentialSpec, confinement_bound, factorial_tail_envelope,
                          ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics)
-from todalab.integrators import integrate
+from todalab.integrators import drift, integrate
 from todalab.state import GHSState, toda_rhs
 
 mu, _ = optimal_mu()
@@ -29,7 +29,7 @@ for pot in (PotentialSpec(family="quartic", beta=0.1), PotentialSpec(family="tod
     print(f"\n{pot.family} potential: energy {e:.4f}, confinement radius {m_e:.4f}")
     traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, cfg, sample_dt=0.25)
     stab = ghs_stability_diagnostics(traj, pot)
-    print(f"  energy drift {traj.energy_drift(lambda s: ghs_energy(s, pot)):.2g}")
+    print(f"  energy drift {drift(traj.energy_series(lambda s: ghs_energy(s, pot))):.2g}")
     print(f"  |p|_2 max {stab.p_l2_max:.4f} <= {stab.p_l2_bound:.4f}")
     print(f"  |r|_inf max {stab.r_inf_max:.4f} <= {stab.M_E:.4f}")
     print(f"  all bounds hold: {stab.ok}")

@@ -230,26 +230,26 @@ def _distance_peaks(dists: np.ndarray, obs: np.ndarray):
     return ds, np.maximum.reduceat(obs[..., order], starts, axis=-1)
 
 
-def fit_front_speed(times: np.ndarray, dists: np.ndarray, obs, threshold: float = 1e-8):
+def fit_front_speed(times: np.ndarray, dists: np.ndarray, blocks, threshold: float = 1e-8):
     """Least-squares slope of (first crossing time of threshold, distance),
-    each distance d >= 1 crossing on the maximum of obs over the sites at
-    that distance (its _distance_peaks column).
+    each distance d >= 1 crossing on the maximum of the observations over
+    the sites at that distance (its _distance_peaks column).
 
-    obs holds the observations at the sample times: a (T, N) array, or its
-    row blocks, (rows, N) arrays in time order, read one at a time.  Per
-    distance only the first sample above threshold and the sample before it
-    are kept.  Crossing times are log-interpolated between these samples;
-    where the sample before the crossing is not positive (0 or NaN), the
-    crossing sample's own time is taken.  A distance above threshold from
-    the first sample has no crossing.  None when fewer than two distances
-    ever cross.
+    blocks are the observations at the sample times in row blocks, (rows,
+    N) arrays in time order, read one at a time.  Per distance only the
+    first sample above threshold and the sample before it are kept.
+    Crossing times are log-interpolated between these samples; where the
+    sample before the crossing is not positive (0 or NaN), the crossing
+    sample's own time is taken.  A distance above threshold from the first
+    sample has no crossing.  None when fewer than two distances ever
+    cross.
     """
     ds, order, starts = _distance_groups(dists)
     first = np.full(ds.size, -1)        # the crossing sample; -1 while there is none
     before, at, last = np.full((3, ds.size), np.nan)    # last: the previous block's last row
     done = 0                            # samples read
-    for block in obs:
-        peaks = np.maximum.reduceat(np.atleast_2d(block)[:, order], starts, axis=-1)
+    for block in blocks:
+        peaks = np.maximum.reduceat(block[:, order], starts, axis=-1)
         above = peaks > threshold
         k = np.flatnonzero((first < 0) & above.any(axis=0))
         i = np.argmax(above[:, k], axis=0)
@@ -365,5 +365,5 @@ def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
         max_ratio=max_ratio,
         empirical_front_speed=speed, front_threshold=threshold,
         seed_site=int(grid.seed_site), seed_coord=str(grid.seed_coord),
-        flow=str(grid.flow), n_sites=int(grid.da.shape[1]),
+        flow=str(grid.flow), n_sites=int(grid.n_sites),
         n_samples=int(times.size), params=dict(envelope.params))

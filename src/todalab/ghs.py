@@ -183,9 +183,10 @@ def ghs_cone_constant(traj: Trajectory, pot: PotentialSpec) -> float:
     return max(math.sqrt(sup_vp), 1.0)
 
 
-def ghs_velocity(mu: float, traj: Trajectory, pot: PotentialSpec) -> float:
-    """Cone speed 2 C f(mu) for the chain sensitivity bounds."""
-    return 2.0 * ghs_cone_constant(traj, pot) * mu_profile(mu)
+def ghs_velocity(mu: float, c: float) -> float:
+    """Cone speed 2 C f(mu) for the chain sensitivity bounds, C the cone
+    constant (ghs_cone_constant)."""
+    return 2.0 * c * mu_profile(mu)
 
 
 def factorial_tail_envelope(c: float, dist, t):
@@ -202,7 +203,7 @@ def factorial_tail_envelope(c: float, dist, t):
 
 def ghs_envelope(mu: float, traj: Trajectory, pot: PotentialSpec) -> Envelope:
     """C e^{-mu(|n-m| - v|t|)} for chain sensitivities, with C and v measured
-    on the run traj."""
+    on the run traj, which is read once."""
     c = ghs_cone_constant(traj, pot)
-    return Envelope(family="ghs", mu=mu, prefactor=c, speed=ghs_velocity(mu, traj, pot),
+    return Envelope(family="ghs", mu=mu, prefactor=c, speed=ghs_velocity(mu, c),
                     params={"C": c, "mu": mu})

@@ -52,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dop853 import dop853
-from .state import (GHSState, LatticeState, _relative_ab,
-                    hamiltonian_ab, jacobi_norm, trace_invariants)
+from .state import GHSState, LatticeState, _relative_ab, hamiltonian_ab, jacobi_norm
 
 _METHODS = ("rk-adaptive", "rk4-fixed")
 
@@ -139,12 +138,20 @@ def row_blocks(n_samples: int) -> list:
 
 
 class EdgeMargin:
-    """Edge bookkeeping of a sampled window run of n_samples samples over
-    n_sites sites.  A subclass's _deviations(rows) gives the samples in the
+    """Edge bookkeeping of a sampled window run.  A subclass gives its
+    times, offset and n_sites, and _deviations(rows), the samples in the
     slice rows of (T, N) arrays that vanish where the run sits at the
     background; a deviation above significance counts as movement."""
 
     significance = 1e-10
+
+    @property
+    def n_samples(self) -> int:
+        return self.times.size
+
+    @property
+    def sites(self) -> np.ndarray:
+        return np.arange(self.offset, self.offset + self.n_sites)
 
     @property
     def boundary_margin(self) -> int:
@@ -398,9 +405,9 @@ def write_json(path, value):
         fh.write("\n")
 
 
-def _drift(series) -> float:
+def drift(series) -> float:
     """Largest deviation of a sampled series (scalar or array per sample)
-    from its first sample."""
+    from its first sample: the drift of a Trajectory.energy_series."""
     return float(np.max(np.abs(series - series[0])))
 
 
@@ -425,10 +432,6 @@ class Trajectory(EdgeMargin):
         return self.x1 if name == coords[0] else self.x2
 
     @property
-    def n_samples(self) -> int:
-        return self.times.size
-
-    @property
     def n_sites(self) -> int:
         return self.x1.shape[1]
 
@@ -450,18 +453,8 @@ class Trajectory(EdgeMargin):
         values = np.array([energy(self.state(i)) for i in starts])
         return np.repeat(values, np.diff(starts, append=self.n_samples), axis=0)
 
-    def energy_drift(self, energy=hamiltonian_ab) -> float:
-        return _drift(self.energy_series(energy))
-
     def norm_series(self) -> np.ndarray:
         return self.energy_series(jacobi_norm)
-
-    def norm_drift(self) -> float:
-        return _drift(self.norm_series())
-
-    def trace_drift(self) -> float:
-        """Drift of tr(L^j), j = 1 .. 4 (state.trace_invariants)."""
-        return _drift(self.energy_series(trace_invariants))
 
     def to_lattice_trajectory(self) -> "Trajectory":
         """A chain run mapped sample by sample through a = (1/2) e^{-r/2},
@@ -473,26 +466,6 @@ class Trajectory(EdgeMargin):
 
     def to_csv(self, path):
         write_csv(path, self.state_type.coords, self.times, self.offset, self.x1, self.x2)
-
-    @classmethod
-    def from_csv(cls, path, background=None) -> "Trajectory":
-        """Read a run written by to_csv; the header's coords pick the state
-        type, and background defaults to that type's default."""
-        with open(path) as fh:
-            header = fh.readline().strip()
-        types = {"t,n,%s,%s" % t.coords: t for t in (LatticeState, GHSState)}
-        if header not in types:
-            raise ValueError(f"unknown trajectory csv header {header!r}; "
-                             f"expected one of {tuple(types)}")
-        state_type = types[header]
-        raw = np.loadtxt(path, delimiter=",", skiprows=1)
-        times = np.unique(raw[:, 0])
-        sites = np.unique(raw[:, 1].astype(int))
-        nt, ns = times.size, sites.size
-        if raw.shape[0] != nt * ns:
-            raise ValueError("ragged trajectory csv")
-        return cls(times, raw[:, 2].reshape(nt, ns), raw[:, 3].reshape(nt, ns),
-                   int(sites[0]), background or state_type.background, state_type)
 
 
 def _solve_blocks(x, rhs, blocks, times, cfg):

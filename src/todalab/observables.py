@@ -178,12 +178,14 @@ def bracket_bound_constant(mu: float) -> float:
     return 2.0 / SQRT17 * (1.0 + math.exp(mu))
 
 
-def _site_weights(obs: ObservableDescriptor, partials: list):
+def _site_weights(obs: ObservableDescriptor, states, partials=None):
     """site -> sup |d/da| + sup |d/db|, and where the sups come from:
-    declared when available, otherwise measured over the partials along the
-    sampled base run (horizon-limited)."""
+    declared when available, otherwise measured over obs's partials along
+    the sampled base run (horizon-limited): those given, or else those at
+    the states, evaluated only in this case."""
     if obs.norms is not None:
         return {n: na + nb for n, (na, nb) in obs.norms.items()}, "declared"
+    partials = _partials(obs, states) if partials is None else partials
     return ({k: float(np.max(np.abs(ga), initial=0.0)) + float(np.max(np.abs(gb), initial=0.0))
              for k, ga, gb in partials}, "measured-horizon")
 
@@ -215,7 +217,8 @@ def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
     jacobi_norm(x)), from the initial operator norm, computed once per
     state; derivative norms are declared or horizon-measured as available.
     What depends only on (x, B) is computed once: C, ||a||_inf, B's seed
-    weights and norms, and the base states at the samples.  Each
+    weights and norms, and the base states at the samples; B's partials
+    are evaluated along the run only when B declares no norms.  Each
     e^{-mu(|n-m| - v|t|)}, times scale, is the value of one Envelope of
     prefactor scale (the CLI's envelope_scale); bounds.compare gives the
     verdict.
@@ -228,11 +231,11 @@ def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
     cone = Envelope(family="bracket", mu=mu, prefactor=scale, speed=v)
     c = bracket_bound_constant(mu)
     a_sup = float(np.max(np.abs(x.a)))
-    wb, src_b = _site_weights(B, _partials(B, states))
+    wb, src_b = _site_weights(B, states)
     reports = []
     for A in As:
         partials = _partials(A, states)
-        wa, src_a = _site_weights(A, partials)
+        wa, src_a = _site_weights(A, states, partials)
         val = (np.abs(_bracket_series(partials, weights, grids)[rows]) if weights
                else np.zeros(times.size))
         pairs = [(na * nb, abs(n - m)) for n, na in wa.items() if na != 0.0

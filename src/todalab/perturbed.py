@@ -191,7 +191,8 @@ def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
     vstar (the rate bound along the perturbed orbit, via ||L|| <= 3 C1) is
     reported for reference.  The grid is read a row block of samples at a
     time, once for the excess over the D = 0 envelope and once to check the
-    fitted one.
+    fitted one.  An excess at t = 0 alone leaves D = delta = 0, and an
+    infinite one makes them NaN, with envelope_valid False either way.
     """
     c = (8.0 / math.sqrt(17.0)) * C_epsilon(eps)
     v = velocity_toda(mu + eps, monitors.Lnorm0)
@@ -208,12 +209,14 @@ def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
     for rows in blocks:
         obs = grid.observed(rows=rows)
         base = fit.value(dist[np.newaxis, :], times[rows, np.newaxis])
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s[rows] = np.divide(obs, base, out=np.zeros_like(obs), where=obs > 0.0).max(axis=1)
     excess = np.maximum(s - 1.0, 0.0)
+    mask = times > 0.0
 
-    if np.any(excess > 0.0):
-        mask = times > 0.0
+    if not np.all(np.isfinite(excess)):     # no finite D majorizes it
+        fit.D = fit.delta = math.nan
+    elif np.any(excess > 0.0) and np.any(mask):
         tpos, epos = times[mask], excess[mask]
         spos = np.maximum(s[mask], 1.0)
         best = None
@@ -240,11 +243,11 @@ def _spatial_log_r2(profile: np.ndarray, dist: np.ndarray, mu: float) -> float:
     The regression covers the strictly decaying tail only: per-distance peaks
     inside [1e-12, 1e-3 * max], d >= 1.  Inside the cone the profile is flat
     and oscillatory and says nothing about spatial decay; below 1e-12 it is
-    integrator noise.
+    integrator noise.  An infinite peak in the band gives NaN.
     """
     ds, peaks = _distance_peaks(dist, profile)       # the larger of the two sides
     band = (peaks >= 1e-12) & (peaks <= 1e-3 * profile.max())
-    if band.sum() < 3:
+    if band.sum() < 3 or not np.all(np.isfinite(peaks[band])):
         return float("nan")
     y = np.log(peaks[band])
     x = np.log(G_mu(mu, ds[band]))

@@ -45,26 +45,17 @@ def make_flow(name: str, spec=None):
 
 
 def _seed_vectors(x, seed):
+    """The unit tangent (d1, d2) of the window state x at the seed (site,
+    coord), coord one of x.coords."""
     m, coord = seed
-    names = x.coords
-    da = np.zeros(x.n_sites)
-    db = np.zeros(x.n_sites)
     i = m - x.offset
     if not 0 <= i < x.n_sites:
         raise ValueError(f"seed site {m} outside window")
-    if coord == names[0]:
-        da[i] = 1.0
-    elif coord == names[1]:
-        db[i] = 1.0
-    elif coord == "btilde" and names == ("a", "b"):
-        # difference seed d/d(b_{k+1}) - d/d(b_k)
-        if i + 1 >= x.n_sites:
-            raise ValueError(f"btilde seed at site {m} needs site {m + 1} in the window")
-        db[i + 1] = 1.0
-        db[i] = -1.0
-    else:
-        raise ValueError(f"seed coordinate must be one of {names} (or 'btilde'), got {coord!r}")
-    return da, db
+    if coord not in x.coords:
+        raise ValueError(f"seed coordinate must be one of {x.coords}, got {coord!r}")
+    d = np.zeros((2, x.n_sites))
+    d[x.coords.index(coord), i] = 1.0
+    return d[0], d[1]
 
 
 @dataclass
@@ -88,16 +79,8 @@ class SensitivityGrid(EdgeMargin):
         return self.base.offset
 
     @property
-    def n_samples(self) -> int:
-        return self.times.size
-
-    @property
     def n_sites(self) -> int:
         return self.da.shape[1]
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.offset, self.offset + self.n_sites)
 
     @property
     def distances(self) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Reference oracles the tests check the package against: dense and closed
-forms, finite differences, the second variational flow of the Toda lattice
-and the mixed second-derivative bound, which no run gives a verdict on, and
-the whole-grid bodies of the passes that the package makes a row block at
-a time.  No CLI run and no demo calls them, so they live beside the tests,
+forms, the difference seed btilde and finite differences, the second
+variational flow of the Toda lattice and the mixed second-derivative bound,
+which no run gives a verdict on, the reader of a run's CSV, and the
+whole-grid bodies of the passes that the package makes a row block at a
+time.  No CLI run and no demo calls them, so they live beside the tests,
 and tests/test_reach.py keeps the package free of such code."""
 from __future__ import annotations
 
@@ -61,6 +62,40 @@ def jacobi_matrix(s: LatticeState, pad: int = 0) -> np.ndarray:
     m[idx[:-1], idx[:-1] + 1] = a[:-1]
     m[idx[:-1] + 1, idx[:-1]] = a[:-1]
     return m
+
+
+def seed_vectors(x, seed):
+    """sensitivity._seed_vectors, plus the difference seed (k, "btilde") of
+    a lattice state: the direction e_{b,k+1} - e_{b,k}."""
+    m, coord = seed
+    if coord != "btilde" or x.coords != ("a", "b"):
+        return _seed_vectors(x, seed)
+    da, db = _seed_vectors(x, (m, "b"))
+    if m + 1 - x.offset >= x.n_sites:
+        raise ValueError(f"btilde seed at site {m} needs site {m + 1} in the window")
+    db[m + 1 - x.offset] = 1.0
+    db[m - x.offset] = -1.0
+    return da, db
+
+
+def trajectory_from_csv(path, background=None) -> Trajectory:
+    """Read a run written by Trajectory.to_csv; the header's coords pick the
+    state type, and background defaults to that type's default."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+    types = {"t,n,%s,%s" % t.coords: t for t in (LatticeState, GHSState)}
+    if header not in types:
+        raise ValueError(f"unknown trajectory csv header {header!r}; "
+                         f"expected one of {tuple(types)}")
+    state_type = types[header]
+    raw = np.loadtxt(path, delimiter=",", skiprows=1)
+    times = np.unique(raw[:, 0])
+    sites = np.unique(raw[:, 1].astype(int))
+    nt, ns = times.size, sites.size
+    if raw.shape[0] != nt * ns:
+        raise ValueError("ragged trajectory csv")
+    return Trajectory(times, raw[:, 2].reshape(nt, ns), raw[:, 3].reshape(nt, ns),
+                      int(sites[0]), background or state_type.background, state_type)
 
 
 def soliton_pq(spec: SolitonSpec, n, t: float = 0.0):
@@ -125,7 +160,7 @@ def finite_difference_oracle(x, seed, t_final: float,
     """
     cfg = cfg or IntegratorConfig()
     rhs = make_flow(flow, spec)
-    da0, db0 = _seed_vectors(x, seed)
+    da0, db0 = seed_vectors(x, seed)
     z0 = x.arrays[0 if seed[1] == x.coords[0] else 1]
     h = 1e-5 * max(1.0, abs(float(z0[seed[0] - x.offset])))
     diff, mid = _signed_runs(x, rhs, [(h * da0, h * db0)], t_final, cfg, sample_dt)
@@ -183,7 +218,7 @@ def evolve_second_tangent(x: LatticeState, z_seed, second, t_final: float,
     if not isinstance(x, LatticeState):
         raise TypeError("second tangent flow is implemented for the Toda flow only")
     zeros = np.zeros(x.n_sites)
-    blocks = (*_seed_vectors(x, z_seed), *_seed_vectors(x, second), zeros, zeros)
+    blocks = (*seed_vectors(x, z_seed), *seed_vectors(x, second), zeros, zeros)
     base, (u1a, u1b, u2a, u2b, wa, wb) = _solve_blocks(
         x, _toda_second_fields, blocks, sample_times(t_final, sample_dt),
         cfg or IntegratorConfig())
@@ -202,8 +237,8 @@ def second_finite_difference(x: LatticeState, z_seed, second, t_final: float,
     """
     cfg = cfg or IntegratorConfig(method="rk4-fixed")
     h = 1e-4
-    e1a, e1b = _seed_vectors(x, z_seed)
-    e2a, e2b = _seed_vectors(x, second)
+    e1a, e1b = seed_vectors(x, z_seed)
+    e2a, e2b = seed_vectors(x, second)
     acc, mid = _signed_runs(x, toda_rhs, [(h * e1a, h * e1b), (h * e2a, h * e2b)],
                             t_final, cfg, sample_dt)
     acc /= 4.0 * h * h
@@ -407,12 +442,14 @@ def whole_interpolation_envelope(grid, monitors, mu: float, eps: float) -> Inter
     fit = InterpolationFit(mu=mu, eps=eps, C=c, v=v, vstar=vstar, D=0.0, delta=0.0,
                            r2_spatial=_spatial_log_r2(obs[-1], dist, mu), envelope_valid=False)
     base = fit.value(dist[np.newaxis, :], times[:, np.newaxis])
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = np.divide(obs, base, out=np.zeros_like(obs), where=obs > 0.0).max(axis=1)
     excess = np.maximum(s - 1.0, 0.0)
+    mask = times > 0.0
 
-    if np.any(excess > 0.0):
-        mask = times > 0.0
+    if not np.all(np.isfinite(excess)):
+        fit.D = fit.delta = math.nan
+    elif np.any(excess > 0.0) and np.any(mask):
         tpos, epos = times[mask], excess[mask]
         spos = np.maximum(s[mask], 1.0)
         best = None

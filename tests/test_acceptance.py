@@ -26,14 +26,14 @@ from todalab.ghs import (PotentialSpec, ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics)
 from todalab.hierarchy import (free_moment, hierarchy_fields, hierarchy_hamiltonian,
                                hierarchy_rhs, path_counts)
-from todalab.integrators import integrate
+from todalab.integrators import drift, integrate
 from todalab.observables import (basic_observables, check_bracket_bound,
                                  hamiltonian_window_observable,
                                  poisson_bracket, required_bracket_seeds)
 from todalab.perturbed import (interpolation_envelope, monitor_trajectory,
                                perturbed_rhs)
 from todalab.solitons import soliton_flaschka
-from todalab.state import GHSState, jacobi_norm, toda_rhs
+from todalab.state import GHSState, jacobi_norm, toda_rhs, trace_invariants
 
 ADAPT = IntegratorConfig(method="rk-adaptive", tolerance=1e-10)
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
@@ -59,7 +59,7 @@ def soliton_run():
 
 def test_01_soliton_exactness(soliton_run):
     spec, _, traj = soliton_run
-    sites = np.arange(traj.offset, traj.offset + traj.n_sites)
+    sites = traj.sites
     err_a = err_b = 0.0
     for i, t in enumerate(traj.times):
         ref_a, ref_b = soliton_flaschka(spec, sites, t)
@@ -72,8 +72,8 @@ def test_01_soliton_exactness(soliton_run):
 
 def test_02_isospectrality(soliton_run):
     _, _, traj = soliton_run
-    nd = traj.norm_drift()
-    td = traj.trace_drift()
+    nd = drift(traj.norm_series())
+    td = drift(traj.energy_series(trace_invariants))
     verdict(2, "operator norm and trace invariants are pinned",
             nd <= 1e-8 and td <= 1e-8,
             f"norm drift {nd:.3g}, trace drift {td:.3g} (tol 1e-8)")
@@ -245,7 +245,7 @@ def test_12_chain_stability_and_cone():
 
     quartic = PotentialSpec(family="quartic", beta=0.1)
     traj = integrate(x, lambda s: ghs_rhs(s, quartic), 3.0, FIX, sample_dt=0.25)
-    drift = traj.energy_drift(lambda s: ghs_energy(s, quartic))
+    energy_drift = drift(traj.energy_series(lambda s: ghs_energy(s, quartic)))
     stab = ghs_stability_diagnostics(traj, quartic)
     g = evolve_tangent(x, (0, "p"), 2.0, FIX, flow="ghs", spec=quartic,
                        sample_dt=0.25)
@@ -258,13 +258,13 @@ def test_12_chain_stability_and_cone():
     map_err = max(float(np.max(np.abs(mapped.a - direct.a))),
                   float(np.max(np.abs(mapped.b - direct.b))))
 
-    ok = (drift <= 1e-8
+    ok = (energy_drift <= 1e-8
           and stab.p_l2_max <= stab.p_l2_bound + 1e-12
           and stab.r_inf_max <= stab.M_E + 1e-12
           and rep.clean and rep.n_violations == 0
           and map_err <= 1e-8)
     verdict(12, "chain energy, confinement, cone, and the lattice map",
-            ok, f"drift {drift:.2g}, cone violations {rep.n_violations}, "
+            ok, f"drift {energy_drift:.2g}, cone violations {rep.n_violations}, "
                 f"map err {map_err:.2g}")
 
 

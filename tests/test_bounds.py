@@ -252,7 +252,7 @@ def test_fit_front_speed_synthetic():
     times = np.linspace(0.0, 5.0, 26)
     dists = np.abs(np.arange(-30, 31)).astype(float)
     obs = np.where(dists[None, :] <= 2.0 * times[:, None], 1.0, 1e-300)
-    v = fit_front_speed(times, dists, obs, threshold=1e-8)
+    v = fit_front_speed(times, dists, [obs], threshold=1e-8)
     print(v)
     assert v == pytest.approx(2.0, rel=0.15)
 
@@ -261,7 +261,7 @@ def test_fit_front_speed_no_crossings():
     times = np.linspace(0.0, 1.0, 5)
     dists = np.abs(np.arange(-5, 6)).astype(float)
     obs = np.full((5, 11), 1e-300)
-    assert fit_front_speed(times, dists, obs) is None
+    assert fit_front_speed(times, dists, [obs]) is None
 
 
 @pytest.mark.parametrize("shape", [(7, 41), (41,)], ids=["grid", "profile"])

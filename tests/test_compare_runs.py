@@ -105,3 +105,19 @@ def test_benchmark_configs_join_the_scenario_configs():
     methods = [compare_runs.config_method(config, base) for _, config in bench]
     assert compare_runs.tally([], methods) == ["rk-adaptive: 19 configs, 0 differences",
                                                "rk4-fixed: 17 configs, 0 differences"]
+
+
+def test_src_lines_counts_the_package_as_wc_does(tmp_path):
+    """The report's last line counts each tree's src/todalab/*.py as wc -l
+    does: newlines, so a last line without one is not counted; files
+    outside the package and other suffixes are not counted."""
+    package = tmp_path / "src" / "todalab"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nno newline")
+    (package / "notes.txt").write_text("1\n2\n")
+    (tmp_path / "src" / "setup.py").write_text("1\n")
+    assert compare_runs.src_lines(tmp_path / "src") == 3
+    repo_src = Path(compare_runs.__file__).resolve().parents[1] / "src"
+    assert compare_runs.src_lines(repo_src) == sum(
+        len(p.read_bytes().splitlines()) for p in (repo_src / "todalab").glob("*.py"))

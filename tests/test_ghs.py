@@ -12,7 +12,7 @@ from todalab.ghs import (PotentialSpec, confinement_bound,
                          ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics,
                          ghs_velocity, quadratic_floor)
-from todalab.integrators import Trajectory, integrate
+from todalab.integrators import Trajectory, drift, integrate
 from todalab.state import GHSState, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
@@ -82,10 +82,10 @@ def test_energy_conservation():
     x = bump_state(121)
     for pot in (PotentialSpec(family="toda"), PotentialSpec(family="quartic", beta=0.1)):
         traj = integrate(x, lambda s: ghs_rhs(s, pot), 3.0, FIX, sample_dt=0.25)
-        drift = traj.energy_drift(lambda s: ghs_energy(s, pot))
-        print(pot.family, "drift:", drift)
+        energy_drift = drift(traj.energy_series(lambda s: ghs_energy(s, pot)))
+        print(pot.family, "drift:", energy_drift)
         assert traj.clean(10)
-        assert drift < 1e-9
+        assert energy_drift < 1e-9
 
 
 def test_confinement_bound_toda():
@@ -164,10 +164,24 @@ def test_cone_constant_and_velocity():
     print("C:", c, "sup|V'|:", float(np.abs(pot.dV(traj.r)).max()))
     assert c == 1.0              # sup |V'| < 1 on this run, clamped from below
     mu0, _ = optimal_mu()
-    assert ghs_velocity(mu0, traj, pot) == pytest.approx(
+    assert ghs_velocity(mu0, c) == pytest.approx(
         2.0 * (math.exp(mu0 + 1.0) + 1.0 / mu0))
     with pytest.raises(ValueError):
-        ghs_velocity(0.0, traj, pot)
+        ghs_velocity(0.0, c)
+
+
+def test_envelope_reads_the_run_once(monkeypatch):
+    """ghs_envelope measures C in one pass over the run and hands it to
+    ghs_velocity."""
+    x = bump_state(61)
+    pot = PotentialSpec(family="quartic", beta=0.1)
+    traj = integrate(x, lambda s: ghs_rhs(s, pot), 1.0, FIX, sample_dt=0.25)
+    mu0, _ = optimal_mu()
+    shapes, dV = [], PotentialSpec.dV
+    monkeypatch.setattr(PotentialSpec, "dV", lambda self, r: shapes.append(np.shape(r)) or dV(self, r))
+    env = ghs_envelope(mu0, traj, pot)
+    assert shapes == [traj.r.shape]
+    assert (env.prefactor, env.speed) == (env.params["C"], ghs_velocity(mu0, env.params["C"]))
 
 
 def test_cone_holds_on_run():
@@ -239,4 +253,4 @@ def test_chain_run_rebuilds_chain_states():
     grid = evolve_tangent(x, (0, "p"), 1.0, FIX, "ghs", spec=pot, sample_dt=0.5)
     assert type(grid.base.state(2)) is GHSState
     assert np.array_equal(grid.base.state(2).p, grid.base.p[2])
-    assert traj.energy_drift(lambda s: ghs_energy(s, pot)) <= 1e-8
+    assert drift(traj.energy_series(lambda s: ghs_energy(s, pot))) <= 1e-8

@@ -11,7 +11,8 @@ from todalab import (HierarchySpec, IntegratorConfig, LatticeState,
                      integrate, random_localized_state)
 from todalab.hierarchy import (_band_poly, free_moment, hierarchy_fields, kvm_rhs,
                                path_counts)
-from todalab.state import toda_rhs
+from todalab.integrators import drift
+from todalab.state import toda_rhs, trace_invariants
 
 
 def test_spec_validation():
@@ -390,13 +391,13 @@ def test_hierarchy_flows_conserve_the_spectrum(r):
     2e-13 to 1.8e-12 at 1e-13."""
     x = random_localized_state(201, seed=5)
 
-    def drift(cfg):
+    def trace_drift(cfg):
         run = integrate(x, lambda st: hierarchy_rhs(st, _pure(r)), 2.0, cfg, sample_dt=0.5)
         assert run.clean(20)
-        return run.trace_drift()
+        return drift(run.energy_series(trace_invariants))
 
-    fixed, loose, tight = drift(RK4), drift(IntegratorConfig(tolerance=1e-9)), \
-        drift(IntegratorConfig(tolerance=1e-13))
+    fixed, loose, tight = trace_drift(RK4), trace_drift(IntegratorConfig(tolerance=1e-9)), \
+        trace_drift(IntegratorConfig(tolerance=1e-13))
     print(r, fixed, loose, tight)
     assert fixed < 1e-9
     assert loose < 1e-6 and tight < 1e-10

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,32 @@ def test_bracket_bound_measures_norms_when_undeclared():
     assert rep.ok
     assert rep.norm_source == "A:measured-horizon,B:declared"
     assert rep.max_ratio < 1e-6
+
+
+def test_declared_norms_of_B_are_not_measured_along_the_run():
+    """B's partials are evaluated along the base run only when B declares
+    no norms; a declared B is read at x alone, for its seed weights."""
+    mu0, _ = optimal_mu()
+    sol = soliton_state(SolitonSpec(kappa=1.0), 81)
+    _, b0 = basic_observables(0)
+    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25)
+             for s in required_bracket_seeds(b0, sol)}
+    times = grids[(-1, "a")].times
+    read = []
+
+    def counted(partial):
+        return lambda s, n: read.append(s) or partial(s, n)
+
+    b0 = replace(b0, d_da=counted(b0.d_da), d_db=counted(b0.d_db))
+    a5, _ = basic_observables(5)
+    [declared] = check_bracket_bound([a5], b0, sol, times, mu0, _speed(mu0, sol), grids)
+    assert read and all(s is sol for s in read)
+    read.clear()
+    [measured] = check_bracket_bound([a5], replace(b0, norms=None), sol, times, mu0,
+                                     _speed(mu0, sol), grids)
+    assert sum(s is not sol for s in read) == 2 * times.size     # d/da and d/db per sample
+    assert (declared.norm_source, measured.norm_source) == \
+        ("A:declared,B:declared", "A:declared,B:measured-horizon")
 
 
 def test_non_finite_bracket_is_a_violation():

@@ -1,5 +1,7 @@
+import json
 import math
 import types
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from todalab import (IntegratorConfig, PerturbationSpec,
                      SolitonSpec, background_state, evolve_tangent, optimal_mu,
                      perturbed_envelope, random_localized_state, soliton_state,
                      verify_light_cone)
-from todalab.integrators import Trajectory, integrate
+from todalab.integrators import Trajectory, integrate, write_json
 from todalab.perturbed import (InterpolationFit, interpolation_envelope,
                                monitor_trajectory, perturbed_rhs)
 from todalab.state import jacobi_norm_within, toda_rhs
@@ -230,6 +232,42 @@ def test_interpolation_fit_growth_branch():
     assert fit.D > 0.0
     assert fit.envelope_valid
     assert np.all(obs <= fit.value(dists[None, :], times[:, None]) * (1.0 + 1e-9))
+
+
+def synthetic_grid(obs, times, dists):
+    """A grid that gives its observations obs, a (T, N) array."""
+    return types.SimpleNamespace(observed=lambda kind="ab", rows=slice(None): obs[rows],
+                                 distances=dists, times=times)
+
+
+def test_interpolation_fit_of_one_sample_above_the_envelope():
+    """A single sample at t = 0 above the D = 0 envelope leaves no time to
+    fit D over: the fit keeps D = delta = 0, and the validity pass finds
+    the excess."""
+    dists = np.abs(np.arange(-5, 6)).astype(float)
+    grid = synthetic_grid(np.full((1, dists.size), 100.0), np.zeros(1), dists)
+    fit = interpolation_envelope(grid, types.SimpleNamespace(Lnorm0=1.0, C1=1.0), 0.5, 0.5)
+    assert fit.C < 100.0
+    assert (fit.D, fit.delta, fit.envelope_valid) == (0.0, 0.0, False)
+
+
+@pytest.mark.parametrize("row", [4, -1], ids=["middle", "final"])
+def test_interpolation_fit_of_an_infinite_cell_is_nan_and_invalid(row, tmp_path):
+    """No finite D majorizes an infinite observation: D and delta are NaN,
+    null in the JSON artifact, the envelope is not valid, and no step of the
+    fit warns (RuntimeWarning is an error here).  In the final sample, the
+    cell also makes the spatial r2 NaN."""
+    dists = np.abs(np.arange(-15, 16)).astype(float)
+    times = np.linspace(0.0, 2.0, 9)
+    obs = 1e-3 * np.exp(-dists)[None, :] * np.ones((times.size, 1))
+    obs[row, 20] = np.inf
+    fit = interpolation_envelope(synthetic_grid(obs, times, dists),
+                                 types.SimpleNamespace(Lnorm0=1.0, C1=1.0), 0.5, 0.5)
+    assert math.isnan(fit.D) and math.isnan(fit.delta) and not fit.envelope_valid
+    assert math.isnan(fit.r2_spatial) == (row == -1)
+    write_json(tmp_path / "fit.json", asdict(fit))
+    saved = json.loads((tmp_path / "fit.json").read_text())
+    assert saved["D"] is None and saved["delta"] is None and saved["envelope_valid"] is False
 
 
 def test_fit_value_at_time_zero():

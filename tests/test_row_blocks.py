@@ -71,9 +71,8 @@ def same_bits(a, b):
 
 def outcome(f, *args):
     """The fields of f(*args), or the type and message of what it raised (a
-    fit of one sample has no time to fit over, and a spoiled first sample
-    is no state), and the messages of the warnings it gave (a block gives
-    its own)."""
+    spoiled first sample is no state), and the messages of the warnings it
+    gave (a block gives its own)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -103,7 +102,7 @@ def test_blocked_passes_equal_the_whole_grid(kind, size, row_block):
     obs = grid.observed()
     for threshold in (1e-8, 1e-3):
         speed = whole_fit_front_speed(grid.times, grid.distances, obs, threshold)
-        assert same_bits(fit_front_speed(grid.times, grid.distances, obs, threshold), speed)
+        assert same_bits(fit_front_speed(grid.times, grid.distances, [obs], threshold), speed)
         blocks = (obs[rows] for rows in row_blocks(grid.n_samples))
         assert same_bits(fit_front_speed(grid.times, grid.distances, blocks, threshold), speed)
     monitors = types.SimpleNamespace(Lnorm0=1.0, C1=1.0)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import trajectory_from_csv
 from todalab import cli as cli_module
 from todalab.bounds import velocity_toda
 from todalab.cli import config_from_dict, default_config, run_config
@@ -246,7 +247,7 @@ def test_adaptive_base_run_matches_a_tighter_standalone_run(scenario, tmp_path, 
     tangents, _ = spy_solves(monkeypatch)
     assert run_config(cfg, tmp_path) == 0
     monkeypatch.undo()
-    run = Trajectory.from_csv(tmp_path / "trajectory.csv")
+    run = trajectory_from_csv(tmp_path / "trajectory.csv")
     tight = replace(cfg.integrator, tolerance=cfg.integrator.tolerance / 100.0)
     ref = standalone_base_run(tangents[0], tight)
     assert run.times.tobytes() == ref.times.tobytes()

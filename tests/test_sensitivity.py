@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (_toda_second_fields, bessel_tangent, central_difference,
                      evolve_second_tangent, finite_difference_oracle, flaschka_inverse,
-                     poisson_error, second_finite_difference)
+                     poisson_error, second_finite_difference, seed_vectors)
 from todalab import (GHSState, HierarchySpec, IntegratorConfig, LatticeState,
                      PerturbationSpec, PotentialSpec, SolitonSpec,
                      background_state, evolve_tangent, random_localized_state,
@@ -21,13 +21,18 @@ def test_seed_vectors():
     da, db = _seed_vectors(x, (2, "a"))
     assert da[x.site_index(2)] == 1.0 and np.sum(np.abs(da)) == 1.0
     assert np.all(db == 0.0)
-    da, db = _seed_vectors(x, (0, "btilde"))
+    da, db = seed_vectors(x, (0, "btilde"))
     assert db[x.site_index(1)] == 1.0 and db[x.site_index(0)] == -1.0
     assert np.all(da == 0.0)
     with pytest.raises(ValueError):
         _seed_vectors(x, (99, "a"))
     with pytest.raises(ValueError):
         _seed_vectors(x, (0, "q"))
+    # the difference seed is the tests' own: the package takes unit seeds only
+    with pytest.raises(ValueError, match="'btilde'"):
+        _seed_vectors(x, (0, "btilde"))
+    with pytest.raises(ValueError, match="needs site 6"):
+        seed_vectors(x, (5, "btilde"))
 
 
 def test_grid_geometry_and_observed():
@@ -53,6 +58,10 @@ def test_grids_read_times_and_offset_from_their_base_run():
     for g in grids:
         assert g.times is g.base.times
         assert g.offset == g.base.offset == -7
+    # a grid's sample count and sites are its base run's, from one definition
+    for g in grids[:2]:
+        assert (g.n_samples, g.sites.tolist()) == (g.base.n_samples, g.base.sites.tolist()) \
+            == (3, list(range(-7, 14)))
     # the guard is the verdict's, not the grid's
     rep = verify_light_cone(grids[0], toda_envelope(1.0, 1.0), guard=4)
     assert (rep.seed_site, rep.seed_coord, rep.guard) == (0, "b", 4)
@@ -412,7 +421,7 @@ def test_second_tangent_run_equals_the_composed_run_bitwise():
     x = soliton_state(SolitonSpec(kappa=0.8), 61)
     g = evolve_second_tangent(x, (0, "a"), (1, "btilde"), 1.5, FIXED, sample_dt=0.5)
     zeros = np.zeros(x.n_sites)
-    blocks = (*_seed_vectors(x, (0, "a")), *_seed_vectors(x, (1, "btilde")), zeros, zeros)
+    blocks = (*seed_vectors(x, (0, "a")), *seed_vectors(x, (1, "btilde")), zeros, zeros)
     base, series = _solve_blocks(x, _second_fields_composed, blocks, g.times, FIXED)
     got = (g.base.a, g.base.b, g.u1_a, g.u1_b, g.u2_a, g.u2_b, g.w_a, g.w_b)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in (base.a, base.b, *series)]

@@ -106,7 +106,7 @@ def test_evolution_tracks_analytic_profile():
     spec = SolitonSpec(kappa=1.0)
     x = soliton_state(spec, 121)
     traj = integrate(x, toda_rhs, 4.0, IntegratorConfig(), sample_dt=0.5)
-    sites = np.arange(traj.offset, traj.offset + traj.n_sites)
+    sites = traj.sites
     worst = 0.0
     for i, t in enumerate(traj.times):
         a_ref, b_ref = soliton_flaschka(spec, sites, t)

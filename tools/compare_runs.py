@@ -23,7 +23,9 @@ differing rows and cells and the largest absolute difference of the
 differing cells' values.  It also lists every JSON artifact, in either
 tree, that is not strict JSON (holds a NaN or Infinity token).
 It ends with one tally per integrator, for example `rk4-fixed: 17 configs,
-0 differences`, the benchmark and extra configs counted under theirs.  Exit
+0 differences`, the benchmark and extra configs counted under theirs, and
+with the line count of each tree's package, `wc -l src/todalab/*.py`, as
+`src lines: 3402 -> 3360`.  Exit
 status 0 when every run matches byte for byte and every JSON artifact is
 strict, 1 otherwise.
 """
@@ -222,6 +224,12 @@ def tally(labels, extra_methods=()) -> list:
             for method, n in found.items()]
 
 
+def src_lines(src) -> int:
+    """The lines of the package in the src directory src, as `wc -l
+    todalab/*.py` counts them: its newline characters."""
+    return sum(path.read_bytes().count(b"\n") for path in (Path(src) / "todalab").glob("*.py"))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) < 2:
@@ -238,6 +246,7 @@ def main(argv=None) -> int:
     runs = len(SCENARIOS) * len(INTEGRATORS) * len(SEEDS) + len(extra)
     print(f"{runs} configs run from each tree, {len(labels)} differences")
     print("\n".join(tally(labels, [method for _, _, method in extra])))
+    print(f"src lines: {src_lines(argv[0])} -> {src_lines(argv[1])}")
     return 1 if labels else 0
 
 
