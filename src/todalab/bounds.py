@@ -241,8 +241,8 @@ def fit_front_speed(times: np.ndarray, dists: np.ndarray, blocks, threshold: flo
     Crossing times are log-interpolated between these samples; where the
     sample before the crossing is not positive (0 or NaN), the crossing
     sample's own time is taken.  A distance above threshold from the first
-    sample has no crossing.  None when fewer than two distances ever
-    cross.
+    sample has no crossing.  None when the crossings take fewer than two
+    distinct times (fewer than two distances cross, or all at once).
     """
     ds, order, starts = _distance_groups(dists)
     first = np.full(ds.size, -1)        # the crossing sample; -1 while there is none
@@ -268,7 +268,7 @@ def fit_front_speed(times: np.ndarray, dists: np.ndarray, blocks, threshold: flo
             t_cross = times[i - 1] + w * (times[i] - times[i - 1])
         pts_t.append(t_cross)
         pts_d.append(float(d))
-    if len(pts_t) < 2:
+    if len(set(pts_t)) < 2:
         return None
     slope = np.polyfit(np.array(pts_t), np.array(pts_d), 1)[0]
     return float(slope)

@@ -574,22 +574,14 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
             worst_ratio = max(worst_ratio, rep.max_ratio)
             if rep.violations and first_violation is None:
                 first_violation = {"n": n, **rep.violations[0]}
-    # generator identity at the base point
+    # generator identity at the base point: {a_0, H} and {b_0, H} are the
+    # Toda field at site 0, by the convention d/dt (obs o flow_t) = {obs, H}
     h_obs = hamiltonian_window_observable(range(-3, 4))
-    a_0, b_0 = basic_observables(0)
     gen_err = 0.0
-    dt = 1e-6
-    # the Toda flow a step dt forward and backward, for a two-sided difference
-    fixed = IntegratorConfig(method="rk4-fixed", step=dt / 4.0)
-    plus = integrate(x, toda_rhs, dt, fixed, sample_dt=dt).state(1)
-    minus = integrate(x, lambda s: tuple(-f for f in toda_rhs(s)), dt, fixed,
-                      sample_dt=dt).state(1)
-    for obs in (a_0, b_0):
+    for obs, field in zip(basic_observables(0), toda_rhs(x)):
         bracket = poisson_bracket(obs, h_obs, x)
-        fd = (obs.eval(plus) - obs.eval(minus)) / (2.0 * dt)
-        # bracket convention: d/dt (obs o flow_t) = {obs, H}
-        scale = max(1.0, abs(bracket))
-        gen_err = max(gen_err, abs(fd - bracket) / scale)
+        value = float(field[x.site_index(0)])
+        gen_err = max(gen_err, abs(value - bracket) / max(1.0, abs(bracket)))
     ok = clean and n_viol == 0 and gen_err <= 1e-5
     summary = {
         "mu": mu, "clean": clean, "violations": n_viol,

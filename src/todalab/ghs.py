@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Envelope, mu_profile
-from .integrators import Trajectory
+from .integrators import Trajectory, row_blocks
 from .state import GHSState, _step_dn, _step_up
 
 _FAMILIES = ("toda", "quartic")
@@ -119,16 +119,12 @@ def confinement_bound(pot: PotentialSpec, energy: float) -> float:
 
 
 def quadratic_floor(pot: PotentialSpec, bound: float) -> float:
-    """Largest c with c x^2 <= V(x) on [-bound, bound], estimated at 2001
-    equally spaced points plus the x -> 0 limit V''(0)/2.  A pragmatic
-    stand-in for the existence constant in the stability argument; reported
-    as sampled."""
-    if bound <= 0:
-        return 0.5 * float(pot.d2V(0.0))
-    x = np.linspace(-bound, bound, 2001)
-    x = x[np.abs(x) > 1e-9 * bound]
-    ratios = np.asarray(pot.V(x), dtype=float) / (x * x)
-    return float(min(ratios.min(), 0.5 * float(pot.d2V(0.0))))
+    """Largest c with c x^2 <= V(x) on [-bound, bound]: the least of V/x^2
+    at the two ends and its x -> 0 limit V''(0)/2.  Exact for both families,
+    since V/x^2 = 1/2 + beta x^2/4 (quartic) rises with |x| and
+    V/x^2 = int_0^1 (1 - s) e^{-s x} ds (toda) falls with x."""
+    ends = [pot.V(x) / (x * x) for x in (-bound, bound)] if bound > 0 else []
+    return float(min(ends + [0.5 * float(pot.d2V(0.0))]))
 
 
 @dataclass
@@ -149,23 +145,29 @@ class StabilityReport:
 def ghs_stability_diagnostics(traj: Trajectory, pot: PotentialSpec) -> StabilityReport:
     """Check the three finite-energy stability bounds at every sample, plus
     the position bound ||q(t)||_inf <= ||q(0)||_inf + sqrt(2E) |t| with q
-    reconstructed by trapezoidal p-integration (q_first fixed to 0)."""
+    reconstructed by trapezoidal p-integration (q_first fixed to 0), a row
+    block at a time with the trapezoid sum carried from block to block."""
     e = ghs_energy(traj.state(0), pot)
     m_e = confinement_bound(pot, e)
     c = quadratic_floor(pot, m_e)
-    p_l2 = np.sqrt(np.sum(traj.p ** 2, axis=1))
-    r_inf = np.abs(traj.r).max(axis=1)
-    r_l2 = np.sqrt(np.sum(traj.r ** 2, axis=1))
+    p_l2, r_inf, r_l2, q_inf = np.empty((4, traj.n_samples))
     p_bound = math.sqrt(2.0 * e)
     r2_bound = math.sqrt(e) / c if c > 0 else math.inf
 
     # cumulative trapezoid of p gives q(t) - q(0); q(0) from partial sums of r(0)
-    q0 = np.concatenate(([0.0], np.cumsum(traj.r[0])))
-    dt = np.diff(traj.times)[:, np.newaxis]
-    increments = 0.5 * dt * (traj.p[1:] + traj.p[:-1])
-    qp = q0[:-1] + np.vstack((np.zeros(traj.n_sites), np.cumsum(increments, axis=0)))
-    q_inf = np.abs(qp).max(axis=1)
-    q_bound = np.abs(q0[:-1]).max() + p_bound * traj.times
+    q0 = np.concatenate(([0.0], np.cumsum(traj.r[0])))[:-1]
+    q_sum = np.zeros(traj.n_sites)      # the trapezoid sum up to the sample before the block
+    for rows in row_blocks(traj.n_samples):
+        p, r = traj.p[rows], traj.r[rows]
+        p_l2[rows] = np.sqrt(np.sum(p ** 2, axis=1))
+        r_inf[rows] = np.abs(r).max(axis=1)
+        r_l2[rows] = np.sqrt(np.sum(r ** 2, axis=1))
+        span = slice(max(rows.start - 1, 0), rows.stop)    # the block and the sample before it
+        ps, dt = traj.p[span], np.diff(traj.times[span])[:, np.newaxis]
+        sums = np.cumsum(np.vstack((q_sum, 0.5 * dt * (ps[1:] + ps[:-1]))), axis=0)[-len(p):]
+        q_inf[rows] = np.abs(q0 + sums).max(axis=1)
+        q_sum = sums[-1]
+    q_bound = np.abs(q0).max() + p_bound * traj.times
 
     ok = bool(np.all(p_l2 <= p_bound + 1e-12) and np.all(r_inf <= m_e + 1e-12)
               and np.all(r_l2 <= r2_bound + 1e-12) and np.all(q_inf <= q_bound + 1e-9))
@@ -178,8 +180,10 @@ def ghs_stability_diagnostics(traj: Trajectory, pot: PotentialSpec) -> Stability
 
 
 def ghs_cone_constant(traj: Trajectory, pot: PotentialSpec) -> float:
-    """C = max(sup_{t,n} |V'(r_n(t))|^(1/2), 1), measured on the horizon."""
-    sup_vp = float(np.abs(np.asarray(pot.dV(traj.r))).max())
+    """C = max(sup_{t,n} |V'(r_n(t))|^(1/2), 1), measured on the horizon,
+    one row block of the run at a time."""
+    sup_vp = float(np.max([np.abs(np.asarray(pot.dV(traj.r[rows]))).max()
+                           for rows in row_blocks(traj.n_samples)]))
     return max(math.sqrt(sup_vp), 1.0)
 
 

@@ -7,9 +7,9 @@ For order r with weights c = (c_0, ..., c_r), c_0 = 1, the vector field is
 
 r = 0 is the plain Toda flow.  The matrix elements are local: the diagonal
 entry of L^j at site n only involves coordinates within distance j, which
-is what makes the banded computation below exact on a padded window.
+is what makes the banded computation exact on a padded window.
 
-One kernel, _band_poly, gives every polynomial of L here by Horner's rule.
+One kernel, state._band_poly, gives every polynomial of L here by Horner's rule.
 g is the diagonal and h is 2 a_n times the upper diagonal of the one
 polynomial p_r(L) = sum_j c_{r-j} L^{j+1}; the Hamiltonian reads the
 diagonal of sum_j c_{r-j} L^{j+2}.  The single matrix elements of L^j,
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import LatticeState, _padded
+from .state import LatticeState, _band_poly, _padded
 
 
 @dataclass
@@ -76,47 +76,6 @@ def path_counts(j: int):
     eta = sum(math.comb(m, k) * math.comb(k, k // 2) for k in range(0, m + 1, 2))
     xi = sum(math.comb(m, k) * math.comb(k, (k + 1) // 2) for k in range(1, m + 1, 2))
     return eta, xi
-
-
-def _band_poly(a: np.ndarray, b: np.ndarray, coeffs,
-               da: np.ndarray | None = None, db: np.ndarray | None = None):
-    """Every diagonal of the polynomial p(L) = sum_k coeffs[k] L^k on a padded
-    window, and its directional derivative dp(L) along (da, db) if given.
-
-    Returns (Q, dQ) of shape (2K + 1, N), K = len(coeffs) - 1, with
-    Q[K + d, i] = p(L)_{i, i+d}; dQ is None without a tangent.  Horner's rule
-    from the top coefficient: each step multiplies by L from the left,
-
-        (L Q)_{i, i+d} = a_i Q_{i+1, i+d} + a_{i-1} Q_{i-1, i+d} + b_i Q_{i, i+d},
-
-    as three slice-adds into zeros, then adds the next coefficient to the
-    diagonal; the derivative step is its product rule.  After s steps Q has
-    bandwidth s, so each step reads only the diagonals -s .. s.  Entries
-    within K sites of either end are garbage, so callers pad the window
-    first.  The zero start and the order of the adds fix the rounding, and
-    with it the bytes of fixed-step artifacts: every entry is a sum that
-    starts at +0.0, so it is never -0.0 and adding a zero coefficient leaves
-    its bits; a monomial gives the bits of repeated multiplication by L.
-    """
-    k = len(coeffs) - 1
-    Q = np.zeros((2 * k + 1, a.size))
-    Q[k] = coeffs[k]
-    dQ = None if da is None else np.zeros_like(Q)
-    for s in range(k):
-        lo, hi = k - s, k + s + 1            # rows of the diagonals -s .. s
-        p, q = Q[lo:hi], np.zeros_like(Q)
-        q[lo + 1:hi + 1, :-1] += a[:-1] * p[:, 1:]
-        q[lo - 1:hi - 1, 1:] += a[:-1] * p[:, :-1]
-        q[lo:hi] += b * p
-        q[k] += coeffs[k - 1 - s]
-        if dQ is not None:
-            dp, dq = dQ[lo:hi], np.zeros_like(Q)
-            dq[lo + 1:hi + 1, :-1] += da[:-1] * p[:, 1:] + a[:-1] * dp[:, 1:]
-            dq[lo - 1:hi - 1, 1:] += da[:-1] * p[:, :-1] + a[:-1] * dp[:, :-1]
-            dq[lo:hi] += db * p + b * dp
-            dQ = dq
-        Q = q
-    return Q, dQ
 
 
 def hierarchy_fields(s: LatticeState, spec: HierarchySpec,

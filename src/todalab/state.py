@@ -243,6 +243,50 @@ def _padded(s: LatticeState, pad: int):
     return np.concatenate((a_pad, s.a, a_pad)), np.concatenate((b_pad, s.b, b_pad))
 
 
+def _band_poly(a: np.ndarray, b: np.ndarray, coeffs,
+               da: np.ndarray | None = None, db: np.ndarray | None = None):
+    """Every diagonal of the polynomial p(L) = sum_k coeffs[k] L^k of the
+    window matrix with diagonal b and off-diagonal a[:-1], and its
+    directional derivative dp(L) along (da, db) if given.
+
+    Returns (Q, dQ) of shape (2K + 1, N), K = len(coeffs) - 1, with
+    Q[K + d, i] = p(L)_{i, i+d}; dQ is None without a tangent.  Horner's rule
+    from the top coefficient: each step multiplies by L from the left,
+
+        (L Q)_{i, i+d} = a_i Q_{i+1, i+d} + a_{i-1} Q_{i-1, i+d} + b_i Q_{i, i+d},
+
+    as three slice-adds into zeros, then adds the next coefficient to the
+    diagonal; the derivative step is its product rule.  After s steps Q has
+    bandwidth s, so each step reads only the diagonals -s .. s.  The window
+    matrix couples nothing past its ends, so entries within K sites of
+    either end differ from those of the background-extended L; callers that
+    want the latter pad the window first.  The zero start and the order of
+    the adds fix the rounding, and with it the bytes of fixed-step
+    artifacts: every entry is a sum that starts at +0.0, so it is never -0.0
+    and adding a zero coefficient leaves its bits; a monomial gives the bits
+    of repeated multiplication by L.
+    """
+    k = len(coeffs) - 1
+    Q = np.zeros((2 * k + 1, a.size))
+    Q[k] = coeffs[k]
+    dQ = None if da is None else np.zeros_like(Q)
+    for s in range(k):
+        lo, hi = k - s, k + s + 1            # rows of the diagonals -s .. s
+        p, q = Q[lo:hi], np.zeros_like(Q)
+        q[lo + 1:hi + 1, :-1] += a[:-1] * p[:, 1:]
+        q[lo - 1:hi - 1, 1:] += a[:-1] * p[:, :-1]
+        q[lo:hi] += b * p
+        q[k] += coeffs[k - 1 - s]
+        if dQ is not None:
+            dp, dq = dQ[lo:hi], np.zeros_like(Q)
+            dq[lo + 1:hi + 1, :-1] += da[:-1] * p[:, 1:] + a[:-1] * dp[:, 1:]
+            dq[lo - 1:hi - 1, 1:] += da[:-1] * p[:, :-1] + a[:-1] * dp[:, :-1]
+            dq[lo:hi] += db * p + b * dp
+            dQ = dq
+        Q = q
+    return Q, dQ
+
+
 def jacobi_norm(s: LatticeState) -> float:
     """Spectral norm of the windowed Jacobi operator.
 
@@ -279,14 +323,12 @@ def jacobi_norm_within(a, b, bound) -> np.ndarray:
 
 
 def trace_invariants(s: LatticeState) -> np.ndarray:
-    """tr(L^j) - tr(L_bg^j) for j = 1 .. 4 on the same window.
+    """tr(L^j) - tr(L_bg^j), j = 1 .. 4, L_bg the pure-background window of
+    equal size: sums of the diagonals _band_poly gives for the monomials of
+    the window matrix (the one jacobi_norm diagonalizes), so a background
+    state reads 0.0.  Conserved while the run stays boundary-clean."""
+    def traces(x):
+        return np.array([np.sum(_band_poly(x.a, x.b, (0.0,) * j + (1.0,))[0][j])
+                         for j in range(1, 5)])
 
-    L_bg is the pure-background window of equal size.  Conserved along the
-    flow while the run stays boundary-clean.
-    """
-    ev = eigvalsh_tridiagonal(s.b, s.a[:-1])
-    a_bg, b_bg = s.background
-    n = s.n_sites
-    # free tridiagonal eigenvalues: b_bg + 2 a_bg cos(k pi / (n+1))
-    ev_bg = b_bg + 2.0 * a_bg * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-    return np.array([np.sum(ev ** j) - np.sum(ev_bg ** j) for j in range(1, 5)])
+    return traces(s) - traces(background_state(s.n_sites, s.offset, s.background))

@@ -1,9 +1,9 @@
 """Reference oracles the tests check the package against: dense and closed
 forms, the difference seed btilde and finite differences, the second
 variational flow of the Toda lattice and the mixed second-derivative bound,
-which no run gives a verdict on, the reader of a run's CSV, and the
-whole-grid bodies of the passes that the package makes a row block at a
-time.  No CLI run and no demo calls them, so they live beside the tests,
+which no run gives a verdict on, the reader of a run's CSV, the sampled
+quadratic floor of a chain potential, and the whole-grid bodies of the
+passes that the package makes a row block at a time.  No CLI run and no demo calls them, so they live beside the tests,
 and tests/test_reach.py keeps the package free of such code."""
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ import numpy as np
 
 from todalab.bounds import (MAX_VIOLATIONS_STORED, C_epsilon, Envelope, G_mu, LightConeReport,
                             _distance_peaks, compare, velocity_toda)
+from todalab.ghs import (StabilityReport, confinement_bound, ghs_energy,
+                         quadratic_floor)
 from todalab.integrators import (IntegratorConfig, Trajectory, _solve_blocks, integrate,
                                  sample_times)
 from todalab.perturbed import InterpolationFit, TrajectoryMonitors, _spatial_log_r2
@@ -390,7 +392,7 @@ def whole_fit_front_speed(times, dists, obs, threshold=1e-8):
             t_cross = times[i - 1] + w * (times[i] - times[i - 1])
         pts_t.append(t_cross)
         pts_d.append(float(d))
-    if len(pts_t) < 2:
+    if len(set(pts_t)) < 2:
         return None
     slope = np.polyfit(np.array(pts_t), np.array(pts_d), 1)[0]
     return float(slope)
@@ -479,3 +481,46 @@ def whole_monitor_trajectory(traj) -> TrajectoryMonitors:
     unbounded = bool(np.all(np.diff(tail) > 0.0))
     return TrajectoryMonitors(C1=c1, C2=c2, Lnorm0=jacobi_norm(traj.state(0)),
                               horizon=float(traj.times[-1]), unbounded=unbounded)
+
+
+def sampled_quadratic_floor(pot, bound: float) -> float:
+    """ghs.quadratic_floor as the least of V(x)/x^2 at 2001 equally spaced
+    points of [-bound, bound] and its x -> 0 limit V''(0)/2."""
+    if bound <= 0:
+        return 0.5 * float(pot.d2V(0.0))
+    x = np.linspace(-bound, bound, 2001)
+    x = x[np.abs(x) > 1e-9 * bound]
+    ratios = np.asarray(pot.V(x), dtype=float) / (x * x)
+    return float(min(ratios.min(), 0.5 * float(pot.d2V(0.0))))
+
+
+def whole_ghs_stability_diagnostics(traj, pot) -> StabilityReport:
+    """ghs.ghs_stability_diagnostics over every sample at once."""
+    e = ghs_energy(traj.state(0), pot)
+    m_e = confinement_bound(pot, e)
+    c = quadratic_floor(pot, m_e)
+    p_l2 = np.sqrt(np.sum(traj.p ** 2, axis=1))
+    r_inf = np.abs(traj.r).max(axis=1)
+    r_l2 = np.sqrt(np.sum(traj.r ** 2, axis=1))
+    p_bound = math.sqrt(2.0 * e)
+    r2_bound = math.sqrt(e) / c if c > 0 else math.inf
+    q0 = np.concatenate(([0.0], np.cumsum(traj.r[0])))
+    dt = np.diff(traj.times)[:, np.newaxis]
+    increments = 0.5 * dt * (traj.p[1:] + traj.p[:-1])
+    qp = q0[:-1] + np.vstack((np.zeros(traj.n_sites), np.cumsum(increments, axis=0)))
+    q_inf = np.abs(qp).max(axis=1)
+    q_bound = np.abs(q0[:-1]).max() + p_bound * traj.times
+    ok = bool(np.all(p_l2 <= p_bound + 1e-12) and np.all(r_inf <= m_e + 1e-12)
+              and np.all(r_l2 <= r2_bound + 1e-12) and np.all(q_inf <= q_bound + 1e-9))
+    return StabilityReport(energy=e, M_E=m_e, c_floor=c,
+                           p_l2_max=float(p_l2.max()), p_l2_bound=p_bound,
+                           r_inf_max=float(r_inf.max()),
+                           r_l2_max=float(r_l2.max()), r_l2_bound=r2_bound,
+                           q_inf_max=float(q_inf.max()),
+                           q_inf_bound_final=float(q_bound[-1]), ok=ok)
+
+
+def whole_ghs_cone_constant(traj, pot) -> float:
+    """ghs.ghs_cone_constant over every sample at once."""
+    sup_vp = float(np.abs(np.asarray(pot.dV(traj.r))).max())
+    return max(math.sqrt(sup_vp), 1.0)

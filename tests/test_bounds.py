@@ -264,6 +264,17 @@ def test_fit_front_speed_no_crossings():
     assert fit_front_speed(times, dists, [obs]) is None
 
 
+def test_fit_front_speed_of_simultaneous_crossings():
+    """Every distance crosses at the second sample from an exact 0, so every
+    crossing is at that sample's time and no slope fits them; a third
+    sample that moves one crossing gives a slope again."""
+    dists = np.abs(np.arange(-5, 6)).astype(float)
+    obs = np.array([np.where(dists == 0.0, 1.0, 0.0), np.ones(11)])
+    assert fit_front_speed(np.array([0.0, 0.5]), dists, [obs]) is None
+    later = np.vstack((obs[:1], np.where(dists <= 4.0, 1.0, 0.0), np.ones(11)))
+    assert fit_front_speed(np.array([0.0, 0.5, 1.0]), dists, [later]) > 0.0
+
+
 @pytest.mark.parametrize("shape", [(7, 41), (41,)], ids=["grid", "profile"])
 def test_distance_peaks_is_the_mask_loop(shape):
     """One pass gives, per distance >= 1, the max over its sites that one

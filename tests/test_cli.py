@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,20 @@ def test_run_forced_violation_exits_1(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["exit"] == 1
     assert summary["violations"] > 0
+
+
+def test_two_sample_run_reports_no_front_speed(tmp_path):
+    """At t_final = sample_dt every distance first crosses at the one sample
+    after t = 0, so the crossings share one time: the run exits 0 with no
+    warning (polyfit's RankWarning is gone) and no front speed."""
+    raw = small_run_config(t_final=0.5, sample_dt=0.5, integrator=default_config()["integrator"])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "-c", write_config(tmp_path, raw), "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["empirical_front_speed"] is None and summary["violations"] == 0
 
 
 def test_cone_reports_carry_the_envelope_scale(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from scipy.special import lambertw
 
-from oracles import central_difference
+from oracles import central_difference, sampled_quadratic_floor
 from todalab import IntegratorConfig, evolve_tangent, optimal_mu, verify_light_cone
 from todalab.ghs import (PotentialSpec, confinement_bound,
                          factorial_tail_envelope, ghs_cone_constant,
@@ -140,6 +140,24 @@ def test_quadratic_floor():
     x = np.linspace(-m, m, 501)
     x = x[np.abs(x) > 1e-6]
     assert np.all(np.asarray(toda.V(x)) >= c * x * x - 1e-12)
+
+
+POTENTIALS = [PotentialSpec("toda")] + [PotentialSpec("quartic", beta) for beta in (0.0, 0.1, 3.0)]
+
+
+@pytest.mark.parametrize("pot", POTENTIALS, ids=lambda p: f"{p.family}-{p.beta}")
+def test_quadratic_floor_is_the_sampled_floor_from_the_ends(pot):
+    """V/x^2 is least at an end of [-M, M] or in the x -> 0 limit, so the
+    floor reads V at the two ends only, a scalar each time, and gives the
+    bits of the least of V/x^2 over 2001 samples of the interval."""
+    calls = []
+    spied = PotentialSpec(pot.family, pot.beta)
+    spied.V = lambda x: calls.append(np.size(x)) or pot.V(x)
+    for energy in [1e-6, 1e-4, 0.01, 0.1, 1.0, 3.0, 10.0, 100.0]:
+        m = confinement_bound(pot, energy)
+        assert quadratic_floor(spied, m) == sampled_quadratic_floor(pot, m)
+    assert quadratic_floor(pot, 0.0) == sampled_quadratic_floor(pot, 0.0) == 0.5
+    assert calls == [1] * 16
 
 
 def test_stability_bounds_hold():

@@ -9,10 +9,9 @@ from oracles import central_difference, jacobi_matrix
 from todalab import (HierarchySpec, IntegratorConfig, LatticeState,
                      background_state, hierarchy_hamiltonian, hierarchy_rhs,
                      integrate, random_localized_state)
-from todalab.hierarchy import (_band_poly, free_moment, hierarchy_fields, kvm_rhs,
-                               path_counts)
+from todalab.hierarchy import free_moment, hierarchy_fields, kvm_rhs, path_counts
 from todalab.integrators import drift
-from todalab.state import toda_rhs, trace_invariants
+from todalab.state import _band_poly, toda_rhs, trace_invariants
 
 
 def test_spec_validation():

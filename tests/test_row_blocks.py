@@ -12,16 +12,18 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from oracles import (whole_boundary_margin, whole_fit_front_speed, whole_interpolation_envelope,
+from oracles import (whole_boundary_margin, whole_fit_front_speed, whole_ghs_cone_constant,
+                     whole_ghs_stability_diagnostics, whole_interpolation_envelope,
                      whole_monitor_trajectory, whole_verify_light_cone)
 
 from todalab import integrators
 from todalab.bounds import (MAX_VIOLATIONS_STORED, fit_front_speed, optimal_mu, timedep_envelope,
                             toda_envelope, verify_light_cone)
+from todalab.ghs import PotentialSpec, ghs_cone_constant, ghs_stability_diagnostics
 from todalab.integrators import Trajectory, row_blocks
 from todalab.perturbed import interpolation_envelope, monitor_trajectory
 from todalab.sensitivity import SensitivityGrid
-from todalab.state import hamiltonian_ab
+from todalab.state import GHSState, hamiltonian_ab
 
 MU0 = optimal_mu()[0]
 
@@ -114,6 +116,28 @@ def test_blocked_passes_equal_the_whole_grid(kind, size, row_block):
                      outcome(whole_monitor_trajectory, grid.base))
 
 
+def chain_run(grid):
+    """The grid's tangent arrays as the (r, p) run of a chain at rest
+    outside the cone."""
+    return Trajectory(grid.times, grid.da, grid.db, grid.offset, (0.0, 0.0), GHSState)
+
+
+POTENTIALS = {"toda": PotentialSpec("toda"), "quartic": PotentialSpec("quartic", 3.0)}
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("kind", ["cone", "non-finite"])
+def test_blocked_chain_passes_equal_the_whole_run(kind, size, row_block):
+    """The stability diagnostics, whose trapezoid sum is carried across
+    blocks, and the cone constant, on runs with NaN and infinite cells
+    after the first sample too."""
+    run = chain_run(GRIDS[kind](SIZES[size](row_block)))
+    for pot in POTENTIALS.values():
+        assert same_bits(outcome(ghs_stability_diagnostics, run, pot),
+                         outcome(whole_ghs_stability_diagnostics, run, pot))
+        assert same_bits(ghs_cone_constant(run, pot), whole_ghs_cone_constant(run, pot))
+
+
 def test_the_cases_reach_what_they_name():
     """The cases above hold what they are there for: growth-branch and
     D = 0 fits, front speeds, a log-a verdict with a radius function, and
@@ -161,14 +185,19 @@ def test_energy_series_reads_every_sample_across_block_edges(row_block):
 
 def test_passes_hold_a_fraction_of_the_grid():
     """On a cone grid of 20 row blocks over 4001 sites, the verdict, the
-    edge margin and the CSV writer each allocate less than half of one of
-    the grid's arrays at their peak; read whole, the verdict took about 4
-    times the array and the margin 3 times."""
+    edge margin and the CSV writer, and on a chain run of the same shape
+    the stability diagnostics and the cone constant, each allocate less
+    than half of one of the run's arrays at their peak; read whole, the
+    verdict took about 4 times the array, the margin and the diagnostics
+    3 times and the cone constant twice."""
     grid = cone_grid(20 * integrators.ROW_BLOCK + 1, 4001)
     limit = grid.da.nbytes / 2
+    chain, pot = chain_run(grid), POTENTIALS["quartic"]
     passes = {"verify_light_cone": lambda: verify_light_cone(grid, ENVELOPES["toda"]),
               "boundary_margin": lambda: grid.boundary_margin,
-              "to_csv": lambda: grid.to_csv(os.devnull)}
+              "to_csv": lambda: grid.to_csv(os.devnull),
+              "ghs_stability_diagnostics": lambda: ghs_stability_diagnostics(chain, pot),
+              "ghs_cone_constant": lambda: ghs_cone_constant(chain, pot)}
     grid.to_csv(os.devnull)                         # the formatter's tables are built once
     peaks = {}
     tracemalloc.start()

@@ -188,6 +188,25 @@ def test_observables_solves_each_bracket_seed_once(tmp_path, monkeypatch):
     assert [args[1] for args, _ in tangents] == [(-1, "a"), (0, "a"), (1, "a")]
 
 
+def test_generator_identity_reads_the_toda_field(tmp_path, monkeypatch):
+    """{a_0, H} and {b_0, H} are compared with the Toda field at site 0 and
+    make no solve of their own: with no integrator to build or call, the
+    run passes and the identity holds to the bracket's rounding."""
+    cfg = config_from_dict(small_config("observables"))
+    monkeypatch.setattr(cli_module, "IntegratorConfig", None)
+    monkeypatch.setattr(cli_module, "integrate", None)
+    assert run_config(cfg, tmp_path) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["generator_rel_error"] < 1e-14
+
+
+def test_a_field_off_by_a_thousandth_fails_the_generator_identity(tmp_path, monkeypatch):
+    field = cli_module.toda_rhs
+    monkeypatch.setattr(cli_module, "toda_rhs", lambda s: tuple(1.001 * f for f in field(s)))
+    code, _, summary = run_scenario("observables", tmp_path)
+    assert code == 1 and summary["exit"] == 1
+    assert summary["generator_rel_error"] > 1e-5 and summary["violations"] == 0
+
+
 SCHEMA_KEYS = {"schema", "scenario", "seed", "exit", "clean", "violations",
                "empirical_front_speed", "bound_speed", "conserved_drift"}
 
@@ -318,7 +337,7 @@ def test_soliton_validate_takes_one_norm_per_distinct_sample(tmp_path, monkeypat
 
 def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch):
     """One jacobi_norm for the run, and per m one base state per sample for
-    all of the bracket checks; the generator identity adds two states in all."""
+    all of the bracket checks; the generator identity reads x itself."""
     cfg = config_from_dict(small_config("observables"))
     norms, states = count_jacobi_norm(monkeypatch), []
     state = Trajectory.state
@@ -332,7 +351,7 @@ def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch
     n_m = len({site for site, _ in cfg.seeds})
     n_samples = round(cfg.t_final / cfg.sample_dt) + 1
     assert len(norms) == 1
-    assert len(states) <= n_m * (n_samples + 2)
+    assert len(states) == n_m * n_samples
 
 
 def test_observables_takes_one_norm_for_every_bracket_bound(tmp_path, monkeypatch):
@@ -448,12 +467,39 @@ def test_every_scenario_can_fail(scenario, tmp_path, monkeypatch, capsys):
     assert code == 1 and summary["exit"] == 1
 
 
+def refrozen(old: dict, new: dict) -> list:
+    """`scenario.key: old -> new` for the file list ("files") and each
+    summary key whose JSON text new changes from old; a side without the
+    key reads `absent`."""
+    lines = []
+    for scenario, entry in new.items():
+        was, now = ({"files": e["files"], **e["summary"]} if e else {}
+                    for e in (old.get(scenario), entry))
+        for key in sorted(set(was) | set(now), key=lambda k: (k != "files", k)):
+            before, after = (json.dumps(d[key]) if key in d else "absent" for d in (was, now))
+            if before != after:
+                lines.append(f"{scenario}.{key}: {before} -> {after}")
+    return lines
+
+
+def test_refreeze_lists_each_changed_key():
+    old = {"a": {"files": ["x.csv"], "summary": {"k": 1.5, "same": None, "gone": 1}}}
+    new = {"a": {"files": ["x.csv", "y.json"], "summary": {"k": 2.5, "same": None, "new": "s"}},
+           "b": {"files": [], "summary": {"k": 1}}}
+    assert refrozen(old, new) == [
+        'a.files: ["x.csv"] -> ["x.csv", "y.json"]', "a.gone: 1 -> absent", "a.k: 1.5 -> 2.5",
+        'a.new: absent -> "s"', "b.files: absent -> []", "b.k: absent -> 1"]
+    assert refrozen(new, new) == []
+
+
 def freeze(tmpdir: Path):
     out = {}
     for scenario in SCENARIOS:
         code, files, summary = run_scenario(scenario, tmpdir / scenario)
         assert code == 0, scenario
         out[scenario] = {"files": files, "summary": summary}
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    print("\n".join(refrozen(old, out)) or "no change")
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
 

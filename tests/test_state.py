@@ -7,6 +7,8 @@ from oracles import flaschka_inverse, jacobi_matrix, relative_to_lattice
 from todalab import (GHSState, LatticeState, background_state, hamiltonian_ab,
                      jacobi_norm, jacobi_norm_within, random_localized_state,
                      toda_rhs, trace_invariants)
+from todalab import state as state_module
+from todalab.solitons import SolitonSpec, soliton_state
 
 
 def test_background_is_fixed_point():
@@ -217,6 +219,30 @@ def test_trace_invariants_dense_oracle():
         dense = np.trace(np.linalg.matrix_power(L, j)) - np.trace(np.linalg.matrix_power(Lbg, j))
         print(j, tr[j - 1], dense)
         assert abs(tr[j - 1] - dense) < 1e-9
+
+
+@pytest.mark.parametrize("n", [21, 1001])
+def test_trace_invariants_vanish_on_the_background(n):
+    """The state and the background are summed by the same kernel, so a
+    background window reads exactly 0; the eigenvalue form read 1.7e-13 at
+    1001 sites."""
+    assert trace_invariants(background_state(n)).tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("n", [21, 101, 201])
+@pytest.mark.parametrize("kind", ["random", "soliton"])
+def test_trace_invariants_are_traces_of_dense_powers(kind, n, monkeypatch):
+    """tr(L^j) - tr(L_bg^j), j = 1 .. 4, of the dense window matrices, with
+    no eigensolve."""
+    s = random_localized_state(n, seed=n) if kind == "random" else \
+        soliton_state(SolitonSpec(kappa=1.0), n, t=0.7)
+    monkeypatch.setattr(state_module, "eigvalsh_tridiagonal", None)   # any call fails
+    tr = trace_invariants(s)
+    L, L_bg = jacobi_matrix(s), jacobi_matrix(background_state(n))
+    dense = [np.trace(np.linalg.matrix_power(L, j)) - np.trace(np.linalg.matrix_power(L_bg, j))
+             for j in range(1, 5)]
+    assert np.abs(tr - dense).max() < 1e-12
+    assert np.abs(tr).max() > 1e-3                  # a state off the background
 
 
 def test_random_localized_state_properties():
