@@ -6,18 +6,19 @@
 
 Exit codes: 0 all checks passed, 1 a verification failed (first violating
 (n, t) is printed), 2 configuration error (message names the field; every
-key, at the top level and in a block, is a known field, and a toda
-potential takes no beta; seed sites, and for observables the bracket
-sites, must lie in the window; guard is at least 1; t_final is a whole
-number of sample_dt and t_final / sample_dt is finite; an order-r
-hierarchy run needs a window of at least 2r + 5 sites; a number field, at
-the top level or in a block, takes its declared type; integer fields,
-hierarchy.r and the values of sweep --axis r among them, take no
+key, at the top level and in a block, is a known field, and a toda potential
+takes no beta; seed sites, and for observables the bracket sites, must lie
+in the window; guard is at least 1; t_final is a whole number of sample_dt
+and t_final / sample_dt is finite; an order-r hierarchy run needs a window
+of at least 2r + 5 sites; a number field, at the top level or in a block,
+takes its declared type, and a JSON true or false is no number; integer
+fields, hierarchy.r and the values of sweep --axis r among them, take no
 fractional part, every number is finite, and so are f(mu) and f(mu + eps),
 front_threshold is positive, the config file is UTF-8 JSON that json can
-read, seed is at least 0, seeds are distinct, and sweep values name
-distinct output directories).  An omitted top-level key takes the value
-that print-default-config prints.
+read, seed is at least 0, seeds are distinct, sweep values name distinct
+output directories, and --out is or can be made a directory).  Each
+top-level key's type and default are its ExperimentConfig field's, each
+block's type and printed example its _BLOCKS row's.
 
 Every run writes summary.json (schema 1) plus scenario artifacts: trajectory
 and sensitivity CSVs and light-cone report JSONs.  Every JSON artifact goes
@@ -49,7 +50,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,48 +80,23 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-def default_config() -> dict:
-    """The one place the top-level defaults are written; config_from_dict
-    fills an omitted top-level key from here.  The spec blocks are examples:
-    an omitted block stays unset."""
-    return {
-        "scenario": "toda-lightcone",
-        "window": 201,
-        "guard": 10,
-        "t_final": 5.0,
-        "sample_dt": 0.1,
-        "seeds": [[0, "b"]],
-        "mu": "optimal",
-        "eps": 0.5,
-        "base": "auto",
-        "seed": 42,
-        "envelope_scale": 1.0,
-        "front_threshold": 1e-8,
-        "obs_range": 40,
-        "integrator": asdict(IntegratorConfig()),
-        "soliton": {"kappa": 1.0, "sign": 1, "delta": 0.0},
-        "hierarchy": {"r": 1, "c": [1, 0]},
-        "perturbation": {"family": "cosine", "w0": 0.1},
-        "potential": {"family": "quartic", "beta": 0.1},
-    }
-
-
 @dataclass
 class ExperimentConfig:
-    scenario: str
-    window: int
-    guard: int
-    t_final: float
-    sample_dt: float
-    seeds: tuple
-    mu: object
-    eps: float
-    base: str
-    seed: int
-    envelope_scale: float
-    front_threshold: float
-    obs_range: int
-    integrator: IntegratorConfig
+    """One field per top-level config key, whose default an omitted key takes."""
+    scenario: str = "toda-lightcone"
+    window: int = 201
+    guard: int = 10
+    t_final: float = 5.0
+    sample_dt: float = 0.1
+    seeds: tuple = ((0, "b"),)
+    mu: object = "optimal"
+    eps: float = 0.5
+    base: str = "auto"
+    seed: int = 42
+    envelope_scale: float = 1.0
+    front_threshold: float = 1e-8
+    obs_range: int = 40
+    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     soliton: SolitonSpec | None = None
     hierarchy: HierarchySpec | None = None
     perturbation: PerturbationSpec | None = None
@@ -181,7 +157,7 @@ class ExperimentConfig:
         self.seeds = tuple(norm)
         if self.mu != "optimal":
             try:
-                self.mu = float(self.mu)
+                self.mu = _float(self.mu)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError("mu: must be a positive number or \"optimal\"") from None
             if not 0 < self.mu < math.inf:
@@ -207,9 +183,16 @@ class ExperimentConfig:
         return SCENARIOS[self.scenario].auto_base if self.base == "auto" else self.base
 
 
+def _float(value) -> float:
+    """float(value), refusing a bool: a JSON true or false is no number."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
 def _integer(value) -> int:
-    """int(value), refusing rather than truncating a fractional part."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a bool and, rather than truncating it, a fraction."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
 
@@ -223,7 +206,7 @@ def _cast(value, cast, kind: str, path: str):
 
 
 # a number type's cast and the kind its error names
-_NUMBERS = {"int": (_integer, "an integer"), "float": (float, "a number")}
+_NUMBERS = {"int": (_integer, "an integer"), "float": (_float, "a number")}
 
 
 def _number(value, declared: str, path: str):
@@ -249,17 +232,17 @@ def _refuse_non_finite(value, path: str):
             _refuse_non_finite(item, f"{path}[{i}]")
 
 
-def _build_block(cls, block: dict, path: str, required: tuple = ()):
+def _build_block(cls, block: dict, path: str):
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object")
-    # the declared type of each field, "float" or "int" for a number
-    declared = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+    # each field's declared type, a string, as annotations are postponed
+    declared = {f.name: f.type for f in fields(cls)}
     for key in block:
         if key not in declared:
             raise ConfigError(f"{path}.{key}: unknown field")
-    for key in required:
-        if key not in block:
-            raise ConfigError(f"{path}.{key}: required")
+    for f in fields(cls):          # a field with no default is a required key
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in block:
+            raise ConfigError(f"{path}.{f.name}: required")
     block = {key: _number(value, declared[key], f"{path}.{key}") if declared[key] in _NUMBERS
              else value for key, value in block.items()}
     try:
@@ -268,39 +251,45 @@ def _build_block(cls, block: dict, path: str, required: tuple = ()):
         raise ConfigError(f"{path}: {err}") from None
 
 
-# spec blocks: type and required keys
-_BLOCKS = {"soliton": (SolitonSpec, ("kappa",)), "hierarchy": (HierarchySpec, ()),
-           "perturbation": (PerturbationSpec, ()), "potential": (PotentialSpec, ())}
+# config blocks: type, and for a spec block the example print-default-config
+# prints (the integrator prints its default)
+_BLOCKS = {"integrator": (IntegratorConfig, None),
+           "soliton": (SolitonSpec, {"kappa": 1.0, "sign": 1, "delta": 0.0}),
+           "hierarchy": (HierarchySpec, {"r": 1, "c": [1, 0]}),
+           "perturbation": (PerturbationSpec, {"family": "cosine", "w0": 0.1}),
+           "potential": (PotentialSpec, {"family": "quartic", "beta": 0.1})}
+
+
+def default_config() -> dict:
+    """What print-default-config prints: each ExperimentConfig field's
+    default, the seeds as lists, and each spec block's example."""
+    raw = asdict(ExperimentConfig())
+    raw["seeds"] = [list(seed) for seed in raw["seeds"]]
+    raw.update(copy.deepcopy({name: ex for name, (_, ex) in _BLOCKS.items() if ex}))
+    return raw
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
-    defaults = default_config()
+    declared = {f.name: f.type for f in fields(ExperimentConfig)}
     for key in raw:
-        if key not in defaults:
+        if key not in declared:
             raise ConfigError(f"{key}: unknown field")
     if "scenario" not in raw:
         raise ConfigError("scenario: required")
     for key, value in raw.items():
         if key not in ("t_final", "mu"):    # ExperimentConfig names these itself
             _refuse_non_finite(value, key)
-    # an omitted top-level key takes its default, and a given number the type
-    # of that default, as a block's number takes its field's declared type
-    kwargs = {}
-    for key, default in defaults.items():
-        if key in _BLOCKS:
-            continue
-        value, declared = raw.get(key, default), type(default).__name__
+    # an omitted key takes its default; a number, as in a block, its declared type
+    kwargs = {key: raw[key] for key in declared if key in raw}     # in field order
+    for key, value in kwargs.items():
         if key == "t_final":        # ExperimentConfig names a non-finite one itself
-            value = _cast(value, float, "a number", key)
-        elif declared in _NUMBERS:
-            value = _number(value, declared, key)
-        kwargs[key] = value
-    kwargs["integrator"] = _build_block(IntegratorConfig, kwargs["integrator"], "integrator")
-    for name, (cls, required) in _BLOCKS.items():
-        if name in raw:
-            kwargs[name] = _build_block(cls, raw[name], name, required)
+            kwargs[key] = _cast(value, _float, "a number", key)
+        elif declared[key] in _NUMBERS:
+            kwargs[key] = _number(value, declared[key], key)
+        elif key in _BLOCKS:
+            kwargs[key] = _build_block(_BLOCKS[key][0], value, key)
     cfg = ExperimentConfig(**kwargs)
     for name in SCENARIOS[cfg.scenario].blocks:
         if getattr(cfg, name) is None:
@@ -646,9 +635,17 @@ SCENARIOS = {
 }
 
 
+def _make_out(outdir) -> Path:
+    """outdir, made with its parents, or a config error naming --out."""
+    try:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out: {err}") from None
+    return Path(outdir)
+
+
 def run_config(cfg: ExperimentConfig, outdir) -> int:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_out(outdir)
     summary, ok, first_violation = SCENARIOS[cfg.scenario].run(cfg, outdir)
     # every schema-1 summary has these keys, null where the runner sets none
     summary = {"schema": 1, "scenario": cfg.scenario, "seed": cfg.seed, "exit": 0 if ok else 1,
@@ -731,7 +728,7 @@ def run_sweep(config_path, axis: str, values_text: str, outdir) -> int:
             raise ConfigError(f"--values: {taken[name]!r} and {v!r} would both write {name}")
         taken[name] = v
         jobs.append((raw, str(outdir / name)))
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_out(outdir)
     results = []
     worst = 0
     with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1, 4)) as ex:
@@ -773,8 +770,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "print-default-config":
-        json.dump(default_config(), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        print(json.dumps(default_config(), indent=2, sort_keys=True))
         return 0
     try:
         if args.command == "run":

@@ -35,6 +35,8 @@ class HierarchySpec:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("order r must be >= 0")
+        if any(isinstance(x, bool) for x in self.c):     # a JSON true or false is no weight
+            raise ValueError(f"c: expected numbers, got {self.c!r}")
         self.c = tuple(float(x) for x in self.c)
         if len(self.c) != self.r + 1:
             raise ValueError(f"need r + 1 = {self.r + 1} weights, got {len(self.c)}")

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 BACKGROUND = (0.5, 0.0)
 
@@ -293,6 +292,7 @@ def jacobi_norm(s: LatticeState) -> float:
     Sandwiched by max(max |a_n| over interior couplings, max |b_n|) from
     below and 2 max|a| + max|b| from above.
     """
+    from scipy.linalg import eigvalsh_tridiagonal     # only a norm needs it
     ev = eigvalsh_tridiagonal(s.b, s.a[:-1])
     return float(max(abs(ev[0]), abs(ev[-1])))
 
@@ -308,6 +308,7 @@ def jacobi_norm_within(a, b, bound) -> np.ndarray:
     empty interval costs O(N) and no bisection; a row whose bound clears
     the Gershgorin bound needs no count at all.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
     bound = np.asarray(bound, dtype=float)
     abs_a = np.abs(a[:, :-1])
     gersh = np.abs(b)

@@ -118,6 +118,19 @@ def test_default_config_is_valid():
     # a number given as a string passed the finiteness check of the raw config
     (lambda r: r["soliton"].update(delta="-inf"), "soliton.delta: must be finite, got -inf"),
     (lambda r: r.update(scenario="interpolation", eps="inf"), "eps: must be finite, got inf"),
+    # a JSON true or false was taken as the number 1 or 0: a bool is an int
+    (lambda r: r["perturbation"].update(w0=False), "perturbation.w0: expected a number, got False"),
+    (lambda r: r["integrator"].update(tolerance=True),
+     "integrator.tolerance: expected a number, got True"),
+    (lambda r: r.update(t_final=True), "t_final: expected a number, got True"),
+    (lambda r: r.update(seed=False), "seed: expected an integer, got False"),
+    (lambda r: r.update(window=True), "window: expected an integer, got True"),
+    (lambda r: r.update(mu=True), 'mu: must be a positive number or "optimal"'),
+    (lambda r: r.update(envelope_scale=True), "envelope_scale: expected a number, got True"),
+    (lambda r: r["soliton"].update(kappa=True), "soliton.kappa: expected a number, got True"),
+    (lambda r: r["soliton"].update(sign=True), "soliton.sign: expected an integer, got True"),
+    (lambda r: r.update(seeds=[[True, "b"]]), "seeds[0]: expected [site, coord]"),
+    (lambda r: r["hierarchy"].update(c=[1, True]), "hierarchy: c: expected numbers, got [1, True]"),
 ])
 def test_config_errors_name_the_field(mutate, fragment):
     raw = default_config()
@@ -470,9 +483,10 @@ def test_module_entry_point():
 def test_the_cli_starts_without_scipy_integrate_optimize_or_special(tmp_path):
     """A fresh interpreter that imports the CLI and parses every scenario's
     default config, the set-up of each `todalab run` and of perfbench's
-    set-up child, loads none of scipy.integrate, scipy.optimize and
-    scipy.special, which took two thirds of that set-up; nor does a
-    toda-lightcone run under rk-adaptive."""
+    set-up child, loads no scipy module: scipy.integrate, scipy.optimize
+    and scipy.special took two thirds of that set-up, and scipy.linalg,
+    loaded where a norm is taken, most of the rest.  A toda-lightcone run
+    under rk-adaptive loads none of the first three."""
     code = """if True:
         import json, sys
         import todalab.cli as cli
@@ -483,7 +497,7 @@ def test_the_cli_starts_without_scipy_integrate_optimize_or_special(tmp_path):
             with open(path, "w") as fh:
                 json.dump({**cli.default_config(), "scenario": name}, fh)
             cli.load_config(path)
-        loaded.append([m for m in heavy if m in sys.modules])
+        loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         cfg = cli.config_from_dict({**cli.default_config(), "window": 41, "t_final": 0.5})
         code = cli.run_config(cfg, f"{sys.argv[1]}/run")
         loaded.append([m for m in heavy if m in sys.modules])
@@ -495,6 +509,26 @@ def test_the_cli_starts_without_scipy_integrate_optimize_or_special(tmp_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, "rk-adaptive", [[], []]]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("below,error", [("", "File exists"), ("sub", "Not a directory")],
+                         ids=["file", "below-a-file"])
+def test_an_out_that_cannot_be_a_directory_exits_2(command, below, error, tmp_path, capsys,
+                                                    monkeypatch):
+    """An --out that names a file, or a path below one, ended in a
+    FileExistsError or NotADirectoryError traceback with exit 1; it is a
+    config error, found before any solve."""
+    monkeypatch.setattr("todalab.cli.evolve_tangent", None)      # any solve fails
+    cfg = write_config(tmp_path, small_run_config())
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / below if below else afile
+    args = ["--axis", "mu", "--values", "0.5"] if command == "sweep" else []
+    assert main([command, "-c", cfg, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --out: [Errno" in err and f"{error}: '{out}'" in err
+    assert afile.read_text() == "kept"
 
 
 @pytest.mark.parametrize("content,fragment", [
