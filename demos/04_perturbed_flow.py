@@ -11,8 +11,7 @@ from todalab import (IntegratorConfig, PerturbationSpec, evolve_tangent,
                      optimal_mu, perturbed_envelope, random_localized_state,
                      timedep_envelope, verify_light_cone)
 from todalab.integrators import integrate
-from todalab.perturbed import (interpolation_envelope, monitor_trajectory,
-                               perturbed_rhs)
+from todalab.perturbed import monitor_trajectory, perturbed_rhs
 
 mu, _ = optimal_mu()
 cfg = IntegratorConfig(method="rk4-fixed", step=0.02)
@@ -39,9 +38,3 @@ a_star = min(float(np.abs(traj.a).min()), x.background[0])
 rep_t = verify_light_cone(grid, timedep_envelope(mu, mon.Lnorm0, spec.dw_sup,
                                                  spec.d2w_sup, a_star))
 print(f"growing-radius cone (a* = {a_star:.4f}): {rep_t.n_violations} violations")
-
-fit = interpolation_envelope(grid, mon, mu, 0.5)
-print(f"\ninterpolated envelope fit: D = {fit.D:.3g}, delta = {fit.delta:.3g},"
-      f" majorizes the data: {fit.envelope_valid}")
-print(f"spatial decay matches the kernel with R^2 = {fit.r2_spatial:.4f}"
-      " on the log scale")

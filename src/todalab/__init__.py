@@ -4,8 +4,8 @@ commuting hierarchy, and bounded perturbations of the Toda flow.
 The package computes exact sensitivity derivatives d(state at time t)/d(initial
 coordinate) by integrating variational flows, and verifies the explicit
 light-cone envelopes of the underlying theory against simulation: cone
-speeds, decay rates, perturbation-corrected constants, interpolated
-envelopes, bracket propagation bounds, and the general-chain estimates.
+speeds, decay rates, perturbation-corrected constants, bracket
+propagation bounds, and the general-chain estimates.
 """
 
 from .state import (BACKGROUND, GHSState, LatticeState, background_state,
@@ -17,13 +17,12 @@ from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
 from .hierarchy import (HierarchySpec, free_moment, hierarchy_hamiltonian,
                         hierarchy_rhs, kvm_rhs, path_counts)
 from .sensitivity import SensitivityGrid, evolve_tangent, make_flow
-from .bounds import (C_epsilon, Envelope, G_mu, LightConeReport,
+from .bounds import (Envelope, LightConeReport,
                      fit_front_speed, hierarchy_envelope, mu_profile, optimal_mu,
                      perturbed_envelope, perturbed_prefactor, timedep_envelope,
                      toda_envelope, velocity_hierarchy, velocity_perturbed,
                      velocity_timedep, velocity_toda, verify_light_cone)
-from .perturbed import (InterpolationFit, PerturbationSpec,
-                        TrajectoryMonitors, interpolation_envelope,
+from .perturbed import (PerturbationSpec, TrajectoryMonitors,
                         monitor_trajectory, perturbed_rhs)
 from .observables import (ObservableDescriptor, basic_observables,
                           check_bracket_bound, evolved_bracket,

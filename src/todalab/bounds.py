@@ -7,7 +7,6 @@ The explicit constants and velocities of the light-cone bounds:
 * velocity_perturbed: the same with perturbation-corrected comparison matrix
 * velocity_hierarchy: order-r comparison-matrix and crude-count variants
 * velocity_timedep:   cone *radius* for data that is merely bounded
-* G_mu, C_epsilon:    the summable weight used by the interpolated bounds
 
 Envelope.value is the one evaluator of the cone P e^{-mu(d - v|t|)}: the
 light-cone envelopes and the bracket bound (observables.check_bracket_bound)
@@ -126,23 +125,6 @@ def velocity_timedep(t, mu: float, Lnorm0: float, w1_norm: float,
     return mu_profile(mu) * h
 
 
-# -- summable-weight machinery ------------------------------------------------
-
-def G_mu(mu: float, k):
-    """G_mu(k) = e^{-mu |k|} / (1 + |k|)^2."""
-    k = np.abs(np.asarray(k, dtype=float))
-    return np.exp(-mu * k) / (1.0 + k) ** 2
-
-
-def C_epsilon(eps: float) -> float:
-    """sup_x (1 + |x|)^2 e^{-eps |x|}: (4/eps^2) e^{eps-2} for eps <= 2, else 1."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if eps >= 2.0:
-        return 1.0
-    return 4.0 / (eps * eps) * math.exp(eps - 2.0)
-
-
 # -- envelopes and the verifier ----------------------------------------------
 
 @dataclass
@@ -221,19 +203,10 @@ def _distance_groups(dists: np.ndarray):
     return ds, order, starts
 
 
-def _distance_peaks(dists: np.ndarray, obs: np.ndarray):
-    """(ds, peaks): each distance d >= 1 of dists, ascending, and the maximum
-    of obs over the sites at that distance along obs's last axis, so that
-    peaks[..., k] is obs[..., dists == ds[k]].max(axis=-1), in one pass over
-    the sites.  max is exact, and a NaN propagates as it does there."""
-    ds, order, starts = _distance_groups(dists)
-    return ds, np.maximum.reduceat(obs[..., order], starts, axis=-1)
-
-
 def fit_front_speed(times: np.ndarray, dists: np.ndarray, blocks, threshold: float = 1e-8):
     """Least-squares slope of (first crossing time of threshold, distance),
     each distance d >= 1 crossing on the maximum of the observations over
-    the sites at that distance (its _distance_peaks column).
+    the sites at that distance.
 
     blocks are the observations at the sample times in row blocks, (rows,
     N) arrays in time order, read one at a time.  Per distance only the

@@ -13,10 +13,11 @@ and t_final / sample_dt is finite; an order-r hierarchy run needs a window
 of at least 2r + 5 sites; a number field, at the top level or in a block,
 takes its declared type, and a JSON true or false is no number; integer
 fields, hierarchy.r and the values of sweep --axis r among them, take no
-fractional part, every number is finite, and so are f(mu) and f(mu + eps),
-front_threshold is positive, the config file is UTF-8 JSON that json can
-read, seed is at least 0, seeds are distinct, sweep values name distinct
-output directories, and --out is or can be made a directory).  Each
+fractional part, every number is finite, and so is f(mu), hierarchy.c is a
+list, front_threshold is positive, the config file is UTF-8 JSON that json
+can read, seed is at least 0, seeds are distinct, sweep values name distinct
+output directories, and --out, and each sweep job's directory below it, is
+or can be made a directory, before any job runs).  Each
 top-level key's type and default are its ExperimentConfig field's, each
 block's type and printed example its _BLOCKS row's.
 
@@ -29,15 +30,15 @@ the same config.
 Each scenario is one row of SCENARIOS: its "auto" base and required config
 blocks, then either its own runner (soliton-validate, observables) or the
 parts of a tangent scenario (toda-lightcone, hierarchy, timedep, perturbed,
-interpolation, ghs): a base-state builder, a flow name, a conserved-quantity
-series, verdicts and tally.  One body, _run_tangent, runs every tangent
+ghs): a base-state builder, a flow name, a conserved-quantity series and
+its light-cone verdicts.  One body, _run_tangent, runs every tangent
 scenario.  It makes one solve per seed of the base state with that seed's
 tangent; the first seed's base rows are the base run, written as
 trajectory.csv, whose drift is gated at 100 x tolerance.  verdicts reads the
 checks of each grid, the summary entries and the scenario's own gate off the
-base run; each seed's grid then goes through every check, and tally sums the
-results up.  soliton-validate gates its base run's drift alike, and every
-gated summary records its gate as drift_tolerance.
+base run; each seed's grid then goes through every check, and _cone_tally
+sums the reports up.  soliton-validate gates its base run's drift alike,
+and every gated summary records its gate as drift_tolerance.
 
 guard is a setting of the verdicts, not of the solves: every light-cone
 check and every clean(guard) of a run or grid reads cfg.guard.
@@ -55,9 +56,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (LightConeReport, hierarchy_envelope, mu_profile, optimal_mu,
-                     perturbed_envelope, timedep_envelope, toda_envelope,
-                     velocity_hierarchy, velocity_toda, verify_light_cone)
+from .bounds import (hierarchy_envelope, mu_profile, optimal_mu, perturbed_envelope,
+                     timedep_envelope, toda_envelope, velocity_hierarchy, velocity_toda,
+                     verify_light_cone)
 from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
@@ -65,8 +66,7 @@ from .integrators import IntegratorConfig, drift, integrate, row_blocks, sample_
 from .observables import (basic_observables, check_bracket_bound,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
-from .perturbed import (PerturbationSpec, interpolation_envelope,
-                        monitor_trajectory, perturbed_energy)
+from .perturbed import PerturbationSpec, monitor_trajectory, perturbed_energy
 from .sensitivity import evolve_tangent
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
                        soliton_speed, soliton_state)
@@ -90,7 +90,6 @@ class ExperimentConfig:
     sample_dt: float = 0.1
     seeds: tuple = ((0, "b"),)
     mu: object = "optimal"
-    eps: float = 0.5
     base: str = "auto"
     seed: int = 42
     envelope_scale: float = 1.0
@@ -162,15 +161,12 @@ class ExperimentConfig:
                 raise ConfigError("mu: must be a positive number or \"optimal\"") from None
             if not 0 < self.mu < math.inf:
                 raise ConfigError("mu: must be positive and finite")
-        if not self.eps > 0:
-            raise ConfigError("eps: must be positive")
-        # every velocity carries f(mu) = e^{mu+1} + 1/mu; interpolation's at mu + eps
+        # every velocity carries f(mu) = e^{mu+1} + 1/mu
         mu = self.resolved_mu()
-        for name, arg, rate in (("mu", "mu", mu), ("eps", "mu + eps", mu + self.eps)):
-            try:
-                mu_profile(rate)
-            except OverflowError:
-                raise ConfigError(f"{name}: f({arg}) overflows at {arg} = {rate:g}") from None
+        try:
+            mu_profile(mu)
+        except OverflowError:
+            raise ConfigError(f"mu: f(mu) overflows at mu = {mu:g}") from None
         if not 0 < self.envelope_scale < math.inf:
             raise ConfigError("envelope_scale: must be positive and finite")
         if not self.front_threshold > 0:
@@ -237,9 +233,12 @@ def _build_block(cls, block: dict, path: str):
         raise ConfigError(f"{path}: expected an object")
     # each field's declared type, a string, as annotations are postponed
     declared = {f.name: f.type for f in fields(cls)}
-    for key in block:
+    for key, value in block.items():
         if key not in declared:
             raise ConfigError(f"{path}.{key}: unknown field")
+        # a string or an object is iterable too, and gives a weight per character or key
+        if declared[key] == "tuple" and not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}.{key}: expected a list, got {value!r}")
     for f in fields(cls):          # a field with no default is a required key
         if f.default is MISSING and f.default_factory is MISSING and f.name not in block:
             raise ConfigError(f"{path}.{f.name}: required")
@@ -368,10 +367,9 @@ def _run_tangent(cfg: ExperimentConfig, out: Path):
         grid.to_csv(out / f"sensitivity_m{seed[0]}_{seed[1]}.csv".replace("-", "_minus"))
         rows.append(tuple(check(grid) for check in checks))
         for rep in rows[-1]:
-            if isinstance(rep, LightConeReport):
-                rep.to_json(out / f"lightcone_{rep.family}_{seed[0]}_{seed[1]}.json")
+            rep.to_json(out / f"lightcone_{rep.family}_{seed[0]}_{seed[1]}.json")
         del grid
-    entries, ok, first_violation = row.tally(out, rows)
+    entries, ok, first_violation = _cone_tally(rows)
     summary.update(entries)
     return summary, ok and gate and conserved <= drift_tol, first_violation
 
@@ -389,9 +387,11 @@ def _cones(cfg: ExperimentConfig, *envelopes) -> list:
             for env in scaled]
 
 
-def _cone_tally(_out, rows):
-    """Every grid clean and no violation; the front speed and the bound
-    speed are those of the first envelope."""
+def _cone_tally(rows):
+    """(summary entries, ok, first violation) of the light-cone reports,
+    rows holding one tuple of them per seed: every grid clean and no
+    violation; the front speed and the bound speed are those of the first
+    envelope."""
     reports = [rep for row in rows for rep in row]
     clean = all(r.clean for r in reports)
     n_viol = sum(r.n_violations for r in reports)
@@ -433,9 +433,9 @@ def _timedep_verdicts(cfg, x, run, series):
              "radius_final": float(env.radius(cfg.t_final))}, True)
 
 
-def _perturbed_monitors(cfg: ExperimentConfig, run, skipped: str):
-    """Monitors of the perturbed base run (C1, C2, ||L(0)||) and the summary
-    entries of perturbed and interpolation; all of it if the run looks unbounded."""
+def _perturbed_verdicts(cfg, x, run, series):
+    """The cones of the monitors (C1, C2, ||L(0)||) of the base run, none
+    if the run looks unbounded."""
     pspec = cfg.perturbation
     mon = monitor_trajectory(run)
     summary = {"mu": cfg.resolved_mu(), "base": cfg.resolved_base(),
@@ -443,14 +443,7 @@ def _perturbed_monitors(cfg: ExperimentConfig, run, skipped: str):
                "C1": mon.C1, "C2": mon.C2, "unbounded": mon.unbounded}
     if mon.unbounded:
         summary.update({"clean": run.clean(cfg.guard), "violations": 0,
-                        "excluded": f"unbounded-looking run; {skipped} skipped"})
-    return mon, summary
-
-
-def _perturbed_verdicts(cfg, x, run, series):
-    pspec = cfg.perturbation
-    mon, summary = _perturbed_monitors(cfg, run, "bound checks")
-    if mon.unbounded:
+                        "excluded": "unbounded-looking run; bound checks skipped"})
         return [], summary, False
     # a-priori operator norm growth along the run, checked by counting
     # the eigenvalues beyond the line rather than solving for the norm
@@ -463,32 +456,6 @@ def _perturbed_verdicts(cfg, x, run, series):
     summary.update({"norm_growth_ok": norm_ok, "a_star": a_star,
                     "timedep_radius_final": float(env_t.radius(cfg.t_final))})
     return _cones(cfg, env_w, env_t), summary, norm_ok
-
-
-def _interpolation_verdicts(cfg, x, run, series):
-    mon, summary = _perturbed_monitors(cfg, run, "fit")
-    summary["eps"] = cfg.eps
-    if mon.unbounded:
-        return [], summary, False
-    return ([lambda grid: interpolation_envelope(grid, mon, summary["mu"], cfg.eps),
-             lambda grid: grid.clean(cfg.guard)], summary, True)
-
-
-def _interpolation_tally(out, rows):
-    """Summary of the fits, also written as interpolation_fit.json: every
-    grid clean, every envelope valid, and the worst spatial r2 >= 0.99."""
-    fits, cleans = zip(*rows)
-    clean = all(cleans)
-    worst_r2 = float(np.min([f.r2_spatial for f in fits]))  # a NaN fit gives NaN
-    valid = all(f.envelope_valid for f in fits)
-    f0 = fits[0]
-    write_json(out / "interpolation_fit.json",
-               [{k: getattr(f, k) for k in ("mu", "eps", "C", "v", "vstar", "D", "delta",
-                                           "r2_spatial", "envelope_valid")} for f in fits])
-    return ({"clean": clean, "violations": 0 if valid else 1, "bound_speed": f0.v,
-             "C": f0.C, "v": f0.v, "vstar": f0.vstar, "D": f0.D, "delta": f0.delta,
-             "r2_spatial": worst_r2, "envelope_valid": valid},
-            clean and valid and worst_r2 >= 0.99, None)
 
 
 def _ghs_verdicts(cfg, x, run, series):
@@ -589,10 +556,9 @@ class Scenario:
     first violation).  For _run_tangent, also: state(cfg), the base state
     x; flow, a make_flow name, whose one spec is the block blocks[0] (none
     for toda); series(cfg, run), the base run's conserved quantity;
-    verdicts(cfg, x, run, series) -> (per-grid checks, summary entries,
-    gate); tally(out, rows) -> (summary entries, ok, first violation), rows
-    holding one tuple of check results per seed.  A row reaches cli's names
-    through a def or a lambda, when it is called."""
+    verdicts(cfg, x, run, series) -> (per-grid light-cone checks, summary
+    entries, gate).  A row reaches cli's names through a def or a lambda,
+    when it is called."""
 
     auto_base: str
     blocks: tuple = ()
@@ -601,7 +567,6 @@ class Scenario:
     flow: str = ""
     series: object = None
     verdicts: object = None
-    tally: object = _cone_tally
 
 
 def _perturbed_series(cfg, run):
@@ -622,9 +587,6 @@ SCENARIOS = {
                           verdicts=_hierarchy_verdicts),
     "perturbed": Scenario("random", ("perturbation",), flow="perturbed",
                           series=_perturbed_series, verdicts=_perturbed_verdicts),
-    "interpolation": Scenario("random", ("perturbation",), flow="perturbed",
-                              series=_perturbed_series, verdicts=_interpolation_verdicts,
-                              tally=_interpolation_tally),
     "timedep": Scenario("random", ("perturbation",), flow="perturbed",
                         series=_perturbed_series, verdicts=_timedep_verdicts),
     "observables": Scenario("soliton", run=_run_observables),
@@ -728,7 +690,8 @@ def run_sweep(config_path, axis: str, values_text: str, outdir) -> int:
             raise ConfigError(f"--values: {taken[name]!r} and {v!r} would both write {name}")
         taken[name] = v
         jobs.append((raw, str(outdir / name)))
-    _make_out(outdir)
+    for sub in [outdir] + [sub for _, sub in jobs]:     # before any job runs
+        _make_out(sub)
     results = []
     worst = 0
     with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1, 4)) as ex:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import C_epsilon, G_mu, _distance_peaks, compare, velocity_toda
 from .integrators import row_blocks
 from .state import LatticeState, _step_dn, hamiltonian_ab, jacobi_norm, toda_rhs
 
@@ -144,115 +143,3 @@ def monitor_trajectory(traj) -> TrajectoryMonitors:
     unbounded = bool(np.all(np.diff(tail) > 0.0))
     return TrajectoryMonitors(C1=c1, C2=c2, Lnorm0=jacobi_norm(traj.state(0)),
                               horizon=float(traj.times[-1]), unbounded=unbounded)
-
-
-@dataclass
-class InterpolationFit:
-    """Least-squares envelope certificate for the interpolated bound
-
-        C G_mu(|n - m|) e^{(mu+eps) v |t|} (1 + D (e^{delta |t|} - 1)).
-
-    C and v are explicit; D and delta have no computable closed form, so they
-    are fitted: D(delta) is chosen as the smallest value making the envelope
-    majorize the data (hence envelope_valid is true by construction whenever
-    the fit succeeds), and delta minimizes the log-scale residual.
-    r2_spatial gauges whether the late-time spatial profile actually decays
-    like G_mu on a log scale.
-    """
-
-    mu: float
-    eps: float
-    C: float
-    v: float
-    vstar: float
-    D: float
-    delta: float
-    r2_spatial: float
-    envelope_valid: bool
-
-    def value(self, dist, t):
-        """One exponential of the summed logs, log C - mu k - 2 log1p(k) +
-        (mu+eps) v |t| + log1p(D expm1(delta |t|)), so that no factor
-        underflows or overflows alone: +inf beyond the cone radius is the
-        exact "no constraint" value, as in Envelope.value."""
-        k, t = np.abs(np.asarray(dist, dtype=float)), np.abs(t)
-        with np.errstate(over="ignore"):
-            return np.exp(math.log(self.C) - self.mu * k - 2.0 * np.log1p(k)
-                          + (self.mu + self.eps) * self.v * t
-                          + np.log1p(self.D * np.expm1(self.delta * t)))
-
-
-def interpolation_envelope(grid, monitors: TrajectoryMonitors, mu: float,
-                           eps: float) -> InterpolationFit:
-    """Fit (D, delta) of the interpolated envelope to a sensitivity grid.
-
-    The leading constant is C = (8/sqrt(17)) C_eps(eps) and the cone rate is
-    the unperturbed velocity at decay mu + eps for the initial operator norm;
-    vstar (the rate bound along the perturbed orbit, via ||L|| <= 3 C1) is
-    reported for reference.  The grid is read a row block of samples at a
-    time, once for the excess over the D = 0 envelope and once to check the
-    fitted one.  An excess at t = 0 alone leaves D = delta = 0, and an
-    infinite one makes them NaN, with envelope_valid False either way.
-    """
-    c = (8.0 / math.sqrt(17.0)) * C_epsilon(eps)
-    v = velocity_toda(mu + eps, monitors.Lnorm0)
-    vstar = velocity_toda(mu + eps, 3.0 * monitors.C1)
-
-    dist = grid.distances.astype(float)
-    times = grid.times
-    blocks = row_blocks(times.size)
-    final = grid.observed(rows=slice(-1, None))[0]
-    fit = InterpolationFit(mu=mu, eps=eps, C=c, v=v, vstar=vstar, D=0.0, delta=0.0,
-                           r2_spatial=_spatial_log_r2(final, dist, mu), envelope_valid=False)
-    # per-time excess over the D = 0 envelope, over the positive observations
-    s = np.empty(times.size)
-    for rows in blocks:
-        obs = grid.observed(rows=rows)
-        base = fit.value(dist[np.newaxis, :], times[rows, np.newaxis])
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            s[rows] = np.divide(obs, base, out=np.zeros_like(obs), where=obs > 0.0).max(axis=1)
-    excess = np.maximum(s - 1.0, 0.0)
-    mask = times > 0.0
-
-    if not np.all(np.isfinite(excess)):     # no finite D majorizes it
-        fit.D = fit.delta = math.nan
-    elif np.any(excess > 0.0) and np.any(mask):
-        tpos, epos = times[mask], excess[mask]
-        spos = np.maximum(s[mask], 1.0)
-        best = None
-        for delta in np.geomspace(1e-3, 50.0, 200):
-            growth = np.expm1(delta * tpos)
-            d_req = float(np.max(epos / growth))
-            resid = np.log1p(d_req * growth) - np.log(spos)
-            score = float(np.sum(resid * resid))
-            if best is None or score < best[0]:
-                best = (score, d_req, delta)
-        _, fit.D, fit.delta = best
-
-    fit.envelope_valid = not any(
-        compare(grid.observed(rows=rows),
-                fit.value(dist[np.newaxis, :], times[rows, np.newaxis]) * (1.0 + 1e-12))[0].any()
-        for rows in blocks)
-    return fit
-
-
-def _spatial_log_r2(profile: np.ndarray, dist: np.ndarray, mu: float) -> float:
-    """R^2 of log(observed) against log(G_mu(distance)) of the observed
-    profile of the final sample.
-
-    The regression covers the strictly decaying tail only: per-distance peaks
-    inside [1e-12, 1e-3 * max], d >= 1.  Inside the cone the profile is flat
-    and oscillatory and says nothing about spatial decay; below 1e-12 it is
-    integrator noise.  An infinite peak in the band gives NaN.
-    """
-    ds, peaks = _distance_peaks(dist, profile)       # the larger of the two sides
-    band = (peaks >= 1e-12) & (peaks <= 1e-3 * profile.max())
-    if band.sum() < 3 or not np.all(np.isfinite(peaks[band])):
-        return float("nan")
-    y = np.log(peaks[band])
-    x = np.log(G_mu(mu, ds[band]))
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    return 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")

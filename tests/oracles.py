@@ -1,7 +1,8 @@
 """Reference oracles the tests check the package against: dense and closed
 forms, the difference seed btilde and finite differences, the second
 variational flow of the Toda lattice and the mixed second-derivative bound,
-which no run gives a verdict on, the reader of a run's CSV, the sampled
+and the summable weight G_mu of the interpolated bounds with its constant
+C_epsilon, which no run gives a verdict on, the reader of a run's CSV, the sampled
 quadratic floor of a chain potential, and the whole-grid bodies of the
 passes that the package makes a row block at a time.  No CLI run and no demo calls them, so they live beside the tests,
 and tests/test_reach.py keeps the package free of such code."""
@@ -14,13 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from todalab.bounds import (MAX_VIOLATIONS_STORED, C_epsilon, Envelope, G_mu, LightConeReport,
-                            _distance_peaks, compare, velocity_toda)
+from todalab.bounds import (MAX_VIOLATIONS_STORED, Envelope, LightConeReport, _distance_groups,
+                            compare, velocity_toda)
 from todalab.ghs import (StabilityReport, confinement_bound, ghs_energy,
                          quadratic_floor)
 from todalab.integrators import (IntegratorConfig, Trajectory, _solve_blocks, integrate,
                                  sample_times)
-from todalab.perturbed import InterpolationFit, TrajectoryMonitors, _spatial_log_r2
+from todalab.perturbed import TrajectoryMonitors
 from todalab.sensitivity import SensitivityGrid, _seed_vectors, evolve_tangent, make_flow
 from todalab.solitons import SolitonSpec, _phase
 from todalab.state import (GHSState, LatticeState, _padded, _relative_ab, _step_dn, _step_up,
@@ -297,6 +298,25 @@ def second_derivative_envelope(mu: float, Lnorm: float, v: float | None = None):
     return c, envelope
 
 
+# -- the summable weight of the interpolated bounds ----------------------------
+# The paper's interpolated bounds weigh distance by G_mu; no run gives a
+# verdict on them, since a fitted D majorizes any finite grid.
+
+def G_mu(mu: float, k):
+    """G_mu(k) = e^{-mu |k|} / (1 + |k|)^2."""
+    k = np.abs(np.asarray(k, dtype=float))
+    return np.exp(-mu * k) / (1.0 + k) ** 2
+
+
+def C_epsilon(eps: float) -> float:
+    """sup_x (1 + |x|)^2 e^{-eps |x|}: (4/eps^2) e^{eps-2} for eps <= 2, else 1."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if eps >= 2.0:
+        return 1.0
+    return 4.0 / (eps * eps) * math.exp(eps - 2.0)
+
+
 def gamma_const() -> float:
     """Convolution constant: 4 sum_k (1 + |k|)^{-2} = 4 (pi^2/3 - 1)."""
     return 4.0 * (math.pi ** 2 / 3.0 - 1.0)
@@ -375,8 +395,18 @@ def whole_boundary_margin(run) -> int:
     return min(int(cols[0]), int(n - 1 - cols[-1])) if cols.size else n
 
 
+def _distance_peaks(dists: np.ndarray, obs: np.ndarray):
+    """(ds, peaks): each distance d >= 1 of dists, ascending, and the maximum
+    of obs over the sites at that distance along obs's last axis, so that
+    peaks[..., k] is obs[..., dists == ds[k]].max(axis=-1), in one pass over
+    the sites.  max is exact, and a NaN propagates as it does there."""
+    ds, order, starts = _distance_groups(dists)
+    return ds, np.maximum.reduceat(obs[..., order], starts, axis=-1)
+
+
 def whole_fit_front_speed(times, dists, obs, threshold=1e-8):
-    """bounds.fit_front_speed from the whole (T, D) table of peaks."""
+    """bounds.fit_front_speed from the whole (T, D) table of peaks that
+    _distance_peaks gives."""
     pts_t, pts_d = [], []
     ds, peaks = _distance_peaks(dists, obs)
     for d, series in zip(ds, peaks.T):
@@ -429,44 +459,6 @@ def whole_verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
         seed_site=int(grid.seed_site), seed_coord=str(grid.seed_coord),
         flow=str(grid.flow), n_sites=int(grid.da.shape[1]),
         n_samples=int(times.size), params=dict(envelope.params))
-
-
-def whole_interpolation_envelope(grid, monitors, mu: float, eps: float) -> InterpolationFit:
-    """perturbed.interpolation_envelope with the observations and both
-    envelope evaluations of every sample at once."""
-    c = (8.0 / math.sqrt(17.0)) * C_epsilon(eps)
-    v = velocity_toda(mu + eps, monitors.Lnorm0)
-    vstar = velocity_toda(mu + eps, 3.0 * monitors.C1)
-
-    obs = grid.observed()
-    dist = grid.distances.astype(float)
-    times = grid.times
-    fit = InterpolationFit(mu=mu, eps=eps, C=c, v=v, vstar=vstar, D=0.0, delta=0.0,
-                           r2_spatial=_spatial_log_r2(obs[-1], dist, mu), envelope_valid=False)
-    base = fit.value(dist[np.newaxis, :], times[:, np.newaxis])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = np.divide(obs, base, out=np.zeros_like(obs), where=obs > 0.0).max(axis=1)
-    excess = np.maximum(s - 1.0, 0.0)
-    mask = times > 0.0
-
-    if not np.all(np.isfinite(excess)):
-        fit.D = fit.delta = math.nan
-    elif np.any(excess > 0.0) and np.any(mask):
-        tpos, epos = times[mask], excess[mask]
-        spos = np.maximum(s[mask], 1.0)
-        best = None
-        for delta in np.geomspace(1e-3, 50.0, 200):
-            growth = np.expm1(delta * tpos)
-            d_req = float(np.max(epos / growth))
-            resid = np.log1p(d_req * growth) - np.log(spos)
-            score = float(np.sum(resid * resid))
-            if best is None or score < best[0]:
-                best = (score, d_req, delta)
-        _, fit.D, fit.delta = best
-
-    bad, _ = compare(obs, fit.value(dist[np.newaxis, :], times[:, np.newaxis]) * (1.0 + 1e-12))
-    fit.envelope_valid = not bad.any()
-    return fit
 
 
 def whole_monitor_trajectory(traj) -> TrajectoryMonitors:

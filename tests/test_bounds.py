@@ -6,17 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (check_G_convolution, evolve_second_tangent, gamma_const, h_growth,
-                     second_derivative_envelope)
+from oracles import (C_epsilon, G_mu, _distance_peaks, check_G_convolution,
+                     evolve_second_tangent, gamma_const, h_growth, second_derivative_envelope)
 from todalab import (Envelope, HierarchySpec, IntegratorConfig, SolitonSpec,
                      background_state, evolve_tangent,
                      hierarchy_envelope, optimal_mu, perturbed_envelope,
                      soliton_state, timedep_envelope, toda_envelope,
                      velocity_hierarchy, velocity_toda, verify_light_cone)
-from todalab.bounds import (C_epsilon, G_mu, SQRT17, _distance_peaks, compare,
-                            fit_front_speed, hierarchy_comparison_matrix, mu_profile,
-                            perturbed_alpha, perturbed_prefactor, velocity_perturbed,
-                            velocity_timedep)
+from todalab.bounds import (SQRT17, compare, fit_front_speed, hierarchy_comparison_matrix,
+                            mu_profile, perturbed_alpha, perturbed_prefactor,
+                            velocity_perturbed, velocity_timedep)
 from todalab.state import jacobi_norm
 
 

@@ -61,7 +61,8 @@ def test_default_config_is_valid():
      "t_final: must be a whole number of sample_dt = 0.35, got 1"),
     (lambda r: r.update(t_final=5.0 + 1e-6), "t_final: must be a whole number of sample_dt = 0.1"),
     # malformed values that used to escape as a traceback or be truncated
-    (lambda r: r.update(scenario="hierarchy", hierarchy={"r": 0, "c": 1}), "hierarchy: "),
+    (lambda r: r.update(scenario="hierarchy", hierarchy={"r": 0, "c": 1}),
+     "hierarchy.c: expected a list, got 1"),
     (lambda r: r.update(seeds=5), "seeds: need a list of at least one (site, coord) pair"),
     (lambda r: r.update(seeds=[[0, ["b"]]]), "seeds[0]: coord must be one of ('a', 'b'), got ['b']"),
     (lambda r: r.update(seeds=[[0.5, "b"]]), "seeds[0]: expected [site, coord] pair"),
@@ -90,8 +91,6 @@ def test_default_config_is_valid():
      "seeds[1]: (0, 'r') repeats seeds[0]"),
     # f(mu) = e^{mu+1} + 1/mu overflowing ended in an OverflowError traceback
     (lambda r: r.update(mu=1000), "mu: f(mu) overflows at mu = 1000"),
-    (lambda r: r.update(scenario="interpolation", eps=1000),
-     "eps: f(mu + eps) overflows at mu + eps = 1000.48"),
     # a front threshold of 0 fits the first nonzero sample, and a negative one
     # gave a null front speed with exit 0
     (lambda r: r.update(front_threshold=0), "front_threshold: must be positive, got 0"),
@@ -117,7 +116,6 @@ def test_default_config_is_valid():
     (lambda r: r["potential"].update(beta=None), "potential.beta: expected a number, got None"),
     # a number given as a string passed the finiteness check of the raw config
     (lambda r: r["soliton"].update(delta="-inf"), "soliton.delta: must be finite, got -inf"),
-    (lambda r: r.update(scenario="interpolation", eps="inf"), "eps: must be finite, got inf"),
     # a JSON true or false was taken as the number 1 or 0: a bool is an int
     (lambda r: r["perturbation"].update(w0=False), "perturbation.w0: expected a number, got False"),
     (lambda r: r["integrator"].update(tolerance=True),
@@ -131,6 +129,10 @@ def test_default_config_is_valid():
     (lambda r: r["soliton"].update(sign=True), "soliton.sign: expected an integer, got True"),
     (lambda r: r.update(seeds=[[True, "b"]]), "seeds[0]: expected [site, coord]"),
     (lambda r: r["hierarchy"].update(c=[1, True]), "hierarchy: c: expected numbers, got [1, True]"),
+    # c was iterated, so "10" and {"1": 0, "0": 1} each gave the weights (1, 0)
+    (lambda r: r["hierarchy"].update(c="10"), "hierarchy.c: expected a list, got '10'"),
+    (lambda r: r["hierarchy"].update(c={"1": 0, "0": 1}),
+     "hierarchy.c: expected a list, got {'1': 0, '0': 1}"),
 ])
 def test_config_errors_name_the_field(mutate, fragment):
     raw = default_config()
@@ -145,7 +147,7 @@ def test_config_errors_name_the_field(mutate, fragment):
 # config from these bytes
 PRINTED_DEFAULTS = {
     "scenario": "toda-lightcone", "window": 201, "guard": 10, "t_final": 5.0,
-    "sample_dt": 0.1, "seeds": [[0, "b"]], "mu": "optimal", "eps": 0.5, "base": "auto",
+    "sample_dt": 0.1, "seeds": [[0, "b"]], "mu": "optimal", "base": "auto",
     "seed": 42, "envelope_scale": 1.0, "front_threshold": 1e-8, "obs_range": 40,
     "integrator": {"method": "rk-adaptive", "tolerance": 1e-10, "step": 0.01},
     "soliton": {"kappa": 1.0, "sign": 1, "delta": 0.0},
@@ -308,6 +310,20 @@ def test_cone_reports_carry_the_envelope_scale(tmp_path):
     report = json.loads((out / "lightcone_toda_0_b.json").read_text())
     assert report["prefactor"] == 0.75 * toda_envelope(summary["mu"], summary["Lnorm"]).prefactor
     assert report["params"] == {"Lnorm": summary["Lnorm"], "scale": 0.75}
+
+
+@pytest.mark.parametrize("overrides,fragment", [
+    ({"eps": 0.5}, "eps: unknown field"),
+    ({"scenario": "interpolation"}, "scenario: unknown value 'interpolation'"),
+], ids=["eps", "interpolation"])
+def test_a_removed_key_or_scenario_exits_2(overrides, fragment, tmp_path, capsys):
+    """The interpolation scenario, whose fitted envelope majorized any
+    grid, and its eps key are gone: a config naming either is refused."""
+    out = tmp_path / "out"
+    assert main(["run", "-c", write_config(tmp_path, small_run_config(**overrides)),
+                 "--out", str(out)]) == 2
+    assert f"config error: {fragment}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_config_error_exits_2(tmp_path, capsys):
@@ -529,6 +545,24 @@ def test_an_out_that_cannot_be_a_directory_exits_2(command, below, error, tmp_pa
     err = capsys.readouterr().err
     assert "config error: --out: [Errno" in err and f"{error}: '{out}'" in err
     assert afile.read_text() == "kept"
+
+
+def test_a_job_directory_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch):
+    """A file where a job's directory goes failed that job alone, recorded
+    in sweep.json with exit 1, the code of a failed verification; every
+    job's directory is made before any job runs, so it is a config error
+    naming --out, and no job runs."""
+    monkeypatch.setattr("todalab.cli.evolve_tangent", None)      # any solve fails
+    cfg = write_config(tmp_path, small_run_config())
+    out = tmp_path / "s"
+    out.mkdir()
+    (out / "mu=0.5").write_text("kept")
+    code = main(["sweep", "-c", cfg, "--axis", "mu", "--values", "0.25,0.5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: --out: [Errno 17] File exists: '{out / 'mu=0.5'}'" in err
+    assert (out / "mu=0.5").read_text() == "kept"
+    assert not (out / "sweep.json").exists()
 
 
 @pytest.mark.parametrize("content,fragment", [

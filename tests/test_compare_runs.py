@@ -74,7 +74,7 @@ def test_tally_counts_differences_per_integrator():
                                           f"rk4-fixed: {configs} configs, 0 differences"]
     assert compare_runs.tally([]) == [f"rk-adaptive: {configs} configs, 0 differences",
                                       f"rk4-fixed: {configs} configs, 0 differences"]
-    assert configs == 16
+    assert configs == 14
 
 
 def test_extra_configs_are_labelled_and_tallied_under_their_integrator():
@@ -91,11 +91,11 @@ def test_extra_configs_are_labelled_and_tallied_under_their_integrator():
     assert [compare_runs.label_method(label) for label in labels] == ["rk4-fixed", "rk-adaptive"]
     assert compare_runs.tally([labels[1], labels[1]],
                               ["rk-adaptive", "rk-adaptive", "rk4-fixed"]) == [
-        "rk-adaptive: 18 configs, 2 differences", "rk4-fixed: 17 configs, 0 differences"]
+        "rk-adaptive: 16 configs, 2 differences", "rk4-fixed: 15 configs, 0 differences"]
 
 
 def test_benchmark_configs_join_the_scenario_configs():
-    """The benchmark's four scenario configs run by default after the 32
+    """The benchmark's four scenario configs run by default after the 28
     scenario configs, each under its own integrator."""
     bench = compare_runs.bench_configs()
     assert [name for name, _ in bench] == ["bench toda-lightcone-bg", "bench hierarchy-r3",
@@ -103,8 +103,19 @@ def test_benchmark_configs_join_the_scenario_configs():
     assert dict(bench)["bench perturbed-fixed"]["seed"] == 42
     base = {"integrator": {"method": "rk-adaptive"}}
     methods = [compare_runs.config_method(config, base) for _, config in bench]
-    assert compare_runs.tally([], methods) == ["rk-adaptive: 19 configs, 0 differences",
-                                               "rk4-fixed: 17 configs, 0 differences"]
+    assert compare_runs.tally([], methods) == ["rk-adaptive: 17 configs, 0 differences",
+                                               "rk4-fixed: 15 configs, 0 differences"]
+
+
+def test_shared_base_drops_the_keys_only_the_parent_prints():
+    """A key the change no longer prints leaves the base, which keeps the
+    parent's values of the rest; a key only the change prints is not added,
+    so each tree gives an omitted key its own default."""
+    parent = {"scenario": "toda-lightcone", "mu": "optimal", "eps": 0.5, "gone": None}
+    change = {"scenario": "ghs", "mu": 0.3, "added": 1}
+    assert compare_runs.shared_base(parent, change) == (
+        {"scenario": "toda-lightcone", "mu": "optimal"}, ["eps", "gone"])
+    assert compare_runs.shared_base(parent, parent) == (parent, [])
 
 
 def test_src_lines_counts_the_package_as_wc_does(tmp_path):

@@ -1,7 +1,4 @@
-import json
 import math
-import types
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,9 +8,8 @@ from todalab import (IntegratorConfig, PerturbationSpec,
                      SolitonSpec, background_state, evolve_tangent, optimal_mu,
                      perturbed_envelope, random_localized_state, soliton_state,
                      verify_light_cone)
-from todalab.integrators import Trajectory, integrate, write_json
-from todalab.perturbed import (InterpolationFit, interpolation_envelope,
-                               monitor_trajectory, perturbed_rhs)
+from todalab.integrators import Trajectory, integrate
+from todalab.perturbed import monitor_trajectory, perturbed_rhs
 from todalab.state import jacobi_norm_within, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
@@ -193,86 +189,3 @@ def test_perturbed_cone_holds_on_run():
     assert rep.clean
     assert rep.n_violations == 0
     assert rep.max_ratio < 1.0
-
-
-def test_interpolation_fit_on_run():
-    mu0, _ = optimal_mu()
-    x = random_localized_state(161, seed=42)
-    spec = PerturbationSpec(family="cosine", w0=0.1)
-    g = evolve_tangent(x, (0, "b"), 3.0, FIX, flow="perturbed",
-                       spec=spec, sample_dt=0.25)
-    traj = integrate(x, lambda s: perturbed_rhs(s, spec), 3.0, FIX, sample_dt=0.25)
-    m = monitor_trajectory(traj)
-    fit = interpolation_envelope(g, m, mu0, 0.5)
-    print("r2:", fit.r2_spatial, "D:", fit.D, "delta:", fit.delta)
-    assert g.clean(10)
-    assert fit.envelope_valid
-    assert fit.r2_spatial > 0.99
-    # at this scale the bare exponential envelope already majorizes
-    assert fit.D == 0.0 and fit.delta == 0.0
-    assert fit.C == pytest.approx((8.0 / math.sqrt(17.0)) * 16.0 * math.exp(-1.5))
-    assert fit.vstar > fit.v > 0.0
-
-
-def test_interpolation_fit_growth_branch():
-    # synthetic grid that exceeds the bare envelope forces D > 0
-    from todalab.bounds import C_epsilon, G_mu, velocity_toda
-    mu, eps = 0.5, 0.5
-    dists = np.abs(np.arange(-15, 16)).astype(float)
-    times = np.linspace(0.0, 2.0, 9)
-    c = (8.0 / math.sqrt(17.0)) * C_epsilon(eps)
-    v = velocity_toda(mu + eps, 1.0)
-    base = c * G_mu(mu, dists)[None, :] * np.exp((mu + eps) * v * times)[:, None]
-    obs = base * (1.0 + 0.5 * np.expm1(1.0 * times))[:, None]
-    grid = types.SimpleNamespace(observed=lambda kind="ab", rows=slice(None): obs[rows],
-                                 distances=dists, times=times)
-    monitors = types.SimpleNamespace(Lnorm0=1.0, C1=1.0)
-    fit = interpolation_envelope(grid, monitors, mu, eps)
-    print("D:", fit.D, "delta:", fit.delta, "valid:", fit.envelope_valid)
-    assert fit.D > 0.0
-    assert fit.envelope_valid
-    assert np.all(obs <= fit.value(dists[None, :], times[:, None]) * (1.0 + 1e-9))
-
-
-def synthetic_grid(obs, times, dists):
-    """A grid that gives its observations obs, a (T, N) array."""
-    return types.SimpleNamespace(observed=lambda kind="ab", rows=slice(None): obs[rows],
-                                 distances=dists, times=times)
-
-
-def test_interpolation_fit_of_one_sample_above_the_envelope():
-    """A single sample at t = 0 above the D = 0 envelope leaves no time to
-    fit D over: the fit keeps D = delta = 0, and the validity pass finds
-    the excess."""
-    dists = np.abs(np.arange(-5, 6)).astype(float)
-    grid = synthetic_grid(np.full((1, dists.size), 100.0), np.zeros(1), dists)
-    fit = interpolation_envelope(grid, types.SimpleNamespace(Lnorm0=1.0, C1=1.0), 0.5, 0.5)
-    assert fit.C < 100.0
-    assert (fit.D, fit.delta, fit.envelope_valid) == (0.0, 0.0, False)
-
-
-@pytest.mark.parametrize("row", [4, -1], ids=["middle", "final"])
-def test_interpolation_fit_of_an_infinite_cell_is_nan_and_invalid(row, tmp_path):
-    """No finite D majorizes an infinite observation: D and delta are NaN,
-    null in the JSON artifact, the envelope is not valid, and no step of the
-    fit warns (RuntimeWarning is an error here).  In the final sample, the
-    cell also makes the spatial r2 NaN."""
-    dists = np.abs(np.arange(-15, 16)).astype(float)
-    times = np.linspace(0.0, 2.0, 9)
-    obs = 1e-3 * np.exp(-dists)[None, :] * np.ones((times.size, 1))
-    obs[row, 20] = np.inf
-    fit = interpolation_envelope(synthetic_grid(obs, times, dists),
-                                 types.SimpleNamespace(Lnorm0=1.0, C1=1.0), 0.5, 0.5)
-    assert math.isnan(fit.D) and math.isnan(fit.delta) and not fit.envelope_valid
-    assert math.isnan(fit.r2_spatial) == (row == -1)
-    write_json(tmp_path / "fit.json", asdict(fit))
-    saved = json.loads((tmp_path / "fit.json").read_text())
-    assert saved["D"] is None and saved["delta"] is None and saved["envelope_valid"] is False
-
-
-def test_fit_value_at_time_zero():
-    from todalab.bounds import G_mu
-    fit = InterpolationFit(mu=0.5, eps=0.5, C=2.0, v=10.0, vstar=12.0,
-                           D=0.3, delta=1.0, r2_spatial=1.0, envelope_valid=True)
-    d = np.arange(5.0)
-    assert np.allclose(fit.value(d, 0.0), 2.0 * G_mu(0.5, d))

@@ -6,22 +6,21 @@ fraction of the grid."""
 import os
 import pickle
 import tracemalloc
-import types
 import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from oracles import (whole_boundary_margin, whole_fit_front_speed, whole_ghs_cone_constant,
-                     whole_ghs_stability_diagnostics, whole_interpolation_envelope,
-                     whole_monitor_trajectory, whole_verify_light_cone)
+                     whole_ghs_stability_diagnostics, whole_monitor_trajectory,
+                     whole_verify_light_cone)
 
 from todalab import integrators
 from todalab.bounds import (MAX_VIOLATIONS_STORED, fit_front_speed, optimal_mu, timedep_envelope,
                             toda_envelope, verify_light_cone)
 from todalab.ghs import PotentialSpec, ghs_cone_constant, ghs_stability_diagnostics
 from todalab.integrators import Trajectory, row_blocks
-from todalab.perturbed import interpolation_envelope, monitor_trajectory
+from todalab.perturbed import monitor_trajectory
 from todalab.sensitivity import SensitivityGrid
 from todalab.state import GHSState, hamiltonian_ab
 
@@ -107,11 +106,6 @@ def test_blocked_passes_equal_the_whole_grid(kind, size, row_block):
         assert same_bits(fit_front_speed(grid.times, grid.distances, [obs], threshold), speed)
         blocks = (obs[rows] for rows in row_blocks(grid.n_samples))
         assert same_bits(fit_front_speed(grid.times, grid.distances, blocks, threshold), speed)
-    monitors = types.SimpleNamespace(Lnorm0=1.0, C1=1.0)
-    for scale in (1e3, 1e-3):
-        scaled = replace(grid, da=scale * grid.da, db=scale * grid.db)
-        assert same_bits(outcome(interpolation_envelope, scaled, monitors, MU0, 0.5),
-                         outcome(whole_interpolation_envelope, scaled, monitors, MU0, 0.5))
     assert same_bits(outcome(monitor_trajectory, grid.base),
                      outcome(whole_monitor_trajectory, grid.base))
 
@@ -139,14 +133,10 @@ def test_blocked_chain_passes_equal_the_whole_run(kind, size, row_block):
 
 
 def test_the_cases_reach_what_they_name():
-    """The cases above hold what they are there for: growth-branch and
-    D = 0 fits, front speeds, a log-a verdict with a radius function, and
-    non-finite cells that are violations."""
+    """The cases above hold what they are there for: front speeds, a log-a
+    verdict with a radius function, and non-finite cells that are
+    violations."""
     grid = cone_grid(53)
-    monitors = types.SimpleNamespace(Lnorm0=1.0, C1=1.0)
-    fits = [interpolation_envelope(replace(grid, da=s * grid.da, db=s * grid.db),
-                                   monitors, MU0, 0.5) for s in (1e3, 1e-3)]
-    assert fits[0].D > 0.0 and fits[1].D == 0.0
     assert verify_light_cone(grid, ENVELOPES["toda"]).empirical_front_speed is not None
     rep = verify_light_cone(spoiled(grid), ENVELOPES["log-a"])
     assert rep.bound_speed is not None and ENVELOPES["log-a"].speed is None

@@ -22,13 +22,12 @@ from todalab.bounds import velocity_toda
 from todalab.cli import config_from_dict, default_config, run_config
 from todalab import integrators as integrators_module
 from todalab.integrators import Trajectory, integrate
-from todalab.perturbed import interpolation_envelope
 from todalab.sensitivity import make_flow
 from todalab import state as state_module
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "scenario_summaries.json"
 SCENARIOS = ("toda-lightcone", "soliton-validate", "hierarchy", "perturbed",
-             "interpolation", "timedep", "observables", "ghs")
+             "timedep", "observables", "ghs")
 REL = 1e-9
 
 
@@ -97,7 +96,7 @@ CONE_FLOWS = {"toda-lightcone": "toda", "hierarchy": "hierarchy", "perturbed": "
               "timedep": "perturbed", "ghs": "ghs"}
 # the config block each tangent scenario's flow reads: its one spec
 FLOW_SPECS = {"toda-lightcone": None, "hierarchy": "hierarchy", "perturbed": "perturbation",
-              "timedep": "perturbation", "interpolation": "perturbation", "ghs": "potential"}
+              "timedep": "perturbation", "ghs": "potential"}
 CONE_SCENARIOS = tuple(CONE_FLOWS)
 THREE_SEEDS = [[0, "b"], [3, "a"], [-2, "b"]]
 
@@ -157,7 +156,7 @@ def test_cone_scenario_integrates_its_base_flow_once(scenario, tmp_path, monkeyp
         (tmp_path / "alone.csv").read_bytes()
 
 
-@pytest.mark.parametrize("scenario", CONE_SCENARIOS + ("interpolation",))
+@pytest.mark.parametrize("scenario", CONE_SCENARIOS)
 def test_one_solve_per_seed(scenario, tmp_path, monkeypatch):
     """K seeds cost K solves, one evolve_tangent each: the base run comes
     from the first seed's solve, not from a solve of its own.  Each solve
@@ -219,22 +218,21 @@ def test_every_summary_carries_the_schema_keys(scenario, tmp_path):
 
 def test_scenario_lists_agree():
     """This suite, tools/compare_runs.py and the CLI's table name the same
-    scenarios, and each cone scenario's row runs the flow named here."""
+    scenarios, and each tangent scenario's row runs the flow named here."""
     tool = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
     spec = importlib.util.spec_from_file_location("compare_runs", tool)
     compare_runs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare_runs)
     assert set(SCENARIOS) == set(compare_runs.SCENARIOS) == set(cli_module.SCENARIOS)
     cones = {name: row.flow for name, row in cli_module.SCENARIOS.items()
-             if row.run is cli_module._run_tangent and row.tally is cli_module._cone_tally}
+             if row.run is cli_module._run_tangent}
     assert cones == CONE_FLOWS
 
 
 @pytest.mark.parametrize("name,scenario", [
     ("hierarchy_hamiltonian", "hierarchy"), ("perturbed_energy", "perturbed"),
     ("ghs_energy", "ghs"), ("verify_light_cone", "toda-lightcone"),
-    ("ghs_stability_diagnostics", "ghs"), ("monitor_trajectory", "perturbed"),
-    ("interpolation_envelope", "interpolation")])
+    ("ghs_stability_diagnostics", "ghs"), ("monitor_trajectory", "perturbed")])
 def test_rows_look_names_up_when_called(name, scenario, tmp_path, monkeypatch):
     """A row reaches the function through cli's globals at run time, so a
     rebinding made after the table was built sees the call."""
@@ -253,7 +251,7 @@ def test_rows_look_names_up_when_called(name, scenario, tmp_path, monkeypatch):
 ADAPTIVE_BOUND = 100.0     # x tolerance: the scale of the drift gate
 
 
-@pytest.mark.parametrize("scenario", CONE_SCENARIOS + ("interpolation",))
+@pytest.mark.parametrize("scenario", CONE_SCENARIOS)
 def test_adaptive_base_run_matches_a_tighter_standalone_run(scenario, tmp_path, monkeypatch):
     """Under rk-adaptive the base rows follow the step control of the first
     seed's joint solve, so trajectory.csv moves within the tolerance.  It
@@ -274,7 +272,7 @@ def test_adaptive_base_run_matches_a_tighter_standalone_run(scenario, tmp_path, 
     assert err <= ADAPTIVE_BOUND * cfg.integrator.tolerance
 
 
-@pytest.mark.parametrize("scenario", ["perturbed", "interpolation"])
+@pytest.mark.parametrize("scenario", ["perturbed"])
 def test_excluded_run_writes_only_summary_and_trajectory(scenario, tmp_path, monkeypatch):
     """An unbounded-looking base run fails the scenario before any grid is
     written or checked: the artifacts are summary.json and trajectory.csv."""
@@ -372,7 +370,7 @@ def test_observables_takes_one_norm_for_every_bracket_bound(tmp_path, monkeypatc
     assert speeds == [velocity_toda(cfg.resolved_mu(), state_module.jacobi_norm(x))] * 5
 
 
-@pytest.mark.parametrize("scenario", ["perturbed", "interpolation"])
+@pytest.mark.parametrize("scenario", ["perturbed"])
 def test_perturbed_monitors_take_one_norm(scenario, tmp_path, monkeypatch):
     """||L(0)|| is the one eigensolve of the monitors; the norm-growth gate
     counts eigenvalues instead of solving for the norm at every sample."""
@@ -382,54 +380,15 @@ def test_perturbed_monitors_take_one_norm(scenario, tmp_path, monkeypatch):
     assert len(norms) == 1
 
 
-@pytest.mark.parametrize("scenario", ["perturbed", "interpolation"])
+@pytest.mark.parametrize("scenario", ["perturbed", "timedep"])
 def test_perturbed_base_run_drift_is_gated(scenario, tmp_path):
-    """perturbed and interpolation gate the drift of the same base run alike."""
+    """perturbed and timedep gate the drift of the same base run alike."""
     raw = small_config(scenario)
     raw["integrator"]["step"] = 0.05
     assert run_config(config_from_dict(raw), tmp_path) == 1
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["drift_tolerance"] == 1e-8
     assert summary["conserved_drift"] > summary["drift_tolerance"]
-
-
-def test_non_finite_fit_is_written_as_null(tmp_path):
-    """One step of 0.01 leaves too few decaying sites for the spatial fit:
-    r2_spatial is NaN, written as null in both artifacts, and fails the run."""
-    code, _, summary = run_scenario("interpolation", tmp_path, t_final=0.01,
-                                    sample_dt=0.01)
-    assert code == 1
-    assert summary["r2_spatial"] is None
-    assert all(fit["r2_spatial"] is None
-               for fit in strict_json(tmp_path / "interpolation_fit.json"))
-
-
-def test_interpolation_envelope_neither_underflows_nor_overflows(tmp_path):
-    """At mu = 13, G_mu underflows to 0 beyond distance 57 while the cone
-    factor overflows to inf; their product was NaN, a violation.  Summed as
-    logs, the envelope is +inf there, no constraint, and the run is valid
-    without a RuntimeWarning (an error under this suite's settings)."""
-    code, _, summary = run_scenario("interpolation", tmp_path, mu=13.0)
-    assert code == 0
-    assert summary["envelope_valid"] is True and summary["violations"] == 0
-
-
-@pytest.mark.parametrize("nan_seed", [0, 1], ids=["nan-first", "nan-last"])
-def test_nan_spatial_fit_fails_interpolation_in_either_order(nan_seed, tmp_path,
-                                                            monkeypatch):
-    """The r2 gate sees a NaN fit wherever it falls among the seeds."""
-    fits = []
-
-    def fit(*args):
-        f = interpolation_envelope(*args)
-        fits.append(replace(f, r2_spatial=math.nan) if len(fits) == nan_seed else f)
-        return fits[-1]
-
-    monkeypatch.setattr(cli_module, "interpolation_envelope", fit)
-    code, _, summary = run_scenario("interpolation", tmp_path)
-    assert len(fits) == 2
-    assert code == 1
-    assert summary["r2_spatial"] is None
 
 
 def _shifted_soliton(monkeypatch):
@@ -439,24 +398,15 @@ def _shifted_soliton(monkeypatch):
                         lambda spec, *args: flaschka(replace(spec, kappa=1.1 * spec.kappa), *args))
 
 
-def _poor_spatial_fit(monkeypatch):
-    """Every interpolation fit with its spatial r2 at 0.5, below the 0.99
-    gate.  Its fitted envelope majorizes the data by construction, so
-    envelope_scale alone cannot fail it."""
-    fit = cli_module.interpolation_envelope
-    monkeypatch.setattr(cli_module, "interpolation_envelope",
-                        lambda *args: replace(fit(*args), r2_spatial=0.5))
-
-
 # how each row is made to fail: the envelope rows by envelope_scale 1e-9
-FORCED_FAILURES = {"soliton-validate": _shifted_soliton, "interpolation": _poor_spatial_fit}
+FORCED_FAILURES = {"soliton-validate": _shifted_soliton}
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_every_scenario_can_fail(scenario, tmp_path, monkeypatch, capsys):
     """Each SCENARIOS row exits 1 when its check is made to fail: the six
     rows with an envelope at envelope_scale 1e-9, naming the first
-    violation's site and time, and the other two by a forced failure."""
+    violation's site and time, and soliton-validate by a forced failure."""
     if scenario in FORCED_FAILURES:
         FORCED_FAILURES[scenario](monkeypatch)
         code, _, summary = run_scenario(scenario, tmp_path)
@@ -469,12 +419,13 @@ def test_every_scenario_can_fail(scenario, tmp_path, monkeypatch, capsys):
 
 def refrozen(old: dict, new: dict) -> list:
     """`scenario.key: old -> new` for the file list ("files") and each
-    summary key whose JSON text new changes from old; a side without the
-    key reads `absent`."""
+    summary key whose JSON text new changes from old, over the scenarios
+    of either side; a side without the scenario or the key reads
+    `absent`."""
     lines = []
-    for scenario, entry in new.items():
+    for scenario in sorted(old.keys() | new.keys()):
         was, now = ({"files": e["files"], **e["summary"]} if e else {}
-                    for e in (old.get(scenario), entry))
+                    for e in (old.get(scenario), new.get(scenario)))
         for key in sorted(set(was) | set(now), key=lambda k: (k != "files", k)):
             before, after = (json.dumps(d[key]) if key in d else "absent" for d in (was, now))
             if before != after:
@@ -483,12 +434,14 @@ def refrozen(old: dict, new: dict) -> list:
 
 
 def test_refreeze_lists_each_changed_key():
-    old = {"a": {"files": ["x.csv"], "summary": {"k": 1.5, "same": None, "gone": 1}}}
+    old = {"a": {"files": ["x.csv"], "summary": {"k": 1.5, "same": None, "gone": 1}},
+           "c": {"files": ["z.json"], "summary": {"k": None}}}
     new = {"a": {"files": ["x.csv", "y.json"], "summary": {"k": 2.5, "same": None, "new": "s"}},
            "b": {"files": [], "summary": {"k": 1}}}
     assert refrozen(old, new) == [
         'a.files: ["x.csv"] -> ["x.csv", "y.json"]', "a.gone: 1 -> absent", "a.k: 1.5 -> 2.5",
-        'a.new: absent -> "s"', "b.files: absent -> []", "b.k: absent -> 1"]
+        'a.new: absent -> "s"', "b.files: absent -> []", "b.k: absent -> 1",
+        'c.files: ["z.json"] -> absent', "c.k: null -> absent"]
     assert refrozen(new, new) == []
 
 
