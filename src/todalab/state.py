@@ -20,6 +20,7 @@ log scale; the flow preserves the sign of each a_n.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -323,13 +324,25 @@ def jacobi_norm_within(a, b, bound) -> np.ndarray:
     return out
 
 
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(L^j), j = 1 .. 4, of the window matrix with diagonal b and
+    off-diagonal a[:-1] (the one jacobi_norm diagonalizes): sums of the
+    diagonals _band_poly gives for its monomials."""
+    return np.array([np.sum(_band_poly(a, b, (0.0,) * j + (1.0,))[0][j]) for j in range(1, 5)])
+
+
+@functools.lru_cache(maxsize=16)
+def _background_traces(n_sites: int, a_bg: float, b_bg: float) -> np.ndarray:
+    """_traces of the pure-background window of n_sites, which depend on
+    nothing else: made once per size and background, and read-only."""
+    out = _traces(np.full(n_sites, a_bg), np.full(n_sites, b_bg))
+    out.flags.writeable = False
+    return out
+
+
 def trace_invariants(s: LatticeState) -> np.ndarray:
     """tr(L^j) - tr(L_bg^j), j = 1 .. 4, L_bg the pure-background window of
-    equal size: sums of the diagonals _band_poly gives for the monomials of
-    the window matrix (the one jacobi_norm diagonalizes), so a background
-    state reads 0.0.  Conserved while the run stays boundary-clean."""
-    def traces(x):
-        return np.array([np.sum(_band_poly(x.a, x.b, (0.0,) * j + (1.0,))[0][j])
-                         for j in range(1, 5)])
-
-    return traces(s) - traces(background_state(s.n_sites, s.offset, s.background))
+    equal size, so a background state reads 0.0.  Conserved while the run
+    stays boundary-clean."""
+    a_bg, b_bg = s.background
+    return _traces(s.a, s.b) - _background_traces(s.n_sites, float(a_bg), float(b_bg))

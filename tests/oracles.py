@@ -469,10 +469,8 @@ def whole_monitor_trajectory(traj) -> TrajectoryMonitors:
     c1 = max(float(sup_field.max()), abs(a_bg), abs(b_bg))
     min_a = min(float(abs_a.min()), abs(a_bg))
     c2 = math.inf if min_a == 0.0 else 1.0 / min_a
-    tail = sup_field[-max(4, traj.n_samples // 5):]
-    unbounded = bool(np.all(np.diff(tail) > 0.0))
     return TrajectoryMonitors(C1=c1, C2=c2, Lnorm0=jacobi_norm(traj.state(0)),
-                              horizon=float(traj.times[-1]), unbounded=unbounded)
+                              horizon=float(traj.times[-1]))
 
 
 def sampled_quadratic_floor(pot, bound: float) -> float:

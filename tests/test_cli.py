@@ -315,10 +315,12 @@ def test_cone_reports_carry_the_envelope_scale(tmp_path):
 @pytest.mark.parametrize("overrides,fragment", [
     ({"eps": 0.5}, "eps: unknown field"),
     ({"scenario": "interpolation"}, "scenario: unknown value 'interpolation'"),
-], ids=["eps", "interpolation"])
+    ({"scenario": "timedep"}, "scenario: unknown value 'timedep'"),
+], ids=["eps", "interpolation", "timedep"])
 def test_a_removed_key_or_scenario_exits_2(overrides, fragment, tmp_path, capsys):
     """The interpolation scenario, whose fitted envelope majorized any
-    grid, and its eps key are gone: a config naming either is refused."""
+    grid, and its eps key are gone, and so is timedep, whose cone perturbed
+    checks on the same runs: a config naming any of them is refused."""
     out = tmp_path / "out"
     assert main(["run", "-c", write_config(tmp_path, small_run_config(**overrides)),
                  "--out", str(out)]) == 2

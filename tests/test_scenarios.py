@@ -27,7 +27,7 @@ from todalab import state as state_module
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "scenario_summaries.json"
 SCENARIOS = ("toda-lightcone", "soliton-validate", "hierarchy", "perturbed",
-             "timedep", "observables", "ghs")
+             "observables", "ghs")
 REL = 1e-9
 
 
@@ -93,10 +93,10 @@ def test_scenario_matches_frozen_summary(scenario, frozen, tmp_path):
 
 
 CONE_FLOWS = {"toda-lightcone": "toda", "hierarchy": "hierarchy", "perturbed": "perturbed",
-              "timedep": "perturbed", "ghs": "ghs"}
+              "ghs": "ghs"}
 # the config block each tangent scenario's flow reads: its one spec
 FLOW_SPECS = {"toda-lightcone": None, "hierarchy": "hierarchy", "perturbed": "perturbation",
-              "timedep": "perturbation", "ghs": "potential"}
+              "ghs": "potential"}
 CONE_SCENARIOS = tuple(CONE_FLOWS)
 THREE_SEEDS = [[0, "b"], [3, "a"], [-2, "b"]]
 
@@ -272,22 +272,45 @@ def test_adaptive_base_run_matches_a_tighter_standalone_run(scenario, tmp_path, 
     assert err <= ADAPTIVE_BOUND * cfg.integrator.tolerance
 
 
+def perturbed_reports(seeds) -> list:
+    """The files of a perturbed run with these seeds: per seed, its grid's
+    CSV and the two cones' reports, plus the summary and the base run."""
+    names = ["summary.json", "trajectory.csv"]
+    for site, coord in seeds:
+        names += [f"lightcone_{family}_{site}_{coord}.json" for family in ("perturbed", "timedep")]
+        names.append(f"sensitivity_m{site}_{coord}.csv".replace("-", "_minus"))
+    return sorted(names)
+
+
+@pytest.mark.parametrize("seed", [6, 17, 22, 25, 26, 34, 39])
+def test_short_run_inside_the_norm_line_passes(seed, tmp_path):
+    """The a-priori line is the one perturbed gate: these base states, whose
+    sampled sup-norm rises over the last samples at N=121, t=1, lie inside
+    it, so each run passes and writes both cones' reports per seed."""
+    code, files, summary = run_scenario(
+        "perturbed", tmp_path, base="random", seed=seed, sample_dt=0.1,
+        seeds=[[0, "b"], [0, "a"]], integrator={"method": "rk4-fixed", "step": 0.01})
+    assert code == 0
+    assert files == perturbed_reports([(0, "b"), (0, "a")])
+    assert summary["norm_growth_ok"] is True and summary["unbounded"] is False
+
+
 @pytest.mark.parametrize("scenario", ["perturbed"])
-def test_excluded_run_writes_only_summary_and_trajectory(scenario, tmp_path, monkeypatch):
-    """An unbounded-looking base run fails the scenario before any grid is
-    written or checked: the artifacts are summary.json and trajectory.csv."""
-    monitor = cli_module.monitor_trajectory
-    monkeypatch.setattr(cli_module, "monitor_trajectory",
-                        lambda run: replace(monitor(run), unbounded=True))
+def test_a_failed_norm_line_fails_the_run_and_writes_every_report(scenario, tmp_path,
+                                                                  monkeypatch, capsys):
+    """The a-priori line is the perturbed gate: a run outside it exits 1,
+    with norm_growth_ok false and unbounded true, after every seed's grid
+    went through both cones and every report was written."""
+    monkeypatch.setattr(cli_module, "jacobi_norm_within",
+                        lambda a, b, bound: np.zeros(len(bound), dtype=bool))
     _, solves = spy_solves(monkeypatch)
-    code, files, summary = run_scenario(scenario, tmp_path)
-    assert code == 1
-    assert files == ["summary.json", "trajectory.csv"]
-    assert summary["unbounded"] is True
-    assert "unbounded-looking run" in summary["excluded"]
-    assert summary["violations"] == 0
-    assert summary["empirical_front_speed"] is None and summary["bound_speed"] is None
-    assert len(solves) == 1
+    code, files, summary = run_scenario(scenario, tmp_path, seeds=THREE_SEEDS)
+    assert code == 1 and summary["exit"] == 1
+    assert summary["norm_growth_ok"] is False and summary["unbounded"] is True
+    assert files == perturbed_reports(THREE_SEEDS)
+    assert summary["violations"] == 0 and summary["bound_speed"] is not None
+    assert len(solves) == 3
+    assert "perturbed: FAILED (see" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tolerance,gate,code", [(1e-12, 1e-10, 0), (1e-15, 1e-13, 1)])
@@ -380,9 +403,9 @@ def test_perturbed_monitors_take_one_norm(scenario, tmp_path, monkeypatch):
     assert len(norms) == 1
 
 
-@pytest.mark.parametrize("scenario", ["perturbed", "timedep"])
+@pytest.mark.parametrize("scenario", ["perturbed"])
 def test_perturbed_base_run_drift_is_gated(scenario, tmp_path):
-    """perturbed and timedep gate the drift of the same base run alike."""
+    """perturbed gates the drift of its base run, whose step is too coarse."""
     raw = small_config(scenario)
     raw["integrator"]["step"] = 0.05
     assert run_config(config_from_dict(raw), tmp_path) == 1
@@ -404,7 +427,7 @@ FORCED_FAILURES = {"soliton-validate": _shifted_soliton}
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_every_scenario_can_fail(scenario, tmp_path, monkeypatch, capsys):
-    """Each SCENARIOS row exits 1 when its check is made to fail: the six
+    """Each SCENARIOS row exits 1 when its check is made to fail: the five
     rows with an envelope at envelope_scale 1e-9, naming the first
     violation's site and time, and soliton-validate by a forced failure."""
     if scenario in FORCED_FAILURES:

@@ -7,7 +7,9 @@ from oracles import flaschka_inverse, jacobi_matrix, relative_to_lattice
 from todalab import (GHSState, LatticeState, background_state, hamiltonian_ab,
                      jacobi_norm, jacobi_norm_within, random_localized_state,
                      toda_rhs, trace_invariants)
+from todalab import state as state_module
 from todalab.solitons import SolitonSpec, soliton_state
+from todalab.state import _band_poly
 
 
 def test_background_is_fixed_point():
@@ -242,6 +244,26 @@ def test_trace_invariants_are_traces_of_dense_powers(kind, n, monkeypatch):
              for j in range(1, 5)]
     assert np.abs(tr - dense).max() < 1e-12
     assert np.abs(tr).max() > 1e-3                  # a state off the background
+
+
+@pytest.mark.parametrize("background", [(0.5, 0.0), (0.7, -0.3)])
+def test_trace_invariants_take_the_background_traces_once(background):
+    """The background window's traces depend only on its size and pair, so
+    they are summed once for every offset and state; trace_invariants keeps
+    the bits of the state's traces minus the background window's, both
+    summed afresh."""
+    def traces(x):
+        return np.array([np.sum(_band_poly(x.a, x.b, (0.0,) * j + (1.0,))[0][j])
+                         for j in range(1, 5)])
+
+    state_module._background_traces.cache_clear()
+    for offset in (-30, 0, 7):
+        for seed in range(3):
+            s = random_localized_state(61, offset, seed=seed, background=background)
+            want = traces(s) - traces(background_state(61, offset, background))
+            assert trace_invariants(s).tobytes() == want.tobytes()
+    info = state_module._background_traces.cache_info()
+    assert (info.misses, info.hits) == (1, 8)
 
 
 def test_random_localized_state_properties():
