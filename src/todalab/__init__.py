@@ -25,9 +25,8 @@ from .bounds import (Envelope, LightConeReport,
 from .perturbed import (PerturbationSpec, TrajectoryMonitors,
                         monitor_trajectory, perturbed_rhs)
 from .observables import (ObservableDescriptor, basic_observables,
-                          check_bracket_bound, evolved_bracket,
-                          hamiltonian_window_observable, poisson_bracket,
-                          required_bracket_seeds)
+                          check_bracket_bound, hamiltonian_window_observable,
+                          poisson_bracket, required_bracket_seeds)
 from .ghs import (PotentialSpec, confinement_bound, factorial_tail_envelope,
                   ghs_energy, ghs_envelope, ghs_rhs,
                   ghs_stability_diagnostics, ghs_velocity)

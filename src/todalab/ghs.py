@@ -137,46 +137,31 @@ class StabilityReport:
     r_inf_max: float
     r_l2_max: float
     r_l2_bound: float
-    q_inf_max: float
-    q_inf_bound_final: float
     ok: bool
 
 
 def ghs_stability_diagnostics(traj: Trajectory, pot: PotentialSpec) -> StabilityReport:
-    """Check the three finite-energy stability bounds at every sample, plus
-    the position bound ||q(t)||_inf <= ||q(0)||_inf + sqrt(2E) |t| with q
-    reconstructed by trapezoidal p-integration (q_first fixed to 0), a row
-    block at a time with the trapezoid sum carried from block to block."""
+    """Check the three finite-energy stability bounds at every sample, a row
+    block at a time.  The position bound ||q(t) - q(0)||_inf <= sqrt(2E) |t|
+    needs no check of its own: |dq_n/dt| = |p_n| <= ||p||_2, so it follows
+    from the momentum bound ||p(t)||_2 <= sqrt(2E)."""
     e = ghs_energy(traj.state(0), pot)
     m_e = confinement_bound(pot, e)
     c = quadratic_floor(pot, m_e)
-    p_l2, r_inf, r_l2, q_inf = np.empty((4, traj.n_samples))
+    p_l2, r_inf, r_l2 = np.empty((3, traj.n_samples))
     p_bound = math.sqrt(2.0 * e)
     r2_bound = math.sqrt(e) / c if c > 0 else math.inf
-
-    # cumulative trapezoid of p gives q(t) - q(0); q(0) from partial sums of r(0)
-    q0 = np.concatenate(([0.0], np.cumsum(traj.r[0])))[:-1]
-    q_sum = np.zeros(traj.n_sites)      # the trapezoid sum up to the sample before the block
     for rows in row_blocks(traj.n_samples):
         p, r = traj.p[rows], traj.r[rows]
         p_l2[rows] = np.sqrt(np.sum(p ** 2, axis=1))
         r_inf[rows] = np.abs(r).max(axis=1)
         r_l2[rows] = np.sqrt(np.sum(r ** 2, axis=1))
-        span = slice(max(rows.start - 1, 0), rows.stop)    # the block and the sample before it
-        ps, dt = traj.p[span], np.diff(traj.times[span])[:, np.newaxis]
-        sums = np.cumsum(np.vstack((q_sum, 0.5 * dt * (ps[1:] + ps[:-1]))), axis=0)[-len(p):]
-        q_inf[rows] = np.abs(q0 + sums).max(axis=1)
-        q_sum = sums[-1]
-    q_bound = np.abs(q0).max() + p_bound * traj.times
-
     ok = bool(np.all(p_l2 <= p_bound + 1e-12) and np.all(r_inf <= m_e + 1e-12)
-              and np.all(r_l2 <= r2_bound + 1e-12) and np.all(q_inf <= q_bound + 1e-9))
+              and np.all(r_l2 <= r2_bound + 1e-12))
     return StabilityReport(energy=e, M_E=m_e, c_floor=c,
                            p_l2_max=float(p_l2.max()), p_l2_bound=p_bound,
                            r_inf_max=float(r_inf.max()),
-                           r_l2_max=float(r_l2.max()), r_l2_bound=r2_bound,
-                           q_inf_max=float(q_inf.max()),
-                           q_inf_bound_final=float(q_bound[-1]), ok=ok)
+                           r_l2_max=float(r_l2.max()), r_l2_bound=r2_bound, ok=ok)
 
 
 def ghs_cone_constant(traj: Trajectory, pot: PotentialSpec) -> float:

@@ -5,10 +5,14 @@ The bracket
     {A, B} = (1/4) sum_n a_n (dA/da_n DB_n - DA_n dB/da_n),
     DX_n = dX/db_{n+1} - dX/db_n
 
-generates the Toda flow.  Time-evolved brackets {A o flow_t, B} are assembled
-by the chain rule from sensitivity grids seeded at the coordinates B touches,
-weighted as required_bracket_seeds gives; their decay in
-|supp(A) - supp(B)| is what the bracket propagation bound controls.
+generates the Toda flow.  The bracket propagation bound controls the decay
+of {A o flow_t, B} in |supp(A) - supp(B)|; the CLI checks it for the
+coordinate pairs (a_n, b_m), whose evolved brackets are columns of the
+sensitivity grids seeded at b_m's seeds, weighted as required_bracket_seeds
+gives: evolved_brackets reads them as one (T, S) array per site m, and
+check_bracket_bound compares that array with the bound.  The bound for
+general local A and B, by the chain rule over supp(A), has no CLI verdict;
+its oracle is tests/test_observables.py.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SQRT17, Envelope, compare
+from .bounds import MAX_VIOLATIONS_STORED, SQRT17, Envelope, compare
 from .state import LatticeState, site_energy
 
 
@@ -26,9 +30,7 @@ class ObservableDescriptor:
     """Observable with finite support and explicit partial derivatives.
 
     eval maps a state to a real; d_da(state, n) and d_db(state, n) are the
-    partials, zero whenever n is off the support.  norms, when declared,
-    maps site -> (sup_t |dA/da_n|, sup_t |dA/db_n|) along the flow; measured
-    horizon-limited values are used otherwise.
+    partials, zero whenever n is off the support.
     """
 
     support: tuple
@@ -36,7 +38,6 @@ class ObservableDescriptor:
     d_da: object
     d_db: object
     name: str = "A"
-    norms: dict | None = None
 
     def __post_init__(self):
         self.support = tuple(sorted(int(n) for n in self.support))
@@ -51,15 +52,13 @@ def basic_observables(n: int):
         eval=lambda s, n=n: float(s.a[s.site_index(n)]),
         d_da=lambda s, m, n=n: 1.0 if m == n else 0.0,
         d_db=lambda s, m: 0.0,
-        name=f"a[{n}]",
-        norms={n: (1.0, 0.0)})
+        name=f"a[{n}]")
     b_obs = ObservableDescriptor(
         support=(n,),
         eval=lambda s, n=n: float(s.b[s.site_index(n)]),
         d_da=lambda s, m: 0.0,
         d_db=lambda s, m, n=n: 1.0 if m == n else 0.0,
-        name=f"b[{n}]",
-        norms={n: (0.0, 1.0)})
+        name=f"b[{n}]")
     return a_obs, b_obs
 
 
@@ -120,74 +119,32 @@ def required_bracket_seeds(B: ObservableDescriptor, x: LatticeState) -> dict:
     return weights
 
 
-def _seed_grid(weights: dict, grids: dict):
-    """The grid of B's first seed, whose base run the bracket reads; None
-    when B has no seeds.  Raises KeyError naming the missing seeds."""
-    missing = sorted(set(weights) - set(grids))
-    if missing:
-        raise KeyError(f"the bracket needs sensitivity grids for seeds {missing}")
-    return grids[next(iter(weights))] if weights else None
-
-
-def _partials(obs: ObservableDescriptor, states) -> list:
-    """(site, dA/da_site, dA/db_site) over supp(A), each a (T,) array over
-    the given states."""
-    return [(k, np.array([obs.d_da(s, k) for s in states], dtype=float),
-             np.array([obs.d_db(s, k) for s in states], dtype=float))
-            for k in obs.support]
-
-
-def _bracket_series(partials: list, weights: dict, grids: dict) -> np.ndarray:
-    """{A o flow_t, B}(x) at every sample: the weighted sum over B's seeds of
-    d(A o flow_t)/d(seed), each by the chain rule over supp(A) from the
-    seed grid's columns.  A zero partial skips its column; a site of A
-    outside the grids' window raises IndexError naming it."""
-    total = np.zeros(partials[0][1].size)
-    for seed, w in weights.items():
-        grid = grids[seed]
-        grad = np.zeros_like(total)
-        for k, ga, gb in partials:
-            j = k - grid.offset
-            if not 0 <= j < grid.n_sites:
-                raise IndexError(f"observable site {k} outside window "
-                                 f"[{grid.offset}, {grid.offset + grid.n_sites})")
-            for g, col in ((ga, grid.da[:, j]), (gb, grid.db[:, j])):
-                grad += np.multiply(g, col, out=np.zeros_like(g), where=g != 0.0)
-        total += w * grad
-    return total
-
-
-def evolved_bracket(A: ObservableDescriptor, B: ObservableDescriptor,
-                    x: LatticeState, t: float, grids: dict) -> float:
-    """{A o flow_t, B}(x) via the chain rule.
-
-    grids maps (site, coord) to the SensitivityGrid seeded there over a
-    common sample-time set; missing entries raise with the required list.
-    At t = 0 the value reduces to poisson_bracket(A, B, x).
-    """
-    weights = required_bracket_seeds(B, x)
-    grid = _seed_grid(weights, grids)
-    if grid is None:
-        return 0.0
-    states = [grid.base.state(i) for i in range(grid.n_samples)]
-    return float(_bracket_series(_partials(A, states), weights, grids)[grid.time_index(t)])
-
-
 def bracket_bound_constant(mu: float) -> float:
     """C = (2/sqrt(17)) (1 + e^mu) of the bracket propagation bound."""
     return 2.0 / SQRT17 * (1.0 + math.exp(mu))
 
 
-def _site_weights(obs: ObservableDescriptor, states, partials=None):
-    """site -> sup |d/da| + sup |d/db|, and where the sups come from:
-    declared when available, otherwise measured over obs's partials along
-    the sampled base run (horizon-limited): those given, or else those at
-    the states, evaluated only in this case."""
-    if obs.norms is not None:
-        return {n: na + nb for n, (na, nb) in obs.norms.items()}, "declared"
-    partials = _partials(obs, states) if partials is None else partials
-    return ({k: float(np.max(np.abs(ga), initial=0.0)) + float(np.max(np.abs(gb), initial=0.0))
-             for k, ga, gb in partials}, "measured-horizon")
+def evolved_brackets(m: int, sites, x: LatticeState, grids: dict) -> np.ndarray:
+    """{a_n o flow_t, b_m}(x) at every sample, for each n in sites: a (T, S)
+    array, the sum of weight * d a_n(t) / d(seed) over b_m's seeds, in the
+    order of required_bracket_seeds(b_m, x).  grids maps (site, coord) to
+    the SensitivityGrid seeded there over a common sample-time set.  Raises
+    KeyError naming every missing seed grid, and IndexError naming a site
+    outside the grids' window, whose column a negative index would wrap."""
+    weights = required_bracket_seeds(basic_observables(m)[1], x)
+    missing = sorted(set(weights) - set(grids))
+    if missing:
+        raise KeyError(f"the bracket needs sensitivity grids for seeds {missing}")
+    first = grids[next(iter(weights))]
+    cols = np.asarray(sites, dtype=int) - first.offset
+    for n, j in zip(sites, cols):
+        if not 0 <= j < first.n_sites:
+            raise IndexError(f"observable site {n} outside window "
+                             f"[{first.offset}, {first.offset + first.n_sites})")
+    total = np.zeros((first.n_samples, cols.size))
+    for seed, w in weights.items():
+        total += w * grids[seed].da[:, cols]
+    return total
 
 
 @dataclass
@@ -196,59 +153,39 @@ class BracketBoundReport:
     velocity: float
     constant: float
     a_sup: float
-    norm_source: str
     n_violations: int
     violations: list
     max_ratio: float
-    times: list
 
     @property
     def ok(self) -> bool:
         return self.n_violations == 0
 
 
-def check_bracket_bound(As, B: ObservableDescriptor, x: LatticeState, times,
-                        mu: float, v: float, grids: dict, scale: float = 1.0) -> list:
-    """One BracketBoundReport per observable A in As, in order: whether
+def check_bracket_bound(m: int, sites, x: LatticeState, mu: float, v: float,
+                        grids: dict, scale: float = 1.0) -> BracketBoundReport:
+    """Whether, for each n in sites and at every sample t,
 
-        |{A o flow_t, B}(x)| <= C ||a||_inf sum_{n,m} (|dA| sums)(|dB| sums) e^{-mu(|n-m| - v|t|)}
+        |{a_n o flow_t, b_m}(x)| <= C ||a||_inf e^{-mu(|n - m| - v|t|)},
 
-    at the given sample times.  v is the caller's velocity_toda(mu,
-    jacobi_norm(x)), from the initial operator norm, computed once per
-    state; derivative norms are declared or horizon-measured as available.
-    What depends only on (x, B) is computed once: C, ||a||_inf, B's seed
-    weights and norms, and the base states at the samples; B's partials
-    are evaluated along the run only when B declares no norms.  Each
-    e^{-mu(|n-m| - v|t|)}, times scale, is the value of one Envelope of
-    prefactor scale (the CLI's envelope_scale); bounds.compare gives the
-    verdict.
-    """
-    weights = required_bracket_seeds(B, x)
-    grid = _seed_grid(weights, grids)
-    states = [grid.base.state(i) for i in range(grid.n_samples)] if grid else []
-    times = np.asarray(times, dtype=float)
-    rows = [grid.time_index(t) for t in times] if grid else []
+    the (T, S) block of evolved_brackets against C ||a||_inf times one
+    Envelope of prefactor scale (the CLI's envelope_scale) and speed v, in
+    one bounds.compare.  v is the caller's velocity_toda(mu, jacobi_norm(x)),
+    so a run that checks several sites m solves for the norm once.  Every
+    violation is counted; the first MAX_VIOLATIONS_STORED, by site and then
+    by time, are stored."""
+    val = np.abs(evolved_brackets(m, sites, x, grids))
+    times = next(iter(grids.values())).times
+    sites = np.asarray(sites, dtype=int)
     cone = Envelope(family="bracket", mu=mu, prefactor=scale, speed=v)
     c = bracket_bound_constant(mu)
     a_sup = float(np.max(np.abs(x.a)))
-    wb, src_b = _site_weights(B, states)
-    reports = []
-    for A in As:
-        partials = _partials(A, states)
-        wa, src_a = _site_weights(A, states, partials)
-        val = (np.abs(_bracket_series(partials, weights, grids)[rows]) if weights
-               else np.zeros(times.size))
-        pairs = [(na * nb, abs(n - m)) for n, na in wa.items() if na != 0.0
-                 for m, nb in wb.items() if nb != 0.0]
-        coef, dist = np.array(pairs, dtype=float).reshape(-1, 2).T
-        with np.errstate(over="ignore"):
-            bound = c * a_sup * np.sum(coef[:, None] * cone.value(dist[:, None], times), axis=0)
-        bad, max_ratio = compare(val, bound)
-        bad = np.flatnonzero(bad)
-        reports.append(BracketBoundReport(
-            mu=mu, velocity=v, constant=c, a_sup=a_sup,
-            norm_source=f"A:{src_a},B:{src_b}", n_violations=int(bad.size),
-            violations=[{"t": float(times[i]), "observed": float(val[i]),
-                         "bound": float(bound[i])} for i in bad],
-            max_ratio=max_ratio, times=[float(t) for t in times]))
-    return reports
+    with np.errstate(over="ignore"):
+        bound = c * a_sup * cone.value(np.abs(sites - m), times[:, np.newaxis])
+    bad, max_ratio = compare(val, bound)
+    bad = np.argwhere(bad.T)                     # (site, time) pairs, site-major
+    return BracketBoundReport(
+        mu=mu, velocity=v, constant=c, a_sup=a_sup, n_violations=int(bad.shape[0]),
+        violations=[{"n": int(sites[j]), "t": float(times[i]), "observed": float(val[i, j]),
+                     "bound": float(bound[i, j])} for j, i in bad[:MAX_VIOLATIONS_STORED]],
+        max_ratio=max_ratio)

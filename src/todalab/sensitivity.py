@@ -105,13 +105,6 @@ class SensitivityGrid(EdgeMargin):
         """Tangent and base deviations: both must stay clear of the edge."""
         return (self.da[rows], self.db[rows]) + self.base._deviations(rows)
 
-    def time_index(self, t: float) -> int:
-        """Index of the sample at time t, to within 1e-9."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9:
-            raise ValueError(f"time {t} not on the sample grid")
-        return i
-
     def to_csv(self, path):
         write_csv(path, ["d" + c for c in self.base.state_type.coords], self.times,
                   self.offset, self.da, self.db)

@@ -494,20 +494,12 @@ def whole_ghs_stability_diagnostics(traj, pot) -> StabilityReport:
     r_l2 = np.sqrt(np.sum(traj.r ** 2, axis=1))
     p_bound = math.sqrt(2.0 * e)
     r2_bound = math.sqrt(e) / c if c > 0 else math.inf
-    q0 = np.concatenate(([0.0], np.cumsum(traj.r[0])))
-    dt = np.diff(traj.times)[:, np.newaxis]
-    increments = 0.5 * dt * (traj.p[1:] + traj.p[:-1])
-    qp = q0[:-1] + np.vstack((np.zeros(traj.n_sites), np.cumsum(increments, axis=0)))
-    q_inf = np.abs(qp).max(axis=1)
-    q_bound = np.abs(q0[:-1]).max() + p_bound * traj.times
     ok = bool(np.all(p_l2 <= p_bound + 1e-12) and np.all(r_inf <= m_e + 1e-12)
-              and np.all(r_l2 <= r2_bound + 1e-12) and np.all(q_inf <= q_bound + 1e-9))
+              and np.all(r_l2 <= r2_bound + 1e-12))
     return StabilityReport(energy=e, M_E=m_e, c_floor=c,
                            p_l2_max=float(p_l2.max()), p_l2_bound=p_bound,
                            r_inf_max=float(r_inf.max()),
-                           r_l2_max=float(r_l2.max()), r_l2_bound=r2_bound,
-                           q_inf_max=float(q_inf.max()),
-                           q_inf_bound_final=float(q_bound[-1]), ok=ok)
+                           r_l2_max=float(r_l2.max()), r_l2_bound=r2_bound, ok=ok)
 
 
 def whole_ghs_cone_constant(traj, pot) -> float:

@@ -171,7 +171,25 @@ def test_stability_bounds_hold():
     # is attained exactly at the first sample
     assert stab.p_l2_max == pytest.approx(stab.p_l2_bound, abs=1e-12)
     assert stab.r_inf_max < stab.M_E
-    assert stab.q_inf_max <= stab.q_inf_bound_final
+
+
+@pytest.mark.parametrize("pot", [PotentialSpec(family="toda"),
+                                 PotentialSpec(family="quartic", beta=0.1)])
+@pytest.mark.parametrize("amp", [0.3, 1.0, 2.0])
+def test_the_momentum_bound_implies_the_position_bound(pot, amp):
+    """q reconstructed by trapezoidal p-integration moves by at most
+    sum dt (|p_i| + |p_{i+1}|) / 2 <= t max ||p||_2, so it stays inside
+    ||q(0)||_inf + sqrt(2E) |t| whenever ||p||_2 <= sqrt(2E) holds, which
+    is why the diagnostics check no position bound."""
+    traj = integrate(bump_state(121, amp), lambda s: ghs_rhs(s, pot), 3.0, FIX,
+                     sample_dt=0.25)
+    stab = ghs_stability_diagnostics(traj, pot)
+    assert stab.ok and stab.p_l2_max <= stab.p_l2_bound + 1e-12
+    q0 = np.concatenate(([0.0], np.cumsum(traj.r[0])))[:-1]
+    steps = 0.5 * np.diff(traj.times)[:, np.newaxis] * (traj.p[1:] + traj.p[:-1])
+    q = q0 + np.vstack((np.zeros(traj.n_sites), np.cumsum(steps, axis=0)))
+    q_bound = np.abs(q0).max() + stab.p_l2_bound * traj.times
+    assert np.all(np.abs(q).max(axis=1) <= q_bound + 1e-9)
 
 
 def test_cone_constant_and_velocity():

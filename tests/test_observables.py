@@ -9,10 +9,9 @@ from todalab import (IntegratorConfig, SolitonSpec, background_state,
                      soliton_state)
 from todalab.observables import (ObservableDescriptor, basic_observables,
                                  bracket_bound_constant, check_bracket_bound,
-                                 evolved_bracket,
-                                 hamiltonian_window_observable, poisson_bracket,
+                                 evolved_brackets, hamiltonian_window_observable, poisson_bracket,
                                  required_bracket_seeds)
-from todalab.bounds import velocity_toda
+from todalab.bounds import MAX_VIOLATIONS_STORED, velocity_toda
 from todalab.state import LatticeState, jacobi_norm, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
@@ -38,7 +37,6 @@ def test_basic_observables_eval_and_partials():
     assert a3.d_db(x, 3) == 0.0
     assert b3.d_db(x, 3) == 1.0 and b3.d_da(x, 3) == 0.0
     assert a3.support == (3,) and b3.support == (3,)
-    assert a3.norms == {3: (1.0, 0.0)}
 
 
 def test_descriptor_rejects_empty_support():
@@ -125,12 +123,21 @@ def test_required_seeds():
     assert len(seeds) == 12
 
 
+def _soliton_grids(sites, t_final=1.0, kappa=1.0, n=81):
+    """The soliton state and the rk4-fixed grids of every seed that the
+    brackets b_m, m in sites, read."""
+    sol = soliton_state(SolitonSpec(kappa=kappa), n)
+    seeds = set().union(*(required_bracket_seeds(basic_observables(m)[1], sol) for m in sites))
+    return sol, {s: evolve_tangent(sol, s, t_final, FIX, sample_dt=0.25) for s in sorted(seeds)}
+
+
 def test_evolved_bracket_missing_grids():
-    x = soliton_state(SolitonSpec(kappa=1.0), 81)
-    a5, _ = basic_observables(5)
-    _, b0 = basic_observables(0)
-    with pytest.raises(KeyError, match=r"\(-1, 'a'\)"):
-        evolved_bracket(a5, b0, x, 0.0, {})
+    """The KeyError names every seed grid the bracket needs and lacks."""
+    sol, grids = _soliton_grids([0])
+    with pytest.raises(KeyError, match=r"seeds \[\(-1, 'a'\), \(0, 'a'\)\]"):
+        evolved_brackets(0, [5], sol, {})
+    with pytest.raises(KeyError, match=r"seeds \[\(0, 'a'\)\]"):
+        evolved_brackets(0, [5], sol, {(-1, "a"): grids[(-1, "a")]})
 
 
 @pytest.mark.parametrize("site", [-23, 21])
@@ -141,36 +148,22 @@ def test_observable_outside_the_window_is_named(site):
     _, b0 = basic_observables(0)
     grids = {s: evolve_tangent(x, s, 0.5, FIX, sample_dt=0.25)
              for s in required_bracket_seeds(b0, x)}
-    a_far, _ = basic_observables(site)
     with pytest.raises(IndexError, match=rf"observable site {site} outside window \[-20, 21\)"):
-        check_bracket_bound([a_far], b0, x, grids[(0, "a")].times, 0.5, 1.0, grids)
-
-
-def test_evolved_bracket_zero_derivative_observable():
-    x = background_state(41)
-    const = ObservableDescriptor(support=(0,), eval=lambda s: 7.0,
-                                 d_da=lambda s, n: 0.0, d_db=lambda s, n: 0.0)
-    a0, _ = basic_observables(0)
-    assert evolved_bracket(a0, const, x, 0.0, {}) == 0.0
+        check_bracket_bound(0, [0, site], x, 0.5, 1.0, grids)
 
 
 def test_evolved_bracket_reduces_at_time_zero():
-    sol = soliton_state(SolitonSpec(kappa=1.0), 81)
-    _, b0 = basic_observables(0)
-    # a B whose support holds adjacent sites reaches a seed from two sites
-    H = hamiltonian_window_observable(range(-1, 2))
-    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25)
-             for s in set(required_bracket_seeds(b0, sol)) | set(required_bracket_seeds(H, sol))}
-    for B in (b0, H):
-        for n in (-1, 0, 5):
-            for A in basic_observables(n):
-                got = evolved_bracket(A, B, sol, 0.0, grids)
-                want = poisson_bracket(A, B, sol)
-                print(B.name, A.name, got, want)
-                assert got == pytest.approx(want, abs=1e-15)
-    # the adjacent pair is genuinely nonzero
-    a0, _ = basic_observables(0)
-    assert abs(evolved_bracket(a0, b0, sol, 0.0, grids)) > 0.1
+    """Row 0 of the block is the static bracket {a_n, b_m}(x), which is
+    nonzero only for n = m - 1 and n = m."""
+    sites = range(-3, 7)
+    sol, grids = _soliton_grids([-1, 0, 2])
+    for m in (-1, 0, 2):
+        block = evolved_brackets(m, sites, sol, grids)
+        assert block.shape == (grids[(m, "a")].n_samples, len(sites))
+        want = [poisson_bracket(basic_observables(n)[0], basic_observables(m)[1], sol)
+                for n in sites]
+        np.testing.assert_array_equal(block[0], want)
+        assert abs(block[0, m - sites.start]) > 0.1      # the adjacent pair is nonzero
 
 
 def test_bracket_constant_value():
@@ -183,84 +176,50 @@ def test_bracket_constant_value():
 
 def test_bracket_bound_holds_on_soliton():
     mu0, _ = optimal_mu()
-    sol = soliton_state(SolitonSpec(kappa=1.0), 81)
-    _, b0 = basic_observables(0)
-    seeds = sorted(required_bracket_seeds(b0, sol))
-    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25) for s in seeds}
-    times = grids[seeds[0]].times
-    a5, _ = basic_observables(5)
-    [rep] = check_bracket_bound([a5], b0, sol, times, mu0, _speed(mu0, sol), grids)
-    print("ratio:", rep.max_ratio, rep.norm_source)
+    sol, grids = _soliton_grids([0])
+    rep = check_bracket_bound(0, [5], sol, mu0, _speed(mu0, sol), grids)
+    print("ratio:", rep.max_ratio)
     assert rep.ok
-    assert rep.n_violations == 0
+    assert rep.n_violations == 0 and rep.violations == []
     assert rep.max_ratio < 1e-8
-    assert rep.norm_source == "A:declared,B:declared"
     assert rep.velocity == pytest.approx((1.0 + math.sqrt(17.0)) * math.cosh(1.0)
                                          * (math.exp(mu0 + 1.0) + 1.0 / mu0), rel=1e-6)
 
 
-def test_bracket_bound_measures_norms_when_undeclared():
-    mu0, _ = optimal_mu()
-    sol = soliton_state(SolitonSpec(kappa=1.0), 81)
-    _, b0 = basic_observables(0)
-    seeds = sorted(required_bracket_seeds(b0, sol))
-    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25) for s in seeds}
-    H = hamiltonian_window_observable(range(3, 8))
-    [rep] = check_bracket_bound([H], b0, sol, grids[seeds[0]].times, mu0,
-                                _speed(mu0, sol), grids)
-    print("H ratio:", rep.max_ratio, rep.norm_source)
-    assert rep.ok
-    assert rep.norm_source == "A:measured-horizon,B:declared"
-    assert rep.max_ratio < 1e-6
-
-
-def test_declared_norms_of_B_are_not_measured_along_the_run():
-    """B's partials are evaluated along the base run only when B declares
-    no norms; a declared B is read at x alone, for its seed weights."""
-    mu0, _ = optimal_mu()
-    sol = soliton_state(SolitonSpec(kappa=1.0), 81)
-    _, b0 = basic_observables(0)
-    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25)
-             for s in required_bracket_seeds(b0, sol)}
-    times = grids[(-1, "a")].times
-    read = []
-
-    def counted(partial):
-        return lambda s, n: read.append(s) or partial(s, n)
-
-    b0 = replace(b0, d_da=counted(b0.d_da), d_db=counted(b0.d_db))
-    a5, _ = basic_observables(5)
-    [declared] = check_bracket_bound([a5], b0, sol, times, mu0, _speed(mu0, sol), grids)
-    assert read and all(s is sol for s in read)
-    read.clear()
-    [measured] = check_bracket_bound([a5], replace(b0, norms=None), sol, times, mu0,
-                                     _speed(mu0, sol), grids)
-    assert sum(s is not sol for s in read) == 2 * times.size     # d/da and d/db per sample
-    assert (declared.norm_source, measured.norm_source) == \
-        ("A:declared,B:declared", "A:declared,B:measured-horizon")
-
-
 def test_non_finite_bracket_is_a_violation():
     mu0, _ = optimal_mu()
-    sol = soliton_state(SolitonSpec(kappa=1.0), 81)
-    _, b0 = basic_observables(0)
-    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25)
-             for s in required_bracket_seeds(b0, sol)}
-    times = grids[(-1, "a")].times
+    sol, grids = _soliton_grids([0])
     grids[(-1, "a")].da[2, 5 - sol.offset] = np.nan       # the cell {a_5 o flow_0.5, b_0} reads
-    a5, _ = basic_observables(5)
-    [rep] = check_bracket_bound([a5], b0, sol, times, mu0, _speed(mu0, sol), grids)
+    rep = check_bracket_bound(0, [4, 5, 6], sol, mu0, _speed(mu0, sol), grids)
     assert not rep.ok
     assert rep.n_violations == 1
-    assert rep.violations[0]["t"] == 0.5
+    assert (rep.violations[0]["n"], rep.violations[0]["t"]) == (5, 0.5)
     assert math.isnan(rep.violations[0]["observed"])
     assert math.isfinite(rep.max_ratio)
 
 
-def _scalar_bracket_check(A, B, x, times, mu, grids):
-    """The per-t loop that check_bracket_bound replaces: the bracket by the
-    scalar chain rule and the bound summed pair by pair with math.exp.
-    Returns (|bracket|, bound) at each time."""
+def test_stored_bracket_violations_go_by_site_then_time():
+    """More violations than MAX_VIOLATIONS_STORED: the count is exact, and
+    the stored ones are the first by site and then by time.  A zero
+    prefactor makes every nonzero bracket a violation."""
+    mu0, _ = optimal_mu()
+    sol, grids = _soliton_grids([0])
+    sites = range(-30, 31)
+    rep = check_bracket_bound(0, sites, sol, mu0, _speed(mu0, sol), grids, scale=0.0)
+    times = grids[(0, "a")].times
+    bad = [(n, float(t)) for n in sites
+           for t, val in zip(times, np.abs(evolved_brackets(0, [n], sol, grids))[:, 0])
+           if val > 0.0]
+    assert rep.n_violations == len(bad) > MAX_VIOLATIONS_STORED
+    assert [(v["n"], v["t"]) for v in rep.violations] == bad[:MAX_VIOLATIONS_STORED]
+
+
+def _scalar_bracket_check(A, B, x, mu, grids, scale=1.0):
+    """The bracket propagation bound for general local A and B, by the
+    scalar chain rule over supp(A), with the bound summed pair by pair with
+    math.exp: |{A o flow_t, B}(x)| <= C ||a||_inf sum_{n,m} w_A(n) w_B(m)
+    e^{-mu(|n-m| - v|t|)}, w(n) = sup |d/da_n| + sup |d/db_n| measured along
+    the sampled base run.  Returns (|bracket|, bound) at each sample."""
     any_grid = next(iter(grids.values()))
     states = [any_grid.base.state(i) for i in range(any_grid.n_samples)]
 
@@ -282,8 +241,6 @@ def _scalar_bracket_check(A, B, x, times, mu, grids):
         return total
 
     def weights(obs):
-        if obs.norms is not None:
-            return {n: na + nb for n, (na, nb) in obs.norms.items()}
         return {n: max(abs(obs.d_da(s, n)) for s in states)
                 + max(abs(obs.d_db(s, n)) for s in states) for n in obs.support}
 
@@ -291,30 +248,49 @@ def _scalar_bracket_check(A, B, x, times, mu, grids):
     c, a_sup = bracket_bound_constant(mu), float(np.max(np.abs(x.a)))
     wa, wb = weights(A), weights(B)
     out = []
-    for t in times:
+    for i, t in enumerate(any_grid.times):
         bound = sum(na * nb * math.exp(-mu * (abs(n - m) - v * abs(t)))
                     for n, na in wa.items() for m, nb in wb.items())
-        out.append((abs(bracket(any_grid.time_index(t))), c * a_sup * bound))
+        out.append((abs(bracket(i)), scale * c * a_sup * bound))
     return out
 
 
 def test_bracket_check_matches_scalar_loop():
+    """The array verdict on every (a_n, b_m) pair agrees with the scalar
+    chain rule: the same violations, the first one included, and the same
+    largest ratio, at the paper's prefactor and at 1e-3 of it."""
+    mu0, _ = optimal_mu()
+    m_list, reach = (-2, 0, 1), 4
+    sol, grids = _soliton_grids(m_list)
+    times = grids[(0, "a")].times
+    for scale in (1.0, 1e-3):
+        n_viol = 0
+        for m in m_list:
+            sites = range(m - reach, m + reach + 1)
+            rep = check_bracket_bound(m, sites, sol, mu0, _speed(mu0, sol), grids, scale)
+            cells = [(n, float(t), val, bound) for n in sites
+                     for t, (val, bound) in zip(times, _scalar_bracket_check(
+                         basic_observables(n)[0], basic_observables(m)[1], sol, mu0, grids,
+                         scale))]
+            bad = [(n, t) for n, t, val, bound in cells if val > bound]
+            assert rep.n_violations == len(bad)
+            assert [(v["n"], v["t"]) for v in rep.violations] == bad
+            assert math.isclose(rep.max_ratio, max(val / bound for *_, val, bound in cells),
+                                rel_tol=1e-14), (scale, m)
+            assert rep.velocity == _speed(mu0, sol)
+            n_viol += rep.n_violations
+        assert (n_viol > 0) == (scale < 1.0)
+
+
+def test_general_bracket_bound_holds_for_an_energy_window():
+    """The bound for a general A (an energy window, four sites wide) and a
+    general B (an energy window around site 0), checked by the scalar oracle
+    with weights measured along the run."""
     mu0, _ = optimal_mu()
     sol = soliton_state(SolitonSpec(kappa=1.0), 81)
-    a0, b0 = basic_observables(0)
-    Bs = (b0, a0, hamiltonian_window_observable(range(-1, 2)))
-    seeds = set().union(*(required_bracket_seeds(B, sol) for B in Bs))
-    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25) for s in sorted(seeds)}
-    times = grids[min(seeds)].times
-    As = [obs for n in range(-3, 7) for obs in basic_observables(n)]
-    As.append(hamiltonian_window_observable(range(3, 8)))
-    for B in Bs:
-        for t in times:
-            reports = check_bracket_bound(As, B, sol, [t], mu0, _speed(mu0, sol), grids)
-            assert len(reports) == len(As)
-            for A, rep in zip(As, reports):
-                [(val, bound)] = _scalar_bracket_check(A, B, sol, [t], mu0, grids)
-                assert rep.n_violations == int(val > bound)
-                assert math.isclose(rep.max_ratio, val / bound if val > 0 else 0.0,
-                                    rel_tol=1e-14), (B.name, A.name, t)
-                assert rep.velocity == velocity_toda(mu0, jacobi_norm(sol))
+    A, B = hamiltonian_window_observable(range(4, 8)), hamiltonian_window_observable(range(-1, 2))
+    grids = {s: evolve_tangent(sol, s, 1.0, FIX, sample_dt=0.25)
+             for s in sorted(required_bracket_seeds(B, sol))}
+    cells = _scalar_bracket_check(A, B, sol, mu0, grids)
+    assert all(val <= bound for val, bound in cells)
+    assert max(val / bound for val, bound in cells) < 1e-6

@@ -153,14 +153,6 @@ def test_boundary_margin_tracks_tangent_support():
     assert not g2.clean(10)
 
 
-def test_time_index_lookup():
-    x = background_state(15)
-    g = evolve_tangent(x, (0, "b"), 1.0, FIXED, sample_dt=0.25)
-    assert g.time_index(0.5) == 2
-    with pytest.raises(ValueError):
-        g.time_index(0.37)
-
-
 def test_second_tangent_symmetric_in_seeds():
     # d^2/dz1 dz2 must not depend on the order of differentiation
     x = soliton_state(SolitonSpec(kappa=0.8), 61)
