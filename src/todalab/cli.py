@@ -28,20 +28,21 @@ With the fixed-step integrator the output is byte-identical across reruns of
 the same config.
 
 Each scenario is one row of SCENARIOS: its "auto" base and required config
-blocks, then either its own runner (soliton-validate, observables) or the
-parts of a tangent scenario (toda-lightcone, hierarchy, perturbed, ghs): a
-base-state builder, a flow name, a conserved-quantity series and its
-light-cone verdicts.  One body, _run_tangent, runs every tangent scenario.
-It makes one solve per seed of the base state with that seed's tangent; the
-first seed's base rows are the base run, written as trajectory.csv, whose
-drift is gated at 100 x tolerance.  verdicts reads the checks of each grid,
-the summary entries and the scenario's own gate off the base run; each
-seed's grid then goes through every check, and _cone_tally sums the reports
-up.  perturbed checks two cones per grid, the monitored constants' and the
-growing radius', and its own gate is the paper's a-priori line
-||L(t)|| <= ||L(0)|| + ||W'|| t at every sample.  soliton-validate gates its
-base run's drift alike, and every gated summary records its gate as
-drift_tolerance.
+blocks, then either its own runner (observables) or the parts of a tangent
+scenario (toda-lightcone, hierarchy, perturbed, ghs): a base-state builder,
+a flow name, a conserved-quantity series and its light-cone verdicts.  One
+body, _run_tangent, runs every tangent scenario.  It makes one solve per
+seed of the base state with that seed's tangent; the first seed's base rows
+are the base run, written as trajectory.csv, whose drift is gated at 100 x
+tolerance, and every gated summary records its gate as drift_tolerance.
+verdicts reads the checks of each grid, the summary entries and the
+scenario's own gate off the base run; each seed's grid then goes through
+every check, and _cone_tally sums the reports up.  perturbed checks two
+cones per grid, the monitored constants' and the growing radius', and its
+own gate is the paper's a-priori line ||L(t)|| <= ||L(0)|| + ||W'|| t at
+every sample.  toda-lightcone on a soliton base also gates its base run
+against the closed form: the largest error in a and b, and the drift of the
+trace invariants.
 
 guard is a setting of the verdicts, not of the solves: every light-cone
 check and every clean(guard) of a run or grid reads cfg.guard.
@@ -65,7 +66,7 @@ from .bounds import (hierarchy_envelope, mu_profile, optimal_mu, perturbed_envel
 from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
 from .hierarchy import HierarchySpec, hierarchy_hamiltonian
-from .integrators import IntegratorConfig, drift, integrate, row_blocks, sample_times, write_json
+from .integrators import IntegratorConfig, drift, row_blocks, sample_times, write_json
 from .observables import (basic_observables, check_bracket_bound,
                           hamiltonian_window_observable, poisson_bracket,
                           required_bracket_seeds)
@@ -404,10 +405,32 @@ def _cone_tally(rows):
 
 
 def _toda_verdicts(cfg, x, run, norms):
+    """The Toda cone; on a soliton base, gated on the closed-form check too."""
     mu = cfg.resolved_mu()
     lnorm = float(norms[0])     # sample 0 of the run is x: jacobi_norm(x), bit for bit
-    return (_cones(cfg, toda_envelope(mu, lnorm)),
-            {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()}, True)
+    summary, gate = {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()}, True
+    if summary["base"] == "soliton":
+        entries, gate = _closed_form_check(cfg, run, lnorm)
+        summary.update(entries)
+    return _cones(cfg, toda_envelope(mu, lnorm)), summary, gate
+
+
+def _closed_form_check(cfg, run, lnorm):
+    """(summary entries, gate) of a soliton base run against its closed
+    form: the largest error in a and in b, both at most 1e-6, and the drift
+    of the trace invariants, against a gate that grows with ||L||."""
+    spec = cfg.soliton
+    a_ref, b_ref = soliton_flaschka(spec, run.sites, run.times[:, np.newaxis])
+    err_a = float(np.max(np.abs(run.a - a_ref)))
+    err_b = float(np.max(np.abs(run.b - b_ref)))
+    trace_drift = drift(run.energy_series(trace_invariants))
+    # trace of L^4 amplifies state error by roughly (1 + ||L||)^4
+    trace_tol = _drift_tolerance(cfg) * (1.0 + soliton_Lnorm(spec)) ** 4
+    return ({"kappa": spec.kappa, "max_error_a": err_a, "max_error_b": err_b,
+             "trace_drift": trace_drift, "trace_tolerance": trace_tol,
+             "Lnorm_vs_analytic": abs(lnorm - soliton_Lnorm(spec)),
+             "soliton_speed": soliton_speed(spec)},
+            err_a <= 1e-6 and err_b <= 1e-6 and trace_drift <= trace_tol)
 
 
 def _hierarchy_verdicts(cfg, x, run, series):
@@ -446,41 +469,6 @@ def _ghs_verdicts(cfg, x, run, series):
             {"mu": mu, "family": pot.family, "beta": pot.beta,
              "energy": stab.energy, "M_E": stab.M_E, "stability_ok": stab.ok},
             stab.ok)
-
-
-def _run_soliton_validate(cfg: ExperimentConfig, out: Path):
-    spec = cfg.soliton
-    traj = integrate(soliton_state(spec, cfg.window), toda_rhs, cfg.t_final, cfg.integrator,
-                     sample_dt=cfg.sample_dt)
-    traj.to_csv(out / "trajectory.csv")
-    a_ref, b_ref = soliton_flaschka(spec, traj.sites, traj.times[:, np.newaxis])
-    err_a = float(np.max(np.abs(traj.a - a_ref)))
-    err_b = float(np.max(np.abs(traj.b - b_ref)))
-    norms = traj.norm_series()
-    norm_drift = drift(norms)
-    trace_drift = drift(traj.energy_series(trace_invariants))
-    norm_err = abs(float(norms[0]) - soliton_Lnorm(spec))
-    # trace of L^4 amplifies state error by roughly (1 + ||L||)^4
-    drift_tol = _drift_tolerance(cfg)
-    trace_tol = drift_tol * (1.0 + soliton_Lnorm(spec)) ** 4
-    clean = traj.clean(cfg.guard)
-    ok = (err_a <= 1e-6 and err_b <= 1e-6 and norm_drift <= drift_tol
-          and trace_drift <= trace_tol and clean)
-    summary = {
-        "clean": clean,
-        "violations": 0 if ok else 1,
-        "conserved_drift": norm_drift,
-        "drift_tolerance": drift_tol,
-        "trace_tolerance": trace_tol,
-        "kappa": spec.kappa,
-        "max_error_a": err_a,
-        "max_error_b": err_b,
-        "norm_drift": norm_drift,
-        "trace_drift": trace_drift,
-        "Lnorm_vs_analytic": norm_err,
-        "soliton_speed": soliton_speed(spec),
-    }
-    return summary, ok, None
 
 
 def _run_observables(cfg: ExperimentConfig, out: Path):
@@ -531,12 +519,12 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
 class Scenario:
     """A row of SCENARIOS: what base "auto" resolves to, the config blocks
     the scenario requires, and its runner run(cfg, out) -> (summary, ok,
-    first violation).  For _run_tangent, also: state(cfg), the base state
-    x; flow, a make_flow name, whose one spec is the block blocks[0] (none
-    for toda); series(cfg, run), the base run's conserved quantity;
-    verdicts(cfg, x, run, series) -> (per-grid light-cone checks, summary
-    entries, gate).  A row reaches cli's names through a def or a lambda,
-    when it is called."""
+    first violation), _run_tangent for every row but observables.  For
+    _run_tangent, also: state(cfg), the base state x; flow, a make_flow
+    name, whose one spec is the block blocks[0] (none for toda);
+    series(cfg, run), the base run's conserved quantity; verdicts(cfg, x,
+    run, series) -> (per-grid light-cone checks, summary entries, gate).  A
+    row reaches cli's names through a def or a lambda, when it is called."""
 
     auto_base: str
     blocks: tuple = ()
@@ -554,7 +542,6 @@ SCENARIOS = {
     "toda-lightcone": Scenario("background", flow="toda",
                                series=lambda cfg, run: run.norm_series(),
                                verdicts=_toda_verdicts),
-    "soliton-validate": Scenario("soliton", ("soliton",), run=_run_soliton_validate),
     "hierarchy": Scenario("background", ("hierarchy",), flow="hierarchy",
                           series=lambda cfg, run: run.energy_series(
                               lambda s: hierarchy_hamiltonian(s, cfg.hierarchy)),

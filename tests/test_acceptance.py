@@ -322,7 +322,7 @@ def test_14_cli_contract(tmp_path):
     ok_violation = main(["run", "-c", str(cfg_bad), "--out", str(tmp_path / "rv")]) == 1
 
     broken = {k: v for k, v in raw.items() if k != "soliton"}
-    broken["scenario"] = "soliton-validate"
+    broken["base"] = "soliton"
     cfg_cfgerr = tmp_path / "broken.json"
     cfg_cfgerr.write_text(json.dumps(broken))
     ok_cfgerr = main(["run", "-c", str(cfg_cfgerr), "--out", str(tmp_path / "rc")]) == 2

@@ -207,7 +207,7 @@ def test_hierarchy_weight_count_checked():
 
 def test_soliton_block_requirements():
     raw = default_config()
-    raw["scenario"] = "soliton-validate"
+    raw["base"] = "soliton"
     raw["soliton"] = {"sign": 1}
     with pytest.raises(ConfigError, match="soliton.kappa: required"):
         config_from_dict(raw)
@@ -316,11 +316,16 @@ def test_cone_reports_carry_the_envelope_scale(tmp_path):
     ({"eps": 0.5}, "eps: unknown field"),
     ({"scenario": "interpolation"}, "scenario: unknown value 'interpolation'"),
     ({"scenario": "timedep"}, "scenario: unknown value 'timedep'"),
-], ids=["eps", "interpolation", "timedep"])
+    ({"scenario": "soliton-validate"},
+     "scenario: unknown value 'soliton-validate'; pick one of ('toda-lightcone', "
+     "'hierarchy', 'perturbed', 'observables', 'ghs')"),
+], ids=["eps", "interpolation", "timedep", "soliton-validate"])
 def test_a_removed_key_or_scenario_exits_2(overrides, fragment, tmp_path, capsys):
     """The interpolation scenario, whose fitted envelope majorized any
-    grid, and its eps key are gone, and so is timedep, whose cone perturbed
-    checks on the same runs: a config naming any of them is refused."""
+    grid, and its eps key are gone, and so are timedep, whose cone perturbed
+    checks on the same runs, and soliton-validate, whose closed-form check
+    toda-lightcone makes on a soliton base: a config naming any of them is
+    refused, and the error names the known scenarios."""
     out = tmp_path / "out"
     assert main(["run", "-c", write_config(tmp_path, small_run_config(**overrides)),
                  "--out", str(out)]) == 2
@@ -329,7 +334,7 @@ def test_a_removed_key_or_scenario_exits_2(overrides, fragment, tmp_path, capsys
 
 
 def test_run_config_error_exits_2(tmp_path, capsys):
-    raw = small_run_config(scenario="soliton-validate")
+    raw = small_run_config(base="soliton")
     raw["soliton"] = {"sign": 1}
     cfg = write_config(tmp_path, raw)
     code = main(["run", "-c", cfg, "--out", str(tmp_path / "out")])

@@ -69,7 +69,7 @@ def test_is_strict_json_rejects_nan_and_infinity(tmp_path):
 def test_tally_counts_differences_per_integrator():
     labels = ["perturbed rk-adaptive seeds=1", "ghs rk-adaptive seeds=3",
               "ghs rk-adaptive seeds=3"]
-    configs = len(compare_runs.SCENARIOS) * len(compare_runs.SEEDS)
+    configs = len(compare_runs.CASES) * len(compare_runs.SEEDS)
     assert compare_runs.tally(labels) == [f"rk-adaptive: {configs} configs, 3 differences",
                                           f"rk4-fixed: {configs} configs, 0 differences"]
     assert compare_runs.tally([]) == [f"rk-adaptive: {configs} configs, 0 differences",

@@ -1,4 +1,6 @@
-"""Every CLI scenario end to end at a small fixed-step size.
+"""Every CLI scenario end to end at a small fixed-step size, and
+toda-lightcone on a soliton base too, where its base run is checked against
+the closed form.
 
 Each run must exit 0, write the expected artifact files, and reproduce the
 frozen summary values: non-floats exactly, floats within 1e-9 relative.
@@ -21,21 +23,26 @@ from todalab import cli as cli_module
 from todalab.bounds import velocity_toda
 from todalab.cli import config_from_dict, default_config, run_config
 from todalab import integrators as integrators_module
-from todalab.integrators import Trajectory, integrate
+from todalab.integrators import Trajectory, drift, integrate
 from todalab.sensitivity import make_flow
+from todalab.solitons import soliton_Lnorm, soliton_flaschka, soliton_state
 from todalab import state as state_module
+from todalab.state import toda_rhs, trace_invariants
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "scenario_summaries.json"
-SCENARIOS = ("toda-lightcone", "soliton-validate", "hierarchy", "perturbed",
-             "observables", "ghs")
+SCENARIOS = ("toda-lightcone", "hierarchy", "perturbed", "observables", "ghs")
+# the config keys of each case: every scenario at its "auto" base, and
+# toda-lightcone on a soliton base, the one base with a closed form
+CASES = {**{name: {"scenario": name} for name in SCENARIOS},
+         "toda-lightcone-soliton": {"scenario": "toda-lightcone", "base": "soliton"}}
 REL = 1e-9
 
 
-def small_config(scenario: str) -> dict:
+def small_config(case: str) -> dict:
     raw = default_config()
-    raw.update(scenario=scenario, window=121, t_final=1.0, sample_dt=0.25,
+    raw.update(window=121, t_final=1.0, sample_dt=0.25,
                obs_range=3, seeds=[[0, "b"], [3, "a"]],
-               integrator={"method": "rk4-fixed", "step": 0.02})
+               integrator={"method": "rk4-fixed", "step": 0.02}, **CASES[case])
     return raw
 
 
@@ -46,8 +53,8 @@ def strict_json(path: Path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-def run_scenario(scenario: str, outdir: Path, **overrides):
-    raw = small_config(scenario)
+def run_scenario(case: str, outdir: Path, **overrides):
+    raw = small_config(case)
     raw.update(overrides)
     code = run_config(config_from_dict(raw), outdir)
     files = sorted(p.name for p in outdir.iterdir())
@@ -82,10 +89,10 @@ def frozen():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_scenario_matches_frozen_summary(scenario, frozen, tmp_path):
-    code, files, summary = run_scenario(scenario, tmp_path / scenario)
-    want = frozen[scenario]
+@pytest.mark.parametrize("case", CASES)
+def test_scenario_matches_frozen_summary(case, frozen, tmp_path):
+    code, files, summary = run_scenario(case, tmp_path / case)
+    want = frozen[case]
     assert code == 0
     assert files == want["files"]
     bad = mismatch(want["summary"], summary)
@@ -193,7 +200,6 @@ def test_generator_identity_reads_the_toda_field(tmp_path, monkeypatch):
     run passes and the identity holds to the bracket's rounding."""
     cfg = config_from_dict(small_config("observables"))
     monkeypatch.setattr(cli_module, "IntegratorConfig", None)
-    monkeypatch.setattr(cli_module, "integrate", None)
     assert run_config(cfg, tmp_path) == 0
     assert json.loads((tmp_path / "summary.json").read_text())["generator_rel_error"] < 1e-14
 
@@ -210,20 +216,22 @@ SCHEMA_KEYS = {"schema", "scenario", "seed", "exit", "clean", "violations",
                "empirical_front_speed", "bound_speed", "conserved_drift"}
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_every_summary_carries_the_schema_keys(scenario, tmp_path):
-    _, _, summary = run_scenario(scenario, tmp_path)
+@pytest.mark.parametrize("case", CASES)
+def test_every_summary_carries_the_schema_keys(case, tmp_path):
+    _, _, summary = run_scenario(case, tmp_path)
     assert SCHEMA_KEYS <= set(summary), SCHEMA_KEYS - set(summary)
 
 
 def test_scenario_lists_agree():
     """This suite, tools/compare_runs.py and the CLI's table name the same
-    scenarios, and each tangent scenario's row runs the flow named here."""
+    scenarios, the suite and the tool run the same cases, and each tangent
+    scenario's row runs the flow named here."""
     tool = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
     spec = importlib.util.spec_from_file_location("compare_runs", tool)
     compare_runs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare_runs)
     assert set(SCENARIOS) == set(compare_runs.SCENARIOS) == set(cli_module.SCENARIOS)
+    assert CASES == compare_runs.CASES
     cones = {name: row.flow for name, row in cli_module.SCENARIOS.items()
              if row.run is cli_module._run_tangent}
     assert cones == CONE_FLOWS
@@ -323,19 +331,21 @@ def test_ghs_drift_gate_follows_tolerance(tolerance, gate, code, tmp_path):
     assert (summary["conserved_drift"] <= gate) == (code == 0)
 
 
-def kappa2_soliton_validate() -> dict:
-    """soliton-validate at kappa 2, every other key at its default: its
-    trace drift, 8.6e-7, is far above drift_tolerance, its norm drift is not."""
-    raw = {**default_config(), "scenario": "soliton-validate"}
+def kappa2_soliton() -> dict:
+    """toda-lightcone on a kappa 2 soliton, every other key at its default:
+    its trace drift, 3.3e-7, is far above drift_tolerance, its norm drift is
+    not."""
+    raw = {**default_config(), **CASES["toda-lightcone-soliton"]}
     raw["soliton"] = {**raw["soliton"], "kappa": 2.0}
     return raw
 
 
-@pytest.mark.parametrize("raw", [*map(small_config, SCENARIOS), kappa2_soliton_validate()],
-                         ids=[*SCENARIOS, "soliton-validate-kappa2"])
+@pytest.mark.parametrize("raw", [*map(small_config, CASES), kappa2_soliton()],
+                         ids=[*CASES, "toda-lightcone-soliton-kappa2"])
 def test_a_passing_run_records_a_drift_inside_its_gate(raw, tmp_path):
     """conserved_drift is the drift the gate drift_tolerance reads, so a run
-    that exits 0 never records one above it (observables records none)."""
+    that exits 0 never records one above it (observables records none), and
+    a soliton base run records a trace drift inside trace_tolerance."""
     code = run_config(config_from_dict(raw), tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert code == 0
@@ -343,8 +353,7 @@ def test_a_passing_run_records_a_drift_inside_its_gate(raw, tmp_path):
         assert summary["conserved_drift"] is None
     else:
         assert summary["conserved_drift"] <= summary["drift_tolerance"]
-    if raw["scenario"] == "soliton-validate":
-        assert summary["conserved_drift"] == summary["norm_drift"]
+    if raw.get("base") == "soliton":
         assert summary["trace_drift"] <= summary["trace_tolerance"]
 
 
@@ -372,13 +381,44 @@ def test_background_cone_takes_one_norm(tmp_path, monkeypatch):
     assert len(norms) == 1
 
 
-def test_soliton_validate_takes_one_norm_per_distinct_sample(tmp_path, monkeypatch):
-    """The drift series solves each of the 51 samples once, and the
-    analytic comparison reads its sample 0."""
-    cfg = config_from_dict({**default_config(), "scenario": "soliton-validate"})
+def test_soliton_base_takes_one_norm_per_distinct_sample(tmp_path, monkeypatch):
+    """The drift series solves each of the 51 samples once, and the bound
+    and the analytic comparison read its sample 0."""
+    cfg = config_from_dict({**default_config(), **CASES["toda-lightcone-soliton"]})
     norms = count_jacobi_norm(monkeypatch)
     assert run_config(cfg, tmp_path) == 0
     assert len(norms) == round(cfg.t_final / cfg.sample_dt) + 1 == 51
+
+
+SOLITON_KEYS = {"kappa", "max_error_a", "max_error_b", "trace_drift", "trace_tolerance",
+                "Lnorm_vs_analytic", "soliton_speed"}
+
+
+def test_soliton_base_checks_read_the_same_numbers_as_a_standalone_run(tmp_path):
+    """Under rk4-fixed the base rows equal a base-only run bit for bit, so
+    the closed-form check gives what it gives on a standalone integrate
+    run of the same config."""
+    cfg = config_from_dict(small_config("toda-lightcone-soliton"))
+    assert run_config(cfg, tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    spec = cfg.soliton
+    run = integrate(soliton_state(spec, cfg.window), toda_rhs, cfg.t_final, cfg.integrator,
+                    sample_dt=cfg.sample_dt)
+    a_ref, b_ref = soliton_flaschka(spec, run.sites, run.times[:, np.newaxis])
+    norms = run.norm_series()
+    want = {"max_error_a": float(np.max(np.abs(run.a - a_ref))),
+            "max_error_b": float(np.max(np.abs(run.b - b_ref))),
+            "trace_drift": drift(run.energy_series(trace_invariants)),
+            "conserved_drift": drift(norms),
+            "Lnorm_vs_analytic": abs(float(norms[0]) - soliton_Lnorm(spec))}
+    assert {key: summary[key] for key in want} == want
+    assert SOLITON_KEYS <= set(summary)
+
+
+@pytest.mark.parametrize("base", ["background", "random"])
+def test_no_closed_form_check_off_a_soliton_base(base, tmp_path):
+    _, _, summary = run_scenario("toda-lightcone", tmp_path, base=base)
+    assert not SOLITON_KEYS & set(summary)
 
 
 def test_observables_computes_each_fact_about_x_and_b_once(tmp_path, monkeypatch):
@@ -439,44 +479,49 @@ def test_perturbed_base_run_drift_is_gated(scenario, tmp_path):
 
 
 def _shifted_soliton(monkeypatch):
-    """soliton-validate's reference profile at a kappa 10% larger."""
+    """The closed form a soliton base run is checked against, at a kappa
+    10% larger."""
     flaschka = cli_module.soliton_flaschka
     monkeypatch.setattr(cli_module, "soliton_flaschka",
                         lambda spec, *args: flaschka(replace(spec, kappa=1.1 * spec.kappa), *args))
 
 
-# how each row is made to fail: the envelope rows by envelope_scale 1e-9
-FORCED_FAILURES = {"soliton-validate": _shifted_soliton}
+# how each case is made to fail: the rest by envelope_scale 1e-9
+FORCED_FAILURES = {"toda-lightcone-soliton": _shifted_soliton}
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_every_scenario_can_fail(scenario, tmp_path, monkeypatch, capsys):
-    """Each SCENARIOS row exits 1 when its check is made to fail: the five
-    rows with an envelope at envelope_scale 1e-9, naming the first
-    violation's site and time, and soliton-validate by a forced failure."""
-    if scenario in FORCED_FAILURES:
-        FORCED_FAILURES[scenario](monkeypatch)
-        code, _, summary = run_scenario(scenario, tmp_path)
+@pytest.mark.parametrize("case", CASES)
+def test_every_scenario_can_fail(case, tmp_path, monkeypatch, capsys):
+    """Each case exits 1 when its check is made to fail: each scenario with
+    its envelope at envelope_scale 1e-9, naming the first violation's site
+    and time, and the soliton base by a shifted closed form, with its cone
+    intact."""
+    if case in FORCED_FAILURES:
+        FORCED_FAILURES[case](monkeypatch)
+        code, _, summary = run_scenario(case, tmp_path)
+        assert summary["violations"] == 0
+        assert max(summary["max_error_a"], summary["max_error_b"]) > 1e-6
+        assert "toda-lightcone: FAILED (see" in capsys.readouterr().err
     else:
-        code, _, summary = run_scenario(scenario, tmp_path, envelope_scale=1e-9)
+        code, _, summary = run_scenario(case, tmp_path, envelope_scale=1e-9)
         assert summary["violations"] > 0
         assert re.search(r"first violation at \(n=-?\d+, t=", capsys.readouterr().err)
     assert code == 1 and summary["exit"] == 1
 
 
 def refrozen(old: dict, new: dict) -> list:
-    """`scenario.key: old -> new` for the file list ("files") and each
-    summary key whose JSON text new changes from old, over the scenarios
-    of either side; a side without the scenario or the key reads
+    """`case.key: old -> new` for the file list ("files") and each
+    summary key whose JSON text new changes from old, over the cases
+    of either side; a side without the case or the key reads
     `absent`."""
     lines = []
-    for scenario in sorted(old.keys() | new.keys()):
+    for case in sorted(old.keys() | new.keys()):
         was, now = ({"files": e["files"], **e["summary"]} if e else {}
-                    for e in (old.get(scenario), new.get(scenario)))
+                    for e in (old.get(case), new.get(case)))
         for key in sorted(set(was) | set(now), key=lambda k: (k != "files", k)):
             before, after = (json.dumps(d[key]) if key in d else "absent" for d in (was, now))
             if before != after:
-                lines.append(f"{scenario}.{key}: {before} -> {after}")
+                lines.append(f"{case}.{key}: {before} -> {after}")
     return lines
 
 
@@ -494,10 +539,10 @@ def test_refreeze_lists_each_changed_key():
 
 def freeze(tmpdir: Path):
     out = {}
-    for scenario in SCENARIOS:
-        code, files, summary = run_scenario(scenario, tmpdir / scenario)
-        assert code == 0, scenario
-        out[scenario] = {"files": files, "summary": summary}
+    for case in CASES:
+        code, files, summary = run_scenario(case, tmpdir / case)
+        assert code == 0, case
+        out[case] = {"files": files, "summary": summary}
     old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     print("\n".join(refrozen(old, out)) or "no change")
     FIXTURE.parent.mkdir(exist_ok=True)

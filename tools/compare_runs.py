@@ -7,10 +7,11 @@ example an export of the parent commit made with
 
     mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent   # PARENT_SRC=/tmp/parent/src
 
-Each of the 6 scenarios runs at the parent's `default_config()` under
-rk-adaptive and rk4-fixed, with 1 and 3 seeds, once from each tree
-(`python3 -m todalab run`, one process at a time, artifacts in a temporary
-directory): 24 configs.  A top-level key that the parent prints and the
+Each of the 5 scenarios, and `toda-lightcone` on the soliton base too, whose
+base run it checks against the closed form, runs at the parent's
+`default_config()` under rk-adaptive and rk4-fixed, with 1 and 3 seeds, once
+from each tree (`python3 -m todalab run`, one process at a time, artifacts
+in a temporary directory): 24 configs.  A top-level key that the parent prints and the
 change does not is dropped from that base config, and the report names it
 first: the change would refuse it as an unknown field, and the parent gives
 an omitted key the default it prints.  Then the benchmark's 4 scenario configs run, as
@@ -44,8 +45,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCENARIOS = ("toda-lightcone", "soliton-validate", "hierarchy", "perturbed",
-             "observables", "ghs")
+SCENARIOS = ("toda-lightcone", "hierarchy", "perturbed", "observables", "ghs")
+# the config keys of each case: every scenario at its "auto" base, and
+# toda-lightcone on a soliton base, the one base with a closed form
+CASES = {**{name: {"scenario": name} for name in SCENARIOS},
+         "toda-lightcone-soliton": {"scenario": "toda-lightcone", "base": "soliton"}}
 INTEGRATORS = {"rk-adaptive": {"method": "rk-adaptive", "tolerance": 1e-10},
                "rk4-fixed": {"method": "rk4-fixed", "step": 0.01}}
 # seed sites 0 and 1 are adjacent, so observables reuses the grid they share
@@ -138,8 +142,8 @@ def cell_diff(rows_a, rows_b):
 
 
 def run_label(name, method, n_seeds=None) -> str:
-    """The label of one config's runs: the scenario (or config file) name,
-    the integrator method and, for a scenario, the seed count."""
+    """The label of one config's runs: the case (or config file) name,
+    the integrator method and, for a case, the seed count."""
     return f"{name} {method}" + ("" if n_seeds is None else f" seeds={n_seeds}")
 
 
@@ -206,12 +210,12 @@ def bench_configs() -> list:
 
 
 def compare(parent_src, change_src, workdir: Path, base: dict, extra=()):
-    """Yield (run label, difference) pairs over every scenario, integrator
-    and seed count of the default config base, then over the extra configs,
+    """Yield (run label, difference) pairs over every case, integrator and
+    seed count of the default config base, then over the extra configs,
     given as (name, config, integrator method)."""
-    runs = [(run_label(scenario, method, n_seeds),
-             {**base, "scenario": scenario, "integrator": integrator, "seeds": seeds})
-            for scenario in SCENARIOS
+    runs = [(run_label(case, method, n_seeds),
+             {**base, **keys, "integrator": integrator, "seeds": seeds})
+            for case, keys in CASES.items()
             for method, integrator in INTEGRATORS.items()
             for n_seeds, seeds in SEEDS.items()]
     runs += [(run_label(name, method), config) for name, config, method in extra]
@@ -221,10 +225,10 @@ def compare(parent_src, change_src, workdir: Path, base: dict, extra=()):
 
 
 def tally(labels, extra_methods=()) -> list:
-    """One line per integrator: how many configs ran under it, the scenario
+    """One line per integrator: how many configs ran under it, the case
     grid's and the extra configs' (given by their methods), and how many of
     the differences, given by their run labels, came from those configs."""
-    configs = dict.fromkeys(INTEGRATORS, len(SCENARIOS) * len(SEEDS))
+    configs = dict.fromkeys(INTEGRATORS, len(CASES) * len(SEEDS))
     for method in extra_methods:
         configs[method] += 1
     found = dict.fromkeys(INTEGRATORS, 0)
@@ -255,7 +259,7 @@ def main(argv=None) -> int:
         for label, line in compare(argv[0], argv[1], Path(tmp), base, extra):
             labels.append(label)
             print(f"{label}: {line}", flush=True)
-    runs = len(SCENARIOS) * len(INTEGRATORS) * len(SEEDS) + len(extra)
+    runs = len(CASES) * len(INTEGRATORS) * len(SEEDS) + len(extra)
     print(f"{runs} configs run from each tree, {len(labels)} differences")
     print("\n".join(tally(labels, [method for _, _, method in extra])))
     print(f"src lines: {src_lines(argv[0])} -> {src_lines(argv[1])}")
