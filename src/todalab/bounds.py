@@ -50,8 +50,8 @@ def optimal_mu():
     """(mu0, f(mu0)) minimizing the velocity.  The stationarity condition
     mu^2 e^{mu+1} = 1 reads (mu/2) e^{mu/2} = e^{-1/2}/2, so
     mu0 = 2 W0(e^{-1/2}/2) with W0 the principal Lambert W branch.  mu0 is
-    the double that scipy.special.lambertw gives, written out so that no
-    config parse imports scipy.special; the tests recompute it."""
+    the double that scipy.special.lambertw gives, written out because the
+    package imports no scipy.special; the tests recompute it."""
     mu = 0.4776700622632156
     return mu, mu_profile(mu)
 
@@ -309,23 +309,27 @@ def verify_light_cone(grid, envelope: Envelope, threshold: float = 1e-8,
     dist, times, sites = grid.distances, grid.times, grid.sites
     margin = grid.boundary_margin
     clean = bool(margin >= guard)
-    blocks = row_blocks(times.size)
     n_viol, violations, ratios = 0, [], []
-    for rows in blocks:
-        obs = grid.observed(envelope.observed_kind, rows)
-        env = envelope.value(dist[np.newaxis, :], times[rows, np.newaxis])
-        bad, ratio = compare(obs, env)
-        ratios.append(ratio)
-        if not clean:                       # no verdict on a contaminated grid
-            continue
-        bad = np.argwhere(bad)
-        n_viol += bad.shape[0]
-        violations += [{"n": int(sites[isite]), "t": float(times[rows.start + it]),
-                        "observed": float(obs[it, isite]), "bound": float(env[it, isite])}
-                       for it, isite in bad[:MAX_VIOLATIONS_STORED - len(violations)]]
+
+    def compared():
+        """Each block's observations, once compared; fit_front_speed reads
+        the same blocks, so each is observed once."""
+        nonlocal n_viol, violations
+        for rows in row_blocks(times.size):
+            obs = grid.observed(envelope.observed_kind, rows)
+            env = envelope.value(dist[np.newaxis, :], times[rows, np.newaxis])
+            bad, ratio = compare(obs, env)
+            ratios.append(ratio)
+            if clean:                       # no verdict on a contaminated grid
+                bad = np.argwhere(bad)
+                n_viol += bad.shape[0]
+                violations += [{"n": int(sites[isite]), "t": float(times[rows.start + it]),
+                                "observed": float(obs[it, isite]), "bound": float(env[it, isite])}
+                               for it, isite in bad[:MAX_VIOLATIONS_STORED - len(violations)]]
+            yield obs
+
+    speed = fit_front_speed(times, dist, compared(), threshold)
     max_ratio = float(np.max(ratios, initial=0.0))
-    speed = fit_front_speed(times, dist, (grid.observed(envelope.observed_kind, rows)
-                                          for rows in blocks), threshold)
     bound_speed = envelope.speed
     if bound_speed is None and times[-1] > 0:
         # radius-function envelope: report the average edge rate

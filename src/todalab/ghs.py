@@ -179,15 +179,23 @@ def ghs_velocity(mu: float, c: float) -> float:
 
 
 def factorial_tail_envelope(c: float, dist, t):
-    """The iterate bound C sum_{k >= d} (2 C t)^k / k!, evaluated stably as
-    C e^x P(d, x) with P the regularized lower incomplete gamma function
-    (P(0, x) = 1 recovers C e^x at distance zero)."""
-    from scipy.special import gammainc     # only this bound needs it
+    """The iterate bound C sum_{k >= d} x^k / k!, x = 2 C |t|, summed in log
+    form so that no term under- or overflows before the end: the log terms
+    k log x - lgamma(k + 1), k = 0..K, accumulated by logaddexp from K
+    down.  Beyond max(d, 2x) each term is at most half the one before, so
+    the 60 more terms up to K leave out less than 2^-60 of the tail.  At
+    t = 0 the sum is 1 at distance 0 and 0 beyond; at distance 0 it is
+    e^x, +inf once that overflows."""
     dist = np.asarray(dist, dtype=float)
+    k_from = np.maximum(np.ceil(dist), 0.0).astype(int)
     x = 2.0 * c * abs(float(t))
-    safe = np.where(dist > 0, dist, 1.0)
-    tail = np.where(dist > 0, gammainc(safe, x), 1.0)
-    return c * math.exp(x) * tail
+    if x == 0.0:
+        return c * np.where(k_from == 0, 1.0, 0.0)
+    k = np.arange(max(int(k_from.max(initial=0)), math.ceil(2.0 * x)) + 61)
+    terms = k * math.log(x) - np.array([math.lgamma(j + 1.0) for j in range(k.size)])
+    log_tail = np.logaddexp.accumulate(terms[::-1])[::-1]
+    with np.errstate(over="ignore"):
+        return c * np.exp(log_tail[k_from])
 
 
 def ghs_envelope(mu: float, traj: Trajectory, pot: PotentialSpec) -> Envelope:

@@ -509,12 +509,14 @@ def test_the_cli_starts_without_scipy_integrate_optimize_or_special(tmp_path):
     set-up child, loads no scipy module: scipy.integrate, scipy.optimize
     and scipy.special took two thirds of that set-up, and scipy.linalg,
     loaded where a norm is taken, most of the rest.  A toda-lightcone run
-    under rk-adaptive loads none of the first three."""
+    under rk-adaptive loads none of the first three, nor do the two runs
+    that build a soliton's closed form, observables and toda-lightcone on
+    a soliton base."""
     code = """if True:
         import json, sys
         import todalab.cli as cli
         heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
-        loaded = []
+        loaded, codes = [], []
         for name in cli.SCENARIOS:
             path = f"{sys.argv[1]}/{name}.json"
             with open(path, "w") as fh:
@@ -522,16 +524,23 @@ def test_the_cli_starts_without_scipy_integrate_optimize_or_special(tmp_path):
             cli.load_config(path)
         loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         cfg = cli.config_from_dict({**cli.default_config(), "window": 41, "t_final": 0.5})
-        code = cli.run_config(cfg, f"{sys.argv[1]}/run")
+        codes.append(cli.run_config(cfg, f"{sys.argv[1]}/run"))
         loaded.append([m for m in heavy if m in sys.modules])
-        print(json.dumps([code, cfg.integrator.method, loaded]))
+        for i, raw in enumerate([{"scenario": "observables", "obs_range": 5},
+                                 {"scenario": "toda-lightcone", "base": "soliton"}]):
+            soliton = cli.config_from_dict({**cli.default_config(), "window": 81,
+                                            "t_final": 0.5, **raw})
+            assert soliton.resolved_base() == "soliton"
+            codes.append(cli.run_config(soliton, f"{sys.argv[1]}/soliton{i}"))
+        loaded.append([m for m in heavy if m in sys.modules])
+        print(json.dumps([codes, cfg.integrator.method, loaded]))
     """
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, "rk-adaptive", [[], []]]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], "rk-adaptive", [[], [], []]]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

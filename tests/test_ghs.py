@@ -245,6 +245,28 @@ def test_factorial_tail_envelope():
     assert vals[3] == pytest.approx(brute, rel=1e-12)
 
 
+@pytest.mark.parametrize("c,d,t", [(1.0, 1950, 352.5), (1.0, 1950, 360.0), (1.0, 0, 1.0),
+                                   (1.0, 0, 300.0), (2.5, 40, 3.0), (1.0, 1, 1e-3)])
+def test_factorial_tail_envelope_matches_mpmath(c, d, t):
+    """C sum_{k >= d} x^k / k!, x = 2 C |t|, against mpmath's e^x P(d, x) at
+    60 digits.  At (1, 1950, 352.5) scipy's gammainc underflows to 0.0
+    where the tail is 2.67e-17, and at t = 360, e^{2 C t} overflows a
+    double while the tail at d = 1950 is 18.2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(2.0 * c * abs(t))
+        p = mpmath.gammainc(d, 0, x, regularized=True) if d > 0 else 1
+        exact = float(c * mpmath.exp(x) * p)
+    assert factorial_tail_envelope(c, d, t) == pytest.approx(exact, rel=1e-11, abs=0.0)
+
+
+def test_factorial_tail_envelope_at_the_ends():
+    # t = 0 leaves only the k = 0 term; at distance 0, e^x beyond the double
+    # range is +inf, while the tail at d = 1950 stays finite (the mpmath case)
+    assert factorial_tail_envelope(2.0, np.arange(4), 0.0).tolist() == [2.0, 0.0, 0.0, 0.0]
+    assert factorial_tail_envelope(1.0, 0, 360.0) == math.inf
+
+
 def test_toda_family_maps_to_flaschka_flow():
     # evolving the chain then mapping a = e^{-r/2}/2, b = -p/2 agrees with
     # evolving the mapped initial data under the lattice field

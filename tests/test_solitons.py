@@ -7,7 +7,32 @@ from oracles import relative_to_lattice, soliton_pq
 from todalab import (GHSState, IntegratorConfig, LatticeState, SolitonSpec,
                      hamiltonian_ab, integrate, jacobi_norm, soliton_Lnorm,
                      soliton_flaschka, soliton_speed, soliton_state)
+from todalab.solitons import _EXP_MAX, _logistic
 from todalab.state import toda_rhs
+
+
+def test_logistic_matches_expit_bit_for_bit():
+    """The closed form's sigma is scipy.special.expit's 1/(1 + exp(-u)) with
+    libm's exp, without importing scipy.special: every bit equal on 2M
+    values, among them both sides of the overflow limit 709.782712893384
+    (math.exp raises above it, libm returns inf), +-709, +-745, +-0.0,
+    36-38 (sigma rounds to 1 from 53 log 2 = 36.74 on, and exp is skipped
+    from 37 on), the infinities and NaN."""
+    from scipy.special import expit
+    assert _EXP_MAX == 709.782712893384
+    edges = [709.0, 745.0, _EXP_MAX, np.nextafter(_EXP_MAX, np.inf), 0.0, np.inf, 1e308,
+             *np.linspace(36.0, 38.0, 201), 53.0 * math.log(2.0),
+             *np.nextafter(37.0, [0.0, np.inf])]
+    rng = np.random.default_rng(20121)
+    u = np.concatenate([edges, np.negative(edges), [np.nan],
+                        rng.uniform(-800.0, 800.0, 600_000), rng.normal(0.0, 40.0, 600_000),
+                        rng.uniform(-1.0, 1.0, 400_000) * 1e-3,
+                        np.nextafter(_EXP_MAX, 0.0) + rng.uniform(-1.0, 1.0, 400_000)])
+    assert u.size > 2_000_000
+    assert np.array_equal(_logistic(u).view(np.int64), expit(u).view(np.int64))
+    assert _logistic(-np.nextafter(_EXP_MAX, np.inf)) == 0.0
+    grid = u[:1_000_000].reshape(1000, 1000)
+    assert np.array_equal(_logistic(grid).view(np.int64), expit(grid).view(np.int64))
 
 
 @pytest.mark.parametrize("kappa,sign,delta", [
