@@ -33,7 +33,7 @@ for i, t in enumerate(traj.times):
 print(f"\nafter t = 10:")
 print(f"  max |a - analytic| = {err_a:.3g}")
 print(f"  max |b - analytic| = {err_b:.3g}")
-print(f"  spectral norm drift = {drift(traj.norm_series()):.3g}")
+print(f"  spectral norm drift = {drift(traj.energy_series(jacobi_norm)):.3g}")
 print(f"  trace invariant drift (powers <= 4) = {drift(traj.energy_series(trace_invariants)):.3g}")
 
 # where did the peak go?

@@ -12,6 +12,7 @@ from todalab import (IntegratorConfig, PerturbationSpec, evolve_tangent,
                      timedep_envelope, verify_light_cone)
 from todalab.integrators import integrate
 from todalab.perturbed import monitor_trajectory, perturbed_rhs
+from todalab.state import jacobi_norm
 
 mu, _ = optimal_mu()
 cfg = IntegratorConfig(method="rk4-fixed", step=0.02)
@@ -25,7 +26,7 @@ print(f"monitors on t <= {mon.horizon}: C1 = {mon.C1:.4f}, C2 = {mon.C2:.4f}")
 
 line = mon.Lnorm0 + spec.dw_sup * traj.times
 print(f"|L(t)| <= |L(0)| + w0 t holds with max excess "
-      f"{float(np.max(traj.norm_series() - line)):.3g}")
+      f"{float(np.max(traj.energy_series(jacobi_norm) - line)):.3g}")
 
 grid = evolve_tangent(x, (0, "b"), 3.0, cfg, flow="perturbed",
                       spec=spec, sample_dt=0.25)

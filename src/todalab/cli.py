@@ -30,19 +30,15 @@ the same config.
 Each scenario is one row of SCENARIOS: its "auto" base and required config
 blocks, then either its own runner (observables) or the parts of a tangent
 scenario (toda-lightcone, hierarchy, perturbed, ghs): a base-state builder,
-a flow name, a conserved-quantity series and its light-cone verdicts.  One
-body, _run_tangent, runs every tangent scenario.  It makes one solve per
-seed of the base state with that seed's tangent; the first seed's base rows
-are the base run, written as trajectory.csv, whose drift is gated at 100 x
-tolerance, and every gated summary records its gate as drift_tolerance.
-verdicts reads the checks of each grid, the summary entries and the
-scenario's own gate off the base run; each seed's grid then goes through
-every check, and _cone_tally sums the reports up.  perturbed checks two
-cones per grid, the monitored constants' and the growing radius', and its
-own gate is the paper's a-priori line ||L(t)|| <= ||L(0)|| + ||W'|| t at
-every sample.  toda-lightcone on a soliton base also gates its base run
-against the closed form: the largest error in a and b, and the drift of the
-trace invariants.
+a flow name and its verdicts.  One body, _run_tangent, runs them all: one
+solve per seed; the first seed's base rows are the base run, written as
+trajectory.csv, off which verdicts reads each grid's checks, the summary
+entries and the gates: the conserved-quantity drift, at most 100 x
+tolerance (drift_tolerance), and for the ||L||-based velocities (toda,
+hierarchy, perturbed) ||L(t)|| <= ||L(0)|| + slope t + drift_tolerance at
+every sample, slope ||W'|| for perturbed and 0 otherwise.  _cone_tally sums
+up every grid's reports.  toda-lightcone on a soliton base also gates its
+base run on the closed form: the largest error in a and b.
 
 guard is a setting of the verdicts, not of the solves: every light-cone
 check and every clean(guard) of a run or grid reads cfg.guard.
@@ -345,6 +341,33 @@ def _drift_tolerance(cfg) -> float:
     return 100.0 * cfg.integrator.tolerance
 
 
+def _conserved(cfg, series):
+    """(summary entries, gate) of the drift of a base run's conserved
+    quantity, sampled as series: at most _drift_tolerance."""
+    conserved, drift_tol = drift(series), _drift_tolerance(cfg)
+    return {"conserved_drift": conserved, "drift_tolerance": drift_tol}, conserved <= drift_tol
+
+
+def _norm_line(cfg, run, lnorm, slope=0.0):
+    """(summary entries, gate) of the premise of every ||L||-based velocity,
+    ||L(t)|| <= lnorm + slope t + drift_tolerance at every sample, lnorm
+    being ||L(0)||; norm_line_failed_at is the first time outside, or None."""
+    line = lnorm + slope * run.times + _drift_tolerance(cfg)
+    outside = np.flatnonzero(~_within_line(run, line))
+    failed_at = float(run.times[outside[0]]) if outside.size else None
+    return {"norm_growth_ok": not outside.size, "norm_line_failed_at": failed_at}, not outside.size
+
+
+def _within_line(run, line):
+    """Per sample i, whether ||L|| <= line[i], a line that never falls: one
+    count at the first of each run of equal samples, where the line is
+    lowest, repeated over the run; a background run makes one count."""
+    starts = run.distinct_samples()
+    within = np.concatenate([jacobi_norm_within(run.a[i], run.b[i], line[i])
+                             for i in (starts[rows] for rows in row_blocks(starts.size))])
+    return np.repeat(within, np.diff(starts, append=run.n_samples))
+
+
 def _run_tangent(cfg: ExperimentConfig, out: Path):
     """The body of every tangent scenario (see the module docstring).  Each
     grid is freed before the next solve, to keep peak RSS down."""
@@ -358,10 +381,8 @@ def _run_tangent(cfg: ExperimentConfig, out: Path):
 
     grid = solve(cfg.seeds[0])
     grid.base.to_csv(out / "trajectory.csv")
-    series = row.series(cfg, grid.base)
-    conserved, drift_tol = drift(series), _drift_tolerance(cfg)
-    checks, summary, gate = row.verdicts(cfg, x, grid.base, series)
-    summary.update(conserved_drift=conserved, drift_tolerance=drift_tol)
+    checks, parts = row.verdicts(cfg, x, grid.base)
+    summary = {key: value for entries, _ in parts for key, value in entries.items()}
     rows = []
     for i, seed in enumerate(cfg.seeds):
         grid = solve(seed) if i else grid
@@ -372,7 +393,7 @@ def _run_tangent(cfg: ExperimentConfig, out: Path):
         del grid
     entries, ok, first_violation = _cone_tally(rows)
     summary.update(entries)
-    return summary, ok and gate and conserved <= drift_tol, first_violation
+    return summary, ok and all(gate for _, gate in parts), first_violation
 
 
 def _cones(cfg: ExperimentConfig, *envelopes) -> list:
@@ -404,71 +425,56 @@ def _cone_tally(rows):
             clean and n_viol == 0, next((r.violations[0] for r in reports if r.violations), None))
 
 
-def _toda_verdicts(cfg, x, run, norms):
-    """The Toda cone; on a soliton base, gated on the closed-form check too."""
-    mu = cfg.resolved_mu()
-    lnorm = float(norms[0])     # sample 0 of the run is x: jacobi_norm(x), bit for bit
-    summary, gate = {"mu": mu, "Lnorm": lnorm, "base": cfg.resolved_base()}, True
-    if summary["base"] == "soliton":
-        entries, gate = _closed_form_check(cfg, run, lnorm)
-        summary.update(entries)
-    return _cones(cfg, toda_envelope(mu, lnorm)), summary, gate
+def _toda_verdicts(cfg, x, run):
+    """The Toda cone, gated on the norm line and on the drift of the trace
+    invariants over (1 + ||L(0)||)^4, about the factor by which tr L^4
+    amplifies state error; on a soliton base, on its closed form too."""
+    mu, lnorm, base = cfg.resolved_mu(), jacobi_norm(x), cfg.resolved_base()
+    parts = [({"mu": mu, "Lnorm": lnorm, "base": base}, True), _norm_line(cfg, run, lnorm),
+             _conserved(cfg, run.energy_series(trace_invariants) / (1.0 + lnorm) ** 4)]
+    if base == "soliton":     # the largest errors in a and b, at most 1e-6
+        spec = cfg.soliton
+        a_ref, b_ref = soliton_flaschka(spec, run.sites, run.times[:, np.newaxis])
+        err_a = float(np.max(np.abs(run.a - a_ref)))
+        err_b = float(np.max(np.abs(run.b - b_ref)))
+        parts.append(({"kappa": spec.kappa, "max_error_a": err_a, "max_error_b": err_b,
+                       "Lnorm_vs_analytic": abs(lnorm - soliton_Lnorm(spec)),
+                       "soliton_speed": soliton_speed(spec)}, err_a <= 1e-6 and err_b <= 1e-6))
+    return _cones(cfg, toda_envelope(mu, lnorm)), parts
 
 
-def _closed_form_check(cfg, run, lnorm):
-    """(summary entries, gate) of a soliton base run against its closed
-    form: the largest error in a and in b, both at most 1e-6, and the drift
-    of the trace invariants, against a gate that grows with ||L||."""
-    spec = cfg.soliton
-    a_ref, b_ref = soliton_flaschka(spec, run.sites, run.times[:, np.newaxis])
-    err_a = float(np.max(np.abs(run.a - a_ref)))
-    err_b = float(np.max(np.abs(run.b - b_ref)))
-    trace_drift = drift(run.energy_series(trace_invariants))
-    # trace of L^4 amplifies state error by roughly (1 + ||L||)^4
-    trace_tol = _drift_tolerance(cfg) * (1.0 + soliton_Lnorm(spec)) ** 4
-    return ({"kappa": spec.kappa, "max_error_a": err_a, "max_error_b": err_b,
-             "trace_drift": trace_drift, "trace_tolerance": trace_tol,
-             "Lnorm_vs_analytic": abs(lnorm - soliton_Lnorm(spec)),
-             "soliton_speed": soliton_speed(spec)},
-            err_a <= 1e-6 and err_b <= 1e-6 and trace_drift <= trace_tol)
-
-
-def _hierarchy_verdicts(cfg, x, run, series):
+def _hierarchy_verdicts(cfg, x, run):
     mu, lnorm, hspec = cfg.resolved_mu(), jacobi_norm(x), cfg.hierarchy
     return (_cones(cfg, hierarchy_envelope(mu, lnorm, hspec)),
-            {"mu": mu, "Lnorm": lnorm, "r": hspec.r, "c": list(hspec.c),
-             "bound_speed_lemma44": velocity_hierarchy(mu, lnorm, hspec, "lemma44"),
-             "base": cfg.resolved_base()}, True)
+            [({"mu": mu, "Lnorm": lnorm, "r": hspec.r, "c": list(hspec.c),
+               "bound_speed_lemma44": velocity_hierarchy(mu, lnorm, hspec, "lemma44"),
+               "base": cfg.resolved_base()}, True), _norm_line(cfg, run, lnorm),
+             _conserved(cfg, run.energy_series(lambda s: hierarchy_hamiltonian(s, hspec)))])
 
 
-def _perturbed_verdicts(cfg, x, run, series):
+def _perturbed_verdicts(cfg, x, run):
     """The two cones of the base run, one with the monitors (C1, C2) and
-    one with the growing radius from ||L(0)|| and a*, gated on the
-    a-priori line ||L(t)|| <= ||L(0)|| + ||W'|| t, checked at every sample
-    by counting the eigenvalues beyond the line rather than solving for the
-    norm.  unbounded, the line's failure, stays a summary key of its own
-    because perfbench's reference pins both."""
+    one with the growing radius from ||L(0)|| and a*.  unbounded is not
+    norm_growth_ok, kept because perfbench's reference pins both."""
     mu, pspec, mon = cfg.resolved_mu(), cfg.perturbation, monitor_trajectory(run)
-    line = mon.Lnorm0 + pspec.dw_sup * run.times
-    norm_ok = all(np.all(jacobi_norm_within(run.a[rows], run.b[rows], line[rows] + 1e-9))
-                  for rows in row_blocks(run.n_samples))
+    line = _norm_line(cfg, run, mon.Lnorm0, pspec.dw_sup)
     env_w = perturbed_envelope(mu, mon.C1, mon.C2, pspec.d2w_sup)
     a_star = min(float(np.min(np.abs(x.a))), abs(x.background[0]))    # inf_n |a_n(0)|
     env_t = timedep_envelope(mu, mon.Lnorm0, pspec.dw_sup, pspec.d2w_sup, a_star)
     return (_cones(cfg, env_w, env_t),
-            {"mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
-             "C1": mon.C1, "C2": mon.C2, "norm_growth_ok": norm_ok, "unbounded": not norm_ok,
-             "a_star": a_star, "timedep_radius_final": float(env_t.radius(cfg.t_final))},
-            norm_ok)
+            [({"mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
+               "C1": mon.C1, "C2": mon.C2, "unbounded": not line[1], "a_star": a_star,
+               "timedep_radius_final": float(env_t.radius(cfg.t_final))}, True), line,
+             _conserved(cfg, run.energy_series(lambda s: perturbed_energy(s, pspec)))])
 
 
-def _ghs_verdicts(cfg, x, run, series):
+def _ghs_verdicts(cfg, x, run):
     mu, pot = cfg.resolved_mu(), cfg.potential
     stab = ghs_stability_diagnostics(run, pot)
     return (_cones(cfg, ghs_envelope(mu, run, pot)),
-            {"mu": mu, "family": pot.family, "beta": pot.beta,
-             "energy": stab.energy, "M_E": stab.M_E, "stability_ok": stab.ok},
-            stab.ok)
+            [({"mu": mu, "family": pot.family, "beta": pot.beta,
+               "energy": stab.energy, "M_E": stab.M_E, "stability_ok": stab.ok}, stab.ok),
+             _conserved(cfg, run.energy_series(lambda s: ghs_energy(s, pot)))])
 
 
 def _run_observables(cfg: ExperimentConfig, out: Path):
@@ -522,16 +528,15 @@ class Scenario:
     first violation), _run_tangent for every row but observables.  For
     _run_tangent, also: state(cfg), the base state x; flow, a make_flow
     name, whose one spec is the block blocks[0] (none for toda);
-    series(cfg, run), the base run's conserved quantity; verdicts(cfg, x,
-    run, series) -> (per-grid light-cone checks, summary entries, gate).  A
-    row reaches cli's names through a def or a lambda, when it is called."""
+    verdicts(cfg, x, run) -> (per-grid light-cone checks, [(summary
+    entries, gate), ...]), _conserved's among them.  A row reaches cli's
+    names through a def, when it is called."""
 
     auto_base: str
     blocks: tuple = ()
     run: object = _run_tangent
     state: object = _base_lattice
     flow: str = ""
-    series: object = None
     verdicts: object = None
 
 
@@ -539,21 +544,13 @@ class Scenario:
 # perturbed flows need spatially localized data, bracket checks need a state
 # with structure
 SCENARIOS = {
-    "toda-lightcone": Scenario("background", flow="toda",
-                               series=lambda cfg, run: run.norm_series(),
-                               verdicts=_toda_verdicts),
+    "toda-lightcone": Scenario("background", flow="toda", verdicts=_toda_verdicts),
     "hierarchy": Scenario("background", ("hierarchy",), flow="hierarchy",
-                          series=lambda cfg, run: run.energy_series(
-                              lambda s: hierarchy_hamiltonian(s, cfg.hierarchy)),
                           verdicts=_hierarchy_verdicts),
     "perturbed": Scenario("random", ("perturbation",), flow="perturbed",
-                          series=lambda cfg, run: run.energy_series(
-                              lambda s: perturbed_energy(s, cfg.perturbation)),
                           verdicts=_perturbed_verdicts),
     "observables": Scenario("soliton", run=_run_observables),
     "ghs": Scenario("background", ("potential",), state=_bump_chain, flow="ghs",
-                    series=lambda cfg, run: run.energy_series(
-                        lambda s: ghs_energy(s, cfg.potential)),
                     verdicts=_ghs_verdicts),
 }
 

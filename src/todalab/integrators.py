@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dop853 import dop853
-from .state import GHSState, LatticeState, _relative_ab, hamiltonian_ab, jacobi_norm
+from .state import GHSState, LatticeState, _relative_ab, hamiltonian_ab
 
 _METHODS = ("rk-adaptive", "rk4-fixed")
 
@@ -443,18 +443,19 @@ class Trajectory(EdgeMargin):
         bg1, bg2 = self.background
         return self.x1[rows] - bg1, self.x2[rows] - bg2
 
+    def distinct_samples(self) -> np.ndarray:
+        """The first sample of each run of consecutive samples that are equal
+        bit for bit (a NaN payload or the sign of a zero makes a new sample)."""
+        return np.flatnonzero(np.concatenate([_changed_rows(self.x1, self.x2, rows).any(axis=1)
+                                              for rows in row_blocks(self.n_samples)]))
+
     def energy_series(self, energy=hamiltonian_ab) -> np.ndarray:
         """energy(state(i)) at every sample.  energy sees only the state, so
-        it is evaluated once per run of consecutive samples that are equal
-        bit for bit (a NaN payload or the sign of a zero makes a new sample)
-        and its value repeated over the run."""
-        starts = np.flatnonzero(np.concatenate([_changed_rows(self.x1, self.x2, rows).any(axis=1)
-                                                for rows in row_blocks(self.n_samples)]))
+        it is evaluated once per run of distinct_samples and its value
+        repeated over the run."""
+        starts = self.distinct_samples()
         values = np.array([energy(self.state(i)) for i in starts])
         return np.repeat(values, np.diff(starts, append=self.n_samples), axis=0)
-
-    def norm_series(self) -> np.ndarray:
-        return self.energy_series(jacobi_norm)
 
     def to_lattice_trajectory(self) -> "Trajectory":
         """A chain run mapped sample by sample through a = (1/2) e^{-r/2},

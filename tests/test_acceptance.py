@@ -71,7 +71,7 @@ def test_01_soliton_exactness(soliton_run):
 
 def test_02_isospectrality(soliton_run):
     _, _, traj = soliton_run
-    nd = drift(traj.norm_series())
+    nd = drift(traj.energy_series(jacobi_norm))
     td = drift(traj.energy_series(trace_invariants))
     verdict(2, "operator norm and trace invariants are pinned",
             nd <= 1e-8 and td <= 1e-8,
@@ -218,7 +218,8 @@ def test_11_perturbed_bounds():
     spec = PerturbationSpec(family="cosine", w0=0.1)
     traj = integrate(x, lambda s: perturbed_rhs(s, spec), 3.0, FIX, sample_dt=0.25)
     mon = monitor_trajectory(traj)
-    excess = float(np.max(traj.norm_series() - (mon.Lnorm0 + spec.dw_sup * traj.times)))
+    excess = float(np.max(traj.energy_series(jacobi_norm)
+                          - (mon.Lnorm0 + spec.dw_sup * traj.times)))
 
     g = evolve_tangent(x, (0, "b"), 3.0, FIX, flow="perturbed",
                        spec=spec, sample_dt=0.25)

@@ -10,7 +10,7 @@ from todalab import (IntegratorConfig, PerturbationSpec,
                      verify_light_cone)
 from todalab.integrators import Trajectory, integrate
 from todalab.perturbed import monitor_trajectory, perturbed_rhs
-from todalab.state import jacobi_norm_within, toda_rhs
+from todalab.state import jacobi_norm, jacobi_norm_within, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
 
@@ -122,7 +122,7 @@ def test_norm_growth_line():
     traj = integrate(x, lambda s: perturbed_rhs(s, spec), 3.0, FIX, sample_dt=0.25)
     m = monitor_trajectory(traj)
     line = m.Lnorm0 + spec.dw_sup * traj.times
-    norms = traj.norm_series()
+    norms = traj.energy_series(jacobi_norm)
     excess = float(np.max(norms - line))
     print("excess over norm line:", excess)
     assert excess <= 1e-9
@@ -147,7 +147,7 @@ def test_norm_gate_finds_the_crossing_sample(sign):
     gate = jacobi_norm_within(traj.a, traj.b, line)
     assert m.Lnorm0 == pytest.approx(math.cos(math.pi / 8.0), abs=1e-15)
     assert np.flatnonzero(~gate).tolist() == [7]
-    assert np.array_equal(gate, traj.norm_series() <= line)
+    assert np.array_equal(gate, traj.energy_series(jacobi_norm) <= line)
     assert not np.all(gate)
 
 

@@ -32,9 +32,11 @@ from todalab.state import toda_rhs, trace_invariants
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "scenario_summaries.json"
 SCENARIOS = ("toda-lightcone", "hierarchy", "perturbed", "observables", "ghs")
 # the config keys of each case: every scenario at its "auto" base, and
-# toda-lightcone on a soliton base, the one base with a closed form
+# toda-lightcone on a soliton base, the one base with a closed form, and on
+# a random one, the two bases whose base run moves
 CASES = {**{name: {"scenario": name} for name in SCENARIOS},
-         "toda-lightcone-soliton": {"scenario": "toda-lightcone", "base": "soliton"}}
+         "toda-lightcone-soliton": {"scenario": "toda-lightcone", "base": "soliton"},
+         "toda-lightcone-random": {"scenario": "toda-lightcone", "base": "random"}}
 REL = 1e-9
 
 
@@ -280,12 +282,17 @@ def test_adaptive_base_run_matches_a_tighter_standalone_run(scenario, tmp_path, 
     assert err <= ADAPTIVE_BOUND * cfg.integrator.tolerance
 
 
-def perturbed_reports(seeds) -> list:
-    """The files of a perturbed run with these seeds: per seed, its grid's
-    CSV and the two cones' reports, plus the summary and the base run."""
+# the envelope families of each tangent scenario's light-cone reports
+CONE_FAMILIES = {"toda-lightcone": ("toda",), "hierarchy": ("hierarchy",),
+                 "perturbed": ("perturbed", "timedep"), "ghs": ("ghs",)}
+
+
+def run_files(scenario, seeds) -> list:
+    """The files of a tangent scenario's run with these seeds: per seed, its
+    grid's CSV and one report per cone, plus the summary and the base run."""
     names = ["summary.json", "trajectory.csv"]
     for site, coord in seeds:
-        names += [f"lightcone_{family}_{site}_{coord}.json" for family in ("perturbed", "timedep")]
+        names += [f"lightcone_{family}_{site}_{coord}.json" for family in CONE_FAMILIES[scenario]]
         names.append(f"sensitivity_m{site}_{coord}.csv".replace("-", "_minus"))
     return sorted(names)
 
@@ -299,26 +306,94 @@ def test_short_run_inside_the_norm_line_passes(seed, tmp_path):
         "perturbed", tmp_path, base="random", seed=seed, sample_dt=0.1,
         seeds=[[0, "b"], [0, "a"]], integrator={"method": "rk4-fixed", "step": 0.01})
     assert code == 0
-    assert files == perturbed_reports([(0, "b"), (0, "a")])
+    assert files == run_files("perturbed", [(0, "b"), (0, "a")])
     assert summary["norm_growth_ok"] is True and summary["unbounded"] is False
+    assert summary["norm_line_failed_at"] is None
 
 
-@pytest.mark.parametrize("scenario", ["perturbed"])
+@pytest.mark.parametrize("scenario", ["toda-lightcone", "hierarchy", "perturbed"])
 def test_a_failed_norm_line_fails_the_run_and_writes_every_report(scenario, tmp_path,
                                                                   monkeypatch, capsys):
-    """The a-priori line is the perturbed gate: a run outside it exits 1,
-    with norm_growth_ok false and unbounded true, after every seed's grid
-    went through both cones and every report was written."""
+    """The norm line is the premise of every ||L||-based velocity: a run
+    whose count puts the third distinct sample (t = 0.5) and every later
+    one outside it exits 1, with norm_growth_ok false and that time as
+    norm_line_failed_at, after every seed's grid went through every cone
+    and every report was written."""
     monkeypatch.setattr(cli_module, "jacobi_norm_within",
-                        lambda a, b, bound: np.zeros(len(bound), dtype=bool))
+                        lambda a, b, bound: np.arange(len(bound)) < 2)
     _, solves = spy_solves(monkeypatch)
-    code, files, summary = run_scenario(scenario, tmp_path, seeds=THREE_SEEDS)
+    code, files, summary = run_scenario(scenario, tmp_path, base="random", seeds=THREE_SEEDS)
     assert code == 1 and summary["exit"] == 1
-    assert summary["norm_growth_ok"] is False and summary["unbounded"] is True
-    assert files == perturbed_reports(THREE_SEEDS)
+    assert summary["norm_growth_ok"] is False and summary["norm_line_failed_at"] == 0.5
+    if scenario == "perturbed":
+        assert summary["unbounded"] is True
+    assert files == run_files(scenario, THREE_SEEDS)
     assert summary["violations"] == 0 and summary["bound_speed"] is not None
+    assert summary["conserved_drift"] <= summary["drift_tolerance"]
     assert len(solves) == 3
-    assert "perturbed: FAILED (see" in capsys.readouterr().err
+    assert f"{scenario}: FAILED (see" in capsys.readouterr().err
+
+
+def test_the_norm_line_names_the_first_sample_outside_it(monkeypatch):
+    """A window whose diagonal shifts by s over runs of equal samples has
+    ||L|| = s + cos(pi/8): with slope 0.1 the run of s = 0.02 from t = 0.4
+    lies inside the line, the run of s = 0.08 from t = 0.7 starts outside
+    it.  One count per run of equal samples finds t = 0.7."""
+    times = np.linspace(0.0, 1.0, 11)
+    shift = np.repeat([0.0, 0.02, 0.08], [4, 3, 4])
+    run = Trajectory(times, np.full((11, 7), 0.5), shift[:, None] * np.ones((11, 7)), -3,
+                     (0.5, 0.0))
+    cfg = config_from_dict(small_config("perturbed"))
+    lnorm = state_module.jacobi_norm(run.state(0))
+    assert lnorm == pytest.approx(math.cos(math.pi / 8.0), abs=1e-15)
+    counted, count = [], cli_module.jacobi_norm_within
+    monkeypatch.setattr(cli_module, "jacobi_norm_within",
+                        lambda a, b, bound: counted.append(len(bound)) or count(a, b, bound))
+    assert cli_module._norm_line(cfg, run, lnorm, 0.1) == (
+        {"norm_growth_ok": False, "norm_line_failed_at": float(times[7])}, False)
+    assert counted == [3]
+    assert cli_module._norm_line(cfg, run, lnorm, 0.2) == (
+        {"norm_growth_ok": True, "norm_line_failed_at": None}, True)
+
+
+@pytest.mark.parametrize("keys", [
+    {"scenario": "toda-lightcone", "base": "random"},
+    {"scenario": "toda-lightcone", "base": "soliton"},
+    {"scenario": "hierarchy", "base": "random", "hierarchy": {"r": 1, "c": [1, 0]}},
+    {"scenario": "hierarchy", "base": "random", "hierarchy": {"r": 3, "c": [1, 0, 0, 0]}}],
+    ids=["toda-random", "toda-soliton", "hierarchy-r1", "hierarchy-r3"])
+def test_norm_line_counts_agree_with_the_eigensolve(keys, tmp_path, monkeypatch):
+    """The oracle of the norm line: on every sample of the base run, the
+    count of the first of its run of equal samples says what
+    jacobi_norm(run.state(i)) <= line[i] says, at the run's own line and
+    at a line cut through the middle of the widest gap between the sampled
+    norms, which some samples clear and some do not."""
+    lines, within = [], cli_module._within_line
+    monkeypatch.setattr(cli_module, "_within_line",
+                        lambda run, line: lines.append((run, line)) or within(run, line))
+    raw = {**default_config(), **keys, "window": 121, "t_final": 2.0}
+    assert run_config(config_from_dict(raw), tmp_path) == 0
+    [(run, line)] = lines
+    norms = np.array([state_module.jacobi_norm(run.state(i)) for i in range(run.n_samples)])
+    assert np.array_equal(within(run, line), norms <= line) and np.all(norms <= line)
+    ranked = np.sort(norms)
+    k = int(np.argmax(np.diff(ranked)))
+    cut = np.full(run.n_samples, 0.5 * (ranked[k] + ranked[k + 1]))
+    assert 0 < np.count_nonzero(norms <= cut) < run.n_samples
+    assert np.array_equal(within(run, cut), norms <= cut)
+
+
+@pytest.mark.parametrize("scenario", ["toda-lightcone", "hierarchy"])
+def test_a_background_run_makes_one_count(scenario, tmp_path, monkeypatch):
+    """On the background the base run never moves, so the norm line takes
+    one count, of one sample, for the whole run."""
+    counted, count = [], cli_module.jacobi_norm_within
+    monkeypatch.setattr(cli_module, "jacobi_norm_within",
+                        lambda a, b, bound: counted.append(len(bound)) or count(a, b, bound))
+    cfg = config_from_dict({**default_config(), "scenario": scenario})
+    assert cfg.resolved_base() == "background"
+    assert run_config(cfg, tmp_path) == 0
+    assert counted == [1]
 
 
 @pytest.mark.parametrize("tolerance,gate,code", [(1e-12, 1e-10, 0), (1e-15, 1e-13, 1)])
@@ -333,8 +408,8 @@ def test_ghs_drift_gate_follows_tolerance(tolerance, gate, code, tmp_path):
 
 def kappa2_soliton() -> dict:
     """toda-lightcone on a kappa 2 soliton, every other key at its default:
-    its trace drift, 3.3e-7, is far above drift_tolerance, its norm drift is
-    not."""
+    its trace drift, 3.3e-7, is far above drift_tolerance, but not once
+    divided by (1 + ||L(0)||)^4, about 513."""
     raw = {**default_config(), **CASES["toda-lightcone-soliton"]}
     raw["soliton"] = {**raw["soliton"], "kappa": 2.0}
     return raw
@@ -345,7 +420,7 @@ def kappa2_soliton() -> dict:
 def test_a_passing_run_records_a_drift_inside_its_gate(raw, tmp_path):
     """conserved_drift is the drift the gate drift_tolerance reads, so a run
     that exits 0 never records one above it (observables records none), and
-    a soliton base run records a trace drift inside trace_tolerance."""
+    an ||L||-based run records its norm line as held."""
     code = run_config(config_from_dict(raw), tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert code == 0
@@ -353,8 +428,8 @@ def test_a_passing_run_records_a_drift_inside_its_gate(raw, tmp_path):
         assert summary["conserved_drift"] is None
     else:
         assert summary["conserved_drift"] <= summary["drift_tolerance"]
-    if raw.get("base") == "soliton":
-        assert summary["trace_drift"] <= summary["trace_tolerance"]
+    if raw["scenario"] in ("toda-lightcone", "hierarchy", "perturbed"):
+        assert summary["norm_growth_ok"] is True and summary["norm_line_failed_at"] is None
 
 
 def count_jacobi_norm(monkeypatch) -> list:
@@ -372,8 +447,8 @@ def count_jacobi_norm(monkeypatch) -> list:
 
 
 def test_background_cone_takes_one_norm(tmp_path, monkeypatch):
-    """On the background the base run never moves: one norm for the whole
-    drift series, whose sample 0 also gives the bound."""
+    """On the background the base run never moves: one norm, of x, for the
+    bound, the norm line and the drift scale."""
     cfg = config_from_dict({**default_config(), "scenario": "toda-lightcone"})
     assert cfg.resolved_base() == "background"
     norms = count_jacobi_norm(monkeypatch)
@@ -381,17 +456,23 @@ def test_background_cone_takes_one_norm(tmp_path, monkeypatch):
     assert len(norms) == 1
 
 
-def test_soliton_base_takes_one_norm_per_distinct_sample(tmp_path, monkeypatch):
-    """The drift series solves each of the 51 samples once, and the bound
-    and the analytic comparison read its sample 0."""
-    cfg = config_from_dict({**default_config(), **CASES["toda-lightcone-soliton"]})
+@pytest.mark.parametrize("keys", [CASES["toda-lightcone-soliton"], CASES["toda-lightcone-random"],
+                                  {"scenario": "hierarchy", "base": "random"}],
+                         ids=["toda-soliton", "toda-random", "hierarchy-random"])
+def test_one_norm_per_run(keys, tmp_path, monkeypatch):
+    """A run whose base moves takes one norm too, of x, the sample 0 of its
+    51: the line is checked by counts, and the drift is the trace
+    invariants' (toda) or the Hamiltonian's (hierarchy)."""
+    cfg = config_from_dict({**default_config(), **keys})
     norms = count_jacobi_norm(monkeypatch)
     assert run_config(cfg, tmp_path) == 0
-    assert len(norms) == round(cfg.t_final / cfg.sample_dt) + 1 == 51
+    assert round(cfg.t_final / cfg.sample_dt) + 1 == 51
+    [x] = norms
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["Lnorm"] == state_module.jacobi_norm(x)
 
 
-SOLITON_KEYS = {"kappa", "max_error_a", "max_error_b", "trace_drift", "trace_tolerance",
-                "Lnorm_vs_analytic", "soliton_speed"}
+SOLITON_KEYS = {"kappa", "max_error_a", "max_error_b", "Lnorm_vs_analytic", "soliton_speed"}
 
 
 def test_soliton_base_checks_read_the_same_numbers_as_a_standalone_run(tmp_path):
@@ -405,12 +486,11 @@ def test_soliton_base_checks_read_the_same_numbers_as_a_standalone_run(tmp_path)
     run = integrate(soliton_state(spec, cfg.window), toda_rhs, cfg.t_final, cfg.integrator,
                     sample_dt=cfg.sample_dt)
     a_ref, b_ref = soliton_flaschka(spec, run.sites, run.times[:, np.newaxis])
-    norms = run.norm_series()
+    lnorm = state_module.jacobi_norm(run.state(0))
     want = {"max_error_a": float(np.max(np.abs(run.a - a_ref))),
             "max_error_b": float(np.max(np.abs(run.b - b_ref))),
-            "trace_drift": drift(run.energy_series(trace_invariants)),
-            "conserved_drift": drift(norms),
-            "Lnorm_vs_analytic": abs(float(norms[0]) - soliton_Lnorm(spec))}
+            "conserved_drift": drift(run.energy_series(trace_invariants) / (1.0 + lnorm) ** 4),
+            "Lnorm_vs_analytic": abs(lnorm - soliton_Lnorm(spec))}
     assert {key: summary[key] for key in want} == want
     assert SOLITON_KEYS <= set(summary)
 

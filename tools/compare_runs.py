@@ -7,11 +7,11 @@ example an export of the parent commit made with
 
     mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent   # PARENT_SRC=/tmp/parent/src
 
-Each of the 5 scenarios, and `toda-lightcone` on the soliton base too, whose
-base run it checks against the closed form, runs at the parent's
-`default_config()` under rk-adaptive and rk4-fixed, with 1 and 3 seeds, once
-from each tree (`python3 -m todalab run`, one process at a time, artifacts
-in a temporary directory): 24 configs.  A top-level key that the parent prints and the
+Each of the 5 scenarios, and `toda-lightcone` on two more bases (the soliton,
+whose base run it checks against the closed form, and the random one), runs
+at the parent's `default_config()` under rk-adaptive and rk4-fixed, with 1
+and 3 seeds, once from each tree (`python3 -m todalab run`, one process at a
+time, artifacts in a temporary directory): 28 configs.  A top-level key that the parent prints and the
 change does not is dropped from that base config, and the report names it
 first: the change would refuse it as an unknown field, and the parent gives
 an omitted key the default it prints.  Then the benchmark's 4 scenario configs run, as
@@ -26,7 +26,7 @@ relative difference of a moved float, and for a CSV file the number of
 differing rows and cells and the largest absolute difference of the
 differing cells' values.  It also lists every JSON artifact, in either
 tree, that is not strict JSON (holds a NaN or Infinity token).
-It ends with one tally per integrator, for example `rk4-fixed: 13 configs,
+It ends with one tally per integrator, for example `rk4-fixed: 15 configs,
 0 differences`, the benchmark and extra configs counted under theirs, and
 with the line count of each tree's package, `wc -l src/todalab/*.py`, as
 `src lines: 3402 -> 3360`.  Exit
@@ -47,9 +47,11 @@ from pathlib import Path
 
 SCENARIOS = ("toda-lightcone", "hierarchy", "perturbed", "observables", "ghs")
 # the config keys of each case: every scenario at its "auto" base, and
-# toda-lightcone on a soliton base, the one base with a closed form
+# toda-lightcone on a soliton base, the one base with a closed form, and on
+# a random one, the two bases whose base run moves
 CASES = {**{name: {"scenario": name} for name in SCENARIOS},
-         "toda-lightcone-soliton": {"scenario": "toda-lightcone", "base": "soliton"}}
+         "toda-lightcone-soliton": {"scenario": "toda-lightcone", "base": "soliton"},
+         "toda-lightcone-random": {"scenario": "toda-lightcone", "base": "random"}}
 INTEGRATORS = {"rk-adaptive": {"method": "rk-adaptive", "tolerance": 1e-10},
                "rk4-fixed": {"method": "rk4-fixed", "step": 0.01}}
 # seed sites 0 and 1 are adjacent, so observables reuses the grid they share
