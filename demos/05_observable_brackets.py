@@ -8,8 +8,8 @@ that check_bracket_bound compares with the bound.
 """
 import numpy as np
 
-from todalab import (IntegratorConfig, SolitonSpec, evolve_tangent, jacobi_norm, optimal_mu,
-                     soliton_state, velocity_toda)
+from todalab import (IntegratorConfig, SolitonSpec, bracket_envelope, evolve_tangent,
+                     jacobi_norm, optimal_mu, soliton_state)
 from todalab.observables import (basic_observables, bracket_bound_constant,
                                  check_bracket_bound, evolved_brackets,
                                  hamiltonian_window_observable, poisson_bracket,
@@ -49,6 +49,5 @@ for t, row in zip(times, block):
     if t in (0.0, 1.0, 2.0, 4.0):
         print(f"{t:4.1f} | " + " ".join(f"{v:5.0e}" for v in row))
 
-v = velocity_toda(mu, jacobi_norm(x))
-rep = check_bracket_bound(0, range(-25, 26), x, mu, v, grids)
+rep = check_bracket_bound(0, range(-25, 26), x, bracket_envelope(mu, jacobi_norm(x)), grids)
 print(f"\nbound check over 51 pairs: worst observed/bound = {rep.max_ratio:.3g}")

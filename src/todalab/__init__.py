@@ -9,7 +9,7 @@ propagation bounds, and the general-chain estimates.
 """
 
 from .state import (BACKGROUND, GHSState, LatticeState, background_state,
-                    hamiltonian_ab, jacobi_norm, jacobi_norm_within,
+                    bump_chain, hamiltonian_ab, jacobi_norm, jacobi_norm_within,
                     random_localized_state, toda_rhs, trace_invariants)
 from .integrators import IntegratorConfig, Trajectory, integrate, sample_times
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
@@ -17,7 +17,7 @@ from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
 from .hierarchy import (HierarchySpec, free_moment, hierarchy_hamiltonian,
                         hierarchy_rhs, kvm_rhs, path_counts)
 from .sensitivity import SensitivityGrid, evolve_tangent, make_flow
-from .bounds import (Envelope, LightConeReport,
+from .bounds import (Envelope, LightConeReport, bracket_envelope,
                      fit_front_speed, hierarchy_envelope, mu_profile, optimal_mu,
                      perturbed_envelope, perturbed_prefactor, timedep_envelope,
                      toda_envelope, velocity_hierarchy, velocity_perturbed,

@@ -162,6 +162,11 @@ def toda_envelope(mu: float, Lnorm: float) -> Envelope:
                     speed=velocity_toda(mu, Lnorm), params={"Lnorm": Lnorm})
 
 
+def bracket_envelope(mu: float, Lnorm: float) -> Envelope:
+    """e^{-mu(|n-m| - v|t|)} with the Toda velocity, times C ||a||_inf in check_bracket_bound."""
+    return Envelope(family="bracket", mu=mu, prefactor=1.0, speed=velocity_toda(mu, Lnorm))
+
+
 def hierarchy_envelope(mu: float, Lnorm: float, spec: HierarchySpec) -> Envelope:
     """Prefactor-1 envelope with block distance ceil(|n-m| / (floor(r/2)+1))
     and the matrix-norm velocity."""

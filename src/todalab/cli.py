@@ -56,8 +56,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (hierarchy_envelope, mu_profile, optimal_mu, perturbed_envelope,
-                     timedep_envelope, toda_envelope, velocity_hierarchy, velocity_toda,
+from .bounds import (bracket_envelope, hierarchy_envelope, mu_profile, optimal_mu,
+                     perturbed_envelope, timedep_envelope, toda_envelope, velocity_hierarchy,
                      verify_light_cone)
 from .ghs import (PotentialSpec, ghs_energy, ghs_envelope,
                   ghs_stability_diagnostics)
@@ -70,8 +70,9 @@ from .perturbed import PerturbationSpec, monitor_trajectory, perturbed_energy
 from .sensitivity import evolve_tangent
 from .solitons import (SolitonSpec, soliton_Lnorm, soliton_flaschka,
                        soliton_speed, soliton_state)
-from .state import (GHSState, LatticeState, background_state, centered_offset, jacobi_norm,
-                    jacobi_norm_within, random_localized_state, toda_rhs, trace_invariants)
+from .state import (GHSState, LatticeState, background_state, bump_chain, centered_offset,
+                    jacobi_norm, jacobi_norm_within, random_localized_state, toda_rhs,
+                    trace_invariants)
 
 BASES = ("auto", "background", "soliton", "random")
 
@@ -328,14 +329,6 @@ def _base_lattice(cfg: ExperimentConfig) -> LatticeState:
     return background_state(cfg.window)
 
 
-def _bump_chain(cfg: ExperimentConfig) -> GHSState:
-    """Chain at rest with a Gaussian momentum bump of width 3 at site 0."""
-    n = cfg.window
-    offset = centered_offset(n)
-    sites = np.arange(offset, offset + n)
-    return GHSState(np.zeros(n), np.exp(-((sites / 3.0) ** 2)), offset)
-
-
 def _drift_tolerance(cfg) -> float:
     """The gate on the conserved-quantity drift of a base run."""
     return 100.0 * cfg.integrator.tolerance
@@ -362,7 +355,7 @@ def _within_line(run, line):
     """Per sample i, whether ||L|| <= line[i], a line that never falls: one
     count at the first of each run of equal samples, where the line is
     lowest, repeated over the run; a background run makes one count."""
-    starts = run.distinct_samples()
+    starts = run.distinct_samples
     within = np.concatenate([jacobi_norm_within(run.a[i], run.b[i], line[i])
                              for i in (starts[rows] for rows in row_blocks(starts.size))])
     return np.repeat(within, np.diff(starts, append=run.n_samples))
@@ -396,17 +389,17 @@ def _run_tangent(cfg: ExperimentConfig, out: Path):
     return summary, ok and all(gate for _, gate in parts), first_violation
 
 
-def _cones(cfg: ExperimentConfig, *envelopes) -> list:
-    """One light-cone check per envelope, its prefactor multiplied by
-    envelope_scale and the scale recorded in its params: the place the
-    stress knob envelope_scale is applied to every cone scenario
-    (_run_observables passes it to check_bracket_bound)."""
+def _scaled(cfg: ExperimentConfig, env):
+    """env, its prefactor times envelope_scale and the scale in its params: every cone."""
     scale = cfg.envelope_scale
-    scaled = [replace(env, prefactor=scale * env.prefactor, params={**env.params, "scale": scale})
-              for env in envelopes]
+    return replace(env, prefactor=scale * env.prefactor, params={**env.params, "scale": scale})
+
+
+def _cones(cfg: ExperimentConfig, *envelopes) -> list:
+    """One light-cone check per envelope, _scaled."""
     return [lambda grid, env=env: verify_light_cone(grid, env, threshold=cfg.front_threshold,
                                                     guard=cfg.guard)
-            for env in scaled]
+            for env in (_scaled(cfg, e) for e in envelopes)]
 
 
 def _cone_tally(rows):
@@ -456,11 +449,12 @@ def _perturbed_verdicts(cfg, x, run):
     """The two cones of the base run, one with the monitors (C1, C2) and
     one with the growing radius from ||L(0)|| and a*.  unbounded is not
     norm_growth_ok, kept because perfbench's reference pins both."""
-    mu, pspec, mon = cfg.resolved_mu(), cfg.perturbation, monitor_trajectory(run)
-    line = _norm_line(cfg, run, mon.Lnorm0, pspec.dw_sup)
+    mu, lnorm, pspec = cfg.resolved_mu(), jacobi_norm(x), cfg.perturbation
+    mon = monitor_trajectory(run)
+    line = _norm_line(cfg, run, lnorm, pspec.dw_sup)
     env_w = perturbed_envelope(mu, mon.C1, mon.C2, pspec.d2w_sup)
     a_star = min(float(np.min(np.abs(x.a))), abs(x.background[0]))    # inf_n |a_n(0)|
-    env_t = timedep_envelope(mu, mon.Lnorm0, pspec.dw_sup, pspec.d2w_sup, a_star)
+    env_t = timedep_envelope(mu, lnorm, pspec.dw_sup, pspec.d2w_sup, a_star)
     return (_cones(cfg, env_w, env_t),
             [({"mu": mu, "base": cfg.resolved_base(), "family": pspec.family, "w0": pspec.w0,
                "C1": mon.C1, "C2": mon.C2, "unbounded": not line[1], "a_star": a_star,
@@ -480,7 +474,7 @@ def _ghs_verdicts(cfg, x, run):
 def _run_observables(cfg: ExperimentConfig, out: Path):
     mu = cfg.resolved_mu()
     x = _base_lattice(cfg)
-    v = velocity_toda(mu, jacobi_norm(x))      # one norm for every bracket bound
+    cone = _scaled(cfg, bracket_envelope(mu, jacobi_norm(x)))     # one norm for every bound
     m_list = sorted({site for site, _ in cfg.seeds})
     reach = cfg.obs_range
     n_viol = 0
@@ -496,8 +490,7 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
                                 sample_dt=cfg.sample_dt)
                  for seed in sorted(required_bracket_seeds(b_m, x))}
         clean = clean and all(grid.clean(cfg.guard) for grid in grids.values())
-        rep = check_bracket_bound(m, range(m - reach, m + reach + 1), x, mu, v, grids,
-                                  cfg.envelope_scale)
+        rep = check_bracket_bound(m, range(m - reach, m + reach + 1), x, cone, grids)
         n_viol += rep.n_violations
         worst_ratio = max(worst_ratio, rep.max_ratio)
         if rep.violations and first_violation is None:
@@ -513,7 +506,7 @@ def _run_observables(cfg: ExperimentConfig, out: Path):
     ok = clean and n_viol == 0 and gen_err <= 1e-5
     summary = {
         "mu": mu, "clean": clean, "violations": n_viol,
-        "bound_speed": v,
+        "bound_speed": cone.speed,
         "pairs_checked": len(m_list) * (2 * reach + 1),
         "max_ratio": worst_ratio,
         "generator_rel_error": gen_err,
@@ -550,8 +543,8 @@ SCENARIOS = {
     "perturbed": Scenario("random", ("perturbation",), flow="perturbed",
                           verdicts=_perturbed_verdicts),
     "observables": Scenario("soliton", run=_run_observables),
-    "ghs": Scenario("background", ("potential",), state=_bump_chain, flow="ghs",
-                    verdicts=_ghs_verdicts),
+    "ghs": Scenario("background", ("potential",), state=lambda cfg: bump_chain(cfg.window),
+                    flow="ghs", verdicts=_ghs_verdicts),
 }
 
 

@@ -443,9 +443,11 @@ class Trajectory(EdgeMargin):
         bg1, bg2 = self.background
         return self.x1[rows] - bg1, self.x2[rows] - bg2
 
+    @functools.cached_property
     def distinct_samples(self) -> np.ndarray:
         """The first sample of each run of consecutive samples that are equal
-        bit for bit (a NaN payload or the sign of a zero makes a new sample)."""
+        bit for bit (a NaN payload or the sign of a zero makes a new sample),
+        found once per run: every series read off the run shares it."""
         return np.flatnonzero(np.concatenate([_changed_rows(self.x1, self.x2, rows).any(axis=1)
                                               for rows in row_blocks(self.n_samples)]))
 
@@ -453,7 +455,7 @@ class Trajectory(EdgeMargin):
         """energy(state(i)) at every sample.  energy sees only the state, so
         it is evaluated once per run of distinct_samples and its value
         repeated over the run."""
-        starts = self.distinct_samples()
+        starts = self.distinct_samples
         values = np.array([energy(self.state(i)) for i in starts])
         return np.repeat(values, np.diff(starts, append=self.n_samples), axis=0)
 

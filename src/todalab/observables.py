@@ -37,7 +37,6 @@ class ObservableDescriptor:
     eval: object
     d_da: object
     d_db: object
-    name: str = "A"
 
     def __post_init__(self):
         self.support = tuple(sorted(int(n) for n in self.support))
@@ -51,14 +50,12 @@ def basic_observables(n: int):
         support=(n,),
         eval=lambda s, n=n: float(s.a[s.site_index(n)]),
         d_da=lambda s, m, n=n: 1.0 if m == n else 0.0,
-        d_db=lambda s, m: 0.0,
-        name=f"a[{n}]")
+        d_db=lambda s, m: 0.0)
     b_obs = ObservableDescriptor(
         support=(n,),
         eval=lambda s, n=n: float(s.b[s.site_index(n)]),
         d_da=lambda s, m: 0.0,
-        d_db=lambda s, m, n=n: 1.0 if m == n else 0.0,
-        name=f"b[{n}]")
+        d_db=lambda s, m, n=n: 1.0 if m == n else 0.0)
     return a_obs, b_obs
 
 
@@ -84,8 +81,7 @@ def hamiltonian_window_observable(sites) -> ObservableDescriptor:
             return 0.0
         return float(4.0 * s.b[s.site_index(n)])
 
-    return ObservableDescriptor(support=sites, eval=_eval, d_da=_d_da,
-                                d_db=_d_db, name="H-window")
+    return ObservableDescriptor(support=sites, eval=_eval, d_da=_d_da, d_db=_d_db)
 
 
 def poisson_bracket(A: ObservableDescriptor, B: ObservableDescriptor,
@@ -162,30 +158,28 @@ class BracketBoundReport:
         return self.n_violations == 0
 
 
-def check_bracket_bound(m: int, sites, x: LatticeState, mu: float, v: float,
-                        grids: dict, scale: float = 1.0) -> BracketBoundReport:
+def check_bracket_bound(m: int, sites, x: LatticeState, cone: Envelope,
+                        grids: dict) -> BracketBoundReport:
     """Whether, for each n in sites and at every sample t,
 
         |{a_n o flow_t, b_m}(x)| <= C ||a||_inf e^{-mu(|n - m| - v|t|)},
 
-    the (T, S) block of evolved_brackets against C ||a||_inf times one
-    Envelope of prefactor scale (the CLI's envelope_scale) and speed v, in
-    one bounds.compare.  v is the caller's velocity_toda(mu, jacobi_norm(x)),
-    so a run that checks several sites m solves for the norm once.  Every
-    violation is counted; the first MAX_VIOLATIONS_STORED, by site and then
-    by time, are stored."""
+    the (T, S) block of evolved_brackets against C ||a||_inf times the
+    caller's cone, of rate mu and speed v (the CLI's is bracket_envelope,
+    scaled as every cone), in one bounds.compare.  Every violation is
+    counted; the first MAX_VIOLATIONS_STORED, by site and then by time, are
+    stored."""
     val = np.abs(evolved_brackets(m, sites, x, grids))
     times = next(iter(grids.values())).times
     sites = np.asarray(sites, dtype=int)
-    cone = Envelope(family="bracket", mu=mu, prefactor=scale, speed=v)
-    c = bracket_bound_constant(mu)
+    c = bracket_bound_constant(cone.mu)
     a_sup = float(np.max(np.abs(x.a)))
     with np.errstate(over="ignore"):
         bound = c * a_sup * cone.value(np.abs(sites - m), times[:, np.newaxis])
     bad, max_ratio = compare(val, bound)
     bad = np.argwhere(bad.T)                     # (site, time) pairs, site-major
     return BracketBoundReport(
-        mu=mu, velocity=v, constant=c, a_sup=a_sup, n_violations=int(bad.shape[0]),
+        mu=cone.mu, velocity=cone.speed, constant=c, a_sup=a_sup, n_violations=int(bad.shape[0]),
         violations=[{"n": int(sites[j]), "t": float(times[i]), "observed": float(val[i, j]),
                      "bound": float(bound[i, j])} for j, i in bad[:MAX_VIOLATIONS_STORED]],
         max_ratio=max_ratio)

@@ -12,10 +12,11 @@ delta-bounded set) the propagation bounds with perturbation-corrected
 constants.  W is one of two families, cosine or rational (PerturbationSpec),
 whose derivative norms have closed forms.  The monitors below measure the
 two state-dependent numbers the bounds need: C1 (sup-norm of the
-trajectory) and C2 (sup of 1/|a_n(t)|), and ||L(0)||, where the a-priori
-line starts.  That line, checked at every sample, is the one gate of the
-CLI's perturbed scenario: a run inside it is checked against both cones,
-however its sampled sup-norm moves.
+trajectory) and C2 (sup of 1/|a_n(t)|).  ||L(0)||, where the a-priori line
+starts, is the CLI's jacobi_norm of the initial state, as in every lattice
+scenario.  That line, checked at every sample, is the one gate of the CLI's
+perturbed scenario: a run inside it is checked against both cones, however
+its sampled sup-norm moves.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import row_blocks
-from .state import LatticeState, _step_dn, hamiltonian_ab, jacobi_norm, toda_rhs
+from .state import LatticeState, _step_dn, hamiltonian_ab, toda_rhs
 
 _FAMILIES = ("cosine", "rational")
 
@@ -115,18 +116,16 @@ class TrajectoryMonitors:
 
     C1 bounds sup_t max(||a(t)||_inf, ||b(t)||_inf), C2 bounds
     sup_t sup_n 1/|a_n(t)|, both measured on the sampled horizon only (the
-    true suprema over all t are not computable from a run).  Lnorm0 is
-    ||L(0)||, the spectral norm of the first sample.
+    true suprema over all t are not computable from a run).
     """
 
     C1: float
     C2: float
-    Lnorm0: float
     horizon: float
 
 
 def monitor_trajectory(traj) -> TrajectoryMonitors:
-    """Measure C1, C2 and ||L(0)|| (one eigensolve) along a sampled run."""
+    """Measure C1 and C2 along a sampled run."""
     a_bg, b_bg = traj.background
     block_max, block_min_a = [], []
     for rows in row_blocks(traj.n_samples):
@@ -136,5 +135,4 @@ def monitor_trajectory(traj) -> TrajectoryMonitors:
     c1 = max(float(np.max(block_max)), abs(a_bg), abs(b_bg))
     min_a = min(float(np.min(block_min_a)), abs(a_bg))
     c2 = math.inf if min_a == 0.0 else 1.0 / min_a
-    return TrajectoryMonitors(C1=c1, C2=c2, Lnorm0=jacobi_norm(traj.state(0)),
-                              horizon=float(traj.times[-1]))
+    return TrajectoryMonitors(C1=c1, C2=c2, horizon=float(traj.times[-1]))

@@ -180,6 +180,13 @@ def random_localized_state(n_sites: int, offset: int | None = None, *,
     return LatticeState(s.a, s.b, s.offset, s.background)
 
 
+def bump_chain(n_sites: int) -> GHSState:
+    """Chain at rest with a Gaussian momentum bump of width 3 at site 0."""
+    offset = centered_offset(n_sites)
+    sites = np.arange(offset, offset + n_sites)
+    return GHSState(np.zeros(n_sites), np.exp(-((sites / 3.0) ** 2)), offset)
+
+
 def _step_up(v: np.ndarray, edge) -> np.ndarray:
     """v_{n+1} - v_n over the window, with edge as the value above it.
     Filled by slices: each entry is the one subtraction it names."""

@@ -25,7 +25,7 @@ from todalab.perturbed import TrajectoryMonitors
 from todalab.sensitivity import SensitivityGrid, _seed_vectors, evolve_tangent, make_flow
 from todalab.solitons import SolitonSpec, _phase
 from todalab.state import (GHSState, LatticeState, _padded, _relative_ab, _step_dn, _step_up,
-                           jacobi_norm, toda_rhs)
+                           toda_rhs)
 
 
 def flaschka_inverse(s: LatticeState) -> GHSState:
@@ -469,8 +469,7 @@ def whole_monitor_trajectory(traj) -> TrajectoryMonitors:
     c1 = max(float(sup_field.max()), abs(a_bg), abs(b_bg))
     min_a = min(float(abs_a.min()), abs(a_bg))
     c2 = math.inf if min_a == 0.0 else 1.0 / min_a
-    return TrajectoryMonitors(C1=c1, C2=c2, Lnorm0=jacobi_norm(traj.state(0)),
-                              horizon=float(traj.times[-1]))
+    return TrajectoryMonitors(C1=c1, C2=c2, horizon=float(traj.times[-1]))
 
 
 def sampled_quadratic_floor(pot, bound: float) -> float:

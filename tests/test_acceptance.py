@@ -16,11 +16,11 @@ import pytest
 from oracles import (C_epsilon, check_G_convolution, finite_difference_oracle, gamma_const,
                      jacobi_matrix)
 from todalab import (HierarchySpec, IntegratorConfig, PerturbationSpec,
-                     SolitonSpec, background_state, evolve_tangent,
+                     SolitonSpec, background_state, bracket_envelope, evolve_tangent,
                      hierarchy_envelope, optimal_mu,
                      perturbed_envelope, random_localized_state, soliton_state,
                      timedep_envelope, toda_envelope, velocity_hierarchy,
-                     velocity_toda, verify_light_cone)
+                     verify_light_cone)
 from todalab.cli import default_config, main
 from todalab.ghs import (PotentialSpec, ghs_energy, ghs_envelope, ghs_rhs,
                          ghs_stability_diagnostics)
@@ -217,16 +217,16 @@ def test_11_perturbed_bounds():
     x = random_localized_state(161, seed=42)
     spec = PerturbationSpec(family="cosine", w0=0.1)
     traj = integrate(x, lambda s: perturbed_rhs(s, spec), 3.0, FIX, sample_dt=0.25)
-    mon = monitor_trajectory(traj)
+    mon, lnorm0 = monitor_trajectory(traj), jacobi_norm(x)
     excess = float(np.max(traj.energy_series(jacobi_norm)
-                          - (mon.Lnorm0 + spec.dw_sup * traj.times)))
+                          - (lnorm0 + spec.dw_sup * traj.times)))
 
     g = evolve_tangent(x, (0, "b"), 3.0, FIX, flow="perturbed",
                        spec=spec, sample_dt=0.25)
     rep_w = verify_light_cone(g, perturbed_envelope(MU0, mon.C1, mon.C2, spec.d2w_sup))
     a_star = min(float(np.abs(traj.a).min()), x.background[0])
     rep_t = verify_light_cone(
-        g, timedep_envelope(MU0, mon.Lnorm0, spec.dw_sup, spec.d2w_sup, a_star))
+        g, timedep_envelope(MU0, lnorm0, spec.dw_sup, spec.d2w_sup, a_star))
 
     ok = (excess <= 1e-9 and g.clean(10)
           and rep_w.n_violations == 0 and rep_t.n_violations == 0)
@@ -270,7 +270,7 @@ def test_13_observable_brackets():
     _, B0 = basic_observables(0)
     seeds = sorted(required_bracket_seeds(B0, sol))
     grids = {s: evolve_tangent(sol, s, 5.0, FIX, sample_dt=0.25) for s in seeds}
-    rep = check_bracket_bound(0, range(-40, 41), sol, MU0, velocity_toda(MU0, jacobi_norm(sol)),
+    rep = check_bracket_bound(0, range(-40, 41), sol, bracket_envelope(MU0, jacobi_norm(sol)),
                               grids)
     n_viol, worst_ratio = rep.n_violations, rep.max_ratio
 

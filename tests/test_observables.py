@@ -11,15 +11,22 @@ from todalab.observables import (ObservableDescriptor, basic_observables,
                                  bracket_bound_constant, check_bracket_bound,
                                  evolved_brackets, hamiltonian_window_observable, poisson_bracket,
                                  required_bracket_seeds)
-from todalab.bounds import MAX_VIOLATIONS_STORED, velocity_toda
+from todalab.bounds import MAX_VIOLATIONS_STORED, bracket_envelope, velocity_toda
 from todalab.state import LatticeState, jacobi_norm, toda_rhs
 
 FIX = IntegratorConfig(method="rk4-fixed", step=0.02)
 
 
 def _speed(mu, x):
-    """The bracket bound's velocity, which check_bracket_bound takes from its caller."""
+    """The bracket bound's velocity, velocity_toda(mu, ||L(x)||)."""
     return velocity_toda(mu, jacobi_norm(x))
+
+
+def _cone(mu, x, scale=1.0):
+    """The bracket cone that check_bracket_bound takes from its caller, built
+    as the CLI builds it: bracket_envelope at ||L(x)||, its prefactor scaled."""
+    env = bracket_envelope(mu, jacobi_norm(x))
+    return replace(env, prefactor=scale * env.prefactor)
 
 
 EXPECTED = {
@@ -149,7 +156,7 @@ def test_observable_outside_the_window_is_named(site):
     grids = {s: evolve_tangent(x, s, 0.5, FIX, sample_dt=0.25)
              for s in required_bracket_seeds(b0, x)}
     with pytest.raises(IndexError, match=rf"observable site {site} outside window \[-20, 21\)"):
-        check_bracket_bound(0, [0, site], x, 0.5, 1.0, grids)
+        check_bracket_bound(0, [0, site], x, _cone(0.5, x), grids)
 
 
 def test_evolved_bracket_reduces_at_time_zero():
@@ -177,7 +184,7 @@ def test_bracket_constant_value():
 def test_bracket_bound_holds_on_soliton():
     mu0, _ = optimal_mu()
     sol, grids = _soliton_grids([0])
-    rep = check_bracket_bound(0, [5], sol, mu0, _speed(mu0, sol), grids)
+    rep = check_bracket_bound(0, [5], sol, _cone(mu0, sol), grids)
     print("ratio:", rep.max_ratio)
     assert rep.ok
     assert rep.n_violations == 0 and rep.violations == []
@@ -190,7 +197,7 @@ def test_non_finite_bracket_is_a_violation():
     mu0, _ = optimal_mu()
     sol, grids = _soliton_grids([0])
     grids[(-1, "a")].da[2, 5 - sol.offset] = np.nan       # the cell {a_5 o flow_0.5, b_0} reads
-    rep = check_bracket_bound(0, [4, 5, 6], sol, mu0, _speed(mu0, sol), grids)
+    rep = check_bracket_bound(0, [4, 5, 6], sol, _cone(mu0, sol), grids)
     assert not rep.ok
     assert rep.n_violations == 1
     assert (rep.violations[0]["n"], rep.violations[0]["t"]) == (5, 0.5)
@@ -205,7 +212,7 @@ def test_stored_bracket_violations_go_by_site_then_time():
     mu0, _ = optimal_mu()
     sol, grids = _soliton_grids([0])
     sites = range(-30, 31)
-    rep = check_bracket_bound(0, sites, sol, mu0, _speed(mu0, sol), grids, scale=0.0)
+    rep = check_bracket_bound(0, sites, sol, _cone(mu0, sol, 0.0), grids)
     times = grids[(0, "a")].times
     bad = [(n, float(t)) for n in sites
            for t, val in zip(times, np.abs(evolved_brackets(0, [n], sol, grids))[:, 0])
@@ -267,7 +274,7 @@ def test_bracket_check_matches_scalar_loop():
         n_viol = 0
         for m in m_list:
             sites = range(m - reach, m + reach + 1)
-            rep = check_bracket_bound(m, sites, sol, mu0, _speed(mu0, sol), grids, scale)
+            rep = check_bracket_bound(m, sites, sol, _cone(mu0, sol, scale), grids)
             cells = [(n, float(t), val, bound) for n in sites
                      for t, (val, bound) in zip(times, _scalar_bracket_check(
                          basic_observables(n)[0], basic_observables(m)[1], sol, mu0, grids,

@@ -101,7 +101,7 @@ def test_monitors_on_background():
     m = monitor_trajectory(traj)
     assert m.C1 == 0.5
     assert m.C2 == 2.0
-    assert m.Lnorm0 == pytest.approx(math.cos(math.pi / 62.0), abs=1e-12)
+    assert jacobi_norm(bg) == pytest.approx(math.cos(math.pi / 62.0), abs=1e-12)
     assert m.horizon == 1.0
 
 
@@ -120,8 +120,7 @@ def test_norm_growth_line():
     x = random_localized_state(121, seed=7)
     spec = PerturbationSpec(family="cosine", w0=0.1)
     traj = integrate(x, lambda s: perturbed_rhs(s, spec), 3.0, FIX, sample_dt=0.25)
-    m = monitor_trajectory(traj)
-    line = m.Lnorm0 + spec.dw_sup * traj.times
+    line = jacobi_norm(x) + spec.dw_sup * traj.times
     norms = traj.energy_series(jacobi_norm)
     excess = float(np.max(norms - line))
     print("excess over norm line:", excess)
@@ -142,10 +141,10 @@ def test_norm_gate_finds_the_crossing_sample(sign):
     shift[7] = w1 * times[7] + 0.01
     b = sign * shift[:, None] * np.ones((11, 7))
     traj = Trajectory(times, np.full((11, 7), 0.5), b, -3, (0.5, 0.0))
-    m = monitor_trajectory(traj)
-    line = m.Lnorm0 + w1 * times + 1e-9
+    lnorm0 = jacobi_norm(traj.state(0))
+    line = lnorm0 + w1 * times + 1e-9
     gate = jacobi_norm_within(traj.a, traj.b, line)
-    assert m.Lnorm0 == pytest.approx(math.cos(math.pi / 8.0), abs=1e-15)
+    assert lnorm0 == pytest.approx(math.cos(math.pi / 8.0), abs=1e-15)
     assert np.flatnonzero(~gate).tolist() == [7]
     assert np.array_equal(gate, traj.energy_series(jacobi_norm) <= line)
     assert not np.all(gate)

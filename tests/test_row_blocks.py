@@ -15,7 +15,7 @@ from oracles import (whole_boundary_margin, whole_fit_front_speed, whole_ghs_con
                      whole_ghs_stability_diagnostics, whole_monitor_trajectory,
                      whole_verify_light_cone)
 
-from todalab import integrators
+from todalab import cli, integrators
 from todalab.bounds import (MAX_VIOLATIONS_STORED, fit_front_speed, optimal_mu, timedep_envelope,
                             toda_envelope, verify_light_cone)
 from todalab.ghs import PotentialSpec, ghs_cone_constant, ghs_stability_diagnostics
@@ -160,17 +160,36 @@ def test_stored_violations_straddle_block_edges_in_time_order(row_block):
     assert last // row_block >= 1                  # the stored ones span a block edge
 
 
-def test_energy_series_reads_every_sample_across_block_edges(row_block):
-    """Runs of equal samples that straddle block edges share one energy;
-    each sample's energy is that of its own state, bit for bit."""
+def equal_runs(row_block):
+    """A run of 3 row blocks plus 5 samples, in runs of four equal samples
+    that straddle the block edges."""
     rng = np.random.default_rng(5)
     t = 3 * row_block + 5
     which = np.arange(t) // 4                       # runs of four equal samples
     x1 = (0.5 + 0.01 * rng.normal(size=(which[-1] + 1, 21)))[which]
     x2 = (0.01 * rng.normal(size=(which[-1] + 1, 21)))[which]
-    traj = Trajectory(0.1 * np.arange(t), x1, x2, -10, (0.5, 0.0))
-    each = np.array([hamiltonian_ab(traj.state(i)) for i in range(t)])
+    return Trajectory(0.1 * np.arange(t), x1, x2, -10, (0.5, 0.0))
+
+
+def test_energy_series_reads_every_sample_across_block_edges(row_block):
+    """Runs of equal samples that straddle block edges share one energy;
+    each sample's energy is that of its own state, bit for bit."""
+    traj = equal_runs(row_block)
+    each = np.array([hamiltonian_ab(traj.state(i)) for i in range(traj.n_samples)])
     assert traj.energy_series().tobytes() == each.tobytes()
+
+
+def test_a_run_finds_its_equal_samples_once(row_block, monkeypatch):
+    """The energy series and the norm line of one run share one bitwise
+    pass over its samples: _changed_rows runs once per row block."""
+    traj = equal_runs(row_block)
+    t = traj.n_samples
+    calls, changed_rows = [], integrators._changed_rows
+    monkeypatch.setattr(integrators, "_changed_rows",
+                        lambda *args: calls.append(args[2]) or changed_rows(*args))
+    traj.energy_series()
+    assert cli._within_line(traj, np.full(t, 2.0)).all()
+    assert calls == list(row_blocks(t))
 
 
 def test_passes_hold_a_fraction_of_the_grid():

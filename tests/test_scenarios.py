@@ -531,7 +531,7 @@ def test_observables_takes_one_norm_for_every_bracket_bound(tmp_path, monkeypatc
     norms, speeds = count_jacobi_norm(monkeypatch), []
     check = cli_module.check_bracket_bound
     monkeypatch.setattr(cli_module, "check_bracket_bound",
-                        lambda *args: speeds.append(args[4]) or check(*args))
+                        lambda *args: speeds.append(args[3].speed) or check(*args))
     assert run_config(cfg, tmp_path) == 0
     [x] = norms
     assert speeds == [velocity_toda(cfg.resolved_mu(), state_module.jacobi_norm(x))] * 5
@@ -539,12 +539,29 @@ def test_observables_takes_one_norm_for_every_bracket_bound(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("scenario", ["perturbed"])
 def test_perturbed_monitors_take_one_norm(scenario, tmp_path, monkeypatch):
-    """||L(0)|| is the one eigensolve of the monitors; the norm-growth gate
-    counts eigenvalues instead of solving for the norm at every sample."""
+    """||L(0)|| is the one eigensolve of the run, jacobi_norm(x), taken by
+    the verdicts as in every lattice scenario: monitor_trajectory makes
+    none, the norm-growth gate counts eigenvalues instead of solving for the
+    norm at every sample, and both time-dependent cone reports start their
+    radius from that norm, bit for bit."""
     cfg = config_from_dict(small_config(scenario))
-    norms = count_jacobi_norm(monkeypatch)
+    norms, inside = count_jacobi_norm(monkeypatch), []
+    monitor = cli_module.monitor_trajectory
+
+    def spied(run):
+        before = len(norms)
+        mon = monitor(run)
+        inside.append(len(norms) - before)
+        return mon
+
+    monkeypatch.setattr(cli_module, "monitor_trajectory", spied)
     assert run_config(cfg, tmp_path) == 0
-    assert len(norms) == 1
+    assert inside == [0]
+    [x] = norms
+    reports = sorted(tmp_path.glob("lightcone_timedep_*.json"))
+    assert [p.name for p in reports] == ["lightcone_timedep_0_b.json", "lightcone_timedep_3_a.json"]
+    lnorm = state_module.jacobi_norm(x)
+    assert [strict_json(p)["params"]["Lnorm0"] for p in reports] == [lnorm, lnorm]
 
 
 @pytest.mark.parametrize("scenario", ["perturbed"])
